@@ -5,8 +5,10 @@ import (
 
 	"sagabench/internal/compute"
 	"sagabench/internal/core"
+	"sagabench/internal/ds"
 	_ "sagabench/internal/ds/all"
 	"sagabench/internal/gen"
+	"sagabench/internal/graph"
 )
 
 // benchComputeView is benchCompute with the compute-view toggle exposed:
@@ -87,3 +89,42 @@ func BenchmarkViewOffPRINConAS(b *testing.B) {
 func BenchmarkViewOnPRINConAS(b *testing.B) {
 	benchComputeView(b, "adjshared", "pr", compute.INC, true)
 }
+
+// benchViewRefreshSmallBatch times the mirror refresh alone, at the
+// paper's small batch size on a graph large enough that a per-vertex pass
+// shows: 2^16 vertices, ~500 K RMAT edges preloaded, then one fresh
+// 1 000-edge batch per iteration (ingested with the timer stopped). What
+// it gates is that a refresh costs what the batch touched — ~1 900 dirty
+// runs of 65 536 — not what the graph holds. One untimed batch follows the
+// preload, so that the first timed refresh is a steady-state one whatever
+// -benchtime says (the first build allocates no slack; the batch after it
+// compacts once and does).
+func benchViewRefreshSmallBatch(b *testing.B, dsName string) {
+	const nodes, preload, batch = 1 << 16, 500_000, 1_000
+	spec := gen.Spec{Kind: gen.KindRMAT, Directed: true, NumNodes: nodes, NumEdges: preload, A: .55, B: .15, C: .15, D: .15}
+	g := ds.MustNew(dsName, ds.Config{Directed: true, Threads: 1, MaxNodesHint: nodes})
+	view, ok := ds.NewComputeView(g, 1)
+	if !ok {
+		b.Fatalf("%s exposes no flat view", dsName)
+	}
+	edges := spec.Generate(7)
+	g.Update(edges)
+	view.Refresh(edges, nil)
+	spec.NumEdges = batch * 256
+	stream := spec.Generate(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := -1; i < b.N; i++ {
+		b.StopTimer()
+		at := (i + 1) * batch % len(stream)
+		adds := graph.Batch(stream[at : at+batch])
+		g.Update(adds)
+		if i >= 0 {
+			b.StartTimer()
+		}
+		view.Refresh(adds, nil)
+	}
+}
+
+func BenchmarkViewRefreshSmallBatchHybrid(b *testing.B) { benchViewRefreshSmallBatch(b, "hybrid") }
+func BenchmarkViewRefreshSmallBatchAS(b *testing.B)     { benchViewRefreshSmallBatch(b, "adjshared") }

@@ -7,13 +7,13 @@
 // Typical use, locally before landing a compute/view or data-structure
 // change:
 //
-//	go test -run=NONE -bench='ViewO|ComputePR|ComputeCC|ComputeBFS|UpdateRate' -benchtime=20x . | \
+//	go test -run=NONE -bench='ViewO|ViewRefresh|ComputePR|ComputeCC|ComputeBFS|UpdateRate' -benchtime=20x . | \
 //	    go run ./cmd/benchgate -baseline BENCH_compute.json,BENCH_update.json
 //
 // and in CI (shared runners are too noisy to gate on wall time, so only
 // the deterministic allocation counts are enforced there):
 //
-//	go test -run=NONE -bench='Compute|View|UpdateRate' -benchtime=1x . | \
+//	go test -run=NONE -bench='Compute|ViewO|ViewRefreshSmallBatch|UpdateRate' -benchtime=1x . | \
 //	    go run ./cmd/benchgate -baseline BENCH_compute.json,BENCH_update.json -time-advisory
 //
 // The gate fails (exit 1) when a benchmark regresses by more than

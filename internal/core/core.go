@@ -83,6 +83,12 @@ type Pipeline struct {
 	em         *epoch.Manager
 	epochBatch int
 	lastEpoch  epoch.Stats
+	// The two property vectors publication rotates through on the view
+	// path: latestVals belongs to the latest snapshot, spareVals to the
+	// one it superseded and is what the next publish overwrites — nil once
+	// ReclaimSpare reports that snapshot still pinned (updatePhase), and
+	// always nil on the export path, which has no such gate.
+	latestVals, spareVals []float64
 
 	affected     []graph.NodeID
 	affectedMark []uint8
@@ -373,6 +379,7 @@ func (p *Pipeline) record(edges, deletes, affected int, lat BatchLatency) {
 	if p.view != nil {
 		ev.ViewNS = p.lastView.Duration.Nanoseconds()
 		ev.ViewDirtyFrac = p.lastView.DirtyFraction()
+		ev.ViewWritten = p.lastView.Written
 		ev.ViewFull = p.lastView.Full
 	}
 	if p.em != nil {
@@ -833,24 +840,28 @@ func (p *Pipeline) updatePhase(mb MixedBatch, lat *BatchLatency) error {
 	}
 	sp.End()
 	if p.view != nil {
-		// The refresh is about to scribble the double buffer's spare
-		// arrays, which belong to the snapshot superseded two publishes
-		// ago. If readers still pin it, abandon the spares to the GC (the
-		// rebuild then allocates fresh arrays) instead of tearing the
-		// pinned epoch — the writer never frees under a reader.
+		// The refresh is about to patch the spare index buffers (and, when
+		// it compacts, may refill the arena only they reach), and the
+		// publish after it to overwrite the spare value vector; all
+		// belong to the snapshot superseded two publishes ago. If readers
+		// still pin it, abandon them to the GC (refresh and publish then
+		// allocate fresh ones) instead of tearing the pinned epoch — the
+		// writer never frees under a reader.
 		if p.em != nil && p.em.ReclaimSpare() {
 			p.view.DropSpares()
+			p.spareVals = nil
 		}
 		vsp := p.bt.Start("view.refresh")
 		p.lastView = p.view.Refresh(mb.Adds, mb.Dels)
 		lat.Update += p.lastView.Duration
 		vsp.SetFloat("dirty_frac", p.lastView.DirtyFraction())
+		vsp.SetInt("written", int64(p.lastView.Written))
 		if p.lastView.Full {
 			vsp.SetInt("full", 1)
 		}
 		vsp.End()
 		if p.rec != nil {
-			p.rec.RecordViewRefresh(p.lastView.Duration, p.lastView.DirtyFraction(), p.lastView.Full)
+			p.rec.RecordViewRefresh(p.lastView.Duration, p.lastView.DirtyFraction(), p.lastView.Written, p.lastView.Full)
 		}
 	}
 	return nil

@@ -126,8 +126,11 @@ func (p *Pipeline) resetComponents() error {
 		// The double buffer was discarded with the old view; the spare the
 		// manager tracked no longer exists, so stop gating on it. Snapshots
 		// published before the reset stay pinned and intact — their arrays
-		// belong to the GC now, not to any live double buffer.
+		// belong to the GC now, not to any live double buffer. The same
+		// goes for their property vectors: ForgetSpare leaves nothing to
+		// report them drained.
 		p.em.ForgetSpare()
+		p.latestVals, p.spareVals = nil, nil
 	}
 	return nil
 }

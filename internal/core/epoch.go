@@ -19,11 +19,15 @@ import (
 
 // publishEpoch publishes the post-batch state as a new epoch. With the
 // compute view attached, the published CSR is the mirror the refresh just
-// built — zero extra topology work; the double buffer's reuse of these
-// arrays two batches from now is gated by ReclaimSpare in updatePhase.
-// Without the view, a full CSR is exported from the structure each batch
-// (fresh arrays, nothing to gate). The property vector is copied either
-// way: the engine mutates its array in place next batch.
+// brought up to date — zero extra topology work. What the mirror writes
+// again two batches from now (its spare index buffer, and the arena only
+// that index reaches) is gated by ReclaimSpare in updatePhase, and the
+// property vector rides the same gate: the copy goes into the vector of
+// the snapshot ReclaimSpare just reported drained, and a fresh one is
+// allocated only when that snapshot is still pinned. Without the view, a
+// full CSR is exported from the structure each batch (fresh arrays and a
+// fresh vector, nothing to gate). The vector is copied either way: the
+// engine mutates its array in place next batch.
 func (p *Pipeline) publishEpoch() {
 	p.enterPhase("publish", fault.OpPublish)
 	defer p.exitPhase("publish")
@@ -38,15 +42,18 @@ func (p *Pipeline) publishEpoch() {
 		}
 		csr = *graph.BuildCSR(p.g.NumNodes(), ds.ExportEdgesParallel(p.g, threads))
 	}
+	vals := append(p.spareVals[:0], p.engine.Values()...)
 	s := &epoch.Snapshot{
 		Batch:    p.epochBatch,
 		Wall:     time.Now(),
 		CSR:      csr,
-		Values:   append([]float64(nil), p.engine.Values()...),
+		Values:   vals,
 		Directed: p.pcfg.Directed,
 	}
 	ep := p.em.Publish(s)
-	if p.view == nil {
+	if p.view != nil {
+		p.spareVals, p.latestVals = p.latestVals, vals
+	} else {
 		// Export-path arrays are fresh every batch; nothing is ever
 		// reclaimed, so don't let the manager track the superseded
 		// snapshot as a spare owner.

@@ -174,8 +174,10 @@ func TestCloseWithPinnedHandle(t *testing.T) {
 
 // TestEpochBufferReuse pins down both halves of the reclamation protocol
 // on the compute-view path: with no readers the double buffer is
-// reclaimed (zero-reader fast path, no drops); with a reader holding the
-// spare's owner the writer drops the buffers and the held epoch survives.
+// reclaimed (zero-reader fast path, no drops) and publication rotates
+// through two property vectors; with a reader holding the spare's owner
+// the writer drops the buffers — index and vector — and the held epoch
+// survives.
 func TestEpochBufferReuse(t *testing.T) {
 	batchAt := func(round int) graph.Batch {
 		var b graph.Batch
@@ -194,8 +196,23 @@ func TestEpochBufferReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := 0; r < 5; r++ {
+	valuesAt := func(p *core.Pipeline) *float64 {
+		h, err := p.AcquireQuery()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Release()
+		return &h.Values()[0]
+	}
+	var vectors []*float64
+	for r := 0; r < 6; r++ {
 		p.Process(batchAt(r))
+		vectors = append(vectors, valuesAt(p))
+	}
+	for r := 2; r < len(vectors); r++ {
+		if vectors[r] != vectors[r-2] || vectors[r] == vectors[r-1] {
+			t.Fatalf("epoch %d publishes vector %p; epochs %d and %d published %p and %p — want the drained one reused", r+1, vectors[r], r-1, r, vectors[r-2], vectors[r-1])
+		}
 	}
 	st := p.Epochs().Stats()
 	p.Close()
@@ -220,6 +237,9 @@ func TestEpochBufferReuse(t *testing.T) {
 	fp := h.Snapshot().Fingerprint()
 	for r := 1; r < 4; r++ {
 		p.Process(batchAt(r))
+		if valuesAt(p) == &h.Values()[0] {
+			t.Fatalf("epoch %d was published into the property vector of a pinned epoch", r+1)
+		}
 	}
 	st = p.Epochs().Stats()
 	if st.Dropped == 0 {

@@ -177,8 +177,8 @@ func TestComputeViewDurableRecovery(t *testing.T) {
 }
 
 // TestComputeViewTelemetry checks the view refresh surfaces in both the
-// per-batch event log (view_ns / dirty fraction / full flag) and the
-// Prometheus metrics.
+// per-batch event log (view_ns / dirty fraction / entries written / full
+// flag) and the Prometheus metrics.
 func TestComputeViewTelemetry(t *testing.T) {
 	var buf bytes.Buffer
 	reg := telemetry.NewRegistry()
@@ -195,7 +195,10 @@ func TestComputeViewTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for bi, mb := range viewMixedStream(11, 6, 100, 4000) {
+	// One large batch, then small ones: small against the entries the graph
+	// holds, which is what makes a refresh relocate instead of compact.
+	stream := append(viewMixedStream(7, 1, 6000, 4000), viewMixedStream(11, 6, 100, 4000)...)
+	for bi, mb := range stream {
 		if _, err := p.ProcessMixed(mb); err != nil {
 			t.Fatalf("batch %d: %v", bi, err)
 		}
@@ -207,8 +210,8 @@ func TestComputeViewTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(evs) != 6 {
-		t.Fatalf("%d events, want 6", len(evs))
+	if len(evs) != len(stream) {
+		t.Fatalf("%d events, want %d", len(evs), len(stream))
 	}
 	if !evs[0].ViewFull {
 		t.Fatal("first batch should be a full mirror build")
@@ -221,15 +224,21 @@ func TestComputeViewTelemetry(t *testing.T) {
 		if ev.ViewDirtyFrac <= 0 || ev.ViewDirtyFrac > 1 {
 			t.Fatalf("event %d: ViewDirtyFrac=%v outside (0, 1]", i, ev.ViewDirtyFrac)
 		}
+		if ev.ViewWritten <= 0 {
+			t.Fatalf("event %d: ViewWritten=%d, want > 0", i, ev.ViewWritten)
+		}
 		if !ev.ViewFull {
 			sawDelta = true
 			if ev.ViewDirtyFrac >= 1 {
-				t.Fatalf("event %d: delta rebuild with dirty fraction %v", i, ev.ViewDirtyFrac)
+				t.Fatalf("event %d: relocating refresh with dirty fraction %v", i, ev.ViewDirtyFrac)
+			}
+			if ev.ViewWritten >= evs[0].ViewWritten {
+				t.Fatalf("event %d: relocating refresh wrote %d entries, the first build %d", i, ev.ViewWritten, evs[0].ViewWritten)
 			}
 		}
 	}
 	if !sawDelta {
-		t.Fatal("stream of small batches over a large vertex range never took the delta path")
+		t.Fatal("small batches on a large graph never relocated")
 	}
 	var prom strings.Builder
 	reg.WritePrometheus(&prom)
@@ -238,6 +247,7 @@ func TestComputeViewTelemetry(t *testing.T) {
 		"saga_view_dirty_fraction",
 		"saga_view_delta_rebuilds_total",
 		"saga_view_full_rebuilds_total",
+		"saga_view_entries_written_total",
 	} {
 		if !strings.Contains(prom.String(), metric) {
 			t.Fatalf("metrics dump missing %s", metric)

@@ -1,20 +1,41 @@
 package ds
 
 import (
+	"math/bits"
 	"time"
 
 	"sagabench/internal/graph"
 )
 
-// ComputeView is the compute-view layer: an incrementally maintained CSR
+// ComputeView is the compute-view layer: an incrementally maintained flat
 // mirror of a dynamic structure. The structure stays the system of record
-// for the update phase; after each batch the pipeline calls Refresh, which
-// recopies only the adjacency runs the batch touched (degree count →
-// prefix sum → fill, all but the prefix sum parallel) and the compute
-// phase then traverses the mirror's flat arrays instead of paying
-// per-vertex interface dispatch on the dynamic structure. This is the
-// hybrid representation GraphTango argues for: dynamic side for updates,
-// flat side for analytics.
+// for the update phase; after each batch the pipeline calls Refresh, and
+// the compute phase then traverses the mirror's flat runs instead of
+// paying per-vertex interface dispatch on the dynamic structure. This is
+// the hybrid representation GraphTango argues for: dynamic side for
+// updates, flat side for analytics.
+//
+// The mirror is log-structured, so a refresh costs what the batch touched,
+// not what the graph holds. Each direction keeps an append-only adjacency
+// arena and an index of begin/end spans (graph.CSR). Refresh appends the
+// runs the batch changed at the arena's tail, in vertex order, and patches
+// only their spans; the runs they replace stay where they are,
+// unreachable, until the dead space would pass compactSlack of the live
+// entries (or the batch is too large for relocating to pay, see refresh) —
+// then the refresh compacts: live runs are copied out of the mirror itself
+// (clean stretches as single memmoves, never back through Flattener) into
+// another arena, back to back in vertex order, which is exactly what a
+// first build lays out.
+//
+// What a FlatCSR copy reaches stays intact through the next Refresh, and
+// for good if DropSpares precedes every later one — the contract the
+// epoch layer's ReclaimSpare gate is built on. The arena only grows at its
+// tail, so relocating never touches a handed-out run, and a compaction
+// leaves the old arena behind. What a later refresh does write again is
+// the index buffer handed out two refreshes ago (the index is
+// double-buffered) and, when two refreshes in a row compact, the arena
+// only that index reaches; DropSpares abandons both to the garbage
+// collector instead.
 //
 // The mirror preserves each store's own neighbor order — runs are filled
 // through Flattener, never sorted — so order-sensitive float reductions
@@ -22,42 +43,81 @@ import (
 // view and through the structure.
 //
 // A ComputeView implements Graph for reading; Update panics. Refresh must
-// not run concurrently with reads — the same update/compute phase
-// separation the structures themselves require.
+// not run concurrently with reads of the view itself — the same
+// update/compute phase separation the structures themselves require.
 type ComputeView struct {
 	src Graph
 	out *mirrorDir
-	in  *mirrorDir // nil when undirected: InIndex/InAdj alias the out arrays
+	in  *mirrorDir // nil when undirected: the in runs alias the out runs
 
 	csr     graph.CSR
-	threads int
-	built   bool
 	outOnly bool
 
-	// FullThreshold is the dirty-vertex fraction above which Refresh
-	// abandons run reuse and rebuilds every vertex (the crossover where
-	// one bulk pass beats scattered copies). Default 0.25.
-	FullThreshold float64
-
-	touchOut []graph.NodeID
-	touchIn  []graph.NodeID
+	touched []graph.NodeID // scratch: one direction's touched sources
 
 	stats RefreshStats
 }
 
+// compactSlack bounds the mirror's garbage: a refresh relocates dirty
+// runs to the arena's tail only while the arena stays within
+// (1+compactSlack) x the live entries — and only while that slack would
+// absorb two batches like the current one — and compacts otherwise. An
+// arena is allocated with at most that slack, so the constant also caps
+// the mirror's memory at 1.5x live per direction — 2x, as two arenas
+// without slack, while back-to-back compactions of a graph that is not
+// growing recycle each other's arena (the double-buffered layout this
+// replaces held 2x always). EXPERIMENTS.md "Compute-view
+// amortization" has the measured refresh time and heap for 0.25 / 0.5 /
+// 1.0 and the reason for the two-batch rule.
+const compactSlack = 0.5
+
 // mirrorDir is one adjacency direction of the mirror.
 type mirrorDir struct {
-	store OneDir
-	fl    Flattener
-	run   RunFlattener // non-nil for zero-copy stores (contiguous vectors)
+	store  OneDir
+	fl     Flattener
+	run    RunFlattener  // non-nil for zero-copy stores (contiguous vectors)
+	expand DirtyExpander // non-nil for stores that reorder bystander runs
 
-	dirty []bool
-	list  []graph.NodeID
+	// The mirror proper: vertex v's run is arena[spans[v].Begin:
+	// spans[v].End]. spans belongs to idx[cur] and covers len(spans)
+	// vertices; live counts the entries it reaches, so len(arena)-live is
+	// dead space.
+	spans []graph.Span
+	arena []graph.Neighbor
+	live  int
 
-	// Double buffer: DeltaRebuild writes into the spare arrays while
-	// copying clean runs out of the current ones, then the pair swaps.
-	spareIdx []int64
-	spareAdj []graph.Neighbor
+	// The index double buffer. idx[1-cur] was handed out two refreshes
+	// ago; unless stale, it differs from the current index exactly at the
+	// vertices of prev, so a relocating refresh replays prev and this
+	// refresh's list into it instead of copying every span.
+	idx [2]indexBuf
+	cur int
+
+	n     int            // vertices this refresh covers
+	dirty []uint64       // bitmap over vertices: set while a vertex is dirty
+	list  []graph.NodeID // this refresh's dirty vertices, ascending
+	prev  []graph.NodeID // the previous refresh's list
+
+	// Method values cached once so a relocating refresh allocates nothing.
+	markFn   func(graph.NodeID)
+	fillPass func(lo, hi int)
+	threads  int
+}
+
+// indexBuf is one half of a direction's index double buffer.
+type indexBuf struct {
+	spans []graph.Span
+	// stale: replaying prev cannot bring the buffer up to date (never
+	// written, dropped, or a compaction rewrote the other buffer since);
+	// it needs a full copy.
+	stale bool
+	// own is the arena the spans point into while no other handed-out
+	// index reaches it: a compaction wrote this buffer and no refresh has
+	// relocated into that arena since. Whatever frees the spans for
+	// writing (see DropSpares) then frees own too, so back-to-back
+	// compactions of a graph that is not growing ping-pong between two
+	// arenas instead of allocating one each.
+	own []graph.Neighbor
 }
 
 // RefreshStats describes one Refresh call.
@@ -65,15 +125,20 @@ type RefreshStats struct {
 	// Nodes is the vertex count the refresh covered.
 	Nodes int
 	// Dirty is the number of vertices refilled from the structure (the
-	// max across directions; Nodes when Full).
+	// max across directions).
 	Dirty int
-	// Full reports whether every run was rebuilt rather than delta-copied.
+	// Written is the number of adjacency entries the refresh wrote into
+	// the mirror, both directions: the dirty runs when relocating, every
+	// live entry when compacting.
+	Written int
+	// Full reports a first build or a compaction: the refresh rewrote the
+	// whole mirror into a fresh arena instead of relocating dirty runs.
 	Full bool
 	// Duration is the wall time of the refresh.
 	Duration time.Duration
 }
 
-// DirtyFraction is Dirty/Nodes (1 for a full rebuild, 0 on empty graphs).
+// DirtyFraction is Dirty/Nodes (1 on a first build, 0 on empty graphs).
 func (s RefreshStats) DirtyFraction() float64 {
 	if s.Nodes == 0 {
 		return 0
@@ -92,37 +157,35 @@ func NewComputeView(g Graph, threads int) (*ComputeView, bool) {
 	if threads <= 0 {
 		threads = 1
 	}
-	v := &ComputeView{src: g, threads: threads, FullThreshold: 0.25}
-	v.out = newMirrorDir(t.OutStore())
+	v := &ComputeView{src: g}
+	v.out = newMirrorDir(t.OutStore(), threads)
 	if v.out == nil {
 		return nil, false
 	}
 	if t.Directed() {
-		v.in = newMirrorDir(t.InStore())
+		v.in = newMirrorDir(t.InStore(), threads)
 		if v.in == nil {
 			return nil, false
 		}
 	}
-	v.csr.OutIndex = []int64{0}
-	v.csr.InIndex = v.csr.OutIndex
-	if v.in != nil {
-		v.csr.InIndex = []int64{0}
-	}
 	return v, true
 }
 
-func newMirrorDir(st OneDir) *mirrorDir {
+func newMirrorDir(st OneDir, threads int) *mirrorDir {
 	fl, ok := st.(Flattener)
 	if !ok {
 		return nil
 	}
-	d := &mirrorDir{store: st, fl: fl}
+	d := &mirrorDir{store: st, fl: fl, threads: threads}
 	d.run, _ = fl.(RunFlattener)
+	d.expand, _ = fl.(DirtyExpander)
+	d.idx[0].stale, d.idx[1].stale = true, true
+	d.markFn, d.fillPass = d.mark, d.fillRange
 	return d
 }
 
 // MirrorOutOnly stops maintaining the in-adjacency mirror. The refresh
-// then rebuilds only the out direction — halving its cost on directed
+// then maintains only the out direction — halving its cost on directed
 // graphs — which is safe whenever the consumer never pulls from
 // in-neighbors (compute.NeedsInAdjacency reports this per algorithm and
 // model). InDegree/InNeigh panic afterwards rather than answer with stale
@@ -134,49 +197,48 @@ func (v *ComputeView) MirrorOutOnly() {
 	}
 	v.in = nil
 	v.outOnly = true
-	v.csr.InIndex, v.csr.InAdj = nil, nil
+	v.csr.InSpans, v.csr.InAdj = nil, nil
 }
 
 // Refresh brings the mirror up to date after the update phase applied
 // adds and dels to the source structure. Only the runs those edges could
-// have changed are refilled, unless the dirty fraction crosses
-// FullThreshold (or this is the first build), in which case every run is
-// rebuilt.
+// have changed are read from the structure; whether they are appended to
+// the arena or the whole mirror is compacted is decided per direction
+// from the entry counts (see compactSlack).
 func (v *ComputeView) Refresh(adds, dels graph.Batch) RefreshStats {
 	start := time.Now()
 	n := v.src.NumNodes()
-	oldN := len(v.csr.OutIndex) - 1
 	st := RefreshStats{Nodes: n}
 
-	full := !v.built
-	if !full {
-		v.markTouched(adds, dels, n)
-		grown := n - oldN
-		st.Dirty = len(v.out.list) + grown
-		if v.in != nil && len(v.in.list)+grown > st.Dirty {
-			st.Dirty = len(v.in.list) + grown
+	// An edge's out-run lives with its source and its in-run with its
+	// destination; undirected ingestion mirrors every edge, making both
+	// endpoints sources of the single store.
+	undirected := v.in == nil && !v.outOnly
+	v.touched = v.touched[:0]
+	for _, b := range [2]graph.Batch{adds, dels} {
+		for _, e := range b {
+			v.touched = append(v.touched, e.Src)
+			if undirected {
+				v.touched = append(v.touched, e.Dst)
+			}
 		}
-		if float64(st.Dirty) > v.FullThreshold*float64(n) {
-			full = true
+	}
+	v.out.refresh(n, v.touched, &st)
+	v.csr.OutSpans, v.csr.OutAdj = v.out.spans, v.out.arena
+	v.csr.Edges = v.out.live
+	if v.in != nil {
+		v.touched = v.touched[:0]
+		for _, b := range [2]graph.Batch{adds, dels} {
+			for _, e := range b {
+				v.touched = append(v.touched, e.Dst)
+			}
 		}
+		v.in.refresh(n, v.touched, &st)
+		v.csr.InSpans, v.csr.InAdj = v.in.spans, v.in.arena
+	} else if undirected {
+		// The single store already holds both orientations.
+		v.csr.InSpans, v.csr.InAdj = v.csr.OutSpans, v.csr.OutAdj
 	}
-	if full {
-		st.Dirty = n
-	}
-	st.Full = full
-
-	v.csr.OutIndex, v.csr.OutAdj = v.out.rebuild(n, v.csr.OutIndex, v.csr.OutAdj, full, v.threads)
-	if v.in != nil {
-		v.csr.InIndex, v.csr.InAdj = v.in.rebuild(n, v.csr.InIndex, v.csr.InAdj, full, v.threads)
-	} else if !v.outOnly {
-		// Undirected: the single store already holds both orientations.
-		v.csr.InIndex, v.csr.InAdj = v.csr.OutIndex, v.csr.OutAdj
-	}
-	v.out.clearDirty()
-	if v.in != nil {
-		v.in.clearDirty()
-	}
-	v.built = true
 	st.Duration = time.Since(start)
 	v.stats = st
 	return st
@@ -185,96 +247,223 @@ func (v *ComputeView) Refresh(adds, dels graph.Batch) RefreshStats {
 // LastRefresh reports the stats of the most recent Refresh.
 func (v *ComputeView) LastRefresh() RefreshStats { return v.stats }
 
-// markTouched marks the vertices whose runs the batch could have changed:
-// an edge's out-run lives with its source and its in-run with its
-// destination; undirected ingestion mirrors every edge, making both
-// endpoints sources of the single store.
-func (v *ComputeView) markTouched(adds, dels graph.Batch, n int) {
-	v.out.growDirty(n)
-	v.touchOut = v.touchOut[:0]
-	undirected := v.in == nil && !v.outOnly
-	for _, b := range [2]graph.Batch{adds, dels} {
-		for _, e := range b {
-			v.touchOut = append(v.touchOut, e.Src)
-			if undirected {
-				v.touchOut = append(v.touchOut, e.Dst)
-			}
+// refresh brings one direction up to date over n vertices and adds its
+// work to st.
+func (d *mirrorDir) refresh(n int, touched []graph.NodeID, st *RefreshStats) {
+	d.collectDirty(n, touched)
+
+	// rewritten is what the dirty runs hold now, freed what they held.
+	rewritten, freed := 0, 0
+	for _, u := range d.list {
+		rewritten += d.store.Degree(u)
+		if int(u) < len(d.spans) {
+			freed += d.spans[u].Len()
 		}
 	}
-	v.out.markAll(v.touchOut)
-	if v.in != nil {
-		v.in.growDirty(n)
-		v.touchIn = v.touchIn[:0]
-		for _, b := range [2]graph.Batch{adds, dels} {
-			for _, e := range b {
-				v.touchIn = append(v.touchIn, e.Dst)
-			}
-		}
-		v.in.markAll(v.touchIn)
+	live := d.live - freed + rewritten
+	if uint64(live) > graph.MaxSpanOffset {
+		panic("ds: ComputeView direction holds more records than a graph.Span can address")
 	}
+	slack := int(compactSlack * float64(live))
+	limit := int(min(uint64(live+slack), graph.MaxSpanOffset))
+
+	// Relocating pays only while the slack absorbs at least two batches
+	// like this one. A bigger batch would have every other refresh compact
+	// anyway, and in between the sweeping kernels would stream through the
+	// holes it left (measured: +11 % on PageRank with 40 % of the entries
+	// rewritten per batch), so it compacts at once — into an arena without
+	// slack, which the next batch like it would not use.
+	small := 2*rewritten <= slack
+	if small && len(d.arena)+rewritten <= min(limit, cap(d.arena)) {
+		d.relocate(n)
+		st.Written += rewritten
+	} else {
+		capacity := live
+		if small {
+			capacity = limit
+		}
+		d.compact(n, live, capacity)
+		st.Written += live
+		st.Full = true
+	}
+	d.live = live
+	if len(d.list) > st.Dirty {
+		st.Dirty = len(d.list)
+	}
+	for _, u := range d.list {
+		d.dirty[u>>6] = 0
+	}
+	// The buffer this refresh wrote is the next refresh's current one;
+	// its spare lags by this list (or is stale, after a compaction).
+	d.list, d.prev = d.prev, d.list
 }
 
-func (d *mirrorDir) growDirty(n int) {
-	for len(d.dirty) < n {
-		d.dirty = append(d.dirty, false)
+// spare returns the index buffer a refresh may write, sized to n spans,
+// with headroom so a trickle of new vertices does not reallocate. A
+// reallocated buffer is stale.
+func (d *mirrorDir) spare(n int) *indexBuf {
+	b := &d.idx[1-d.cur]
+	if b.spans == nil || cap(b.spans) < n {
+		b.spans, b.stale = make([]graph.Span, n, n+n/8), true
+	}
+	b.spans = b.spans[:n]
+	return b
+}
+
+// collectDirty fills list, ascending, with the vertices whose runs must be
+// re-read: those the batch touched (widened by stores whose iteration
+// order can shift under bystander updates, see DirtyExpander) and every
+// vertex the mirror does not cover yet.
+func (d *mirrorDir) collectDirty(n int, touched []graph.NodeID) {
+	for len(d.dirty) < (n+63)>>6 {
+		d.dirty = append(d.dirty, 0)
+	}
+	d.n = n
+	if d.expand != nil {
+		d.expand.ExpandDirty(touched, d.markFn)
+	} else {
+		for _, u := range touched {
+			d.mark(u)
+		}
+	}
+	for u := len(d.spans); u < n; u++ {
+		d.mark(graph.NodeID(u))
+	}
+	// Reading the bitmap back gives the list in vertex order without a
+	// sort: a few thousand words at 2^18 vertices.
+	d.list = d.list[:0]
+	for w, word := range d.dirty {
+		for ; word != 0; word &= word - 1 {
+			d.list = append(d.list, graph.NodeID(w<<6+bits.TrailingZeros64(word)))
+		}
 	}
 }
 
 func (d *mirrorDir) mark(u graph.NodeID) {
-	if int(u) < len(d.dirty) && !d.dirty[u] {
-		d.dirty[u] = true
-		d.list = append(d.list, u)
+	if int(u) < d.n {
+		d.dirty[u>>6] |= 1 << (u & 63)
 	}
 }
 
-// markAll marks the touched sources, letting stores whose iteration order
-// can shift under bystander updates widen the set (see DirtyExpander).
-func (d *mirrorDir) markAll(touched []graph.NodeID) {
-	if ex, ok := d.fl.(DirtyExpander); ok {
-		ex.ExpandDirty(touched, d.mark)
-		return
-	}
-	for _, u := range touched {
-		d.mark(u)
-	}
-}
+func (d *mirrorDir) isDirty(u int) bool { return d.dirty[u>>6]>>(u&63)&1 != 0 }
 
-func (d *mirrorDir) clearDirty() {
-	for _, u := range d.list {
-		d.dirty[u] = false
-	}
-	d.list = d.list[:0]
-}
-
-// rebuild runs DeltaRebuild for this direction against the current
-// arrays, writing into the spares, and swaps the buffers.
-func (d *mirrorDir) rebuild(n int, oldIdx []int64, oldAdj []graph.Neighbor, full bool, threads int) ([]int64, []graph.Neighbor) {
-	var dirtyFn func(int) bool
-	if !full {
-		dirtyFn = func(v int) bool { return d.dirty[v] }
-	}
-	fill := d.fl.FlatFill
-	if d.run != nil {
-		fill = func(v graph.NodeID, dst []graph.Neighbor) int {
-			return copy(dst, d.run.FlatRun(v))
+// relocate appends the dirty runs at the arena's tail and patches their
+// spans in the spare index buffer, which becomes the current one.
+func (d *mirrorDir) relocate(n int) {
+	b := d.spare(n)
+	if b.stale {
+		copy(b.spans, d.spans)
+		b.stale = false
+	} else {
+		for _, u := range d.prev {
+			b.spans[u] = d.spans[u]
 		}
 	}
-	newIdx, newAdj := graph.DeltaRebuild(n, oldIdx, oldAdj, d.spareIdx, d.spareAdj,
-		dirtyFn, d.store.Degree, fill, threads)
-	d.spareIdx, d.spareAdj = oldIdx, oldAdj
-	return newIdx, newAdj
+	pos := len(d.arena)
+	for _, u := range d.list {
+		end := pos + d.store.Degree(u)
+		b.spans[u] = graph.Span{Begin: uint32(pos), End: uint32(end)}
+		pos = end
+	}
+	d.spans, d.arena = b.spans, d.arena[:pos]
+	d.cur = 1 - d.cur
+	d.idx[0].own, d.idx[1].own = nil, nil // both indexes reach the arena now
+	graph.ForRanges(len(d.list), d.threads, d.fillPass)
 }
 
-// DropSpares abandons the double buffer's spare arrays to the garbage
-// collector: the next Refresh then writes into freshly allocated arrays
-// instead of scribbling over the spares. The epoch-publication layer
-// calls this when the snapshot that owns the spare arrays is still
-// pinned by readers — the snapshot keeps its (now GC-owned) arrays
-// intact, and the writer pays one allocation instead of blocking.
+// fillRange reads the runs of list[lo:hi] from the structure into the
+// places their spans give them.
+func (d *mirrorDir) fillRange(lo, hi int) {
+	for _, u := range d.list[lo:hi] {
+		d.fillRun(u, d.arena[d.spans[u].Begin:d.spans[u].End])
+	}
+}
+
+// fillRun writes u's neighbors, in the store's own traversal order, into
+// dst, which is sized to the degree the store reported.
+func (d *mirrorDir) fillRun(u graph.NodeID, dst []graph.Neighbor) {
+	if len(dst) == 0 {
+		return
+	}
+	var got int
+	if d.run != nil {
+		got = copy(dst, d.run.FlatRun(u))
+	} else {
+		got = d.fl.FlatFill(u, dst)
+	}
+	if got != len(dst) {
+		panic("ds: ComputeView fill count does not match reported degree")
+	}
+}
+
+// compact rewrites the direction into another arena of at least the given
+// capacity (the spare index buffer's own, or a new one) holding exactly
+// the live entries, back to back in vertex order, with every span
+// rewritten into the spare index buffer. Clean runs come from the old
+// arena, dirty ones from the structure.
+func (d *mirrorDir) compact(n, live, capacity int) {
+	b := d.spare(n)
+	pos := 0
+	for u := range b.spans {
+		end := pos
+		if d.isDirty(u) {
+			end += d.store.Degree(graph.NodeID(u))
+		} else {
+			end += d.spans[u].Len()
+		}
+		b.spans[u] = graph.Span{Begin: uint32(pos), End: uint32(end)}
+		pos = end
+	}
+	arena := b.own
+	if cap(arena) < capacity {
+		arena = make([]graph.Neighbor, live, capacity)
+	}
+	arena = arena[:live]
+	graph.ForRanges(n, d.threads, func(lo, hi int) { d.compactRange(lo, hi, b.spans, arena) })
+	d.spans, d.arena, b.own = b.spans, arena, arena
+	// The superseded arena stays with the other buffer only if a compaction
+	// like this one could fill it: on a growing graph it is already too
+	// small, and keeping it would hold a second copy for nothing.
+	if o := &d.idx[d.cur]; cap(o.own) < capacity {
+		o.own = nil
+	}
+	// The buffer just written is complete; no dirty list can catch the
+	// other one up with it.
+	b.stale, d.idx[d.cur].stale = false, true
+	d.cur = 1 - d.cur
+}
+
+// compactRange moves the runs of vertices [lo,hi) to where spans puts them
+// in arena. Consecutive clean vertices whose old runs lie back to back —
+// everything between two relocated runs since the last compaction — move
+// as one memmove.
+func (d *mirrorDir) compactRange(lo, hi int, spans []graph.Span, arena []graph.Neighbor) {
+	for u := lo; u < hi; {
+		if d.isDirty(u) {
+			d.fillRun(graph.NodeID(u), arena[spans[u].Begin:spans[u].End])
+			u++
+			continue
+		}
+		first, from, to := u, d.spans[u].Begin, d.spans[u].End
+		for u++; u < hi && !d.isDirty(u) && d.spans[u].Begin == to; u++ {
+			to = d.spans[u].End
+		}
+		copy(arena[spans[first].Begin:], d.arena[from:to])
+	}
+}
+
+// DropSpares abandons the spare index buffers, and the arena a spare owns
+// alone, to the garbage collector: the next Refresh then writes freshly
+// allocated ones instead of those handed out two refreshes ago. The
+// epoch-publication layer calls this when the snapshot holding them is
+// still pinned by readers — the snapshot keeps its (now GC-owned) arrays
+// intact, and the writer pays an allocation and one full index copy
+// instead of blocking. An arena that more than one index reaches is never
+// written except past its tail, so it needs no such gate.
 func (v *ComputeView) DropSpares() {
-	v.out.spareIdx, v.out.spareAdj = nil, nil
+	v.out.idx[1-v.out.cur] = indexBuf{stale: true}
 	if v.in != nil {
-		v.in.spareIdx, v.in.spareAdj = nil, nil
+		v.in.idx[1-v.in.cur] = indexBuf{stale: true}
 	}
 }
 
@@ -291,10 +480,10 @@ func (v *ComputeView) Update(graph.Batch) {
 }
 
 // NumNodes implements Graph (as of the last Refresh).
-func (v *ComputeView) NumNodes() int { return len(v.csr.OutIndex) - 1 }
+func (v *ComputeView) NumNodes() int { return v.csr.NumNodes() }
 
 // NumEdges implements Graph (as of the last Refresh).
-func (v *ComputeView) NumEdges() int { return len(v.csr.OutAdj) }
+func (v *ComputeView) NumEdges() int { return v.csr.NumEdges() }
 
 // OutDegree implements Graph.
 func (v *ComputeView) OutDegree(u graph.NodeID) int {

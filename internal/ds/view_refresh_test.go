@@ -1,0 +1,340 @@
+package ds_test
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"sagabench/internal/ds"
+	_ "sagabench/internal/ds/all"
+	"sagabench/internal/epoch"
+	"sagabench/internal/graph"
+)
+
+// refreshCase is one configuration of the refresh property: a structure,
+// a mirror shape, and a stream with vertex growth.
+type refreshCase struct {
+	ds                string
+	directed, outOnly bool
+	seed              int64
+	batches           int
+}
+
+// refreshOutcome counts what a run exercised, so the table test can
+// demand that the stream really crossed the transitions it is about.
+type refreshOutcome struct {
+	relocations, compactions, arenaGrowths int
+}
+
+// growingStream is viewStream with a vertex space that grows by `growth`
+// IDs per batch from `nodes`, after one preload batch that makes the graph
+// large against the later batches: those touch about a tenth of the runs,
+// so most refreshes relocate and the dead space builds up to a compaction
+// over several of them.
+func growingStream(seed int64, batches, nodes, growth int) []viewStep {
+	rng := rand.New(rand.NewSource(seed))
+	var live []graph.Edge
+	steps := make([]viewStep, batches)
+	for b := range steps {
+		size, span := nodes/16, nodes+b*growth
+		if b == 0 {
+			size = 12 * nodes
+		}
+		var adds, dels graph.Batch
+		for i := 0; i < size; i++ {
+			var e graph.Edge
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				e = live[rng.Intn(len(live))] // overwrite
+			} else {
+				e = graph.Edge{Src: graph.NodeID(rng.Intn(span)), Dst: graph.NodeID(rng.Intn(span))}
+			}
+			lo, hi := min(e.Src, e.Dst), max(e.Src, e.Dst)
+			e.Weight = graph.Weight(1 + (int(lo)+7*int(hi)+13*b)%9)
+			adds = append(adds, e)
+			live = append(live, e)
+		}
+		for i := 0; b > 0 && i < size/4 && len(live) > 0; i++ {
+			k := rng.Intn(len(live))
+			dels = append(dels, live[k])
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		steps[b] = viewStep{adds: adds, dels: dels}
+	}
+	return steps
+}
+
+// fingerprintOf hashes a CSR the way a published epoch is hashed.
+func fingerprintOf(c *graph.CSR) uint64 {
+	return (&epoch.Snapshot{CSR: *c}).Fingerprint()
+}
+
+// checkRefresh drives one case and asserts, after every refresh, that
+// each run of the mirror equals the store's own FlatFill order, that the
+// mirror reads run for run like a from-scratch build, that both
+// fingerprint alike whatever layout the mirror is in (relocated or just
+// compacted), and that the epoch invariants hold.
+func checkRefresh(t testing.TB, c refreshCase) refreshOutcome {
+	g := ds.MustNew(c.ds, ds.Config{Directed: c.directed, Threads: 2})
+	newView := func() *ds.ComputeView {
+		v, ok := ds.NewComputeView(g, 2)
+		if !ok {
+			t.Fatalf("NewComputeView(%s) not supported", c.ds)
+		}
+		if c.outOnly {
+			v.MirrorOutOnly()
+		}
+		return v
+	}
+	view := newView()
+	two := g.(*ds.TwoCopy)
+	del, canDelete := g.(ds.Deleter)
+	var out refreshOutcome
+	var buf []graph.Neighbor
+	lastCap := 0
+	for bi, step := range growingStream(c.seed, c.batches, 320, 3) {
+		g.Update(step.adds)
+		dels := step.dels
+		if !canDelete {
+			dels = nil
+		} else if len(dels) > 0 {
+			if err := del.Delete(dels); err != nil {
+				t.Fatalf("batch %d: delete: %v", bi, err)
+			}
+		}
+		st := view.Refresh(step.adds, dels)
+		csr := view.FlatCSR()
+		switch {
+		case bi == 0:
+			if !st.Full {
+				t.Fatal("first refresh did not report a full build")
+			}
+		case st.Full:
+			out.compactions++
+			if cap(csr.OutAdj) > lastCap {
+				out.arenaGrowths++
+			}
+		default:
+			out.relocations++
+		}
+		lastCap = cap(csr.OutAdj)
+
+		if n := g.NumNodes(); csr.NumNodes() != n {
+			t.Fatalf("batch %d: mirror covers %d vertices, structure %d", bi, csr.NumNodes(), n)
+		}
+		for v := 0; v < csr.NumNodes(); v++ {
+			id := graph.NodeID(v)
+			buf = append(buf[:0], make([]graph.Neighbor, two.OutStore().Degree(id))...)
+			two.OutStore().(ds.Flattener).FlatFill(id, buf)
+			if !slices.Equal(csr.Out(id), buf) {
+				t.Fatalf("batch %d: out(%d) = %v, FlatFill order %v", bi, v, csr.Out(id), buf)
+			}
+			if c.outOnly {
+				continue
+			}
+			buf = append(buf[:0], make([]graph.Neighbor, two.InStore().Degree(id))...)
+			two.InStore().(ds.Flattener).FlatFill(id, buf)
+			if !slices.Equal(csr.In(id), buf) {
+				t.Fatalf("batch %d: in(%d) = %v, FlatFill order %v", bi, v, csr.In(id), buf)
+			}
+		}
+		fresh := newView()
+		fresh.Refresh(nil, nil)
+		if err := sameRuns(csr, fresh.FlatCSR()); err != nil {
+			t.Fatalf("batch %d (full=%v): mirror differs from a from-scratch build: %v", bi, st.Full, err)
+		}
+		if got, want := fingerprintOf(csr), fingerprintOf(fresh.FlatCSR()); got != want {
+			t.Fatalf("batch %d (full=%v): fingerprint %#x, from-scratch build %#x", bi, st.Full, got, want)
+		}
+		if err := (&epoch.Snapshot{CSR: *csr}).CheckConsistent(); err != nil {
+			t.Fatalf("batch %d (full=%v): %v", bi, st.Full, err)
+		}
+	}
+	return out
+}
+
+// TestViewRefreshProperty runs the refresh property over every structure,
+// directed and undirected, with and without the in-direction mirror, on a
+// stream long enough to cross at least three compactions, an arena
+// growth, and (except for stores that dirty whole chunks) relocations.
+func TestViewRefreshProperty(t *testing.T) {
+	for _, name := range ds.Names() {
+		for _, shape := range []struct{ directed, outOnly bool }{{true, false}, {true, true}, {false, false}} {
+			c := refreshCase{ds: name, directed: shape.directed, outOnly: shape.outOnly, seed: 0xF00D + int64(len(name)), batches: 48}
+			t.Run(fmt.Sprintf("%s/directed=%v/outOnly=%v", name, c.directed, c.outOnly), func(t *testing.T) {
+				t.Parallel()
+				out := checkRefresh(t, c)
+				t.Logf("%d relocations, %d compactions, %d arena growths", out.relocations, out.compactions, out.arenaGrowths)
+				if out.compactions < 3 || out.arenaGrowths < 1 {
+					t.Fatalf("stream crossed %d compactions and %d arena growths, want >= 3 and >= 1", out.compactions, out.arenaGrowths)
+				}
+				probe := ds.MustNew(name, ds.Config{Directed: c.directed})
+				_, expands := probe.(*ds.TwoCopy).OutStore().(ds.DirtyExpander)
+				if !expands && out.relocations < 3 {
+					t.Fatalf("stream crossed %d relocating refreshes, want >= 3", out.relocations)
+				}
+			})
+		}
+	}
+}
+
+// FuzzViewRefresh lets the fuzzer pick the structure, the mirror shape and
+// the stream seed of the refresh property.
+func FuzzViewRefresh(f *testing.F) {
+	for i := range ds.Names() {
+		f.Add(int64(i), uint8(i), uint8(i%3))
+	}
+	names := ds.Names()
+	f.Fuzz(func(t *testing.T, seed int64, pick, shape uint8) {
+		c := refreshCase{ds: names[int(pick)%len(names)], seed: seed, batches: 16}
+		switch shape % 3 {
+		case 0:
+			c.directed = true
+		case 1:
+			c.directed, c.outOnly = true, true
+		}
+		checkRefresh(t, c)
+	})
+}
+
+// rewriteAllStream re-adds every edge of a small fixed graph with new
+// weights each batch: no growth, every run dirty, so every refresh compacts
+// and the mirror ping-pongs between two arenas.
+func rewriteAllStream(batches, nodes int) []viewStep {
+	steps := make([]viewStep, batches)
+	for b := range steps {
+		for src := 0; src < nodes; src++ {
+			for k := 1; k <= 3; k++ {
+				steps[b].adds = append(steps[b].adds, graph.Edge{
+					Src:    graph.NodeID(src),
+					Dst:    graph.NodeID((src + k) % nodes),
+					Weight: graph.Weight(1 + (src+k+b)%7),
+				})
+			}
+		}
+	}
+	return steps
+}
+
+// TestViewPinnedAcrossCompactions holds a published snapshot pinned while
+// the writer refreshes through at least two compactions, under the
+// pipeline's gate (ReclaimSpare, then DropSpares when it reports a pin).
+// A reader goroutine fingerprints the pinned snapshot the whole time; run
+// under -race this is the check that nothing a published epoch can reach
+// is written again — neither its index buffer nor its arena, whether later
+// refreshes mostly relocate or compact back to back and refill the arena
+// the previous compaction retired.
+func TestViewPinnedAcrossCompactions(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		steps []viewStep
+		// refills: the stream must have refilled a retired arena at least
+		// once, or the pin would not have been at risk.
+		refills bool
+	}{
+		// No vertex growth: a growing index is reallocated now and then, which
+		// would spare the pinned buffer by accident rather than by the gate.
+		{"relocating", growingStream(0xBEEF, 40, 320, 0), false},
+		{"compacting", rewriteAllStream(24, 64), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := ds.MustNew("hybrid", ds.Config{Directed: true, Threads: 2})
+			view, _ := ds.NewComputeView(g, 2)
+			em := epoch.NewManager(true)
+
+			var pinned *epoch.Snapshot
+			var want uint64
+			stop := make(chan struct{})
+			var reader sync.WaitGroup
+			compactions, refills := 0, 0
+			var arenas [2]*graph.Neighbor // of the last two refreshes
+			for bi, step := range tc.steps {
+				g.Update(step.adds)
+				if err := g.(ds.Deleter).Delete(step.dels); err != nil {
+					t.Fatal(err)
+				}
+				if em.ReclaimSpare() {
+					view.DropSpares()
+				}
+				st := view.Refresh(step.adds, step.dels)
+				em.Publish(&epoch.Snapshot{Batch: bi, CSR: *view.FlatCSR(), Directed: true})
+				if pinned != nil && st.Full {
+					compactions++
+				}
+				arena := &view.FlatCSR().OutAdj[0]
+				if st.Full && arena == arenas[0] {
+					refills++
+				}
+				if pinned != nil && arena == &pinned.CSR.OutAdj[0] && st.Full {
+					t.Fatalf("batch %d compacted into the pinned epoch's arena", bi)
+				}
+				arenas[0], arenas[1] = arenas[1], arena
+				if bi == 4 {
+					pinned = em.Pin()
+					want = pinned.Fingerprint()
+					reader.Add(1)
+					go func() {
+						defer reader.Done()
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							if got := pinned.Fingerprint(); got != want {
+								t.Errorf("pinned epoch %d fingerprints %#x, was %#x at pin time", pinned.Epoch, got, want)
+								return
+							}
+						}
+					}()
+				}
+			}
+			close(stop)
+			reader.Wait()
+			if compactions < 2 {
+				t.Fatalf("writer crossed %d compactions while the snapshot was pinned, want >= 2", compactions)
+			}
+			if tc.refills && refills == 0 {
+				t.Fatal("no compaction refilled a retired arena; the pinned arena was never at risk")
+			}
+			if err := pinned.CheckConsistent(); err != nil {
+				t.Fatal(err)
+			}
+			if got := pinned.Fingerprint(); got != want {
+				t.Fatalf("pinned epoch fingerprints %#x after the stream, was %#x at pin time", got, want)
+			}
+			em.Release(pinned)
+			if st := em.Stats(); st.Dropped == 0 {
+				t.Fatalf("the gate never reported the pin (stats %+v); the test did not exercise DropSpares", st)
+			}
+		})
+	}
+}
+
+// TestViewRefreshSteadyStateAllocs asserts that a relocating refresh
+// allocates nothing once the arena has capacity and both index buffers
+// have been through a refresh: the dirty runs go to the arena's tail and
+// the scratch lists are reused.
+func TestViewRefreshSteadyStateAllocs(t *testing.T) {
+	g := ds.MustNew("hybrid", ds.Config{Directed: true, Threads: 1})
+	view, _ := ds.NewComputeView(g, 1)
+	steps := growingStream(7, 1, 2000, 0)
+	g.Update(steps[0].adds)
+	view.Refresh(steps[0].adds, nil)
+	// Re-reading a handful of runs per refresh leaves room for hundreds
+	// of relocations in the slack the first build allocated.
+	touch := steps[0].adds[:8]
+	for i := 0; i < 3; i++ {
+		view.Refresh(touch, nil)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if view.Refresh(touch, nil).Full {
+			t.Fatal("refresh compacted inside the measured window")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state relocating refresh allocates %.1f times, want 0", allocs)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sagabench/internal/ds"
@@ -67,10 +68,11 @@ func viewStream(seed int64, batches, batchSize, numNodes int) []viewStep {
 // TestComputeViewMatchesOracleAndFullRebuild streams mixed batches through
 // every registered structure and checks, after every step, that (a) the
 // incrementally refreshed mirror's topology matches the sequential oracle
-// exactly, and (b) the mirror's CSR arrays are identical — order included —
-// to a freshly full-built mirror of the same structure. (b) is the
-// dirty-vs-full consistency property: delta rebuilds that copy clean runs
-// must land bit-for-bit where a from-scratch flatten would.
+// exactly, and (b) every run of the mirror is identical — order included —
+// to the same run of a freshly built mirror of the same structure. (b) is
+// the incremental-vs-full consistency property: a mirror that relocated
+// dirty runs and carried clean ones through compactions must read
+// bit-for-bit like a from-scratch flatten.
 func TestComputeViewMatchesOracleAndFullRebuild(t *testing.T) {
 	for _, name := range ds.Names() {
 		for _, directed := range []bool{true, false} {
@@ -108,12 +110,8 @@ func TestComputeViewMatchesOracleAndFullRebuild(t *testing.T) {
 						t.Fatalf("batch %d: fresh view construction failed", bi)
 					}
 					fresh.Refresh(nil, nil) // first refresh is a full build
-					a, b := view.FlatCSR(), fresh.FlatCSR()
-					if !reflect.DeepEqual(a.OutIndex, b.OutIndex) || !reflect.DeepEqual(a.OutAdj, b.OutAdj) {
-						t.Fatalf("batch %d: delta-rebuilt out arrays differ from full rebuild", bi)
-					}
-					if !reflect.DeepEqual(a.InIndex, b.InIndex) || !reflect.DeepEqual(a.InAdj, b.InAdj) {
-						t.Fatalf("batch %d: delta-rebuilt in arrays differ from full rebuild", bi)
+					if err := sameRuns(view.FlatCSR(), fresh.FlatCSR()); err != nil {
+						t.Fatalf("batch %d: incrementally refreshed mirror differs from a full build: %v", bi, err)
 					}
 				}
 				if view.LastRefresh().Nodes == 0 {
@@ -122,6 +120,27 @@ func TestComputeViewMatchesOracleAndFullRebuild(t *testing.T) {
 			})
 		}
 	}
+}
+
+// sameRuns reports the first difference between two CSRs read run by run
+// (neighbor order included), whatever layout each uses.
+func sameRuns(a, b *graph.CSR) error {
+	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
+		return fmt.Errorf("%d vertices / %d edges vs %d / %d", a.NumNodes(), a.NumEdges(), b.NumNodes(), b.NumEdges())
+	}
+	if a.HasIn() != b.HasIn() {
+		return fmt.Errorf("in direction mirrored on one side only")
+	}
+	for v := 0; v < a.NumNodes(); v++ {
+		id := graph.NodeID(v)
+		if !slices.Equal(a.Out(id), b.Out(id)) {
+			return fmt.Errorf("out(%d) = %v vs %v", v, a.Out(id), b.Out(id))
+		}
+		if a.HasIn() && !slices.Equal(a.In(id), b.In(id)) {
+			return fmt.Errorf("in(%d) = %v vs %v", v, a.In(id), b.In(id))
+		}
+	}
+	return nil
 }
 
 // TestComputeViewFallback verifies that graphs without a flattenable
@@ -148,12 +167,15 @@ func TestComputeViewReadOnly(t *testing.T) {
 	view.Update(graph.Batch{{Src: 0, Dst: 1}})
 }
 
-// TestComputeViewDropSpares pins down the double-buffer contract behind
-// epoch publication: by default the third refresh scribbles the arrays
-// published two refreshes ago (they are the spare buffer — the control
-// half asserts that reuse so the test has teeth), and after DropSpares
-// the next rebuild allocates fresh arrays, leaving the old ones — which a
-// pinned snapshot may still hold — bit-for-bit intact.
+// TestComputeViewDropSpares pins down the buffer contract behind epoch
+// publication: a handed-out CSR stays intact through the next refresh, and
+// for good once DropSpares precedes every refresh after that. The index is
+// double-buffered, so by default the third refresh patches the spans
+// handed out two refreshes ago; back-to-back compactions of a graph that
+// is not growing likewise refill the arena the first of them superseded
+// (the control half asserts both reuses so the test has teeth). After
+// DropSpares the refresh writes freshly allocated ones, leaving what a
+// pinned snapshot may still hold bit-for-bit intact.
 func TestComputeViewDropSpares(t *testing.T) {
 	mkBatch := func(round int) graph.Batch {
 		var b graph.Batch
@@ -185,31 +207,58 @@ func TestComputeViewDropSpares(t *testing.T) {
 		view.Refresh(b, nil)
 	}
 
-	// Control: without DropSpares, refresh 3 reuses refresh 1's arrays.
-	g, view := setup()
-	idx1, adj1 := view.FlatCSR().OutIndex, view.FlatCSR().OutAdj
-	step(g, view, 1)
-	step(g, view, 2)
-	c3 := view.FlatCSR()
-	if &c3.OutIndex[0] != &idx1[0] || &c3.OutAdj[0] != &adj1[0] {
-		t.Fatal("control: third refresh did not reuse the double buffer; DropSpares test would be vacuous")
+	runsOf := func(c *graph.CSR) [][]graph.Neighbor {
+		runs := make([][]graph.Neighbor, c.NumNodes())
+		for v := range runs {
+			runs[v] = slices.Clone(c.Out(graph.NodeID(v)))
+		}
+		return runs
+	}
+	checkHeld := func(when string, held *graph.CSR, want [][]graph.Neighbor) {
+		t.Helper()
+		for v, w := range want {
+			if got := held.Out(graph.NodeID(v)); !slices.Equal(got, w) {
+				t.Fatalf("%s: held CSR changed: out(%d) = %v, want %v", when, v, got, w)
+			}
+		}
 	}
 
-	// With DropSpares between: refresh 3 allocates, the held arrays survive.
-	g, view = setup()
-	idx1, adj1 = view.FlatCSR().OutIndex, view.FlatCSR().OutAdj
-	wantIdx := append([]int64(nil), idx1...)
-	wantAdj := append([]graph.Neighbor(nil), adj1...)
+	// Control: without DropSpares, a held CSR survives one refresh, and
+	// refresh 3 reuses refresh 1's index and (every refresh here rewrites
+	// all runs, so each one compacts) refresh 1's arena.
+	g, view := setup()
+	held := *view.FlatCSR()
+	wantRuns := runsOf(&held)
 	step(g, view, 1)
-	view.DropSpares()
+	checkHeld("control, one refresh on", &held, wantRuns)
 	step(g, view, 2)
-	c3 = view.FlatCSR()
-	if &c3.OutIndex[0] == &idx1[0] || &c3.OutAdj[0] == &adj1[0] {
-		t.Fatal("refresh after DropSpares still reused the dropped arrays")
+	if c3 := view.FlatCSR(); &c3.OutSpans[0] != &held.OutSpans[0] || &c3.OutAdj[0] != &held.OutAdj[0] {
+		t.Fatal("control: third refresh did not reuse the spare index and the retired arena; DropSpares test would be vacuous")
 	}
-	if !reflect.DeepEqual(idx1, wantIdx) || !reflect.DeepEqual(adj1, wantAdj) {
-		t.Fatal("dropped arrays were scribbled after DropSpares")
+
+	// With DropSpares before every refresh, as under a reader that never
+	// releases: no refresh touches the held index, and the held CSR reads
+	// the same runs after relocations and compactions alike.
+	g, view = setup()
+	held = *view.FlatCSR()
+	wantRuns = runsOf(&held)
+	compactions := 0
+	for round := 1; round < 12; round++ {
+		view.DropSpares()
+		step(g, view, round)
+		if c := view.FlatCSR(); &c.OutSpans[0] == &held.OutSpans[0] || &c.InSpans[0] == &held.InSpans[0] {
+			t.Fatalf("refresh %d after DropSpares reused the dropped index", round+1)
+		} else if &c.OutAdj[0] == &held.OutAdj[0] || &c.InAdj[0] == &held.InAdj[0] {
+			t.Fatalf("refresh %d after DropSpares refilled the held arena", round+1)
+		}
+		if view.LastRefresh().Full {
+			compactions++
+		}
 	}
+	if compactions == 0 {
+		t.Fatal("no compaction in 11 full-rewrite refreshes; the held-CSR check would not cover one")
+	}
+	checkHeld("DropSpares before every refresh", &held, wantRuns)
 }
 
 // TestExportEdgesParallel checks the fanned-out exporter produces the

@@ -10,11 +10,15 @@
 //   - Readers never block the writer: Pin/Release are a handful of atomic
 //     operations; no reader-side mutex exists for the writer to wait on.
 //     A slow or stuck reader only delays buffer reuse, never publication.
-//   - The writer never frees (or reuses) memory under a reader: the
-//     double-buffered mirror arrays of a superseded snapshot are reused
-//     only after its refcount has drained (ReclaimSpare); if readers still
-//     hold it, the writer abandons those buffers to the garbage collector
-//     and allocates fresh ones — retirement is deferred, not blocking.
+//   - The writer never frees (or reuses) memory under a reader: an
+//     adjacency arena several snapshots reach is only ever written past
+//     its tail, and what the writer does reuse — the mirror's
+//     double-buffered index, an arena a superseded snapshot alone
+//     reaches, and that snapshot's property vector — it reuses only after
+//     the snapshot's refcount has drained (ReclaimSpare); if readers
+//     still hold it, the writer abandons those buffers to the garbage
+//     collector and allocates fresh ones — retirement is deferred, not
+//     blocking.
 //   - Readers are lock-free: Pin retries only when a publication lands
 //     between its load and its validation, which bounds retries by writer
 //     progress, not by other readers.
@@ -60,15 +64,19 @@ type Snapshot struct {
 
 	// refs counts pinned readers. It can only grow while the snapshot is
 	// the latest epoch; once superseded it drains monotonically, which is
-	// what makes ReclaimSpare's refs==0 check stable.
-	refs atomic.Int64
+	// what makes ReclaimSpare's refs==0 check stable. Publish allocates it,
+	// apart from the snapshot, so that the manager can watch a superseded
+	// snapshot drain without keeping its arrays reachable: after a
+	// compaction the superseded snapshot is the last holder of the old
+	// adjacency arena.
+	refs *atomic.Int64
 }
 
 // NumNodes reports the snapshot's vertex count.
-func (s *Snapshot) NumNodes() int { return len(s.CSR.OutIndex) - 1 }
+func (s *Snapshot) NumNodes() int { return s.CSR.NumNodes() }
 
 // NumEdges reports the snapshot's directed edge count.
-func (s *Snapshot) NumEdges() int { return len(s.CSR.OutAdj) }
+func (s *Snapshot) NumEdges() int { return s.CSR.NumEdges() }
 
 // OutDegree reports v's out-degree (0 beyond the vertex space).
 func (s *Snapshot) OutDegree(v graph.NodeID) int {
@@ -121,29 +129,23 @@ func (s *Snapshot) Value(v graph.NodeID) (float64, bool) {
 	return s.Values[v], true
 }
 
-// CheckConsistent verifies the snapshot's structural invariants: index
-// arrays that start at 0, are monotone, and cover the adjacency arrays
-// exactly; neighbor IDs inside the vertex space; a property vector sized
-// to the vertex space (or absent). A torn or scribbled publication breaks
-// at least one of these. O(V+E) — meant for tests and the differential
-// harness, not the query hot path.
+// CheckConsistent verifies the snapshot's structural invariants: an index
+// that covers the vertex space; every run inside its adjacency array with
+// begin <= end; runs that together hold exactly the edge count the
+// snapshot reports, in both directions; neighbor IDs inside the vertex
+// space; a property vector sized to the vertex space (or absent). Runs may
+// sit anywhere in the array (see graph.CSR), so dead records between them
+// are not an error. A torn or scribbled publication breaks at least one of
+// these. O(V+E) — meant for tests and the differential harness, not the
+// query hot path.
 func (s *Snapshot) CheckConsistent() error {
 	n := s.NumNodes()
-	if n < 0 {
-		return fmt.Errorf("epoch %d: empty out index", s.Epoch)
-	}
-	if err := checkDir("out", n, s.CSR.OutIndex, s.CSR.OutAdj); err != nil {
+	if err := checkDir("out", n, s.CSR.Edges, s.CSR.OutSpans, s.CSR.OutAdj); err != nil {
 		return fmt.Errorf("epoch %d: %w", s.Epoch, err)
 	}
-	if len(s.CSR.InIndex) > 0 {
-		if len(s.CSR.InIndex) != n+1 {
-			return fmt.Errorf("epoch %d: in index covers %d vertices, out index %d", s.Epoch, len(s.CSR.InIndex)-1, n)
-		}
-		if err := checkDir("in", n, s.CSR.InIndex, s.CSR.InAdj); err != nil {
+	if s.CSR.HasIn() {
+		if err := checkDir("in", n, s.CSR.Edges, s.CSR.InSpans, s.CSR.InAdj); err != nil {
 			return fmt.Errorf("epoch %d: %w", s.Epoch, err)
-		}
-		if len(s.CSR.InAdj) != len(s.CSR.OutAdj) {
-			return fmt.Errorf("epoch %d: %d in records vs %d out records", s.Epoch, len(s.CSR.InAdj), len(s.CSR.OutAdj))
 		}
 	}
 	if len(s.Values) != 0 && len(s.Values) != n {
@@ -152,31 +154,39 @@ func (s *Snapshot) CheckConsistent() error {
 	return nil
 }
 
-func checkDir(dir string, n int, index []int64, adj []graph.Neighbor) error {
-	if index[0] != 0 {
-		return fmt.Errorf("%s index starts at %d, want 0", dir, index[0])
+func checkDir(dir string, n, edges int, spans []graph.Span, adj []graph.Neighbor) error {
+	if len(spans) != n {
+		return fmt.Errorf("%s index covers %d vertices, want %d", dir, len(spans), n)
 	}
-	for v := 0; v < n; v++ {
-		if index[v+1] < index[v] {
-			return fmt.Errorf("%s index decreases at vertex %d (%d -> %d)", dir, v, index[v], index[v+1])
+	records := 0
+	for v, sp := range spans {
+		if sp.End < sp.Begin {
+			return fmt.Errorf("%s run of vertex %d is inverted (%d -> %d)", dir, v, sp.Begin, sp.End)
 		}
-	}
-	if int(index[n]) != len(adj) {
-		return fmt.Errorf("%s index covers %d records, adjacency holds %d", dir, index[n], len(adj))
-	}
-	for i, nb := range adj {
-		if int(nb.ID) >= n {
-			return fmt.Errorf("%s record %d names vertex %d outside space of %d", dir, i, nb.ID, n)
+		if int(sp.End) > len(adj) {
+			return fmt.Errorf("%s run of vertex %d ends at %d, past the %d records held", dir, v, sp.End, len(adj))
 		}
+		for _, nb := range adj[sp.Begin:sp.End] {
+			if int(nb.ID) >= n {
+				return fmt.Errorf("%s run of vertex %d names vertex %d outside space of %d", dir, v, nb.ID, n)
+			}
+		}
+		records += sp.Len()
+	}
+	if records != edges {
+		return fmt.Errorf("%s runs hold %d records, snapshot reports %d edges", dir, records, edges)
 	}
 	return nil
 }
 
-// Fingerprint hashes the snapshot's topology and values (FNV-1a over the
-// index, adjacency, and property arrays). A pinned epoch's fingerprint
-// must never change — the race battery computes it at pin time and again
-// after the writer has advanced, so any scribble on a held snapshot is
-// caught even if the structural invariants still hold.
+// Fingerprint hashes the snapshot's topology and values (FNV-1a over each
+// vertex's degree and run, then the property vector). It reads runs, not
+// offsets, so it is independent of where the layout put them: a relocated,
+// a compacted and a freshly built mirror of one graph fingerprint alike. A
+// pinned epoch's fingerprint must never change — the race battery
+// computes it at pin time and again after the writer has advanced, so any
+// scribble on a held snapshot is caught even if the structural invariants
+// still hold.
 func (s *Snapshot) Fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -189,20 +199,23 @@ func (s *Snapshot) Fingerprint() uint64 {
 			h *= prime64
 		}
 	}
-	for _, x := range s.CSR.OutIndex {
-		mix(uint64(x))
-	}
-	for _, nb := range s.CSR.OutAdj {
-		mix(uint64(nb.ID))
-		mix(uint64(math.Float32bits(float32(nb.Weight))))
+	n := s.NumNodes()
+	for v := 0; v < n; v++ {
+		run := s.CSR.Out(graph.NodeID(v))
+		mix(uint64(len(run)))
+		for _, nb := range run {
+			mix(uint64(nb.ID))
+			mix(uint64(math.Float32bits(float32(nb.Weight))))
+		}
 	}
 	// The undirected mirror aliases in onto out; hashing the alias twice
 	// is harmless and keeps the code branch-free for the directed case.
-	for _, x := range s.CSR.InIndex {
-		mix(uint64(x))
-	}
-	for _, nb := range s.CSR.InAdj {
-		mix(uint64(nb.ID))
+	for v := 0; v < n && s.CSR.HasIn(); v++ {
+		run := s.CSR.In(graph.NodeID(v))
+		mix(uint64(len(run)))
+		for _, nb := range run {
+			mix(uint64(nb.ID))
+		}
 	}
 	for _, v := range s.Values {
 		mix(math.Float64bits(v))
@@ -238,19 +251,20 @@ type Manager struct {
 	reclaimed atomic.Uint64
 	dropped   atomic.Uint64
 
-	// reuse declares that published CSR arrays come from a double
-	// buffer the writer wants back (the compute-view mirror). Without it
-	// every publication carries fresh arrays and spare tracking is off.
+	// reuse declares that published snapshots carry buffers the writer
+	// wants back (the compute-view mirror's index double buffer and the
+	// property vectors). Without it every publication carries fresh arrays
+	// and spare tracking is off.
 	reuse bool
-	// spareOwner is the snapshot whose arrays currently sit in the
-	// writer's spare buffer — the epoch superseded by the latest publish.
-	// Writer-side only.
-	spareOwner *Snapshot
+	// spareRefs is the pin count of the snapshot whose buffers currently
+	// are the writer's spares — the epoch superseded by the latest
+	// publish; nil when there is none. Writer-side only.
+	spareRefs *atomic.Int64
 }
 
 // NewManager builds a manager. reuseBuffers declares that the writer
-// double-buffers the published arrays and will ask ReclaimSpare before
-// each rebuild; publishers of freshly allocated arrays pass false.
+// double-buffers what it publishes and will ask ReclaimSpare before each
+// refresh; publishers of freshly allocated arrays pass false.
 func NewManager(reuseBuffers bool) *Manager {
 	return &Manager{reuse: reuseBuffers}
 }
@@ -260,33 +274,35 @@ func NewManager(reuseBuffers bool) *Manager {
 // from here on. Returns the assigned epoch number.
 func (m *Manager) Publish(s *Snapshot) uint64 {
 	s.Epoch = m.published.Add(1) // saga:allow frozenwrite -- the epoch number is stamped exactly once, before the swap makes s visible to readers
+	s.refs = new(atomic.Int64)   // saga:allow frozenwrite -- the pin counter is attached exactly once, before the swap makes s visible to readers
 	prev := m.latest.Swap(s)
-	if m.reuse {
-		// prev's arrays are now the writer's spare buffer (the double
-		// buffer swapped during the rebuild that produced s); remember
-		// whose they are so ReclaimSpare can gate the next rebuild.
-		m.spareOwner = prev
+	if m.reuse && prev != nil {
+		// prev's buffers are now the writer's spares (the double buffer
+		// swapped during the refresh that produced s); remember its pin
+		// count so ReclaimSpare can gate the next refresh.
+		m.spareRefs = prev.refs
 	}
 	return s.Epoch
 }
 
-// ReclaimSpare is the writer's pre-rebuild gate: it reports whether the
+// ReclaimSpare is the writer's pre-refresh gate: it reports whether the
 // spare buffers (owned by the snapshot superseded two publications ago)
 // may be scribbled. A false return means the owner has drained — reuse
 // freely. A true return means readers still pin the owner: the caller
-// MUST abandon the spare buffers (ds.ComputeView.DropSpares) so the next
-// rebuild allocates fresh arrays; the pinned snapshot stays intact and is
-// garbage-collected when its readers release.
+// MUST abandon the spare buffers (ds.ComputeView.DropSpares, and its
+// spare property vector) so the next refresh and publish allocate fresh
+// ones; the pinned snapshot stays intact and is garbage-collected when
+// its readers release.
 func (m *Manager) ReclaimSpare() (mustDrop bool) {
-	owner := m.spareOwner
-	if owner == nil {
+	refs := m.spareRefs
+	if refs == nil {
 		return false
 	}
-	m.spareOwner = nil
-	// owner is superseded (Publish swapped it out), so refs can only
+	m.spareRefs = nil
+	// The owner is superseded (Publish swapped it out), so refs can only
 	// drain: a reader that loads it stale will fail Pin's validation and
 	// never read through it. Observing 0 here is therefore stable.
-	if owner.refs.Load() == 0 {
+	if refs.Load() == 0 {
 		m.reclaimed.Add(1)
 		return false
 	}
@@ -297,7 +313,7 @@ func (m *Manager) ReclaimSpare() (mustDrop bool) {
 // ForgetSpare drops spare tracking without reclaiming — for writers that
 // discard their double buffer wholesale (durable recovery rebuilds the
 // mirror from scratch).
-func (m *Manager) ForgetSpare() { m.spareOwner = nil }
+func (m *Manager) ForgetSpare() { m.spareRefs = nil }
 
 // Pin acquires the latest snapshot for reading, or nil when nothing has
 // been published (or the manager is closed). The caller must Release it.
@@ -352,7 +368,7 @@ func (m *Manager) LatestEpoch() uint64 {
 // the manager — so a late-releasing reader never observes freed memory.
 func (m *Manager) Close() {
 	m.latest.Store(nil)
-	m.spareOwner = nil
+	m.spareRefs = nil
 }
 
 // Stats reads the manager's counters.

@@ -72,15 +72,13 @@ func TestCheckConsistentNegative(t *testing.T) {
 		mutate func(*Snapshot)
 		want   string
 	}{
-		{"nonzero index start", func(s *Snapshot) { s.CSR.OutIndex[0] = 1 }, "starts at"},
-		{"decreasing index", func(s *Snapshot) { s.CSR.OutIndex[2] = 0 }, "decreases"},
-		{"index adjacency mismatch", func(s *Snapshot) { s.CSR.OutAdj = s.CSR.OutAdj[:2] }, "covers"},
+		{"inverted run", func(s *Snapshot) { s.CSR.OutSpans[2].End = 0 }, "inverted"},
+		{"adjacency cut short", func(s *Snapshot) { s.CSR.OutAdj = s.CSR.OutAdj[:2] }, "past the 2 records"},
+		{"run past the records", func(s *Snapshot) { s.CSR.OutSpans[2].End = 9 }, "past the 3 records"},
 		{"neighbor outside space", func(s *Snapshot) { s.CSR.OutAdj[0].ID = 99 }, "outside space"},
-		{"in/out record mismatch", func(s *Snapshot) {
-			s.CSR.InAdj = s.CSR.InAdj[:2]
-			s.CSR.InIndex[3], s.CSR.InIndex[4] = 2, 2
-		}, "records"},
-		{"in index wrong span", func(s *Snapshot) { s.CSR.InIndex = s.CSR.InIndex[:4] }, "in index covers"},
+		{"out records vs edge count", func(s *Snapshot) { s.CSR.Edges = 4 }, "out runs hold 3 records"},
+		{"in records vs edge count", func(s *Snapshot) { s.CSR.InSpans[2].End = 2 }, "in runs hold 2 records"},
+		{"in index wrong length", func(s *Snapshot) { s.CSR.InSpans = s.CSR.InSpans[:3] }, "in index covers 3 vertices"},
 		{"values wrong length", func(s *Snapshot) { s.Values = s.Values[:2] }, "property values"},
 	}
 	for _, tc := range cases {
@@ -112,7 +110,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}{
 		{"neighbor id", func(s *Snapshot) { s.CSR.OutAdj[0].ID = 2 }},
 		{"edge weight", func(s *Snapshot) { s.CSR.OutAdj[0].Weight = 7 }},
-		{"index shift", func(s *Snapshot) { s.CSR.OutIndex[1] = 0 }},
+		{"run boundary", func(s *Snapshot) { s.CSR.OutSpans[1].Begin = 0 }},
 		{"property value", func(s *Snapshot) { s.Values[3] = -1 }},
 		{"in record", func(s *Snapshot) { s.CSR.InAdj[0].ID = 3 }},
 	}
@@ -122,6 +120,30 @@ func TestFingerprintSensitivity(t *testing.T) {
 		if s.Fingerprint() == base {
 			t.Errorf("%s: fingerprint unchanged after mutation", m.name)
 		}
+	}
+}
+
+// TestLogStructuredLayout checks that a snapshot whose runs are scattered
+// over an arena with dead space — what the compute view publishes between
+// compactions — passes CheckConsistent, answers like the contiguous build
+// of the same graph, and fingerprints the same.
+func TestLogStructuredLayout(t *testing.T) {
+	want := snap(0)
+	s := snap(0)
+	// Vertex 1's run {2} relocated to the tail; its old slot is dead.
+	s.CSR.OutAdj = append(append([]graph.Neighbor(nil), s.CSR.OutAdj...), s.CSR.OutAdj[1])
+	s.CSR.OutSpans = []graph.Span{{Begin: 0, End: 1}, {Begin: 3, End: 4}, {Begin: 2, End: 3}, {Begin: 4, End: 4}}
+	if err := s.CheckConsistent(); err != nil {
+		t.Fatalf("log-structured snapshot inconsistent: %v", err)
+	}
+	if got := s.NumEdges(); got != 3 {
+		t.Fatalf("NumEdges = %d, want 3 (dead records do not count)", got)
+	}
+	if w, ok := s.HasEdge(1, 2); !ok || w != 2 {
+		t.Fatalf("HasEdge(1,2) = %v,%v, want 2,true", w, ok)
+	}
+	if got, w := s.Fingerprint(), want.Fingerprint(); got != w {
+		t.Fatalf("fingerprint depends on the layout: %#x vs %#x", got, w)
 	}
 }
 

@@ -53,10 +53,12 @@ type BatchEvent struct {
 	Straggler    float64 `json:"straggler,omitempty"`
 
 	// Compute-view refresh of the batch (zero when the view is off):
-	// refresh wall time, fraction of vertices re-flattened, and whether
-	// the refresh fell back to a full rebuild.
+	// refresh wall time, fraction of vertices re-flattened, adjacency
+	// entries written into the mirror, and whether the refresh compacted
+	// the mirror (or first built it) instead of relocating dirty runs.
 	ViewNS        int64   `json:"view_ns,omitempty"`
 	ViewDirtyFrac float64 `json:"view_dirty_frac,omitempty"`
+	ViewWritten   int     `json:"view_written,omitempty"`
 	ViewFull      bool    `json:"view_full,omitempty"`
 
 	// Epoch is the publication number of the batch's published snapshot

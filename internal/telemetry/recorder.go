@@ -46,6 +46,7 @@ type Recorder struct {
 	viewDirtyFrac  *Gauge
 	viewDelta      *Counter
 	viewFull       *Counter
+	viewWritten    *Counter
 
 	// Compute-phase worker skew: the straggler ratio (max/mean busy time
 	// across the workers that did any work in the batch) and lazily
@@ -121,8 +122,9 @@ func NewRecorder(reg *Registry, sink *EventSink) *Recorder {
 	r.workerBusyTotal = reg.Counter("saga_compute_worker_busy_ns_total", "Summed compute-phase worker busy time across all workers and batches")
 	r.viewRefreshLat = reg.Histogram("saga_view_refresh_seconds", "Compute-view CSR mirror refresh latency per batch", nil)
 	r.viewDirtyFrac = reg.Gauge("saga_view_dirty_fraction", "Fraction of vertices re-flattened by the latest view refresh")
-	r.viewDelta = reg.Counter("saga_view_delta_rebuilds_total", "View refreshes that re-flattened only dirty vertices")
-	r.viewFull = reg.Counter("saga_view_full_rebuilds_total", "View refreshes that rebuilt the whole mirror")
+	r.viewDelta = reg.Counter("saga_view_delta_rebuilds_total", "View refreshes that relocated only the dirty runs")
+	r.viewFull = reg.Counter("saga_view_full_rebuilds_total", "View refreshes that compacted the mirror into a fresh arena (including the first build)")
+	r.viewWritten = reg.Counter("saga_view_entries_written_total", "Adjacency entries written into the mirror by view refreshes")
 	r.epochsPublished = reg.Counter("saga_epochs_published_total", "Snapshots published for non-blocking queries")
 	r.epochReclaimed = reg.Counter("saga_epoch_buffers_reclaimed_total", "Superseded snapshots whose buffers drained and returned to the double buffer")
 	r.epochDropped = reg.Counter("saga_epoch_buffers_dropped_total", "Superseded snapshots abandoned to the GC because readers still pinned them")
@@ -212,14 +214,16 @@ func (r *Recorder) RecordQueueDepth(n int) {
 }
 
 // RecordViewRefresh folds one compute-view mirror refresh into the
-// metrics: its latency, the fraction of vertices it re-flattened, and
-// whether it was a delta or a full rebuild.
-func (r *Recorder) RecordViewRefresh(d time.Duration, dirtyFrac float64, full bool) {
+// metrics: its latency, the fraction of vertices it re-flattened, the
+// adjacency entries it wrote, and whether it relocated dirty runs or
+// compacted the mirror (full).
+func (r *Recorder) RecordViewRefresh(d time.Duration, dirtyFrac float64, written int, full bool) {
 	if r == nil {
 		return
 	}
 	r.viewRefreshLat.Observe(d.Seconds())
 	r.viewDirtyFrac.Set(dirtyFrac)
+	r.viewWritten.Add(uint64(written))
 	if full {
 		r.viewFull.Inc()
 	} else {
