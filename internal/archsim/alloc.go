@@ -10,9 +10,10 @@ type allocator struct{ next uint64 }
 // Distinct base offsets keep the major regions (heap, property arrays,
 // headers) from aliasing at low addresses.
 const (
-	heapBase   = 0x0001_0000_0000
-	headerBase = 0x4000_0000_0000
-	propBase   = 0x7000_0000_0000
+	heapBase    = 0x0001_0000_0000
+	headerBase  = 0x4000_0000_0000
+	propBase    = 0x7000_0000_0000
+	contribBase = 0x7800_0000_0000
 )
 
 func newAllocator() *allocator { return &allocator{next: heapBase} }

@@ -170,8 +170,11 @@ type ComputeTrace struct {
 	// Incremental seeds propagation at the affected vertices; otherwise
 	// the pass sweeps every vertex (FS).
 	Incremental bool
-	// NeedsDegree adds a per-neighbor degree query (PageRank's
-	// out-degree normalization).
+	// NeedsDegree replays PageRank's out-degree normalization the way
+	// the kernels do it, through the contribution vector contrib[u] =
+	// rank[u]/outdeg(u): each in-neighbor costs one contribution read
+	// (in place of its property read), and each recomputed vertex one
+	// degree query and one contribution write.
 	NeedsDegree bool
 	// ProcessedBudget caps replayed vertex recomputations; pass the real
 	// engine's Stats().Processed to mirror the measured work. 0 means
@@ -179,7 +182,8 @@ type ComputeTrace struct {
 	ProcessedBudget uint64
 }
 
-func propAddr(v graph.NodeID) uint64 { return propBase + uint64(v)*8 }
+func propAddr(v graph.NodeID) uint64    { return propBase + uint64(v)*8 }
+func contribAddr(v graph.NodeID) uint64 { return contribBase + uint64(v)*8 }
 
 // ReplayCompute replays one compute phase and returns the phase traffic.
 // affected is the batch's endpoint set (Algorithm 1's affected array).
@@ -196,6 +200,10 @@ func (r *Replayer) ReplayCompute(affected []graph.NodeID, kind ComputeTrace) Tra
 	if budget == 0 {
 		budget = uint64(len(frontier))
 	}
+	neighAddr := propAddr
+	if kind.NeedsDegree {
+		neighAddr = contribAddr
+	}
 	var processed uint64
 	for len(frontier) > 0 && processed < budget {
 		var next []graph.NodeID
@@ -207,15 +215,17 @@ func (r *Replayer) ReplayCompute(affected []graph.NodeID, kind ComputeTrace) Tra
 			processed++
 			t := i * r.m.Threads() / n
 			// Pull: read own property, traverse in-neighbor
-			// storage, read each neighbor's property.
+			// storage, read each neighbor's property — or, for
+			// PageRank, its contribution.
 			r.m.Access(t, propAddr(v), false, instrVertex)
 			for _, u := range r.in.traverse(r.m, t, v) {
-				r.m.Access(t, propAddr(u), false, instrEdgeMath)
-				if kind.NeedsDegree {
-					r.out.degree(r.m, t, u)
-				}
+				r.m.Access(t, neighAddr(u), false, instrEdgeMath)
 			}
 			r.m.Access(t, propAddr(v), true, 1)
+			if kind.NeedsDegree {
+				r.out.degree(r.m, t, v)
+				r.m.Access(t, contribAddr(v), true, 1)
+			}
 			// Push: changed vertices activate out-neighbors.
 			if kind.Incremental {
 				for _, w := range r.out.traverse(r.m, t, v) {

@@ -117,6 +117,54 @@ func TestComputeReusesUpdateLines(t *testing.T) {
 	}
 }
 
+// degreeCounter counts the degree queries replayed against a shadow.
+type degreeCounter struct {
+	shadow
+	queries int
+}
+
+func (c *degreeCounter) degree(m *Machine, thread int, v graph.NodeID) {
+	c.queries++
+	c.shadow.degree(m, thread, v)
+}
+
+// TestReplayComputeDegreePerVertex pins the PageRank address model to the
+// contribution-vector kernels: a recomputed vertex costs one degree query
+// and one contribution write however many in-neighbors it has, and each
+// in-neighbor costs one read, of its contribution instead of its property.
+func TestReplayComputeDegreePerVertex(t *testing.T) {
+	for _, name := range shadowNames {
+		r := testReplayer(t, name)
+		b := randomBatch(3, 4000, 300) // ~13 in-edges per vertex
+		r.ReplayUpdate(b)
+		dc := &degreeCounter{shadow: r.out}
+		r.out = dc
+		n := uint64(r.numNodes)
+
+		plain := r.ReplayCompute(nil, ComputeTrace{})
+		if dc.queries != 0 {
+			t.Fatalf("%s: %d degree queries without NeedsDegree", name, dc.queries)
+		}
+		sweep := r.ReplayCompute(nil, ComputeTrace{NeedsDegree: true})
+		if uint64(dc.queries) != n {
+			t.Errorf("%s: FS sweep over %d vertices replayed %d degree queries, want one per vertex", name, n, dc.queries)
+		}
+		// Same reads per in-neighbor; per vertex, a contribution write
+		// and at least one access for the degree query.
+		if extra := sweep.Accesses - plain.Accesses; extra < 2*n || extra > 8*n {
+			t.Errorf("%s: NeedsDegree added %d accesses over %d vertices, want a small multiple of |V| (not of |E| = %d)",
+				name, extra, n, len(b))
+		}
+
+		dc.queries = 0
+		const budget = 50
+		r.ReplayCompute(affectedOf(b), ComputeTrace{Incremental: true, NeedsDegree: true, ProcessedBudget: budget})
+		if dc.queries != budget {
+			t.Errorf("%s: INC replay of %d recomputations issued %d degree queries", name, budget, dc.queries)
+		}
+	}
+}
+
 func affectedOf(b graph.Batch) []graph.NodeID {
 	seen := map[graph.NodeID]bool{}
 	var out []graph.NodeID

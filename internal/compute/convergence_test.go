@@ -26,8 +26,15 @@ func mixedStream(seed int64, rounds, batchSize, numNodes int) []mixedStep {
 	type pair struct{ src, dst graph.NodeID }
 	cur := map[pair]graph.Weight{}
 	var livePairs []pair
+	// Symmetric in (src, dst): on an undirected graph (a,b) and (b,a) are
+	// one edge, and two weights for it in one batch would leave the stored
+	// one to the ingest threads' scheduling.
 	weight := func(p pair, salt int) graph.Weight {
-		return graph.Weight((uint32(p.src)*2654435761+uint32(p.dst)*40503+uint32(salt)*97)%29) + 1
+		a, b := uint32(p.src), uint32(p.dst)
+		if a > b {
+			a, b = b, a
+		}
+		return graph.Weight((a*2654435761+b*40503+uint32(salt)*97)%29) + 1
 	}
 	steps := make([]mixedStep, rounds)
 	for r := range steps {

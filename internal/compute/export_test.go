@@ -1,0 +1,31 @@
+package compute
+
+import (
+	"fmt"
+	"math"
+
+	"sagabench/internal/ds"
+	"sagabench/internal/graph"
+)
+
+// CheckContrib verifies the INC contribution invariant for the external
+// tests: after a phase on g, contrib[u] must equal vals[u]/outdeg(u) (0 at
+// out-degree 0) bit for bit, for every vertex. Engines without a
+// contribution vector pass vacuously.
+func CheckContrib(e Engine, g ds.Graph) error {
+	inc, ok := e.(*incEngine)
+	if !ok || !inc.spec.degreeSensitive {
+		return nil
+	}
+	if len(inc.contrib) != g.NumNodes() || len(inc.vals) != g.NumNodes() {
+		return fmt.Errorf("contrib has %d slots, vals %d, graph %d vertices", len(inc.contrib), len(inc.vals), g.NumNodes())
+	}
+	for u := range inc.contrib {
+		d := g.OutDegree(graph.NodeID(u))
+		got, want := inc.contrib.get(u), contribOf(inc.vals.get(u), d)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			return fmt.Errorf("contrib[%d] = %v, but vals[%d]/outdeg = %v/%d = %v", u, got, u, inc.vals.get(u), d, want)
+		}
+	}
+	return nil
+}

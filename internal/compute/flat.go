@@ -117,6 +117,11 @@ func uniformCuts(cuts []int, n, threads int) []int {
 // concurrently, with the same panic capture and re-raise as parallelFor
 // (the poison-batch quarantine relies on worker panics surfacing on the
 // caller). Worker indices are dense, so fn can index per-worker state.
+//
+// The last range runs on the caller's goroutine and the join state is one
+// allocation: a kernel that meets a barrier twice per iteration (FS
+// PageRank's contribution and pull passes) pays one spawn and two
+// allocations per pass at two workers.
 func parallelRanges(cuts []int, fn func(w, lo, hi int)) {
 	k := len(cuts) - 1
 	if k <= 0 {
@@ -126,24 +131,34 @@ func parallelRanges(cuts []int, fn func(w, lo, hi int)) {
 		fn(0, cuts[0], cuts[1])
 		return
 	}
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicVal any
-	for w := 0; w < k; w++ {
-		wg.Add(1)
+	var join struct {
+		wg       sync.WaitGroup
+		once     sync.Once
+		panicVal any
+	}
+	join.wg.Add(k - 1)
+	for w := 0; w < k-1; w++ {
 		go func(w int) {
-			defer wg.Done()
+			defer join.wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicVal = r })
+					join.once.Do(func() { join.panicVal = r })
 				}
 			}()
 			fn(w, cuts[w], cuts[w+1])
 		}(w)
 	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				join.once.Do(func() { join.panicVal = r })
+			}
+		}()
+		fn(k-1, cuts[k-1], cuts[k])
+	}()
+	join.wg.Wait()
+	if join.panicVal != nil {
+		panic(join.panicVal)
 	}
 }
 

@@ -23,7 +23,7 @@ type fsEngine struct {
 	visited  []uint32
 	frontier []graph.NodeID
 	next     []graph.NodeID
-	aux      values
+	pr       prSweep
 
 	// Round scratch shared by the frontier kernels: per-worker push
 	// buffers and the edge-balanced range cuts.
@@ -72,11 +72,16 @@ func (e *fsEngine) PerformAlg(g ds.Graph, _ []graph.NodeID) {
 		e.vals = make(values, n)
 	}
 	e.vals = e.vals[:n]
-	for v := range e.vals {
-		e.vals.set(v, e.spec.initValue(graph.NodeID(v), n))
+	// The reset runs before any worker starts: plain stores.
+	if e.spec.uniformInit {
+		e.vals.fill(e.spec.initValue(0, n))
+	} else {
+		for v := range e.vals {
+			e.vals.put(v, e.spec.initValue(graph.NodeID(v), n))
+		}
 	}
 	if e.spec.hasSource && int(e.opts.Source) < n {
-		e.vals.set(int(e.opts.Source), e.spec.sourceValue)
+		e.vals.put(int(e.opts.Source), e.spec.sourceValue)
 	}
 	if n == 0 {
 		if e.opts.WorkerTiming {

@@ -7,9 +7,6 @@ import (
 	"sagabench/internal/graph"
 )
 
-func floatBits(f float64) uint64     { return math.Float64bits(f) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
-
 // fsSSSP is delta-stepping shortest paths (the optimized GAP FS
 // implementation the paper credits for SSSP's FS competitiveness): vertices
 // are binned by tentative distance into buckets of width delta; buckets are

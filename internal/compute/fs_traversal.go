@@ -222,7 +222,7 @@ func fsLabelProp(e *fsEngine, g ds.Graph) {
 				t0 = time.Now() // saga:allow determinism -- worker busy-time metric and trace spans only; never feeds values or frontier order.
 			}
 			sp := e.tr.Worker("fs.labelprop", w)
-			ctx := &recomputeCtx{g: g, csr: csr, vals: e.vals, numNodes: n, opts: e.opts}
+			ctx := &recomputeCtx{g: g, csr: csr, vals: e.vals, numNodes: n}
 			local := e.push.bufs[w]
 			var pushBuf []graph.Neighbor
 			for _, v := range curr[lo:hi] {

@@ -8,12 +8,12 @@ import (
 	"sagabench/internal/graph"
 )
 
-// These assertions cross-validate the saga:hotpath annotations in flat.go
-// (statically enforced by sagavet's hotalloc analyzer): once buffers are
-// warm, the kernel inner-loop helpers must not touch the allocator. The
-// one audited allocation (concat's grow-on-demand make) is exercised cold
-// first so the steady-state run measures the reuse path the saga:allow
-// comment promises.
+// These assertions cross-validate the saga:hotpath annotations in flat.go,
+// vertexfn.go and fs_pagerank.go (statically enforced by sagavet's hotalloc
+// analyzer): once buffers are warm, the kernel inner-loop helpers must not
+// touch the allocator. The one audited allocation (concat's grow-on-demand
+// make) is exercised cold first so the steady-state run measures the reuse
+// path the saga:allow comment promises.
 
 func hotpathTestGraph(t *testing.T) (ds.Graph, *graph.CSR) {
 	t.Helper()
@@ -99,5 +99,57 @@ func TestWorkerClockAddDoesNotAllocate(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("workerClock.add allocates %.1f times per round", allocs)
+	}
+}
+
+// prAllocGraphs returns the hotpath graph as the kernels see it on the
+// interface path and on the flat view.
+func prAllocGraphs(t *testing.T) map[string]ds.Graph {
+	t.Helper()
+	g, _ := hotpathTestGraph(t)
+	vg, _ := hotpathTestGraph(t)
+	view, ok := ds.NewComputeView(vg, 1)
+	if !ok {
+		t.Fatal("adjshared has no compute view")
+	}
+	view.Refresh(nil, nil)
+	return map[string]ds.Graph{"interface": g, "view": view}
+}
+
+// A steady-state FS PageRank batch — reset, contribution passes, pull
+// passes, convergence sum — allocates nothing at one thread: the sweep
+// state lives in the engine and the range workers are bound once.
+func TestFSPRBatchDoesNotAllocate(t *testing.T) {
+	for path, g := range prAllocGraphs(t) {
+		e := newFSEngine(specs["pr"], Options{Threads: 1})
+		e.PerformAlg(g, nil) // cold: sizes the vectors, binds the workers
+		if allocs := testing.AllocsPerRun(20, func() { e.PerformAlg(g, nil) }); allocs != 0 {
+			t.Errorf("%s: FS PageRank batch allocates %.1f times", path, allocs)
+		}
+		if e.Stats().Iterations < 2 {
+			t.Errorf("%s: %d iterations — the sweep was not exercised", path, e.Stats().Iterations)
+		}
+	}
+}
+
+// A steady-state INC PageRank batch — contribution refresh, out-
+// neighbourhood widening into the spare frontier buffer, rounds — allocates
+// nothing at one thread. The vanishing epsilon keeps recomputes triggering
+// for as long as a value moves at all, so a batch is more than one round.
+func TestIncPRRoundDoesNotAllocate(t *testing.T) {
+	affected := []graph.NodeID{0, 3, 9}
+	for path, g := range prAllocGraphs(t) {
+		e := newIncEngine(specs["pr"], Options{Threads: 1, Epsilon: 1e-300})
+		e.PerformAlg(g, affected) // cold: grows values, contrib, frontier and push buffers
+		rounds := 0
+		if allocs := testing.AllocsPerRun(20, func() {
+			e.PerformAlg(g, affected)
+			rounds += e.Stats().Iterations
+		}); allocs != 0 {
+			t.Errorf("%s: INC PageRank batch allocates %.1f times", path, allocs)
+		}
+		if rounds == 0 {
+			t.Errorf("%s: no round ran", path)
+		}
 	}
 }

@@ -1,0 +1,119 @@
+package compute_test
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"sagabench/internal/compute"
+	"sagabench/internal/ds"
+	_ "sagabench/internal/ds/all"
+	"sagabench/internal/gen"
+	"sagabench/internal/graph"
+)
+
+// prGolden holds the FNV-64a of every post-batch PageRank vector of the
+// stream below, recorded at the commit BEFORE the contribution-vector
+// kernels (per-edge degree lookup and division). The rewrite takes the
+// same rounded quotient rank/outdeg once per vertex instead of once per
+// edge and sums in the same order, so at Threads=1 every bit must
+// survive; a changed hash means the numerics moved, not a tolerance to
+// widen. The view and the interface path hand the kernels the same runs
+// in the same order, so they share one recorded hash per row.
+var prGolden = map[string]uint64{
+	"adjshared/directed/fs":    0x600064e72b76e7f5,
+	"adjshared/directed/inc":   0xa0983d8bd5149a31,
+	"adjshared/undirected/fs":  0x707f391ac173be2e,
+	"adjshared/undirected/inc": 0x8637b801bfa0289b,
+	"dah/directed/fs":          0x5e92ae9ee381f9cd,
+	"dah/directed/inc":         0x1cf3c5dd5bf13453,
+	"dah/undirected/fs":        0x26fb8660e6dcabd8,
+	"dah/undirected/inc":       0x8f475b797de23029,
+	"hybrid/directed/fs":       0x600064e72b76e7f5,
+	"hybrid/directed/inc":      0xa0983d8bd5149a31,
+	"hybrid/undirected/fs":     0x707f391ac173be2e,
+	"hybrid/undirected/inc":    0x8637b801bfa0289b,
+}
+
+// TestPRGoldenBitIdentity replays one fixed gen stream (inserts, a
+// quarter of the previous batch deleted again, vertices appearing over
+// time) through PageRank under both models, on the compute view and on
+// the structure's interface, and compares the hash of all post-batch
+// value vectors with the recorded one.
+func TestPRGoldenBitIdentity(t *testing.T) {
+	const seed, batchSize = 20260926, 500
+	spec := gen.MustDataset("lj", gen.ProfileTiny)
+	for _, dsName := range []string{"adjshared", "dah", "hybrid"} {
+		for _, directed := range []bool{true, false} {
+			spec.Directed = directed
+			edges := spec.Generate(seed)
+			for _, useView := range []bool{false, true} {
+				for _, model := range []compute.Model{compute.FS, compute.INC} {
+					dir, path := "undirected", "interface"
+					if directed {
+						dir = "directed"
+					}
+					if useView {
+						path = "view"
+					}
+					key := fmt.Sprintf("%s/%s/%s", dsName, dir, model)
+					t.Run(key+"/"+path, func(t *testing.T) {
+						got := prStreamHash(t, dsName, directed, useView, model, edges, batchSize)
+						if want := prGolden[key]; got != want {
+							t.Fatalf("PageRank values hash %#x, recorded %#x: the numerics changed", got, want)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+func prStreamHash(t *testing.T, dsName string, directed, useView bool, model compute.Model, edges []graph.Edge, batchSize int) uint64 {
+	t.Helper()
+	g := ds.MustNew(dsName, ds.Config{Directed: directed, Threads: 1})
+	var cg ds.Graph = g
+	var view *ds.ComputeView
+	if useView {
+		var ok bool
+		if view, ok = ds.NewComputeView(g, 1); !ok {
+			t.Fatalf("%s has no compute view", dsName)
+		}
+		cg = view
+	}
+	e := compute.MustNewEngine("pr", model, compute.Options{Threads: 1})
+	h := fnv.New64a()
+	var prev, dels graph.Batch
+	var word [8]byte
+	for lo := 0; lo < len(edges); lo += batchSize {
+		hi := lo + batchSize
+		if hi > len(edges) {
+			hi = len(edges)
+		}
+		adds := graph.Batch(edges[lo:hi])
+		dels = dels[:0]
+		for i := 0; i < len(prev); i += 4 {
+			dels = append(dels, prev[i])
+		}
+		g.Update(adds)
+		if len(dels) > 0 {
+			if err := g.(ds.Deleter).Delete(dels); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if view != nil {
+			view.Refresh(adds, dels)
+		}
+		e.PerformAlg(cg, affectedOf(append(append(graph.Batch{}, adds...), dels...)))
+		for _, f := range e.Values() {
+			bits := math.Float64bits(f)
+			for i := range word {
+				word[i] = byte(bits >> (8 * i))
+			}
+			h.Write(word[:])
+		}
+		prev = adds
+	}
+	return h.Sum64()
+}

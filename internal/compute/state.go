@@ -50,6 +50,7 @@ func (e *incEngine) RestoreState(s State) {
 		e.vals = append(e.vals, 0)
 		e.vals.set(i, f)
 	}
+	e.contrib = e.contrib[:0] // derived from vals; the next phase rebuilds it in full
 	e.lastN = s.LastN
 	e.pendingInvalid = append(e.pendingInvalid[:0], s.Pending...)
 	e.visited = e.visited[:0]

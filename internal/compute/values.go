@@ -17,6 +17,22 @@ func (v values) get(i int) float64 { return math.Float64frombits(atomic.LoadUint
 
 func (v values) set(i int, f float64) { atomic.StoreUint64(&v[i], math.Float64bits(f)) }
 
+// put is set as a plain store — no XCHG, so it does not fence off the
+// loads that follow. Audited use only: the sequential stretches of a
+// phase (resets, seeding, the contribution refresh), and the FS PageRank
+// passes, where slot i has exactly one writer per pass and every reader
+// of it sits behind the barrier that ends the pass (phase-separated like
+// the engines' visited vectors).
+func (v values) put(i int, f float64) { v[i] = math.Float64bits(f) }
+
+// fill puts f into every slot (sequential phases only, see put).
+func (v values) fill(f float64) {
+	bits := math.Float64bits(f)
+	for i := range v {
+		v[i] = bits
+	}
+}
+
 // materialize copies the values into dst as plain float64s.
 func (v values) materialize(dst []float64) []float64 {
 	dst = dst[:0]

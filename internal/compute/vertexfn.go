@@ -10,13 +10,17 @@ import (
 // inf is the identity for min-reductions over distances.
 var inf = math.Inf(1)
 
-// recomputeCtx is per-worker state for pull-style vertex recomputation.
+// recomputeCtx is per-worker state for pull-style vertex recomputation,
+// and the one place where the kernels' adjacency and degree reads fork
+// between the flat compute view and the structure's interface.
 type recomputeCtx struct {
-	g        ds.Graph
-	csr      *graph.CSR // non-nil on the flat compute-view path
-	vals     values
+	g    ds.Graph
+	csr  *graph.CSR // non-nil on the flat compute-view path
+	vals values
+	// contrib is the PageRank contribution vector (contrib[u] =
+	// rank[u]/outdeg(u)); nil for every other algorithm.
+	contrib  values
 	numNodes int
-	opts     Options
 	buf      []graph.Neighbor
 	edges    uint64 // neighbor records read
 }
@@ -56,6 +60,27 @@ func (ctx *recomputeCtx) outDegree(v graph.NodeID) int {
 	return ctx.g.OutDegree(v)
 }
 
+// fillContrib is the degree accessor at range granularity: it puts
+// contribOf(rank[u], outdeg(u)) into contrib[u] for u in [lo,hi) — plain
+// stores, see values.put. outDegree cannot inline (its interface call is
+// over budget), and a call per vertex costs the flat path's contribution
+// pass a tenth of the whole FS PageRank batch; here the fork is taken
+// once per range.
+//
+// saga:hotpath
+func (ctx *recomputeCtx) fillContrib(contrib, rank values, lo, hi int) {
+	if ctx.csr != nil {
+		spans := ctx.csr.OutSpans
+		for u := lo; u < hi; u++ {
+			contrib.put(u, contribOf(rank.get(u), spans[u].Len()))
+		}
+		return
+	}
+	for u := lo; u < hi; u++ {
+		contrib.put(u, contribOf(rank.get(u), ctx.g.OutDegree(graph.NodeID(u))))
+	}
+}
+
 // spec describes one algorithm: its Table I vertex function expressed as a
 // pull-style recompute, its initialization, and its INC trigger rule.
 type spec struct {
@@ -63,8 +88,11 @@ type spec struct {
 	// hasSource pins opts.Source to sourceValue (BFS/SSSP/SSWP).
 	hasSource   bool
 	sourceValue float64
-	// initValue is the reset (FS) / fresh-vertex (INC) property value.
-	initValue func(v graph.NodeID, numNodes int) float64
+	// initValue is the reset (FS) / fresh-vertex (INC) property value;
+	// uniformInit marks the ones that do not depend on v, so the FS
+	// reset can hoist the call out of its fill loop.
+	initValue   func(v graph.NodeID, numNodes int) float64
+	uniformInit bool
 	// recompute evaluates the vertex function for v by pulling from
 	// neighbors. It must not write ctx.vals.
 	recompute func(ctx *recomputeCtx, v graph.NodeID) float64
@@ -99,7 +127,8 @@ type spec struct {
 	// neighbor's degree (PageRank normalizes each in-neighbor's rank by
 	// its out-degree): an inserted or deleted edge (u,v) then affects not
 	// just u and v but every other out-neighbor of u, so the INC engine
-	// widens the affected set with the out-neighbors of batch endpoints.
+	// widens the affected set with the out-neighbors of batch endpoints
+	// and maintains the contribution vector (incEngine.contrib).
 	degreeSensitive bool
 	// tight reports whether valV could have been derived from valU across
 	// an edge of weight w — the value-dependence test KickStarter-style
@@ -135,6 +164,7 @@ var specs = map[string]spec{
 		hasSource:   true,
 		sourceValue: 0,
 		initValue:   func(graph.NodeID, int) float64 { return inf },
+		uniformInit: true,
 		// Table I: v.depth <- min over inEdges(v) (e.source.depth + 1).
 		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 {
 			best := inf
@@ -197,19 +227,14 @@ var specs = map[string]spec{
 		fsRun:     fsMC,
 	},
 	"pr": {
-		name:      "pr",
-		initValue: func(_ graph.NodeID, numNodes int) float64 { return 1 / float64(numNodes) },
+		name:        "pr",
+		initValue:   func(_ graph.NodeID, numNodes int) float64 { return 1 / float64(numNodes) },
+		uniformInit: true,
 		// Table I: v.rank <- 0.15/|V| + 0.85 * sum over inEdges(v) of
 		// e.source.rank (normalized by the source's out-degree,
-		// Section V-B).
+		// Section V-B) — the normalized ranks being ctx.contrib.
 		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 {
-			sum := 0.0
-			for _, nb := range ctx.inRun(v) {
-				if d := ctx.outDegree(nb.ID); d > 0 {
-					sum += ctx.vals.get(int(nb.ID)) / float64(d)
-				}
-			}
-			return prBase/float64(ctx.numNodes) + prDamping*sum
+			return prPull(ctx.inRun(v), ctx.contrib, prBase/float64(ctx.numNodes))
 		},
 		epsilon:         prEpsilon,
 		deletionSafe:    true,
@@ -223,6 +248,7 @@ var specs = map[string]spec{
 		hasSource:   true,
 		sourceValue: 0,
 		initValue:   func(graph.NodeID, int) float64 { return inf },
+		uniformInit: true,
 		// Table I: v.path <- min over inEdges(v) (e.source.path +
 		// e.weight).
 		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 {
@@ -244,6 +270,7 @@ var specs = map[string]spec{
 		hasSource:   true,
 		sourceValue: inf,
 		initValue:   func(graph.NodeID, int) float64 { return 0 },
+		uniformInit: true,
 		// Table I: v.path <- max over inEdges(v) of
 		// min(e.source.path, e.weight).
 		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 {
@@ -268,3 +295,29 @@ const (
 	prBase    = 0.15
 	prDamping = 0.85
 )
+
+// contribOf is the share of rank r that a vertex of out-degree d passes
+// along each out-edge (GAP's outgoing_contrib); a sink passes nothing.
+func contribOf(r float64, d int) float64 {
+	if d > 0 {
+		return r / float64(d)
+	}
+	return 0
+}
+
+// prPull is PageRank's vertex function over the contribution vector: one
+// load per in-edge, where summing rank[u]/outdeg(u) directly costs a
+// degree lookup, a rank lookup and a division per edge. It is the only
+// PageRank pull body — the FS sweep and the INC rounds, on the view and
+// on the interface path, all call it. contribOf rounds the same quotient
+// the per-edge division did and the run is summed in the same order, so
+// results are bit-identical to the per-edge form.
+//
+// saga:hotpath
+func prPull(in []graph.Neighbor, contrib values, base float64) float64 {
+	sum := 0.0
+	for _, nb := range in {
+		sum += contrib.get(int(nb.ID))
+	}
+	return base + prDamping*sum
+}

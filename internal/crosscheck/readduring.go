@@ -286,25 +286,29 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream Stream) (*ReadDuringReport, e
 	}
 
 	// Concurrent readers: pin, sample random vertices, copy what they see,
-	// release. They stop when Pin returns nil after Close. Each reader
-	// reports its running observation count so the writer can hold the
-	// manager open after the last batch until a minimum quota of
-	// observations exists — otherwise a fast stream could outrun the
-	// scheduler and drain before any reader pinned a single epoch, making
-	// the differential vacuously green.
-	quota := cfg.MaxObsPerReader
-	if quota > 16 {
-		quota = 16
-	}
+	// release. They stop when Pin returns nil after Close. Two rules keep
+	// the differential from passing or failing by scheduling luck:
+	//
+	//   - A reader spends at most perEpoch observations on one epoch, so a
+	//     reader that outruns the writer cannot burn its whole cap on the
+	//     first epoch and never look at a later, faulty one.
+	//   - The writer holds the manager open after the last batch until
+	//     every reader has observed the final epoch (or has left its loop),
+	//     so a fast stream cannot drain before any reader pinned anything,
+	//     and a defect present in the final state is seen by all readers
+	//     under any schedule.
+	perEpoch := max(1, cfg.MaxObsPerReader/max(1, len(stream)))
+	lastBatch := len(stream) - 1
 	var wg sync.WaitGroup
 	obsPerReader := make([][]observation, cfg.Readers)
-	obsCount := make([]atomic.Int64, cfg.Readers)
+	settled := make([]atomic.Bool, cfg.Readers)
 	panicCh := make(chan string, cfg.Readers)
 	done := make(chan struct{})
 	for i := 0; i < cfg.Readers; i++ {
 		wg.Add(1)
 		go func(slot int, seed int64) {
 			defer wg.Done()
+			defer settled[slot].Store(true) // cap reached, manager closed, or dead
 			defer func() {
 				if r := recover(); r != nil {
 					select {
@@ -315,6 +319,7 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream Stream) (*ReadDuringReport, e
 			}()
 			rng := rand.New(rand.NewSource(seed))
 			var obs []observation
+			curBatch, onEpoch := -1, 0
 			for len(obs) < cfg.MaxObsPerReader {
 				s := w.em.Pin()
 				if s == nil {
@@ -326,22 +331,33 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream Stream) (*ReadDuringReport, e
 					}
 					break
 				}
+				if s.Batch != curBatch {
+					curBatch, onEpoch = s.Batch, 0
+				}
 				n := s.NumNodes()
-				if n > 0 {
-					v := graph.NodeID(rng.Intn(n))
-					o := observation{
-						batch:  s.Batch,
-						epoch:  s.Epoch,
-						vertex: v,
-						nodes:  n,
-						outDeg: s.OutDegree(v),
-						inDeg:  s.InDegree(v),
-						out:    append([]graph.Neighbor(nil), s.Out(v)...),
-					}
-					o.value, o.hasVal = s.Value(v)
-					sort.Slice(o.out, func(a, b int) bool { return o.out[a].ID < o.out[b].ID })
-					obs = append(obs, o)
-					obsCount[slot].Store(int64(len(obs)))
+				if onEpoch >= perEpoch || n == 0 {
+					// This epoch has had its share (or has nothing to
+					// observe): wait for the next one.
+					w.em.Release(s)
+					runtime.Gosched()
+					continue
+				}
+				v := graph.NodeID(rng.Intn(n))
+				o := observation{
+					batch:  s.Batch,
+					epoch:  s.Epoch,
+					vertex: v,
+					nodes:  n,
+					outDeg: s.OutDegree(v),
+					inDeg:  s.InDegree(v),
+					out:    append([]graph.Neighbor(nil), s.Out(v)...),
+				}
+				o.value, o.hasVal = s.Value(v)
+				sort.Slice(o.out, func(a, b int) bool { return o.out[a].ID < o.out[b].ID })
+				obs = append(obs, o)
+				onEpoch++
+				if s.Batch == lastBatch {
+					settled[slot].Store(true)
 				}
 				w.em.Release(s)
 			}
@@ -359,21 +375,13 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream Stream) (*ReadDuringReport, e
 			break
 		}
 	}
-	// Quota wait: only meaningful when an epoch with vertices exists for
-	// readers to observe (a reader on an empty graph records nothing).
+	// Final-epoch wait: only meaningful when an epoch with vertices exists
+	// for readers to observe (a reader on an empty graph records nothing).
 	if stepErr == nil && w.g.NumNodes() > 0 && len(stream) > 0 {
-		for len(panicCh) == 0 { // a dead reader's count never advances
-			settled := true
-			for i := range obsCount {
-				if obsCount[i].Load() < int64(quota) {
-					settled = false
-					break
-				}
+		for i := range settled {
+			for !settled[i].Load() {
+				runtime.Gosched()
 			}
-			if settled {
-				break
-			}
-			runtime.Gosched()
 		}
 	}
 	w.em.Close()

@@ -111,7 +111,9 @@ func Profile(cfg Config) (*Report, error) {
 		aff := affectedOf(edges)
 		es := p.Engine().Stats()
 		s.cmp = rep.ReplayCompute(aff, archsim.ComputeTrace{
-			Incremental:     p.Engine().Model() == "inc",
+			Incremental: p.Engine().Model() == "inc",
+			// PageRank pulls contributions and queries the degree of
+			// each vertex it recomputes, not of each in-neighbor.
 			NeedsDegree:     p.Engine().Name() == "pr",
 			ProcessedBudget: es.Processed,
 		})
