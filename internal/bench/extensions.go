@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"math/rand"
-
 	"sagabench/internal/compute"
 	"sagabench/internal/core"
 	"sagabench/internal/gen"
@@ -42,17 +40,10 @@ func (h *Harness) Extensions() error {
 		h.printf("%-10s %12s %12s\n", d.Label, cells[0], cells[1])
 	}
 
-	// (b) Update/compute overlap: the two-phase schedule hides staging
-	// under the compute phase; report how much of the ingest cost it
-	// absorbs per batch.
-	if err := h.overlapRow(); err != nil {
-		return err
-	}
-
-	// (c) Sliding window: every batch inserts fresh edges and deletes the
+	// (b) Sliding window: every batch inserts fresh edges and deletes the
 	// batch that fell out of the window; incremental CC keeps running,
 	// repairing through KickStarter-style trimming.
-	h.printf("(c) sliding-window mixed stream (window=8 batches, trimmed incremental CC)\n")
+	h.printf("(b) sliding-window mixed stream (window=8 batches, trimmed incremental CC)\n")
 	h.printf("%-10s %14s %14s\n", "structure", "mean update", "mean compute")
 	spec, err := gen.Dataset("lj", h.opts.Profile)
 	if err != nil {
@@ -65,49 +56,6 @@ func (h *Harness) Extensions() error {
 		}
 		h.printf("%-10s %14s %14s\n", d.Label, formatSeconds(upd), formatSeconds(cmp))
 	}
-	return nil
-}
-
-// overlapRow measures the serial vs overlapped schedule on graphone.
-func (h *Harness) overlapRow() error {
-	h.printf("(b) update/compute overlap on the log-structured store (incremental PR, lj)\n")
-	spec, err := gen.Dataset("lj", h.opts.Profile)
-	if err != nil {
-		return err
-	}
-	cfg := core.StreamConfig{
-		PipelineConfig: core.PipelineConfig{
-			DataStructure: "graphone",
-			Algorithm:     "pr",
-			Model:         compute.INC,
-			Directed:      spec.Directed,
-			Threads:       h.opts.Threads,
-			MaxNodesHint:  spec.NumNodes,
-		},
-		Edges:     spec.Generate(h.opts.Seed),
-		BatchSize: spec.BatchSize,
-	}
-	serial, err := core.RunStream(cfg)
-	if err != nil {
-		return err
-	}
-	over, hidden, err := core.RunOverlappedStream(cfg)
-	if err != nil {
-		return err
-	}
-	sser, err := serial.Series(core.MetricTotal, 0)
-	if err != nil {
-		return err
-	}
-	sover, err := over.Series(core.MetricTotal, 0)
-	if err != nil {
-		return err
-	}
-	su := stats.Summarize(sser).Mean
-	ou := stats.Summarize(sover).Mean
-	hi := stats.Summarize(hidden).Mean
-	h.printf("  serial batch latency     %s\n", formatSeconds(su))
-	h.printf("  overlapped batch latency %s (+%s staging hidden under compute)\n", formatSeconds(ou), formatSeconds(hi))
 	return nil
 }
 
@@ -126,8 +74,6 @@ func (h *Harness) slidingWindow(dsName string, spec gen.Spec) (upd, cmp float64,
 	if err != nil {
 		return 0, 0, err
 	}
-	rng := rand.New(rand.NewSource(h.opts.Seed))
-	_ = rng
 	edges := spec.Generate(h.opts.Seed)
 	batches := graph.Batches(edges, spec.BatchSize)
 	var updSamples, cmpSamples []float64

@@ -1,0 +1,525 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"time"
+
+	"sagabench/internal/compute"
+	"sagabench/internal/ds"
+	"sagabench/internal/durable"
+	"sagabench/internal/epoch"
+	"sagabench/internal/fault"
+	"sagabench/internal/graph"
+	"sagabench/internal/telemetry"
+	"sagabench/internal/trace"
+)
+
+// This file is the life of one batch (DESIGN.md has the long form). Every
+// batch — offered live, or replayed from the WAL during recovery — enters
+// runBatch, which walks the stage table once, in order:
+//
+//	validate -> wal -> [ update -> view -> compute -> publish ] -> checkpoint
+//
+// validate, wal and checkpoint run only for a live batch on a durable
+// pipeline; view and publish only with the compute view and query serving
+// on. The bracketed stages are the apply: on a durable pipeline it is
+// panic-caught and retried, and a batch that keeps failing is quarantined.
+
+// StageID names one stage of a batch and indexes BatchRecord.Stage.
+type StageID int
+
+// The stages of a batch, in execution order.
+const (
+	StageValidate StageID = iota
+	StageWAL
+	StageUpdate
+	StageView
+	StageCompute
+	StagePublish
+	StageCheckpoint
+	NumStages
+)
+
+// stages is the stage table: the name the watchdog, PhaseDeadlines and the
+// pprof labels know a stage by, its trace span, and the fault point at its
+// start (the durable stages' I/O faults are injected inside
+// internal/durable instead, through Durable.IO).
+var stages = [NumStages]struct {
+	name, span string
+	op         fault.Op
+}{
+	StageValidate:   {name: "validate", span: "validate"},
+	StageWAL:        {name: "wal", span: "wal.append"},
+	StageUpdate:     {name: "update", span: "update", op: fault.OpUpdate},
+	StageView:       {name: "view", span: "view.refresh"},
+	StageCompute:    {name: "compute", span: "compute", op: fault.OpCompute},
+	StagePublish:    {name: "publish", span: "epoch.publish", op: fault.OpPublish},
+	StageCheckpoint: {name: "checkpoint", span: "checkpoint"},
+}
+
+func (s StageID) String() string { return stages[s].name }
+
+// BatchRecord is what the pipeline knows about one batch once it has run;
+// the returned latencies, the telemetry event and the batch trace's
+// attributes are all read off it (emit).
+type BatchRecord struct {
+	// Index counts the batches the pipeline applied before this one.
+	Index int
+	// Adds and Dels are the batch's sizes, Affected the deduplicated
+	// endpoint set handed to compute, Nodes the vertex count after update.
+	Adds, Dels, Affected, Nodes int
+	// Stage is the wall time of every stage that ran (zero: it did not;
+	// after a retry, the last attempt's).
+	Stage [NumStages]time.Duration
+	// What the view, compute and publish stages reported. Compute's
+	// WorkerBusyNS aliases engine scratch until the next batch.
+	View    ds.RefreshStats
+	Compute compute.Stats
+	Epoch   uint64
+	// WALSeq is the sequence number the batch was logged under (0: no
+	// durability, rejected by validation, or applied unlogged with
+	// durability degraded). Retries counts re-attempted applies.
+	WALSeq  uint64
+	Retries int
+	// Applied: the apply stages completed, the batch is part of the state.
+	// Err is the error its caller got; Quarantined the cause of a batch
+	// set aside as a poison file instead (its caller got nil).
+	Applied     bool
+	Err         error
+	Quarantined string
+}
+
+// Latency is the paper's two-phase split (Equation 1). The mirror refresh
+// is part of ingesting the batch — GraphTango charges its flat-side
+// maintenance the same way. Zero for a batch that was not applied.
+func (r *BatchRecord) Latency() BatchLatency {
+	if !r.Applied {
+		return BatchLatency{}
+	}
+	return BatchLatency{
+		Update:  r.Stage[StageUpdate] + r.Stage[StageView],
+		Compute: r.Stage[StageCompute],
+	}
+}
+
+// runBatch runs one batch, offered live (seq 0; the wal stage assigns one)
+// or replayed from WAL record seq: it opens the batch trace, walks the
+// stages and emits the record, on every outcome. A poison batch is
+// quarantined and returns nil; an error is a failed delete on a pipeline
+// without durability, or unrecoverable durability I/O.
+func (p *Pipeline) runBatch(mb MixedBatch, seq uint64, replay bool) (BatchLatency, error) {
+	live := p.dur != nil && !replay
+	if live && p.fenced.Load() {
+		return BatchLatency{}, errFenced
+	}
+	p.in = mb
+	p.batch = BatchRecord{Index: p.batchIdx, Adds: len(mb.Adds), Dels: len(mb.Dels), WALSeq: seq}
+	p.bt = p.tr.StartBatch(p.batchIdx)
+	p.batch.Err = p.walk(live)
+	p.emit(live)
+	if p.batch.Quarantined != "" {
+		if p.tr.Enabled() {
+			// The flight-recorder ring — the batches leading up to the
+			// death plus the dying batch emit just sealed with its cause —
+			// goes next to the poison file, so the forensic record travels
+			// with the reproducer.
+			// saga:allow errcheck-durable -- best-effort sidecar: the poison file is the primary artifact.
+			_ = p.tr.DumpChromeFile(strings.TrimSuffix(p.poisoned[len(p.poisoned)-1], ".poison") + ".trace.json")
+		}
+		if p.batch.WALSeq > 0 && !replay {
+			// The failed apply may have half-mutated the graph or the
+			// engine; rebuild from disk (the tombstone keeps the poison
+			// batch out), and keep this batch's record over those of the
+			// batches the rebuild replays. A replayed batch leaves the
+			// rebuild to recoverDurable, which reads the record.
+			rec := p.batch
+			err := p.recoverDurable()
+			p.batch = rec
+			return BatchLatency{}, err
+		}
+	}
+	return p.batch.Latency(), p.batch.Err
+}
+
+// walk runs the in-flight batch's stages in table order and routes each
+// stage's failure; the returned error is the batch's.
+func (p *Pipeline) walk(live bool) error {
+	if live {
+		if err := p.stage(StageValidate); err != nil {
+			// Rejected before it consumed a sequence number.
+			return p.quarantine(err)
+		}
+		// The sequence number stays 0 in degraded-durability mode: the
+		// batch applies in memory only and the quarantine/rebuild machinery
+		// (which needs a logged record to tombstone) is off.
+		if !p.dur.suspended {
+			if err := p.stage(StageWAL); err != nil {
+				if derr := p.durableFault(StageWAL, err); derr != nil {
+					return derr
+				}
+			}
+		}
+	}
+	if err := p.applyRetry(); err != nil {
+		if p.dur == nil {
+			return err
+		}
+		if p.batch.WALSeq == 0 {
+			// Nothing was logged, so there is no tombstone to write and no
+			// durable state to rebuild the half-mutated components from.
+			p.health.To(Failed, fmt.Sprintf("apply failed with durability suspended: %v", err))
+			return err
+		}
+		return p.quarantine(err)
+	}
+	p.batch.Applied = true
+	if live {
+		p.dur.sinceCkpt++
+		if every := p.dur.man.Config().CheckpointEvery; every > 0 && !p.dur.ckptSuspended && p.dur.sinceCkpt >= every {
+			if err := p.stage(StageCheckpoint); err != nil {
+				return p.durableFault(StageCheckpoint, err)
+			}
+		}
+	}
+	return nil
+}
+
+// stage is the one place a stage body meets what observes stages: the
+// pprof labels (batch/stage/ds/alg/model), the supervisor's watchdog,
+// the fault injector, a trace span, and the clock whose reading lands in
+// the record. An injected error panics; applyCaught turns it
+// into the poison-batch protocol on a durable pipeline, the supervisor's
+// worker capture into a restart otherwise.
+func (p *Pipeline) stage(id StageID) (err error) {
+	st := &stages[id]
+	if p.tr.PprofLabels() {
+		defer p.tr.Label(p.bt.Seq, st.name)()
+	}
+	// The watchdog's signal precedes the injector: an injected stall must
+	// sleep while the watchdog already sees the stage in flight.
+	p.stageID.Store(int32(id))
+	p.stageStart.Store(time.Now().UnixNano())
+	defer p.stageStart.Store(0)
+	if st.op != "" {
+		if ferr := fault.Inject(p.pcfg.Faults, st.op); ferr != nil {
+			panic(ferr)
+		}
+	}
+	sp := p.bt.Start(st.span)
+	t0 := time.Now()
+	switch id {
+	case StageValidate:
+		err = durable.ValidateBatch(p.in.Adds, p.in.Dels, p.dur.man.Config().MaxNodeID)
+	case StageWAL:
+		err = p.walStage(&sp)
+	case StageUpdate:
+		err = p.updateStage(&sp)
+	case StageView:
+		p.viewStage(&sp)
+	case StageCompute:
+		p.computeStage(&sp)
+	case StagePublish:
+		p.publishStage(&sp)
+	case StageCheckpoint:
+		err = p.writeDurableCheckpoint()
+	}
+	p.batch.Stage[id] = time.Since(t0)
+	if err != nil {
+		sp.SetStr("error", err.Error())
+	}
+	sp.End()
+	return err
+}
+
+func (p *Pipeline) walStage(sp *trace.Span) error {
+	seq, err := p.dur.man.Append(p.in.Adds, p.in.Dels)
+	if err != nil {
+		return err
+	}
+	p.batch.WALSeq = seq
+	bytes, fsync := p.dur.man.LastAppendStats()
+	sp.SetInt("seq", int64(seq))
+	sp.SetInt("bytes", int64(bytes))
+	if fsync > 0 {
+		sp.SetInt("fsync_ns", fsync.Nanoseconds())
+	}
+	return nil
+}
+
+func (p *Pipeline) updateStage(sp *trace.Span) error {
+	p.g.Update(p.in.Adds)
+	if len(p.in.Dels) > 0 {
+		if err := p.g.(ds.Deleter).Delete(p.in.Dels); err != nil {
+			return err
+		}
+	}
+	sp.SetInt("edges", int64(len(p.in.Adds)))
+	if len(p.in.Dels) > 0 {
+		sp.SetInt("deletes", int64(len(p.in.Dels)))
+	}
+	return nil
+}
+
+func (p *Pipeline) viewStage(sp *trace.Span) {
+	// The refresh is about to patch the spare index buffers (and, when it
+	// compacts, may refill the arena only they reach), and the publish
+	// after it to overwrite the spare value vector; all belong to the
+	// snapshot superseded two publishes ago. If readers still pin it,
+	// abandon them to the GC (refresh and publish then allocate fresh
+	// ones) instead of tearing the pinned epoch — the writer never frees
+	// under a reader.
+	if p.em != nil && p.em.ReclaimSpare() {
+		p.view.DropSpares()
+		p.spareVals = nil
+	}
+	v := p.view.Refresh(p.in.Adds, p.in.Dels)
+	p.batch.View = v
+	sp.SetFloat("dirty_frac", v.DirtyFraction())
+	sp.SetInt("written", int64(v.Written))
+	if v.Full {
+		sp.SetInt("full", 1)
+	}
+}
+
+func (p *Pipeline) computeStage(sp *trace.Span) {
+	// Re-arm every batch: each batch trace is a fresh span tree whose
+	// context the engine threads down to per-worker range spans, and the
+	// zero Ctx (tracing off) disables the engine's span recording.
+	if te, ok := p.engine.(compute.Traceable); ok {
+		te.SetTrace(sp.Ctx())
+	}
+	p.engine.PerformAlg(p.ComputeGraph(), p.affected)
+	es := p.engine.Stats()
+	p.batch.Compute = es
+	sp.SetInt("affected", int64(len(p.affected)))
+	sp.SetInt("iterations", int64(es.Iterations))
+	sp.SetInt("processed", int64(es.Processed))
+	if s := es.StragglerRatio(); s > 0 {
+		sp.SetFloat("straggler", s)
+	}
+}
+
+// publishStage publishes the post-batch state as a new epoch. With the
+// compute view attached, the published CSR is the mirror the refresh just
+// brought up to date — zero extra topology work. What the mirror writes
+// again two batches from now (its spare index buffer, and the arena only
+// that index reaches) is gated by ReclaimSpare in viewStage, and the
+// property vector rides the same gate: the copy goes into the vector of
+// the snapshot ReclaimSpare just reported drained, and a fresh one is
+// allocated only when that snapshot is still pinned. Without the view, a
+// full CSR is exported from the structure each batch (fresh arrays and a
+// fresh vector, nothing to gate). The vector is copied either way: the
+// engine mutates its array in place next batch.
+func (p *Pipeline) publishStage(sp *trace.Span) {
+	var csr graph.CSR
+	if p.view != nil {
+		csr = *p.view.FlatCSR()
+	} else {
+		csr = *graph.BuildCSR(p.g.NumNodes(), ds.ExportEdgesParallel(p.g, p.pcfg.Threads))
+	}
+	vals := append(p.spareVals[:0], p.engine.Values()...)
+	s := &epoch.Snapshot{
+		Batch:    p.batchIdx,
+		Wall:     time.Now(),
+		CSR:      csr,
+		Values:   vals,
+		Directed: p.pcfg.Directed,
+	}
+	p.batch.Epoch = p.em.Publish(s)
+	if p.view != nil {
+		p.spareVals, p.latestVals = p.latestVals, vals
+	} else {
+		// Export-path arrays are fresh every batch; nothing is ever
+		// reclaimed, so don't let the manager track the superseded
+		// snapshot as a spare owner.
+		p.em.ForgetSpare()
+	}
+	sp.SetInt("epoch", int64(p.batch.Epoch))
+	sp.SetInt("nodes", int64(s.NumNodes()))
+	sp.SetInt("edges", int64(s.NumEdges()))
+}
+
+// applyRetry runs the apply, on a durable pipeline with panic capture and
+// exponential-backoff retries: application is idempotent at the structure
+// level (inserts overwrite, deletes of missing edges no-op), so retrying
+// over a half-applied attempt converges to the same state.
+func (p *Pipeline) applyRetry() error {
+	if p.dur == nil {
+		return p.apply()
+	}
+	cfg := p.dur.man.Config()
+	backoff := cfg.RetryBackoff
+	var err error
+	for attempt := 0; attempt <= cfg.MaxRetries; attempt++ {
+		if attempt > 0 {
+			p.batch.Retries = attempt
+			p.rec.RecordRetry()
+			time.Sleep(backoff)
+			backoff *= 2
+		}
+		if err = p.applyCaught(); err == nil {
+			return nil
+		}
+	}
+	return fmt.Errorf("core: batch seq %d failed %d attempts: %w", p.batch.WALSeq, cfg.MaxRetries+1, err)
+}
+
+// applyCaught is one apply attempt, converting panics anywhere in its
+// stages into errors. Simulated crashes are re-raised: a kill is not a
+// poison batch.
+func (p *Pipeline) applyCaught() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if c, ok := durable.AsCrash(r); ok {
+				panic(c)
+			}
+			err = fmt.Errorf("core: apply panic: %v", r)
+		}
+	}()
+	if probe := p.dur.man.Config().ApplyProbe; probe != nil {
+		if perr := probe(p.batch.WALSeq, p.in.Adds, p.in.Dels); perr != nil {
+			return perr
+		}
+	}
+	return p.apply()
+}
+
+// apply runs the stages that change the in-memory state, with the untimed
+// bookkeeping between them.
+//
+// Insert-only streams still carry deletion-like events for the monotone
+// weighted incremental algorithms: a duplicate insert overwrites the stored
+// weight, and a value derived through the old weight may become stale in a
+// way selective triggering cannot repair (see compute.WeightChangeAware).
+// The overwrite scan and the affected-set marking run outside the timed
+// stages — the paper's update phase likewise knows which edges it rewrote
+// and which vertices it touched.
+func (p *Pipeline) apply() error {
+	olds := p.overwrittenFor(p.in.Adds)
+	if err := p.stage(StageUpdate); err != nil {
+		return err
+	}
+	p.batch.Nodes = p.g.NumNodes()
+	if p.view != nil {
+		if err := p.stage(StageView); err != nil {
+			return err
+		}
+	}
+	// Overwritten weights and true deletions invalidate in one call so the
+	// cone is grown against a consistent pre-reset value array.
+	if invalidating := append(olds, p.in.Dels...); len(invalidating) > 0 {
+		if da, ok := p.engine.(compute.DeletionAware); ok {
+			da.NotifyDeletions(p.ComputeGraph(), invalidating)
+		}
+	}
+	p.batch.Affected = len(p.affectedOf(p.in))
+	if err := p.stage(StageCompute); err != nil {
+		return err
+	}
+	if p.em != nil {
+		return p.stage(StagePublish)
+	}
+	return nil
+}
+
+// emit turns the finished record into everything downstream of a batch:
+// the trace's attributes (sizes, latencies, and the compute stats that
+// tell a straggler or a triggering storm from a big batch) and its one
+// Finish, then for an applied batch the telemetry event and metrics.
+func (p *Pipeline) emit(live bool) {
+	r := &p.batch
+	es := &r.Compute
+	lat := r.Latency()
+	if bt := p.bt; bt != nil {
+		p.bt = nil
+		if r.Applied {
+			bt.SetInt("edges", int64(r.Adds))
+			if r.Dels > 0 {
+				bt.SetInt("deletes", int64(r.Dels))
+			}
+			bt.SetInt("affected", int64(r.Affected))
+			bt.SetInt("iterations", int64(es.Iterations))
+			if es.Triggered+es.Skipped > 0 {
+				bt.SetInt("triggered", int64(es.Triggered))
+				bt.SetInt("skipped", int64(es.Skipped))
+			}
+			if s := es.StragglerRatio(); s > 0 {
+				bt.SetFloat("straggler", s)
+			}
+			if p.view != nil {
+				bt.SetFloat("view_dirty_frac", r.View.DirtyFraction())
+			}
+			bt.SetInt("update_ns", lat.Update.Nanoseconds())
+			bt.SetInt("compute_ns", lat.Compute.Nanoseconds())
+		}
+		switch {
+		case r.Err != nil:
+			bt.SetStr("error", r.Err.Error())
+		case r.Quarantined != "":
+			if r.WALSeq > 0 {
+				bt.SetInt("wal_seq", int64(r.WALSeq))
+			}
+			bt.SetStr("quarantined", r.Quarantined)
+		case live:
+			bt.SetInt("wal_seq", int64(r.WALSeq))
+		}
+		bt.Finish()
+	}
+	if !r.Applied {
+		return
+	}
+	p.batchIdx++
+	if p.rec == nil {
+		return
+	}
+	ev := telemetry.BatchEvent{
+		Repeat:         p.repeatTag,
+		Batch:          r.Index,
+		Edges:          r.Adds,
+		Deletes:        r.Dels,
+		Nodes:          r.Nodes,
+		UpdateNS:       lat.Update.Nanoseconds(),
+		ComputeNS:      lat.Compute.Nanoseconds(),
+		Affected:       r.Affected,
+		Iterations:     es.Iterations,
+		Processed:      es.Processed,
+		EdgesTraversed: es.EdgesTraversed,
+		Triggered:      es.Triggered,
+		Skipped:        es.Skipped,
+		TriggerFrac:    es.TriggerFraction(),
+		Epoch:          r.Epoch,
+	}
+	if used := es.WorkersUsed(); used > 0 {
+		// Stats.WorkerBusyNS aliases engine scratch; the event outlives
+		// the batch, so it gets a copy.
+		ev.WorkerBusyNS = append([]int64(nil), es.WorkerBusyNS...)
+		ev.WorkersUsed = used
+		ev.Straggler = es.StragglerRatio()
+	}
+	if p.view != nil {
+		ev.ViewNS = r.View.Duration.Nanoseconds()
+		ev.ViewDirtyFrac = r.View.DirtyFraction()
+		ev.ViewWritten = r.View.Written
+		ev.ViewFull = r.View.Full
+		p.rec.RecordViewRefresh(r.View.Duration, ev.ViewDirtyFrac, r.View.Written, r.View.Full)
+	}
+	if p.em != nil {
+		st := p.em.Stats()
+		p.rec.RecordEpochPublish(st.Reclaimed-p.lastEpoch.Reclaimed, st.Dropped-p.lastEpoch.Dropped, st.Pins)
+		p.lastEpoch = st
+	}
+	if prof, ok := ds.ProfileOf(p.g); ok {
+		d := prof.Delta(&p.lastProf)
+		p.lastProf = prof
+		ev.DSEdgesIngested = d.EdgesIngested
+		ev.DSInserted = d.Inserted
+		ev.DSScanSteps = d.ScanSteps
+		ev.DSLockConflicts = d.LockConflicts
+		ev.DSMetaOps = d.MetaOps
+		ev.DSImbalance = d.Imbalance()
+		ev.DSTierPromotions = d.TierPromotions
+		ev.DSTierDemotions = d.TierDemotions
+	}
+	p.rec.RecordBatch(&ev)
+}

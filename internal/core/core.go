@@ -6,6 +6,11 @@
 // sum is the batch processing latency, the paper's performance metric
 // (Equation 1).
 //
+// A batch is more than those two phases by now, so Pipeline runs every
+// batch through one fixed table of seven stages (batch.go) and keeps one
+// BatchRecord of what each did and cost; the two latencies, the telemetry
+// event and the batch trace are all read off that record.
+//
 // The package exposes two levels:
 //
 //   - Pipeline: the programmatic API a downstream application uses to
@@ -45,10 +50,19 @@ type Pipeline struct {
 
 	// view is the incrementally maintained flat CSR mirror the compute
 	// phase traverses when PipelineConfig.ComputeView is on (nil
-	// otherwise, or when the structure exposes no Flattener). lastView is
-	// the refresh cost of the most recent batch, surfaced in telemetry.
-	view     *ds.ComputeView
-	lastView ds.RefreshStats
+	// otherwise, or when the structure exposes no Flattener).
+	view *ds.ComputeView
+
+	// in is the batch in flight and batch its record (batch.go): the stage
+	// bodies read the one and fill the other, so running a batch builds no
+	// closure and allocates nothing. Between batches batch is the record of
+	// the last one run.
+	in    MixedBatch
+	batch BatchRecord
+	// stageStart is the UnixNano entry time of the stage in flight, named
+	// by stageID (0 = none): what a supervisor's watchdog polls.
+	stageID    atomic.Int32
+	stageStart atomic.Int64
 
 	// pcfg is retained so the durability layer can rebuild fresh
 	// components during crash recovery and state rebuilds.
@@ -70,31 +84,28 @@ type Pipeline struct {
 	fenced atomic.Bool
 
 	// tr is the batch tracer (nil = tracing off, zero cost); bt is the
-	// in-flight batch's span tree. Whoever starts bt finishes it: apply
-	// owns it on the direct path, processDurable on the durable path (so
-	// WAL and checkpoint spans land inside the batch trace).
+	// in-flight batch's span tree, opened and finished by runBatch.
 	tr *trace.Tracer
 	bt *trace.Batch
 
 	// em is the epoch-publication manager (nil when ServeQueries is off —
-	// the batch loop then never touches it). epochBatch counts published
-	// batches independently of the telemetry-gated batchIdx; lastEpoch
-	// remembers the manager counters so record emits deltas.
-	em         *epoch.Manager
-	epochBatch int
-	lastEpoch  epoch.Stats
+	// the batch loop then never touches it); lastEpoch remembers its
+	// counters so emit reports deltas.
+	em        *epoch.Manager
+	lastEpoch epoch.Stats
 	// The two property vectors publication rotates through on the view
 	// path: latestVals belongs to the latest snapshot, spareVals to the
 	// one it superseded and is what the next publish overwrites — nil once
-	// ReclaimSpare reports that snapshot still pinned (updatePhase), and
+	// ReclaimSpare reports that snapshot still pinned (viewStage), and
 	// always nil on the export path, which has no such gate.
 	latestVals, spareVals []float64
 
 	affected     []graph.NodeID
 	affectedMark []uint8
-	mixedScratch graph.Batch
 
-	// Telemetry bookkeeping, touched only when rec != nil.
+	// batchIdx counts applied batches: the index of the batch in flight in
+	// its record, trace, event and published snapshot. repeatTag and
+	// lastProf are telemetry bookkeeping, touched only when rec != nil.
 	batchIdx  int
 	repeatTag int
 	lastProf  ds.UpdateProfile
@@ -125,8 +136,10 @@ type PipelineConfig struct {
 	// threshold). Directed/Threads/MaxNodesHint above take precedence.
 	DS ds.Config
 	// ComputeView, when true, maintains a flat CSR mirror of the data
-	// structure (rebuilt incrementally after every update phase: only
-	// vertices the batch touched are re-flattened) and hands it to the
+	// structure (refreshed after every update stage: the runs of the
+	// vertices the batch touched are appended to a log-structured arena
+	// and the index is patched to point at them, with a compaction when
+	// dead runs outgrow the slack) and hands it to the
 	// compute engine, whose kernels then iterate contiguous arrays
 	// instead of calling OutNeigh/InNeigh per vertex — the GraphTango
 	// split: a dynamic structure for ingest, a flat one for analytics.
@@ -163,8 +176,8 @@ type PipelineConfig struct {
 	// Nil disables durability at zero per-batch cost.
 	Durable *durable.Config
 	// Faults, when non-nil, is consulted at the start of the update,
-	// compute, and publish phases (ops "update"/"compute"/"publish").
-	// An injected stall sleeps in-phase — exactly where a watchdog must
+	// compute, and publish stages (ops "update"/"compute"/"publish").
+	// An injected stall sleeps in-stage — exactly where a watchdog must
 	// catch it — and an injected error panics, which the durable path's
 	// panic capture converts into the poison-batch protocol. Durability
 	// I/O faults are injected separately through Durable.IO.
@@ -180,11 +193,6 @@ type PipelineConfig struct {
 	// every rebuild so degradations outlive pipeline instances; when nil
 	// and DegradePolicy absorbs faults, the pipeline creates its own.
 	Health *Health
-
-	// phaseHook, when set (by the supervisor), observes phase boundaries:
-	// phaseHook(name, false) at entry, phaseHook(name, true) at exit. The
-	// watchdog derives per-phase deadlines from these signals.
-	phaseHook func(name string, done bool)
 }
 
 // buildComponents constructs the data structure and engine for cfg; the
@@ -229,6 +237,9 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		// runs without a machine.
 		cfg.Health = NewHealth(cfg.Telemetry)
 	}
+	if cfg.Threads <= 0 {
+		cfg.Threads = 1
+	}
 	g, engine, err := buildComponents(cfg)
 	if err != nil {
 		return nil, err
@@ -236,8 +247,9 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	p := &Pipeline{g: g, engine: engine, rec: cfg.Telemetry, tr: cfg.Tracer, pcfg: cfg, health: cfg.Health}
 	p.initView()
 	if cfg.ServeQueries {
-		// Buffer reuse is negotiated with the compute-view double buffer;
-		// the export fallback publishes fresh arrays every batch.
+		// With the view, a snapshot's index buffers and value vector are
+		// written again two publishes later, so the manager tracks who still
+		// pins them; the export fallback publishes fresh arrays every batch.
 		p.em = epoch.NewManager(cfg.ComputeView)
 	}
 	if cfg.Durable != nil {
@@ -254,15 +266,10 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 // full-builds from whatever topology the structure then holds.
 func (p *Pipeline) initView() {
 	p.view = nil
-	p.lastView = ds.RefreshStats{}
 	if !p.pcfg.ComputeView {
 		return
 	}
-	threads := p.pcfg.Threads
-	if threads <= 0 {
-		threads = 1
-	}
-	if v, ok := ds.NewComputeView(p.g, threads); ok {
+	if v, ok := ds.NewComputeView(p.g, p.pcfg.Threads); ok {
 		if !compute.NeedsInAdjacency(p.pcfg.Algorithm, p.pcfg.Model) && !p.pcfg.ServeQueries {
 			// The registered kernel never pulls from in-neighbors, so
 			// don't pay to mirror that direction on every batch. Served
@@ -285,18 +292,12 @@ func (p *Pipeline) ComputeGraph() ds.Graph {
 
 // LastViewRefresh reports the mirror refresh cost of the most recent batch
 // (zero when the view is off).
-func (p *Pipeline) LastViewRefresh() ds.RefreshStats { return p.lastView }
+func (p *Pipeline) LastViewRefresh() ds.RefreshStats { return p.batch.View }
 
-// SetTelemetry installs (or removes, with nil) the batch recorder on a
-// built pipeline.
-func (p *Pipeline) SetTelemetry(rec *telemetry.Recorder) { p.rec = rec }
-
-// SetTracer installs (or removes, with nil) the batch tracer on a built
-// pipeline. Must not be called while a batch is in flight.
-func (p *Pipeline) SetTracer(tr *trace.Tracer) { p.tr = tr }
-
-// Tracer exposes the pipeline's tracer (nil when tracing is off).
-func (p *Pipeline) Tracer() *trace.Tracer { return p.tr }
+// LastBatch is the record of the most recent batch the pipeline ran, a
+// quarantined or failed one included (see BatchRecord). Like every
+// accessor but AcquireQuery it must not race a batch in flight.
+func (p *Pipeline) LastBatch() BatchRecord { return p.batch }
 
 // Graph exposes the topology (read-only between updates).
 func (p *Pipeline) Graph() ds.Graph { return p.g }
@@ -316,91 +317,16 @@ type BatchLatency struct {
 // Total is the batch processing latency (Equation 1).
 func (l BatchLatency) Total() time.Duration { return l.Update + l.Compute }
 
-// Process ingests one batch (update phase) and runs the algorithm on the
-// result (compute phase), returning both latencies.
-//
-// Insert-only streams still carry deletion-like events for the monotone
-// weighted incremental algorithms: a duplicate insert overwrites the stored
-// weight, and a value derived through the old weight may become stale in a
-// way selective triggering cannot repair (see compute.WeightChangeAware).
-// The overwrite scan runs outside the timed update phase — the paper's
-// update phase likewise knows which edges it rewrote.
+// Process ingests one insert-only batch and runs the algorithm on the
+// result, returning both latencies. It panics where ProcessMixed returns
+// an error (a refusing health state, unrecoverable durability I/O);
+// callers that need the error should use ProcessMixed.
 func (p *Pipeline) Process(batch graph.Batch) BatchLatency {
-	if err := p.refuseUnhealthy(); err != nil {
-		panic(err)
-	}
-	mb := MixedBatch{Adds: batch}
-	if p.dur != nil {
-		lat, err := p.processDurable(mb)
-		if err != nil {
-			// Only fatal durability I/O reaches here (poison batches are
-			// quarantined, not returned); callers that need the error
-			// should use ProcessMixed.
-			panic(err)
-		}
-		return lat
-	}
-	lat, err := p.apply(mb)
+	lat, err := p.ProcessMixed(MixedBatch{Adds: batch})
 	if err != nil {
-		// apply fails only while deleting, and an insert-only batch has
-		// no deletions.
 		panic(err)
 	}
 	return lat
-}
-
-// record assembles and emits one telemetry event. Callers must guard with
-// p.rec != nil so the disabled path allocates nothing.
-func (p *Pipeline) record(edges, deletes, affected int, lat BatchLatency) {
-	es := p.engine.Stats()
-	ev := telemetry.BatchEvent{
-		Repeat:         p.repeatTag,
-		Batch:          p.batchIdx,
-		Edges:          edges,
-		Deletes:        deletes,
-		Nodes:          p.g.NumNodes(),
-		UpdateNS:       lat.Update.Nanoseconds(),
-		ComputeNS:      lat.Compute.Nanoseconds(),
-		Affected:       affected,
-		Iterations:     es.Iterations,
-		Processed:      es.Processed,
-		EdgesTraversed: es.EdgesTraversed,
-		Triggered:      es.Triggered,
-		Skipped:        es.Skipped,
-		TriggerFrac:    es.TriggerFraction(),
-	}
-	if used := es.WorkersUsed(); used > 0 {
-		// Stats.WorkerBusyNS aliases engine scratch; the event outlives
-		// the batch, so it gets a copy.
-		ev.WorkerBusyNS = append([]int64(nil), es.WorkerBusyNS...)
-		ev.WorkersUsed = used
-		ev.Straggler = es.StragglerRatio()
-	}
-	if p.view != nil {
-		ev.ViewNS = p.lastView.Duration.Nanoseconds()
-		ev.ViewDirtyFrac = p.lastView.DirtyFraction()
-		ev.ViewWritten = p.lastView.Written
-		ev.ViewFull = p.lastView.Full
-	}
-	if p.em != nil {
-		// publishEpoch ran just before record, so the latest epoch is this
-		// batch's publication.
-		ev.Epoch = p.em.LatestEpoch()
-	}
-	p.batchIdx++
-	if prof, ok := ds.ProfileOf(p.g); ok {
-		d := prof.Delta(&p.lastProf)
-		p.lastProf = prof
-		ev.DSEdgesIngested = d.EdgesIngested
-		ev.DSInserted = d.Inserted
-		ev.DSScanSteps = d.ScanSteps
-		ev.DSLockConflicts = d.LockConflicts
-		ev.DSMetaOps = d.MetaOps
-		ev.DSImbalance = d.Imbalance()
-		ev.DSTierPromotions = d.TierPromotions
-		ev.DSTierDemotions = d.TierDemotions
-	}
-	p.rec.RecordBatch(&ev)
 }
 
 // overwrittenFor runs the pre-update weight-overwrite scan when (and only
@@ -417,20 +343,22 @@ func (p *Pipeline) overwrittenFor(batch graph.Batch) graph.Batch {
 // paper's update phase likewise knows which vertices it touched.)
 // Endpoints at or above NumNodes are skipped: a deletion naming a vertex
 // the graph has never seen is a legal no-op, not an affected vertex.
-func (p *Pipeline) affectedOf(batch graph.Batch) []graph.NodeID {
+func (p *Pipeline) affectedOf(mb MixedBatch) []graph.NodeID {
 	n := p.g.NumNodes()
 	for len(p.affectedMark) < n {
 		p.affectedMark = append(p.affectedMark, 0)
 	}
 	p.affected = p.affected[:0]
-	for _, e := range batch {
-		if int(e.Src) < n && p.affectedMark[e.Src] == 0 {
-			p.affectedMark[e.Src] = 1
-			p.affected = append(p.affected, e.Src)
-		}
-		if int(e.Dst) < n && p.affectedMark[e.Dst] == 0 {
-			p.affectedMark[e.Dst] = 1
-			p.affected = append(p.affected, e.Dst)
+	for _, batch := range [2]graph.Batch{mb.Adds, mb.Dels} {
+		for _, e := range batch {
+			if int(e.Src) < n && p.affectedMark[e.Src] == 0 {
+				p.affectedMark[e.Src] = 1
+				p.affected = append(p.affected, e.Src)
+			}
+			if int(e.Dst) < n && p.affectedMark[e.Dst] == 0 {
+				p.affectedMark[e.Dst] = 1
+				p.affected = append(p.affected, e.Dst)
+			}
 		}
 	}
 	for _, v := range p.affected {
@@ -654,32 +582,13 @@ type MixedBatch struct {
 // moving (see PoisonFiles). A non-nil error then means unrecoverable
 // durability I/O, not a bad batch.
 func (p *Pipeline) ProcessMixed(mb MixedBatch) (BatchLatency, error) {
-	if err := p.refuseUnhealthy(); err != nil {
+	if err := p.health.refuse(); err != nil {
 		return BatchLatency{}, err
 	}
 	if err := p.checkMixedSupport(mb); err != nil {
 		return BatchLatency{}, err
 	}
-	if p.dur != nil {
-		return p.processDurable(mb)
-	}
-	return p.apply(mb)
-}
-
-// refuseUnhealthy gates ingest on the health machine: a read-only
-// pipeline refuses the batch but keeps serving queries; a failed one
-// refuses everything. Healthy and degraded-durability pipelines ingest
-// normally.
-func (p *Pipeline) refuseUnhealthy() error {
-	switch st := p.health.State(); {
-	case st >= Failed:
-		p.health.NoteRefused()
-		return ErrFailed
-	case st >= ReadOnly:
-		p.health.NoteRefused()
-		return ErrReadOnly
-	}
-	return nil
+	return p.runBatch(mb, 0, false)
 }
 
 // Health exposes the pipeline's health machine (nil when neither a
@@ -714,27 +623,6 @@ func (p *Pipeline) HealthReport() HealthReport {
 	return r
 }
 
-// enterPhase fires the supervisor's watchdog hook and the phase fault
-// injector, in that order — an injected stall must sleep while the
-// watchdog already sees the phase in flight. An injected error panics;
-// the durable path's panic capture turns it into the poison-batch
-// protocol, and the supervisor's worker capture turns it into a
-// restart on the direct path.
-func (p *Pipeline) enterPhase(name string, op fault.Op) {
-	if hook := p.pcfg.phaseHook; hook != nil {
-		hook(name, false)
-	}
-	if err := fault.Inject(p.pcfg.Faults, op); err != nil {
-		panic(err)
-	}
-}
-
-func (p *Pipeline) exitPhase(name string) {
-	if hook := p.pcfg.phaseHook; hook != nil {
-		hook(name, true)
-	}
-}
-
 // checkMixedSupport rejects deletion batches the components cannot
 // process — a configuration error, checked before anything is logged so
 // it is never mistaken for a poison batch.
@@ -750,204 +638,4 @@ func (p *Pipeline) checkMixedSupport(mb MixedBatch) error {
 			p.engine.Name(), p.engine.Model())
 	}
 	return nil
-}
-
-// apply runs the two phases of one mixed batch against the in-memory
-// components: the undecorated execution path shared by direct processing,
-// durable processing, and WAL replay.
-//
-// Trace ownership: when no batch trace is in flight (direct processing,
-// WAL replay) apply starts and finishes one; on the durable path
-// processDurable already opened it (so the WAL append span precedes the
-// phases) and apply only contributes phase spans and batch attributes.
-func (p *Pipeline) apply(mb MixedBatch) (BatchLatency, error) {
-	var lat BatchLatency
-	owned := p.bt == nil && p.tr.Enabled()
-	if owned {
-		p.bt = p.tr.StartBatch(p.batchIdx)
-	}
-	olds := p.overwrittenFor(mb.Adds)
-
-	var err error
-	if p.tr.PprofLabels() {
-		err = p.updateLabeled(mb, &lat)
-	} else {
-		err = p.updatePhase(mb, &lat)
-	}
-	if err != nil {
-		if owned {
-			p.abortTrace(err)
-		}
-		return lat, err
-	}
-	cg := p.g
-	if p.view != nil {
-		cg = p.view
-	}
-
-	// Overwritten weights and true deletions invalidate in one call so the
-	// cone is grown against a consistent pre-reset value array.
-	if invalidating := append(olds, mb.Dels...); len(invalidating) > 0 {
-		if da, ok := p.engine.(compute.DeletionAware); ok {
-			da.NotifyDeletions(cg, invalidating)
-		}
-	}
-	p.mixedScratch = append(append(p.mixedScratch[:0], mb.Adds...), mb.Dels...)
-	aff := p.affectedOf(p.mixedScratch)
-	if p.tr.PprofLabels() {
-		p.computeLabeled(cg, aff, &lat)
-	} else {
-		p.computePhase(cg, aff, &lat)
-	}
-	if p.em != nil {
-		p.publishEpoch()
-	}
-	if p.rec != nil {
-		p.record(len(mb.Adds), len(mb.Dels), len(aff), lat)
-	}
-	if p.bt != nil {
-		p.stampTrace(mb, len(aff), lat)
-		if owned {
-			bt := p.bt
-			p.bt = nil
-			bt.Finish()
-		}
-	}
-	return lat, nil
-}
-
-// updatePhase is the timed update side of one batch: ingest, deletions,
-// and the flat-mirror refresh (whose cost belongs to the update phase —
-// the mirror is part of ingesting the batch, exactly as GraphTango
-// charges its flat-side maintenance).
-func (p *Pipeline) updatePhase(mb MixedBatch, lat *BatchLatency) error {
-	p.enterPhase("update", fault.OpUpdate)
-	defer p.exitPhase("update")
-	sp := p.bt.Start("update")
-	t0 := time.Now()
-	p.g.Update(mb.Adds)
-	if len(mb.Dels) > 0 {
-		if err := p.g.(ds.Deleter).Delete(mb.Dels); err != nil {
-			sp.SetStr("error", err.Error())
-			sp.End()
-			return err
-		}
-	}
-	lat.Update = time.Since(t0)
-	sp.SetInt("edges", int64(len(mb.Adds)))
-	if len(mb.Dels) > 0 {
-		sp.SetInt("deletes", int64(len(mb.Dels)))
-	}
-	sp.End()
-	if p.view != nil {
-		// The refresh is about to patch the spare index buffers (and, when
-		// it compacts, may refill the arena only they reach), and the
-		// publish after it to overwrite the spare value vector; all
-		// belong to the snapshot superseded two publishes ago. If readers
-		// still pin it, abandon them to the GC (refresh and publish then
-		// allocate fresh ones) instead of tearing the pinned epoch — the
-		// writer never frees under a reader.
-		if p.em != nil && p.em.ReclaimSpare() {
-			p.view.DropSpares()
-			p.spareVals = nil
-		}
-		vsp := p.bt.Start("view.refresh")
-		p.lastView = p.view.Refresh(mb.Adds, mb.Dels)
-		lat.Update += p.lastView.Duration
-		vsp.SetFloat("dirty_frac", p.lastView.DirtyFraction())
-		vsp.SetInt("written", int64(p.lastView.Written))
-		if p.lastView.Full {
-			vsp.SetInt("full", 1)
-		}
-		vsp.End()
-		if p.rec != nil {
-			p.rec.RecordViewRefresh(p.lastView.Duration, p.lastView.DirtyFraction(), p.lastView.Written, p.lastView.Full)
-		}
-	}
-	return nil
-}
-
-// computePhase is the timed compute side: PerformAlg under a compute span
-// whose context the engine threads down to per-worker range spans.
-func (p *Pipeline) computePhase(cg ds.Graph, aff []graph.NodeID, lat *BatchLatency) {
-	p.enterPhase("compute", fault.OpCompute)
-	defer p.exitPhase("compute")
-	sp := p.bt.Start("compute")
-	// Re-arm every batch: each batch trace is a fresh span tree, and the
-	// zero Ctx (tracing off) disables the engine's span recording.
-	if te, ok := p.engine.(compute.Traceable); ok {
-		te.SetTrace(sp.Ctx())
-	}
-	t1 := time.Now()
-	p.engine.PerformAlg(cg, aff)
-	lat.Compute = time.Since(t1)
-	es := p.engine.Stats()
-	sp.SetInt("affected", int64(len(aff)))
-	sp.SetInt("iterations", int64(es.Iterations))
-	sp.SetInt("processed", int64(es.Processed))
-	if s := es.StragglerRatio(); s > 0 {
-		sp.SetFloat("straggler", s)
-	}
-	sp.End()
-}
-
-// updateLabeled / computeLabeled wrap the phases in pprof labels
-// (batch/stage/ds/alg/model). They are separate methods so apply itself
-// contains no closures: a func literal capturing locals would force those
-// locals to the heap on every call, labels on or off.
-func (p *Pipeline) updateLabeled(mb MixedBatch, lat *BatchLatency) error {
-	var err error
-	p.tr.LabelDo(p.traceSeq(), "update", func() { err = p.updatePhase(mb, lat) })
-	return err
-}
-
-func (p *Pipeline) computeLabeled(cg ds.Graph, aff []graph.NodeID, lat *BatchLatency) {
-	p.tr.LabelDo(p.traceSeq(), "compute", func() { p.computePhase(cg, aff, lat) })
-}
-
-// traceSeq is the in-flight batch's trace sequence number (0 when no
-// trace is open).
-func (p *Pipeline) traceSeq() uint64 {
-	if p.bt == nil {
-		return 0
-	}
-	return p.bt.Seq
-}
-
-// stampTrace attaches the batch-level attributes the flight recorder
-// indexes on: sizes, phase latencies, and the compute stats that tell a
-// straggler or a triggering storm apart from a big batch.
-func (p *Pipeline) stampTrace(mb MixedBatch, affected int, lat BatchLatency) {
-	bt := p.bt
-	es := p.engine.Stats()
-	bt.SetInt("edges", int64(len(mb.Adds)))
-	if len(mb.Dels) > 0 {
-		bt.SetInt("deletes", int64(len(mb.Dels)))
-	}
-	bt.SetInt("affected", int64(affected))
-	bt.SetInt("iterations", int64(es.Iterations))
-	if es.Triggered+es.Skipped > 0 {
-		bt.SetInt("triggered", int64(es.Triggered))
-		bt.SetInt("skipped", int64(es.Skipped))
-	}
-	if s := es.StragglerRatio(); s > 0 {
-		bt.SetFloat("straggler", s)
-	}
-	if p.view != nil {
-		bt.SetFloat("view_dirty_frac", p.lastView.DirtyFraction())
-	}
-	bt.SetInt("update_ns", lat.Update.Nanoseconds())
-	bt.SetInt("compute_ns", lat.Compute.Nanoseconds())
-}
-
-// abortTrace seals the in-flight batch trace with a failure cause (batch
-// rejected before the compute phase ran).
-func (p *Pipeline) abortTrace(err error) {
-	bt := p.bt
-	if bt == nil {
-		return
-	}
-	p.bt = nil
-	bt.SetStr("error", err.Error())
-	bt.Finish()
 }

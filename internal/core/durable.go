@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
-	"time"
 
 	"sagabench/internal/compute"
 	"sagabench/internal/ds"
@@ -12,17 +10,13 @@ import (
 	"sagabench/internal/graph"
 )
 
-// This file threads the durability layer through the pipeline. The
-// protocol per batch:
-//
-//	validate -> WAL append -> apply (panic-caught, retried) -> maybe checkpoint
-//
-// A batch failing validation is quarantined before it consumes a sequence
-// number. A batch that appends but persistently fails to apply is
-// tombstoned in the WAL, quarantined, and the in-memory state — possibly
-// half-mutated by the failed apply — is rebuilt from checkpoint + WAL.
-// Construction and rebuild share recoverDurable, so crash recovery is the
-// ordinary startup path, not a special case.
+// This file is the durability layer's attachment to the pipeline: opening
+// and recovering the directory, what a failed durable stage leads to
+// (quarantine, the degrade policy), the checkpoint body, and shutdown. The
+// per-batch protocol — validate, WAL append, apply, maybe checkpoint —
+// is the stage walk in batch.go. Construction and the post-poison rebuild
+// share recoverDurable, so crash recovery is the ordinary startup path,
+// not a special case.
 
 // durState is the pipeline's durability attachment.
 type durState struct {
@@ -50,13 +44,9 @@ func (p *Pipeline) initDurable(cfg durable.Config) error {
 	if err != nil {
 		return err
 	}
-	threads := p.pcfg.Threads
-	if threads <= 0 {
-		threads = 1
-	}
 	p.dur = &durState{man: man, meta: durable.PoisonMeta{
 		Directed: p.pcfg.Directed,
-		Threads:  threads,
+		Threads:  p.pcfg.Threads,
 		DS:       p.pcfg.DataStructure,
 		Alg:      p.pcfg.Algorithm,
 		Model:    p.pcfg.Model,
@@ -87,11 +77,10 @@ func (p *Pipeline) recoverDurable() error {
 			if crash := p.dur.man.Config().Crash; crash != nil {
 				crash(durable.CrashMidReplay)
 			}
-			mb := MixedBatch{Adds: r.Adds, Dels: r.Dels}
-			if _, err := p.applyRetry(r.Seq, mb); err != nil {
-				if qerr := p.quarantine(r.Seq, err, mb); qerr != nil {
-					return qerr
-				}
+			if _, err := p.runBatch(MixedBatch{Adds: r.Adds, Dels: r.Dels}, r.Seq, true); err != nil {
+				return err
+			}
+			if p.batch.Quarantined != "" {
 				replayedAll = false
 				break
 			}
@@ -123,12 +112,10 @@ func (p *Pipeline) resetComponents() error {
 	// directly, bypassing apply and therefore the mirror).
 	p.initView()
 	if p.em != nil {
-		// The double buffer was discarded with the old view; the spare the
-		// manager tracked no longer exists, so stop gating on it. Snapshots
-		// published before the reset stay pinned and intact — their arrays
-		// belong to the GC now, not to any live double buffer. The same
-		// goes for their property vectors: ForgetSpare leaves nothing to
-		// report them drained.
+		// The old view's arena and index buffers went with it, so no
+		// refresh will ever write under the snapshots already published:
+		// stop gating on the spare. They stay pinned and intact, their
+		// arrays and property vectors the GC's now.
 		p.em.ForgetSpare()
 		p.latestVals, p.spareVals = nil, nil
 	}
@@ -183,256 +170,73 @@ func (p *Pipeline) restoreCheckpoint(cp *durable.Checkpoint) error {
 	return nil
 }
 
-// processDurable is the durable batch path (see the file comment for the
-// protocol). Poison batches are quarantined and return a nil error; a
-// non-nil error is unrecoverable durability I/O.
-func (p *Pipeline) processDurable(mb MixedBatch) (BatchLatency, error) {
-	var lat BatchLatency
-	if p.fenced.Load() {
-		return lat, errFenced
-	}
-	man := p.dur.man
-	// The durable path owns the batch trace so the WAL append and the
-	// checkpoint land inside it; apply (via applyRetry) sees it in flight
-	// and only contributes phase spans.
-	if p.tr.Enabled() {
-		p.bt = p.tr.StartBatch(p.batchIdx)
-	}
-	if err := durable.ValidateBatch(mb.Adds, mb.Dels, man.Config().MaxNodeID); err != nil {
-		path, qerr := man.Quarantine(p.dur.meta, 0, err.Error(), mb.Adds, mb.Dels)
-		if qerr != nil {
-			p.abortTrace(qerr)
-			return lat, qerr
-		}
-		p.poisoned = append(p.poisoned, path)
-		p.dumpQuarantineTrace(path, 0, err)
-		return lat, nil
-	}
-	// seq stays 0 in degraded-durability mode: the batch applies in
-	// memory only and the quarantine/rebuild machinery (which needs a
-	// logged record to tombstone) is off.
-	var seq uint64
-	if !p.dur.suspended {
-		wsp := p.bt.Start("wal.append")
-		s, err := man.Append(mb.Adds, mb.Dels)
-		if err != nil {
-			wsp.SetStr("error", err.Error())
-			wsp.End()
-			if derr := p.durableFault("wal-append", err); derr != nil {
-				p.abortTrace(derr)
-				return lat, derr
-			}
-			// Degrade policy absorbed the fault: apply unlogged.
-		} else {
-			seq = s
-			if wsp.Ctx().Enabled() {
-				bytes, fsync := man.LastAppendStats()
-				wsp.SetInt("seq", int64(seq))
-				wsp.SetInt("bytes", int64(bytes))
-				if fsync > 0 {
-					wsp.SetInt("fsync_ns", fsync.Nanoseconds())
-				}
-			}
-			wsp.End()
-		}
-	}
-	lat, err := p.applyRetry(seq, mb)
-	if err != nil {
-		if seq == 0 {
-			// Degraded mode: nothing was logged, so there is no tombstone
-			// to write and no durable state to rebuild the half-mutated
-			// components from. The pipeline is done.
-			p.health.To(Failed, fmt.Sprintf("apply failed with durability suspended: %v", err))
-			p.abortTrace(err)
-			return BatchLatency{}, err
-		}
-		if qerr := p.quarantine(seq, err, mb); qerr != nil {
-			p.abortTrace(qerr)
-			return BatchLatency{}, qerr
-		}
-		// The failed apply may have half-mutated the graph or the engine;
-		// rebuild from disk (the tombstone keeps the poison batch out).
-		if rerr := p.recoverDurable(); rerr != nil {
-			return BatchLatency{}, rerr
-		}
-		return BatchLatency{}, nil
-	}
-	p.dur.sinceCkpt++
-	if every := man.Config().CheckpointEvery; every > 0 && !p.dur.ckptSuspended && p.dur.sinceCkpt >= every {
-		if err := p.writeDurableCheckpoint(); err != nil {
-			if derr := p.checkpointFault(err); derr != nil {
-				p.abortTrace(derr)
-				return lat, derr
-			}
-			// Absorbed: this batch is already logged and applied; only
-			// future checkpoints are off.
-		}
-	}
-	if bt := p.bt; bt != nil {
-		p.bt = nil
-		bt.SetInt("wal_seq", int64(seq))
-		bt.Finish()
-	}
-	return lat, nil
-}
-
-// durableFault routes a WAL failure (already classified and retried by
-// internal/durable) through the degrade policy. It returns nil when the
-// pipeline absorbed the fault and the caller should apply the batch in
-// memory, or the error the caller must surface: ErrReadOnly when the
-// policy refuses ingest from here on, the original error when the
-// policy is fail.
-func (p *Pipeline) durableFault(op string, err error) error {
-	if errors.Is(err, errFenced) {
-		// A fenced instance hitting its own fence is not a disk fault;
-		// routing it through the policy would degrade the shared health
-		// machine on behalf of an instance that no longer matters.
-		return err
-	}
-	cause := fmt.Sprintf("%s: %v", op, err)
-	switch p.pcfg.DegradePolicy.target() {
-	case DegradedDurability:
-		p.dur.suspended = true
-		p.dur.ckptSuspended = true
-		p.health.To(DegradedDurability, cause)
-		return nil
-	case ReadOnly:
-		p.health.To(ReadOnly, cause)
-		p.health.NoteRefused()
-		return ErrReadOnly
-	default:
-		p.health.To(Failed, cause)
-		return err
-	}
-}
-
-// checkpointFault routes a checkpoint failure through the degrade
-// policy. Unlike a WAL fault, the batch that triggered it is already
-// logged and applied, so the absorbing policies return nil (batch
-// succeeded) and only stop future checkpoints; the WAL keeps the state
-// recoverable from the last good snapshot.
-func (p *Pipeline) checkpointFault(err error) error {
-	if errors.Is(err, errFenced) {
-		return err
-	}
-	cause := fmt.Sprintf("checkpoint: %v", err)
-	switch p.pcfg.DegradePolicy.target() {
-	case DegradedDurability:
-		p.dur.ckptSuspended = true
-		p.health.To(DegradedDurability, cause)
-		return nil
-	case ReadOnly:
-		p.dur.ckptSuspended = true
-		p.health.To(ReadOnly, cause)
-		return nil
-	default:
-		p.health.To(Failed, cause)
-		return err
-	}
-}
-
-// applyRetry applies one batch with panic capture and exponential-backoff
-// retries. Batch application is idempotent at the structure level
-// (inserts overwrite, deletes of missing edges no-op), so retrying over a
-// half-applied attempt converges to the same state.
-func (p *Pipeline) applyRetry(seq uint64, mb MixedBatch) (BatchLatency, error) {
-	cfg := p.dur.man.Config()
-	backoff := cfg.RetryBackoff
-	var lat BatchLatency
-	var err error
-	for attempt := 0; attempt <= cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
-			p.rec.RecordRetry()
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		lat, err = p.applyCaught(seq, mb)
-		if err == nil {
-			return lat, nil
-		}
-	}
-	return lat, fmt.Errorf("core: batch seq %d failed %d attempts: %w", seq, cfg.MaxRetries+1, err)
-}
-
-// applyCaught applies one batch, converting panics anywhere in the update
-// or compute phase into errors. Simulated crashes are re-raised: a kill
-// is not a poison batch.
-func (p *Pipeline) applyCaught(seq uint64, mb MixedBatch) (lat BatchLatency, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if c, ok := durable.AsCrash(r); ok {
-				panic(c)
-			}
-			err = fmt.Errorf("core: apply panic: %v", r)
-		}
-	}()
-	if probe := p.dur.man.Config().ApplyProbe; probe != nil {
-		if perr := probe(seq, mb.Adds, mb.Dels); perr != nil {
-			return lat, perr
-		}
-	}
-	return p.apply(mb)
-}
-
-// quarantine tombstones seq in the WAL and writes the batch to a
-// replayable .poison file, plus the flight-recorder trace beside it.
-func (p *Pipeline) quarantine(seq uint64, cause error, mb MixedBatch) error {
+// durableFault routes the failure of a durable stage (already classified
+// and retried by internal/durable) through the degrade policy: nil when
+// the pipeline absorbed the fault and the batch goes on, else the error to
+// surface. An absorbed WAL fault leaves the batch to apply unlogged under
+// "degrade" and refuses it under "read-only"; a checkpoint fault finds the
+// batch already logged and applied, so both let it succeed and only stop
+// future checkpoints (the WAL keeps the state recoverable). A fenced
+// instance routes nothing: its handles were abandoned under it, which is
+// no disk fault, and the health machine belongs to its replacement now.
+func (p *Pipeline) durableFault(id StageID, err error) error {
 	if p.fenced.Load() {
 		return errFenced
 	}
-	if err := p.dur.man.AppendSkip(seq); err != nil {
-		return err
+	op := "checkpoint"
+	if id == StageWAL {
+		op = "wal-append"
 	}
-	path, err := p.dur.man.Quarantine(p.dur.meta, seq, cause.Error(), mb.Adds, mb.Dels)
+	target := p.pcfg.DegradePolicy.target()
+	p.health.To(target, fmt.Sprintf("%s: %v", op, err))
+	switch {
+	case target == Failed:
+		return err
+	case id == StageWAL && target == ReadOnly:
+		p.health.NoteRefused()
+		return ErrReadOnly
+	}
+	if id == StageWAL {
+		p.dur.suspended = true
+	}
+	p.dur.ckptSuspended = true
+	return nil
+}
+
+// quarantine sets the in-flight batch aside as a replayable .poison file,
+// tombstoning its sequence number in the WAL first when it has one. The
+// error is the quarantine's own I/O failing.
+func (p *Pipeline) quarantine(cause error) error {
+	if p.fenced.Load() {
+		return errFenced
+	}
+	seq := p.batch.WALSeq
+	if seq > 0 {
+		if err := p.dur.man.AppendSkip(seq); err != nil {
+			return err
+		}
+	}
+	path, err := p.dur.man.Quarantine(p.dur.meta, seq, cause.Error(), p.in.Adds, p.in.Dels)
 	if err != nil {
 		return err
 	}
 	p.poisoned = append(p.poisoned, path)
-	p.dumpQuarantineTrace(path, seq, cause)
+	p.batch.Quarantined = cause.Error()
 	return nil
 }
 
-// dumpQuarantineTrace seals the poisoned batch's trace with the failure
-// cause and writes the whole flight-recorder ring — the batches leading
-// up to the death, plus the dying batch itself — as Chrome trace-event
-// JSON next to the poison file, so the forensic record travels with the
-// reproducer. No-op when tracing is off; best-effort otherwise (the
-// poison file is the primary artifact, a failed trace dump must not turn
-// a handled poison batch into a pipeline error).
-func (p *Pipeline) dumpQuarantineTrace(poisonPath string, seq uint64, cause error) {
-	if !p.tr.Enabled() {
-		return
-	}
-	if bt := p.bt; bt != nil {
-		p.bt = nil
-		if seq > 0 {
-			bt.SetInt("wal_seq", int64(seq))
-		}
-		bt.SetStr("quarantined", cause.Error())
-		bt.Finish()
-	}
-	tracePath := strings.TrimSuffix(poisonPath, ".poison") + ".trace.json"
-	// saga:allow errcheck-durable -- best-effort forensic sidecar; see doc comment.
-	_ = p.tr.DumpChromeFile(tracePath)
-}
-
 // writeDurableCheckpoint snapshots the current in-memory state at the
-// last logged sequence number.
+// last logged sequence number: the body of the checkpoint stage, and
+// Close's final flush.
 func (p *Pipeline) writeDurableCheckpoint() error {
 	if p.fenced.Load() {
 		return errFenced
-	}
-	sp := p.bt.Start("checkpoint")
-	defer sp.End()
-	threads := p.pcfg.Threads
-	if threads <= 0 {
-		threads = 1
 	}
 	cp := &durable.Checkpoint{
 		Seq:      p.dur.man.LastSeq(),
 		Directed: p.pcfg.Directed,
 		NumNodes: p.g.NumNodes(),
-		Edges:    ds.ExportEdgesParallel(p.g, threads),
+		Edges:    ds.ExportEdgesParallel(p.g, p.pcfg.Threads),
 	}
 	if st, ok := p.engine.(compute.Stateful); ok {
 		s := st.ExportState()

@@ -3,73 +3,17 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"sagabench/internal/ds"
 	"sagabench/internal/epoch"
-	"sagabench/internal/fault"
 	"sagabench/internal/graph"
 	"sagabench/internal/snapshot"
 )
 
-// This file is the pipeline side of non-blocking queries: per-batch
-// snapshot publication into the epoch manager, and the QueryHandle
+// This file is the reader side of non-blocking queries: the QueryHandle
 // surface readers use to consume pinned epochs concurrently with the
-// update phase. The protocol itself lives in internal/epoch.
-
-// publishEpoch publishes the post-batch state as a new epoch. With the
-// compute view attached, the published CSR is the mirror the refresh just
-// brought up to date — zero extra topology work. What the mirror writes
-// again two batches from now (its spare index buffer, and the arena only
-// that index reaches) is gated by ReclaimSpare in updatePhase, and the
-// property vector rides the same gate: the copy goes into the vector of
-// the snapshot ReclaimSpare just reported drained, and a fresh one is
-// allocated only when that snapshot is still pinned. Without the view, a
-// full CSR is exported from the structure each batch (fresh arrays and a
-// fresh vector, nothing to gate). The vector is copied either way: the
-// engine mutates its array in place next batch.
-func (p *Pipeline) publishEpoch() {
-	p.enterPhase("publish", fault.OpPublish)
-	defer p.exitPhase("publish")
-	sp := p.bt.Start("epoch.publish")
-	var csr graph.CSR
-	if p.view != nil {
-		csr = *p.view.FlatCSR()
-	} else {
-		threads := p.pcfg.Threads
-		if threads <= 0 {
-			threads = 1
-		}
-		csr = *graph.BuildCSR(p.g.NumNodes(), ds.ExportEdgesParallel(p.g, threads))
-	}
-	vals := append(p.spareVals[:0], p.engine.Values()...)
-	s := &epoch.Snapshot{
-		Batch:    p.epochBatch,
-		Wall:     time.Now(),
-		CSR:      csr,
-		Values:   vals,
-		Directed: p.pcfg.Directed,
-	}
-	ep := p.em.Publish(s)
-	if p.view != nil {
-		p.spareVals, p.latestVals = p.latestVals, vals
-	} else {
-		// Export-path arrays are fresh every batch; nothing is ever
-		// reclaimed, so don't let the manager track the superseded
-		// snapshot as a spare owner.
-		p.em.ForgetSpare()
-	}
-	p.epochBatch++
-	sp.SetInt("epoch", int64(ep))
-	sp.SetInt("nodes", int64(s.NumNodes()))
-	sp.SetInt("edges", int64(s.NumEdges()))
-	sp.End()
-	if p.rec != nil {
-		st := p.em.Stats()
-		p.rec.RecordEpochPublish(st.Reclaimed-p.lastEpoch.Reclaimed, st.Dropped-p.lastEpoch.Dropped, st.Pins)
-		p.lastEpoch = st
-	}
-}
+// update phase. Per-batch publication is the publish stage (batch.go);
+// the protocol itself lives in internal/epoch.
 
 // Epochs exposes the epoch manager (nil when ServeQueries is off) for
 // callers that need the raw pin protocol or its counters; most readers

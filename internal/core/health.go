@@ -166,6 +166,21 @@ func (h *Health) To(state HealthState, cause string) bool {
 	return true
 }
 
+// refuse gates ingest: a read-only machine refuses the batch (queries keep
+// being served), a failed one refuses everything, and both count it.
+// Healthy and degraded-durability machines ingest normally.
+func (h *Health) refuse() error {
+	st := h.State()
+	if st < ReadOnly {
+		return nil
+	}
+	h.NoteRefused()
+	if st >= Failed {
+		return ErrFailed
+	}
+	return ErrReadOnly
+}
+
 // Transitions returns a copy of the recorded transitions in order.
 func (h *Health) Transitions() []HealthTransition {
 	if h == nil {

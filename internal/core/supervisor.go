@@ -11,12 +11,12 @@ import (
 )
 
 // Supervisor is the self-healing runtime around a Pipeline: a bounded
-// ingest queue with backpressure or shedding, a per-phase watchdog that
-// detects stalled update/compute/publish phases, and panic-isolated
-// restart — a wedged or dead pipeline instance is fenced off and a
-// fresh one is rebuilt from the last durable state (checkpoint + WAL),
-// while queries keep serving from the epoch snapshots already
-// published. One Health machine threads through every rebuild, so the
+// ingest queue with backpressure or shedding, a watchdog that detects a
+// batch stalled in any of its stages (a wedged fsync as much as a wedged
+// kernel), and panic-isolated restart — a wedged or dead pipeline instance
+// is fenced off and a fresh one is rebuilt from the last durable state
+// (checkpoint + WAL), while queries keep serving from the epoch snapshots
+// already published. One Health machine threads through every rebuild, so the
 // run's degradation history and the final report survive any number of
 // pipeline instances.
 //
@@ -46,10 +46,11 @@ type SupervisorConfig struct {
 	// Shed, when true, drops the newest batch instead of blocking when
 	// the queue is full; Submit then returns ErrShed.
 	Shed bool
-	// PhaseDeadline is the watchdog's default per-phase budget (default
-	// 1s): a phase running longer is declared stalled and its pipeline
-	// instance is replaced. PhaseDeadlines overrides it per phase
-	// ("update", "compute", "publish").
+	// PhaseDeadline is the watchdog's default per-stage budget (default
+	// 1s): a stage running longer is declared stalled and its pipeline
+	// instance is replaced. PhaseDeadlines overrides it per stage, keyed
+	// by stage name ("validate", "wal", "update", "view", "compute",
+	// "publish", "checkpoint").
 	PhaseDeadline  time.Duration
 	PhaseDeadlines map[string]time.Duration
 	// WatchdogPoll is the deadline check period (default 5ms).
@@ -115,23 +116,19 @@ type Supervisor struct {
 	subMu  sync.RWMutex
 	closed bool
 
-	// mu guards the current/previous pipeline pointers across rebuilds.
+	// mu guards the current/previous pipeline pointers across rebuilds,
+	// and the worker's copy of its last batch record.
 	mu   sync.Mutex
 	p    *Pipeline
 	prev *Pipeline
+	last BatchRecord
 
-	// gen is the pipeline generation; workers and phase hooks from a
-	// superseded generation recognize themselves as stale and stand
-	// down. restartMu serializes the fence-rebuild-respawn sequence.
+	// gen is the pipeline generation; a worker from a superseded
+	// generation recognizes itself as stale and stands down. restartMu
+	// serializes the fence-rebuild-respawn sequence.
 	gen       atomic.Uint64
 	restartMu sync.Mutex
 	restarts  int
-
-	// Watchdog feed: phaseStart is the UnixNano entry time of the phase
-	// named by phaseName (0 = no phase in flight). Written by the
-	// current generation's phase hook only.
-	phaseStart atomic.Int64
-	phaseName  atomic.Value // string
 
 	inflight atomic.Pointer[inflightBatch]
 
@@ -158,9 +155,8 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		queue:  make(chan MixedBatch, cfg.MaxQueue),
 		done:   make(chan struct{}),
 	}
-	s.phaseName.Store("")
 	gen := s.gen.Load()
-	p, err := s.buildPipeline(gen)
+	p, err := NewPipeline(cfg.Pipeline)
 	if err != nil {
 		return nil, err
 	}
@@ -179,38 +175,14 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	return s, nil
 }
 
-// buildPipeline constructs a pipeline instance wired to this
-// supervisor: the shared health machine and a generation-tagged phase
-// hook (a fenced instance's phases must not disturb the watchdog's view
-// of its replacement).
-func (s *Supervisor) buildPipeline(gen uint64) (*Pipeline, error) {
-	pcfg := s.cfg.Pipeline
-	pcfg.phaseHook = func(name string, done bool) {
-		if s.gen.Load() != gen {
-			return
-		}
-		if done {
-			s.phaseStart.Store(0)
-		} else {
-			s.phaseName.Store(name)
-			s.phaseStart.Store(time.Now().UnixNano())
-		}
-	}
-	return NewPipeline(pcfg)
-}
-
 // Submit offers one batch to the supervised pipeline. It returns nil
 // when the batch is queued, ErrShed when the shed policy dropped it,
 // ErrReadOnly/ErrFailed when the health machine refuses ingest, and
 // errSupClosed after Close. With Shed unset a full queue blocks the
 // caller — backpressure, not loss.
 func (s *Supervisor) Submit(mb MixedBatch) error {
-	if st := s.health.State(); st >= ReadOnly {
-		s.health.NoteRefused()
-		if st >= Failed {
-			return ErrFailed
-		}
-		return ErrReadOnly
+	if err := s.health.refuse(); err != nil {
+		return err
 	}
 	s.subMu.RLock()
 	defer s.subMu.RUnlock()
@@ -288,23 +260,26 @@ func (s *Supervisor) processItem(gen uint64, p *Pipeline, mb MixedBatch) bool {
 	s.inflight.Store(inf)
 	_, err := p.ProcessMixed(mb)
 	s.inflight.CompareAndSwap(inf, nil)
-	switch {
-	case err == nil:
-		return true
-	case errors.Is(err, errFenced):
+	if s.gen.Load() == gen {
+		rec := p.LastBatch()
+		rec.Compute.WorkerBusyNS = nil // engine scratch the next batch reuses
+		s.mu.Lock()
+		s.last = rec
+		s.mu.Unlock()
+	}
+	if errors.Is(err, errFenced) {
 		// This generation was retired mid-batch; the restart already
 		// captured the in-flight batch for resubmission.
 		return false
-	case errors.Is(err, ErrReadOnly) || errors.Is(err, ErrFailed):
-		// Refused, counted by the health machine; keep draining so
-		// blocked producers are released.
-		return true
-	default:
-		// Unabsorbed durability failure (fail policy): the health
-		// machine is Failed; keep draining the queue as a refuser.
-		s.health.To(Failed, fmt.Sprintf("batch failed: %v", err))
-		return true
 	}
+	if err != nil && !errors.Is(err, ErrReadOnly) && !errors.Is(err, ErrFailed) {
+		// Not a refusal the health machine already counted but an
+		// unabsorbed durability failure (fail policy): the machine is
+		// Failed. Either way keep draining, so blocked producers are
+		// released.
+		s.health.To(Failed, fmt.Sprintf("batch failed: %v", err))
+	}
+	return true
 }
 
 // watchdog polls the in-flight phase against its deadline and replaces
@@ -318,11 +293,19 @@ func (s *Supervisor) watchdog() {
 			return
 		case <-tick.C:
 		}
-		start := s.phaseStart.Load()
-		if start == 0 {
+		// The generation is read before its pipeline: paired with a newer
+		// pipeline it only makes the restart below a no-op, whereas an older
+		// pipeline's stall must never retire a newer generation. A fenced
+		// pipeline is already retired (its replacement is being built, or
+		// the restart budget ran out); what its abandoned worker does is
+		// nobody's stall.
+		gen := s.gen.Load()
+		p := s.Pipeline()
+		start := p.stageStart.Load()
+		if start == 0 || p.fenced.Load() {
 			continue
 		}
-		name, _ := s.phaseName.Load().(string)
+		name := StageID(p.stageID.Load()).String()
 		deadline := s.cfg.PhaseDeadline
 		if d, ok := s.cfg.PhaseDeadlines[name]; ok {
 			deadline = d
@@ -330,11 +313,7 @@ func (s *Supervisor) watchdog() {
 		if time.Since(time.Unix(0, start)) <= deadline {
 			continue
 		}
-		gen := s.gen.Load()
 		s.health.NoteWatchdogFire()
-		// Disarm before restarting so the same stall cannot double-fire
-		// while the rebuild runs.
-		s.phaseStart.Store(0)
 		s.restart(gen, fmt.Sprintf("watchdog: %s phase exceeded %v", name, deadline))
 	}
 }
@@ -356,9 +335,7 @@ func (s *Supervisor) restart(gen uint64, cause string) {
 
 	old := s.p
 	old.Fence()
-	s.gen.Add(1)
-	newGen := s.gen.Load()
-	s.phaseStart.Store(0)
+	newGen := s.gen.Add(1)
 
 	// Retire the old instance's report contributions before abandoning
 	// it (Abandon drops its WAL handles without flushing — the fence
@@ -381,7 +358,7 @@ func (s *Supervisor) restart(gen uint64, cause string) {
 	time.Sleep(time.Duration(s.restarts) * s.cfg.RestartBackoff)
 
 	inf := s.inflight.Swap(nil)
-	newP, err := s.buildPipeline(newGen)
+	newP, err := NewPipeline(s.cfg.Pipeline)
 	if err != nil {
 		s.health.To(Failed, fmt.Sprintf("rebuild after %q failed: %v", cause, err))
 		s.spawnDrain()
@@ -451,6 +428,15 @@ func (s *Supervisor) Pipeline() *Pipeline {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.p
+}
+
+// LastBatch is the record of the most recent batch the worker ran (see
+// BatchRecord), without the per-worker busy times. Safe to call while the
+// stream is running.
+func (s *Supervisor) LastBatch() BatchRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.last
 }
 
 // Health exposes the shared health machine.

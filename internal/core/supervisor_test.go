@@ -107,6 +107,56 @@ func TestWatchdogRecoversStalledCompute(t *testing.T) {
 	coldVerify(t, cfg, stream, uint64(len(stream)))
 }
 
+// TestWatchdogRecoversStalledWALFsync wedges the WAL fsync of one batch
+// (a disk that stops answering) far past the stage deadline. Every stage
+// signals the watchdog, the durable ones included, so it fires, the
+// instance is replaced, and the stream completes. The stalled batch's
+// record reached the log before the fsync hung, so recovery replays it
+// and the supervisor must not resubmit it: a cold restart sees every
+// batch, and exactly len(stream) sequence numbers — none applied twice.
+func TestWatchdogRecoversStalledWALFsync(t *testing.T) {
+	stream := durableStream(6)
+	dir := t.TempDir()
+	cfg := durableCfg(dir, "pr", &durable.Config{
+		Fsync:           durable.FsyncAlways,
+		CheckpointEvery: -1,
+		IO:              fault.MustParseSchedule("stall(wal-fsync,3,400ms)", 7),
+	})
+	// The stalled worker wakes on a handle the restart abandoned; under a
+	// degrade policy that failure must not reach the shared health machine.
+	cfg.DegradePolicy = core.DegradeContinue
+	sup, err := core.NewSupervisor(core.SupervisorConfig{
+		Pipeline:       cfg,
+		PhaseDeadline:  60 * time.Millisecond,
+		WatchdogPoll:   5 * time.Millisecond,
+		RestartBackoff: 5 * time.Millisecond,
+		MaxRestarts:    8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refused := submitAll(t, sup, stream); refused != 0 {
+		t.Fatalf("%d batches refused; a stall is not a durability fault", refused)
+	}
+	if err := sup.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	rep := sup.Report()
+	if rep.WatchdogFires == 0 || rep.Restarts == 0 {
+		t.Fatalf("watchdog fires %d, restarts %d on a 400ms fsync stall with a 60ms deadline", rep.WatchdogFires, rep.Restarts)
+	}
+	if rep.State != core.Healthy {
+		t.Fatalf("final health %v, want healthy: the fenced instance degraded it (%+v)", rep.State, rep.Transitions)
+	}
+	if len(rep.Quarantined) != 0 {
+		t.Fatalf("stall quarantined batches: %v", rep.Quarantined)
+	}
+	if got := sup.DurableSeq(); got != uint64(len(stream)) {
+		t.Fatalf("WAL at seq %d after %d batches: one was lost or logged twice", got, len(stream))
+	}
+	coldVerify(t, cfg, stream, uint64(len(stream)))
+}
+
 // TestSupervisorWorkerPanicRestarts injects an error (not a stall) into
 // the compute phase of a non-durable pipeline: the panic escapes
 // ProcessMixed, the worker captures it, and the supervisor replaces the

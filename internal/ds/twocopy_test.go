@@ -142,81 +142,6 @@ func TestTwoCopyQueriesOutOfRange(t *testing.T) {
 	}
 }
 
-// twoPhaseFake wires Stage/Seal into the fake store.
-type twoPhaseFake struct {
-	fakeStore
-	staged []graph.Edge
-	seals  int
-}
-
-func (f *twoPhaseFake) Stage(edges []graph.Edge) { f.staged = append(f.staged, edges...) }
-
-func (f *twoPhaseFake) Seal() {
-	f.UpdateEdges(f.staged)
-	f.staged = nil
-	f.seals++
-}
-
-func TestTwoPhaseStageSeal(t *testing.T) {
-	plain := NewTwoCopy(true, func() OneDir { return &fakeStore{} })
-	if SupportsTwoPhase(plain) {
-		t.Fatal("plain store claims two-phase support")
-	}
-	if plain.StageBatch(graph.Batch{{Src: 0, Dst: 1}}) {
-		t.Fatal("StageBatch must refuse on plain stores")
-	}
-	plain.SealBatch() // must be a harmless no-op
-
-	var made []*twoPhaseFake
-	tp := NewTwoCopy(true, func() OneDir {
-		f := &twoPhaseFake{}
-		made = append(made, f)
-		return f
-	})
-	if !SupportsTwoPhase(tp) {
-		t.Fatal("two-phase store not recognized")
-	}
-	// The batch endpoints exceed current node space; Stage must still
-	// work because Seal applies after EnsureNodes in real stores — the
-	// fake just grows on demand here.
-	for _, f := range made {
-		f.EnsureNodes(4)
-	}
-	if !tp.StageBatch(graph.Batch{{Src: 1, Dst: 3, Weight: 2}}) {
-		t.Fatal("StageBatch refused")
-	}
-	if tp.NumEdges() != 0 {
-		t.Fatal("staged edges visible before seal")
-	}
-	tp.SealBatch()
-	if tp.NumEdges() != 1 || tp.OutDegree(1) != 1 || tp.InDegree(3) != 1 {
-		t.Fatalf("seal did not apply: %d edges", tp.NumEdges())
-	}
-	if made[0].seals != 1 || made[1].seals != 1 {
-		t.Fatalf("seal counts %d/%d", made[0].seals, made[1].seals)
-	}
-
-	// Undirected: both orientations staged into the single store.
-	madeU := []*twoPhaseFake{}
-	tpu := NewTwoCopy(false, func() OneDir {
-		f := &twoPhaseFake{}
-		madeU = append(madeU, f)
-		return f
-	})
-	madeU[0].EnsureNodes(3)
-	if !tpu.StageBatch(graph.Batch{{Src: 0, Dst: 2, Weight: 1}}) {
-		t.Fatal("undirected StageBatch refused")
-	}
-	tpu.SealBatch()
-	if tpu.OutDegree(2) != 1 || tpu.OutDegree(0) != 1 {
-		t.Fatal("undirected mirror missing after seal")
-	}
-	// Empty batch staging is a supported no-op.
-	if !tpu.StageBatch(nil) {
-		t.Fatal("empty StageBatch refused")
-	}
-}
-
 func TestProfileOfFallbacks(t *testing.T) {
 	plain := NewTwoCopy(true, func() OneDir { return &fakeStore{} })
 	if _, ok := ProfileOf(plain); ok {

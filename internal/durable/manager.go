@@ -202,11 +202,16 @@ func (m *Manager) Close() error { return m.w.close() }
 
 // Abandon releases the WAL file handle without flushing: the file-handle
 // hygiene of a simulated kill, leaving the on-disk state exactly as the
-// crash left it. The kill/recover harness calls it on pipelines it drops.
+// crash left it. The kill/recover harness calls it on pipelines it drops,
+// and the supervisor on an instance it has fenced — whose worker may be
+// asleep inside an append on another goroutine. So Abandon only closes
+// the handle and leaves it in place: os.File orders the close against
+// the in-flight call, and everything the woken worker then tries fails
+// with os.ErrClosed instead of reopening the segment the replacement
+// owns. The manager is dead afterwards.
 func (m *Manager) Abandon() {
-	if m.w.f != nil {
+	if f := m.w.f.Load(); f != nil {
 		// saga:allow errcheck-durable -- Abandon simulates a kill: losing unflushed data is the point.
-		m.w.f.Close()
-		m.w.f = nil
+		f.Close()
 	}
 }

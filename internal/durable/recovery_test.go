@@ -1,14 +1,17 @@
 package durable
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"sagabench/internal/compute"
+	"sagabench/internal/fault"
 	"sagabench/internal/graph"
 )
 
@@ -193,6 +196,53 @@ func TestManagerRecoverTornTail(t *testing.T) {
 		t.Fatalf("re-append: seq %d err %v", seq, err)
 	}
 	m2.Close()
+}
+
+// TestAbandonDuringStalledAppend is the supervisor's hand-off: an instance
+// is abandoned from another goroutine while its own is stalled inside an
+// append (before the record write), and a replacement reopens the
+// directory. The stalled append must then fail on the closed handle —
+// not reopen the segment and log a record under the replacement — and
+// the hand-off must be race-free.
+func TestAbandonDuringStalledAppend(t *testing.T) {
+	dir := t.TempDir()
+	sched := fault.MustParseSchedule("stall(wal-append,2,1s)", 1)
+	stalled, release := make(chan struct{}), make(chan struct{})
+	sched.SetSleep(func(time.Duration) { close(stalled); <-release })
+	m, err := Open(Config{Dir: dir, Fsync: FsyncAlways, IO: sched,
+		Retry: RetryPolicy{Sleep: func(time.Duration) {}}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		defer close(errc)
+		if _, err := m.Append(mkBatch(0, 2), nil); err != nil {
+			errc <- err
+			return
+		}
+		if _, err := m.Append(mkBatch(1, 2), nil); err == nil {
+			errc <- errors.New("append on an abandoned manager succeeded")
+		}
+	}()
+	<-stalled
+	m.Abandon()
+	m2, err := Open(Config{Dir: dir, Fsync: FsyncAlways}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	_, tail, err := m2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tail) != 1 || m2.LastSeq() != 1 {
+		t.Fatalf("replacement sees %d records through seq %d, want only the pre-stall one", len(tail), m2.LastSeq())
+	}
+	m2.Abandon()
 }
 
 // TestCrashMidCheckpoint kills the manager between the checkpoint temp

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"sagabench/internal/fault"
@@ -143,12 +144,16 @@ type wal struct {
 	dir string
 	cfg Config
 
-	segs     []walSeg // sorted by first seq; last is the active segment
-	f        *os.File // open active segment, nil until first append
-	size     int64    // active segment size, including any torn bytes
-	goodSize int64    // size up to the last fully written record
-	pending  int      // appends since last fsync (FsyncInterval)
-	buf      []byte   // encode scratch
+	segs []walSeg // sorted by first seq; last is the active segment
+	// f is the open active segment, nil until the first append. Only the
+	// pipeline's goroutine opens, uses and replaces it; it is atomic for
+	// Manager.Abandon, which a supervisor calls from its own goroutine on
+	// an instance whose worker may be stalled mid-append.
+	f        atomic.Pointer[os.File]
+	size     int64  // active segment size, including any torn bytes
+	goodSize int64  // size up to the last fully written record
+	pending  int    // appends since last fsync (FsyncInterval)
+	buf      []byte // encode scratch
 }
 
 func openWAL(dir string, cfg Config) *wal {
@@ -186,10 +191,8 @@ func listSegments(dir string) ([]walSeg, error) {
 // final segment, and returns all valid records in order. It is called on
 // every recovery, including mid-stream rebuilds after quarantine.
 func (w *wal) load() ([]Record, error) {
-	if w.f != nil {
-		err := w.f.Close()
-		w.f = nil
-		if err != nil {
+	if f := w.f.Swap(nil); f != nil {
+		if err := f.Close(); err != nil {
 			// A failed close can mean buffered appends never reached the
 			// file; rescanning would silently truncate them as a torn
 			// tail. Surface it instead.
@@ -302,13 +305,13 @@ func (w *wal) appendRecord(r Record) (int, error) {
 		if errors.Is(err, fault.ErrShortWrite) {
 			// Tear the record on disk the way a real partial write would,
 			// so recovery and the repair path face a genuinely torn tail.
-			if n, werr := w.f.Write(w.buf[:len(w.buf)/2]); werr == nil {
+			if n, werr := w.f.Load().Write(w.buf[:len(w.buf)/2]); werr == nil {
 				w.size += int64(n)
 			}
 		}
 		return 0, fmt.Errorf("durable: WAL append: %w", err)
 	}
-	n, err := w.f.Write(w.buf)
+	n, err := w.f.Load().Write(w.buf)
 	w.size += int64(n)
 	if err != nil {
 		return 0, fmt.Errorf("durable: WAL append: %w", err)
@@ -321,15 +324,16 @@ func (w *wal) appendRecord(r Record) (int, error) {
 // repairTail truncates torn bytes left by a failed append so the next
 // record starts at the last record boundary.
 func (w *wal) repairTail() error {
-	if w.f == nil || w.size == w.goodSize {
+	f := w.f.Load()
+	if f == nil || w.size == w.goodSize {
 		return nil
 	}
-	if err := w.f.Truncate(w.goodSize); err != nil {
+	if err := f.Truncate(w.goodSize); err != nil {
 		return err
 	}
 	// The active segment is not opened O_APPEND when freshly created, so
 	// reposition explicitly; on O_APPEND handles the seek is harmless.
-	if _, err := w.f.Seek(w.goodSize, io.SeekStart); err != nil {
+	if _, err := f.Seek(w.goodSize, io.SeekStart); err != nil {
 		return err
 	}
 	w.size = w.goodSize
@@ -353,13 +357,14 @@ func (w *wal) maybeSync() (time.Duration, error) {
 
 // doSync forces the active segment to stable storage (injectable).
 func (w *wal) doSync() error {
-	if w.f == nil {
+	f := w.f.Load()
+	if f == nil {
 		return nil
 	}
 	if err := fault.Inject(w.cfg.IO, fault.OpWALFsync); err != nil {
 		return fmt.Errorf("durable: WAL fsync: %w", err)
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		return fmt.Errorf("durable: WAL fsync: %w", err)
 	}
 	w.pending = 0
@@ -369,7 +374,7 @@ func (w *wal) doSync() error {
 // ensureSegment opens the active segment for appending, creating or
 // rotating as needed. nextSeq names a newly created segment.
 func (w *wal) ensureSegment(nextSeq uint64) error {
-	if w.f != nil && w.size >= w.cfg.SegmentBytes {
+	if f := w.f.Load(); f != nil && w.size >= w.cfg.SegmentBytes {
 		// Rotate: the closing segment's tail must be durable before the
 		// new one starts, regardless of policy (except FsyncNever).
 		if w.cfg.Fsync != FsyncNever {
@@ -377,13 +382,13 @@ func (w *wal) ensureSegment(nextSeq uint64) error {
 				return err
 			}
 		}
-		if err := w.f.Close(); err != nil {
+		if err := f.Close(); err != nil {
 			return err
 		}
-		w.f = nil
+		w.f.Store(nil)
 		w.pending = 0
 	}
-	if w.f != nil {
+	if w.f.Load() != nil {
 		return nil
 	}
 	// Re-open the newest existing segment if it has room; otherwise start
@@ -395,7 +400,8 @@ func (w *wal) ensureSegment(nextSeq uint64) error {
 			if err != nil {
 				return err
 			}
-			w.f, w.size, w.goodSize = f, st.Size(), st.Size()
+			w.f.Store(f)
+			w.size, w.goodSize = st.Size(), st.Size()
 			return nil
 		}
 	}
@@ -412,7 +418,8 @@ func (w *wal) ensureSegment(nextSeq uint64) error {
 		f.Close()
 		return err
 	}
-	w.f, w.size, w.goodSize = f, int64(len(walMagic)), int64(len(walMagic))
+	w.f.Store(f)
+	w.size, w.goodSize = int64(len(walMagic)), int64(len(walMagic))
 	w.segs = append(w.segs, walSeg{path: path, first: nextSeq})
 	syncDir(w.dir)
 	return nil
@@ -442,17 +449,18 @@ func (w *wal) sync() error {
 
 // close flushes (unless FsyncNever) and closes the active segment.
 func (w *wal) close() error {
-	if w.f == nil {
+	f := w.f.Load()
+	if f == nil {
 		return nil
 	}
 	var err error
 	if w.cfg.Fsync != FsyncNever {
 		err = w.doSync()
 	}
-	if cerr := w.f.Close(); err == nil {
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	w.f = nil
+	w.f.Store(nil)
 	return err
 }
 

@@ -6,31 +6,32 @@ import (
 	"strconv"
 )
 
-// LabelDo runs f under pprof labels identifying the pipeline stage:
-// batch/stage/ds/alg/model. CPU profiles captured from the telemetry
-// endpoint's /debug/pprof/profile then attribute samples to pipeline
-// stages (`go tool pprof -tagfocus stage=compute ...`), closing the gap
-// between "the process was busy" and "batch 1041's update phase was
-// busy".
+// Label puts pprof labels identifying a pipeline stage — batch/stage/ds/
+// alg/model — on the calling goroutine (goroutines it starts inherit
+// them) and returns the function that clears them again. CPU profiles
+// captured from the telemetry endpoint's /debug/pprof/profile then
+// attribute samples to pipeline stages (`go tool pprof -tagfocus
+// stage=compute ...`), closing the gap between "the process was busy" and
+// "batch 1041's update stage was busy".
 //
-// Callers must branch on PprofLabels() before building the closure — the
-// disabled path must not pay the closure allocation:
+// Callers branch on PprofLabels() first — the disabled path must not pay
+// for building the label set:
 //
-//	if p.tr.PprofLabels() {
-//		p.tr.LabelDo(bt.Seq, "update", func() { ... })
-//	} else {
-//		... // same body, un-labeled
+//	if tr.PprofLabels() {
+//		defer tr.Label(bt.Seq, "update")()
 //	}
-func (t *Tracer) LabelDo(batchSeq uint64, stage string, f func()) {
+func (t *Tracer) Label(batchSeq uint64, stage string) (clear func()) {
 	if t == nil {
-		f()
-		return
+		return func() {}
 	}
-	pprof.Do(context.Background(), pprof.Labels(
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels(
 		"batch", strconv.FormatUint(batchSeq, 10),
 		"stage", stage,
 		"ds", t.cfg.DS,
 		"alg", t.cfg.Alg,
 		"model", t.cfg.Model,
-	), func(context.Context) { f() })
+	)))
+	return clearLabels
 }
+
+func clearLabels() { pprof.SetGoroutineLabels(context.Background()) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -44,10 +45,28 @@ func TestNilTracerSafe(t *testing.T) {
 	if err := tr.WriteTrace(&bytes.Buffer{}); err == nil {
 		t.Fatal("nil tracer WriteTrace must error")
 	}
-	ran := false
-	tr.LabelDo(1, "update", func() { ran = true })
-	if !ran {
-		t.Fatal("nil tracer LabelDo must still run f")
+	tr.Label(1, "update")() // must not touch the goroutine's labels, nor panic
+}
+
+// TestLabelSetsAndClears checks the stage labels land on the calling
+// goroutine — where the CPU profiler reads them — and are gone again once
+// the returned function has run.
+func TestLabelSetsAndClears(t *testing.T) {
+	labeled := func() bool {
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Contains(buf.String(), `"stage":"compute"`) && strings.Contains(buf.String(), `"batch":"7"`)
+	}
+	tr := trace.New(trace.Config{DS: "adjshared", Alg: "pr", Model: "inc", PprofLabels: true})
+	clear := tr.Label(7, "compute")
+	if !labeled() {
+		t.Fatal("stage labels not on the goroutine after Label")
+	}
+	clear()
+	if labeled() {
+		t.Fatal("stage labels still on the goroutine after clearing")
 	}
 }
 
