@@ -2,6 +2,7 @@ package archsim
 
 import (
 	"fmt"
+	"slices"
 
 	"sagabench/internal/graph"
 )
@@ -188,9 +189,14 @@ func contribAddr(v graph.NodeID) uint64 { return contribBase + uint64(v)*8 }
 // ReplayCompute replays one compute phase and returns the phase traffic.
 // affected is the batch's endpoint set (Algorithm 1's affected array).
 func (r *Replayer) ReplayCompute(affected []graph.NodeID, kind ComputeTrace) Traffic {
+	// The INC engine drains every frontier — the seed included — off a
+	// bitmap in ascending vertex order (compute.frontier); the replay walks
+	// the same order so the predicted locality is that of the code that
+	// runs. An FS sweep is ascending by construction.
 	var frontier []graph.NodeID
 	if kind.Incremental {
 		frontier = append(frontier, affected...)
+		slices.Sort(frontier)
 	} else {
 		for v := 0; v < r.numNodes; v++ {
 			frontier = append(frontier, graph.NodeID(v))
@@ -239,6 +245,7 @@ func (r *Replayer) ReplayCompute(affected []graph.NodeID, kind ComputeTrace) Tra
 		for _, w := range next {
 			r.mark[w] = 0
 		}
+		slices.Sort(next)
 		frontier = next
 	}
 	return r.m.DrainPhase()

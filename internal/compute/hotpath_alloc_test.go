@@ -9,7 +9,7 @@ import (
 )
 
 // These assertions cross-validate the saga:hotpath annotations in flat.go,
-// vertexfn.go and fs_pagerank.go (statically enforced by sagavet's hotalloc
+// vertexfn.go, fs_pagerank.go and inc.go (statically enforced by sagavet's hotalloc
 // analyzer): once buffers are warm, the kernel inner-loop helpers must not
 // touch the allocator. The one audited allocation (concat's grow-on-demand
 // make) is exercised cold first so the steady-state run measures the reuse
@@ -132,24 +132,40 @@ func TestFSPRBatchDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// A steady-state INC PageRank batch — contribution refresh, out-
-// neighbourhood widening into the spare frontier buffer, rounds — allocates
-// nothing at one thread. The vanishing epsilon keeps recomputes triggering
-// for as long as a value moves at all, so a batch is more than one round.
-func TestIncPRRoundDoesNotAllocate(t *testing.T) {
+// A steady-state INC batch — contribution refresh and out-neighbourhood
+// widening (PageRank), seeding and draining the frontier bitmap, rounds
+// that settle and push — allocates nothing at one thread, on the view
+// rounds (spec.incCSR) and on the interface round (roundGraph). The
+// values (and the contributions derived from them) are reset before each
+// batch, so every batch runs several rounds; PageRank's
+// vanishing epsilon keeps its recomputes triggering for as long as a
+// value moves at all.
+func TestIncBatchDoesNotAllocate(t *testing.T) {
 	affected := []graph.NodeID{0, 3, 9}
-	for path, g := range prAllocGraphs(t) {
-		e := newIncEngine(specs["pr"], Options{Threads: 1, Epsilon: 1e-300})
-		e.PerformAlg(g, affected) // cold: grows values, contrib, frontier and push buffers
-		rounds := 0
-		if allocs := testing.AllocsPerRun(20, func() {
-			e.PerformAlg(g, affected)
-			rounds += e.Stats().Iterations
-		}); allocs != 0 {
-			t.Errorf("%s: INC PageRank batch allocates %.1f times", path, allocs)
-		}
-		if rounds == 0 {
-			t.Errorf("%s: no round ran", path)
+	for _, alg := range []string{"pr", "cc"} {
+		for path, g := range prAllocGraphs(t) {
+			e := newIncEngine(specs[alg], Options{Threads: 1, Epsilon: 1e-300})
+			batch := func() {
+				for v := range e.vals {
+					init := e.spec.initValue(graph.NodeID(v), len(e.vals))
+					e.vals.put(v, init)
+					if v < len(e.contrib) {
+						e.contrib.put(v, contribOf(init, g.OutDegree(graph.NodeID(v))))
+					}
+				}
+				e.PerformAlg(g, affected)
+			}
+			batch() // cold: grows values, contrib, the frontier and its list
+			rounds := 0
+			if allocs := testing.AllocsPerRun(20, func() {
+				batch()
+				rounds += e.Stats().Iterations
+			}); allocs != 0 {
+				t.Errorf("%s/%s: INC batch allocates %.1f times", alg, path, allocs)
+			}
+			if rounds < 2*21 {
+				t.Errorf("%s/%s: %d rounds in 21 batches — pushes were not exercised", alg, path, rounds)
+			}
 		}
 	}
 }

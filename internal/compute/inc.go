@@ -1,7 +1,6 @@
 package compute
 
 import (
-	"sync/atomic"
 	"time"
 
 	"sagabench/internal/ds"
@@ -15,6 +14,11 @@ import (
 // from the batch-affected vertices and propagates only changes larger than
 // the triggering threshold, frontier round by frontier round, until no
 // vertex triggers).
+//
+// Every round walks its frontier in ascending vertex order (see frontier):
+// values are relaxed in place, so a round is a Gauss–Seidel sweep whose
+// result at one thread depends on the set of affected vertices and not on
+// the order a batch or a push discovered them in.
 type incEngine struct {
 	spec spec
 	opts Options
@@ -29,9 +33,7 @@ type incEngine struct {
 	// a batch can change), every round writes it beside vals, and
 	// RestoreState empties it, which makes every slot new to the next
 	// phase.
-	contrib values
-	// saga:allow atomicmix -- phase-separated: parallel rounds CAS/Load visited, plain access only in the sequential reset/seed phases between rounds.
-	visited  []uint32
+	contrib  values
 	stats    Stats
 	valsCopy []float64
 
@@ -43,19 +45,11 @@ type incEngine struct {
 	// globalN algorithms to detect |V| growth (see PerformAlg).
 	lastN int
 
-	// Frontier-round scratch: per-worker push buffers, the edge-balanced
-	// range cuts, and two concat destinations that ping-pong so the round
-	// being consumed is never the round being written. The destination
-	// the first round does not write doubles as the scratch in which a
-	// phase assembles a widened first frontier.
-	push  pushBufs
-	cuts  []int
-	front [2][]graph.NodeID
-	flip  int
-
-	// The phase in flight, as the round workers see it: PerformAlg sets
-	// g/csr/n/eps once, processRound sets the frontier per round — curr,
-	// or with currAll every vertex 0..n-1 without the list being built.
+	// The phase in flight, as the round workers see it. PerformAlg sets
+	// g/csr/n/eps and the round body once; each round then consumes curr
+	// — the drain of front, which the round before it (or the seeding)
+	// marked — over the edge-balanced cuts. plain says the round is a
+	// single range, hence a sequential stretch: plain stores and marks.
 	// Workers are a method bound once (roundFn) over this state instead
 	// of a closure per round, which would escape through parallelRanges
 	// and allocate.
@@ -63,8 +57,11 @@ type incEngine struct {
 	csr     *graph.CSR
 	n       int
 	eps     float64
+	front   frontier
 	curr    []graph.NodeID
-	currAll bool
+	cuts    []int
+	plain   bool
+	body    func(e *incEngine, wk *incWorker, list []graph.NodeID)
 	workers []incWorker
 	roundFn func(w, lo, hi int)
 
@@ -127,9 +124,7 @@ func (e *incEngine) PerformAlg(g ds.Graph, affected []graph.NodeID) {
 	if e.spec.hasSource && int(e.opts.Source) < n {
 		e.vals.put(int(e.opts.Source), e.spec.sourceValue)
 	}
-	for len(e.visited) < n {
-		e.visited = append(e.visited, 0)
-	}
+	e.front = e.front.sized(n)
 
 	if e.roundFn == nil {
 		e.roundFn = e.roundRange
@@ -138,20 +133,17 @@ func (e *incEngine) PerformAlg(g ds.Graph, affected []graph.NodeID) {
 		e.workers = append(e.workers, incWorker{})
 	}
 	e.g, e.csr, e.n, e.eps = g, flatCSROf(g), n, e.spec.epsilon(e.opts, n)
+	// The round body is bound here, once per phase, so the vertex loop
+	// forks on neither the backing nor the algorithm.
+	e.body = (*incEngine).roundGraph
+	if e.csr != nil {
+		e.body = e.spec.incCSR
+	}
 	for w := range e.workers {
 		wk := &e.workers[w]
 		wk.ctx.g, wk.ctx.csr, wk.ctx.vals, wk.ctx.numNodes = g, e.csr, e.vals, n
 		wk.ctx.edges, wk.processed, wk.triggered = 0, 0, 0
 	}
-	if e.spec.degreeSensitive {
-		e.refreshContrib(affected)
-	}
-
-	// A widened first frontier is assembled in the ping-pong destination
-	// the first round does not write; the second round, which does, no
-	// longer needs it.
-	seed := e.front[e.flip^1][:0]
-	widened, all := false, false
 
 	// For globalN algorithms (PageRank) |V| is an input to every vertex's
 	// function — the base term 0.15/|V| — so a vertex-count change
@@ -159,76 +151,40 @@ func (e *incEngine) PerformAlg(g ds.Graph, affected []graph.NodeID) {
 	// affected set here keeps never-touched vertices (ID gaps with no
 	// edges) and settled vertices correct as the graph grows; selective
 	// triggering still cuts the propagation off quickly because values
-	// start near the fixpoint. The first round then runs over 0..n-1
-	// directly (currAll); no list is built.
-	if e.spec.globalN && n != e.lastN {
-		all = true
-	} else if e.spec.degreeSensitive && len(affected) > 0 {
-		// An inserted or deleted edge (u,v) changes u's out-degree, an
-		// input to the rank of every OTHER out-neighbor of u — vertices
-		// that are not batch endpoints. Pull the out-neighborhood of the
-		// affected set into the first round; a recompute whose value does
-		// not move triggers nothing, so the over-approximation is cheap.
-		//
-		// Deduplication reuses the engine's visited bitvector (this
-		// section is single-threaded, so plain stores suffice) instead of
-		// allocating a map per batch; the marks are cleared before the
-		// frontier rounds, which rely on visited being all-zero.
-		for _, v := range affected {
-			if int(v) >= n {
-				continue // no state to recompute; roundRange skips these too
-			}
-			if e.visited[v] == 0 {
-				e.visited[v] = 1
-				seed = append(seed, v)
-			}
-		}
-		ctx := &e.workers[0].ctx
-		for _, v := range affected {
-			if int(v) >= n {
-				continue
-			}
-			var outs []graph.Neighbor
-			outs, ctx.buf = outRunOf(g, e.csr, v, ctx.buf)
-			for _, nb := range outs {
-				if e.visited[nb.ID] == 0 {
-					e.visited[nb.ID] = 1
-					seed = append(seed, nb.ID)
-				}
-			}
-		}
-		for _, v := range seed {
-			e.visited[v] = 0
-		}
-		widened = true
-	}
+	// start near the fixpoint.
+	all := e.spec.globalN && n != e.lastN
 	e.lastN = n
-
-	// Deletion-invalidated vertices join the batch's affected set (their
-	// values were reset by NotifyDeletions and must rebuild first); a
-	// round over every vertex has them already.
-	if len(e.pendingInvalid) > 0 && !all {
-		if !widened {
-			seed = append(seed, affected...)
-			widened = true
+	if e.spec.degreeSensitive {
+		e.growContrib(all)
+	}
+	if all {
+		e.curr = e.curr[:0]
+		for v := 0; v < n; v++ {
+			e.curr = append(e.curr, graph.NodeID(v))
 		}
-		seed = append(seed, e.pendingInvalid...)
+	} else {
+		// Callers may pass endpoints the graph never materialized (no-op
+		// deletes of unseen vertices); there is no state to recompute.
+		e.seed(affected)
+		if e.spec.degreeSensitive && len(affected) > 0 {
+			e.widen()
+		}
+		// Deletion-invalidated vertices join the batch's affected set
+		// (their values were reset by NotifyDeletions and must rebuild
+		// first); a round over every vertex has them already.
+		e.seed(e.pendingInvalid)
+		e.curr = e.front.drain(e.curr)
 	}
 	e.pendingInvalid = e.pendingInvalid[:0]
-	if widened {
-		e.front[e.flip^1] = seed // keep the growth
-		affected = seed
-	}
 
-	// Lines 6-15: first pass over the affected vertices.
-	e.currAll = all
-	curr := e.processRound(affected)
-	e.currAll = false
-	e.stats.Iterations = 1
-	// Lines 19-25: propagate until no vertex triggers.
-	for len(curr) > 0 {
-		curr = e.processRound(curr)
+	// Lines 6-15: first pass over the affected vertices; lines 19-25:
+	// propagate until no vertex triggers.
+	for {
+		e.round()
 		e.stats.Iterations++
+		if len(e.curr) == 0 {
+			break
+		}
 	}
 	for w := range e.workers {
 		wk := &e.workers[w]
@@ -237,52 +193,65 @@ func (e *incEngine) PerformAlg(g ds.Graph, affected []graph.NodeID) {
 		e.stats.EdgesTraversed += wk.ctx.edges
 		wk.ctx.g, wk.ctx.csr = nil, nil // do not pin the graph between batches
 	}
-	e.g, e.csr, e.curr = nil, nil, nil
+	e.g, e.csr = nil, nil
 	e.stats.Skipped = e.stats.Processed - e.stats.Triggered
 	if e.opts.WorkerTiming {
 		e.stats.WorkerBusyNS = e.clock.busy
 	}
 }
 
-// refreshContrib re-establishes the contrib invariant at phase start: for
-// the slots new to the vector (new vertices; all of them on the first
-// phase and after RestoreState) and for the batch's endpoints, whose
-// out-degree the update phase may have changed. Sequential, so plain
+// seed marks the vertices of vs that the graph has.
+func (e *incEngine) seed(vs []graph.NodeID) {
+	for _, v := range vs {
+		if int(v) < e.n {
+			e.front.mark(v)
+		}
+	}
+}
+
+// growContrib re-establishes the contrib invariant at phase start for the
+// slots new to the vector (new vertices; all of them on the first phase
+// and after RestoreState) or, when the phase recomputes every vertex, for
+// all of them. The batch's endpoints are widen's. Sequential, so plain
 // stores.
-func (e *incEngine) refreshContrib(endpoints []graph.NodeID) {
-	ctx := &e.workers[0].ctx
+func (e *incEngine) growContrib(all bool) {
 	from := len(e.contrib)
 	if from < e.n {
 		// One append of the whole extension: a jump to a much larger n
 		// is then sized exactly instead of by doubling past it.
 		e.contrib = append(e.contrib, make(values, e.n-from)...)
 	}
-	ctx.fillContrib(e.contrib, e.vals, from, e.n)
-	for _, u := range endpoints {
-		if int(u) < from {
-			e.contrib.put(int(u), contribOf(e.vals.get(int(u)), ctx.outDegree(u)))
-		}
+	if all {
+		from = 0
 	}
+	e.workers[0].ctx.fillContrib(e.contrib, e.vals, from, e.n)
 	for w := range e.workers {
 		e.workers[w].ctx.contrib = e.contrib
 	}
 }
 
-// frontierAt is entry i of the round's frontier.
-func (e *incEngine) frontierAt(i int) graph.NodeID {
-	if e.currAll {
-		return graph.NodeID(i)
+// widen walks the marked batch endpoints in ascending order. An inserted
+// or deleted edge (u,v) changes u's out-degree — so u's contribution is
+// re-derived here — and with it an input to the rank of every OTHER
+// out-neighbor of u, vertices that are not batch endpoints: their
+// out-neighborhoods join the first round. A recompute whose value does
+// not move triggers nothing, so the over-approximation is cheap.
+func (e *incEngine) widen() {
+	ctx := &e.workers[0].ctx
+	e.curr = e.front.drain(e.curr)
+	for _, v := range e.curr {
+		var outs []graph.Neighbor
+		outs, ctx.buf = outRunOf(e.g, e.csr, v, ctx.buf)
+		e.contrib.put(int(v), contribOf(e.vals.get(int(v)), len(outs)))
+		e.front.mark(v)
+		e.front.markRun(outs, true)
 	}
-	return e.curr[i]
 }
 
 // roundWeight is the partition weight of frontier entry i: the edge
 // volume a trigger of that vertex would push along.
 func (e *incEngine) roundWeight(i int) int64 {
-	v := e.frontierAt(i)
-	if int(v) >= e.n {
-		return 0
-	}
+	v := e.curr[i]
 	if e.csr != nil {
 		d := e.csr.OutDegree(v)
 		if e.spec.pushBoth {
@@ -297,36 +266,23 @@ func (e *incEngine) roundWeight(i int) int64 {
 	return int64(d)
 }
 
-// processRound re-executes lines 9-15 for every vertex in curr,
-// returning the next frontier. Values are written in place; the
-// visited bitvector (CAS-guarded, line 14) deduplicates pushes.
+// round re-executes lines 9-15 for every vertex in curr, in place, and
+// replaces curr by the next frontier: the drain of what the workers
+// marked (line 14's visited test and line 20's reset in one structure).
 //
-// The round is partitioned by degree prefix sum (one hub's edge
-// volume is a worker's whole share instead of serializing a uniform
-// range) and workers push into per-worker buffers merged by a
-// two-pass concatenation — no lock on the next frontier.
-func (e *incEngine) processRound(curr []graph.NodeID) []graph.NodeID {
-	e.curr = curr
-	size := len(curr)
-	if e.currAll {
-		size = e.n
-	}
-	e.cuts = balancedCuts(e.cuts, size, e.opts.threads(), e.roundWeight)
-	k := len(e.cuts) - 1
-	e.push.reset(k)
+// The round is partitioned by degree prefix sum, so one hub's edge volume
+// is a worker's whole share instead of serializing a uniform range.
+func (e *incEngine) round() {
+	e.cuts = balancedCuts(e.cuts, len(e.curr), e.opts.threads(), e.roundWeight)
+	e.plain = len(e.cuts) == 2
 	parallelRanges(e.cuts, e.roundFn)
-	// Merge into the ping-pong destination the caller is not reading.
-	next := e.push.concat(e.front[e.flip][:0], k)
-	e.front[e.flip] = next
-	e.flip ^= 1
-	// Line 20: visited <- {false}. Only entries in next were set.
-	for _, v := range next {
-		e.visited[v] = 0
-	}
-	return next
+	e.curr = e.front.drain(e.curr)
 }
 
-// roundRange is one worker's share of a round.
+// roundRange is one worker's share of a round: timing and the trace span
+// around the body bound for this phase.
+//
+// saga:hotpath
 func (e *incEngine) roundRange(w, lo, hi int) {
 	var t0 time.Time
 	if e.opts.WorkerTiming {
@@ -334,67 +290,60 @@ func (e *incEngine) roundRange(w, lo, hi int) {
 	}
 	sp := e.tr.Worker("inc.round", w)
 	wk := &e.workers[w]
-	ctx := &wk.ctx
-	local := e.push.bufs[w]
-	pushBuf := wk.pushBuf
-	var nProc, nTrig uint64
-	for i := lo; i < hi; i++ {
-		v := e.frontierAt(i)
-		if int(v) >= e.n {
-			// Callers may pass endpoints the graph never
-			// materialized (e.g. no-op deletes of unseen
-			// vertices); there is no state to recompute.
-			continue
-		}
-		nProc++
-		old := e.vals.get(int(v))
-		newv := e.spec.recompute(ctx, v)
-		if e.spec.hasSource && v == e.opts.Source {
-			newv = e.spec.sourceValue
-		}
-		e.vals.set(int(v), newv)
-		if e.spec.degreeSensitive {
-			e.contrib.set(int(v), contribOf(newv, ctx.outDegree(v)))
-		}
-		trigger := false
-		if e.eps > 0 {
-			d := newv - old
-			if d < 0 {
-				d = -d
-			}
-			trigger = d > e.eps
-		} else {
-			trigger = newv != old
-		}
-		if !trigger {
-			continue
-		}
-		nTrig++
-		outs, ins, scratch := pushRuns(e.g, e.csr, v, e.spec.pushBoth, pushBuf)
-		pushBuf = scratch
-		ctx.edges += uint64(len(outs) + len(ins))
-		for _, nb := range outs {
-			if atomic.CompareAndSwapUint32(&e.visited[nb.ID], 0, 1) {
-				local = append(local, nb.ID)
-			}
-		}
-		for _, nb := range ins {
-			if atomic.CompareAndSwapUint32(&e.visited[nb.ID], 0, 1) {
-				local = append(local, nb.ID)
-			}
-		}
-	}
-	wk.processed += nProc
-	wk.triggered += nTrig
-	wk.pushBuf = pushBuf
-	e.push.bufs[w] = local
+	trig0 := wk.triggered
+	e.body(e, wk, e.curr[lo:hi])
+	wk.processed += uint64(hi - lo)
 	// Iterations counts completed rounds and is coordinator-owned,
 	// stable while this round's workers run — race-free to read.
 	sp.SetInt("round", int64(e.stats.Iterations+1))
 	sp.SetInt("vertices", int64(hi-lo))
-	sp.SetInt("triggered", int64(nTrig))
+	sp.SetInt("triggered", int64(wk.triggered-trig0))
 	sp.End()
 	if e.opts.WorkerTiming {
 		e.clock.add(w, time.Since(t0)) // saga:allow determinism -- worker busy-time metric only.
 	}
+}
+
+// roundGraph is the round body over the structure's interface, for every
+// algorithm: the adjacency calls dominate it, so the vertex function
+// stays behind spec.recompute.
+//
+// saga:hotpath
+func (e *incEngine) roundGraph(wk *incWorker, list []graph.NodeID) {
+	ctx := &wk.ctx
+	for _, v := range list {
+		newv := e.spec.recompute(ctx, v)
+		if e.spec.hasSource && v == e.opts.Source {
+			newv = e.spec.sourceValue
+		}
+		if e.spec.degreeSensitive {
+			e.contrib.store(int(v), contribOf(newv, e.g.OutDegree(v)), e.plain)
+		}
+		e.settle(wk, v, newv)
+	}
+}
+
+// settle stores v's recomputed value and, when it moved by more than the
+// triggering threshold (0: any change), pushes v's neighbors.
+//
+// saga:hotpath
+func (e *incEngine) settle(wk *incWorker, v graph.NodeID, newv float64) {
+	old := e.vals.get(int(v))
+	e.vals.store(int(v), newv, e.plain)
+	if abs(newv-old) > e.eps {
+		e.push(wk, v)
+	}
+}
+
+// push marks the push-direction neighbors of a triggered vertex for the
+// next round.
+//
+// saga:hotpath
+func (e *incEngine) push(wk *incWorker, v graph.NodeID) {
+	wk.triggered++
+	outs, ins, scratch := pushRuns(e.g, e.csr, v, e.spec.pushBoth, wk.pushBuf)
+	wk.pushBuf = scratch
+	wk.ctx.edges += uint64(len(outs) + len(ins))
+	e.front.markRun(outs, e.plain)
+	e.front.markRun(ins, e.plain)
 }

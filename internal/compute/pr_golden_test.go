@@ -21,19 +21,25 @@ import (
 // survive; a changed hash means the numerics moved, not a tolerance to
 // widen. The view and the interface path hand the kernels the same runs
 // in the same order, so they share one recorded hash per row.
+//
+// The inc rows were re-recorded once, for the ascending-order rounds: an
+// INC round relaxes values in place (Gauss–Seidel), so walking the
+// frontier in vertex order instead of discovery order moves the last bits
+// of every rank. The fs rows are still the ones recorded before the
+// contribution-vector kernels.
 var prGolden = map[string]uint64{
 	"adjshared/directed/fs":    0x600064e72b76e7f5,
-	"adjshared/directed/inc":   0xa0983d8bd5149a31,
+	"adjshared/directed/inc":   0x7a1fbb5ca01dc100,
 	"adjshared/undirected/fs":  0x707f391ac173be2e,
-	"adjshared/undirected/inc": 0x8637b801bfa0289b,
+	"adjshared/undirected/inc": 0x075e83ea30ffc4d1,
 	"dah/directed/fs":          0x5e92ae9ee381f9cd,
-	"dah/directed/inc":         0x1cf3c5dd5bf13453,
+	"dah/directed/inc":         0xf72f2ed1f93ae7df,
 	"dah/undirected/fs":        0x26fb8660e6dcabd8,
-	"dah/undirected/inc":       0x8f475b797de23029,
+	"dah/undirected/inc":       0xa772a2d418a26fc6,
 	"hybrid/directed/fs":       0x600064e72b76e7f5,
-	"hybrid/directed/inc":      0xa0983d8bd5149a31,
+	"hybrid/directed/inc":      0x7a1fbb5ca01dc100,
 	"hybrid/undirected/fs":     0x707f391ac173be2e,
-	"hybrid/undirected/inc":    0x8637b801bfa0289b,
+	"hybrid/undirected/inc":    0x075e83ea30ffc4d1,
 }
 
 // TestPRGoldenBitIdentity replays one fixed gen stream (inserts, a

@@ -53,7 +53,7 @@ func (e *incEngine) RestoreState(s State) {
 	e.contrib = e.contrib[:0] // derived from vals; the next phase rebuilds it in full
 	e.lastN = s.LastN
 	e.pendingInvalid = append(e.pendingInvalid[:0], s.Pending...)
-	e.visited = e.visited[:0]
+	e.front = e.front[:0] // sized re-extends it with zero words: marks a failed phase left behind are dropped
 	e.stats = Stats{}
 }
 

@@ -30,9 +30,7 @@ type recomputeCtx struct {
 // the next ctx adjacency call.
 func (ctx *recomputeCtx) inRun(v graph.NodeID) []graph.Neighbor {
 	if ctx.csr != nil {
-		run := ctx.csr.In(v)
-		ctx.edges += uint64(len(run))
-		return run
+		return ctx.inCSR(v)
 	}
 	ctx.buf = ctx.g.InNeigh(v, ctx.buf[:0])
 	ctx.edges += uint64(len(ctx.buf))
@@ -42,30 +40,36 @@ func (ctx *recomputeCtx) inRun(v graph.NodeID) []graph.Neighbor {
 // outRun is inRun for the out direction.
 func (ctx *recomputeCtx) outRun(v graph.NodeID) []graph.Neighbor {
 	if ctx.csr != nil {
-		run := ctx.csr.Out(v)
-		ctx.edges += uint64(len(run))
-		return run
+		return ctx.outCSR(v)
 	}
 	ctx.buf = ctx.g.OutNeigh(v, ctx.buf[:0])
 	ctx.edges += uint64(len(ctx.buf))
 	return ctx.buf
 }
 
-// outDegree answers from the flat index when available (two array loads
-// instead of an interface call).
-func (ctx *recomputeCtx) outDegree(v graph.NodeID) int {
-	if ctx.csr != nil {
-		return ctx.csr.OutDegree(v)
-	}
-	return ctx.g.OutDegree(v)
+// inCSR is inRun's flat arm, for callers that took the fork on the backing
+// already: the INC view rounds (spec.incCSR) run only when ctx.csr is set.
+// Small enough to inline, which inRun — carrying the interface call — is
+// not.
+func (ctx *recomputeCtx) inCSR(v graph.NodeID) []graph.Neighbor {
+	run := ctx.csr.In(v)
+	ctx.edges += uint64(len(run))
+	return run
+}
+
+// outCSR is inCSR for the out direction.
+func (ctx *recomputeCtx) outCSR(v graph.NodeID) []graph.Neighbor {
+	run := ctx.csr.Out(v)
+	ctx.edges += uint64(len(run))
+	return run
 }
 
 // fillContrib is the degree accessor at range granularity: it puts
 // contribOf(rank[u], outdeg(u)) into contrib[u] for u in [lo,hi) — plain
-// stores, see values.put. outDegree cannot inline (its interface call is
-// over budget), and a call per vertex costs the flat path's contribution
-// pass a tenth of the whole FS PageRank batch; here the fork is taken
-// once per range.
+// stores, see values.put. A per-vertex accessor forking on the backing
+// cannot inline (its interface call is over budget), and a call per vertex
+// costs the flat path's contribution pass a tenth of the whole FS PageRank
+// batch; here the fork is taken once per range.
 //
 // saga:hotpath
 func (ctx *recomputeCtx) fillContrib(contrib, rank values, lo, hi int) {
@@ -96,6 +100,11 @@ type spec struct {
 	// recompute evaluates the vertex function for v by pulling from
 	// neighbors. It must not write ctx.vals.
 	recompute func(ctx *recomputeCtx, v graph.NodeID) float64
+	// incCSR is an INC round's share on the flat view: recompute and
+	// settle every vertex of list in order, reading spans and runs
+	// directly. Same pull body as recompute, which serves the FS
+	// label-propagation kernel and the structure-interface INC rounds.
+	incCSR func(e *incEngine, wk *incWorker, list []graph.NodeID)
 	// pushBoth propagates changes along both edge directions (CC treats
 	// the graph as undirected connectivity).
 	pushBoth bool
@@ -166,14 +175,15 @@ var specs = map[string]spec{
 		initValue:   func(graph.NodeID, int) float64 { return inf },
 		uniformInit: true,
 		// Table I: v.depth <- min over inEdges(v) (e.source.depth + 1).
-		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 {
-			best := inf
-			for _, nb := range ctx.inRun(v) {
-				if d := ctx.vals.get(int(nb.ID)) + 1; d < best {
-					best = d
+		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 { return pullBFS(ctx.inRun(v), ctx.vals) },
+		incCSR: func(e *incEngine, wk *incWorker, list []graph.NodeID) {
+			for _, v := range list {
+				newv := pullBFS(wk.ctx.inCSR(v), e.vals)
+				if v == e.opts.Source {
+					newv = 0
 				}
+				e.settle(wk, v, newv)
 			}
-			return best
 		},
 		epsilon:   exactChange,
 		tight:     func(valU, _, valV float64) bool { return valV == valU+1 },
@@ -186,21 +196,16 @@ var specs = map[string]spec{
 		// Table I: v.value <- min(v.value, min over Edges(v) of
 		// e.other.value) — connectivity over both directions.
 		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 {
-			best := ctx.vals.get(int(v))
 			// The out run must be consumed before inRun refills the
-			// shared scratch on the interface path; sequential loops keep
-			// the traversal order of the old combined buffer.
-			for _, nb := range ctx.outRun(v) {
-				if nv := ctx.vals.get(int(nb.ID)); nv < best {
-					best = nv
-				}
+			// shared scratch on the interface path.
+			best := pullMin(ctx.outRun(v), ctx.vals, ctx.vals.get(int(v)))
+			return pullMin(ctx.inRun(v), ctx.vals, best)
+		},
+		incCSR: func(e *incEngine, wk *incWorker, list []graph.NodeID) {
+			for _, v := range list {
+				best := pullMin(wk.ctx.outCSR(v), e.vals, e.vals.get(int(v)))
+				e.settle(wk, v, pullMin(wk.ctx.inCSR(v), e.vals, best))
 			}
-			for _, nb := range ctx.inRun(v) {
-				if nv := ctx.vals.get(int(nb.ID)); nv < best {
-					best = nv
-				}
-			}
-			return best
 		},
 		pushBoth: true,
 		epsilon:  exactChange,
@@ -213,13 +218,12 @@ var specs = map[string]spec{
 		// Table I: v.value <- max(v.value, max over inEdges(v) of
 		// e.source.value).
 		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 {
-			best := ctx.vals.get(int(v))
-			for _, nb := range ctx.inRun(v) {
-				if nv := ctx.vals.get(int(nb.ID)); nv > best {
-					best = nv
-				}
+			return pullMax(ctx.inRun(v), ctx.vals, ctx.vals.get(int(v)))
+		},
+		incCSR: func(e *incEngine, wk *incWorker, list []graph.NodeID) {
+			for _, v := range list {
+				e.settle(wk, v, pullMax(wk.ctx.inCSR(v), e.vals, e.vals.get(int(v))))
 			}
-			return best
 		},
 		epsilon:   exactChange,
 		tight:     func(valU, _, valV float64) bool { return valV == valU },
@@ -236,6 +240,14 @@ var specs = map[string]spec{
 		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 {
 			return prPull(ctx.inRun(v), ctx.contrib, prBase/float64(ctx.numNodes))
 		},
+		incCSR: func(e *incEngine, wk *incWorker, list []graph.NodeID) {
+			contrib, outSpans, base := e.contrib, e.csr.OutSpans, prBase/float64(e.n)
+			for _, v := range list {
+				newv := prPull(wk.ctx.inCSR(v), contrib, base)
+				contrib.store(int(v), contribOf(newv, outSpans[v].Len()), e.plain)
+				e.settle(wk, v, newv)
+			}
+		},
 		epsilon:         prEpsilon,
 		deletionSafe:    true,
 		globalN:         true,
@@ -251,14 +263,15 @@ var specs = map[string]spec{
 		uniformInit: true,
 		// Table I: v.path <- min over inEdges(v) (e.source.path +
 		// e.weight).
-		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 {
-			best := inf
-			for _, nb := range ctx.inRun(v) {
-				if d := ctx.vals.get(int(nb.ID)) + float64(nb.Weight); d < best {
-					best = d
+		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 { return pullSSSP(ctx.inRun(v), ctx.vals) },
+		incCSR: func(e *incEngine, wk *incWorker, list []graph.NodeID) {
+			for _, v := range list {
+				newv := pullSSSP(wk.ctx.inCSR(v), e.vals)
+				if v == e.opts.Source {
+					newv = 0
 				}
+				e.settle(wk, v, newv)
 			}
-			return best
 		},
 		epsilon:  exactChange,
 		weighted: true,
@@ -273,21 +286,74 @@ var specs = map[string]spec{
 		uniformInit: true,
 		// Table I: v.path <- max over inEdges(v) of
 		// min(e.source.path, e.weight).
-		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 {
-			best := 0.0
-			for _, nb := range ctx.inRun(v) {
-				w := math.Min(ctx.vals.get(int(nb.ID)), float64(nb.Weight))
-				if w > best {
-					best = w
+		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 { return pullSSWP(ctx.inRun(v), ctx.vals) },
+		incCSR: func(e *incEngine, wk *incWorker, list []graph.NodeID) {
+			for _, v := range list {
+				newv := pullSSWP(wk.ctx.inCSR(v), e.vals)
+				if v == e.opts.Source {
+					newv = inf
 				}
+				e.settle(wk, v, newv)
 			}
-			return best
 		},
 		epsilon:  exactChange,
 		weighted: true,
 		tight:    func(valU, w, valV float64) bool { return valV == math.Min(valU, w) },
 		fsRun:    fsSSWP,
 	},
+}
+
+// The pull bodies of the five monotone vertex functions, over one
+// adjacency run — the run accessor (recomputeCtx.inRun on either backing,
+// inCSR on the view) is the caller's.
+
+func pullBFS(in []graph.Neighbor, vals values) float64 {
+	best := inf
+	for _, nb := range in {
+		if d := vals.get(int(nb.ID)) + 1; d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+func pullSSSP(in []graph.Neighbor, vals values) float64 {
+	best := inf
+	for _, nb := range in {
+		if d := vals.get(int(nb.ID)) + float64(nb.Weight); d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+func pullSSWP(in []graph.Neighbor, vals values) float64 {
+	best := 0.0
+	for _, nb := range in {
+		if w := math.Min(vals.get(int(nb.ID)), float64(nb.Weight)); w > best {
+			best = w
+		}
+	}
+	return best
+}
+
+// pullMin (CC) and pullMax (MC) fold a run's values into best.
+func pullMin(run []graph.Neighbor, vals values, best float64) float64 {
+	for _, nb := range run {
+		if nv := vals.get(int(nb.ID)); nv < best {
+			best = nv
+		}
+	}
+	return best
+}
+
+func pullMax(run []graph.Neighbor, vals values, best float64) float64 {
+	for _, nb := range run {
+		if nv := vals.get(int(nb.ID)); nv > best {
+			best = nv
+		}
+	}
+	return best
 }
 
 // PageRank constants (Table I).

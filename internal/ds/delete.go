@@ -46,12 +46,10 @@ func (t *TwoCopy) Delete(batch graph.Batch) error {
 		return nil
 	}
 	if !t.directed {
-		both := make([]graph.Edge, 0, 2*len(t.scratch))
-		both = append(both, t.scratch...)
-		for _, e := range t.scratch {
-			both = append(both, graph.Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight})
+		for _, e := range t.scratch { // the range is over the clamped records only
+			t.scratch = append(t.scratch, graph.Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight})
 		}
-		outDel.DeleteEdges(both)
+		outDel.DeleteEdges(t.scratch)
 		return nil
 	}
 	inDel, ok := t.in.(OneDirDeleter)
@@ -59,11 +57,13 @@ func (t *TwoCopy) Delete(batch graph.Batch) error {
 		return fmt.Errorf("ds: %T does not support edge deletion", t.in)
 	}
 	outDel.DeleteEdges(t.scratch)
-	reversed := make([]graph.Edge, len(t.scratch))
-	for i, e := range t.scratch {
-		reversed[i] = graph.Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight}
+	// A store does not keep the slice it is handed, so the in direction
+	// takes the same scratch, reversed in place.
+	for i := range t.scratch {
+		e := &t.scratch[i]
+		e.Src, e.Dst = e.Dst, e.Src
 	}
-	inDel.DeleteEdges(reversed)
+	inDel.DeleteEdges(t.scratch)
 	return nil
 }
 

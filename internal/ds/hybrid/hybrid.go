@@ -1,7 +1,7 @@
 // Package hybrid implements the degree-adaptive hybrid structure
 // (GraphTango-style; ROADMAP item 3): each vertex's adjacency lives in one
 // of three tiers chosen by its degree. Small degrees sit inline in the
-// vertex record (one cache line, zero pointer chases); medium degrees use
+// vertex record (72 bytes, zero pointer chases); medium degrees use
 // a dense pooled edge array (linear scan, contiguous traversal); high
 // degrees keep the same dense array plus a per-vertex Robin Hood index
 // from destination to array position, making lookup, insert, overwrite and
@@ -183,13 +183,15 @@ func (s *store) EnsureNodes(n int) {
 }
 
 // UpdateEdges implements ds.OneDir: chunked-style multithreading; each
-// chunk's bucket is ingested by one worker with no locks.
+// chunk's bucket is ingested by one worker with no locks, grouped by
+// source vertex (see srcOrder.bySrc).
 func (s *store) UpdateEdges(edges []graph.Edge) {
 	stats := make([]chunkCounters, s.chunks)
 	ds.GroupByChunk(edges, s.chunks, func(chunk int, bucket []graph.Edge) {
 		var st chunkCounters
 		pool := s.pools[chunk]
-		for _, e := range bucket {
+		for _, i := range pool.order.bySrc(bucket) {
+			e := bucket[i]
 			s.insertOne(pool, &st, e.Src, e.Dst, e.Weight)
 		}
 		st.loads = uint64(len(bucket))
@@ -318,8 +320,8 @@ func (s *store) DeleteEdges(edges []graph.Edge) {
 	ds.GroupByChunk(edges, s.chunks, func(chunk int, bucket []graph.Edge) {
 		var st chunkCounters
 		pool := s.pools[chunk]
-		for _, e := range bucket {
-			s.deleteOne(pool, &st, e.Src, e.Dst)
+		for _, i := range pool.order.bySrc(bucket) {
+			s.deleteOne(pool, &st, bucket[i].Src, bucket[i].Dst)
 		}
 		stats[chunk] = st
 	})

@@ -15,6 +15,9 @@ type chunkPools struct {
 	arrs [poolClasses][][]graph.Neighbor
 	idxs []*dstIndex
 
+	// order is the chunk's scratch for applying a bucket grouped by source.
+	order srcOrder
+
 	// recycled counts pool hits (arrays + indexes); the steady-state
 	// allocation test uses it to prove transitions stop allocating.
 	recycled uint64

@@ -152,3 +152,46 @@ func TestProfileOfFallbacks(t *testing.T) {
 		t.Fatal("NumNodes on empty store")
 	}
 }
+
+// TestTwoCopyDeleteSteadyStateDoesNotAllocate: a delete batch is clamped,
+// and reversed for the second direction, in the scratch Update already
+// owns — once it has grown to the batch, deleting allocates nothing on a
+// directed or an undirected graph, and both directions still see every
+// record.
+func TestTwoCopyDeleteSteadyStateDoesNotAllocate(t *testing.T) {
+	var batch graph.Batch
+	for i := 0; i < 500; i++ {
+		batch = append(batch, graph.Edge{Src: graph.NodeID(i % 50), Dst: graph.NodeID(i%49 + 1), Weight: 1})
+	}
+	batch = append(batch, graph.Edge{Src: 9000, Dst: 1, Weight: 1}) // past the vertex space: clamped out
+	for _, directed := range []bool{true, false} {
+		var stores []*fakeDeleter
+		tc := NewTwoCopy(directed, func() OneDir {
+			s := &fakeDeleter{}
+			stores = append(stores, s)
+			return s
+		})
+		tc.Update(batch[:500])
+		if err := tc.Delete(batch); err != nil { // cold: grows the scratch
+			t.Fatal(err)
+		}
+		for _, s := range stores {
+			if s.NumEdges() != 0 {
+				t.Fatalf("directed=%v: %d records survive the delete", directed, s.NumEdges())
+			}
+			s.dels = 0
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := tc.Delete(batch); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("directed=%v: steady-state Delete allocates %.1f times", directed, allocs)
+		}
+		for _, s := range stores {
+			if s.dels != 21*1000/len(stores) {
+				t.Errorf("directed=%v: a store saw %d delete records in 21 batches, want %d", directed, s.dels, 21*1000/len(stores))
+			}
+		}
+	}
+}
