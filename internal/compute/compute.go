@@ -21,7 +21,6 @@ package compute
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"sagabench/internal/ds"
 	"sagabench/internal/graph"
@@ -242,55 +241,4 @@ func MustNewEngine(alg string, model Model, opts Options) Engine {
 		panic(err)
 	}
 	return e
-}
-
-// parallelFor splits [0,n) into up to `threads` contiguous ranges and runs
-// fn on each in its own goroutine, blocking until all complete. A panic in
-// any worker is captured and re-raised on the calling goroutine (first
-// panic wins), so callers wrapping the compute phase in recover — the
-// poison-batch quarantine — see worker failures instead of the process
-// dying.
-func parallelFor(n, threads int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if threads <= 1 || n == 1 {
-		fn(0, n)
-		return
-	}
-	if threads > n {
-		threads = n
-	}
-	per := (n + threads - 1) / threads
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicVal any
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicVal = r })
-				}
-			}()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
-}
-
-// growValues extends vals to n slots, filling new slots with fill.
-func growValues(vals []float64, n int, fill float64) []float64 {
-	for len(vals) < n {
-		vals = append(vals, fill)
-	}
-	return vals
 }

@@ -271,20 +271,110 @@ func TestBFSBottomUpPath(t *testing.T) {
 		}
 	}
 	g.Update(b)
-	e := compute.MustNewEngine("bfs", compute.FS, compute.Options{Threads: 2})
-	e.PerformAlg(g, nil)
-	vals := e.Values()
-	if vals[0] != 0 {
-		t.Fatal("source depth")
-	}
-	for i := 1; i <= hubFan; i++ {
-		if vals[i] != 1 {
-			t.Fatalf("level-1 vertex %d depth %v", i, vals[i])
+	// Four threads cut the sweep into ranges that share frontier words
+	// (run under -race).
+	for _, threads := range []int{2, 4} {
+		e := compute.MustNewEngine("bfs", compute.FS, compute.Options{Threads: threads})
+		e.PerformAlg(g, nil)
+		vals := e.Values()
+		if vals[0] != 0 {
+			t.Fatal("source depth")
+		}
+		for i := 1; i <= hubFan; i++ {
+			if vals[i] != 1 {
+				t.Fatalf("threads=%d: level-1 vertex %d depth %v", threads, i, vals[i])
+			}
+		}
+		for i := hubFan + 1; i < len(vals); i++ {
+			if g.InDegree(graph.NodeID(i)) > 0 && vals[i] != 2 {
+				t.Fatalf("threads=%d: level-2 vertex %d depth %v", threads, i, vals[i])
+			}
 		}
 	}
-	for i := hubFan + 1; i < len(vals); i++ {
-		if g.InDegree(graph.NodeID(i)) > 0 && vals[i] != 2 {
-			t.Fatalf("level-2 vertex %d depth %v", i, vals[i])
+}
+
+// TestFSSSSPFarWeights: an edge list may carry any positive finite
+// weight, so delta-stepping's bucket index is clamped to a last bucket
+// that re-drains until stable. Distances that land in the numbered
+// buckets (weight 1), straddle the clamp (1e3) and lie far past it (3e9 —
+// which unclamped asks for 375 M buckets) must all match the reference.
+func TestFSSSSPFarWeights(t *testing.T) {
+	const n = 300
+	weights := []graph.Weight{1, 1e3, 3e9}
+	var b graph.Batch
+	for i := 0; i < n-1; i++ { // a chain keeps every vertex reachable, through all three weights
+		b = append(b, graph.Edge{Src: graph.NodeID(i), Dst: graph.NodeID(i + 1), Weight: weights[i%3]})
+	}
+	for i := 0; i < 4*n; i++ {
+		src, dst := graph.NodeID(i*7%n), graph.NodeID((i*i+3*i)%n)
+		b = append(b, graph.Edge{Src: src, Dst: dst, Weight: weights[(i+int(src))%3]})
+	}
+	g := ds.MustNew("adjshared", ds.Config{Directed: true, Threads: 1})
+	g.Update(b)
+	oracle := graph.NewOracle(true)
+	oracle.Update(b)
+	view, ok := ds.NewComputeView(g, 1)
+	if !ok {
+		t.Fatal("adjshared has no compute view")
+	}
+	view.Refresh(b, nil)
+	want := compute.MustReference("sssp", oracle, compute.Options{})
+	far := 0
+	for _, d := range want {
+		if d >= 3e9 && !math.IsInf(d, 1) {
+			far++
+		}
+	}
+	if far < n/4 {
+		t.Fatalf("only %d of %d distances lie past the clamp", far, n)
+	}
+	for path, cg := range map[string]ds.Graph{"interface": g, "view": view} {
+		e := compute.MustNewEngine("sssp", compute.FS, compute.Options{})
+		e.PerformAlg(cg, nil)
+		if v := compute.DiffValues(e.Values(), want, compute.Tolerance("sssp")); v >= 0 {
+			t.Fatalf("%s: dist[%d] = %v, reference %v", path, v, e.Values()[v], want[v])
+		}
+	}
+}
+
+// failingGraph panics on the n-th OutNeigh call.
+type failingGraph struct {
+	ds.Graph
+	calls *int
+}
+
+func (f failingGraph) OutNeigh(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
+	if *f.calls--; *f.calls == 0 {
+		panic("injected adjacency fault")
+	}
+	return f.Graph.OutNeigh(v, buf)
+}
+
+// TestFSForgetsFailedPhase: recomputation from scratch is oblivious to
+// the previous batch even when that batch's phase died halfway through a
+// level, leaving vertex 3 marked in the frontier. Carried into the next
+// phase, the mark would put 3 on level 1 and its out-neighbor 4 at depth 2.
+func TestFSForgetsFailedPhase(t *testing.T) {
+	g := ds.MustNew("adjshared", ds.Config{Directed: true})
+	g.Update(graph.Batch{
+		{Src: 0, Dst: 1, Weight: 1}, {Src: 0, Dst: 2, Weight: 1},
+		{Src: 1, Dst: 3, Weight: 1}, {Src: 3, Dst: 4, Weight: 1}, {Src: 4, Dst: 5, Weight: 1},
+	})
+	e := compute.MustNewEngine("bfs", compute.FS, compute.Options{})
+	calls := 3 // level 1 expands 0; level 2 expands 1, marking 3, then dies expanding 2
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the injected fault did not surface")
+			}
+		}()
+		e.PerformAlg(failingGraph{g, &calls}, nil)
+	}()
+	e.PerformAlg(g, nil)
+	want := []float64{0, 1, 1, 2, 3, 4}
+	for v, d := range e.Values() {
+		if d != want[v] {
+			t.Fatalf("depth[%d] = %v after a failed phase, want %v", v, d, want[v])
 		}
 	}
 }

@@ -10,9 +10,8 @@ import (
 
 // This file is the kernel side of the compute-view layer: resolution of a
 // graph's flat CSR mirror, an edge-balanced range partitioner so one hub
-// vertex no longer serializes a round, and reusable per-worker frontier
-// buffers that replace the mutex-guarded shared append in the traversal
-// kernels.
+// vertex no longer serializes a round, and the range runner with its
+// per-worker clock.
 
 // flatCSROf resolves the zero-copy fast path: a graph exposing a flat CSR
 // (ds.ComputeView or snapshot.Frozen) returns its index/adjacency arrays
@@ -23,19 +22,6 @@ func flatCSROf(g ds.Graph) *graph.CSR {
 		return fv.FlatCSR()
 	}
 	return nil
-}
-
-// outRunOf returns v's out-adjacency as a zero-copy CSR run when csr is
-// available, else fills buf through the interface. The returned buffer is
-// the (possibly grown) scratch to carry to the next call.
-//
-// saga:hotpath
-func outRunOf(g ds.Graph, csr *graph.CSR, v graph.NodeID, buf []graph.Neighbor) (run, scratch []graph.Neighbor) {
-	if csr != nil {
-		return csr.Out(v), buf
-	}
-	buf = g.OutNeigh(v, buf[:0])
-	return buf, buf
 }
 
 // pushRuns returns v's push-direction adjacency as up to two runs: the
@@ -92,9 +78,8 @@ func balancedCuts(cuts []int, n, threads int, weight func(i int) int64) []int {
 }
 
 // uniformCuts is the equal-count partition of [0,n) into at most
-// `threads` ranges — the same split parallelFor uses, expressed as cuts
-// so callers can switch partitioners without duplicating the worker
-// loop.
+// `threads` ranges, expressed as cuts so callers can switch partitioners
+// without duplicating the worker loop.
 func uniformCuts(cuts []int, n, threads int) []int {
 	cuts = append(cuts[:0], 0)
 	if threads <= 1 || n <= 1 {
@@ -114,9 +99,11 @@ func uniformCuts(cuts []int, n, threads int) []int {
 }
 
 // parallelRanges runs fn(w, cuts[w], cuts[w+1]) for every range
-// concurrently, with the same panic capture and re-raise as parallelFor
-// (the poison-batch quarantine relies on worker panics surfacing on the
-// caller). Worker indices are dense, so fn can index per-worker state.
+// concurrently and blocks until all complete. A panic in any range is
+// captured and re-raised on the calling goroutine after the join (first
+// panic wins), so callers wrapping the compute phase in recover — the
+// poison-batch quarantine — see worker failures instead of the process
+// dying. Worker indices are dense, so fn can index per-worker state.
 //
 // The last range runs on the caller's goroutine and the join state is one
 // allocation: a kernel that meets a barrier twice per iteration (FS
@@ -191,44 +178,4 @@ func (c *workerClock) add(w int, d time.Duration) {
 	if w >= 0 && w < len(c.busy) {
 		c.busy[w] += int64(d)
 	}
-}
-
-// pushBufs is reusable per-worker frontier storage: during a round each
-// worker appends discovered vertices to its own buffer, and concat merges
-// them with one sizing pass and one copy pass per buffer. This replaces
-// the mutex-guarded shared append the kernels used, whose lock a
-// hub-heavy worker could hold while every other worker waited.
-type pushBufs struct {
-	bufs [][]graph.NodeID
-}
-
-// reset prepares `workers` empty buffers, retaining their capacity.
-func (p *pushBufs) reset(workers int) {
-	for len(p.bufs) < workers {
-		p.bufs = append(p.bufs, nil)
-	}
-	for i := 0; i < workers; i++ {
-		p.bufs[i] = p.bufs[i][:0]
-	}
-}
-
-// concat merges the first `workers` buffers into dst (reused when it has
-// capacity) in worker order, which makes the merged frontier order
-// deterministic for a fixed partition.
-//
-// saga:hotpath
-func (p *pushBufs) concat(dst []graph.NodeID, workers int) []graph.NodeID {
-	total := 0
-	for i := 0; i < workers; i++ {
-		total += len(p.bufs[i])
-	}
-	if cap(dst) < total {
-		dst = make([]graph.NodeID, total) // saga:allow hotalloc -- grow-on-demand fallback; steady-state rounds reuse dst (AllocsPerRun asserts 0)
-	}
-	dst = dst[:total]
-	off := 0
-	for i := 0; i < workers; i++ {
-		off += copy(dst[off:], p.bufs[i])
-	}
-	return dst
 }

@@ -7,8 +7,8 @@ import (
 	"sagabench/internal/graph"
 )
 
-// frontier is the INC engine's vertex set: one bit per vertex, and the
-// only frontier representation the engine has. Marking is idempotent, so
+// frontier is a vertex set: one bit per vertex, and the only frontier
+// representation either engine has. Marking is idempotent, so
 // the set deduplicates by construction, and drain reads it back in
 // ascending vertex order — the order the flat view lays its index and
 // (after PR 14's ordered refresh) its arena tail out in, so a round walks
@@ -16,9 +16,9 @@ import (
 // discovery order.
 //
 // Discipline, as for values.put: mark is a plain OR for the sequential
-// stretches of a phase (seeding, single-range rounds); markAtomic is for
-// rounds that run more than one range; drain runs between rounds, behind
-// the barrier that ends them.
+// stretches of a phase (seeding, single-range passes, the sequential
+// kernels); markAtomic is for passes that run more than one range; drain
+// runs between passes, behind the barrier that ends them.
 type frontier []uint64
 
 // sized returns f covering n vertices, keeping its (all-zero) words.
@@ -41,6 +41,18 @@ func (f frontier) markAtomic(v graph.NodeID) {
 		if old&bit != 0 || atomic.CompareAndSwapUint64(p, old, old|bit) {
 			return
 		}
+	}
+}
+
+// has reports whether v is marked (sequential stretches only).
+func (f frontier) has(v graph.NodeID) bool { return f[v>>6]&(1<<(v&63)) != 0 }
+
+// markOne is mark when plain, else markAtomic.
+func (f frontier) markOne(v graph.NodeID, plain bool) {
+	if plain {
+		f.mark(v)
+	} else {
+		f.markAtomic(v)
 	}
 }
 

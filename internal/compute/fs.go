@@ -3,7 +3,6 @@ package compute
 import (
 	"sagabench/internal/ds"
 	"sagabench/internal/graph"
-	"sagabench/internal/trace"
 )
 
 // fsEngine implements the recomputation-from-scratch model: every batch it
@@ -11,51 +10,27 @@ import (
 // conventional static-graph algorithm on the freshly updated topology,
 // oblivious to the previous batch's results (paper Section III-B).
 type fsEngine struct {
-	spec spec
-	opts Options
+	rounds
 
-	vals     values
-	stats    Stats
-	valsCopy []float64
-
-	// scratch reused across batches by the per-algorithm runners.
-	// saga:allow atomicmix -- phase-separated: parallel rounds CAS/Load visited, plain access only in the sequential reset/seed phases between rounds.
-	visited  []uint32
-	frontier []graph.NodeID
-	next     []graph.NodeID
-	pr       prSweep
-
-	// Round scratch shared by the frontier kernels: per-worker push
-	// buffers and the edge-balanced range cuts.
-	push pushBufs
-	cuts []int
-
-	// clock accumulates per-worker busy time across the phase's rounds;
-	// tr scopes this phase's worker spans to the current batch trace (zero
-	// value = tracing off).
-	clock workerClock
-	tr    trace.Ctx
+	// Kernel state kept for its storage: the PageRank sweep, BFS's two
+	// level passes, and delta-stepping's distance bins (empty between
+	// batches).
+	pr                prSweep
+	topDown, bottomUp pass
+	buckets           [][]graph.NodeID
 }
 
 func newFSEngine(s spec, opts Options) *fsEngine {
-	return &fsEngine{spec: s, opts: opts}
+	e := &fsEngine{}
+	e.init(s, opts, FS)
+	e.topDown = pass{span: "fs.bfs.topdown", step: "depth", run: e.bfsTopDown}
+	e.bottomUp = pass{span: "fs.bfs.bottomup", step: "depth", run: e.bfsBottomUp}
+	e.pr.contribPass = pass{span: "fs.pr.contrib", step: "iter", run: e.prContribRange}
+	e.pr.pullPass = pass{span: "fs.pr.iter", step: "iter", run: e.prPullRange}
+	return e
 }
 
-func (e *fsEngine) Name() string { return e.spec.name }
 func (e *fsEngine) Model() Model { return FS }
-
-// Values materializes the property array.
-func (e *fsEngine) Values() []float64 {
-	e.valsCopy = e.vals.materialize(e.valsCopy)
-	return e.valsCopy
-}
-
-func (e *fsEngine) Stats() Stats { return e.stats }
-
-// SetTrace implements Traceable: worker spans of the next PerformAlg are
-// recorded under ctx. The pipeline re-arms it every batch; the zero Ctx
-// disables recording.
-func (e *fsEngine) SetTrace(ctx trace.Ctx) { e.tr = ctx }
 
 // HandlesDeletions implements Engine: recomputation from scratch is
 // correct under any topology change.
@@ -64,10 +39,6 @@ func (e *fsEngine) HandlesDeletions() bool { return true }
 // PerformAlg implements Engine.
 func (e *fsEngine) PerformAlg(g ds.Graph, _ []graph.NodeID) {
 	n := g.NumNodes()
-	if e.opts.WorkerTiming {
-		e.clock.reset(e.opts.threads())
-	}
-	e.stats = Stats{}
 	if cap(e.vals) < n {
 		e.vals = make(values, n)
 	}
@@ -83,26 +54,19 @@ func (e *fsEngine) PerformAlg(g ds.Graph, _ []graph.NodeID) {
 	if e.spec.hasSource && int(e.opts.Source) < n {
 		e.vals.put(int(e.opts.Source), e.spec.sourceValue)
 	}
-	if n == 0 {
-		if e.opts.WorkerTiming {
-			e.stats.WorkerBusyNS = e.clock.busy
-		}
-		return
+	e.begin(g)
+	// A source the graph does not have reaches nothing: the reset is the
+	// whole answer.
+	if n > 0 && (!e.spec.hasSource || int(e.opts.Source) < n) {
+		e.spec.fsRun(e)
 	}
-	e.spec.fsRun(e, g)
-	if e.opts.WorkerTiming {
-		e.stats.WorkerBusyNS = e.clock.busy
-	}
+	e.end()
 }
 
-// resetVisited clears and sizes the visited scratch.
-func (e *fsEngine) resetVisited(n int) {
-	if cap(e.visited) < n {
-		e.visited = make([]uint32, n)
-		return
-	}
-	e.visited = e.visited[:n]
-	for i := range e.visited {
-		e.visited[i] = 0
-	}
+// fsRelax is FS label propagation (CC, MC): after the reset, the round
+// runner from the all-vertices list — what an INC phase does when |V|
+// moved, at threshold 0.
+func fsRelax(e *fsEngine) {
+	e.seedAll()
+	e.relax()
 }

@@ -1,30 +1,17 @@
 package compute
 
-import (
-	"time"
+import "sagabench/internal/graph"
 
-	"sagabench/internal/ds"
-	"sagabench/internal/graph"
-)
-
-// prSweep is the state of an FS PageRank phase. It lives in the engine,
-// and the range workers are methods bound once, because a closure handed
-// to parallelRanges escapes: building one per pass would allocate twice
-// per iteration.
+// prSweep is the state of an FS PageRank phase beyond what rounds holds.
 type prSweep struct {
 	// contrib[u] = rank[u]/outdeg(u) as of the current iteration's start.
 	contrib values
 	base    float64 // (1-d)/|V|
-	iter    int
 	// contribCuts cuts the contribution pass uniformly (every vertex
-	// costs one division); fsEngine.cuts cuts the pull pass.
+	// costs one division); rounds.cuts cuts the pull pass.
 	contribCuts []int
-	// Per worker: adjacency accessor (with its edge count) and the
-	// pull pass's summed |rank change|.
-	ctx   []recomputeCtx
-	delta []float64
 
-	contribFn, pullFn func(w, lo, hi int)
+	contribPass, pullPass pass
 }
 
 // fsPR is GAP's PageRank (pr.cc): per iteration a contribution pass
@@ -33,62 +20,34 @@ type prSweep struct {
 // below the tolerance (GAP's convergence criterion) or the iteration cap
 // is reached. The pull reads only contrib, so ranks are updated in place
 // and the sweeps stay Jacobi.
-func fsPR(e *fsEngine, g ds.Graph) {
-	n := g.NumNodes()
-	csr := flatCSROf(g)
-	threads := e.opts.threads()
+func fsPR(e *fsEngine) {
+	n, threads := e.n, e.opts.threads()
 	tol := e.opts.prTolerance()
 	maxIters := e.opts.prMaxIters()
 
 	p := &e.pr
-	if p.pullFn == nil {
-		p.contribFn, p.pullFn = e.prContribRange, e.prPullRange
-	}
 	if cap(p.contrib) < n {
 		p.contrib = make(values, n)
 	}
 	p.contrib = p.contrib[:n]
 	p.base = prBase / float64(n)
 
-	// Each vertex's pull cost is its in-degree, so with a flat mirror the
-	// pass is cut by in-degree prefix sum; the interface path keeps
-	// uniform ranges rather than add n degree calls per batch. The cuts
-	// are topology-dependent only — identical across iterations — so
-	// they are computed once.
-	if csr != nil {
-		e.cuts = balancedCuts(e.cuts, n, threads, func(i int) int64 {
-			return int64(csr.InDegree(graph.NodeID(i)))
-		})
-	} else {
-		e.cuts = uniformCuts(e.cuts, n, threads)
-	}
+	// The pull cuts are topology-dependent only — identical across
+	// iterations — so they are computed once.
+	e.pullCuts()
 	p.contribCuts = uniformCuts(p.contribCuts, n, threads)
-	for len(p.ctx) < threads {
-		p.ctx = append(p.ctx, recomputeCtx{})
-		p.delta = append(p.delta, 0)
-	}
-	for w := range p.ctx {
-		c := &p.ctx[w]
-		c.g, c.csr, c.edges = g, csr, 0
-	}
 
-	for p.iter = 0; p.iter < maxIters; p.iter++ {
-		parallelRanges(p.contribCuts, p.contribFn)
-		parallelRanges(e.cuts, p.pullFn)
+	for e.stats.Iterations < maxIters {
+		e.run(&p.contribPass, p.contribCuts)
+		e.run(&p.pullPass, e.cuts)
 		e.stats.Iterations++
 		sumDelta := 0.0
-		for _, d := range p.delta[:len(e.cuts)-1] {
-			sumDelta += d
+		for w := range e.workers[:len(e.cuts)-1] {
+			sumDelta += e.workers[w].delta
 		}
 		if sumDelta < tol {
 			break
 		}
-	}
-	e.stats.Processed = uint64(e.stats.Iterations) * uint64(n)
-	for w := range p.ctx {
-		c := &p.ctx[w]
-		e.stats.EdgesTraversed += c.edges
-		c.g, c.csr = nil, nil // do not pin the graph between batches
 	}
 }
 
@@ -96,20 +55,8 @@ func fsPR(e *fsEngine, g ds.Graph) {
 // written by this worker alone and read only after the pass's barrier.
 //
 // saga:hotpath
-func (e *fsEngine) prContribRange(w, lo, hi int) {
-	var t0 time.Time
-	if e.opts.WorkerTiming {
-		t0 = time.Now() // saga:allow determinism -- worker busy-time metric and trace spans only; never feeds values or frontier order.
-	}
-	p := &e.pr
-	sp := e.tr.Worker("fs.pr.contrib", w)
-	p.ctx[w].fillContrib(p.contrib, e.vals, lo, hi)
-	sp.SetInt("iter", int64(p.iter+1))
-	sp.SetInt("vertices", int64(hi-lo))
-	sp.End()
-	if e.opts.WorkerTiming {
-		e.clock.add(w, time.Since(t0)) // saga:allow determinism -- worker busy-time metric only.
-	}
+func (e *fsEngine) prContribRange(wk *worker, lo, hi int) {
+	wk.ctx.fillContrib(e.pr.contrib, e.vals, lo, hi)
 }
 
 // prPullRange is one worker's share of a pull pass: a monomorphic loop of
@@ -118,29 +65,16 @@ func (e *fsEngine) prContribRange(w, lo, hi int) {
 // on the far side of a barrier.
 //
 // saga:hotpath
-func (e *fsEngine) prPullRange(w, lo, hi int) {
-	var t0 time.Time
-	if e.opts.WorkerTiming {
-		t0 = time.Now() // saga:allow determinism -- worker busy-time metric and trace spans only; never feeds values or frontier order.
-	}
-	p := &e.pr
-	sp := e.tr.Worker("fs.pr.iter", w)
-	ctx, rank, contrib, base := &p.ctx[w], e.vals, p.contrib, p.base
-	edges0 := ctx.edges
+func (e *fsEngine) prPullRange(wk *worker, lo, hi int) {
+	ctx, rank, contrib, base := &wk.ctx, e.vals, e.pr.contrib, e.pr.base
 	delta := 0.0
 	for v := lo; v < hi; v++ {
 		newv := prPull(ctx.inRun(graph.NodeID(v)), contrib, base)
 		delta += abs(newv - rank.get(v))
 		rank.put(v, newv)
 	}
-	p.delta[w] = delta
-	sp.SetInt("iter", int64(p.iter+1))
-	sp.SetInt("vertices", int64(hi-lo))
-	sp.SetInt("edges", int64(ctx.edges-edges0))
-	sp.End()
-	if e.opts.WorkerTiming {
-		e.clock.add(w, time.Since(t0)) // saga:allow determinism -- worker busy-time metric only.
-	}
+	wk.delta = delta
+	wk.processed += uint64(hi - lo)
 }
 
 func abs(x float64) float64 {

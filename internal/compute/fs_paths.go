@@ -3,108 +3,96 @@ package compute
 import (
 	"math"
 
-	"sagabench/internal/ds"
 	"sagabench/internal/graph"
 )
+
+// ssspLastBucket is the index of delta-stepping's last bucket, which holds
+// every distance from ssspLastBucket·delta up. An edge list may carry any
+// positive finite float32 weight, so an index computed from the distance
+// alone is unbounded (one edge of weight 3e9 would ask for 375 M buckets
+// at the default delta, and past 2^63·delta the conversion to int is
+// undefined); clamped, the last bucket re-drains until it is stable like
+// any other, which is label correcting over the far distances — still
+// exact.
+const ssspLastBucket = 1023
+
+// bucketOf is the bucket of distance d, clamped in float space.
+func bucketOf(d, delta float64) int {
+	if q := d / delta; q < ssspLastBucket {
+		return int(q)
+	}
+	return ssspLastBucket
+}
+
+// place files v under its tentative distance d.
+func (e *fsEngine) place(v graph.NodeID, d, delta float64) {
+	b := bucketOf(d, delta)
+	for len(e.buckets) <= b {
+		e.buckets = append(e.buckets, nil)
+	}
+	e.buckets[b] = append(e.buckets[b], v)
+}
 
 // fsSSSP is delta-stepping shortest paths (the optimized GAP FS
 // implementation the paper credits for SSSP's FS competitiveness): vertices
 // are binned by tentative distance into buckets of width delta; buckets are
 // drained in order, re-relaxing within a bucket until it stabilizes before
-// moving to the next.
-func fsSSSP(e *fsEngine, g ds.Graph) {
-	n := g.NumNodes()
-	src := e.opts.Source
-	if int(src) >= n {
-		return
-	}
-	csr := flatCSROf(g)
+// moving to the next. Buckets are lists with repeats, not a vertex set, so
+// they stay beside the frontier; sequential, so plain stores.
+func fsSSSP(e *fsEngine) {
 	delta := e.opts.delta()
-	dist := e.vals
-	buckets := make([][]graph.NodeID, 0, 64)
-	place := func(v graph.NodeID, d float64) {
-		idx := int(d / delta)
-		for len(buckets) <= idx {
-			buckets = append(buckets, nil)
-		}
-		buckets[idx] = append(buckets[idx], v)
+	wk, dist := &e.workers[0], e.vals
+	for i := range e.buckets {
+		e.buckets[i] = e.buckets[i][:0] // what a failed phase left behind
 	}
-	place(src, 0)
-
-	var buf []graph.Neighbor
-	var processed, edges uint64
-	for i := 0; i < len(buckets); i++ {
+	e.place(e.opts.Source, 0, delta)
+	for i := 0; i < len(e.buckets); i++ {
 		// Re-drain bucket i until no relaxation re-inserts into it
-		// (light-edge re-relaxation of classic delta-stepping).
-		for len(buckets[i]) > 0 {
-			frontier := buckets[i]
-			buckets[i] = nil
+		// (light-edge re-relaxation of classic delta-stepping). The
+		// drained list is a copy, so the bucket keeps its storage.
+		for len(e.buckets[i]) > 0 {
+			e.curr = append(e.curr[:0], e.buckets[i]...)
+			e.buckets[i] = e.buckets[i][:0]
 			e.stats.Iterations++
-			for _, u := range frontier {
+			for _, u := range e.curr {
 				// Skip stale entries that were settled at a
 				// smaller distance by an earlier relaxation.
-				if int(dist.get(int(u))/delta) < i {
+				du := dist.get(int(u))
+				if bucketOf(du, delta) < i {
 					continue
 				}
-				processed++
-				du := dist.get(int(u))
-				var ns []graph.Neighbor
-				ns, buf = outRunOf(g, csr, u, buf)
-				edges += uint64(len(ns))
-				for _, nb := range ns {
-					nd := du + float64(nb.Weight)
-					if nd < dist.get(int(nb.ID)) {
-						dist.set(int(nb.ID), nd)
-						place(nb.ID, nd)
+				wk.processed++
+				for _, nb := range wk.ctx.outRun(u) {
+					if nd := du + float64(nb.Weight); nd < dist.get(int(nb.ID)) {
+						dist.put(int(nb.ID), nd)
+						e.place(nb.ID, nd, delta)
 					}
 				}
 			}
 		}
 	}
-	e.stats.Processed = processed
-	e.stats.EdgesTraversed = edges
 }
 
 // fsSSWP is single-source widest paths (not in GAP; implemented from
 // scratch, paper Section III-B): label-correcting propagation of the
-// max-min vertex function from the source over out-edges.
-func fsSSWP(e *fsEngine, g ds.Graph) {
-	n := g.NumNodes()
-	src := e.opts.Source
-	if int(src) >= n {
-		return
-	}
-	csr := flatCSROf(g)
-	width := e.vals
-	e.resetVisited(n)
-	frontier := append(e.frontier[:0], src)
-	e.visited[src] = 1
-	var buf []graph.Neighbor
-	var processed, edges uint64
-	for len(frontier) > 0 {
-		next := e.next[:0]
-		e.stats.Iterations++
-		for _, u := range frontier {
-			e.visited[u] = 0
-			processed++
+// max-min vertex function from the source over out-edges, a widened
+// vertex joining the next round's frontier. Sequential, so plain stores
+// and marks.
+func fsSSWP(e *fsEngine) {
+	wk, width := &e.workers[0], e.vals
+	e.curr = append(e.curr[:0], e.opts.Source)
+	for len(e.curr) > 0 {
+		for _, u := range e.curr {
 			wu := width.get(int(u))
-			var ns []graph.Neighbor
-			ns, buf = outRunOf(g, csr, u, buf)
-			edges += uint64(len(ns))
-			for _, nb := range ns {
-				w := math.Min(wu, float64(nb.Weight))
-				if w > width.get(int(nb.ID)) {
-					width.set(int(nb.ID), w)
-					if e.visited[nb.ID] == 0 {
-						e.visited[nb.ID] = 1
-						next = append(next, nb.ID)
-					}
+			for _, nb := range wk.ctx.outRun(u) {
+				if w := math.Min(wu, float64(nb.Weight)); w > width.get(int(nb.ID)) {
+					width.put(int(nb.ID), w)
+					e.front.mark(nb.ID)
 				}
 			}
 		}
-		frontier, e.next = next, frontier
+		wk.processed += uint64(len(e.curr))
+		e.curr = e.front.drain(e.curr)
+		e.stats.Iterations++
 	}
-	e.frontier = frontier[:0]
-	e.stats.Processed = processed
-	e.stats.EdgesTraversed = edges
 }

@@ -9,11 +9,10 @@ import (
 )
 
 // These assertions cross-validate the saga:hotpath annotations in flat.go,
-// vertexfn.go, fs_pagerank.go and inc.go (statically enforced by sagavet's hotalloc
-// analyzer): once buffers are warm, the kernel inner-loop helpers must not
-// touch the allocator. The one audited allocation (concat's grow-on-demand
-// make) is exercised cold first so the steady-state run measures the reuse
-// path the saga:allow comment promises.
+// frontier.go, rounds.go, vertexfn.go and the fs_*.go kernels (statically
+// enforced by sagavet's hotalloc analyzer): once buffers are warm, neither
+// the kernel inner-loop helpers nor a whole batch of either model touches
+// the allocator.
 
 func hotpathTestGraph(t *testing.T) (ds.Graph, *graph.CSR) {
 	t.Helper()
@@ -27,67 +26,28 @@ func hotpathTestGraph(t *testing.T) (ds.Graph, *graph.CSR) {
 	return g, graph.BuildCSR(g.NumNodes(), ds.ExportEdgesParallel(g, 1))
 }
 
-func TestOutRunOfDoesNotAllocate(t *testing.T) {
-	g, csr := hotpathTestGraph(t)
-	buf := make([]graph.Neighbor, 0, 64)
-	var run []graph.Neighbor
-
-	if allocs := testing.AllocsPerRun(100, func() {
-		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			run, buf = outRunOf(g, csr, v, buf)
-		}
-	}); allocs != 0 {
-		t.Errorf("outRunOf (flat path) allocates %.1f times per sweep", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			run, buf = outRunOf(g, nil, v, buf)
-		}
-	}); allocs != 0 {
-		t.Errorf("outRunOf (interface path) allocates %.1f times per sweep", allocs)
-	}
-	_ = run
-}
-
 func TestPushRunsDoesNotAllocate(t *testing.T) {
 	g, csr := hotpathTestGraph(t)
 	buf := make([]graph.Neighbor, 0, 128)
 	var a, b []graph.Neighbor
 
-	if allocs := testing.AllocsPerRun(100, func() {
-		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			a, b, buf = pushRuns(g, csr, v, true, buf)
+	for _, both := range []bool{false, true} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+				a, b, buf = pushRuns(g, csr, v, both, buf)
+			}
+		}); allocs != 0 {
+			t.Errorf("pushRuns (flat path, both=%v) allocates %.1f times per sweep", both, allocs)
 		}
-	}); allocs != 0 {
-		t.Errorf("pushRuns (flat path) allocates %.1f times per sweep", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			a, b, buf = pushRuns(g, nil, v, true, buf)
+		if allocs := testing.AllocsPerRun(100, func() {
+			for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+				a, b, buf = pushRuns(g, nil, v, both, buf)
+			}
+		}); allocs != 0 {
+			t.Errorf("pushRuns (interface path, both=%v) allocates %.1f times per sweep", both, allocs)
 		}
-	}); allocs != 0 {
-		t.Errorf("pushRuns (interface path) allocates %.1f times per sweep", allocs)
 	}
 	_, _ = a, b
-}
-
-func TestConcatSteadyStateDoesNotAllocate(t *testing.T) {
-	var pb pushBufs
-	pb.reset(4)
-	for w := 0; w < 4; w++ {
-		for i := 0; i < 100; i++ {
-			pb.bufs[w] = append(pb.bufs[w], graph.NodeID(i))
-		}
-	}
-	dst := pb.concat(nil, 4) // cold: the audited make sizes dst
-	if allocs := testing.AllocsPerRun(100, func() {
-		dst = pb.concat(dst, 4)
-	}); allocs != 0 {
-		t.Errorf("concat steady state allocates %.1f times per merge", allocs)
-	}
-	if len(dst) != 400 {
-		t.Fatalf("concat merged %d vertices, want 400", len(dst))
-	}
 }
 
 func TestWorkerClockAddDoesNotAllocate(t *testing.T) {
@@ -132,10 +92,29 @@ func TestFSPRBatchDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// A steady-state FS batch of every kernel that keeps a vertex set — the
+// reset, BFS levels, label rounds from the full seed, delta-stepping's
+// buckets, the widest-path relaxation — allocates nothing at one thread:
+// the frontier, its list, the buckets and the workers live in the engine.
+func TestFSBatchDoesNotAllocate(t *testing.T) {
+	for _, alg := range []string{"bfs", "cc", "mc", "sssp", "sswp"} {
+		for path, g := range prAllocGraphs(t) {
+			e := newFSEngine(specs[alg], Options{Threads: 1, Delta: 1})
+			e.PerformAlg(g, nil) // cold: sizes the values, the frontier, its list and the buckets
+			if allocs := testing.AllocsPerRun(20, func() { e.PerformAlg(g, nil) }); allocs != 0 {
+				t.Errorf("%s/%s: FS batch allocates %.1f times", alg, path, allocs)
+			}
+			if e.Stats().Iterations < 2 {
+				t.Errorf("%s/%s: %d iterations — the kernel was not exercised", alg, path, e.Stats().Iterations)
+			}
+		}
+	}
+}
+
 // A steady-state INC batch — contribution refresh and out-neighbourhood
 // widening (PageRank), seeding and draining the frontier bitmap, rounds
 // that settle and push — allocates nothing at one thread, on the view
-// rounds (spec.incCSR) and on the interface round (roundGraph). The
+// rounds (spec.roundCSR) and on the interface round (roundGraph). The
 // values (and the contributions derived from them) are reset before each
 // batch, so every batch runs several rounds; PageRank's
 // vanishing epsilon keeps its recomputes triggering for as long as a

@@ -1,0 +1,279 @@
+package compute
+
+import (
+	"time"
+
+	"sagabench/internal/ds"
+	"sagabench/internal/graph"
+	"sagabench/internal/trace"
+)
+
+// rounds is what both engines are built on: the property array, the one
+// frontier, the per-worker slots, and the one wrapper every parallel range
+// of either model runs under. A phase is begin, some passes, end; a pass
+// is one barrier-to-barrier sweep of ranges (an INC or FS label round, a
+// BFS level, a PageRank contribution or pull sweep).
+//
+// Every frontier walk is in ascending vertex order (see frontier): values
+// are relaxed in place, so a round is a Gauss–Seidel sweep whose result at
+// one thread depends on the set of vertices it holds and not on the order
+// a batch or a push discovered them in.
+type rounds struct {
+	spec spec
+	opts Options
+
+	vals     values
+	stats    Stats
+	valsCopy []float64
+
+	// The phase in flight, as the range workers see it. begin sets
+	// g/csr/n and the round body once; each frontier pass then consumes
+	// curr — the drain of front, which the pass before it (or the
+	// seeding) marked — over the edge-balanced cuts. plain says the pass
+	// is a single range, hence a sequential stretch: plain stores and
+	// marks. eps is the triggering threshold of relax's rounds (0: any
+	// change, which is all the FS model ever asks for).
+	g       ds.Graph
+	csr     *graph.CSR
+	n       int
+	eps     float64
+	front   frontier
+	curr    []graph.NodeID
+	cuts    []int
+	plain   bool
+	body    func(r *rounds, wk *worker, list []graph.NodeID)
+	workers []worker
+
+	// pass is the one in flight and round the relax pass. Range bodies
+	// and the wrapper are method values bound when the engine is built:
+	// a closure per pass would escape through parallelRanges and
+	// allocate.
+	pass    *pass
+	round   pass
+	rangeFn func(w, lo, hi int)
+
+	// clock accumulates per-worker busy time across the phase's passes;
+	// tr scopes this phase's worker spans to the current batch trace (zero
+	// value = tracing off).
+	clock workerClock
+	tr    trace.Ctx
+}
+
+// worker is one worker slot's state across the passes of a phase.
+type worker struct {
+	ctx                  recomputeCtx
+	pushBuf              []graph.Neighbor
+	processed, triggered uint64
+	delta                float64 // FS PageRank: the pull range's summed |rank change|
+}
+
+// pass names one kind of parallel range: its worker span, the span
+// attribute that numbers it (the phase's 1-based round, level or
+// iteration), and its body. A triggering pass reports how many of its
+// vertices triggered where the others report the edges they read.
+type pass struct {
+	span, step string
+	triggers   bool
+	run        func(wk *worker, lo, hi int)
+}
+
+func (r *rounds) init(s spec, opts Options, model Model) {
+	r.spec, r.opts = s, opts
+	r.round = pass{span: string(model) + ".round", step: "round", triggers: true, run: r.roundRange}
+	r.rangeFn = r.rangeWorker
+}
+
+func (r *rounds) Name() string { return r.spec.name }
+
+// Values materializes the property array.
+func (r *rounds) Values() []float64 {
+	r.valsCopy = r.vals.materialize(r.valsCopy)
+	return r.valsCopy
+}
+
+func (r *rounds) Stats() Stats { return r.stats }
+
+// SetTrace implements Traceable: worker spans of the next PerformAlg are
+// recorded under ctx. The pipeline re-arms it every batch; the zero Ctx
+// disables recording.
+func (r *rounds) SetTrace(ctx trace.Ctx) { r.tr = ctx }
+
+// begin opens a phase over g, whose vertices vals already covers: zeroed
+// stats and counters, an empty frontier of g's size (whatever a phase that
+// died mid-pass left marked is dropped here), and every worker's accessor
+// bound to g's backing. The round body is bound here too, once per phase,
+// so the vertex loop forks on neither the backing nor the algorithm.
+func (r *rounds) begin(g ds.Graph) {
+	threads := r.opts.threads()
+	if r.opts.WorkerTiming {
+		r.clock.reset(threads)
+	}
+	r.stats = Stats{}
+	r.g, r.csr, r.n = g, flatCSROf(g), g.NumNodes()
+	r.front = r.front[:0].sized(r.n)
+	r.body = (*rounds).roundGraph
+	if r.csr != nil {
+		r.body = r.spec.roundCSR
+	}
+	for len(r.workers) < threads {
+		r.workers = append(r.workers, worker{})
+	}
+	for w := range r.workers {
+		wk := &r.workers[w]
+		wk.ctx.g, wk.ctx.csr, wk.ctx.vals, wk.ctx.numNodes = g, r.csr, r.vals, r.n
+		wk.ctx.edges, wk.processed, wk.triggered = 0, 0, 0
+	}
+}
+
+// end closes the phase: the workers' counters become its stats.
+func (r *rounds) end() {
+	for w := range r.workers {
+		wk := &r.workers[w]
+		r.stats.Processed += wk.processed
+		r.stats.EdgesTraversed += wk.ctx.edges
+		wk.ctx.g, wk.ctx.csr = nil, nil // do not pin the graph between batches
+	}
+	r.g, r.csr = nil, nil
+	if r.opts.WorkerTiming {
+		r.stats.WorkerBusyNS = r.clock.busy
+	}
+}
+
+// run is one pass: p's body over every range of cuts, joined.
+func (r *rounds) run(p *pass, cuts []int) {
+	r.pass, r.plain = p, len(cuts) == 2
+	parallelRanges(cuts, r.rangeFn)
+}
+
+// rangeWorker is one worker's share of a pass: timing and the trace span
+// around the body.
+//
+// saga:hotpath
+func (r *rounds) rangeWorker(w, lo, hi int) {
+	var t0 time.Time
+	if r.opts.WorkerTiming {
+		t0 = time.Now() // saga:allow determinism -- worker busy-time metric and trace spans only; never feeds values or frontier order.
+	}
+	p, wk := r.pass, &r.workers[w]
+	sp := r.tr.Worker(p.span, w)
+	edges0, trig0 := wk.ctx.edges, wk.triggered
+	p.run(wk, lo, hi)
+	// Iterations counts completed passes and is coordinator-owned,
+	// stable while this pass's workers run — race-free to read.
+	sp.SetInt(p.step, int64(r.stats.Iterations+1))
+	sp.SetInt("vertices", int64(hi-lo))
+	if p.triggers {
+		sp.SetInt("triggered", int64(wk.triggered-trig0))
+	} else {
+		sp.SetInt("edges", int64(wk.ctx.edges-edges0))
+	}
+	sp.End()
+	if r.opts.WorkerTiming {
+		r.clock.add(w, time.Since(t0)) // saga:allow determinism -- worker busy-time metric only.
+	}
+}
+
+// seedAll makes every vertex the first round's frontier: an FS
+// label-propagation phase, and an INC phase whose |V| moved.
+func (r *rounds) seedAll() {
+	r.curr = r.curr[:0]
+	for v := 0; v < r.n; v++ {
+		r.curr = append(r.curr, graph.NodeID(v))
+	}
+}
+
+// relax is the paper's Algorithm 1 from line 6 on: a first round over
+// curr, then rounds over whatever the one before triggered, until no
+// vertex triggers. Each round re-executes lines 9-15 for every vertex of
+// curr, in place, and replaces curr by the drain of what its workers
+// marked (line 14's visited test and line 20's reset in one structure).
+// It is partitioned by degree prefix sum, so one hub's edge volume is a
+// worker's whole share instead of serializing a uniform range.
+func (r *rounds) relax() {
+	for {
+		r.cuts = balancedCuts(r.cuts, len(r.curr), r.opts.threads(), r.pushWeight)
+		r.run(&r.round, r.cuts)
+		r.curr = r.front.drain(r.curr)
+		r.stats.Iterations++
+		if len(r.curr) == 0 {
+			return
+		}
+	}
+}
+
+// pushWeight is the partition weight of frontier entry i: the edge volume
+// a trigger of that vertex would push along.
+func (r *rounds) pushWeight(i int) int64 {
+	ctx, v := &r.workers[0].ctx, r.curr[i]
+	d := ctx.outDegree(v)
+	if r.spec.pushBoth {
+		d += ctx.inDegree(v)
+	}
+	return int64(d)
+}
+
+// pullCuts cuts a sweep in which every vertex pulls over its in-edges (a
+// PageRank pull pass, a bottom-up BFS level): by in-degree prefix sum on
+// the flat mirror, where a degree is two array loads; uniformly on the
+// interface path, rather than add 2n degree calls to every sweep.
+func (r *rounds) pullCuts() {
+	if r.csr != nil {
+		r.cuts = balancedCuts(r.cuts, r.n, r.opts.threads(), r.inWeight)
+	} else {
+		r.cuts = uniformCuts(r.cuts, r.n, r.opts.threads())
+	}
+}
+
+func (r *rounds) inWeight(i int) int64 { return int64(r.csr.InDegree(graph.NodeID(i))) }
+
+// roundRange is relax's range body.
+//
+// saga:hotpath
+func (r *rounds) roundRange(wk *worker, lo, hi int) {
+	r.body(r, wk, r.curr[lo:hi])
+	wk.processed += uint64(hi - lo)
+}
+
+// roundGraph is the round body over the structure's interface, for every
+// algorithm: the adjacency calls dominate it, so the vertex function
+// stays behind spec.recompute.
+//
+// saga:hotpath
+func (r *rounds) roundGraph(wk *worker, list []graph.NodeID) {
+	ctx := &wk.ctx
+	for _, v := range list {
+		newv := r.spec.recompute(ctx, v)
+		if r.spec.hasSource && v == r.opts.Source {
+			newv = r.spec.sourceValue
+		}
+		if r.spec.degreeSensitive {
+			ctx.contrib.store(int(v), contribOf(newv, r.g.OutDegree(v)), r.plain)
+		}
+		r.settle(wk, v, newv)
+	}
+}
+
+// settle stores v's recomputed value and, when it moved by more than the
+// triggering threshold (0: any change), pushes v's neighbors.
+//
+// saga:hotpath
+func (r *rounds) settle(wk *worker, v graph.NodeID, newv float64) {
+	old := r.vals.get(int(v))
+	r.vals.store(int(v), newv, r.plain)
+	if abs(newv-old) > r.eps {
+		r.push(wk, v)
+	}
+}
+
+// push marks the push-direction neighbors of a triggered vertex for the
+// next round.
+//
+// saga:hotpath
+func (r *rounds) push(wk *worker, v graph.NodeID) {
+	wk.triggered++
+	outs, ins, scratch := pushRuns(r.g, r.csr, v, r.spec.pushBoth, wk.pushBuf)
+	wk.pushBuf = scratch
+	wk.ctx.edges += uint64(len(outs) + len(ins))
+	r.front.markRun(outs, r.plain)
+	r.front.markRun(ins, r.plain)
+}

@@ -45,16 +45,10 @@ func (e *incEngine) ExportState() State {
 
 // RestoreState implements Stateful.
 func (e *incEngine) RestoreState(s State) {
-	e.vals = e.vals[:0]
-	for i, f := range s.Values {
-		e.vals = append(e.vals, 0)
-		e.vals.set(i, f)
-	}
+	e.restore(s.Values)
 	e.contrib = e.contrib[:0] // derived from vals; the next phase rebuilds it in full
 	e.lastN = s.LastN
 	e.pendingInvalid = append(e.pendingInvalid[:0], s.Pending...)
-	e.front = e.front[:0] // sized re-extends it with zero words: marks a failed phase left behind are dropped
-	e.stats = Stats{}
 }
 
 // ExportState implements Stateful.
@@ -64,11 +58,14 @@ func (e *fsEngine) ExportState() State {
 
 // RestoreState implements Stateful. FS recomputes from scratch every
 // batch, so only the reported property array needs to carry over.
-func (e *fsEngine) RestoreState(s State) {
-	e.vals = e.vals[:0]
-	for i, f := range s.Values {
-		e.vals = append(e.vals, 0)
-		e.vals.set(i, f)
+func (e *fsEngine) RestoreState(s State) { e.restore(s.Values) }
+
+// restore replaces the property array and drops a failed phase's stats.
+func (r *rounds) restore(vs []float64) {
+	r.vals = r.vals[:0]
+	for i, f := range vs {
+		r.vals = append(r.vals, 0)
+		r.vals.put(i, f)
 	}
-	e.stats = Stats{}
+	r.stats = Stats{}
 }

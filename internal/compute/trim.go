@@ -1,8 +1,6 @@
 package compute
 
 import (
-	"sort"
-
 	"sagabench/internal/ds"
 	"sagabench/internal/graph"
 )
@@ -67,11 +65,14 @@ func (e *incEngine) NotifyDeletions(g ds.Graph, dels graph.Batch) {
 		e.vals = append(e.vals, 0)
 		e.vals.set(len(e.vals)-1, e.spec.initValue(graph.NodeID(len(e.vals)-1), n))
 	}
-	invalid := make(map[graph.NodeID]bool)
+	// The cone is grown in the engine's frontier, which is empty between
+	// phases, and drained out of it below.
+	e.front = e.front.sized(n)
+	cone := e.front
 	var stack []graph.NodeID
 	mark := func(v graph.NodeID) {
-		if int(v) < n && !invalid[v] && !(e.spec.hasSource && v == e.opts.Source) {
-			invalid[v] = true
+		if int(v) < n && !cone.has(v) && !(e.spec.hasSource && v == e.opts.Source) {
+			cone.mark(v)
 			stack = append(stack, v)
 		}
 	}
@@ -104,7 +105,7 @@ func (e *incEngine) NotifyDeletions(g ds.Graph, dels graph.Batch) {
 			buf = g.InNeigh(v, buf)
 		}
 		for _, nb := range buf {
-			if invalid[nb.ID] {
+			if cone.has(nb.ID) {
 				continue
 			}
 			if e.spec.tight(vv, float64(nb.Weight), e.vals.get(int(nb.ID))) {
@@ -112,14 +113,9 @@ func (e *incEngine) NotifyDeletions(g ds.Graph, dels graph.Batch) {
 			}
 		}
 	}
-	// Reset the cone and queue it for the next compute phase. The value
-	// resets commute, but the queue must not leak map order into the
-	// next phase's trigger sequence, so it is canonicalized by the sort.
-	e.pendingInvalid = e.pendingInvalid[:0]
-	// saga:allow determinism -- per-key resets commute; queue order is canonicalized by the sort below.
-	for v := range invalid {
+	// Reset the cone and queue it, ascending, for the next compute phase.
+	e.pendingInvalid = cone.drain(e.pendingInvalid)
+	for _, v := range e.pendingInvalid {
 		e.vals.set(int(v), e.spec.initValue(v, n))
-		e.pendingInvalid = append(e.pendingInvalid, v)
 	}
-	sort.Slice(e.pendingInvalid, func(i, j int) bool { return e.pendingInvalid[i] < e.pendingInvalid[j] })
 }

@@ -19,14 +19,15 @@ func (v values) set(i int, f float64) { atomic.StoreUint64(&v[i], math.Float64bi
 
 // put is set as a plain store — no XCHG, so it does not fence off the
 // loads that follow. Audited use only: the sequential stretches of a
-// phase (resets, seeding, the contribution refresh, an INC round of one
-// range — see store), and the FS PageRank passes, where slot i has
+// phase (resets, seeding, the contribution refresh, the sequential FS
+// kernels, a pass of one range — see store), and the FS PageRank passes,
+// where slot i has
 // exactly one writer per pass and every reader of it sits behind the
 // barrier that ends the pass.
 func (v values) put(i int, f float64) { v[i] = math.Float64bits(f) }
 
-// store is put when plain, else set: an INC round that runs as a single
-// range is a sequential stretch and stores plainly, one that was cut into
+// store is put when plain, else set: a pass that runs as a single range
+// is a sequential stretch and stores plainly, one that was cut into
 // several ranges stores atomically.
 func (v values) store(i int, f float64, plain bool) {
 	if plain {

@@ -79,33 +79,3 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Error("delta default")
 	}
 }
-
-func TestParallelForCoverage(t *testing.T) {
-	for _, threads := range []int{1, 3, 8, 100} {
-		var mu sync.Mutex
-		seen := make([]int, 37)
-		parallelFor(37, threads, func(lo, hi int) {
-			mu.Lock()
-			defer mu.Unlock()
-			for i := lo; i < hi; i++ {
-				seen[i]++
-			}
-		})
-		for i, n := range seen {
-			if n != 1 {
-				t.Fatalf("threads=%d: index %d visited %d times", threads, i, n)
-			}
-		}
-	}
-	parallelFor(0, 4, func(lo, hi int) { t.Fatal("fn called for n=0") })
-}
-
-func TestGrowValues(t *testing.T) {
-	v := growValues([]float64{1}, 3, 9)
-	if len(v) != 3 || v[0] != 1 || v[1] != 9 || v[2] != 9 {
-		t.Fatalf("growValues: %v", v)
-	}
-	if got := growValues(v, 2, 0); len(got) != 3 {
-		t.Fatal("growValues must never shrink")
-	}
-}

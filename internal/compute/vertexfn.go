@@ -48,7 +48,7 @@ func (ctx *recomputeCtx) outRun(v graph.NodeID) []graph.Neighbor {
 }
 
 // inCSR is inRun's flat arm, for callers that took the fork on the backing
-// already: the INC view rounds (spec.incCSR) run only when ctx.csr is set.
+// already: the view rounds (spec.roundCSR) run only when ctx.csr is set.
 // Small enough to inline, which inRun — carrying the interface call — is
 // not.
 func (ctx *recomputeCtx) inCSR(v graph.NodeID) []graph.Neighbor {
@@ -62,6 +62,22 @@ func (ctx *recomputeCtx) outCSR(v graph.NodeID) []graph.Neighbor {
 	run := ctx.csr.Out(v)
 	ctx.edges += uint64(len(run))
 	return run
+}
+
+// outDegree and inDegree are the degree reads of the frontier heuristics
+// and the range partitioners.
+func (ctx *recomputeCtx) outDegree(v graph.NodeID) int {
+	if ctx.csr != nil {
+		return ctx.csr.OutDegree(v)
+	}
+	return ctx.g.OutDegree(v)
+}
+
+func (ctx *recomputeCtx) inDegree(v graph.NodeID) int {
+	if ctx.csr != nil {
+		return ctx.csr.InDegree(v)
+	}
+	return ctx.g.InDegree(v)
 }
 
 // fillContrib is the degree accessor at range granularity: it puts
@@ -100,11 +116,11 @@ type spec struct {
 	// recompute evaluates the vertex function for v by pulling from
 	// neighbors. It must not write ctx.vals.
 	recompute func(ctx *recomputeCtx, v graph.NodeID) float64
-	// incCSR is an INC round's share on the flat view: recompute and
-	// settle every vertex of list in order, reading spans and runs
-	// directly. Same pull body as recompute, which serves the FS
-	// label-propagation kernel and the structure-interface INC rounds.
-	incCSR func(e *incEngine, wk *incWorker, list []graph.NodeID)
+	// roundCSR is a round's share on the flat view, under either model:
+	// recompute and settle every vertex of list in order, reading spans
+	// and runs directly. Same pull body as recompute, which serves the
+	// rounds over the structure's interface.
+	roundCSR func(r *rounds, wk *worker, list []graph.NodeID)
 	// pushBoth propagates changes along both edge directions (CC treats
 	// the graph as undirected connectivity).
 	pushBoth bool
@@ -146,7 +162,7 @@ type spec struct {
 	tight func(valU, w, valV float64) bool
 	// fsRun executes the conventional static-graph algorithm for the
 	// FS model (GAP-style where GAP implements it).
-	fsRun func(e *fsEngine, g ds.Graph)
+	fsRun func(e *fsEngine)
 }
 
 func exactChange(Options, int) float64 { return 0 }
@@ -176,13 +192,13 @@ var specs = map[string]spec{
 		uniformInit: true,
 		// Table I: v.depth <- min over inEdges(v) (e.source.depth + 1).
 		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 { return pullBFS(ctx.inRun(v), ctx.vals) },
-		incCSR: func(e *incEngine, wk *incWorker, list []graph.NodeID) {
+		roundCSR: func(r *rounds, wk *worker, list []graph.NodeID) {
 			for _, v := range list {
-				newv := pullBFS(wk.ctx.inCSR(v), e.vals)
-				if v == e.opts.Source {
+				newv := pullBFS(wk.ctx.inCSR(v), r.vals)
+				if v == r.opts.Source {
 					newv = 0
 				}
-				e.settle(wk, v, newv)
+				r.settle(wk, v, newv)
 			}
 		},
 		epsilon:   exactChange,
@@ -201,16 +217,16 @@ var specs = map[string]spec{
 			best := pullMin(ctx.outRun(v), ctx.vals, ctx.vals.get(int(v)))
 			return pullMin(ctx.inRun(v), ctx.vals, best)
 		},
-		incCSR: func(e *incEngine, wk *incWorker, list []graph.NodeID) {
+		roundCSR: func(r *rounds, wk *worker, list []graph.NodeID) {
 			for _, v := range list {
-				best := pullMin(wk.ctx.outCSR(v), e.vals, e.vals.get(int(v)))
-				e.settle(wk, v, pullMin(wk.ctx.inCSR(v), e.vals, best))
+				best := pullMin(wk.ctx.outCSR(v), r.vals, r.vals.get(int(v)))
+				r.settle(wk, v, pullMin(wk.ctx.inCSR(v), r.vals, best))
 			}
 		},
 		pushBoth: true,
 		epsilon:  exactChange,
 		tight:    func(valU, _, valV float64) bool { return valV == valU },
-		fsRun:    fsCC,
+		fsRun:    fsRelax,
 	},
 	"mc": {
 		name:      "mc",
@@ -220,15 +236,15 @@ var specs = map[string]spec{
 		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 {
 			return pullMax(ctx.inRun(v), ctx.vals, ctx.vals.get(int(v)))
 		},
-		incCSR: func(e *incEngine, wk *incWorker, list []graph.NodeID) {
+		roundCSR: func(r *rounds, wk *worker, list []graph.NodeID) {
 			for _, v := range list {
-				e.settle(wk, v, pullMax(wk.ctx.inCSR(v), e.vals, e.vals.get(int(v))))
+				r.settle(wk, v, pullMax(wk.ctx.inCSR(v), r.vals, r.vals.get(int(v))))
 			}
 		},
 		epsilon:   exactChange,
 		tight:     func(valU, _, valV float64) bool { return valV == valU },
-		fsPullsIn: true, // label-prop rounds recompute via the in-run pull
-		fsRun:     fsMC,
+		fsPullsIn: true, // rounds recompute via the in-run pull
+		fsRun:     fsRelax,
 	},
 	"pr": {
 		name:        "pr",
@@ -240,12 +256,12 @@ var specs = map[string]spec{
 		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 {
 			return prPull(ctx.inRun(v), ctx.contrib, prBase/float64(ctx.numNodes))
 		},
-		incCSR: func(e *incEngine, wk *incWorker, list []graph.NodeID) {
-			contrib, outSpans, base := e.contrib, e.csr.OutSpans, prBase/float64(e.n)
+		roundCSR: func(r *rounds, wk *worker, list []graph.NodeID) {
+			contrib, outSpans, base := wk.ctx.contrib, r.csr.OutSpans, prBase/float64(r.n)
 			for _, v := range list {
 				newv := prPull(wk.ctx.inCSR(v), contrib, base)
-				contrib.store(int(v), contribOf(newv, outSpans[v].Len()), e.plain)
-				e.settle(wk, v, newv)
+				contrib.store(int(v), contribOf(newv, outSpans[v].Len()), r.plain)
+				r.settle(wk, v, newv)
 			}
 		},
 		epsilon:         prEpsilon,
@@ -264,13 +280,13 @@ var specs = map[string]spec{
 		// Table I: v.path <- min over inEdges(v) (e.source.path +
 		// e.weight).
 		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 { return pullSSSP(ctx.inRun(v), ctx.vals) },
-		incCSR: func(e *incEngine, wk *incWorker, list []graph.NodeID) {
+		roundCSR: func(r *rounds, wk *worker, list []graph.NodeID) {
 			for _, v := range list {
-				newv := pullSSSP(wk.ctx.inCSR(v), e.vals)
-				if v == e.opts.Source {
+				newv := pullSSSP(wk.ctx.inCSR(v), r.vals)
+				if v == r.opts.Source {
 					newv = 0
 				}
-				e.settle(wk, v, newv)
+				r.settle(wk, v, newv)
 			}
 		},
 		epsilon:  exactChange,
@@ -287,13 +303,13 @@ var specs = map[string]spec{
 		// Table I: v.path <- max over inEdges(v) of
 		// min(e.source.path, e.weight).
 		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 { return pullSSWP(ctx.inRun(v), ctx.vals) },
-		incCSR: func(e *incEngine, wk *incWorker, list []graph.NodeID) {
+		roundCSR: func(r *rounds, wk *worker, list []graph.NodeID) {
 			for _, v := range list {
-				newv := pullSSWP(wk.ctx.inCSR(v), e.vals)
-				if v == e.opts.Source {
+				newv := pullSSWP(wk.ctx.inCSR(v), r.vals)
+				if v == r.opts.Source {
 					newv = inf
 				}
-				e.settle(wk, v, newv)
+				r.settle(wk, v, newv)
 			}
 		},
 		epsilon:  exactChange,

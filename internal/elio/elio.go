@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -46,8 +47,10 @@ func Read(r io.Reader) ([]graph.Edge, error) {
 			if err != nil {
 				return nil, fmt.Errorf("elio: line %d: weight: %w", lineNo, err)
 			}
-			if w <= 0 {
-				return nil, fmt.Errorf("elio: line %d: weight %v must be positive", lineNo, w)
+			// ParseFloat accepts "NaN" and "Inf" without error, and NaN
+			// fails every comparison: ask for what a weight must be.
+			if !(w > 0) || math.IsInf(w, 1) {
+				return nil, fmt.Errorf("elio: line %d: weight %v must be positive and finite", lineNo, w)
 			}
 		}
 		edges = append(edges, graph.Edge{

@@ -46,12 +46,18 @@ func TestReadErrors(t *testing.T) {
 		"1 2 x\n",          // bad weight
 		"1 2 -4\n",         // non-positive weight
 		"1 2 0\n",          // zero weight
+		"1 2 NaN\n",        // ParseFloat accepts these three without error
+		"1 2 Inf\n",        //
+		"1 2 -Inf\n",       //
+		"1 2 1e39\n",       // overflows float32
 		"-1 2\n",           // negative ID
 		"999999999999 2\n", // overflow uint32
 	}
 	for _, c := range cases {
-		if _, err := Read(strings.NewReader(c)); err == nil {
+		if _, err := Read(strings.NewReader("0 1\n" + c)); err == nil {
 			t.Errorf("input %q: expected error", c)
+		} else if !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("input %q: error %q does not name line 2", c, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package elio
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -15,10 +16,18 @@ func FuzzRead(f *testing.F) {
 	f.Add("999 999999 0.5")
 	f.Add("a b c")
 	f.Add("1 2 3 4 5")
+	f.Add("1 2 NaN\n")
+	f.Add("1 2 +Inf\n3 4 -inf\n")
+	f.Add("1 2 3e9\n2 3 1e39\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		edges, err := Read(strings.NewReader(input))
 		if err != nil {
 			return // rejected input is fine; panics are not
+		}
+		for _, e := range edges {
+			if w := float64(e.Weight); !(w > 0) || math.IsInf(w, 0) {
+				t.Fatalf("accepted edge %v: weight is not positive and finite", e)
+			}
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, edges); err != nil {

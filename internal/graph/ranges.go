@@ -5,7 +5,7 @@ import "sync"
 // ForRanges splits [0,n) into up to `threads` contiguous equal ranges and
 // runs fn on each in its own goroutine, blocking until all complete. A
 // panic in any worker is captured and re-raised on the calling goroutine
-// (first panic wins), matching compute.parallelFor, so the poison-batch
+// (first panic wins), matching compute.parallelRanges, so the poison-batch
 // quarantine sees worker failures instead of the process dying.
 func ForRanges(n, threads int, fn func(lo, hi int)) {
 	if n <= 0 {
