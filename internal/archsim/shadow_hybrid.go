@@ -1,6 +1,9 @@
 package archsim
 
-import "sagabench/internal/graph"
+import (
+	"sagabench/internal/ds/hybrid"
+	"sagabench/internal/graph"
+)
 
 // Hybrid shadow: the degree-adaptive three-tier layout. A small vertex's
 // neighbors live inside its record (one or two cache lines at a fixed
@@ -28,11 +31,13 @@ type shadowHybrid struct {
 	idxCap  []int // 0 = no index (inline or array tier)
 }
 
+// The record and slot sizes are the real structs' (72 and 8 bytes): the
+// model strides over vertex records and probes index slots at the store's
+// own pitch.
 const (
-	// vertex{deg, inline [4]Neighbor, arr slice, idx ptr} rounded up.
-	hybridRecBytes = 80
-	// idxSlot{used, dst, pos} padded.
-	hybridIdxSlotBytes = 16
+	hybridRecBytes     = uint64(hybrid.RecordBytes)
+	hybridInlineOffset = uint64(hybrid.InlineOffset)
+	hybridIdxSlotBytes = uint64(hybrid.IndexSlotBytes)
 	hybridMinArrCap    = 8
 	hybridMinIdxSize   = 16
 )
@@ -42,7 +47,7 @@ func newShadowHybrid(alloc *allocator, chunks, hashAt int) *shadowHybrid {
 		chunks = 1
 	}
 	if hashAt <= 0 {
-		hashAt = 32 // hybrid.DefaultHashThreshold
+		hashAt = hybrid.DefaultHashThreshold
 	}
 	inlineAt := 4
 	if hashAt <= inlineAt {
@@ -66,7 +71,7 @@ func (s *shadowHybrid) recordAddr(v graph.NodeID) uint64 {
 }
 
 func (s *shadowHybrid) inlineAddr(v graph.NodeID, i int) uint64 {
-	return s.recordAddr(v) + 8 + uint64(i)*adjSlotBytes
+	return s.recordAddr(v) + hybridInlineOffset + uint64(i)*adjSlotBytes
 }
 
 func (s *shadowHybrid) arrAddr(v graph.NodeID, i int) uint64 {

@@ -102,8 +102,13 @@ type Engine interface {
 	// endpoint vertices (deduplicated); FS engines ignore it.
 	PerformAlg(g ds.Graph, affected []graph.NodeID)
 	// Values exposes the vertex property array (length = NumNodes of
-	// the last PerformAlg call).
+	// the last PerformAlg call). The slice is the engine's, valid until
+	// the next Values call.
 	Values() []float64
+	// ValuesInto is Values written into dst's storage (grown as needed)
+	// and owned by the caller: one copy where retaining Values costs two,
+	// and the engine keeps no copy of its own.
+	ValuesInto(dst []float64) []float64
 	// Stats reports counters from the most recent PerformAlg call.
 	Stats() Stats
 	// HandlesDeletions reports whether the engine stays correct when

@@ -24,27 +24,6 @@ func flatCSROf(g ds.Graph) *graph.CSR {
 	return nil
 }
 
-// pushRuns returns v's push-direction adjacency as up to two runs: the
-// out-run and, when both directions propagate (CC), the in-run. On the
-// flat path these are zero-copy CSR runs; on the interface path both
-// directions land in buf and b is nil.
-//
-// saga:hotpath
-func pushRuns(g ds.Graph, csr *graph.CSR, v graph.NodeID, both bool, buf []graph.Neighbor) (a, b, scratch []graph.Neighbor) {
-	if csr != nil {
-		a = csr.Out(v)
-		if both {
-			b = csr.In(v)
-		}
-		return a, b, buf
-	}
-	buf = g.OutNeigh(v, buf[:0])
-	if both {
-		buf = g.InNeigh(v, buf)
-	}
-	return buf, nil, buf
-}
-
 // balancedCuts splits [0,n) items into at most `threads` contiguous
 // ranges of roughly equal summed weight, where item i weighs
 // weight(i)+1 (the +1 keeps zero-degree items from collapsing into one

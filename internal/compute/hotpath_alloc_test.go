@@ -28,23 +28,30 @@ func hotpathTestGraph(t *testing.T) (ds.Graph, *graph.CSR) {
 
 func TestPushRunsDoesNotAllocate(t *testing.T) {
 	g, csr := hotpathTestGraph(t)
+	copied := ds.MustNew("stinger", ds.Config{Directed: true, Threads: 1})
+	copied.Update(ds.ExportEdgesParallel(g, 1))
 	buf := make([]graph.Neighbor, 0, 128)
 	var a, b []graph.Neighbor
 
+	var flat, lent, plain recomputeCtx
+	flat.bind(g, csr)
+	lent.bind(g, nil)
+	plain.bind(copied, nil)
+	if lent.lender == nil || plain.lender != nil {
+		t.Fatalf("adjshared lends its runs and stinger does not; bound lender %v and %v", lent.lender, plain.lender)
+	}
 	for _, both := range []bool{false, true} {
-		if allocs := testing.AllocsPerRun(100, func() {
-			for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-				a, b, buf = pushRuns(g, csr, v, both, buf)
+		for _, c := range []struct {
+			path string
+			ctx  *recomputeCtx
+		}{{"flat", &flat}, {"lending", &lent}, {"copying", &plain}} {
+			if allocs := testing.AllocsPerRun(100, func() {
+				for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+					a, b, buf = c.ctx.pushRuns(v, both, buf)
+				}
+			}); allocs != 0 {
+				t.Errorf("pushRuns (%s path, both=%v) allocates %.1f times per sweep", c.path, both, allocs)
 			}
-		}); allocs != 0 {
-			t.Errorf("pushRuns (flat path, both=%v) allocates %.1f times per sweep", both, allocs)
-		}
-		if allocs := testing.AllocsPerRun(100, func() {
-			for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-				a, b, buf = pushRuns(g, nil, v, both, buf)
-			}
-		}); allocs != 0 {
-			t.Errorf("pushRuns (interface path, both=%v) allocates %.1f times per sweep", both, allocs)
 		}
 	}
 	_, _ = a, b

@@ -144,7 +144,7 @@ func (e *incEngine) widen() {
 	e.curr = e.front.drain(e.curr)
 	for _, v := range e.curr {
 		var outs []graph.Neighbor
-		outs, _, ctx.buf = pushRuns(e.g, e.csr, v, false, ctx.buf)
+		outs, _, ctx.buf = ctx.pushRuns(v, false, ctx.buf)
 		e.contrib.put(int(v), contribOf(e.vals.get(int(v)), len(outs)))
 		e.front.mark(v)
 		e.front.markRun(outs, true)

@@ -85,11 +85,16 @@ func (r *rounds) init(s spec, opts Options, model Model) {
 
 func (r *rounds) Name() string { return r.spec.name }
 
-// Values materializes the property array.
+// Values materializes the property array into a copy the engine keeps and
+// overwrites on the next call.
 func (r *rounds) Values() []float64 {
 	r.valsCopy = r.vals.materialize(r.valsCopy)
 	return r.valsCopy
 }
+
+// ValuesInto materializes the property array into dst's storage, which the
+// caller owns.
+func (r *rounds) ValuesInto(dst []float64) []float64 { return r.vals.materialize(dst) }
 
 func (r *rounds) Stats() Stats { return r.stats }
 
@@ -120,7 +125,8 @@ func (r *rounds) begin(g ds.Graph) {
 	}
 	for w := range r.workers {
 		wk := &r.workers[w]
-		wk.ctx.g, wk.ctx.csr, wk.ctx.vals, wk.ctx.numNodes = g, r.csr, r.vals, r.n
+		wk.ctx.bind(g, r.csr)
+		wk.ctx.vals, wk.ctx.numNodes = r.vals, r.n
 		wk.ctx.edges, wk.processed, wk.triggered = 0, 0, 0
 	}
 }
@@ -131,7 +137,7 @@ func (r *rounds) end() {
 		wk := &r.workers[w]
 		r.stats.Processed += wk.processed
 		r.stats.EdgesTraversed += wk.ctx.edges
-		wk.ctx.g, wk.ctx.csr = nil, nil // do not pin the graph between batches
+		wk.ctx.bind(nil, nil) // do not pin the graph between batches
 	}
 	r.g, r.csr = nil, nil
 	if r.opts.WorkerTiming {
@@ -271,7 +277,7 @@ func (r *rounds) settle(wk *worker, v graph.NodeID, newv float64) {
 // saga:hotpath
 func (r *rounds) push(wk *worker, v graph.NodeID) {
 	wk.triggered++
-	outs, ins, scratch := pushRuns(r.g, r.csr, v, r.spec.pushBoth, wk.pushBuf)
+	outs, ins, scratch := wk.ctx.pushRuns(v, r.spec.pushBoth, wk.pushBuf)
 	wk.pushBuf = scratch
 	wk.ctx.edges += uint64(len(outs) + len(ins))
 	r.front.markRun(outs, r.plain)

@@ -2,6 +2,7 @@ package compute
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -45,11 +46,13 @@ func (v values) fill(f float64) {
 	}
 }
 
-// materialize copies the values into dst as plain float64s.
+// materialize copies the values into dst's storage as plain float64s. A
+// dst that is too small is regrown in one step: to the size asked when it
+// was empty, by append's factor when it was merely short.
 func (v values) materialize(dst []float64) []float64 {
-	dst = dst[:0]
+	dst = slices.Grow(dst[:0], len(v))[:len(v)]
 	for i := range v {
-		dst = append(dst, v.get(i))
+		dst[i] = v.get(i)
 	}
 	return dst
 }

@@ -14,9 +14,14 @@ var inf = math.Inf(1)
 // and the one place where the kernels' adjacency and degree reads fork
 // between the flat compute view and the structure's interface.
 type recomputeCtx struct {
-	g    ds.Graph
-	csr  *graph.CSR // non-nil on the flat compute-view path
-	vals values
+	g   ds.Graph
+	csr *graph.CSR // non-nil on the flat compute-view path
+	// lender is g when it hands out its adjacency in place
+	// (ds.TwoCopy.LendsRuns): the interface path then reads the
+	// structure's own slices, as C++ SAGA-Bench walks its AS/AC vectors,
+	// and only Stinger and DAH are copied out into buf.
+	lender *ds.TwoCopy
+	vals   values
 	// contrib is the PageRank contribution vector (contrib[u] =
 	// rank[u]/outdeg(u)); nil for every other algorithm.
 	contrib  values
@@ -25,12 +30,26 @@ type recomputeCtx struct {
 	edges    uint64 // neighbor records read
 }
 
+// bind points the accessors at g's backing, once per phase.
+func (ctx *recomputeCtx) bind(g ds.Graph, csr *graph.CSR) {
+	ctx.g, ctx.csr, ctx.lender = g, csr, nil
+	if tc, ok := g.(*ds.TwoCopy); ok && csr == nil && tc.LendsRuns() {
+		ctx.lender = tc
+	}
+}
+
 // inRun returns v's in-adjacency: a zero-copy CSR run on the flat path,
-// else ctx.buf filled through the interface. The run is valid only until
-// the next ctx adjacency call.
+// the structure's own slice when it lends one, else ctx.buf filled through
+// the interface. The run is read-only and valid only until the next ctx
+// adjacency call.
 func (ctx *recomputeCtx) inRun(v graph.NodeID) []graph.Neighbor {
 	if ctx.csr != nil {
 		return ctx.inCSR(v)
+	}
+	if ctx.lender != nil {
+		run := ctx.lender.InRun(v)
+		ctx.edges += uint64(len(run))
+		return run
 	}
 	ctx.buf = ctx.g.InNeigh(v, ctx.buf[:0])
 	ctx.edges += uint64(len(ctx.buf))
@@ -42,9 +61,43 @@ func (ctx *recomputeCtx) outRun(v graph.NodeID) []graph.Neighbor {
 	if ctx.csr != nil {
 		return ctx.outCSR(v)
 	}
+	if ctx.lender != nil {
+		run := ctx.lender.OutRun(v)
+		ctx.edges += uint64(len(run))
+		return run
+	}
 	ctx.buf = ctx.g.OutNeigh(v, ctx.buf[:0])
 	ctx.edges += uint64(len(ctx.buf))
 	return ctx.buf
+}
+
+// pushRuns returns v's push-direction adjacency as up to two runs: the
+// out-run and, when both directions propagate (CC), the in-run — zero-copy
+// from the flat mirror or a lending structure. Otherwise both directions
+// are copied into buf, returned as a (b is nil) and again as the scratch
+// to pass next time. The caller counts the edges.
+//
+// saga:hotpath
+func (ctx *recomputeCtx) pushRuns(v graph.NodeID, both bool, buf []graph.Neighbor) (a, b, scratch []graph.Neighbor) {
+	switch {
+	case ctx.csr != nil:
+		a = ctx.csr.Out(v)
+		if both {
+			b = ctx.csr.In(v)
+		}
+	case ctx.lender != nil:
+		a = ctx.lender.OutRun(v)
+		if both {
+			b = ctx.lender.InRun(v)
+		}
+	default:
+		buf = ctx.g.OutNeigh(v, buf[:0])
+		if both {
+			buf = ctx.g.InNeigh(v, buf)
+		}
+		a = buf
+	}
+	return a, b, buf
 }
 
 // inCSR is inRun's flat arm, for callers that took the fork on the backing

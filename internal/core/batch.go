@@ -309,8 +309,9 @@ func (p *Pipeline) computeStage(sp *trace.Span) {
 // the snapshot ReclaimSpare just reported drained, and a fresh one is
 // allocated only when that snapshot is still pinned. Without the view, a
 // full CSR is exported from the structure each batch (fresh arrays and a
-// fresh vector, nothing to gate). The vector is copied either way: the
-// engine mutates its array in place next batch.
+// fresh vector, nothing to gate). The vector is copied either way, once
+// and straight out of the engine's array, which the next batch mutates in
+// place.
 func (p *Pipeline) publishStage(sp *trace.Span) {
 	var csr graph.CSR
 	if p.view != nil {
@@ -318,7 +319,7 @@ func (p *Pipeline) publishStage(sp *trace.Span) {
 	} else {
 		csr = *graph.BuildCSR(p.g.NumNodes(), ds.ExportEdgesParallel(p.g, p.pcfg.Threads))
 	}
-	vals := append(p.spareVals[:0], p.engine.Values()...)
+	vals := p.engine.ValuesInto(p.spareVals)
 	s := &epoch.Snapshot{
 		Batch:    p.batchIdx,
 		Wall:     time.Now(),

@@ -233,7 +233,7 @@ func (w *rdWriter) step(st Step) error {
 	w.em.Publish(&epoch.Snapshot{
 		Batch:    w.batch,
 		CSR:      csr,
-		Values:   append([]float64(nil), w.engine.Values()...),
+		Values:   w.engine.ValuesInto(nil),
 		Directed: w.cfg.Stream.Directed,
 	})
 	if w.view == nil {

@@ -2,6 +2,7 @@ package all_test
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,6 +66,42 @@ func checkAgainstOracle(t *testing.T, name string, g ds.Graph, oracle *graph.Ora
 	t.Helper()
 	if diffs := ds.DiffOracle(g, oracle, 8); len(diffs) != 0 {
 		t.Fatalf("%s: topology diverges from oracle:\n  %s", name, strings.Join(diffs, "\n  "))
+	}
+	checkBorrowedRuns(t, name, g)
+}
+
+// checkBorrowedRuns: a structure that lends its adjacency in place hands
+// out exactly what OutNeigh and InNeigh copy, record for record, and
+// nothing past the vertex space.
+func checkBorrowedRuns(t *testing.T, name string, g ds.Graph) {
+	t.Helper()
+	tc, ok := g.(*ds.TwoCopy)
+	if !ok || !tc.LendsRuns() {
+		return
+	}
+	var buf []graph.Neighbor
+	for v := graph.NodeID(0); int(v) < g.NumNodes()+2; v++ {
+		if buf = g.OutNeigh(v, buf[:0]); !slices.Equal(tc.OutRun(v), buf) {
+			t.Fatalf("%s: OutRun(%d) = %v, OutNeigh copies %v", name, v, tc.OutRun(v), buf)
+		}
+		if buf = g.InNeigh(v, buf[:0]); !slices.Equal(tc.InRun(v), buf) {
+			t.Fatalf("%s: InRun(%d) = %v, InNeigh copies %v", name, v, tc.InRun(v), buf)
+		}
+	}
+}
+
+// TestWhichStructuresLendRuns pins the set: the four whose per-vertex
+// adjacency is one contiguous slice. Stinger's blocks and DAH's tables are
+// copied out.
+func TestWhichStructuresLendRuns(t *testing.T) {
+	want := map[string]bool{"adjshared": true, "adjchunked": true, "graphone": true, "hybrid": true}
+	for _, directed := range []bool{true, false} {
+		for _, name := range ds.Names() {
+			tc, ok := ds.MustNew(name, ds.Config{Directed: directed, Threads: 2}).(*ds.TwoCopy)
+			if got := ok && tc.LendsRuns(); got != want[name] {
+				t.Errorf("%s directed=%v: LendsRuns = %v, want %v", name, directed, got, want[name])
+			}
+		}
 	}
 }
 

@@ -5,7 +5,11 @@
 // a dense pooled edge array (linear scan, contiguous traversal); high
 // degrees keep the same dense array plus a per-vertex Robin Hood index
 // from destination to array position, making lookup, insert, overwrite and
-// delete O(1) expected at any degree. Traversal always walks the dense
+// delete O(1) expected at any degree. An index slot is 8 bytes — the
+// destination and the position plus one, 0 marking an empty slot — so a
+// cache line holds eight, and an insert or a delete walks its probe
+// cluster once (a delete that moves the array's last entry into the hole
+// walks that entry's cluster too). Traversal always walks the dense
 // storage, so neighbor order is insertion order, transitions never reorder
 // a run, and flattening is zero-copy — bystander updates cannot perturb
 // another vertex's run, which is why the structure needs no DirtyExpander.
@@ -23,6 +27,7 @@ package hybrid
 
 import (
 	"sync"
+	"unsafe"
 
 	"sagabench/internal/ds"
 	"sagabench/internal/graph"
@@ -94,6 +99,13 @@ type vertex struct {
 	idx    *dstIndex
 }
 
+// RecordBytes is the size of one vertex record and InlineOffset where its
+// inline slots start, for the architecture shadow's address model.
+const (
+	RecordBytes  = unsafe.Sizeof(vertex{})
+	InlineOffset = unsafe.Offsetof(vertex{}.inline)
+)
+
 // run returns the dense neighbor storage (valid until the next update).
 func (v *vertex) run() []graph.Neighbor {
 	if v.arr != nil {
@@ -118,6 +130,9 @@ type store struct {
 	// EnsureNodes grows it only between batches.
 	verts []vertex
 	pools []*chunkPools // saga:chunked
+	// stats is the batch in flight's tally per chunk: cleared when a batch
+	// starts, slot c written by chunk c's worker, merged after the join.
+	stats []chunkCounters // saga:chunked
 
 	numEdges int // saga:guardedby profMu
 
@@ -138,6 +153,7 @@ func newStore(chunks, hashAt, hint int) *store {
 		uninlineAt: inlineAt / 2,
 		hashAt:     hashAt,
 		unhashAt:   hashAt / 2,
+		stats:      make([]chunkCounters, chunks),
 	}
 	s.pools = make([]*chunkPools, chunks)
 	for i := range s.pools {
@@ -186,7 +202,7 @@ func (s *store) EnsureNodes(n int) {
 // chunk's bucket is ingested by one worker with no locks, grouped by
 // source vertex (see srcOrder.bySrc).
 func (s *store) UpdateEdges(edges []graph.Edge) {
-	stats := make([]chunkCounters, s.chunks)
+	clear(s.stats)
 	ds.GroupByChunk(edges, s.chunks, func(chunk int, bucket []graph.Edge) {
 		var st chunkCounters
 		pool := s.pools[chunk]
@@ -195,20 +211,20 @@ func (s *store) UpdateEdges(edges []graph.Edge) {
 			s.insertOne(pool, &st, e.Src, e.Dst, e.Weight)
 		}
 		st.loads = uint64(len(bucket))
-		stats[chunk] = st
+		s.stats[chunk] = st
 	})
 	s.profMu.Lock()
 	s.prof.EdgesIngested += uint64(len(edges))
-	s.mergeStats(stats)
+	s.mergeStats()
 	s.profMu.Unlock()
 }
 
 // mergeStats folds the per-chunk tallies into the profile.
 //
 // saga:locked s.profMu
-func (s *store) mergeStats(stats []chunkCounters) {
-	for c := range stats {
-		st := &stats[c]
+func (s *store) mergeStats() {
+	for c := range s.stats {
+		st := &s.stats[c]
 		s.prof.Inserted += st.inserted
 		s.prof.ScanSteps += st.scans
 		s.prof.ChunkLoads[c] += st.loads
@@ -229,13 +245,13 @@ func (s *store) insertOne(pool *chunkPools, st *chunkCounters, src, dst graph.No
 	deg := int(v.deg)
 	switch {
 	case v.idx != nil:
-		// Hash tier: O(1) duplicate check against the per-vertex index.
-		if pos, ok := v.idx.get(dst, &st.scans); ok {
+		// Hash tier: one walk of the per-vertex index answers the duplicate
+		// check and, for a new dst, has already placed it at the array's end.
+		if pos, ok := v.idx.insert(dst, int32(deg), &st.scans); ok {
 			v.arr[pos].Weight = w
 			return
 		}
 		v.arr = appendGrow(pool, v.arr, graph.Neighbor{ID: dst, Weight: w})
-		v.idx.put(dst, int32(deg), &st.scans)
 		v.deg++
 		st.inserted++
 	case v.arr != nil:
@@ -306,7 +322,7 @@ func appendGrow(pool *chunkPools, a []graph.Neighbor, nb graph.Neighbor) []graph
 func (s *store) promoteToHash(pool *chunkPools, v *vertex, st *chunkCounters) {
 	idx := pool.getIdx(len(v.arr) + 1)
 	for i := range v.arr {
-		idx.put(v.arr[i].ID, int32(i), &st.scans)
+		idx.insert(v.arr[i].ID, int32(i), &st.scans)
 	}
 	v.idx = idx
 	st.promos++
@@ -316,17 +332,17 @@ func (s *store) promoteToHash(pool *chunkPools, v *vertex, st *chunkCounters) {
 // DeleteEdges implements ds.OneDirDeleter with the same chunked ownership
 // as UpdateEdges; absent edges are no-ops.
 func (s *store) DeleteEdges(edges []graph.Edge) {
-	stats := make([]chunkCounters, s.chunks)
+	clear(s.stats)
 	ds.GroupByChunk(edges, s.chunks, func(chunk int, bucket []graph.Edge) {
 		var st chunkCounters
 		pool := s.pools[chunk]
 		for _, i := range pool.order.bySrc(bucket) {
 			s.deleteOne(pool, &st, bucket[i].Src, bucket[i].Dst)
 		}
-		stats[chunk] = st
+		s.stats[chunk] = st
 	})
 	s.profMu.Lock()
-	s.mergeStats(stats)
+	s.mergeStats()
 	s.profMu.Unlock()
 }
 
@@ -342,7 +358,7 @@ func (s *store) deleteOne(pool *chunkPools, st *chunkCounters, src, dst graph.No
 	v := &s.verts[src]
 	switch {
 	case v.idx != nil:
-		pos, ok := v.idx.get(dst, &st.scans)
+		pos, ok := v.idx.take(dst, &st.scans)
 		if !ok {
 			return
 		}
@@ -353,7 +369,6 @@ func (s *store) deleteOne(pool *chunkPools, st *chunkCounters, src, dst graph.No
 			v.idx.set(moved.ID, pos, &st.scans)
 		}
 		v.arr = v.arr[:last]
-		v.idx.del(dst, &st.scans)
 		v.deg--
 		st.removed++
 		if int(v.deg) <= s.unhashAt {

@@ -2,7 +2,6 @@ package hybrid
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"sagabench/internal/ds"
@@ -335,51 +334,6 @@ func TestUndirectedMirrorTrims(t *testing.T) {
 		if nb.ID%2 == 1 {
 			t.Fatalf("deleted mirror (hub,%d) still present", nb.ID)
 		}
-	}
-}
-
-// TestDstIndexAgainstMap fuzzes the Robin Hood index against a plain map,
-// including the backward-shift deletes and position rewrites the hash
-// tier's swap-with-last depends on.
-func TestDstIndexAgainstMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	idx := newDstIndex(0)
-	oracle := map[graph.NodeID]int32{}
-	var probes uint64
-	for step := 0; step < 20000; step++ {
-		dst := graph.NodeID(rng.Intn(300))
-		switch rng.Intn(4) {
-		case 0, 1: // insert or reposition
-			pos := int32(rng.Intn(1 << 20))
-			if _, ok := oracle[dst]; ok {
-				idx.set(dst, pos, &probes)
-			} else {
-				idx.put(dst, pos, &probes)
-			}
-			oracle[dst] = pos
-		case 2: // delete
-			if _, ok := oracle[dst]; ok {
-				idx.del(dst, &probes)
-				delete(oracle, dst)
-			}
-		case 3: // lookup
-			pos, ok := idx.get(dst, &probes)
-			wantPos, wantOK := oracle[dst]
-			if ok != wantOK || (ok && pos != wantPos) {
-				t.Fatalf("step %d: get(%d) = (%d,%v), want (%d,%v)", step, dst, pos, ok, wantPos, wantOK)
-			}
-		}
-		if idx.count != len(oracle) {
-			t.Fatalf("step %d: count %d, want %d", step, idx.count, len(oracle))
-		}
-	}
-	for dst, want := range oracle {
-		if got, ok := idx.get(dst, &probes); !ok || got != want {
-			t.Fatalf("final: get(%d) = (%d,%v), want (%d,true)", dst, got, ok, want)
-		}
-	}
-	if probes == 0 {
-		t.Fatal("probe accounting is dead")
 	}
 }
 

@@ -1,6 +1,10 @@
 package hybrid
 
-import "sagabench/internal/graph"
+import (
+	"unsafe"
+
+	"sagabench/internal/graph"
+)
 
 // dstIndex is a Robin Hood open-addressing map from destination vertex to
 // the neighbor's position in the owning vertex's dense edge array. It is
@@ -10,16 +14,24 @@ import "sagabench/internal/graph"
 // shared per-chunk tables, one dstIndex serves exactly one vertex, so its
 // probe clusters never interleave with other vertices' edges and deletes
 // never reorder a bystander's run.
+//
+// Every operation of the update path walks its probe cluster once: insert
+// looks up or places, take finds and backward-shifts, set rewrites.
 type dstIndex struct {
 	slots []idxSlot
 	count int
 }
 
+// idxSlot is 8 bytes, eight to a cache line. pos holds the array position
+// plus one, so the zero slot is the empty slot and no flag is stored.
 type idxSlot struct {
-	used bool
-	dst  graph.NodeID
-	pos  int32
+	dst graph.NodeID
+	pos int32
 }
+
+// IndexSlotBytes is the size of one index slot, for the architecture
+// shadow's address model.
+const IndexSlotBytes = unsafe.Sizeof(idxSlot{})
 
 const idxMinSize = 16 // power of two
 const idxMaxLoad = 0.7
@@ -54,9 +66,7 @@ func (t *dstIndex) reset(n int) {
 	if len(t.slots) < size || len(t.slots) > 4*size {
 		t.slots = make([]idxSlot, size)
 	} else {
-		for i := range t.slots {
-			t.slots[i] = idxSlot{}
-		}
+		clear(t.slots)
 	}
 	t.count = 0
 }
@@ -69,45 +79,57 @@ func (t *dstIndex) dist(slot uint64, dst graph.NodeID) uint64 {
 	return (slot - t.home(dst)) & t.mask()
 }
 
-// get returns the array position of dst. Probes are charged to *probes so
-// the profiler reports hash scan work like the other structures do.
-func (t *dstIndex) get(dst graph.NodeID, probes *uint64) (int32, bool) {
+// find walks dst's probe cluster to the slot holding it, or reports false
+// at the slot that proves it absent. Probes are charged to *probes so the
+// profiler reports hash scan work like the other structures do.
+func (t *dstIndex) find(dst graph.NodeID, probes *uint64) (uint64, bool) {
 	i := t.home(dst)
 	var d uint64
 	for {
 		*probes++
-		s := &t.slots[i]
-		if !s.used || t.dist(i, s.dst) < d {
-			return 0, false
+		s := t.slots[i]
+		if s.pos != 0 && s.dst == dst {
+			return i, true
 		}
-		if s.dst == dst {
-			return s.pos, true
+		if s.pos == 0 || t.dist(i, s.dst) < d {
+			return i, false
 		}
 		i = (i + 1) & t.mask()
 		d++
 	}
 }
 
-// put inserts dst→pos; the caller has established dst is absent. Grows at
-// the load factor.
-func (t *dstIndex) put(dst graph.NodeID, pos int32, probes *uint64) {
+// insert maps dst→pos unless dst is present, in which case it reports the
+// stored position and changes nothing. The table grows at the load factor
+// and only for an absent dst, so the grow decision comes first: at the
+// brink — one insert in 0.7·len — a lookup settles it, and every other
+// insert is the single walk below. It looks dst up until it meets an empty
+// slot or a resident closer to home than the probe; either proves dst
+// absent, and from that slot on the walk is the Robin Hood placement.
+func (t *dstIndex) insert(dst graph.NodeID, pos int32, probes *uint64) (int32, bool) {
 	if float64(t.count+1) > idxMaxLoad*float64(len(t.slots)) {
+		if i, ok := t.find(dst, probes); ok {
+			return t.slots[i].pos - 1, true
+		}
 		t.grow(probes)
 	}
-	cur := idxSlot{used: true, dst: dst, pos: pos}
-	i := t.home(cur.dst)
+	cur := idxSlot{dst: dst, pos: pos + 1}
+	i := t.home(dst)
 	var d uint64
 	for {
 		*probes++
 		s := &t.slots[i]
-		if !s.used {
+		if s.pos == 0 {
 			*s = cur
 			t.count++
-			return
+			return 0, false
+		}
+		if s.dst == dst { // only before the first steal: after it dst is known absent
+			return s.pos - 1, true
 		}
 		if ed := t.dist(i, s.dst); ed < d {
 			// Robin Hood: the resident is closer to home than the probe;
-			// steal its slot and relocate it.
+			// steal its slot and carry the resident on.
 			cur, *s = *s, cur
 			d = ed
 		}
@@ -121,8 +143,8 @@ func (t *dstIndex) grow(probes *uint64) {
 	t.slots = make([]idxSlot, len(old)*2)
 	t.count = 0
 	for _, s := range old {
-		if s.used {
-			t.put(s.dst, s.pos, probes)
+		if s.pos != 0 {
+			t.insert(s.dst, s.pos-1, probes)
 		}
 	}
 }
@@ -130,48 +152,30 @@ func (t *dstIndex) grow(probes *uint64) {
 // set rewrites the position of an existing dst (a swap-with-last delete
 // moved its array entry).
 func (t *dstIndex) set(dst graph.NodeID, pos int32, probes *uint64) {
-	i := t.home(dst)
-	var d uint64
-	for {
-		*probes++
-		s := &t.slots[i]
-		if !s.used || t.dist(i, s.dst) < d {
-			return
-		}
-		if s.dst == dst {
-			s.pos = pos
-			return
-		}
-		i = (i + 1) & t.mask()
-		d++
+	if i, ok := t.find(dst, probes); ok {
+		t.slots[i].pos = pos + 1
 	}
 }
 
-// del removes dst with backward shifting, preserving the Robin Hood
-// invariant.
-func (t *dstIndex) del(dst graph.NodeID, probes *uint64) {
-	i := t.home(dst)
-	var d uint64
-	for {
-		*probes++
-		s := &t.slots[i]
-		if !s.used || t.dist(i, s.dst) < d {
-			return
-		}
-		if s.dst == dst {
-			break
-		}
-		i = (i + 1) & t.mask()
-		d++
+// take removes dst and reports the position it mapped to: the walk that
+// finds the slot carries on over the rest of the cluster, shifting each
+// follower back one slot, which preserves the Robin Hood invariant.
+func (t *dstIndex) take(dst graph.NodeID, probes *uint64) (int32, bool) {
+	i, ok := t.find(dst, probes)
+	if !ok {
+		return 0, false
 	}
+	pos := t.slots[i].pos - 1
 	for {
 		j := (i + 1) & t.mask()
-		if !t.slots[j].used || t.dist(j, t.slots[j].dst) == 0 {
+		next := t.slots[j]
+		if next.pos == 0 || t.dist(j, next.dst) == 0 {
 			t.slots[i] = idxSlot{}
 			break
 		}
-		t.slots[i] = t.slots[j]
+		t.slots[i] = next
 		i = j
 	}
 	t.count--
+	return pos, true
 }

@@ -41,6 +41,14 @@ func TestVertexRecordSize(t *testing.T) {
 	}
 }
 
+// TestIdxSlotSize pins the hash tier's slot at 8 bytes — eight to a cache
+// line, position+1 with 0 for empty instead of a flag word.
+func TestIdxSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(idxSlot{}); got != 8 || IndexSlotBytes != 8 {
+		t.Fatalf("index slot is %d bytes (IndexSlotBytes %d); the package doc says 8", got, IndexSlotBytes)
+	}
+}
+
 // TestBySrcStableAndReusesScratch: positions come back ascending by
 // source, records of one source in batch order, for sources that need
 // one, two and four radix passes; a second call of the same size

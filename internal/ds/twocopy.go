@@ -31,6 +31,9 @@ type TwoCopy struct {
 	out      OneDir
 	in       OneDir // nil when undirected
 	scratch  []graph.Edge
+	// outRuns and inRuns are the stores again when both hand out their
+	// adjacency in place (RunFlattener); inRuns is outRuns when undirected.
+	outRuns, inRuns RunFlattener
 }
 
 // NewTwoCopy wraps mk-constructed stores: two for a directed graph, one for
@@ -39,6 +42,15 @@ func NewTwoCopy(directed bool, mk func() OneDir) *TwoCopy {
 	t := &TwoCopy{directed: directed, out: mk()}
 	if directed {
 		t.in = mk()
+	}
+	if outRuns, ok := t.out.(RunFlattener); ok {
+		inRuns := outRuns
+		if directed {
+			inRuns, ok = t.in.(RunFlattener)
+		}
+		if ok {
+			t.outRuns, t.inRuns = outRuns, inRuns
+		}
 	}
 	return t
 }
@@ -113,6 +125,30 @@ func (t *TwoCopy) InNeigh(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor
 		return buf
 	}
 	return st.Neighbors(v, buf)
+}
+
+// LendsRuns reports whether OutRun and InRun are available: both stores
+// keep every vertex's adjacency as one contiguous slice (AS, AC, GraphOne,
+// hybrid), so a reader can walk it in place, as C++ SAGA-Bench iterates
+// its AS/AC vectors, instead of copying it out through OutNeigh/InNeigh.
+func (t *TwoCopy) LendsRuns() bool { return t.outRuns != nil }
+
+// OutRun returns v's out-neighbors in OutNeigh's order as the store's own
+// slice: read-only, and valid only until the next Update or Delete. It
+// panics unless LendsRuns.
+func (t *TwoCopy) OutRun(v graph.NodeID) []graph.Neighbor {
+	if int(v) >= t.out.NumNodes() {
+		return nil
+	}
+	return t.outRuns.FlatRun(v)
+}
+
+// InRun is OutRun for the in direction.
+func (t *TwoCopy) InRun(v graph.NodeID) []graph.Neighbor {
+	if int(v) >= t.InStore().NumNodes() {
+		return nil
+	}
+	return t.inRuns.FlatRun(v)
 }
 
 // Directed implements Graph.
