@@ -15,7 +15,7 @@ func TestValuesRoundTrip(t *testing.T) {
 		t.Fatalf("round trip broken: %v %v %v %v", v.get(0), v.get(1), v.get(2), v.get(3))
 	}
 	out := v.materialize(nil)
-	if len(out) != 4 || out[0] != 3.5 {
+	if len(out) != 4 || out[0] != 3.5 || !math.IsInf(out[1], 1) || out[2] != -0.25 || out[3] != 0 {
 		t.Fatalf("materialize: %v", out)
 	}
 	// Reusing the destination buffer must not retain stale entries.
@@ -24,6 +24,13 @@ func TestValuesRoundTrip(t *testing.T) {
 	out = v2.materialize(out)
 	if len(out) != 2 || out[0] != 7 {
 		t.Fatalf("materialize reuse: %v", out)
+	}
+	// No values, no storage: both ends of the copy are empty or nil.
+	if out := (values)(nil).materialize(nil); len(out) != 0 {
+		t.Fatalf("materialize of nothing: %v", out)
+	}
+	if out = (values{}).materialize(out); len(out) != 0 {
+		t.Fatalf("materialize of nothing into a buffer: %v", out)
 	}
 }
 
