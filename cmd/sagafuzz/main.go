@@ -1,8 +1,10 @@
 // Command sagafuzz is the differential fuzz driver: it generates a
-// deterministic, seed-driven edge stream and replays it through every
-// selected data structure, cross-checking full adjacency against the
-// sequential oracle after every batch and every (algorithm, model) engine
-// against the sequential reference implementations.
+// deterministic, seed-driven edge stream and replays it through one
+// core.Pipeline per selected (data structure, algorithm, model),
+// cross-checking each pipeline's full adjacency (and compute mirror)
+// against the sequential oracle and its values against the sequential
+// reference implementations after every batch (internal/crashloop's
+// sweep).
 //
 // A clean sweep exits 0. On divergence it minimizes the failing stream
 // (drop whole batches, then single edges) and writes a replayable repro:
@@ -11,7 +13,7 @@
 //	sagafuzz -replay sagafuzz.repro           # re-run a minimized repro
 //	sagafuzz -crash                           # kill/recover durability soak
 //
-// -inject plants a deliberate defect in the structures under test to
+// -inject plants a deliberate defect in the stream the pipelines ingest to
 // demonstrate the catch-and-shrink loop end to end (see -help).
 //
 // -crash switches to the durability soak (internal/crashloop): a durable
@@ -103,12 +105,10 @@ func main() {
 	}
 
 	if *replay != "" {
-		os.Exit(runReplay(*replay, fault, *threads))
+		os.Exit(runReplay(*replay, fault))
 	}
 
-	mk := injector(fault, *directed, *threads)
-
-	cfg := crosscheck.Config{
+	cfg := crashloop.SweepConfig{
 		Stream: crosscheck.StreamConfig{
 			Seed:      *seed,
 			Batches:   *batches,
@@ -117,11 +117,11 @@ func main() {
 			Directed:  *directed,
 			Deletes:   *deletes,
 		},
-		Threads:       *threads,
-		Structures:    validStructures(splitList(*dsList)),
-		Algorithms:    splitList(*algList),
-		TopologyOnly:  *topoOnly,
-		MakeStructure: mk,
+		Threads:      *threads,
+		Structures:   validStructures(splitList(*dsList)),
+		Algorithms:   splitList(*algList),
+		TopologyOnly: *topoOnly,
+		Fault:        fault,
 	}
 	for _, m := range splitList(*modList) {
 		switch m {
@@ -134,7 +134,7 @@ func main() {
 
 	stream := crosscheck.NewStream(cfg.Stream)
 	adds, dels := stream.NumEdges()
-	rep := crosscheck.Replay(cfg, stream)
+	rep := crashloop.Replay(cfg, stream)
 	fmt.Printf("sagafuzz: seed %d: %d batches (%d adds, %d dels) x %d structures: %d topology checks, %d value checks\n",
 		*seed, rep.Batches, adds, dels, len(rep.Structures), rep.TopologyChecks, rep.ValueChecks)
 	if rep.OK() {
@@ -152,7 +152,7 @@ func main() {
 		label = fmt.Sprintf("%s/%s", first.Alg, first.Model)
 	}
 	fmt.Printf("sagafuzz: minimizing %s failure on %s...\n", label, first.DS)
-	repro := crosscheck.MinimizeFailure(cfg, stream, first)
+	repro := crashloop.MinimizeFailure(cfg, stream, first)
 	madds, mdels := repro.Stream.NumEdges()
 	fmt.Printf("sagafuzz: minimized to %d batches / %d adds / %d dels\n", len(repro.Stream), madds, mdels)
 	if err := repro.WriteFile(*out); err != nil {
@@ -208,7 +208,7 @@ func runCrash(opts crashloop.Options) int {
 	return 1
 }
 
-func runReplay(path string, fault *crosscheck.FaultSpec, threads int) int {
+func runReplay(path string, fault *crosscheck.FaultSpec) int {
 	r, err := crosscheck.ReadReproFile(path)
 	if err != nil {
 		fatalf("reading repro: %v", err)
@@ -220,7 +220,7 @@ func runReplay(path string, fault *crosscheck.FaultSpec, threads int) int {
 	radds, rdels := r.Stream.NumEdges()
 	fmt.Printf("sagafuzz: replaying %s: %s on %s, %d batches / %d adds / %d dels\n",
 		path, what, r.DS, len(r.Stream), radds, rdels)
-	rep := r.Replay(injector(fault, r.Directed, threads))
+	rep := crashloop.ReplayRepro(r, fault)
 	if rep.OK() {
 		fmt.Println("sagafuzz: PASS: repro no longer reproduces")
 		return 0
@@ -270,21 +270,6 @@ func parseFault(spec string) (*crosscheck.FaultSpec, error) {
 		return nil, fmt.Errorf("unknown fault %q", parts[0])
 	}
 	return fs, nil
-}
-
-// injector builds the structure factory for a parsed fault; nil fault
-// returns nil so the harness uses plain registry construction.
-func injector(fault *crosscheck.FaultSpec, directed bool, threads int) func(string) ds.Graph {
-	if fault == nil {
-		return nil
-	}
-	return func(name string) ds.Graph {
-		g, err := ds.New(name, ds.Config{Directed: directed, Threads: threads})
-		if err != nil {
-			fatalf("constructing %s: %v", name, err)
-		}
-		return crosscheck.InjectFault(g, *fault)
-	}
 }
 
 func splitList(s string) []string {

@@ -1,9 +1,11 @@
 // Temporal: multi-snapshot analytics over a streaming graph — the model
 // the paper slates for a future SAGA-Bench version. While the live
-// pipeline keeps incremental connected components up to date, a snapshot
-// store records every batch; afterwards we travel back in time and ask
-// when two accounts first became connected and how fast the biggest
-// community absorbed the graph.
+// pipeline keeps incremental connected components up to date, we pin the
+// epoch it publishes after every batch and hold on to it; afterwards we
+// travel back in time through those retained epochs and ask when two
+// accounts first became connected and how fast the biggest community
+// absorbed the graph. A pinned epoch carries the component labels as of
+// its batch, so no traversal is rerun.
 //
 //	go run ./examples/temporal
 package main
@@ -17,7 +19,6 @@ import (
 	_ "sagabench/internal/ds/all"
 	"sagabench/internal/gen"
 	"sagabench/internal/graph"
-	"sagabench/internal/snapshot"
 )
 
 func main() {
@@ -32,28 +33,37 @@ func main() {
 		Directed:      true,
 		Threads:       4,
 		MaxNodesHint:  spec.NumNodes,
+		ServeQueries:  true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	store := snapshot.New(snapshot.Config{Directed: true, Every: 8})
 
+	// One retained epoch per batch: history[i] is the graph after batch i.
+	history := make([]*core.QueryHandle, 0, len(batches))
+	defer func() {
+		for _, h := range history {
+			h.Release()
+		}
+	}()
 	for _, b := range batches {
 		pipe.Process(b)
-		store.Observe(b, nil)
+		h, err := pipe.AcquireQuery()
+		if err != nil {
+			log.Fatal(err)
+		}
+		history = append(history, h)
 	}
-	fmt.Printf("streamed %d batches; %d checkpoints retained\n", store.Batches(), store.Checkpoints())
+	fmt.Printf("streamed %d batches; %d epochs retained\n", len(batches), len(history))
 
 	// Time travel 1: when did vertices 2 and 3 first join the same
 	// weakly connected component?
 	const a, bVert = 2, 3
 	joined := -1
-	for i := 0; i < store.Batches(); i++ {
-		snap, err := store.At(i)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if sameComponent(snap, a, bVert) {
+	for i, h := range history {
+		la, okA := h.Value(a)
+		lb, okB := h.Value(bVert)
+		if okA && okB && la == lb {
 			joined = i
 			break
 		}
@@ -66,86 +76,27 @@ func main() {
 
 	// Time travel 2: growth of the largest component across the stream.
 	fmt.Println("largest-component share over time:")
-	for i := 4; i < store.Batches(); i += 16 {
-		snap, err := store.At(i)
-		if err != nil {
-			log.Fatal(err)
-		}
-		size, total := largestComponent(snap)
+	for i := 4; i < len(history); i += 16 {
+		size, total := largestComponent(history[i].Values())
 		fmt.Printf("  after batch %3d: %5.1f%% of %d vertices\n",
 			i, 100*float64(size)/float64(total), total)
 	}
 
-	// The live pipeline and the final snapshot must agree.
-	finalSnap := store.Latest()
-	if finalSnap.NumEdges() != pipe.Graph().NumEdges() {
-		log.Fatalf("snapshot/live divergence: %d vs %d edges", finalSnap.NumEdges(), pipe.Graph().NumEdges())
+	// The live pipeline and the last retained epoch must agree.
+	final := history[len(history)-1]
+	if final.NumEdges() != pipe.Graph().NumEdges() {
+		log.Fatalf("snapshot/live divergence: %d vs %d edges", final.NumEdges(), pipe.Graph().NumEdges())
 	}
-	fmt.Printf("final snapshot matches live graph: %d distinct edges\n", finalSnap.NumEdges())
+	fmt.Printf("final snapshot matches live graph: %d distinct edges\n", final.NumEdges())
 }
 
-// sameComponent checks weak connectivity between a and b on a snapshot.
-func sameComponent(c *graph.CSR, a, b graph.NodeID) bool {
-	n := c.NumNodes()
-	if int(a) >= n || int(b) >= n {
-		return false
+// largestComponent sizes the biggest weakly connected component from a
+// vector of component labels.
+func largestComponent(labels []float64) (largest, total int) {
+	sizes := map[float64]int{}
+	for _, l := range labels {
+		sizes[l]++
+		largest = max(largest, sizes[l])
 	}
-	seen := make([]bool, n)
-	stack := []graph.NodeID{a}
-	seen[a] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if u == b {
-			return true
-		}
-		for _, nb := range c.Out(u) {
-			if !seen[nb.ID] {
-				seen[nb.ID] = true
-				stack = append(stack, nb.ID)
-			}
-		}
-		for _, nb := range c.In(u) {
-			if !seen[nb.ID] {
-				seen[nb.ID] = true
-				stack = append(stack, nb.ID)
-			}
-		}
-	}
-	return false
-}
-
-// largestComponent sizes the biggest weakly connected component.
-func largestComponent(c *graph.CSR) (largest, total int) {
-	n := c.NumNodes()
-	seen := make([]bool, n)
-	for v := 0; v < n; v++ {
-		if seen[v] {
-			continue
-		}
-		size := 0
-		stack := []graph.NodeID{graph.NodeID(v)}
-		seen[v] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			size++
-			for _, nb := range c.Out(u) {
-				if !seen[nb.ID] {
-					seen[nb.ID] = true
-					stack = append(stack, nb.ID)
-				}
-			}
-			for _, nb := range c.In(u) {
-				if !seen[nb.ID] {
-					seen[nb.ID] = true
-					stack = append(stack, nb.ID)
-				}
-			}
-		}
-		if size > largest {
-			largest = size
-		}
-	}
-	return largest, n
+	return largest, len(labels)
 }

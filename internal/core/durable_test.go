@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -267,6 +269,43 @@ func TestDurablePoisonValidation(t *testing.T) {
 	// The NaN must survive the codec so the repro reproduces.
 	if !math.IsNaN(float64(r.Stream[0].Adds[0].Weight)) {
 		t.Fatalf("quarantined weight %v, want NaN", r.Stream[0].Adds[0].Weight)
+	}
+}
+
+// TestQuarantineKeepsUnparseableReject plants an unparseable file where
+// the first validation reject would go (a torn write, or a hand edit) and
+// rejects a batch through MaxNodeID validation: the new reject must take
+// the next free name and leave the earlier file's bytes alone.
+func TestQuarantineKeepsUnparseableReject(t *testing.T) {
+	dir := t.TempDir()
+	garbage := []byte("sagafuzz repro v1\nds adjshared\nbatch\nadd 0 5") // torn mid-record
+	first := filepath.Join(dir, "invalid-000000.poison")
+	if err := os.WriteFile(first, garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewPipeline(durableCfg(dir, "cc", &durable.Config{Fsync: durable.FsyncNever, CheckpointEvery: -1, MaxNodeID: 100}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ProcessMixed(core.MixedBatch{Adds: graph.Batch{{Src: 0, Dst: 500, Weight: 1}}}); err != nil {
+		t.Fatalf("validation reject must not error the stream: %v", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(first); err != nil || !bytes.Equal(got, garbage) {
+		t.Fatalf("earlier reject overwritten: %q (%v)", got, err)
+	}
+	files := p.PoisonFiles()
+	if len(files) != 1 || filepath.Base(files[0]) != "invalid-000001.poison" {
+		t.Fatalf("poison files %v, want invalid-000001.poison", files)
+	}
+	r, err := crosscheck.ReadReproFile(files[0])
+	if err != nil {
+		t.Fatalf("new reject does not parse: %v", err)
+	}
+	if len(r.Stream) != 1 || len(r.Stream[0].Adds) != 1 || r.Stream[0].Adds[0].Dst != 500 {
+		t.Fatalf("new reject holds %+v", r.Stream)
 	}
 }
 

@@ -117,10 +117,10 @@ func (h *QueryHandle) Values() []float64 { h.reads++; return h.s.Values }
 // (CheckConsistent, Fingerprint) and bulk array access.
 func (h *QueryHandle) Snapshot() *epoch.Snapshot { return h.s }
 
-// Frozen adapts the pinned topology to ds.Graph, so any compute engine
-// can run a full algorithm on the pinned epoch — temporal analytics on a
-// consistent historical view, concurrent with ingest — through the same
-// adapter internal/snapshot uses for its checkpointed history.
+// Frozen adapts the pinned topology to ds.Graph (internal/snapshot), so
+// any compute engine can run a full algorithm on the pinned epoch —
+// temporal analytics on a consistent historical view, concurrent with
+// ingest: a held handle is how a caller keeps "the graph as of batch i".
 func (h *QueryHandle) Frozen() ds.Graph { h.reads++; return snapshot.Freeze(&h.s.CSR) }
 
 // Release unpins the epoch and records the session's telemetry (query

@@ -1,6 +1,19 @@
-// Package crashloop is the kill/recover soak harness behind
-// `sagafuzz -crash`: it streams a deterministic crosscheck stream through
-// a durable pipeline while simulating a kill at every registered
+// Package crashloop holds the differentials that drive a real
+// core.Pipeline with deterministic crosscheck streams and judge it against
+// the sequential oracle (crosscheck itself cannot import core: the
+// durability layer imports its repro codec).
+//
+// Sweep/Replay is the per-step sweep behind `sagafuzz`: one pipeline per
+// (structure, algorithm, model), its structure, compute mirror and values
+// diffed against the oracle and the sequential references after every
+// step, failures minimized to a replayable repro (sweep.go).
+//
+// ReadDuring is the read-during-update differential: readers pin the
+// pipeline's published epochs while it ingests, and every observation is
+// re-answered from ground truth at its pinned batch (readduring.go).
+//
+// Run is the kill/recover soak behind `sagafuzz -crash`: it streams
+// through a durable pipeline while simulating a kill at every registered
 // durable.CrashPoint in rotation, recovering from disk after each one,
 // optionally tearing and bit-flipping the WAL tail between generations
 // and injecting poison batches mid-stream. The driver behaves like a real
@@ -129,6 +142,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// tighten fills o's unset convergence knobs with the tight values every
+// differential here needs: pipeline values are compared against the
+// sequential references at compute.Tolerance, so PageRank must converge
+// far past its default.
+func tighten(o compute.Options) compute.Options {
+	if o.PRTolerance == 0 {
+		o.PRTolerance = 1e-12
+	}
+	if o.PRMaxIters == 0 {
+		o.PRMaxIters = 200
+	}
+	if o.Epsilon == 0 {
+		o.Epsilon = 1e-12
+	}
+	return o
+}
+
 // Result summarizes one soak run.
 type Result struct {
 	Dir          string
@@ -197,12 +227,7 @@ func Run(o Options) (*Result, error) {
 		oracle.Update(step.Adds)
 		oracle.Delete(step.Dels)
 	}
-	copts := compute.Options{
-		Threads:     o.Threads,
-		PRTolerance: 1e-12,
-		PRMaxIters:  200,
-		Epsilon:     1e-12,
-	}
+	copts := tighten(compute.Options{Threads: o.Threads})
 	want := compute.MustReference(o.Alg, oracle, copts)
 
 	pcfg := core.PipelineConfig{

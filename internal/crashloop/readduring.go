@@ -1,4 +1,4 @@
-package crosscheck
+package crashloop
 
 import (
 	"fmt"
@@ -9,29 +9,30 @@ import (
 	"sync/atomic"
 
 	"sagabench/internal/compute"
-	"sagabench/internal/ds"
-	"sagabench/internal/epoch"
+	"sagabench/internal/core"
+	"sagabench/internal/crosscheck"
 	"sagabench/internal/graph"
-	"sagabench/internal/snapshot"
 )
 
-// Read-during-update differential: a single writer replays a stream
-// through one structure/engine pair, publishing an epoch snapshot after
-// every batch exactly as core.Pipeline does, while concurrent readers pin
-// epochs and record neighborhood/degree/value observations mid-stream.
-// After the stream drains, every observation is re-answered from ground
-// truth replayed to the observation's pinned batch — the adjacency from
-// an internal/snapshot.Store (checkpoint + delta replay over the same
-// stream) and the property vector from the sequential reference on the
-// oracle — so a stale, torn, or scribbled epoch surfaces as a concrete
-// (batch, vertex) mismatch. Mismatches are minimized to .repro files via
-// a deterministic single-threaded re-check when the failure survives
-// sequential replay; races that do not are written unshrunk.
+// Read-during-update differential: one core.Pipeline with ServeQueries on
+// replays a stream through ProcessMixed while concurrent readers pin
+// epochs through AcquireQuery and record neighborhood/degree/value
+// observations mid-stream. The contract checked is the one a pinned reader
+// is promised (in the vocabulary of Peri et al.'s concurrent-graph work):
+// it sees some published epoch in full, never a torn mix of two. After
+// the stream drains, every observation is re-answered from ground truth
+// at the observation's pinned batch — the adjacency from a CSR built off
+// the sequential oracle as it advanced, the property vector from the
+// sequential reference — so a stale, torn, or scribbled epoch surfaces as
+// a concrete (batch, vertex) mismatch. Mismatches are minimized to .repro
+// files via a deterministic single-threaded re-check when the failure
+// survives sequential replay; races that do not are written unshrunk.
 
 // ReadDuringConfig parameterizes one read-during-update run.
 type ReadDuringConfig struct {
-	// Stream parameterizes generation (ReadDuring generates via NewStream).
-	Stream StreamConfig
+	// Stream parameterizes generation (ReadDuring generates via
+	// crosscheck.NewStream).
+	Stream crosscheck.StreamConfig
 	// DS is the data structure under test (required).
 	DS string
 	// Alg/Model select the engine (default cc/FS — deletion-safe, exact
@@ -45,21 +46,23 @@ type ReadDuringConfig struct {
 	// MaxObsPerReader caps recorded observations per reader so post-hoc
 	// verification stays bounded (default 256).
 	MaxObsPerReader int
-	// ComputeView publishes the incrementally rebuilt CSR mirror (the
+	// ComputeView publishes the incrementally refreshed CSR mirror (the
 	// buffer-reuse path, where the reclaim protocol is load-bearing);
 	// otherwise every batch publishes a freshly exported CSR.
 	ComputeView bool
-	// Opts carries algorithm tuning; zero gets the harness defaults.
+	// Opts carries algorithm tuning; unset convergence knobs are
+	// tightened (see tighten).
 	Opts compute.Options
-	// MakeStructure overrides registry construction (fault injection).
-	MakeStructure func(name string) ds.Graph
+	// Fault, when set, plants the defect in the stream the pipeline
+	// ingests while ground truth follows the original (the differential's
+	// self-test; see crosscheck.FaultSpec).
+	Fault *crosscheck.FaultSpec
 	// OutDir, when non-empty, receives one .repro file per distinct
 	// mismatching vertex.
 	OutDir string
 }
 
 func (c ReadDuringConfig) withDefaults() ReadDuringConfig {
-	c.Stream = c.Stream.withDefaults()
 	if c.Alg == "" {
 		c.Alg = "cc"
 	}
@@ -75,15 +78,7 @@ func (c ReadDuringConfig) withDefaults() ReadDuringConfig {
 	if c.MaxObsPerReader <= 0 {
 		c.MaxObsPerReader = 256
 	}
-	if c.Opts.PRTolerance == 0 {
-		c.Opts.PRTolerance = 1e-12
-	}
-	if c.Opts.PRMaxIters == 0 {
-		c.Opts.PRMaxIters = 200
-	}
-	if c.Opts.Epsilon == 0 {
-		c.Opts.Epsilon = 1e-12
-	}
+	c.Opts = tighten(c.Opts)
 	c.Opts.Threads = c.Threads
 	return c
 }
@@ -152,147 +147,82 @@ type observation struct {
 	hasVal bool
 }
 
-// rdWriter is the per-batch publication pipeline shared by the live
-// concurrent run and the deterministic replay predicate: structure +
-// optional mirror + engine + epoch manager, stepped one batch at a time
-// exactly as core.Pipeline's apply does.
-type rdWriter struct {
-	cfg    ReadDuringConfig
-	g      ds.Graph
-	view   *ds.ComputeView
-	engine compute.Engine
-	em     *epoch.Manager
-	batch  int
+// observe reads vertex v through a pinned handle.
+func observe(h *core.QueryHandle, v graph.NodeID) observation {
+	o := observation{
+		batch:  h.Batch(),
+		epoch:  h.Epoch(),
+		vertex: v,
+		nodes:  h.NumNodes(),
+		outDeg: h.OutDegree(v),
+		inDeg:  h.InDegree(v),
+		out:    append([]graph.Neighbor(nil), h.Out(v)...),
+	}
+	o.value, o.hasVal = h.Value(v)
+	sort.Slice(o.out, func(a, b int) bool { return o.out[a].ID < o.out[b].ID })
+	return o
 }
 
-func newRDWriter(cfg ReadDuringConfig) (*rdWriter, error) {
-	w := &rdWriter{cfg: cfg}
-	var err error
-	if cfg.MakeStructure != nil {
-		w.g = cfg.MakeStructure(cfg.DS)
-	} else {
-		w.g, err = ds.New(cfg.DS, ds.Config{Directed: cfg.Stream.Directed, Threads: cfg.Threads})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cfg.ComputeView {
-		w.view, _ = ds.NewComputeView(w.g, cfg.Threads)
-	}
-	w.engine, err = compute.NewEngine(cfg.Alg, cfg.Model, cfg.Opts)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Stream.Deletes {
-		if !ds.SupportsDelete(w.g) {
-			return nil, fmt.Errorf("crosscheck: %s does not support deletions", cfg.DS)
-		}
-		if !w.engine.HandlesDeletions() {
-			return nil, fmt.Errorf("crosscheck: %s/%s cannot process deletions", cfg.Alg, cfg.Model)
-		}
-	}
-	w.em = epoch.NewManager(w.view != nil)
-	return w, nil
+// batchTruth is the state after one batch as the sequential oracle and
+// reference compute it.
+type batchTruth struct {
+	csr *graph.CSR
+	ref []float64
 }
 
-// step applies one stream step and publishes the post-batch epoch.
-func (w *rdWriter) step(st Step) error {
-	var olds graph.Batch
-	if wca, ok := w.engine.(compute.WeightChangeAware); ok && wca.WantsWeightChanges() {
-		olds = ds.Overwritten(w.g, st.Adds)
+// advance applies one step to the oracle and returns the ground truth of
+// the state it reaches.
+func advance(oracle *graph.Oracle, st crosscheck.Step, cfg ReadDuringConfig) batchTruth {
+	oracle.Update(st.Adds)
+	oracle.Delete(st.Dels)
+	return batchTruth{
+		csr: graph.BuildCSR(oracle.NumNodes(), oracle.Edges()),
+		ref: compute.MustReference(cfg.Alg, oracle, cfg.Opts),
 	}
-	w.g.Update(st.Adds)
-	if len(st.Dels) > 0 {
-		if err := w.g.(ds.Deleter).Delete(st.Dels); err != nil {
-			return err
-		}
-	}
-	cg := w.g
-	if w.view != nil {
-		// The reclaim gate under test: the refresh may not scribble the
-		// spare arrays while the snapshot that owns them is pinned.
-		if w.em.ReclaimSpare() {
-			w.view.DropSpares()
-		}
-		w.view.Refresh(st.Adds, st.Dels)
-		cg = w.view
-	}
-	if invalidating := append(append(graph.Batch{}, olds...), st.Dels...); len(invalidating) > 0 {
-		if da, ok := w.engine.(compute.DeletionAware); ok {
-			da.NotifyDeletions(cg, invalidating)
-		}
-	}
-	w.engine.PerformAlg(cg, affectedOf(st, w.g.NumNodes()))
+}
 
-	var csr graph.CSR
-	if w.view != nil {
-		csr = *w.view.FlatCSR()
-	} else {
-		csr = *graph.BuildCSR(w.g.NumNodes(), ds.ExportEdges(w.g))
-	}
-	w.em.Publish(&epoch.Snapshot{
-		Batch:    w.batch,
-		CSR:      csr,
-		Values:   w.engine.ValuesInto(nil),
-		Directed: w.cfg.Stream.Directed,
+// newReadPipeline builds the pipeline under test: the same batch runner
+// every other caller streams through, with epoch publication on.
+func newReadPipeline(cfg ReadDuringConfig) (*core.Pipeline, error) {
+	return core.NewPipeline(core.PipelineConfig{
+		DataStructure: cfg.DS,
+		Algorithm:     cfg.Alg,
+		Model:         cfg.Model,
+		Directed:      cfg.Stream.Directed,
+		Threads:       cfg.Threads,
+		Compute:       cfg.Opts,
+		ComputeView:   cfg.ComputeView,
+		ServeQueries:  true,
 	})
-	if w.view == nil {
-		w.em.ForgetSpare()
-	}
-	w.batch++
-	return nil
-}
-
-// affectedOf mirrors core.Pipeline's affected-set construction.
-func affectedOf(st Step, n int) []graph.NodeID {
-	var affected []graph.NodeID
-	seen := map[graph.NodeID]bool{}
-	for _, b := range []graph.Batch{st.Adds, st.Dels} {
-		for _, e := range b {
-			for _, v := range [2]graph.NodeID{e.Src, e.Dst} {
-				if !seen[v] && int(v) < n {
-					seen[v] = true
-					affected = append(affected, v)
-				}
-			}
-		}
-	}
-	return affected
 }
 
 // ReadDuring generates the stream for cfg and runs the read-during-update
 // differential.
 func ReadDuring(cfg ReadDuringConfig) (*ReadDuringReport, error) {
-	cfg = cfg.withDefaults()
-	stream := NewStream(cfg.Stream)
-	return ReplayReadDuring(cfg, stream)
+	return ReplayReadDuring(cfg, crosscheck.NewStream(cfg.Stream))
 }
 
 // ReplayReadDuring runs the differential over an explicit stream.
-func ReplayReadDuring(cfg ReadDuringConfig, stream Stream) (*ReadDuringReport, error) {
+func ReplayReadDuring(cfg ReadDuringConfig, stream crosscheck.Stream) (*ReadDuringReport, error) {
 	cfg = cfg.withDefaults()
 	rep := &ReadDuringReport{Batches: len(stream)}
 
-	// Ground truth, accumulated as the writer advances: the history store
-	// replays adjacency to any batch, refs holds the per-batch sequential
-	// reference vectors.
-	store := snapshot.New(snapshot.Config{Directed: cfg.Stream.Directed, Every: 4})
-	oracle := graph.NewOracle(cfg.Stream.Directed)
-	refs := make([][]float64, 0, len(stream))
-
-	w, err := newRDWriter(cfg)
+	p, err := newReadPipeline(cfg)
 	if err != nil {
 		return nil, err
 	}
+	oracle := graph.NewOracle(cfg.Stream.Directed)
+	truth := make([]batchTruth, 0, len(stream))
 
 	// Concurrent readers: pin, sample random vertices, copy what they see,
-	// release. They stop when Pin returns nil after Close. Two rules keep
-	// the differential from passing or failing by scheduling luck:
+	// release. They stop when AcquireQuery fails after done is closed. Two
+	// rules keep the differential from passing or failing by scheduling
+	// luck:
 	//
 	//   - A reader spends at most perEpoch observations on one epoch, so a
 	//     reader that outruns the writer cannot burn its whole cap on the
 	//     first epoch and never look at a later, faulty one.
-	//   - The writer holds the manager open after the last batch until
+	//   - The writer keeps the pipeline open after the last batch until
 	//     every reader has observed the final epoch (or has left its loop),
 	//     so a fast stream cannot drain before any reader pinned anything,
 	//     and a defect present in the final state is seen by all readers
@@ -308,7 +238,7 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream Stream) (*ReadDuringReport, e
 		wg.Add(1)
 		go func(slot int, seed int64) {
 			defer wg.Done()
-			defer settled[slot].Store(true) // cap reached, manager closed, or dead
+			defer settled[slot].Store(true) // cap reached, pipeline closed, or dead
 			defer func() {
 				if r := recover(); r != nil {
 					select {
@@ -321,70 +251,57 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream Stream) (*ReadDuringReport, e
 			var obs []observation
 			curBatch, onEpoch := -1, 0
 			for len(obs) < cfg.MaxObsPerReader {
-				s := w.em.Pin()
-				if s == nil {
+				h, err := p.AcquireQuery()
+				if err != nil {
 					select {
-					case <-done: // writer finished and closed the manager
+					case <-done: // writer finished and closed the pipeline
 					default:
 						runtime.Gosched() // nothing published yet
 						continue
 					}
 					break
 				}
-				if s.Batch != curBatch {
-					curBatch, onEpoch = s.Batch, 0
+				if h.Batch() != curBatch {
+					curBatch, onEpoch = h.Batch(), 0
 				}
-				n := s.NumNodes()
+				n := h.NumNodes()
 				if onEpoch >= perEpoch || n == 0 {
 					// This epoch has had its share (or has nothing to
 					// observe): wait for the next one.
-					w.em.Release(s)
+					h.Release()
 					runtime.Gosched()
 					continue
 				}
-				v := graph.NodeID(rng.Intn(n))
-				o := observation{
-					batch:  s.Batch,
-					epoch:  s.Epoch,
-					vertex: v,
-					nodes:  n,
-					outDeg: s.OutDegree(v),
-					inDeg:  s.InDegree(v),
-					out:    append([]graph.Neighbor(nil), s.Out(v)...),
-				}
-				o.value, o.hasVal = s.Value(v)
-				sort.Slice(o.out, func(a, b int) bool { return o.out[a].ID < o.out[b].ID })
-				obs = append(obs, o)
+				obs = append(obs, observe(h, graph.NodeID(rng.Intn(n))))
 				onEpoch++
-				if s.Batch == lastBatch {
+				if h.Batch() == lastBatch {
 					settled[slot].Store(true)
 				}
-				w.em.Release(s)
+				h.Release()
 			}
 			obsPerReader[slot] = obs
 		}(i, cfg.Stream.Seed+int64(i)*7919)
 	}
 
 	var stepErr error
-	for _, st := range stream {
-		oracle.Update(st.Adds)
-		oracle.Delete(st.Dels)
-		refs = append(refs, compute.MustReference(cfg.Alg, oracle, cfg.Opts))
-		store.Observe(st.Adds, st.Dels)
-		if stepErr = w.step(st); stepErr != nil {
+	ingest := cfg.Fault.Apply(stream, cfg.Stream.Directed)
+	for i, st := range stream {
+		truth = append(truth, advance(oracle, st, cfg))
+		if _, err := p.ProcessMixed(core.MixedBatch{Adds: ingest[i].Adds, Dels: ingest[i].Dels}); err != nil {
+			stepErr = fmt.Errorf("crashloop: read-during-update batch %d: %w", i, err)
 			break
 		}
 	}
 	// Final-epoch wait: only meaningful when an epoch with vertices exists
 	// for readers to observe (a reader on an empty graph records nothing).
-	if stepErr == nil && w.g.NumNodes() > 0 && len(stream) > 0 {
+	if stepErr == nil && p.Graph().NumNodes() > 0 && len(stream) > 0 {
 		for i := range settled {
 			for !settled[i].Load() {
 				runtime.Gosched()
 			}
 		}
 	}
-	w.em.Close()
+	p.Close()
 	close(done)
 	wg.Wait()
 	if stepErr != nil {
@@ -407,7 +324,7 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream Stream) (*ReadDuringReport, e
 			if seen[key] {
 				continue
 			}
-			detail := checkObservation(o, store, refs, tol)
+			detail := checkObservation(o, truth, tol)
 			rep.Checked++
 			if detail == "" {
 				continue
@@ -438,25 +355,22 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream Stream) (*ReadDuringReport, e
 
 // checkObservation re-answers one observation from ground truth; "" means
 // it holds up.
-func checkObservation(o observation, store *snapshot.Store, refs [][]float64, tol float64) string {
-	if o.batch < 0 || o.batch >= store.Batches() {
-		return fmt.Sprintf("pinned batch outside observed range [0,%d)", store.Batches())
+func checkObservation(o observation, truth []batchTruth, tol float64) string {
+	if o.batch < 0 || o.batch >= len(truth) {
+		return fmt.Sprintf("pinned batch outside observed range [0,%d)", len(truth))
 	}
-	truth, err := store.At(o.batch)
-	if err != nil {
-		return fmt.Sprintf("ground-truth replay failed: %v", err)
-	}
-	if o.nodes != truth.NumNodes() {
-		return fmt.Sprintf("snapshot has %d vertices, ground truth %d", o.nodes, truth.NumNodes())
+	csr := truth[o.batch].csr
+	if o.nodes != csr.NumNodes() {
+		return fmt.Sprintf("snapshot has %d vertices, ground truth %d", o.nodes, csr.NumNodes())
 	}
 	v := o.vertex
-	if got, want := o.outDeg, truth.OutDegree(v); got != want {
+	if got, want := o.outDeg, csr.OutDegree(v); got != want {
 		return fmt.Sprintf("out-degree %d, ground truth %d", got, want)
 	}
-	if got, want := o.inDeg, truth.InDegree(v); got != want {
+	if got, want := o.inDeg, csr.InDegree(v); got != want {
 		return fmt.Sprintf("in-degree %d, ground truth %d", got, want)
 	}
-	want := truth.Out(v) // BuildCSR runs are ID-sorted, like o.out
+	want := csr.Out(v) // BuildCSR runs are ID-sorted, like o.out
 	if len(o.out) != len(want) {
 		return fmt.Sprintf("out-run length %d, ground truth %d", len(o.out), len(want))
 	}
@@ -466,7 +380,7 @@ func checkObservation(o observation, store *snapshot.Store, refs [][]float64, to
 				i, o.out[i].ID, o.out[i].Weight, want[i].ID, want[i].Weight)
 		}
 	}
-	ref := refs[o.batch]
+	ref := truth[o.batch].ref
 	if o.hasVal != (int(v) < len(ref)) {
 		return fmt.Sprintf("value presence %v, reference vector has %d slots", o.hasVal, len(ref))
 	}
@@ -482,13 +396,13 @@ func checkObservation(o observation, store *snapshot.Store, refs [][]float64, to
 // OutDir is set and the per-run repro budget allows, writes a reproducer —
 // minimized for deterministic failures, unshrunk (with a note) for racy
 // ones.
-func finishMismatch(m *ReadMismatch, cfg ReadDuringConfig, stream Stream, writeRepro bool) {
-	pred := func(cand Stream) bool { return sequentialReadCheck(cfg, cand, m.Vertex) != "" }
+func finishMismatch(m *ReadMismatch, cfg ReadDuringConfig, stream crosscheck.Stream, writeRepro bool) {
+	pred := func(cand crosscheck.Stream) bool { return sequentialReadCheck(cfg, cand, m.Vertex) != "" }
 	m.Deterministic = pred(stream)
 	if cfg.OutDir == "" || !writeRepro {
 		return
 	}
-	rep := &Repro{
+	rep := &crosscheck.Repro{
 		Directed: cfg.Stream.Directed,
 		Threads:  cfg.Threads,
 		DS:       cfg.DS,
@@ -499,7 +413,7 @@ func finishMismatch(m *ReadMismatch, cfg ReadDuringConfig, stream Stream, writeR
 	}
 	if m.Deterministic {
 		rep.Note = fmt.Sprintf("read-during-update (sequentially reproducible): %s", m)
-		rep.Stream = Minimize(stream, pred)
+		rep.Stream = crosscheck.Minimize(stream, pred)
 	} else {
 		rep.Note = fmt.Sprintf("read-during-update (NOT sequentially reproducible; likely a publication race): %s", m)
 	}
@@ -509,51 +423,38 @@ func finishMismatch(m *ReadMismatch, cfg ReadDuringConfig, stream Stream, writeR
 	}
 }
 
-// sequentialReadCheck replays cand single-writer with no concurrency,
-// pinning the published epoch after every batch and re-answering vertex v
-// against ground truth immediately. Returns the first mismatch detail, or
-// "". This is the deterministic predicate minimization shrinks against.
-func sequentialReadCheck(cfg ReadDuringConfig, cand Stream, v graph.NodeID) string {
-	w, err := newRDWriter(cfg)
+// sequentialReadCheck replays cand through a fresh pipeline with no
+// concurrency, pinning the published epoch after every batch and
+// re-answering vertex v against ground truth immediately. Returns the
+// first mismatch detail, or "". This is the deterministic predicate
+// minimization shrinks against.
+func sequentialReadCheck(cfg ReadDuringConfig, cand crosscheck.Stream, v graph.NodeID) string {
+	p, err := newReadPipeline(cfg)
 	if err != nil {
 		return fmt.Sprintf("construction failed: %v", err)
 	}
-	defer w.em.Close()
-	store := snapshot.New(snapshot.Config{Directed: cfg.Stream.Directed, Every: 4})
+	defer p.Close()
 	oracle := graph.NewOracle(cfg.Stream.Directed)
-	refs := make([][]float64, 0, len(cand))
+	truth := make([]batchTruth, 0, len(cand))
 	tol := compute.Tolerance(cfg.Alg)
-	for _, st := range cand {
-		oracle.Update(st.Adds)
-		oracle.Delete(st.Dels)
-		refs = append(refs, compute.MustReference(cfg.Alg, oracle, cfg.Opts))
-		store.Observe(st.Adds, st.Dels)
-		if err := w.step(st); err != nil {
+	ingest := cfg.Fault.Apply(cand, cfg.Stream.Directed)
+	for i, st := range cand {
+		truth = append(truth, advance(oracle, st, cfg))
+		if _, err := p.ProcessMixed(core.MixedBatch{Adds: ingest[i].Adds, Dels: ingest[i].Dels}); err != nil {
 			return fmt.Sprintf("step failed: %v", err)
 		}
-		s := w.em.Pin()
-		if s == nil {
+		h, err := p.AcquireQuery()
+		if err != nil {
 			return "publish produced no epoch"
 		}
-		n := s.NumNodes()
-		if int(v) < n {
-			o := observation{
-				batch:  s.Batch,
-				epoch:  s.Epoch,
-				vertex: v,
-				nodes:  n,
-				outDeg: s.OutDegree(v),
-				inDeg:  s.InDegree(v),
-				out:    append([]graph.Neighbor(nil), s.Out(v)...),
-			}
-			o.value, o.hasVal = s.Value(v)
-			sort.Slice(o.out, func(a, b int) bool { return o.out[a].ID < o.out[b].ID })
-			w.em.Release(s)
-			if detail := checkObservation(o, store, refs, tol); detail != "" {
-				return detail
-			}
-		} else {
-			w.em.Release(s)
+		if int(v) >= h.NumNodes() {
+			h.Release()
+			continue
+		}
+		o := observe(h, v)
+		h.Release()
+		if detail := checkObservation(o, truth, tol); detail != "" {
+			return detail
 		}
 	}
 	return ""

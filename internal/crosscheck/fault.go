@@ -1,18 +1,17 @@
 package crosscheck
 
-import (
-	"sagabench/internal/ds"
-	"sagabench/internal/graph"
-)
+import "sagabench/internal/graph"
 
-// Deliberate fault injection: the harness's own self-test wraps a correct
-// data structure with a known defect and asserts the differential run
-// catches it and shrinks the failing stream to a minimal repro. The
-// faults mimic real concurrent-structure bugs: a swallowed insert, an
-// off-by-one capacity boundary that silently drops the edge that would
-// not fit, and a re-insert path that forgets to overwrite the weight.
+// Deliberate fault injection: the differentials' own self-test plants a
+// known defect and asserts the differential run catches it and shrinks the
+// failing stream to a minimal repro. The faults mimic real
+// concurrent-structure bugs: a swallowed insert, an off-by-one capacity
+// boundary that silently drops the edge that would not fit, and a
+// re-insert path that forgets to overwrite the weight. A fault is a
+// transform of the stream the structure under test ingests; the oracle
+// ingests the original, so the defect surfaces as a divergence.
 
-// Fault selects a defect for InjectFault.
+// Fault selects a defect for FaultSpec.Apply.
 type Fault string
 
 // The supported defects.
@@ -38,66 +37,54 @@ type FaultSpec struct {
 	Cap int
 }
 
-// InjectFault wraps inner with the described defect. The wrapper still
-// implements ds.Deleter when inner does, so mixed streams replay
-// normally.
-func InjectFault(inner ds.Graph, spec FaultSpec) ds.Graph {
-	if spec.Cap <= 0 {
-		spec.Cap = 16
+// Apply returns the stream a structure with the defect would end up
+// having ingested: each add is judged, in stream order, against a shadow
+// oracle of the faulted stream so far (the degree and presence a faulty
+// structure would consult live), and kept adds land in the shadow before
+// the next is judged. Deletions pass through unchanged. A nil spec plants
+// nothing and returns stream itself.
+func (f *FaultSpec) Apply(stream Stream, directed bool) Stream {
+	if f == nil {
+		return stream
 	}
-	return &faultyGraph{Graph: inner, spec: spec}
-}
-
-type faultyGraph struct {
-	ds.Graph
-	spec FaultSpec
-}
-
-// Update filters the batch through the defect before handing it to the
-// real structure.
-func (f *faultyGraph) Update(batch graph.Batch) {
-	kept := make(graph.Batch, 0, len(batch))
-	for _, e := range batch {
-		switch f.spec.Fault {
-		case FaultDropEdge:
-			if e.Src == f.spec.Src && e.Dst == f.spec.Dst {
-				continue
-			}
-		case FaultDegreeCap:
-			// Degree check against the live structure: once a source is
-			// at the cap, new distinct neighbors are silently dropped
-			// (overwrites of existing neighbors still pass).
-			if f.Graph.OutDegree(e.Src) >= f.spec.Cap && !f.hasOut(e.Src, e.Dst) {
-				continue
-			}
-		case FaultStaleWeight:
-			if f.hasOut(e.Src, e.Dst) {
-				continue // drop the overwrite: weight stays stale
+	capacity := f.Cap
+	if capacity <= 0 {
+		capacity = 16
+	}
+	shadow := graph.NewOracle(directed)
+	has := func(src, dst graph.NodeID) bool {
+		for _, nb := range shadow.Out(src) {
+			if nb.ID == dst {
+				return true
 			}
 		}
-		kept = append(kept, e)
-		if f.spec.Fault == FaultDegreeCap || f.spec.Fault == FaultStaleWeight {
-			// These faults consult live degrees, so same-batch edges
-			// must land before judging the next one.
-			f.Graph.Update(graph.Batch{e})
-			kept = kept[:0]
+		return false
+	}
+	out := make(Stream, len(stream))
+	for i, st := range stream {
+		kept := make(graph.Batch, 0, len(st.Adds))
+		for _, e := range st.Adds {
+			switch f.Fault {
+			case FaultDropEdge:
+				if e.Src == f.Src && e.Dst == f.Dst {
+					continue
+				}
+			case FaultDegreeCap:
+				// Once a source is at the cap, new distinct neighbors are
+				// dropped (overwrites of existing neighbors still pass).
+				if shadow.OutDegree(e.Src) >= capacity && !has(e.Src, e.Dst) {
+					continue
+				}
+			case FaultStaleWeight:
+				if has(e.Src, e.Dst) {
+					continue // drop the overwrite: weight stays stale
+				}
+			}
+			kept = append(kept, e)
+			shadow.Update(graph.Batch{e})
 		}
+		shadow.Delete(st.Dels)
+		out[i] = Step{Adds: kept, Dels: st.Dels}
 	}
-	if len(kept) > 0 {
-		f.Graph.Update(kept)
-	}
-}
-
-func (f *faultyGraph) hasOut(src, dst graph.NodeID) bool {
-	for _, nb := range f.Graph.OutNeigh(src, nil) {
-		if nb.ID == dst {
-			return true
-		}
-	}
-	return false
-}
-
-// Delete passes through when the wrapped structure supports deletion.
-func (f *faultyGraph) Delete(batch graph.Batch) error {
-	return f.Graph.(ds.Deleter).Delete(batch)
+	return out
 }

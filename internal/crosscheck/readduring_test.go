@@ -1,34 +1,44 @@
-package crosscheck
+package crosscheck_test
 
 import (
 	"os"
 	"strings"
 	"testing"
 
-	"sagabench/internal/ds"
+	"sagabench/internal/compute"
+	"sagabench/internal/crashloop"
+	"sagabench/internal/crosscheck"
 	_ "sagabench/internal/ds/all"
-	"sagabench/internal/graph"
 )
+
+// These tests drive the read-during-update differential
+// (crashloop.ReadDuring): readers pin a real core.Pipeline's epochs while
+// it ingests, and every observation is re-answered from ground truth.
 
 // TestReadDuringClean runs the differential on a healthy pipeline across
 // both publication paths and both stream flavors: every mid-stream
-// observation must be re-answerable from ground truth.
+// observation must be re-answerable from ground truth. The pr-inc row
+// rewrites the whole value vector every batch, so the view path's
+// spare/latest vector rotation under ReclaimSpare runs under ground truth.
 func TestReadDuringClean(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		view    bool
 		deletes bool
+		alg     string
+		model   compute.Model
 	}{
-		{"export/adds-only", false, false},
-		{"export/deletes", false, true},
-		{"view/adds-only", true, false},
-		{"view/deletes", true, true},
+		{"export/adds-only", false, false, "", ""},
+		{"export/deletes", false, true, "", ""},
+		{"view/adds-only", true, false, "", ""},
+		{"view/deletes", true, true, "", ""},
+		{"view/pr-inc", true, true, "pr", compute.INC},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			rep, err := ReadDuring(ReadDuringConfig{
-				Stream: StreamConfig{
+			rep, err := crashloop.ReadDuring(crashloop.ReadDuringConfig{
+				Stream: crosscheck.StreamConfig{
 					Seed:      31 + int64(len(tc.name)),
 					Batches:   10,
 					BatchSize: 200,
@@ -37,6 +47,8 @@ func TestReadDuringClean(t *testing.T) {
 					Deletes:   tc.deletes,
 				},
 				DS:              "adjshared",
+				Alg:             tc.alg,
+				Model:           tc.model,
 				Readers:         4,
 				MaxObsPerReader: 64,
 				ComputeView:     tc.view,
@@ -64,65 +76,40 @@ func TestReadDuringClean(t *testing.T) {
 	}
 }
 
-// truncatingGraph drops every edge that mentions the top vertex of the ID
-// space, so the structure under test silently under-ingests: ground truth
-// (built from the raw stream) sees a vertex the published epochs never
-// acquire. Deterministic by construction — the minimizer must be able to
-// shrink the failure.
-type truncatingGraph struct {
-	ds.Graph
-	cut graph.NodeID
-}
-
-func (f *truncatingGraph) Update(b graph.Batch) {
-	kept := make(graph.Batch, 0, len(b))
-	for _, e := range b {
-		if e.Src == f.cut || e.Dst == f.cut {
-			continue
-		}
-		kept = append(kept, e)
-	}
-	f.Graph.Update(kept)
-}
-
-// TestReadDuringDetectsFault injects the truncating structure and demands
-// the differential catch it, classify it as deterministic, and write a
-// minimized reproducer.
+// TestReadDuringDetectsFault plants a degree cap in what the pipeline
+// ingests and demands the differential catch it, classify it as
+// deterministic, and write minimized reproducers — within the per-run
+// caps of 16 classified mismatches and 3 reproducers.
 func TestReadDuringDetectsFault(t *testing.T) {
+	const maxMismatches, maxRepros = 16, 3
 	outDir := t.TempDir()
-	const numNodes = 48
-	cfg := ReadDuringConfig{
-		Stream: StreamConfig{
+	cfg := crashloop.ReadDuringConfig{
+		Stream: crosscheck.StreamConfig{
 			Seed:      7,
 			Batches:   8,
 			BatchSize: 150,
-			NumNodes:  numNodes,
+			NumNodes:  48,
 			Directed:  true,
 		},
 		DS:              "adjshared",
 		Readers:         4,
 		MaxObsPerReader: 64,
 		Threads:         2,
+		Fault:           &crosscheck.FaultSpec{Fault: crosscheck.FaultDegreeCap, Cap: 4},
 		OutDir:          outDir,
-		MakeStructure: func(name string) ds.Graph {
-			return &truncatingGraph{
-				Graph: ds.MustNew(name, ds.Config{Directed: true, Threads: 2}),
-				cut:   numNodes - 1,
-			}
-		},
 	}
-	rep, err := ReadDuring(cfg)
+	rep, err := crashloop.ReadDuring(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.OK() {
-		t.Fatal("differential passed a structure that drops edges")
+		t.Fatal("differential passed a pipeline that drops edges")
 	}
 	if len(rep.Mismatches) > maxMismatches {
 		t.Fatalf("%d mismatches exceed the per-run cap of %d", len(rep.Mismatches), maxMismatches)
 	}
 	seen := map[[2]int]bool{}
-	prev := ReadMismatch{Batch: -1}
+	prev := crashloop.ReadMismatch{Batch: -1}
 	repros := 0
 	for i, m := range rep.Mismatches {
 		key := [2]int{m.Batch, int(m.Vertex)}
@@ -148,7 +135,7 @@ func TestReadDuringDetectsFault(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reading reproducer: %v", err)
 		}
-		r, err := ParseRepro(f)
+		r, err := crosscheck.ParseRepro(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("reproducer %s does not parse: %v", m.ReproFile, err)
@@ -167,10 +154,10 @@ func TestReadDuringDetectsFault(t *testing.T) {
 
 // TestReadDuringConfigErrors covers construction failures.
 func TestReadDuringConfigErrors(t *testing.T) {
-	if _, err := ReadDuring(ReadDuringConfig{DS: "no-such-structure"}); err == nil {
+	if _, err := crashloop.ReadDuring(crashloop.ReadDuringConfig{DS: "no-such-structure"}); err == nil {
 		t.Fatal("unknown structure accepted")
 	}
-	if _, err := ReadDuring(ReadDuringConfig{DS: "adjshared", Alg: "no-such-alg"}); err == nil {
+	if _, err := crashloop.ReadDuring(crashloop.ReadDuringConfig{DS: "adjshared", Alg: "no-such-alg"}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"sagabench/internal/compute"
-	"sagabench/internal/ds"
 	"sagabench/internal/graph"
 )
 
@@ -209,58 +208,4 @@ func ReadReproFile(path string) (*Repro, error) {
 	}
 	defer f.Close()
 	return ParseRepro(f)
-}
-
-// Config builds the focused harness configuration that replays exactly
-// the failure this repro captures. mk overrides structure construction
-// (fault-injecting callers); nil uses the registry.
-func (r *Repro) Config(mk func(name string) ds.Graph) Config {
-	cfg := Config{
-		Stream:        StreamConfig{Directed: r.Directed},
-		Threads:       r.Threads,
-		Structures:    []string{r.DS},
-		MakeStructure: mk,
-		StopAtFirst:   true,
-	}
-	if r.Alg == "" {
-		cfg.TopologyOnly = true
-	} else {
-		cfg.Algorithms = []string{r.Alg}
-		cfg.Models = []compute.Model{r.Model}
-		cfg.Opts.Source = r.Source
-	}
-	return cfg
-}
-
-// Replay re-runs the repro and returns the resulting report; a repro that
-// still reproduces yields a non-OK report.
-func (r *Repro) Replay(mk func(name string) ds.Graph) *Report {
-	return Replay(r.Config(mk), r.Stream)
-}
-
-// MinimizeFailure shrinks stream against the specific failure f found
-// under cfg and packages the result as a replayable Repro. The predicate
-// replays a focused configuration (one structure; one engine, or
-// topology-only) so shrinking stays fast.
-func MinimizeFailure(cfg Config, stream Stream, f Failure) *Repro {
-	cfg = cfg.withDefaults()
-	rep := &Repro{
-		Directed: cfg.Stream.Directed,
-		Threads:  cfg.Threads,
-		DS:       f.DS,
-		Alg:      f.Alg,
-		Model:    f.Model,
-		Source:   cfg.Opts.Source,
-		Note:     f.String(),
-	}
-	focused := rep.Config(cfg.MakeStructure)
-	// Preserve the sweep's tuning so values failures reproduce exactly.
-	focused.Opts = cfg.Opts
-	if f.Kind == "topology" {
-		focused.TopologyOnly = true
-		rep.Alg = ""
-	}
-	pred := func(s Stream) bool { return !Replay(focused, s).OK() }
-	rep.Stream = Minimize(stream, pred)
-	return rep
 }

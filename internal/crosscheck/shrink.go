@@ -6,7 +6,7 @@ import "sagabench/internal/graph"
 // replays a candidate and reports whether it still fails, shrink in two
 // phases — drop whole batches first, then drop edges within the
 // surviving batches (chunk-halving down to single edges, ddmin-style).
-// The predicate must be deterministic; the harness's Replay is.
+// The predicate must be deterministic; crashloop.Replay is.
 
 // shrinkBudget caps predicate invocations so pathological cases stay
 // bounded; minimization is best-effort, not optimal.

@@ -1,13 +1,15 @@
-// Package crosscheck is the differential fuzz harness: it replays
-// deterministic, seed-driven randomized edge streams through every
-// registered data structure, compares the full adjacency (both
-// directions, with weights) against the sequential graph.Oracle after
-// every batch, runs all six algorithms under both compute models on top
-// of each snapshot, and checks their property vectors against the
-// sequential reference implementations in internal/graph. On a mismatch
-// it shrinks the failing stream (drop-batch, then drop-edge) to a
-// minimal reproducer that can be written to a replayable repro file
-// consumed by `sagafuzz -replay` and by regression tests.
+// Package crosscheck is the pure-data half of the differential fuzz
+// harness: deterministic, seed-driven randomized edge streams
+// (NewStream), the planted defects the differentials' self-tests apply to
+// them (FaultSpec), the stream shrinker (Minimize, drop-batch then
+// drop-edge), and the line-oriented repro codec (Repro) shared by
+// `sagafuzz -replay`, the durability layer's poison files and the
+// checked-in regression repros. The differentials that replay these
+// streams through a real core.Pipeline and judge it against the
+// sequential graph.Oracle — the per-step sweep, the read-during-update
+// differential and the kill/recover soak — live in internal/crashloop:
+// this package cannot import core, whose durability layer imports the
+// repro codec here.
 //
 // saga:deterministic — the whole point of the harness is bit-identical
 // replay from a seed, so wall-clock reads and unseeded or map-ordered

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"sagabench/internal/crashloop"
 	"sagabench/internal/crosscheck"
 	_ "sagabench/internal/ds/all"
 )
@@ -27,7 +28,7 @@ func TestCheckedInReprosReplayClean(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep := r.Replay(nil); !rep.OK() {
+			if rep := crashloop.ReplayRepro(r, nil); !rep.OK() {
 				t.Fatalf("repro still fails:\n%s", rep.Failures[0])
 			}
 		})

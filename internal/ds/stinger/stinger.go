@@ -337,7 +337,9 @@ func (s *store) deleteOne(v, dst graph.NodeID) (scans uint64, ok bool) {
 				}
 			}
 		}
-		prevTail, tail = tail, blk
+		if n > 0 {
+			prevTail, tail = tail, blk
+		}
 	}
 	if victimIdx < 0 {
 		return scans, false
@@ -355,15 +357,21 @@ func (s *store) deleteOne(v, dst graph.NodeID) (scans uint64, ok bool) {
 		tail.mu.Unlock()
 	}
 	victim.mu.Unlock()
-	// Trim an empty tail block so only the final block is ever partial.
-	if last == 0 {
-		if prevTail == nil {
-			hdr.first.Store(nil)
-			hdr.tail.Store(nil)
-		} else {
-			prevTail.next.Store(nil)
-			hdr.tail.Store(prevTail)
-		}
+	// Trim empty blocks so only the final block is ever partial: the one
+	// this delete emptied, and the empty block an insert leaves at the end
+	// when it extends a full chain and then finds its edge already stored
+	// by a concurrent same-batch duplicate (the slot moved above is the
+	// last one of the last non-empty block).
+	switch {
+	case last == 0 && prevTail == nil:
+		hdr.first.Store(nil)
+		hdr.tail.Store(nil)
+	case last == 0:
+		prevTail.next.Store(nil)
+		hdr.tail.Store(prevTail)
+	case tail.next.Load() != nil:
+		tail.next.Store(nil)
+		hdr.tail.Store(tail)
 	}
 	hdr.degree.Add(-1)
 	return scans, true

@@ -204,3 +204,49 @@ func TestDeleteMaintainsChainInvariant(t *testing.T) {
 		t.Fatalf("rebuild failed: blocks=%d degree=%d", st.NumBlocks(0), g.OutDegree(0))
 	}
 }
+
+// TestDeleteAfterLostDuplicateRace covers the chain an insert leaves when
+// it finds the tail full, extends the chain, and then finds its edge
+// already stored by a concurrent same-batch duplicate: a full block
+// followed by an empty one. A delete on that vertex must move the last
+// slot of the last non-empty block and drop the empty block (it used to
+// index slot -1 of the empty tail, and a shard blocked on the lock the
+// panic left held hung the whole batch).
+func TestDeleteAfterLostDuplicateRace(t *testing.T) {
+	g := ds.MustNew(Name, ds.Config{Directed: true, Threads: 1, BlockSize: 4})
+	st := outStore(t, g)
+	var batch graph.Batch
+	for i := 0; i < 8; i++ { // 2 full blocks
+		batch = append(batch, graph.Edge{Src: 0, Dst: graph.NodeID(10 + i), Weight: 1})
+	}
+	g.Update(batch)
+	hdr := &st.heads[0]
+	empty := &block{slots: make([]graph.Neighbor, st.blockSize)}
+	hdr.tail.Load().next.Store(empty)
+	hdr.tail.Store(empty)
+
+	if err := g.(ds.Deleter).Delete(graph.Batch{{Src: 0, Dst: 10}}); err != nil {
+		t.Fatal(err)
+	}
+	if st.NumBlocks(0) != 2 || hdr.tail.Load() == empty || g.OutDegree(0) != 7 {
+		t.Fatalf("blocks=%d degree=%d, want the empty block trimmed and 7 edges", st.NumBlocks(0), g.OutDegree(0))
+	}
+	want := map[graph.NodeID]bool{}
+	for i := 11; i < 18; i++ {
+		want[graph.NodeID(i)] = true
+	}
+	for _, nb := range g.OutNeigh(0, nil) {
+		if !want[nb.ID] {
+			t.Fatalf("unexpected neighbor %d", nb.ID)
+		}
+		delete(want, nb.ID)
+	}
+	if len(want) != 0 {
+		t.Fatalf("neighbors lost: %v", want)
+	}
+	// The partial tail takes the next insert.
+	g.Update(graph.Batch{{Src: 0, Dst: 30, Weight: 1}})
+	if st.NumBlocks(0) != 2 || g.OutDegree(0) != 8 {
+		t.Fatalf("blocks=%d degree=%d after refill", st.NumBlocks(0), g.OutDegree(0))
+	}
+}

@@ -1,7 +1,10 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 
 	"sagabench/internal/compute"
@@ -36,20 +39,31 @@ func (m *Manager) Quarantine(meta PoisonMeta, seq uint64, reason string, adds, d
 		Note:     fmt.Sprintf("quarantined batch seq=%d: %s", seq, reason),
 		Stream:   crosscheck.Stream{{Adds: adds, Dels: dels}},
 	}
-	path := filepath.Join(m.cfg.Dir, fmt.Sprintf("batch-%06d.poison", seq))
-	if seq == 0 {
-		// Validation rejects don't consume sequence numbers; avoid
-		// clobbering previous rejects.
+	var f *os.File
+	var err error
+	if seq > 0 {
+		f, err = os.Create(filepath.Join(m.cfg.Dir, fmt.Sprintf("batch-%06d.poison", seq)))
+	} else {
+		// Validation rejects don't consume sequence numbers: claim the
+		// first name no earlier reject holds, whatever that file contains.
 		for n := 0; ; n++ {
-			path = filepath.Join(m.cfg.Dir, fmt.Sprintf("invalid-%06d.poison", n))
-			if _, err := crosscheck.ReadReproFile(path); err != nil {
+			f, err = os.OpenFile(filepath.Join(m.cfg.Dir, fmt.Sprintf("invalid-%06d.poison", n)),
+				os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+			if !errors.Is(err, fs.ErrExist) {
 				break
 			}
 		}
 	}
-	if err := r.WriteFile(path); err != nil {
+	if err != nil {
+		return "", fmt.Errorf("durable: writing quarantine file: %w", err)
+	}
+	err = r.Write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return "", fmt.Errorf("durable: writing quarantine file: %w", err)
 	}
 	m.rec.RecordQuarantine()
-	return path, nil
+	return f.Name(), nil
 }

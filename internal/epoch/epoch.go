@@ -24,8 +24,9 @@
 //     progress, not by other readers.
 //
 // The package is deliberately small and dependency-free (graph only): the
-// core pipeline wires it into batch processing, and the crosscheck
-// harness drives it directly for the read-during-update differential.
+// core pipeline wires it into batch processing and is its one writer; the
+// read-during-update differential (internal/crashloop) checks it through
+// that pipeline's AcquireQuery.
 package epoch
 
 import (

@@ -6,14 +6,14 @@ import "sort"
 // are one run of OutAdj and its in-neighbors one run of InAdj. The dynamic
 // data structures stay the system of record in SAGA-Bench; a CSR is what
 // the analytics side reads — the compute-view mirror (internal/ds),
-// published epochs (internal/epoch), historical snapshots
+// published epochs (internal/epoch), the frozen views analytics run on
 // (internal/snapshot) and the oracle tests.
 //
 // Layout contract. OutSpans holds one begin/end pair per vertex — run v is
 // OutAdj[OutSpans[v].Begin:OutSpans[v].End] — so a run may sit anywhere in
-// its adjacency array. A contiguous build (BuildCSR, the export path,
-// internal/snapshot) lays the runs back to back in vertex order, and the
-// array then holds exactly the live records. The compute view
+// its adjacency array. A contiguous build (BuildCSR, the export path)
+// lays the runs back to back in vertex order, and the array then holds
+// exactly the live records. The compute view
 // (ds.ComputeView) is log-structured: runs a batch changed are appended at
 // the tail of an append-only arena and only their spans are patched, so
 // the array also holds superseded runs no span points at any more.

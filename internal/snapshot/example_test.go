@@ -4,23 +4,14 @@ import (
 	"fmt"
 
 	"sagabench/internal/compute"
-	_ "sagabench/internal/ds/all"
 	"sagabench/internal/graph"
 	"sagabench/internal/snapshot"
 )
 
-// ExampleStore records a stream and reruns an algorithm on a historical
-// snapshot.
-func ExampleStore() {
-	store := snapshot.New(snapshot.Config{Directed: true, Every: 2})
-	store.Observe(graph.Batch{{Src: 0, Dst: 1, Weight: 1}}, nil)
-	store.Observe(graph.Batch{{Src: 1, Dst: 2, Weight: 1}}, nil)
+// ExampleFreeze runs an algorithm on a frozen topology.
+func ExampleFreeze() {
+	past := graph.BuildCSR(2, []graph.Edge{{Src: 0, Dst: 1, Weight: 1}})
 
-	// How far did vertex 2 sit from the source before batch 1 landed?
-	past, err := store.At(0)
-	if err != nil {
-		panic(err)
-	}
 	bfs := compute.MustNewEngine("bfs", compute.FS, compute.Options{})
 	bfs.PerformAlg(snapshot.Freeze(past), nil)
 	fmt.Println(len(bfs.Values()), "vertices existed; depth of 1 was", bfs.Values()[1])

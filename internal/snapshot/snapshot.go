@@ -1,127 +1,81 @@
-// Package snapshot implements the multi-snapshot model the paper slates
-// for a future SAGA-Bench version (Section II, footnote 1; in the spirit
-// of Chronos and LLAMA's multiversioned arrays): alongside the latest
-// graph, the system can materialize the topology as of any past batch for
-// temporal analytics ("how did this community look three batches ago?").
-//
-// The store records every batch's insertions and deletions and writes a
-// full edge-list checkpoint every Every batches. Reconstructing batch i
-// replays the deltas after the nearest checkpoint at or before i and
-// freezes the result as a CSR — the classic checkpoint-plus-log tradeoff
-// between snapshot-query latency and memory.
+// Package snapshot runs analytics on a frozen topology, the multi-snapshot
+// model the paper slates for a future SAGA-Bench version (Section II,
+// footnote 1): Freeze adapts an immutable CSR to the ds.Graph API so any
+// compute engine can run a full algorithm on it. The history itself is
+// the pipeline's: a core.QueryHandle keeps its published epoch intact for
+// as long as it is held, and QueryHandle.Frozen hands that epoch's CSR to
+// Freeze (see examples/temporal).
 package snapshot
 
 import (
-	"fmt"
-
+	"sagabench/internal/ds"
 	"sagabench/internal/graph"
 )
 
-// Config tunes the store.
-type Config struct {
-	// Directed declares the stream's directedness (undirected streams
-	// snapshot both orientations, like the live structures).
-	Directed bool
-	// Every is the checkpoint cadence in batches (default 8).
-	Every int
+// Frozen adapts a CSR snapshot to the ds.Graph API so the compute engines
+// can run any of the six algorithms on a historical topology (temporal
+// analytics — "what was the PageRank three batches ago?"). The adapter is
+// read-only: Update panics, because a snapshot is immutable by definition.
+type Frozen struct {
+	csr *graph.CSR
 }
 
-// delta is one batch's topology change.
-type delta struct {
-	adds graph.Batch
-	dels graph.Batch
-	// numNodes is the vertex-space size after this batch.
-	numNodes int
+var _ ds.Graph = (*Frozen)(nil)
+
+// Freeze wraps a CSR snapshot.
+func Freeze(c *graph.CSR) *Frozen { return &Frozen{csr: c} }
+
+// Update implements ds.Graph by refusing: snapshots are immutable.
+func (f *Frozen) Update(graph.Batch) {
+	panic("snapshot: a frozen snapshot cannot be updated")
 }
 
-// checkpoint is a materialized distinct-edge state.
-type checkpoint struct {
-	batch    int // state after this batch index
-	edges    []graph.Edge
-	numNodes int
+// NumNodes implements ds.Graph.
+func (f *Frozen) NumNodes() int { return f.csr.NumNodes() }
+
+// NumEdges implements ds.Graph.
+func (f *Frozen) NumEdges() int { return f.csr.NumEdges() }
+
+// OutDegree implements ds.Graph.
+func (f *Frozen) OutDegree(v graph.NodeID) int {
+	if int(v) >= f.csr.NumNodes() {
+		return 0
+	}
+	return f.csr.OutDegree(v)
 }
 
-// Store records stream history and serves historical snapshots.
-type Store struct {
-	cfg    Config
-	live   *graph.Oracle
-	deltas []delta
-	checks []checkpoint
+// InDegree implements ds.Graph.
+func (f *Frozen) InDegree(v graph.NodeID) int {
+	if int(v) >= f.csr.NumNodes() {
+		return 0
+	}
+	return f.csr.InDegree(v)
 }
 
-// New builds an empty store.
-func New(cfg Config) *Store {
-	if cfg.Every <= 0 {
-		cfg.Every = 8
+// OutNeigh implements ds.Graph.
+func (f *Frozen) OutNeigh(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
+	if int(v) >= f.csr.NumNodes() {
+		return buf
 	}
-	return &Store{cfg: cfg, live: graph.NewOracle(cfg.Directed)}
+	return append(buf, f.csr.Out(v)...)
 }
 
-// Observe records one processed batch (inserts plus optional deletions).
-// Call it once per batch, in stream order — e.g. from core.RunConfig's
-// OnBatch hook.
-func (s *Store) Observe(adds, dels graph.Batch) {
-	s.live.Update(adds)
-	s.live.Delete(dels)
-	d := delta{
-		adds:     append(graph.Batch(nil), adds...),
-		dels:     append(graph.Batch(nil), dels...),
-		numNodes: s.live.NumNodes(),
+// InNeigh implements ds.Graph.
+func (f *Frozen) InNeigh(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
+	if int(v) >= f.csr.NumNodes() {
+		return buf
 	}
-	s.deltas = append(s.deltas, d)
-	idx := len(s.deltas) - 1
-	if idx%s.cfg.Every == 0 {
-		s.checks = append(s.checks, checkpoint{
-			batch:    idx,
-			edges:    s.live.Edges(),
-			numNodes: s.live.NumNodes(),
-		})
-	}
+	return append(buf, f.csr.In(v)...)
 }
 
-// Batches reports how many batches have been observed.
-func (s *Store) Batches() int { return len(s.deltas) }
+// Directed implements ds.Graph. The CSR always stores explicit directed
+// records (undirected inputs were mirrored at ingest), so the snapshot
+// reads as a directed view with symmetric edges.
+func (f *Frozen) Directed() bool { return true }
 
-// Checkpoints reports how many full checkpoints exist (for memory
-// accounting and tests).
-func (s *Store) Checkpoints() int { return len(s.checks) }
+// FlatCSR implements ds.FlatView: a frozen snapshot already is flat, so
+// the compute kernels iterate its arrays directly — the trivial case of
+// the compute-view layer, with no refresh to maintain.
+func (f *Frozen) FlatCSR() *graph.CSR { return f.csr }
 
-// Latest returns the current topology as a CSR snapshot.
-func (s *Store) Latest() *graph.CSR {
-	return graph.BuildCSR(s.live.NumNodes(), s.live.Edges())
-}
-
-// At materializes the topology as of batch index i (0-based: the state
-// after batch i was ingested).
-func (s *Store) At(i int) (*graph.CSR, error) {
-	if i < 0 || i >= len(s.deltas) {
-		return nil, fmt.Errorf("snapshot: batch %d outside observed range [0,%d)", i, len(s.deltas))
-	}
-	// Nearest checkpoint at or before i.
-	var base *checkpoint
-	for c := range s.checks {
-		if s.checks[c].batch <= i {
-			base = &s.checks[c]
-		} else {
-			break
-		}
-	}
-	rebuilt := graph.NewOracle(s.cfg.Directed)
-	start := 0
-	if base != nil {
-		// Checkpoint edges are the distinct directed records of the
-		// state (both orientations already present for undirected
-		// graphs; re-mirroring on replay is idempotent).
-		rebuilt.Update(graph.Batch(base.edges))
-		start = base.batch + 1
-	}
-	for b := start; b <= i; b++ {
-		rebuilt.Update(s.deltas[b].adds)
-		rebuilt.Delete(s.deltas[b].dels)
-	}
-	n := s.deltas[i].numNodes
-	if rn := rebuilt.NumNodes(); rn > n {
-		n = rn
-	}
-	return graph.BuildCSR(n, rebuilt.Edges()), nil
-}
+var _ ds.FlatView = (*Frozen)(nil)

@@ -1,130 +1,63 @@
 package snapshot
 
 import (
-	"math/rand"
 	"testing"
 
+	"sagabench/internal/compute"
 	"sagabench/internal/graph"
 )
 
-func randomStream(seed int64, batches, size, nodes int, withDels bool) ([]graph.Batch, []graph.Batch) {
-	rng := rand.New(rand.NewSource(seed))
-	adds := make([]graph.Batch, batches)
-	dels := make([]graph.Batch, batches)
-	var live graph.Batch
-	for b := 0; b < batches; b++ {
-		for i := 0; i < size; i++ {
-			e := graph.Edge{
-				Src:    graph.NodeID(rng.Intn(nodes)),
-				Dst:    graph.NodeID(rng.Intn(nodes)),
-				Weight: graph.Weight(rng.Intn(9) + 1),
-			}
-			adds[b] = append(adds[b], e)
-			live = append(live, e)
-		}
-		if withDels && b > 0 {
-			for i := 0; i < size/4; i++ {
-				dels[b] = append(dels[b], live[rng.Intn(len(live))])
-			}
-		}
-	}
-	return adds, dels
+// csrOf freezes the topology a directed stream reaches.
+func csrOf(edges ...graph.Edge) *graph.CSR {
+	o := graph.NewOracle(true)
+	o.Update(edges)
+	return graph.BuildCSR(o.NumNodes(), o.Edges())
 }
 
-// expectedAt replays the whole stream up to batch i on a fresh oracle.
-func expectedAt(adds, dels []graph.Batch, i int, directed bool) *graph.Oracle {
-	o := graph.NewOracle(directed)
-	for b := 0; b <= i; b++ {
-		o.Update(adds[b])
-		o.Delete(dels[b])
-	}
-	return o
-}
+func TestFrozenRunsAlgorithms(t *testing.T) {
+	e01 := graph.Edge{Src: 0, Dst: 1, Weight: 2}
+	e12 := graph.Edge{Src: 1, Dst: 2, Weight: 3}
+	e23 := graph.Edge{Src: 2, Dst: 3, Weight: 5}
 
-func csrEqualsOracle(t *testing.T, what string, c *graph.CSR, o *graph.Oracle) {
-	t.Helper()
-	if c.NumEdges() != o.NumEdges() {
-		t.Fatalf("%s: %d edges want %d", what, c.NumEdges(), o.NumEdges())
+	// BFS on the first snapshot: vertex 3 does not exist yet.
+	e := compute.MustNewEngine("bfs", compute.FS, compute.Options{})
+	e.PerformAlg(Freeze(csrOf(e01, e12)), nil)
+	v0 := e.Values()
+	if len(v0) != 3 || v0[0] != 0 || v0[1] != 1 || v0[2] != 2 {
+		t.Fatalf("snapshot-0 BFS: %v", v0)
 	}
-	for v := 0; v < o.NumNodes(); v++ {
-		id := graph.NodeID(v)
-		want := o.Out(id)
-		got := c.Out(id)
-		if len(got) != len(want) {
-			t.Fatalf("%s: vertex %d out %d want %d", what, v, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: vertex %d slot %d: %v want %v", what, v, i, got[i], want[i])
-			}
+
+	// SSSP on the final snapshot sees the full chain with weights.
+	sp := compute.MustNewEngine("sssp", compute.FS, compute.Options{})
+	sp.PerformAlg(Freeze(csrOf(e01, e12, e23)), nil)
+	v1 := sp.Values()
+	want := []float64{0, 2, 5, 10}
+	for v := range want {
+		if v1[v] != want[v] {
+			t.Fatalf("snapshot-1 SSSP[%d]=%v want %v", v, v1[v], want[v])
 		}
 	}
 }
 
-func TestSnapshotsMatchReplay(t *testing.T) {
-	for _, directed := range []bool{true, false} {
-		for _, withDels := range []bool{false, true} {
-			adds, dels := randomStream(4, 20, 150, 60, withDels)
-			s := New(Config{Directed: directed, Every: 5})
-			for b := range adds {
-				s.Observe(adds[b], dels[b])
-			}
-			if s.Batches() != 20 {
-				t.Fatalf("Batches=%d want 20", s.Batches())
-			}
-			if s.Checkpoints() != 4 { // batches 0, 5, 10, 15
-				t.Fatalf("Checkpoints=%d want 4", s.Checkpoints())
-			}
-			// Every historical snapshot must equal a full replay.
-			for i := 0; i < 20; i += 3 {
-				c, err := s.At(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				csrEqualsOracle(t, "snapshot", c, expectedAt(adds, dels, i, directed))
-			}
-			// The latest view matches the final snapshot.
-			csrEqualsOracle(t, "latest", s.Latest(), expectedAt(adds, dels, 19, directed))
+func TestFrozenIsImmutable(t *testing.T) {
+	f := Freeze(csrOf(graph.Edge{Src: 0, Dst: 1, Weight: 1}))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Update on a frozen snapshot should panic")
 		}
-	}
+	}()
+	f.Update(graph.Batch{{Src: 1, Dst: 2, Weight: 1}})
 }
 
-func TestSnapshotBounds(t *testing.T) {
-	s := New(Config{Directed: true})
-	if _, err := s.At(0); err == nil {
-		t.Error("At on empty store should error")
+func TestFrozenBounds(t *testing.T) {
+	f := Freeze(csrOf(graph.Edge{Src: 0, Dst: 1, Weight: 1}))
+	if f.OutDegree(99) != 0 || f.InDegree(99) != 0 {
+		t.Fatal("out-of-range degree")
 	}
-	s.Observe(graph.Batch{{Src: 0, Dst: 1, Weight: 1}}, nil)
-	if _, err := s.At(-1); err == nil {
-		t.Error("negative index should error")
+	if len(f.OutNeigh(99, nil)) != 0 || len(f.InNeigh(99, nil)) != 0 {
+		t.Fatal("out-of-range adjacency")
 	}
-	if _, err := s.At(1); err == nil {
-		t.Error("future index should error")
-	}
-	c, err := s.At(0)
-	if err != nil || c.NumEdges() != 1 {
-		t.Fatalf("At(0): %v %v", c, err)
-	}
-}
-
-// TestSnapshotImmutability: materialized snapshots must not alias live
-// state — later batches cannot mutate an earlier snapshot.
-func TestSnapshotImmutability(t *testing.T) {
-	s := New(Config{Directed: true, Every: 100})
-	s.Observe(graph.Batch{{Src: 0, Dst: 1, Weight: 1}}, nil)
-	early, err := s.At(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Observe(graph.Batch{{Src: 1, Dst: 2, Weight: 1}, {Src: 0, Dst: 3, Weight: 1}}, nil)
-	if early.NumEdges() != 1 || early.OutDegree(0) != 1 {
-		t.Fatalf("early snapshot mutated: edges=%d deg0=%d", early.NumEdges(), early.OutDegree(0))
-	}
-	late, err := s.At(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if late.NumEdges() != 3 {
-		t.Fatalf("late snapshot edges=%d want 3", late.NumEdges())
+	if f.NumNodes() != 2 || f.NumEdges() != 1 || !f.Directed() {
+		t.Fatalf("identity: n=%d e=%d", f.NumNodes(), f.NumEdges())
 	}
 }
