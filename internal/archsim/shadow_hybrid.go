@@ -6,16 +6,17 @@ import (
 )
 
 // Hybrid shadow: the degree-adaptive three-tier layout. A small vertex's
-// neighbors live inside its record (one or two cache lines at a fixed
-// stride — the tier that makes uniform streams cheap); medium vertices use
-// a dense pooled array (contiguous scan); high-degree vertices add a
-// per-vertex Robin Hood index from destination to array position, so hub
-// inserts touch one index slot plus the array tail instead of scanning.
-// Growth mirrors the real store exactly — power-of-two array classes from
-// minimum 8, index tables from 16 slots at 0.7 load — so the crossvalidate
-// test can compare capacities slot for slot. Replay is insert-only, which
-// on the real store means pools never have stock and every transition
-// allocates; the shadow therefore allocates fresh spans too.
+// neighbors live inside its record (one cache line at a fixed stride — the
+// tier that makes uniform streams cheap); medium vertices use a dense
+// pooled array (contiguous scan); high-degree vertices add a per-vertex
+// Robin Hood index from destination to array position, so hub inserts
+// touch one index slot plus the array tail instead of scanning. Growth is
+// the real store's own — array capacities from hybrid.CapFor, index
+// tables from hybrid.IndexSlotsFor, the inline tier hybrid.InlineSlots
+// wide — so the crossvalidate test can compare capacities slot for slot.
+// Replay is insert-only, which on the real store means pools never have
+// stock and every transition allocates; the shadow therefore allocates
+// fresh spans too.
 
 type shadowHybrid struct {
 	alloc  *allocator
@@ -31,15 +32,13 @@ type shadowHybrid struct {
 	idxCap  []int // 0 = no index (inline or array tier)
 }
 
-// The record and slot sizes are the real structs' (72 and 8 bytes): the
+// The record and slot sizes are the real structs' (64 and 4 bytes): the
 // model strides over vertex records and probes index slots at the store's
 // own pitch.
 const (
 	hybridRecBytes     = uint64(hybrid.RecordBytes)
 	hybridInlineOffset = uint64(hybrid.InlineOffset)
 	hybridIdxSlotBytes = uint64(hybrid.IndexSlotBytes)
-	hybridMinArrCap    = 8
-	hybridMinIdxSize   = 16
 )
 
 func newShadowHybrid(alloc *allocator, chunks, hashAt int) *shadowHybrid {
@@ -49,7 +48,7 @@ func newShadowHybrid(alloc *allocator, chunks, hashAt int) *shadowHybrid {
 	if hashAt <= 0 {
 		hashAt = hybrid.DefaultHashThreshold
 	}
-	inlineAt := 4
+	inlineAt := hybrid.InlineSlots
 	if hashAt <= inlineAt {
 		inlineAt = hashAt - 1
 	}
@@ -83,26 +82,10 @@ func (s *shadowHybrid) idxAddr(v graph.NodeID, dst graph.NodeID) uint64 {
 	return s.idxBase[v] + slot*hybridIdxSlotBytes
 }
 
-func hybridCapFor(n int) int {
-	c := hybridMinArrCap
-	for c < n {
-		c *= 2
-	}
-	return c
-}
-
-func hybridIdxSizeFor(n int) int {
-	size := hybridMinIdxSize
-	for n*10 > size*7 {
-		size *= 2
-	}
-	return size
-}
-
 // growArr mirrors appendGrow: swap to the next size class, copying every
 // entry.
 func (s *shadowHybrid) growArr(m *Machine, thread int, v graph.NodeID) {
-	newCap := 2 * s.arrCap[v]
+	newCap := hybrid.CapFor(s.arrCap[v] + 1)
 	newBase := s.alloc.alloc(uint64(newCap) * adjSlotBytes)
 	for i := range s.neigh[v] {
 		m.Access(thread, s.arrAddr(v, i), false, 1)
@@ -111,21 +94,20 @@ func (s *shadowHybrid) growArr(m *Machine, thread int, v graph.NodeID) {
 	s.arrBase[v], s.arrCap[v] = newBase, newCap
 }
 
-// growIdx mirrors dstIndex.grow: rehash every entry into a doubled table.
+// growIdx mirrors dstIndex.grow: a doubled table refilled from the array,
+// where the destinations are.
 func (s *shadowHybrid) growIdx(m *Machine, thread int, v graph.NodeID) {
-	for i := uint64(0); i < uint64(s.idxCap[v]); i++ {
-		m.Access(thread, s.idxBase[v]+i*hybridIdxSlotBytes, false, 1)
-	}
 	s.idxCap[v] *= 2
 	s.idxBase[v] = s.alloc.alloc(uint64(s.idxCap[v]) * hybridIdxSlotBytes)
-	for _, nb := range s.neigh[v] {
+	for i, nb := range s.neigh[v] {
+		m.Access(thread, s.arrAddr(v, i), false, 1)
 		m.Access(thread, s.idxAddr(v, nb), true, 1)
 	}
 }
 
 // promoteToArray moves the inline run into a fresh pooled array.
 func (s *shadowHybrid) promoteToArray(m *Machine, thread int, v graph.NodeID, need int) {
-	s.arrCap[v] = hybridCapFor(need)
+	s.arrCap[v] = hybrid.CapFor(need)
 	s.arrBase[v] = s.alloc.alloc(uint64(s.arrCap[v]) * adjSlotBytes)
 	for i := range s.neigh[v] {
 		m.Access(thread, s.inlineAddr(v, i), false, 1)
@@ -136,7 +118,7 @@ func (s *shadowHybrid) promoteToArray(m *Machine, thread int, v graph.NodeID, ne
 // promoteToHash builds the per-vertex index over the array (the array
 // itself is untouched, like the real store).
 func (s *shadowHybrid) promoteToHash(m *Machine, thread int, v graph.NodeID) {
-	s.idxCap[v] = hybridIdxSizeFor(len(s.neigh[v]) + 1)
+	s.idxCap[v] = hybrid.IndexSlotsFor(len(s.neigh[v]) + 1)
 	s.idxBase[v] = s.alloc.alloc(uint64(s.idxCap[v]) * hybridIdxSlotBytes)
 	for i, nb := range s.neigh[v] {
 		m.Access(thread, s.arrAddr(v, i), false, 1)
@@ -151,7 +133,9 @@ func (s *shadowHybrid) insert(m *Machine, thread int, src, dst graph.NodeID) {
 	deg := len(adj)
 	switch {
 	case s.idxCap[src] > 0:
-		// Hash tier: one index probe answers the duplicate question.
+		// Hash tier: one index probe answers the duplicate question (a
+		// hit reads the destination back from the array entry written
+		// below; the readback behind a miss is not modelled).
 		m.Access(thread, s.idxAddr(src, dst), false, instrSlotScan)
 		for i, nb := range adj {
 			if nb == dst {

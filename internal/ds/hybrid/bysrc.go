@@ -34,9 +34,9 @@ const (
 // their batch order: each vertex sees exactly the insert (or delete)
 // sequence it would have seen unsorted, and its neighbour order, tier
 // history and counters are unchanged — only the interleaving of distinct
-// vertices moves, which turns the walk over the vertex records (72 bytes
-// each) from batch order into one forward sweep. The result aliases the
-// scratch and is valid until the next call.
+// vertices moves, which turns the walk over the vertex records (64 bytes,
+// one cache line each) from batch order into one forward sweep. The
+// result aliases the scratch and is valid until the next call.
 func (o *srcOrder) bySrc(bucket []graph.Edge) []uint32 {
 	m := len(bucket)
 	if c := cap(o.pos); c < m || (c > srcOrderFloor && c > srcOrderSlack*m) {

@@ -28,4 +28,5 @@ var (
 	_ ds.RunFlattener  = (*store)(nil)
 	_ ds.OneDirDeleter = (*store)(nil)
 	_ ds.Profiler      = (*store)(nil)
+	_ ds.Footprinter   = (*store)(nil)
 )

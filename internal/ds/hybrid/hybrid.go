@@ -1,15 +1,19 @@
 // Package hybrid implements the degree-adaptive hybrid structure
 // (GraphTango-style; ROADMAP item 3): each vertex's adjacency lives in one
-// of three tiers chosen by its degree. Small degrees sit inline in the
-// vertex record (72 bytes, zero pointer chases); medium degrees use
-// a dense pooled edge array (linear scan, contiguous traversal); high
-// degrees keep the same dense array plus a per-vertex Robin Hood index
-// from destination to array position, making lookup, insert, overwrite and
-// delete O(1) expected at any degree. An index slot is 8 bytes — the
-// destination and the position plus one, 0 marking an empty slot — so a
-// cache line holds eight, and an insert or a delete walks its probe
-// cluster once (a delete that moves the array's last entry into the hole
-// walks that entry's cluster too). Traversal always walks the dense
+// of three tiers chosen by its degree. The vertex record is one 64-byte
+// cache line — degree, array capacity, five inline neighbors, the array
+// and index pointers — and the records sit in one page-aligned slice, so
+// reading a vertex touches one line. Small degrees sit inline in the
+// record (zero pointer chases); medium degrees use a dense pooled edge
+// array (linear scan, contiguous traversal) whose capacity is one of four
+// size classes per octave; high degrees keep the same dense array plus a
+// per-vertex Robin Hood index from destination to array position, making
+// lookup, insert, overwrite and delete O(1) expected at any degree. An
+// index slot is 4 bytes — the position plus one, 0 marking an empty slot;
+// the destination is read back from the array — so a cache line holds
+// sixteen, and an insert or a delete walks its probe cluster once (a
+// delete that moves the array's last entry into the hole walks that
+// entry's cluster too). Traversal always walks the dense
 // storage, so neighbor order is insertion order, transitions never reorder
 // a run, and flattening is zero-copy — bystander updates cannot perturb
 // another vertex's run, which is why the structure needs no DirtyExpander.
@@ -40,8 +44,8 @@ const Name = "hybrid"
 // (ds.Config.FlushThreshold overrides it, sharing DAH's low→high knob).
 const DefaultHashThreshold = 32
 
-// inlineSlots is the inline-tier capacity baked into the vertex record.
-const inlineSlots = 4
+// InlineSlots is the inline-tier capacity baked into the vertex record.
+const InlineSlots = 5
 
 func init() {
 	ds.Register(Name, func(cfg ds.Config) ds.Graph {
@@ -86,16 +90,19 @@ func (t Tier) String() string {
 	return "?"
 }
 
-// vertex is one per-vertex record. Invariants, maintained by the owning
-// chunk's worker:
+// vertex is one per-vertex record, exactly one cache line. Invariants,
+// maintained by the owning chunk's worker:
 //   - deg == the number of stored neighbors
-//   - arr == nil (inline tier): neighbors are inline[:deg], deg ≤ inlineAt
-//   - arr != nil: neighbors are arr (len(arr) == deg), inline is unused
+//   - arr == nil (inline tier): neighbors are inline[:deg], deg ≤ inlineAt,
+//     acap == 0
+//   - arr != nil: arr is the first of acap entries (a size class), the
+//     neighbors are the first deg of them, inline is unused
 //   - idx != nil (hash tier): arr != nil and idx maps every arr[i].ID → i
 type vertex struct {
 	deg    int32
-	inline [inlineSlots]graph.Neighbor
-	arr    []graph.Neighbor
+	acap   int32
+	inline [InlineSlots]graph.Neighbor
+	arr    *graph.Neighbor
 	idx    *dstIndex
 }
 
@@ -106,10 +113,12 @@ const (
 	InlineOffset = unsafe.Offsetof(vertex{}.inline)
 )
 
+const neighborBytes = int64(unsafe.Sizeof(graph.Neighbor{}))
+
 // run returns the dense neighbor storage (valid until the next update).
 func (v *vertex) run() []graph.Neighbor {
 	if v.arr != nil {
-		return v.arr
+		return unsafe.Slice(v.arr, v.acap)[:v.deg]
 	}
 	return v.inline[:v.deg]
 }
@@ -141,7 +150,7 @@ type store struct {
 }
 
 func newStore(chunks, hashAt, hint int) *store {
-	inlineAt := inlineSlots
+	inlineAt := InlineSlots
 	if hashAt <= inlineAt {
 		// Keep the tier order strict (inline < array ≤ hash) even under
 		// tiny test thresholds like FlushThreshold: 2.
@@ -210,6 +219,7 @@ func (s *store) UpdateEdges(edges []graph.Edge) {
 			e := bucket[i]
 			s.insertOne(pool, &st, e.Src, e.Dst, e.Weight)
 		}
+		pool.trim()
 		st.loads = uint64(len(bucket))
 		s.stats[chunk] = st
 	})
@@ -247,26 +257,26 @@ func (s *store) insertOne(pool *chunkPools, st *chunkCounters, src, dst graph.No
 	case v.idx != nil:
 		// Hash tier: one walk of the per-vertex index answers the duplicate
 		// check and, for a new dst, has already placed it at the array's end.
-		if pos, ok := v.idx.insert(dst, int32(deg), &st.scans); ok {
-			v.arr[pos].Weight = w
+		run := v.run()
+		if pos, ok := v.idx.insert(run, dst, &st.scans); ok {
+			run[pos].Weight = w
 			return
 		}
-		v.arr = appendGrow(pool, v.arr, graph.Neighbor{ID: dst, Weight: w})
-		v.deg++
+		appendGrow(pool, v, graph.Neighbor{ID: dst, Weight: w})
 		st.inserted++
 	case v.arr != nil:
 		// Array tier: short linear scan (bounded by hashAt). The scan
 		// tally stays out of the loop so the hot path is pure compares.
-		for i := range v.arr {
-			if v.arr[i].ID == dst {
+		run := v.run()
+		for i := range run {
+			if run[i].ID == dst {
 				st.scans += uint64(i + 1)
-				v.arr[i].Weight = w
+				run[i].Weight = w
 				return
 			}
 		}
 		st.scans += uint64(deg)
-		v.arr = appendGrow(pool, v.arr, graph.Neighbor{ID: dst, Weight: w})
-		v.deg++
+		appendGrow(pool, v, graph.Neighbor{ID: dst, Weight: w})
 		st.inserted++
 		if deg+1 > s.hashAt {
 			s.promoteToHash(pool, v, st)
@@ -288,10 +298,11 @@ func (s *store) insertOne(pool *chunkPools, st *chunkCounters, src, dst graph.No
 			return
 		}
 		// Inline full: promote to the array tier, preserving order.
-		arr := pool.getArr(deg + 1)
-		arr = append(arr, v.inline[:deg]...)
-		arr = append(arr, graph.Neighbor{ID: dst, Weight: w})
-		v.arr = arr
+		arr, acap := pool.getArr(deg + 1)
+		a := unsafe.Slice(arr, acap)
+		copy(a, v.inline[:deg])
+		a[deg] = graph.Neighbor{ID: dst, Weight: w}
+		v.arr, v.acap = arr, acap
 		v.deg++
 		st.inserted++
 		st.promos++
@@ -302,31 +313,29 @@ func (s *store) insertOne(pool *chunkPools, st *chunkCounters, src, dst graph.No
 	}
 }
 
-// appendGrow appends through the pool: a full array swaps for the next
-// size class and the old one is recycled.
-func appendGrow(pool *chunkPools, a []graph.Neighbor, nb graph.Neighbor) []graph.Neighbor {
-	if len(a) == cap(a) {
-		na := pool.getArr(2 * cap(a))
-		na = na[:len(a)]
-		copy(na, a)
-		pool.putArr(a)
-		a = na
+// appendGrow appends nb to v's array through the pool: a full array swaps
+// for the next size class and the old one is recycled.
+func appendGrow(pool *chunkPools, v *vertex, nb graph.Neighbor) {
+	if v.deg == v.acap {
+		na, ncap := pool.getArr(int(v.acap) + 1)
+		copy(unsafe.Slice(na, ncap), v.run())
+		pool.putArr(v.arr, v.acap)
+		v.arr, v.acap = na, ncap
 	}
-	return append(a, nb)
+	unsafe.Slice(v.arr, v.acap)[v.deg] = nb
+	v.deg++
 }
 
-// promoteToHash builds the per-vertex index over the existing array. The
+// promoteToHash builds the per-vertex index from the existing array. The
 // array (and hence traversal order) is untouched.
 //
 // saga:chunksafe
 func (s *store) promoteToHash(pool *chunkPools, v *vertex, st *chunkCounters) {
-	idx := pool.getIdx(len(v.arr) + 1)
-	for i := range v.arr {
-		idx.insert(v.arr[i].ID, int32(i), &st.scans)
-	}
+	idx := pool.getIdx(int(v.deg) + 1)
+	idx.fill(v.run(), &st.scans)
 	v.idx = idx
 	st.promos++
-	st.moved += uint64(len(v.arr))
+	st.moved += uint64(v.deg)
 }
 
 // DeleteEdges implements ds.OneDirDeleter with the same chunked ownership
@@ -358,17 +367,17 @@ func (s *store) deleteOne(pool *chunkPools, st *chunkCounters, src, dst graph.No
 	v := &s.verts[src]
 	switch {
 	case v.idx != nil:
-		pos, ok := v.idx.take(dst, &st.scans)
+		run := v.run()
+		pos, ok := v.idx.take(run, dst, &st.scans)
 		if !ok {
 			return
 		}
-		last := len(v.arr) - 1
+		last := len(run) - 1
 		if int(pos) != last {
-			moved := v.arr[last]
-			v.arr[pos] = moved
-			v.idx.set(moved.ID, pos, &st.scans)
+			moved := run[last]
+			run[pos] = moved
+			v.idx.set(moved.ID, int32(last), pos, &st.scans)
 		}
-		v.arr = v.arr[:last]
 		v.deg--
 		st.removed++
 		if int(v.deg) <= s.unhashAt {
@@ -378,19 +387,18 @@ func (s *store) deleteOne(pool *chunkPools, st *chunkCounters, src, dst graph.No
 			s.maybeInline(pool, v, st)
 		}
 	case v.arr != nil:
-		for i := range v.arr {
-			if v.arr[i].ID == dst {
+		run := v.run()
+		for i := range run {
+			if run[i].ID == dst {
 				st.scans += uint64(i + 1)
-				last := len(v.arr) - 1
-				v.arr[i] = v.arr[last]
-				v.arr = v.arr[:last]
+				run[i] = run[len(run)-1]
 				v.deg--
 				st.removed++
 				s.maybeInline(pool, v, st)
 				return
 			}
 		}
-		st.scans += uint64(len(v.arr))
+		st.scans += uint64(len(run))
 	default:
 		deg := int(v.deg)
 		for i := 0; i < deg; i++ {
@@ -415,12 +423,12 @@ func (s *store) maybeInline(pool *chunkPools, v *vertex, st *chunkCounters) {
 	if v.idx != nil || v.arr == nil || int(v.deg) > s.uninlineAt {
 		return
 	}
-	n := copy(v.inline[:], v.arr)
-	for i := n; i < inlineSlots; i++ {
+	n := copy(v.inline[:], v.run())
+	for i := n; i < InlineSlots; i++ {
 		v.inline[i] = graph.Neighbor{}
 	}
-	pool.putArr(v.arr)
-	v.arr = nil
+	pool.putArr(v.arr, v.acap)
+	v.arr, v.acap = nil, 0
 	st.demos++
 	st.moved += uint64(n)
 }
@@ -497,7 +505,7 @@ func (s *store) LayoutOf(v graph.NodeID) (arrCap, idxSlots int) {
 		return 0, 0
 	}
 	vx := &s.verts[v]
-	arrCap = cap(vx.arr)
+	arrCap = int(vx.acap)
 	if vx.idx != nil {
 		idxSlots = len(vx.idx.slots)
 	}
@@ -518,4 +526,26 @@ func (s *store) PoolRecycled() uint64 {
 		n += p.recycled
 	}
 	return n
+}
+
+// Footprint implements ds.Footprinter: records at the slice's capacity,
+// arrays at capacity and at their live length, index slots, and what the
+// chunk pools hold. It walks every vertex, so it runs between batches.
+func (s *store) Footprint() ds.Footprint {
+	f := ds.Footprint{Records: int64(cap(s.verts)) * int64(RecordBytes)}
+	for i := range s.verts {
+		v := &s.verts[i]
+		if v.arr == nil {
+			continue
+		}
+		f.ArrayCap += int64(v.acap) * neighborBytes
+		f.ArrayLive += int64(v.deg) * neighborBytes
+		if v.idx != nil {
+			f.IndexSlots += int64(len(v.idx.slots)) * int64(IndexSlotBytes)
+		}
+	}
+	for _, p := range s.pools {
+		f.Pooled += p.pooledBytes()
+	}
+	return f
 }

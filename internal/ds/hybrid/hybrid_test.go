@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"sagabench/internal/ds"
@@ -60,7 +61,7 @@ func del(src, dst graph.NodeID, tier Tier, deg int) op {
 }
 
 // TestTierTransitions scripts insertion/deletion sequences against a
-// single-chunk store with hashAt=6 (so inlineAt=4, uninlineAt=2,
+// single-chunk store with hashAt=6 (so inlineAt=5, uninlineAt=2,
 // unhashAt=3) and checks the representation after every step.
 func TestTierTransitions(t *testing.T) {
 	mkGrow := func(n int) []op {
@@ -70,7 +71,7 @@ func TestTierTransitions(t *testing.T) {
 			tier := TierInline
 			if i > 6 {
 				tier = TierHash
-			} else if i > 4 {
+			} else if i > 5 {
 				tier = TierArray
 			}
 			ops = append(ops, ins(0, graph.NodeID(i), tier, i))
@@ -87,9 +88,9 @@ func TestTierTransitions(t *testing.T) {
 		},
 		{
 			name: "overwrite at inline boundary does not promote",
-			ops: append(mkGrow(4),
-				ins(0, 4, TierInline, 4), // duplicate of the last inline dst
-				ins(0, 1, TierInline, 4), // duplicate of the first
+			ops: append(mkGrow(5),
+				ins(0, 5, TierInline, 5), // duplicate of the last inline dst
+				ins(0, 1, TierInline, 5), // duplicate of the first
 			),
 		},
 		{
@@ -129,8 +130,8 @@ func TestTierTransitions(t *testing.T) {
 		},
 		{
 			name: "deleting absent edges never changes the tier",
-			ops: append(mkGrow(5),
-				del(0, 99, TierArray, 5),
+			ops: append(mkGrow(6),
+				del(0, 99, TierArray, 6),
 				del(1, 99, TierInline, 0),
 			),
 		},
@@ -246,7 +247,7 @@ func TestProfileCounters(t *testing.T) {
 	if p.ScanSteps == 0 {
 		t.Fatal("scan steps not counted")
 	}
-	// MetaOps charges transition copies: 4 inline→array + 7 index builds.
+	// MetaOps charges transition copies: 5 inline→array + 7 index builds.
 	if p.MetaOps == 0 {
 		t.Fatal("transition copy work not charged to MetaOps")
 	}
@@ -363,5 +364,94 @@ func TestTinyThresholds(t *testing.T) {
 				t.Fatalf("tier = %v, want inline after drain", s.TierOf(0))
 			}
 		})
+	}
+}
+
+// layoutFootprint rebuilds a store's footprint from the per-vertex
+// accessors the architecture shadow reads: records from the slice, arrays
+// and index slots from LayoutOf, live array bytes from the degree of every
+// vertex TierOf places outside the inline tier. Pooled bytes are not
+// visible there and are left out.
+func layoutFootprint(s *store) ds.Footprint {
+	f := ds.Footprint{Records: int64(cap(s.verts)) * int64(RecordBytes)}
+	for v := 0; v < s.NumNodes(); v++ {
+		id := graph.NodeID(v)
+		arrCap, idxSlots := s.LayoutOf(id)
+		f.ArrayCap += int64(arrCap) * neighborBytes
+		f.IndexSlots += int64(idxSlots) * int64(IndexSlotBytes)
+		if s.TierOf(id) != TierInline {
+			f.ArrayLive += int64(s.Degree(id)) * neighborBytes
+		}
+	}
+	return f
+}
+
+// TestFootprintMatchesLayout: after a delete-heavy stream over a hub mix,
+// ds.FootprintOf on the TwoCopy graph equals the sum of both stores'
+// footprints rebuilt from LayoutOf/TierOf, pooled bytes aside. Deletes
+// only ever return arrays and tables to the pools, so draining the graph
+// moves every array and index byte into Pooled, to the byte.
+func TestFootprintMatchesLayout(t *testing.T) {
+	g := mustGraph(t, true, 2)
+	stores := []*store{g.OutStore().(*store), g.InStore().(*store)}
+	rng := rand.New(rand.NewSource(24))
+	var prev graph.Batch
+	for b := 0; b < 8; b++ {
+		batch := make(graph.Batch, 3000)
+		for i := range batch {
+			src := graph.NodeID(rng.Intn(400))
+			if rng.Intn(3) == 0 {
+				src = graph.NodeID(rng.Intn(4)) // hubs past the hash threshold
+			}
+			batch[i] = graph.Edge{Src: src, Dst: graph.NodeID(rng.Intn(2000)), Weight: 1}
+		}
+		g.Update(batch)
+		if prev != nil {
+			if err := g.Delete(prev[:len(prev)*3/4]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prev = batch
+	}
+	got, ok := ds.FootprintOf(g)
+	if !ok {
+		t.Fatal("hybrid does not report a footprint")
+	}
+	var want ds.Footprint
+	tiers := map[Tier]int{}
+	for _, s := range stores {
+		f := layoutFootprint(s)
+		want.Records += f.Records
+		want.ArrayCap += f.ArrayCap
+		want.ArrayLive += f.ArrayLive
+		want.IndexSlots += f.IndexSlots
+		for v := 0; v < s.NumNodes(); v++ {
+			tiers[s.TierOf(graph.NodeID(v))]++
+		}
+	}
+	want.Pooled = got.Pooled
+	if got != want {
+		t.Fatalf("footprint %+v, rebuilt from the layout %+v", got, want)
+	}
+	if tiers[TierArray] == 0 || tiers[TierHash] == 0 || got.Pooled == 0 {
+		t.Fatalf("stream left tiers %v and %d pooled bytes: it no longer exercises arrays, indexes and demotion", tiers, got.Pooled)
+	}
+
+	var drain graph.Batch
+	for v := 0; v < g.NumNodes(); v++ {
+		for _, nb := range g.OutNeigh(graph.NodeID(v), nil) {
+			drain = append(drain, graph.Edge{Src: graph.NodeID(v), Dst: nb.ID})
+		}
+	}
+	if err := g.Delete(drain); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := ds.FootprintOf(g)
+	if after.ArrayCap != 0 || after.ArrayLive != 0 || after.IndexSlots != 0 {
+		t.Fatalf("drained graph still holds %+v", after)
+	}
+	if moved := got.Pooled + got.ArrayCap + got.IndexSlots; after.Pooled != moved {
+		t.Fatalf("drain pooled %d bytes, want %d (%d pooled + %d arrays + %d index)",
+			after.Pooled, moved, got.Pooled, got.ArrayCap, got.IndexSlots)
 	}
 }

@@ -15,23 +15,24 @@ import (
 // probe clusters never interleave with other vertices' edges and deletes
 // never reorder a bystander's run.
 //
-// Every operation of the update path walks its probe cluster once: insert
-// looks up or places, take finds and backward-shifts, set rewrites.
+// A slot holds a position only, as GraphTango's table holds locations
+// into the edge array: the destination a slot stands for is read back
+// from the array, so the lookups take the vertex's array, and a
+// resident's home is hashNode(arr[slot-1].ID). Every operation of the
+// update path walks its probe cluster once: insert looks up or places,
+// take finds and backward-shifts, set rewrites.
 type dstIndex struct {
 	slots []idxSlot
 	count int
 }
 
-// idxSlot is 8 bytes, eight to a cache line. pos holds the array position
-// plus one, so the zero slot is the empty slot and no flag is stored.
-type idxSlot struct {
-	dst graph.NodeID
-	pos int32
-}
+// idxSlot is 4 bytes, sixteen to a cache line: the array position plus
+// one, so the zero slot is the empty slot and no flag is stored.
+type idxSlot = uint32
 
 // IndexSlotBytes is the size of one index slot, for the architecture
 // shadow's address model.
-const IndexSlotBytes = unsafe.Sizeof(idxSlot{})
+const IndexSlotBytes = unsafe.Sizeof(idxSlot(0))
 
 const idxMinSize = 16 // power of two
 const idxMaxLoad = 0.7
@@ -44,9 +45,9 @@ func hashNode(v graph.NodeID) uint64 {
 	return x
 }
 
-// idxSizeFor returns the power-of-two slot count that keeps n entries
+// IndexSlotsFor returns the power-of-two slot count that keeps n entries
 // under the load factor.
-func idxSizeFor(n int) int {
+func IndexSlotsFor(n int) int {
 	size := idxMinSize
 	for float64(n) > idxMaxLoad*float64(size) {
 		size *= 2
@@ -55,14 +56,14 @@ func idxSizeFor(n int) int {
 }
 
 func newDstIndex(n int) *dstIndex {
-	return &dstIndex{slots: make([]idxSlot, idxSizeFor(n))}
+	return &dstIndex{slots: make([]idxSlot, IndexSlotsFor(n))}
 }
 
 // reset clears the index for reuse with capacity for at least n entries.
 // Oversized tables (>4x the need) are reallocated so a pool slot drained
 // from a one-off mega-hub doesn't pin its memory forever.
 func (t *dstIndex) reset(n int) {
-	size := idxSizeFor(n)
+	size := IndexSlotsFor(n)
 	if len(t.slots) < size || len(t.slots) > 4*size {
 		t.slots = make([]idxSlot, size)
 	} else {
@@ -82,16 +83,20 @@ func (t *dstIndex) dist(slot uint64, dst graph.NodeID) uint64 {
 // find walks dst's probe cluster to the slot holding it, or reports false
 // at the slot that proves it absent. Probes are charged to *probes so the
 // profiler reports hash scan work like the other structures do.
-func (t *dstIndex) find(dst graph.NodeID, probes *uint64) (uint64, bool) {
+func (t *dstIndex) find(arr []graph.Neighbor, dst graph.NodeID, probes *uint64) (uint64, bool) {
 	i := t.home(dst)
 	var d uint64
 	for {
 		*probes++
 		s := t.slots[i]
-		if s.pos != 0 && s.dst == dst {
+		if s == 0 {
+			return i, false
+		}
+		r := arr[s-1].ID
+		if r == dst {
 			return i, true
 		}
-		if s.pos == 0 || t.dist(i, s.dst) < d {
+		if t.dist(i, r) < d {
 			return i, false
 		}
 		i = (i + 1) & t.mask()
@@ -99,78 +104,98 @@ func (t *dstIndex) find(dst graph.NodeID, probes *uint64) (uint64, bool) {
 	}
 }
 
-// insert maps dst→pos unless dst is present, in which case it reports the
-// stored position and changes nothing. The table grows at the load factor
-// and only for an absent dst, so the grow decision comes first: at the
-// brink — one insert in 0.7·len — a lookup settles it, and every other
-// insert is the single walk below. It looks dst up until it meets an empty
-// slot or a resident closer to home than the probe; either proves dst
-// absent, and from that slot on the walk is the Robin Hood placement.
-func (t *dstIndex) insert(dst graph.NodeID, pos int32, probes *uint64) (int32, bool) {
+// insert maps dst to position len(arr) — the caller appends it there —
+// unless dst is present, in which case it reports the stored position and
+// changes nothing. The table grows at the load factor and only for an
+// absent dst, so the grow decision comes first: at the brink — one insert
+// in 0.7·len — a lookup settles it, and every other insert is the single
+// walk of place.
+func (t *dstIndex) insert(arr []graph.Neighbor, dst graph.NodeID, probes *uint64) (int32, bool) {
 	if float64(t.count+1) > idxMaxLoad*float64(len(t.slots)) {
-		if i, ok := t.find(dst, probes); ok {
-			return t.slots[i].pos - 1, true
+		if i, ok := t.find(arr, dst, probes); ok {
+			return int32(t.slots[i] - 1), true
 		}
-		t.grow(probes)
+		t.grow(arr, probes)
 	}
-	cur := idxSlot{dst: dst, pos: pos + 1}
+	return t.place(arr, dst, probes)
+}
+
+// place looks dst up until it meets an empty slot or a resident closer to
+// home than the probe; either proves dst absent, and from that slot on
+// the walk is the Robin Hood placement of position len(arr).
+func (t *dstIndex) place(arr []graph.Neighbor, dst graph.NodeID, probes *uint64) (int32, bool) {
+	cur := idxSlot(len(arr) + 1)
 	i := t.home(dst)
 	var d uint64
 	for {
 		*probes++
-		s := &t.slots[i]
-		if s.pos == 0 {
-			*s = cur
+		s := t.slots[i]
+		if s == 0 {
+			t.slots[i] = cur
 			t.count++
 			return 0, false
 		}
-		if s.dst == dst { // only before the first steal: after it dst is known absent
-			return s.pos - 1, true
+		r := arr[s-1].ID
+		if r == dst { // only before the first steal: after it dst is known absent
+			return int32(s - 1), true
 		}
-		if ed := t.dist(i, s.dst); ed < d {
+		if ed := t.dist(i, r); ed < d {
 			// Robin Hood: the resident is closer to home than the probe;
 			// steal its slot and carry the resident on.
-			cur, *s = *s, cur
-			d = ed
+			t.slots[i], cur = cur, s
+			dst, d = r, ed
 		}
 		i = (i + 1) & t.mask()
 		d++
 	}
 }
 
-func (t *dstIndex) grow(probes *uint64) {
-	old := t.slots
-	t.slots = make([]idxSlot, len(old)*2)
+// grow doubles the table and refills it from the array.
+func (t *dstIndex) grow(arr []graph.Neighbor, probes *uint64) {
+	t.slots = make([]idxSlot, len(t.slots)*2)
+	t.fill(arr, probes)
+}
+
+// fill maps every entry of arr to its position, in array order, into an
+// empty table: promotion and growth rebuild from the array, not from the
+// old slots.
+func (t *dstIndex) fill(arr []graph.Neighbor, probes *uint64) {
 	t.count = 0
-	for _, s := range old {
-		if s.pos != 0 {
-			t.insert(s.dst, s.pos-1, probes)
-		}
+	for i := range arr {
+		t.place(arr[:i], arr[i].ID, probes)
 	}
 }
 
-// set rewrites the position of an existing dst (a swap-with-last delete
-// moved its array entry).
-func (t *dstIndex) set(dst graph.NodeID, pos int32, probes *uint64) {
-	if i, ok := t.find(dst, probes); ok {
-		t.slots[i].pos = pos + 1
+// set re-points dst from position from to position to (a swap-with-last
+// delete moved its array entry). No other slot holds from+1, so the walk
+// from dst's home knows the slot by its value and reads no array entry.
+func (t *dstIndex) set(dst graph.NodeID, from, to int32, probes *uint64) {
+	for i := t.home(dst); ; i = (i + 1) & t.mask() {
+		*probes++
+		switch t.slots[i] {
+		case idxSlot(from + 1):
+			t.slots[i] = idxSlot(to + 1)
+			return
+		case 0:
+			return
+		}
 	}
 }
 
 // take removes dst and reports the position it mapped to: the walk that
 // finds the slot carries on over the rest of the cluster, shifting each
 // follower back one slot, which preserves the Robin Hood invariant.
-func (t *dstIndex) take(dst graph.NodeID, probes *uint64) (int32, bool) {
-	i, ok := t.find(dst, probes)
+func (t *dstIndex) take(arr []graph.Neighbor, dst graph.NodeID, probes *uint64) (int32, bool) {
+	i, ok := t.find(arr, dst, probes)
 	if !ok {
 		return 0, false
 	}
-	pos := t.slots[i].pos - 1
+	pos := int32(t.slots[i] - 1)
 	for {
 		j := (i + 1) & t.mask()
 		next := t.slots[j]
-		if next.pos == 0 || t.dist(j, next.dst) == 0 {
-			t.slots[i] = idxSlot{}
+		if next == 0 || t.dist(j, arr[next-1].ID) == 0 {
+			t.slots[i] = 0
 			break
 		}
 		t.slots[i] = next

@@ -7,69 +7,82 @@ import (
 	"sagabench/internal/graph"
 )
 
-// indexHarness drives a dstIndex and a map through the same operations.
-// Each operation is three bytes — kind, then a 16-bit key folded into a
-// space small enough that keys collide, repeat and force growth — so a
-// property test and the fuzzer share it.
+// indexHarness drives a dstIndex over an edge array the way the store
+// does, beside a map from destination to array position (a slice over the
+// key space, for the fuzzer's speed). Each operation is
+// three bytes — kind, then a 16-bit key folded into a space small enough
+// that keys collide, repeat and force growth — so a property test and the
+// fuzzer share it.
 type indexHarness struct {
 	t      *testing.T
 	idx    *dstIndex
-	oracle map[graph.NodeID]int32
-	seen   map[graph.NodeID]bool // check's scratch
+	arr    []graph.Neighbor // the vertex's dense run: the index maps into it
+	oracle []int32          // position+1 by destination, 0 when absent
+	size   int              // present keys
+	seen   []bool           // check's scratch
 	probes uint64
 	step   int
 }
 
+// harnessKeys is the key space: small enough that keys collide and repeat.
+const harnessKeys = 700
+
 func runIndexOps(t *testing.T, data []byte) {
 	t.Helper()
-	h := &indexHarness{t: t, idx: newDstIndex(0), oracle: map[graph.NodeID]int32{}, seen: map[graph.NodeID]bool{}}
+	h := &indexHarness{t: t, idx: newDstIndex(0), oracle: make([]int32, harnessKeys), seen: make([]bool, harnessKeys)}
 	for ; len(data) >= 3; data, h.step = data[3:], h.step+1 {
 		kind, key := data[0], int(data[1])|int(data[2])<<8
-		dst := graph.NodeID(key % 700)
-		pos := int32(key) * 31
+		dst := graph.NodeID(key % harnessKeys)
 		switch kind % 8 {
 		case 0, 1, 2:
-			h.insert(dst, pos)
+			h.insert(dst)
 		case 3, 4:
 			h.take(dst)
 		case 5:
-			if _, ok := h.oracle[dst]; ok {
-				h.idx.set(dst, pos, &h.probes)
-				h.oracle[dst] = pos
-			}
+			h.moveToEnd(dst)
 		case 6:
 			if kind < 32 { // rare: an explicit doubling, entries kept
-				h.idx.grow(&h.probes)
+				h.idx.grow(h.arr, &h.probes)
 			} else {
-				h.insert(dst, pos)
+				h.insert(dst)
 			}
 		case 7:
 			if kind < 16 { // rare: the pool's reuse, entries dropped
 				h.idx.reset(key % 200)
 				clear(h.oracle)
+				h.size, h.arr = 0, h.arr[:0]
 			} else {
 				h.take(dst)
 			}
 		}
 		h.check(dst)
 	}
-	for dst := range h.oracle {
-		h.lookup(dst)
+	for _, nb := range h.arr {
+		h.lookup(nb.ID)
 	}
 	if h.step > 0 && h.probes == 0 {
 		t.Fatal("probe accounting is dead")
 	}
 }
 
-func (h *indexHarness) insert(dst graph.NodeID, pos int32) {
-	size, brink := len(h.idx.slots), float64(len(h.oracle)+1) > idxMaxLoad*float64(len(h.idx.slots))
-	got, found := h.idx.insert(dst, pos, &h.probes)
-	want, present := h.oracle[dst]
+// want reports the oracle's position for dst.
+func (h *indexHarness) want(dst graph.NodeID) (int32, bool) {
+	return h.oracle[dst] - 1, h.oracle[dst] != 0
+}
+
+func (h *indexHarness) put(dst graph.NodeID, pos int32) { h.oracle[dst] = pos + 1 }
+
+func (h *indexHarness) insert(dst graph.NodeID) {
+	size, brink := len(h.idx.slots), float64(h.size+1) > idxMaxLoad*float64(len(h.idx.slots))
+	got, found := h.idx.insert(h.arr, dst, &h.probes)
+	want, present := h.want(dst)
 	if found != present || (found && got != want) {
 		h.t.Fatalf("step %d: insert(%d) = (%d,%v), oracle has (%d,%v)", h.step, dst, got, found, want, present)
 	}
 	if !present {
-		h.oracle[dst] = pos
+		h.put(dst, int32(len(h.arr)))
+		h.size++
+		h.arr = append(h.arr, graph.Neighbor{ID: dst})
 	}
 	// The table doubles exactly when a new key would pass the load
 	// factor; a duplicate never grows it.
@@ -79,65 +92,118 @@ func (h *indexHarness) insert(dst graph.NodeID, pos int32) {
 	}
 	if len(h.idx.slots) != wantSize {
 		h.t.Fatalf("step %d: insert(%d) present=%v at %d/%d entries left %d slots, want %d",
-			h.step, dst, present, len(h.oracle), size, len(h.idx.slots), wantSize)
+			h.step, dst, present, h.size, size, len(h.idx.slots), wantSize)
 	}
 }
 
+// take deletes dst as the store does: the array's last entry moves into
+// the hole and set re-points it.
 func (h *indexHarness) take(dst graph.NodeID) {
-	got, found := h.idx.take(dst, &h.probes)
-	want, present := h.oracle[dst]
+	got, found := h.idx.take(h.arr, dst, &h.probes)
+	want, present := h.want(dst)
 	if found != present || (found && got != want) {
 		h.t.Fatalf("step %d: take(%d) = (%d,%v), oracle has (%d,%v)", h.step, dst, got, found, want, present)
 	}
-	delete(h.oracle, dst)
+	if !found {
+		return
+	}
+	h.oracle[dst] = 0
+	h.size--
+	last := int32(len(h.arr) - 1)
+	if got != last {
+		moved := h.arr[last]
+		h.arr[got] = moved
+		h.idx.set(moved.ID, last, got, &h.probes)
+		h.put(moved.ID, got)
+	}
+	h.arr = h.arr[:last]
+}
+
+// moveToEnd swaps a present dst with the array's last entry through set
+// alone, keeping every slot's value unique between calls: park dst past
+// the end, move the last entry into dst's hole, then dst into the last
+// position.
+func (h *indexHarness) moveToEnd(dst graph.NodeID) {
+	p, ok := h.want(dst)
+	if !ok {
+		return
+	}
+	last := int32(len(h.arr) - 1)
+	nb := h.arr[p]
+	h.idx.set(dst, p, last+1, &h.probes)
+	if p != last {
+		b := h.arr[last]
+		h.arr[p] = b
+		h.idx.set(b.ID, last, p, &h.probes)
+		h.put(b.ID, p)
+	}
+	h.arr[last] = nb
+	h.idx.set(dst, last+1, last, &h.probes)
+	h.put(dst, last)
 }
 
 func (h *indexHarness) lookup(dst graph.NodeID) {
-	i, found := h.idx.find(dst, &h.probes)
-	want, present := h.oracle[dst]
-	if found != present || (present && h.idx.slots[i] != idxSlot{dst: dst, pos: want + 1}) {
-		h.t.Fatalf("step %d: find(%d) = slot %d %+v (%v), oracle has (%d,%v)", h.step, dst, i, h.idx.slots[i], found, want, present)
+	i, found := h.idx.find(h.arr, dst, &h.probes)
+	want, present := h.want(dst)
+	if found != present || (present && h.idx.slots[i] != idxSlot(want+1)) {
+		h.t.Fatalf("step %d: find(%d) = slot %d holding %d (%v), oracle has (%d,%v)", h.step, dst, i, h.idx.slots[i], found, want, present)
 	}
 }
 
 // check holds the table to the oracle and to the Robin Hood invariant:
-// the residents are exactly the oracle's entries, each once, no cluster has an empty
-// slot inside it (a resident away from home has an occupied predecessor),
-// and each resident's distance is at most its predecessor's plus one —
-// which is what lets a lookup stop at the first resident closer to home
-// than the probe.
+// every key's array position holds it, the residents are exactly the
+// oracle's entries, each once, no cluster has an empty slot inside it (a
+// resident away from home has an occupied predecessor), and each
+// resident's distance is at most its predecessor's plus one — which is
+// what lets a lookup stop at the first resident closer to home than the
+// probe.
 func (h *indexHarness) check(touched graph.NodeID) {
 	t := h.idx
-	if t.count != len(h.oracle) {
-		h.t.Fatalf("step %d: count %d, oracle holds %d", h.step, t.count, len(h.oracle))
+	if t.count != h.size || len(h.arr) != h.size {
+		h.t.Fatalf("step %d: count %d, array %d, oracle holds %d", h.step, t.count, len(h.arr), h.size)
+	}
+	for dst, p := range h.oracle {
+		if p != 0 && h.arr[p-1].ID != graph.NodeID(dst) {
+			h.t.Fatalf("step %d: oracle puts %d at %d, the array holds %d there", h.step, dst, p-1, h.arr[p-1].ID)
+		}
 	}
 	if n := len(t.slots); n < idxMinSize || n&(n-1) != 0 {
 		h.t.Fatalf("step %d: %d slots", h.step, n)
 	}
+	resident := func(i uint64) graph.NodeID {
+		s := t.slots[i]
+		if int(s) > len(h.arr) {
+			h.t.Fatalf("step %d: slot %d points at %d, past the array's %d entries", h.step, i, s-1, len(h.arr))
+		}
+		return h.arr[s-1].ID
+	}
 	clear(h.seen)
+	residents := 0
 	for i, s := range t.slots {
-		if s.pos == 0 {
+		if s == 0 {
 			continue
 		}
-		if want, ok := h.oracle[s.dst]; !ok || want != s.pos-1 || h.seen[s.dst] {
+		dst := resident(uint64(i))
+		if want, ok := h.want(dst); !ok || want != int32(s-1) || h.seen[dst] {
 			h.t.Fatalf("step %d: slot %d holds %d→%d (seen before: %v), oracle has (%d,%v)",
-				h.step, i, s.dst, s.pos-1, h.seen[s.dst], want, ok)
+				h.step, i, dst, s-1, h.seen[dst], want, ok)
 		}
-		h.seen[s.dst] = true
-		d := t.dist(uint64(i), s.dst)
+		h.seen[dst] = true
+		residents++
+		d := t.dist(uint64(i), dst)
 		if d == 0 {
 			continue
 		}
-		prev := t.slots[(uint64(i)-1)&t.mask()]
-		if prev.pos == 0 {
+		pi := (uint64(i) - 1) & t.mask()
+		if t.slots[pi] == 0 {
 			h.t.Fatalf("step %d: slot %d is %d from home behind an empty slot", h.step, i, d)
 		}
-		if pd := t.dist((uint64(i)-1)&t.mask(), prev.dst); d > pd+1 {
+		if pd := t.dist(pi, resident(pi)); d > pd+1 {
 			h.t.Fatalf("step %d: slot %d is %d from home, its predecessor %d", h.step, i, d, pd)
 		}
 	}
-	if len(h.seen) != len(h.oracle) {
-		h.t.Fatalf("step %d: %d residents, oracle holds %d", h.step, len(h.seen), len(h.oracle))
+	if residents != h.size {
+		h.t.Fatalf("step %d: %d residents, oracle holds %d", h.step, residents, h.size)
 	}
 	h.lookup(touched)
 }
@@ -172,9 +238,9 @@ func FuzzDstIndex(f *testing.F) {
 // walkLen is the number of slots one probe walk for dst visits: from its
 // home slot to the slot holding it or, for an absent dst, to the first
 // empty slot (a Robin Hood placement carries displaced residents that far).
-func walkLen(t *dstIndex, dst graph.NodeID) uint64 {
+func walkLen(t *dstIndex, arr []graph.Neighbor, dst graph.NodeID) uint64 {
 	n := uint64(1)
-	for i := t.home(dst); t.slots[i].pos != 0 && t.slots[i].dst != dst; i = (i + 1) & t.mask() {
+	for i := t.home(dst); t.slots[i] != 0 && arr[t.slots[i]-1].ID != dst; i = (i + 1) & t.mask() {
 		n++
 	}
 	return n
@@ -206,11 +272,11 @@ func TestHashTierOpsChargeOneWalk(t *testing.T) {
 	}
 
 	slots := len(v.idx.slots)
-	want := walkLen(v.idx, 1000)
+	want := walkLen(v.idx, v.run(), 1000)
 	if got := charged(ins(1000)); got != want {
 		t.Errorf("insert of a new edge charged %d probes, one walk is %d", got, want)
 	}
-	want = walkLen(v.idx, 70)
+	want = walkLen(v.idx, v.run(), 70)
 	if got := charged(ins(70)); got != want {
 		t.Errorf("overwrite charged %d probes, one walk is %d", got, want)
 	}
@@ -218,21 +284,23 @@ func TestHashTierOpsChargeOneWalk(t *testing.T) {
 		t.Fatalf("table grew from %d to %d slots: the inserts above were meant to stay clear of the load factor", slots, len(v.idx.slots))
 	}
 
-	last := v.arr[len(v.arr)-1].ID
-	want = walkLen(v.idx, last)
+	run := v.run()
+	last := run[len(run)-1].ID
+	want = walkLen(v.idx, run, last)
 	if got := charged(del(last)); got != want {
 		t.Errorf("delete of the last entry charged %d probes, one walk is %d", got, want)
 	}
-	interior, moved := v.arr[3].ID, v.arr[len(v.arr)-1].ID
-	want = walkLen(v.idx, interior)
+	run = v.run()
+	interior, moved := run[3].ID, run[len(run)-1].ID
+	want = walkLen(v.idx, run, interior)
 	got := charged(del(interior))
-	if want += walkLen(v.idx, moved); got != want {
+	if want += walkLen(v.idx, run, moved); got != want {
 		t.Errorf("delete of an interior entry charged %d probes, take + set walk %d", got, want)
 	}
-	if v.arr[3].ID != moved {
-		t.Fatalf("swap-with-last put %d at position 3, want %d", v.arr[3].ID, moved)
+	if v.run()[3].ID != moved {
+		t.Fatalf("swap-with-last put %d at position 3, want %d", v.run()[3].ID, moved)
 	}
-	if want = walkLen(v.idx, 4242); charged(del(4242)) != want {
+	if want = walkLen(v.idx, v.run(), 4242); charged(del(4242)) != want {
 		t.Errorf("delete of an absent edge did not charge one walk of %d", want)
 	}
 }

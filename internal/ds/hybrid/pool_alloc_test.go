@@ -14,14 +14,14 @@ import (
 func TestPoolOpsSteadyStateDoNotAllocate(t *testing.T) {
 	var p chunkPools
 	p.putArr(p.getArr(8))  // stock the 8-class (audited cold make)
-	p.putArr(p.getArr(64)) // stock the 64-class
+	p.putArr(p.getArr(56)) // stock the 56-class
 	p.putIdx(p.getIdx(16)) // stock the index pool
 	before := p.recycled
 	if allocs := testing.AllocsPerRun(100, func() {
-		a := p.getArr(8)
-		b := p.getArr(64)
-		p.putArr(a)
-		p.putArr(b)
+		a, ac := p.getArr(8)
+		b, bc := p.getArr(56)
+		p.putArr(a, ac)
+		p.putArr(b, bc)
 		idx := p.getIdx(16)
 		p.putIdx(idx)
 	}); allocs != 0 {
@@ -32,27 +32,68 @@ func TestPoolOpsSteadyStateDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestVertexRecordSize pins the size the package doc states: the batch
-// apply is ordered by source because these records, not cache lines, are
-// the unit its walk strides over.
+// TestVertexRecordSize pins the size the package doc states — one cache
+// line — and that the records of a store at 2^18 vertices start on a line
+// boundary, so no record straddles two.
 func TestVertexRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(vertex{}); got != 72 {
-		t.Fatalf("vertex record is %d bytes; the package doc and srcOrder.bySrc say 72", got)
+	if got := unsafe.Sizeof(vertex{}); got != 64 || RecordBytes != 64 {
+		t.Fatalf("vertex record is %d bytes (RecordBytes %d); the package doc says 64", got, RecordBytes)
+	}
+	s := newStore(1, DefaultHashThreshold, 0)
+	s.EnsureNodes(1 << 18)
+	if addr := uintptr(unsafe.Pointer(&s.verts[0])); addr%64 != 0 {
+		t.Fatalf("records start at %#x, not on a 64-byte boundary", addr)
 	}
 }
 
-// TestIdxSlotSize pins the hash tier's slot at 8 bytes — eight to a cache
-// line, position+1 with 0 for empty instead of a flag word.
+// TestIdxSlotSize pins the hash tier's slot at 4 bytes — sixteen to a
+// cache line, position+1 with 0 for empty, the destination read back
+// from the array.
 func TestIdxSlotSize(t *testing.T) {
-	if got := unsafe.Sizeof(idxSlot{}); got != 8 || IndexSlotBytes != 8 {
-		t.Fatalf("index slot is %d bytes (IndexSlotBytes %d); the package doc says 8", got, IndexSlotBytes)
+	if got := unsafe.Sizeof(idxSlot(0)); got != 4 || IndexSlotBytes != 4 {
+		t.Fatalf("index slot is %d bytes (IndexSlotBytes %d); the package doc says 4", got, IndexSlotBytes)
+	}
+}
+
+// TestSizeClasses checks the array size classes for every n ≤ 2^22:
+// CapFor(n) fits n, never falls as n grows, is a class that classOf
+// numbers and classCap maps back, and each class is at most 1.25× the
+// one before it.
+func TestSizeClasses(t *testing.T) {
+	prev, prevCls := 0, -1
+	for n := 0; n <= 1<<22; n++ {
+		c := CapFor(n)
+		if c < n || c < prev {
+			t.Fatalf("CapFor(%d) = %d (CapFor(%d) = %d)", n, c, n-1, prev)
+		}
+		if c == prev {
+			continue
+		}
+		cls := classOf(c)
+		if cls < 0 || classCap(cls) != c {
+			t.Fatalf("CapFor(%d) = %d: classOf %d, whose capacity is %d", n, c, cls, classCap(cls))
+		}
+		if prevCls >= 0 {
+			if cls != prevCls+1 {
+				t.Fatalf("CapFor(%d) = %d is class %d, the class before was %d", n, c, cls, prevCls)
+			}
+			if 4*c > 5*prev {
+				t.Fatalf("class %d (%d) is more than 1.25× class %d (%d)", cls, c, prevCls, prev)
+			}
+		}
+		prev, prevCls = c, cls
+	}
+	for _, c := range []int{0, 7, 9, 11, 18, 33, 1 << 30} {
+		if cls := classOf(c); cls >= 0 {
+			t.Errorf("classOf(%d) = %d, want -1 for a capacity that is not a pooled class", c, cls)
+		}
 	}
 }
 
 // TestBySrcStableAndReusesScratch: positions come back ascending by
-// source, records of one source in batch order, for sources that need
-// one, two and four radix passes; a second call of the same size
-// allocates nothing.
+// source, records of one source in batch order, for sources up to 2^32,
+// 2^17 and 2^9 — always two counting passes, on a digit of half the
+// sources' width; a second call of the same size allocates nothing.
 func TestBySrcStableAndReusesScratch(t *testing.T) {
 	var o srcOrder
 	var bucket []graph.Edge
@@ -74,7 +115,7 @@ func TestBySrcStableAndReusesScratch(t *testing.T) {
 		}
 	}
 	check(bucket)
-	check(bucket[:4]) // sources below 2^17: three passes
+	check(bucket[:4]) // sources below 2^17: two passes on a 9-bit digit
 	check(bucket[1:3])
 	check(nil)
 	if allocs := testing.AllocsPerRun(50, func() { o.bySrc(bucket) }); allocs != 0 {
