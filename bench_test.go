@@ -112,12 +112,10 @@ func BenchmarkUpdateShortTailAS(b *testing.B)   { benchUpdate(b, "adjshared", "l
 func BenchmarkUpdateShortTailAC(b *testing.B)   { benchUpdate(b, "adjchunked", "lj") }
 func BenchmarkUpdateShortTailStgr(b *testing.B) { benchUpdate(b, "stinger", "lj") }
 func BenchmarkUpdateShortTailDAH(b *testing.B)  { benchUpdate(b, "dah", "lj") }
-func BenchmarkUpdateShortTailGO(b *testing.B)   { benchUpdate(b, "graphone", "lj") }
 func BenchmarkUpdateHeavyTailAS(b *testing.B)   { benchUpdate(b, "adjshared", "wiki") }
 func BenchmarkUpdateHeavyTailAC(b *testing.B)   { benchUpdate(b, "adjchunked", "wiki") }
 func BenchmarkUpdateHeavyTailStgr(b *testing.B) { benchUpdate(b, "stinger", "wiki") }
 func BenchmarkUpdateHeavyTailDAH(b *testing.B)  { benchUpdate(b, "dah", "wiki") }
-func BenchmarkUpdateHeavyTailGO(b *testing.B)   { benchUpdate(b, "graphone", "wiki") }
 
 func benchCompute(b *testing.B, dsName, alg string, model compute.Model) {
 	spec := gen.MustDataset("lj", gen.ProfileTiny)

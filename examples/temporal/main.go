@@ -27,7 +27,7 @@ func main() {
 	batches := graph.Batches(edges, spec.BatchSize)
 
 	pipe, err := core.NewPipeline(core.PipelineConfig{
-		DataStructure: "graphone", // log-structured: O(1) ingest, snapshot-friendly
+		DataStructure: "hybrid", // degree-adaptive: each vertex's tier follows its degree
 		Algorithm:     "cc",
 		Model:         compute.INC,
 		Directed:      true,

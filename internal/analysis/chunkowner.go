@@ -6,12 +6,12 @@ import (
 )
 
 // ChunkOwner checks chunk-ownership discipline in packages marked
-// `saga:lockless` (AC, DAH, GraphOne): these structures take no locks
+// `saga:lockless` (AC, DAH, hybrid): these structures take no locks
 // during chunk-parallel ingestion because each chunk of vertex state is
-// owned by exactly one worker. Inside a closure passed to
-// ds.GroupByChunk or ds.ForEachChunk, the analyzer tracks which
-// expressions are derived from the worker's own chunk (the closure's
-// parameters, locals, and anything indexed by them) and reports:
+// owned by exactly one worker. Inside a closure passed to ds.GroupByChunk,
+// the analyzer tracks which expressions are derived from the worker's own
+// chunk (the closure's parameters, locals, and anything indexed by them)
+// and reports:
 //
 //   - writes to captured state that is not chunk-derived (a write the
 //     worker does not own is a data race with its sibling workers);
@@ -41,8 +41,7 @@ func runChunkOwner(pass *Pass) {
 			if !ok {
 				return true
 			}
-			if !isPkgFunc(pass.TypesInfo, call, dsPkgPath, "GroupByChunk") &&
-				!isPkgFunc(pass.TypesInfo, call, dsPkgPath, "ForEachChunk") {
+			if !isPkgFunc(pass.TypesInfo, call, dsPkgPath, "GroupByChunk") {
 				return true
 			}
 			lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)

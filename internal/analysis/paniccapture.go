@@ -32,12 +32,12 @@ func runPanicCapture(pass *Pass) {
 			lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
 			if !ok {
 				pass.Reportf(g.Pos(),
-					"goroutine launches a named function, which cannot be seen to capture panics; wrap it in a closure with a defer'd recover (or use ds.ForEachShard/GroupByChunk/ForEachChunk)")
+					"goroutine launches a named function, which cannot be seen to capture panics; wrap it in a closure with a defer'd recover (or use ds.ForEachShard/GroupByChunk)")
 				return true
 			}
 			if !hasDeferredRecover(lit.Body) {
 				pass.Reportf(g.Pos(),
-					"goroutine does not capture panics: add a top-level `defer func() { if r := recover(); ... }()` so the poison-batch quarantine can recover it (or use ds.ForEachShard/GroupByChunk/ForEachChunk)")
+					"goroutine does not capture panics: add a top-level `defer func() { if r := recover(); ... }()` so the poison-batch quarantine can recover it (or use ds.ForEachShard/GroupByChunk)")
 			}
 			return true
 		})

@@ -29,9 +29,9 @@ func (s *store) badWrite(edges []ds.Edge, chunks int) {
 	})
 }
 
-func (s *store) badChunkIndex(chunks int) {
-	ds.ForEachChunk(chunks, func(c int) {
-		s.loads[c] = 0
+func (s *store) badChunkIndex(edges []ds.Edge, chunks int) {
+	ds.GroupByChunk(edges, chunks, func(chunk int, bucket []ds.Edge) {
+		s.loads[chunk] = 0
 		_ = s.loads[0] // want `indexes saga:chunked field loads with 0`
 	})
 }

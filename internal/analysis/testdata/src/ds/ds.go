@@ -1,5 +1,5 @@
 // Package ds is a fixture stand-in for sagabench/internal/ds: just the
-// chunk-parallel helper signatures the chunkowner analyzer matches on.
+// chunk-parallel helper signature the chunkowner analyzer matches on.
 package ds
 
 // Edge mirrors graph.Edge closely enough for ownership fixtures.
@@ -10,11 +10,4 @@ type Edge struct {
 // GroupByChunk mirrors the real helper's shape (chunk worker closure).
 func GroupByChunk(edges []Edge, chunks int, fn func(chunk int, edges []Edge)) {
 	fn(0, edges)
-}
-
-// ForEachChunk mirrors the real helper's shape (per-chunk closure).
-func ForEachChunk(n int, fn func(c int)) {
-	for c := 0; c < n; c++ {
-		fn(c)
-	}
 }

@@ -76,8 +76,6 @@ func NewReplayer(cfg ReplayConfig) (*Replayer, error) {
 			return newShadowStinger(r.alloc, cfg.BlockSize), nil
 		case "dah":
 			return newShadowDAH(r.alloc, chunks, cfg.FlushThreshold), nil
-		case "graphone":
-			return newShadowGraphOne(r.alloc, chunks), nil
 		case "hybrid":
 			return newShadowHybrid(r.alloc, chunks, cfg.FlushThreshold), nil
 		}
@@ -101,7 +99,7 @@ func NewReplayer(cfg ReplayConfig) (*Replayer, error) {
 func (r *Replayer) Machine() *Machine { return r.m }
 
 // ChunkedStyle reports whether the modeled structure uses chunk-owned
-// multithreading (AC/DAH/GraphOne/hybrid) rather than shared-style
+// multithreading (AC/DAH/hybrid) rather than shared-style
 // sharding. Callers picking a PhaseKind should ask this instead of
 // hand-matching structure names, so new registrations cannot be
 // misclassified silently.
@@ -152,15 +150,6 @@ func (r *Replayer) ReplayUpdate(batch graph.Batch) Traffic {
 		} else {
 			t = r.threadFor(r.out, e.Dst, i, n)
 			r.out.insert(r.m, t, e.Dst, e.Src)
-		}
-	}
-	// Log-structured shadows do their compaction work at batch end.
-	if be, ok := r.out.(batchEnder); ok {
-		be.endBatch(r.m)
-	}
-	if r.directed {
-		if be, ok := r.in.(batchEnder); ok {
-			be.endBatch(r.m)
 		}
 	}
 	return r.m.DrainPhase()

@@ -108,8 +108,7 @@ var DSNames = []struct{ Key, Label string }{
 
 // dsExtraLabels labels registered structures beyond the paper's four.
 var dsExtraLabels = map[string]string{
-	"graphone": "GraphOne",
-	"hybrid":   "Hybrid",
+	"hybrid": "Hybrid",
 }
 
 // DSLabel maps a registry key to its paper label.

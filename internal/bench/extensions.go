@@ -11,14 +11,12 @@ import (
 // Extensions measures the two capabilities this repository adds beyond
 // the paper's framework (both named by the paper as future work):
 //
-//  1. the log-structured GraphOne-style structure against the paper's
-//     four on both degree-tail regimes — its O(1) ingest plus hash-pass
-//     compaction should neutralize the heavy-tail update pathology
-//     without DAH's traversal meta-operations; and
+//  1. update latency by structure: the degree-adaptive hybrid beside the
+//     paper's four on both degree-tail regimes; and
 //  2. a sliding-window mixed stream (inserts plus expiring edges) over
 //     the deletion-capable structures.
 func (h *Harness) Extensions() error {
-	h.printf("\n== Extensions: log-structured ingest and sliding-window deletion ==\n")
+	h.printf("\n== Extensions: update latency by structure and sliding-window deletion ==\n")
 
 	// (a) P3 update latency, every registered structure, both tails.
 	h.printf("(a) P3 update latency by structure (incremental CC)\n")

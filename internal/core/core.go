@@ -115,8 +115,7 @@ type Pipeline struct {
 type PipelineConfig struct {
 	// DataStructure is a ds registry name (ds.Names() lists them): the
 	// paper's "adjshared", "adjchunked", "stinger", "dah", or the
-	// extensions "graphone" (log-structured) and "hybrid"
-	// (degree-adaptive three-tier).
+	// extension "hybrid" (degree-adaptive three-tier).
 	DataStructure string
 	// Algorithm is a compute algorithm name: "bfs", "cc", "mc", "pr",
 	// "sssp", or "sswp".
@@ -298,6 +297,13 @@ func (p *Pipeline) LastViewRefresh() ds.RefreshStats { return p.batch.View }
 // quarantined or failed one included (see BatchRecord). Like every
 // accessor but AcquireQuery it must not race a batch in flight.
 func (p *Pipeline) LastBatch() BatchRecord { return p.batch }
+
+// Affected is the deduplicated endpoint set the last batch to reach the
+// compute stage handed to the engine: adds before dels, each vertex at its
+// first sighting (src before dst), endpoints at or above NumNodes skipped.
+// It aliases pipeline scratch: read it before the next batch, and do not
+// modify it.
+func (p *Pipeline) Affected() []graph.NodeID { return p.affected }
 
 // Graph exposes the topology (read-only between updates).
 func (p *Pipeline) Graph() ds.Graph { return p.g }

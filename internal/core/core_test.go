@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sagabench/internal/compute"
@@ -54,6 +55,29 @@ func TestPipelineErrors(t *testing.T) {
 	}
 	if _, err := core.NewPipeline(pipelineCfg("adjshared", "bfs", "nope")); err == nil {
 		t.Error("expected error for unknown model")
+	}
+}
+
+// TestAffectedOrder pins the endpoint set handed to compute: adds before
+// dels, each vertex once at its first sighting (src before dst), and
+// endpoints the graph has never seen skipped.
+func TestAffectedOrder(t *testing.T) {
+	p, err := core.NewPipeline(pipelineCfg("adjshared", "cc", compute.FS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Process(graph.Batch{{Src: 0, Dst: 1, Weight: 1}, {Src: 2, Dst: 3, Weight: 1}, {Src: 1, Dst: 0, Weight: 1}})
+	if got, want := p.Affected(), []graph.NodeID{0, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("insert batch: Affected() = %v, want %v", got, want)
+	}
+	if _, err := p.ProcessMixed(core.MixedBatch{
+		Adds: graph.Batch{{Src: 3, Dst: 1, Weight: 1}, {Src: 4, Dst: 3, Weight: 1}},
+		Dels: graph.Batch{{Src: 9, Dst: 2, Weight: 1}, {Src: 2, Dst: 3, Weight: 1}, {Src: 0, Dst: 7, Weight: 1}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.Affected(), []graph.NodeID{3, 1, 4, 2, 0}; !slices.Equal(got, want) {
+		t.Fatalf("mixed batch: Affected() = %v, want %v", got, want)
 	}
 }
 

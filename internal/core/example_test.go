@@ -38,7 +38,7 @@ func ExamplePipeline() {
 // under any topology change).
 func ExamplePipeline_ProcessMixed() {
 	pipe, err := core.NewPipeline(core.PipelineConfig{
-		DataStructure: "graphone",
+		DataStructure: "hybrid",
 		Algorithm:     "cc",
 		Model:         compute.FS,
 		Directed:      true,

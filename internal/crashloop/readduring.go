@@ -24,7 +24,9 @@ import (
 // at the observation's pinned batch — the adjacency from a CSR built off
 // the sequential oracle as it advanced, the property vector from the
 // sequential reference — so a stale, torn, or scribbled epoch surfaces as
-// a concrete (batch, vertex) mismatch. Mismatches are minimized to .repro
+// a concrete (batch, vertex) mismatch. One reader holds each pin across two
+// later publishes and reads the same vertex again, so a writer that reuses
+// a buffer a reader still pins is caught. Mismatches are minimized to .repro
 // files via a deterministic single-threaded re-check when the failure
 // survives sequential replay; races that do not are written unshrunk.
 
@@ -41,7 +43,9 @@ type ReadDuringConfig struct {
 	Model compute.Model
 	// Threads is the worker count (default 4).
 	Threads int
-	// Readers is the concurrent reader count (default 4).
+	// Readers is the concurrent reader count (default 4). Reader 0 is the
+	// holding reader: it keeps each pin until two later epochs are
+	// published (or the stream ends), then observes the vertex again.
 	Readers int
 	// MaxObsPerReader caps recorded observations per reader so post-hoc
 	// verification stays bounded (default 256).
@@ -145,6 +149,7 @@ type observation struct {
 	out    []graph.Neighbor // copied; sorted by ID for comparison
 	value  float64
 	hasVal bool
+	held   bool // re-read after the pin outlived two publishes
 }
 
 // observe reads vertex v through a pinned handle.
@@ -227,6 +232,10 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream crosscheck.Stream) (*ReadDuri
 	//     so a fast stream cannot drain before any reader pinned anything,
 	//     and a defect present in the final state is seen by all readers
 	//     under any schedule.
+	//
+	// Reader 0 also holds each pin until two later epochs are published (or
+	// the stream ends), because a pin held for microseconds almost never
+	// overlaps the publish that would scribble it; this one overlaps two.
 	perEpoch := max(1, cfg.MaxObsPerReader/max(1, len(stream)))
 	lastBatch := len(stream) - 1
 	var wg sync.WaitGroup
@@ -234,6 +243,9 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream crosscheck.Stream) (*ReadDuri
 	settled := make([]atomic.Bool, cfg.Readers)
 	panicCh := make(chan string, cfg.Readers)
 	done := make(chan struct{})
+	var ingested atomic.Int64 // the last batch ProcessMixed returned from
+	ingested.Store(-1)
+	var streamEnded atomic.Bool
 	for i := 0; i < cfg.Readers; i++ {
 		wg.Add(1)
 		go func(slot int, seed int64) {
@@ -272,8 +284,17 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream crosscheck.Stream) (*ReadDuri
 					runtime.Gosched()
 					continue
 				}
-				obs = append(obs, observe(h, graph.NodeID(rng.Intn(n))))
+				v := graph.NodeID(rng.Intn(n))
+				obs = append(obs, observe(h, v))
 				onEpoch++
+				if slot == 0 {
+					for ingested.Load() < int64(h.Batch()+2) && !streamEnded.Load() {
+						runtime.Gosched()
+					}
+					o := observe(h, v)
+					o.held = true
+					obs = append(obs, o)
+				}
 				if h.Batch() == lastBatch {
 					settled[slot].Store(true)
 				}
@@ -291,7 +312,9 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream crosscheck.Stream) (*ReadDuri
 			stepErr = fmt.Errorf("crashloop: read-during-update batch %d: %w", i, err)
 			break
 		}
+		ingested.Store(int64(i))
 	}
+	streamEnded.Store(true)
 	// Final-epoch wait: only meaningful when an epoch with vertices exists
 	// for readers to observe (a reader on an empty graph records nothing).
 	if stepErr == nil && p.Graph().NumNodes() > 0 && len(stream) > 0 {
@@ -328,6 +351,9 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream crosscheck.Stream) (*ReadDuri
 			rep.Checked++
 			if detail == "" {
 				continue
+			}
+			if o.held {
+				detail = "re-read after two publishes: " + detail
 			}
 			seen[key] = true
 			rep.Mismatches = append(rep.Mismatches,

@@ -90,11 +90,11 @@ func checkBorrowedRuns(t *testing.T, name string, g ds.Graph) {
 	}
 }
 
-// TestWhichStructuresLendRuns pins the set: the four whose per-vertex
+// TestWhichStructuresLendRuns pins the set: the three whose per-vertex
 // adjacency is one contiguous slice. Stinger's blocks and DAH's tables are
 // copied out.
 func TestWhichStructuresLendRuns(t *testing.T) {
-	want := map[string]bool{"adjshared": true, "adjchunked": true, "graphone": true, "hybrid": true}
+	want := map[string]bool{"adjshared": true, "adjchunked": true, "hybrid": true}
 	for _, directed := range []bool{true, false} {
 		for _, name := range ds.Names() {
 			tc, ok := ds.MustNew(name, ds.Config{Directed: directed, Threads: 2}).(*ds.TwoCopy)

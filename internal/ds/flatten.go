@@ -15,7 +15,7 @@ type Flattener interface {
 
 // RunFlattener is the zero-copy specialization for stores whose
 // per-vertex adjacency already is one contiguous slice (AS, AC,
-// GraphOne): FlatRun hands out the backing storage directly so the view
+// hybrid): FlatRun hands out the backing storage directly so the view
 // copies a run with a single memmove instead of element-wise appends.
 // The returned slice is valid only until the next update.
 type RunFlattener interface {

@@ -127,41 +127,6 @@ func GroupByChunk(edges []graph.Edge, chunks int, fn func(chunk int, edges []gra
 	}
 }
 
-// ForEachChunk runs fn(c) for each chunk id 0..n-1 in its own goroutine
-// and blocks until all finish. It is the compaction-side companion of
-// GroupByChunk for chunked structures whose per-chunk state (dirty
-// lists, staged logs) already partitions the work: each worker owns
-// exactly the state indexed by its chunk id. Panics are captured and
-// re-raised on the caller, like the other helpers here.
-func ForEachChunk(n int, fn func(c int)) {
-	if n <= 0 {
-		return
-	}
-	if n == 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicVal any
-	for c := 0; c < n; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicVal = r })
-				}
-			}()
-			fn(c)
-		}(c)
-	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
-}
-
 // ChunkOf reports the chunk owning vertex v under the modulo partition.
 func ChunkOf(v graph.NodeID, chunks int) int {
 	if chunks <= 1 {

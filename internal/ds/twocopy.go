@@ -128,8 +128,8 @@ func (t *TwoCopy) InNeigh(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor
 }
 
 // LendsRuns reports whether OutRun and InRun are available: both stores
-// keep every vertex's adjacency as one contiguous slice (AS, AC, GraphOne,
-// hybrid), so a reader can walk it in place, as C++ SAGA-Bench iterates
+// keep every vertex's adjacency as one contiguous slice (AS, AC, hybrid),
+// so a reader can walk it in place, as C++ SAGA-Bench iterates
 // its AS/AC vectors, instead of copying it out through OutNeigh/InNeigh.
 func (t *TwoCopy) LendsRuns() bool { return t.outRuns != nil }
 

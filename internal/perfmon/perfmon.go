@@ -59,17 +59,12 @@ func Profile(cfg Config) (*Report, error) {
 		mc = *cfg.Machine
 	}
 	rep, err := archsim.NewReplayer(archsim.ReplayConfig{
-		Machine:       mc,
-		Threads:       threads,
-		DataStructure: cfg.Run.DataStructure,
-		Directed:      cfg.Run.Dataset.Directed,
-		BlockSize:     cfg.Run.DS.BlockSize,
-		FlushThreshold: func() int {
-			if cfg.Run.DS.FlushThreshold > 0 {
-				return cfg.Run.DS.FlushThreshold
-			}
-			return 0
-		}(),
+		Machine:        mc,
+		Threads:        threads,
+		DataStructure:  cfg.Run.DataStructure,
+		Directed:       cfg.Run.Dataset.Directed,
+		BlockSize:      cfg.Run.DS.BlockSize,
+		FlushThreshold: cfg.Run.DS.FlushThreshold,
 	})
 	if err != nil {
 		return nil, err
@@ -108,9 +103,8 @@ func Profile(cfg Config) (*Report, error) {
 			s.outLoads = archsim.LoadsOf(append(append([]uint32{}, srcs...), dsts...))
 			s.hotOut = archsim.HotnessOf(s.outLoads)
 		}
-		aff := affectedOf(edges)
 		es := p.Engine().Stats()
-		s.cmp = rep.ReplayCompute(aff, archsim.ComputeTrace{
+		s.cmp = rep.ReplayCompute(p.Affected(), archsim.ComputeTrace{
 			Incremental: p.Engine().Model() == "inc",
 			// PageRank pulls contributions and queries the degree of
 			// each vertex it recomputes, not of each in-neighbor.
@@ -153,22 +147,6 @@ func Profile(cfg Config) (*Report, error) {
 		r.Profiles[si][Compute] = cp
 	}
 	return r, nil
-}
-
-func affectedOf(b graph.Batch) []graph.NodeID {
-	seen := make(map[graph.NodeID]bool, len(b))
-	var out []graph.NodeID
-	for _, e := range b {
-		if !seen[e.Src] {
-			seen[e.Src] = true
-			out = append(out, e.Src)
-		}
-		if !seen[e.Dst] {
-			seen[e.Dst] = true
-			out = append(out, e.Dst)
-		}
-	}
-	return out
 }
 
 // Traffic returns the pooled traffic of a stage/phase.
