@@ -1,10 +1,10 @@
 // Command sagafuzz is the differential fuzz driver: it generates a
 // deterministic, seed-driven edge stream and replays it through one
 // core.Pipeline per selected (data structure, algorithm, model),
-// cross-checking each pipeline's full adjacency (and compute mirror)
-// against the sequential oracle and its values against the sequential
-// reference implementations after every batch (internal/crashloop's
-// sweep).
+// cross-checking each pipeline's full adjacency against the sequential
+// oracle and its values against the sequential reference implementations
+// after every batch (internal/crashloop's sweep). A clean sweep is repeated
+// with every pipeline on its compute view, whose mirror is checked too.
 //
 // A clean sweep exits 0. On divergence it minimizes the failing stream
 // (drop whole batches, then single edges) and writes a replayable repro:
@@ -138,8 +138,7 @@ func main() {
 	fmt.Printf("sagafuzz: seed %d: %d batches (%d adds, %d dels) x %d structures: %d topology checks, %d value checks\n",
 		*seed, rep.Batches, adds, dels, len(rep.Structures), rep.TopologyChecks, rep.ValueChecks)
 	if rep.OK() {
-		fmt.Println("sagafuzz: PASS: all structures and engines agree with the sequential oracle")
-		return
+		os.Exit(sweepView(cfg, stream))
 	}
 
 	fmt.Printf("sagafuzz: FAIL: %d divergence(s):\n", len(rep.Failures))
@@ -166,6 +165,28 @@ func main() {
 	}
 	fmt.Printf("sagafuzz: repro written to %s (re-run: %s)\n", *out, rerun)
 	os.Exit(1)
+}
+
+// sweepView replays the stream a second time with every pipeline on its
+// flat compute view, mirrored in the shape its kernel reads (both
+// directions, out-runs only, or in-runs and out-degrees), so the mirror's
+// topology and the flat kernels' values are diffed too. Its divergences
+// are reported unminimized: a repro file replays the interface path.
+func sweepView(cfg crashloop.SweepConfig, stream crosscheck.Stream) int {
+	cfg.ComputeView = true
+	rep := crashloop.Replay(cfg, stream)
+	fmt.Printf("sagafuzz: compute view: %d topology checks (%d of out-only, %d of in-only mirrors), %d value checks\n",
+		rep.TopologyChecks, rep.OutOnlyChecks, rep.InOnlyChecks, rep.ValueChecks)
+	if rep.OK() {
+		fmt.Println("sagafuzz: PASS: all structures, mirrors and engines agree with the sequential oracle")
+		return 0
+	}
+	fmt.Printf("sagafuzz: FAIL: %d divergence(s) on the compute view:\n", len(rep.Failures))
+	for _, f := range rep.Failures {
+		fmt.Printf("  %s\n", f)
+	}
+	fmt.Printf("sagafuzz: not minimized (repro files replay the interface path); re-run: sagafuzz %s\n", strings.Join(os.Args[1:], " "))
+	return 1
 }
 
 // runCrash drives the kill/recover soak and reports the outcome.

@@ -217,6 +217,17 @@ func NeedsInAdjacency(alg string, model Model) bool {
 	return s.pushBoth || s.fsPullsIn
 }
 
+// NeedsOutAdjacency reports whether running alg under model ever reads
+// out-runs. Every INC round pushes a triggered vertex's change along its
+// out-edges, and every FS kernel but PageRank walks out-edges too; FS
+// PageRank pulls over in-runs and reads only each source's out-degree, so
+// a compute view serving it can keep one degree per vertex in place of the
+// out mirror (ds.ComputeView.MirrorInOnly). Unknown algorithms report true.
+func NeedsOutAdjacency(alg string, model Model) bool {
+	s, ok := specs[alg]
+	return !ok || model != FS || !s.fsOutDegreesOnly
+}
+
 // NewEngine constructs an engine for the named algorithm and model.
 func NewEngine(alg string, model Model, opts Options) (Engine, error) {
 	spec, ok := specs[alg]

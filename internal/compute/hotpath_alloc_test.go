@@ -87,7 +87,13 @@ func prAllocGraphs(t *testing.T) map[string]ds.Graph {
 // passes, convergence sum — allocates nothing at one thread: the sweep
 // state lives in the engine and the range workers are bound once.
 func TestFSPRBatchDoesNotAllocate(t *testing.T) {
-	for path, g := range prAllocGraphs(t) {
+	graphs := prAllocGraphs(t)
+	ig, _ := hotpathTestGraph(t)
+	inOnly, _ := ds.NewComputeView(ig, 1)
+	inOnly.MirrorInOnly()
+	inOnly.Refresh(nil, nil)
+	graphs["in-only view"] = inOnly
+	for path, g := range graphs {
 		e := newFSEngine(specs["pr"], Options{Threads: 1})
 		e.PerformAlg(g, nil) // cold: sizes the vectors, binds the workers
 		if allocs := testing.AllocsPerRun(20, func() { e.PerformAlg(g, nil) }); allocs != 0 {

@@ -143,6 +143,12 @@ func (ctx *recomputeCtx) inDegree(v graph.NodeID) int {
 // saga:hotpath
 func (ctx *recomputeCtx) fillContrib(contrib, rank values, lo, hi int) {
 	if ctx.csr != nil {
+		if deg := ctx.csr.OutDeg; deg != nil {
+			for u := lo; u < hi; u++ {
+				contrib.put(u, contribOf(rank.get(u), int(deg[u])))
+			}
+			return
+		}
 		spans := ctx.csr.OutSpans
 		for u := lo; u < hi; u++ {
 			contrib.put(u, contribOf(rank.get(u), spans[u].Len()))
@@ -184,6 +190,10 @@ type spec struct {
 	// model; only the delta-stepping path kernels (SSSP, SSWP) leave
 	// both unset.
 	fsPullsIn bool
+	// fsOutDegreesOnly marks FS kernels that read out-degrees but never
+	// out-runs: PageRank's Jacobi iteration pulls over in-runs, normalised
+	// by each source's out-degree. It decides NeedsOutAdjacency.
+	fsOutDegreesOnly bool
 	// epsilon is the INC triggering threshold given the current vertex
 	// count; 0 means any change triggers (the monotone algorithms).
 	epsilon func(opts Options, numNodes int) float64
@@ -317,12 +327,13 @@ var specs = map[string]spec{
 				r.settle(wk, v, newv)
 			}
 		},
-		epsilon:         prEpsilon,
-		deletionSafe:    true,
-		globalN:         true,
-		degreeSensitive: true,
-		fsPullsIn:       true, // Jacobi iteration sums over in-neighbors
-		fsRun:           fsPR,
+		epsilon:          prEpsilon,
+		deletionSafe:     true,
+		globalN:          true,
+		degreeSensitive:  true,
+		fsPullsIn:        true, // Jacobi iteration sums over in-neighbors
+		fsOutDegreesOnly: true,
+		fsRun:            fsPR,
 	},
 	"sssp": {
 		name:        "sssp",

@@ -259,29 +259,40 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	return p, nil
 }
 
-// initView attaches (or detaches) the flat mirror according to the config.
-// Called at construction and again by the durability layer after it swaps
-// in fresh components: a nil-or-fresh view is unbuilt, so the next Refresh
-// full-builds from whatever topology the structure then holds.
+// initView attaches (or detaches) the flat mirror according to the config,
+// in the shape the kernel reads. Called at construction and again by the
+// durability layer after it swaps in fresh components: a nil-or-fresh view
+// is unbuilt, so the next Refresh full-builds from whatever topology the
+// structure then holds.
 func (p *Pipeline) initView() {
 	p.view = nil
 	if !p.pcfg.ComputeView {
 		return
 	}
-	if v, ok := ds.NewComputeView(p.g, p.pcfg.Threads); ok {
-		if !compute.NeedsInAdjacency(p.pcfg.Algorithm, p.pcfg.Model) && !p.pcfg.ServeQueries {
-			// The registered kernel never pulls from in-neighbors, so
-			// don't pay to mirror that direction on every batch. Served
-			// queries forbid the shortcut: a pinned epoch must answer
-			// in-neighborhood reads regardless of the algorithm.
-			v.MirrorOutOnly()
-		}
-		p.view = v
+	v, ok := ds.NewComputeView(p.g, p.pcfg.Threads)
+	if !ok {
+		return
 	}
+	// Don't pay to mirror a direction the registered kernel never reads on
+	// every batch: FS SSSP/SSWP never pull from in-neighbors, and FS
+	// PageRank reads out-degrees but no out-runs. Served queries keep both
+	// directions: a pinned epoch must answer either neighborhood regardless
+	// of the algorithm. Both calls are no-ops on undirected graphs.
+	alg, model := p.pcfg.Algorithm, p.pcfg.Model
+	switch {
+	case p.pcfg.ServeQueries:
+	case !compute.NeedsInAdjacency(alg, model):
+		v.MirrorOutOnly()
+	case !compute.NeedsOutAdjacency(alg, model):
+		v.MirrorInOnly()
+	}
+	p.view = v
 }
 
 // ComputeGraph is the graph the compute phase traverses: the flat mirror
-// when the compute view is active, else the data structure itself.
+// when the compute view is active, else the data structure itself. The
+// mirror may hold one direction only (see initView); what the kernel
+// reads is always there.
 func (p *Pipeline) ComputeGraph() ds.Graph {
 	if p.view != nil {
 		return p.view

@@ -113,6 +113,58 @@ func TestComputeViewBitIdentical(t *testing.T) {
 	}
 }
 
+// TestViewShapeFollowsKernel checks that initView mirrors what the kernel
+// reads: FS PageRank gets in-runs and out-degrees, FS SSSP out-runs only,
+// INC PageRank both directions — and that served queries keep both for FS
+// PageRank too, so a pinned epoch still answers Out.
+func TestViewShapeFollowsKernel(t *testing.T) {
+	stream := viewMixedStream(23, 4, 200, 64)
+	for _, tc := range []struct {
+		alg           string
+		model         compute.Model
+		serve         bool
+		hasOut, hasIn bool
+	}{
+		{"pr", compute.FS, false, false, true},
+		{"pr", compute.FS, true, true, true},
+		{"sssp", compute.FS, false, true, false},
+		{"pr", compute.INC, false, true, true},
+	} {
+		p, err := core.NewPipeline(core.PipelineConfig{
+			DataStructure: "hybrid", Algorithm: tc.alg, Model: tc.model, Directed: true,
+			Threads: 1, ComputeView: true, ServeQueries: tc.serve,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bi, mb := range stream {
+			if _, err := p.ProcessMixed(mb); err != nil {
+				t.Fatalf("%s/%s serve=%v batch %d: %v", tc.alg, tc.model, tc.serve, bi, err)
+			}
+		}
+		csr := p.ComputeGraph().(ds.FlatView).FlatCSR()
+		if csr.HasOut() != tc.hasOut || csr.HasIn() != tc.hasIn {
+			t.Fatalf("%s/%s serve=%v: mirror has out=%v in=%v, want out=%v in=%v",
+				tc.alg, tc.model, tc.serve, csr.HasOut(), csr.HasIn(), tc.hasOut, tc.hasIn)
+		}
+		if !tc.serve {
+			continue
+		}
+		h, err := p.AcquireQuery()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := p.Graph()
+		for v := 0; v < h.NumNodes(); v++ {
+			id := graph.NodeID(v)
+			if got, want := len(h.Out(id)), g.OutDegree(id); got != want || h.OutDegree(id) != want {
+				t.Fatalf("%s/%s serve: pinned epoch out(%d) holds %d, degree %d; structure %d", tc.alg, tc.model, v, got, h.OutDegree(id), want)
+			}
+		}
+		h.Release()
+	}
+}
+
 // TestComputeViewDurableRecovery checks the mirror survives the crash
 // path. Recovery rebuilds the structure from a checkpoint's canonical
 // edge order, so recovered values legitimately differ in the last float

@@ -36,8 +36,9 @@ type SweepConfig struct {
 	TopologyOnly bool
 	// ComputeView runs every pipeline with its flat CSR mirror and diffs
 	// the mirror against the oracle too, in the directions it mirrors
-	// (FS SSSP/SSWP mirror the out direction only), so the flat kernels
-	// are checked like the interface path.
+	// (FS SSSP/SSWP mirror the out direction only, FS PageRank the in
+	// direction and out-degrees), so the flat kernels are checked like the
+	// interface path.
 	ComputeView bool
 	// Opts carries algorithm tuning; unset convergence knobs are
 	// tightened (see tighten).
@@ -107,9 +108,11 @@ type SweepReport struct {
 	Structures []string
 	// TopologyChecks counts oracle diffs of a pipeline's structure or
 	// mirror, OutOnlyChecks the mirror diffs among them that covered the
-	// out direction only, ValueChecks the value-vector comparisons.
+	// out direction only, InOnlyChecks those that covered the in direction
+	// and out-degrees only, ValueChecks the value-vector comparisons.
 	TopologyChecks int
 	OutOnlyChecks  int
+	InOnlyChecks   int
 	ValueChecks    int
 	// Failures lists every divergence found. A topology failure is
 	// reported once per structure and retires all of its pipelines; a
@@ -240,9 +243,13 @@ func (r *SweepReport) stepTopology(pipes []*core.Pipeline, mb core.MixedBatch, o
 			continue
 		}
 		r.TopologyChecks++
-		if !cg.(ds.FlatView).FlatCSR().HasIn() {
+		switch csr := cg.(ds.FlatView).FlatCSR(); {
+		case !csr.HasIn():
 			r.OutOnlyChecks++
 			cg = outOnly{cg, oracle}
+		case !csr.HasOut():
+			r.InOnlyChecks++
+			cg = inOnly{cg, oracle}
 		}
 		if diffs := ds.DiffOracle(cg, oracle, maxDiffs); len(diffs) != 0 {
 			return "compute view: " + strings.Join(diffs, "; ")
@@ -263,6 +270,18 @@ func (g outOnly) InDegree(v graph.NodeID) int { return g.o.InDegree(v) }
 
 func (g outOnly) InNeigh(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
 	return append(buf, g.o.In(v)...)
+}
+
+// inOnly presents an in-only mirror (ds.ComputeView.MirrorInOnly) to
+// ds.DiffOracle the same way: its out-runs are answered by the oracle,
+// while its out-degrees, which the mirror does hold, are still compared.
+type inOnly struct {
+	ds.Graph
+	o *graph.Oracle
+}
+
+func (g inOnly) OutNeigh(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
+	return append(buf, g.o.Out(v)...)
 }
 
 func diffDetail(got, want []float64, v int) string {

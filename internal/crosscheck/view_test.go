@@ -71,3 +71,45 @@ func TestOutOnlyMirrorsSwept(t *testing.T) {
 			rep.OutOnlyChecks, want, mirrored, batches)
 	}
 }
+
+// TestInOnlyMirrorsSwept is TestOutOnlyMirrorsSwept for the other
+// one-direction shape: FS PageRank reads in-runs and out-degrees but never
+// out-runs, so its pipelines build in-only mirrors (FlatCSR().HasOut()
+// false), each diffed against the oracle every step — its out-degrees
+// included, its out-runs answered by the oracle.
+func TestInOnlyMirrorsSwept(t *testing.T) {
+	const batches = 10
+	var inOnlyAlgs []string
+	for _, alg := range compute.AlgNames() {
+		if !compute.NeedsOutAdjacency(alg, compute.FS) {
+			inOnlyAlgs = append(inOnlyAlgs, alg)
+		}
+		if !compute.NeedsOutAdjacency(alg, compute.INC) {
+			t.Errorf("INC %s reports no out-run reads; every INC round pushes along out-edges", alg)
+		}
+	}
+	if len(inOnlyAlgs) != 1 || inOnlyAlgs[0] != "pr" {
+		t.Fatalf("FS algorithms without out-run reads: %v, want [pr]", inOnlyAlgs)
+	}
+	mirrored := 0
+	for _, name := range ds.Names() {
+		if _, ok := ds.NewComputeView(ds.MustNew(name, ds.Config{Directed: true}), 1); ok {
+			mirrored++
+		}
+	}
+
+	rep := crashloop.Sweep(crashloop.SweepConfig{
+		Stream:      crosscheck.StreamConfig{Seed: 79, Batches: batches, BatchSize: 200, NumNodes: 72, Directed: true, Deletes: true},
+		Threads:     4,
+		Algorithms:  inOnlyAlgs,
+		Models:      []compute.Model{compute.FS},
+		ComputeView: true,
+	})
+	for _, f := range rep.Failures {
+		t.Errorf("%s", f)
+	}
+	if want := batches * mirrored; rep.InOnlyChecks != want || rep.OutOnlyChecks != 0 {
+		t.Fatalf("%d in-only and %d out-only mirror diffs, want %d and 0 (FS pr on %d mirrored structures x %d steps)",
+			rep.InOnlyChecks, rep.OutOnlyChecks, want, mirrored, batches)
+	}
+}

@@ -60,11 +60,16 @@ func (s *store) EnsureNodes(n int) {
 		s.adj = append(s.adj, nil)
 	}
 	// Mutexes must not be copied once used, so the lock array never
-	// relocates: it is re-allocated only while no workers are running
-	// (EnsureNodes is called between batches).
+	// relocates: it is extended within its capacity — the constructor's
+	// MaxNodesHint allocation first — and re-allocated, unlocked and
+	// uncopied, only while no workers are running (EnsureNodes is called
+	// between batches).
 	if len(s.locks) < n {
-		grown := make([]sync.Mutex, n+n/2)
-		s.locks = grown
+		if n <= cap(s.locks) {
+			s.locks = s.locks[:n]
+		} else {
+			s.locks = make([]sync.Mutex, n, n+n/2)
+		}
 	}
 }
 

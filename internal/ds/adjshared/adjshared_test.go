@@ -2,6 +2,7 @@ package adjshared
 
 import (
 	"testing"
+	"unsafe"
 
 	"sagabench/internal/ds"
 	"sagabench/internal/graph"
@@ -69,6 +70,25 @@ func TestLockConflictCounting(t *testing.T) {
 	}
 	if p.EdgesIngested != 10000 { // out + in copy
 		t.Fatalf("EdgesIngested=%d want 10000", p.EdgesIngested)
+	}
+}
+
+// TestLocksUseHintAllocation checks that growing to the MaxNodesHint the
+// store was built with extends the constructor's lock array instead of
+// allocating a second, larger one.
+func TestLocksUseHintAllocation(t *testing.T) {
+	const hint = 1000
+	s := newStore(1, hint)
+	hinted := unsafe.SliceData(s.locks)
+	s.EnsureNodes(hint / 2)
+	s.EnsureNodes(hint)
+	if got := unsafe.SliceData(s.locks); got != hinted || len(s.locks) != hint || cap(s.locks) != hint {
+		t.Fatalf("locks after EnsureNodes(%d): len %d cap %d, constructor's array %v; want len = cap = %d in the constructor's array",
+			hint, len(s.locks), cap(s.locks), got == hinted, hint)
+	}
+	s.EnsureNodes(hint + 1)
+	if len(s.locks) != hint+1 {
+		t.Fatalf("locks cover %d vertices after growing past the hint, want %d", len(s.locks), hint+1)
 	}
 }
 

@@ -1,5 +1,11 @@
 package ds
 
+import (
+	"unsafe"
+
+	"sagabench/internal/graph"
+)
+
 // Footprint is a structure's resident bytes by owner. Fields a structure
 // has no such owner for stay zero. ArrayLive is part of ArrayCap.
 type Footprint struct {
@@ -22,6 +28,43 @@ func (f *Footprint) add(o Footprint) {
 // by owner. Footprint walks the store and must not run beside an update.
 type Footprinter interface {
 	Footprint() Footprint
+}
+
+// ViewFootprint is a compute view's resident bytes by owner, over every
+// direction it mirrors. Arrays that only a published epoch still reaches
+// belong to the epoch and are not counted.
+type ViewFootprint struct {
+	Arena     int64 // adjacency arenas at capacity, a spare's retired one included
+	ArenaLive int64 // the part of Arena the current index reaches
+	Index     int64 // span index buffers, both halves of each double buffer
+	Dirty     int64 // dirty bitmaps and the two dirty lists, at capacity
+	Degrees   int64 // an in-only mirror's out-degree vector, at capacity
+}
+
+// Footprint accounts the view's bytes by owner. It must not run beside a
+// Refresh.
+func (v *ComputeView) Footprint() ViewFootprint {
+	const (
+		neighbor = int64(unsafe.Sizeof(graph.Neighbor{}))
+		span     = int64(unsafe.Sizeof(graph.Span{}))
+		id       = int64(unsafe.Sizeof(graph.NodeID(0)))
+	)
+	f := ViewFootprint{Degrees: int64(cap(v.csr.OutDeg)) * 4}
+	for _, d := range [2]*mirrorDir{v.out, v.in} {
+		if d == nil {
+			continue
+		}
+		f.Arena += int64(cap(d.arena)) * neighbor
+		f.ArenaLive += int64(d.live) * neighbor
+		// The current index owns the arena or nothing; only the spare can
+		// hold a retired one.
+		if own := d.idx[1-d.cur].own; own != nil && unsafe.SliceData(own) != unsafe.SliceData(d.arena) {
+			f.Arena += int64(cap(own)) * neighbor
+		}
+		f.Index += int64(cap(d.idx[0].spans)+cap(d.idx[1].spans)) * span
+		f.Dirty += int64(cap(d.dirty))*8 + int64(cap(d.list)+cap(d.prev))*id
+	}
+	return f
 }
 
 // FootprintOf collects the footprint of g if it is accounted; TwoCopy-

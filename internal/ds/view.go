@@ -42,21 +42,40 @@ import (
 // (PageRank's in-neighbor sum) produce bit-identical results through the
 // view and through the structure.
 //
+// A directed mirror comes in three shapes, for what its consumer reads:
+// both directions (the default, and what a published epoch needs), out
+// runs only (MirrorOutOnly: push-only kernels), or in runs plus one
+// out-degree per vertex (MirrorInOnly: a pull sweep normalised by the
+// source's out-degree, FS PageRank).
+//
 // A ComputeView implements Graph for reading; Update panics. Refresh must
 // not run concurrently with reads of the view itself — the same
 // update/compute phase separation the structures themselves require.
 type ComputeView struct {
 	src Graph
-	out *mirrorDir
-	in  *mirrorDir // nil when undirected: the in runs alias the out runs
+	out *mirrorDir // nil when in-only
+	in  *mirrorDir // nil when out-only, or undirected: the in runs alias the out runs
 
-	csr     graph.CSR
-	outOnly bool
+	// An in-only mirror's out-degrees, read from degOf for the batch's
+	// sources and for vertices not covered yet (csr.OutDeg).
+	degOf OneDir
+
+	csr   graph.CSR
+	shape shape
 
 	touched []graph.NodeID // scratch: one direction's touched sources
 
 	stats RefreshStats
 }
+
+// shape says which directions a ComputeView mirrors.
+type shape uint8
+
+const (
+	mirrorBoth shape = iota
+	mirrorOut        // out runs only
+	mirrorIn         // in runs and out-degrees
+)
 
 // compactSlack bounds the mirror's garbage: a refresh relocates dirty
 // runs to the arena's tail only while the arena stays within
@@ -70,6 +89,16 @@ type ComputeView struct {
 // amortization" has the measured refresh time and heap for 0.25 / 0.5 /
 // 1.0 and the reason for the two-batch rule.
 const compactSlack = 0.5
+
+// listSlack and listFloor bound a direction's dirty lists, by the rule
+// hybrid's per-chunk source-order scratch follows (bysrc.go): once a list's
+// capacity is past listFloor entries and more than listSlack times what it
+// last listed, it is re-made at that size, so the |V| entries of a first
+// build are not kept for batches that dirty a few thousand vertices.
+const (
+	listSlack = 4
+	listFloor = 4096
+)
 
 // mirrorDir is one adjacency direction of the mirror.
 type mirrorDir struct {
@@ -195,9 +224,31 @@ func (v *ComputeView) MirrorOutOnly() {
 	if v.in == nil {
 		return
 	}
+	if v.shape == mirrorIn {
+		panic("ds: MirrorOutOnly on an in-only ComputeView")
+	}
 	v.in = nil
-	v.outOnly = true
+	v.shape = mirrorOut
 	v.csr.InSpans, v.csr.InAdj = nil, nil
+}
+
+// MirrorInOnly stops maintaining the out-adjacency mirror and keeps one
+// 32-bit out-degree per vertex in its place (graph.CSR.OutDeg), which is
+// safe whenever the consumer reads out-degrees but never out-runs
+// (compute.NeedsOutAdjacency). The degrees are rewritten in place by
+// every Refresh, so an in-only view must not be published as an epoch.
+// OutNeigh panics afterwards. No-op on undirected mirrors.
+func (v *ComputeView) MirrorInOnly() {
+	if v.out == nil || !v.src.Directed() {
+		return
+	}
+	if v.shape == mirrorOut {
+		panic("ds: MirrorInOnly on an out-only ComputeView")
+	}
+	v.degOf = v.out.store
+	v.out = nil
+	v.shape = mirrorIn
+	v.csr.OutSpans, v.csr.OutAdj = nil, nil
 }
 
 // Refresh brings the mirror up to date after the update phase applied
@@ -213,19 +264,23 @@ func (v *ComputeView) Refresh(adds, dels graph.Batch) RefreshStats {
 	// An edge's out-run lives with its source and its in-run with its
 	// destination; undirected ingestion mirrors every edge, making both
 	// endpoints sources of the single store.
-	undirected := v.in == nil && !v.outOnly
-	v.touched = v.touched[:0]
-	for _, b := range [2]graph.Batch{adds, dels} {
-		for _, e := range b {
-			v.touched = append(v.touched, e.Src)
-			if undirected {
-				v.touched = append(v.touched, e.Dst)
+	undirected := !v.src.Directed()
+	if v.out != nil {
+		v.touched = v.touched[:0]
+		for _, b := range [2]graph.Batch{adds, dels} {
+			for _, e := range b {
+				v.touched = append(v.touched, e.Src)
+				if undirected {
+					v.touched = append(v.touched, e.Dst)
+				}
 			}
 		}
+		v.out.refresh(n, v.touched, &st)
+		v.csr.OutSpans, v.csr.OutAdj = v.out.spans, v.out.arena
+		v.csr.Edges = v.out.live
+	} else {
+		v.refreshDegrees(n, adds, dels)
 	}
-	v.out.refresh(n, v.touched, &st)
-	v.csr.OutSpans, v.csr.OutAdj = v.out.spans, v.out.arena
-	v.csr.Edges = v.out.live
 	if v.in != nil {
 		v.touched = v.touched[:0]
 		for _, b := range [2]graph.Batch{adds, dels} {
@@ -235,6 +290,7 @@ func (v *ComputeView) Refresh(adds, dels graph.Batch) RefreshStats {
 		}
 		v.in.refresh(n, v.touched, &st)
 		v.csr.InSpans, v.csr.InAdj = v.in.spans, v.in.arena
+		v.csr.Edges = v.in.live
 	} else if undirected {
 		// The single store already holds both orientations.
 		v.csr.InSpans, v.csr.InAdj = v.csr.OutSpans, v.csr.OutAdj
@@ -242,6 +298,31 @@ func (v *ComputeView) Refresh(adds, dels graph.Batch) RefreshStats {
 	st.Duration = time.Since(start)
 	v.stats = st
 	return st
+}
+
+// refreshDegrees brings an in-only mirror's out-degree vector up to n
+// vertices: a vertex's out-degree moves only when it is the source of an
+// added or deleted edge, so the batch's sources are re-read, and so is
+// every vertex the vector did not cover yet (all of them on a first
+// build). The vector keeps an eighth of headroom, as the span index does.
+func (v *ComputeView) refreshDegrees(n int, adds, dels graph.Batch) {
+	deg, covered := v.csr.OutDeg, len(v.csr.OutDeg)
+	if deg == nil || cap(deg) < n {
+		deg = make([]uint32, covered, n+n/8)
+		copy(deg, v.csr.OutDeg)
+	}
+	deg = deg[:n]
+	for u := covered; u < n; u++ {
+		deg[u] = uint32(v.degOf.Degree(graph.NodeID(u)))
+	}
+	for _, b := range [2]graph.Batch{adds, dels} {
+		for _, e := range b {
+			if int(e.Src) < covered {
+				deg[e.Src] = uint32(v.degOf.Degree(e.Src))
+			}
+		}
+	}
+	v.csr.OutDeg = deg
 }
 
 // LastRefresh reports the stats of the most recent Refresh.
@@ -294,8 +375,14 @@ func (d *mirrorDir) refresh(n int, touched []graph.NodeID, st *RefreshStats) {
 		d.dirty[u>>6] = 0
 	}
 	// The buffer this refresh wrote is the next refresh's current one;
-	// its spare lags by this list (or is stale, after a compaction).
-	d.list, d.prev = d.prev, d.list
+	// its spare lags by this list (or is stale, after a compaction). The
+	// previous list is spent and becomes the next one's storage, re-made
+	// at its own size if a first build grew it to |V| (see listSlack).
+	spent := d.prev
+	if c := cap(spent); c > listFloor && c > listSlack*len(spent) {
+		spent = make([]graph.NodeID, 0, len(spent))
+	}
+	d.list, d.prev = spent, d.list
 }
 
 // spare returns the index buffer a refresh may write, sized to n spans,
@@ -461,9 +548,10 @@ func (d *mirrorDir) compactRange(lo, hi int, spans []graph.Span, arena []graph.N
 // instead of blocking. An arena that more than one index reaches is never
 // written except past its tail, so it needs no such gate.
 func (v *ComputeView) DropSpares() {
-	v.out.idx[1-v.out.cur] = indexBuf{stale: true}
-	if v.in != nil {
-		v.in.idx[1-v.in.cur] = indexBuf{stale: true}
+	for _, d := range [2]*mirrorDir{v.out, v.in} {
+		if d != nil {
+			d.idx[1-d.cur] = indexBuf{stale: true}
+		}
 	}
 }
 
@@ -495,7 +583,7 @@ func (v *ComputeView) OutDegree(u graph.NodeID) int {
 
 // InDegree implements Graph.
 func (v *ComputeView) InDegree(u graph.NodeID) int {
-	if v.outOnly {
+	if v.shape == mirrorOut {
 		panic("ds: in-adjacency read on an out-only ComputeView (see MirrorOutOnly)")
 	}
 	if int(u) >= v.NumNodes() {
@@ -506,6 +594,9 @@ func (v *ComputeView) InDegree(u graph.NodeID) int {
 
 // OutNeigh implements Graph.
 func (v *ComputeView) OutNeigh(u graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
+	if v.shape == mirrorIn {
+		panic("ds: out-adjacency read on an in-only ComputeView (see MirrorInOnly)")
+	}
 	if int(u) >= v.NumNodes() {
 		return buf
 	}
@@ -514,7 +605,7 @@ func (v *ComputeView) OutNeigh(u graph.NodeID, buf []graph.Neighbor) []graph.Nei
 
 // InNeigh implements Graph.
 func (v *ComputeView) InNeigh(u graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
-	if v.outOnly {
+	if v.shape == mirrorOut {
 		panic("ds: in-adjacency read on an out-only ComputeView (see MirrorOutOnly)")
 	}
 	if int(u) >= v.NumNodes() {

@@ -16,10 +16,47 @@ import (
 // refreshCase is one configuration of the refresh property: a structure,
 // a mirror shape, and a stream with vertex growth.
 type refreshCase struct {
-	ds                string
-	directed, outOnly bool
-	seed              int64
-	batches           int
+	ds string
+	viewShape
+	seed    int64
+	batches int
+}
+
+// viewShape is a mirror shape: a directed view of both directions, of the
+// out runs only, or of the in runs plus out-degrees; or an undirected one.
+type viewShape struct{ directed, outOnly, inOnly bool }
+
+var viewShapes = []viewShape{{true, false, false}, {true, true, false}, {true, false, true}, {false, false, false}}
+
+func (s viewShape) String() string {
+	if s.inOnly {
+		return fmt.Sprintf("directed=%v/inOnly=true", s.directed)
+	}
+	return fmt.Sprintf("directed=%v/outOnly=%v", s.directed, s.outOnly)
+}
+
+// newView builds a view over g in this shape.
+func (s viewShape) newView(t testing.TB, g ds.Graph, threads int) *ds.ComputeView {
+	t.Helper()
+	v, ok := ds.NewComputeView(g, threads)
+	if !ok {
+		t.Fatal("NewComputeView not supported")
+	}
+	if s.outOnly {
+		v.MirrorOutOnly()
+	}
+	if s.inOnly {
+		v.MirrorInOnly()
+	}
+	return v
+}
+
+// arenaOf is the adjacency array a shape's compactions rewrite first.
+func arenaOf(c *graph.CSR) []graph.Neighbor {
+	if c.HasOut() {
+		return c.OutAdj
+	}
+	return c.InAdj
 }
 
 // refreshOutcome counts what a run exercised, so the table test can
@@ -72,22 +109,15 @@ func fingerprintOf(c *graph.CSR) uint64 {
 }
 
 // checkRefresh drives one case and asserts, after every refresh, that
-// each run of the mirror equals the store's own FlatFill order, that the
-// mirror reads run for run like a from-scratch build, that both
-// fingerprint alike whatever layout the mirror is in (relocated or just
-// compacted), and that the epoch invariants hold.
+// each run of the mirror equals the store's own FlatFill order (an in-only
+// mirror's out-degrees the store's degrees), that the mirror reads run for
+// run like a from-scratch build, that both fingerprint alike whatever
+// layout the mirror is in (relocated or just compacted), and that the
+// epoch invariants hold (for an in-only mirror, which no epoch publishes:
+// that the runs and the degrees each sum to the edge count).
 func checkRefresh(t testing.TB, c refreshCase) refreshOutcome {
 	g := ds.MustNew(c.ds, ds.Config{Directed: c.directed, Threads: 2})
-	newView := func() *ds.ComputeView {
-		v, ok := ds.NewComputeView(g, 2)
-		if !ok {
-			t.Fatalf("NewComputeView(%s) not supported", c.ds)
-		}
-		if c.outOnly {
-			v.MirrorOutOnly()
-		}
-		return v
-	}
+	newView := func() *ds.ComputeView { return c.newView(t, g, 2) }
 	view := newView()
 	two := g.(*ds.TwoCopy)
 	del, canDelete := g.(ds.Deleter)
@@ -113,25 +143,31 @@ func checkRefresh(t testing.TB, c refreshCase) refreshOutcome {
 			}
 		case st.Full:
 			out.compactions++
-			if cap(csr.OutAdj) > lastCap {
+			if cap(arenaOf(csr)) > lastCap {
 				out.arenaGrowths++
 			}
 		default:
 			out.relocations++
 		}
-		lastCap = cap(csr.OutAdj)
+		lastCap = cap(arenaOf(csr))
 
 		if n := g.NumNodes(); csr.NumNodes() != n {
 			t.Fatalf("batch %d: mirror covers %d vertices, structure %d", bi, csr.NumNodes(), n)
 		}
 		for v := 0; v < csr.NumNodes(); v++ {
 			id := graph.NodeID(v)
-			buf = append(buf[:0], make([]graph.Neighbor, two.OutStore().Degree(id))...)
-			two.OutStore().(ds.Flattener).FlatFill(id, buf)
-			if !slices.Equal(csr.Out(id), buf) {
-				t.Fatalf("batch %d: out(%d) = %v, FlatFill order %v", bi, v, csr.Out(id), buf)
+			if !csr.HasOut() {
+				if got, want := csr.OutDegree(id), two.OutStore().Degree(id); got != want {
+					t.Fatalf("batch %d: out-degree(%d) = %d, structure %d", bi, v, got, want)
+				}
+			} else {
+				buf = append(buf[:0], make([]graph.Neighbor, two.OutStore().Degree(id))...)
+				two.OutStore().(ds.Flattener).FlatFill(id, buf)
+				if !slices.Equal(csr.Out(id), buf) {
+					t.Fatalf("batch %d: out(%d) = %v, FlatFill order %v", bi, v, csr.Out(id), buf)
+				}
 			}
-			if c.outOnly {
+			if !csr.HasIn() {
 				continue
 			}
 			buf = append(buf[:0], make([]graph.Neighbor, two.InStore().Degree(id))...)
@@ -145,6 +181,12 @@ func checkRefresh(t testing.TB, c refreshCase) refreshOutcome {
 		if err := sameRuns(csr, fresh.FlatCSR()); err != nil {
 			t.Fatalf("batch %d (full=%v): mirror differs from a from-scratch build: %v", bi, st.Full, err)
 		}
+		if !csr.HasOut() {
+			if err := inOnlyConsistent(csr); err != nil {
+				t.Fatalf("batch %d (full=%v): %v", bi, st.Full, err)
+			}
+			continue
+		}
 		if got, want := fingerprintOf(csr), fingerprintOf(fresh.FlatCSR()); got != want {
 			t.Fatalf("batch %d (full=%v): fingerprint %#x, from-scratch build %#x", bi, st.Full, got, want)
 		}
@@ -155,15 +197,29 @@ func checkRefresh(t testing.TB, c refreshCase) refreshOutcome {
 	return out
 }
 
-// TestViewRefreshProperty runs the refresh property over every structure,
-// directed and undirected, with and without the in-direction mirror, on a
-// stream long enough to cross at least three compactions, an arena
-// growth, and (except for stores that dirty whole chunks) relocations.
+// inOnlyConsistent checks an in-only CSR's counts: its in-runs and its
+// out-degrees each sum to the edge count.
+func inOnlyConsistent(c *graph.CSR) error {
+	runs, degs := 0, 0
+	for v := 0; v < c.NumNodes(); v++ {
+		runs += c.InDegree(graph.NodeID(v))
+		degs += c.OutDegree(graph.NodeID(v))
+	}
+	if runs != c.NumEdges() || degs != c.NumEdges() {
+		return fmt.Errorf("in-runs hold %d records and out-degrees sum to %d, CSR reports %d edges", runs, degs, c.NumEdges())
+	}
+	return nil
+}
+
+// TestViewRefreshProperty runs the refresh property over every structure
+// and every view shape, on a stream long enough to cross at least three
+// compactions, an arena growth, and (except for stores that dirty whole
+// chunks) relocations.
 func TestViewRefreshProperty(t *testing.T) {
 	for _, name := range ds.Names() {
-		for _, shape := range []struct{ directed, outOnly bool }{{true, false}, {true, true}, {false, false}} {
-			c := refreshCase{ds: name, directed: shape.directed, outOnly: shape.outOnly, seed: 0xF00D + int64(len(name)), batches: 48}
-			t.Run(fmt.Sprintf("%s/directed=%v/outOnly=%v", name, c.directed, c.outOnly), func(t *testing.T) {
+		for _, shape := range viewShapes {
+			c := refreshCase{ds: name, viewShape: shape, seed: 0xF00D + int64(len(name)), batches: 48}
+			t.Run(name+"/"+shape.String(), func(t *testing.T) {
 				t.Parallel()
 				out := checkRefresh(t, c)
 				t.Logf("%d relocations, %d compactions, %d arena growths", out.relocations, out.compactions, out.arenaGrowths)
@@ -184,18 +240,11 @@ func TestViewRefreshProperty(t *testing.T) {
 // the stream seed of the refresh property.
 func FuzzViewRefresh(f *testing.F) {
 	for i := range ds.Names() {
-		f.Add(int64(i), uint8(i), uint8(i%3))
+		f.Add(int64(i), uint8(i), uint8(i%len(viewShapes)))
 	}
 	names := ds.Names()
 	f.Fuzz(func(t *testing.T, seed int64, pick, shape uint8) {
-		c := refreshCase{ds: names[int(pick)%len(names)], seed: seed, batches: 16}
-		switch shape % 3 {
-		case 0:
-			c.directed = true
-		case 1:
-			c.directed, c.outOnly = true, true
-		}
-		checkRefresh(t, c)
+		checkRefresh(t, refreshCase{ds: names[int(pick)%len(names)], viewShape: viewShapes[int(shape)%len(viewShapes)], seed: seed, batches: 16})
 	})
 }
 
@@ -315,26 +364,75 @@ func TestViewPinnedAcrossCompactions(t *testing.T) {
 
 // TestViewRefreshSteadyStateAllocs asserts that a relocating refresh
 // allocates nothing once the arena has capacity and both index buffers
-// have been through a refresh: the dirty runs go to the arena's tail and
-// the scratch lists are reused.
+// have been through a refresh: the dirty runs go to the arena's tail, the
+// scratch lists are reused, and an in-only mirror's degrees are rewritten
+// in place.
 func TestViewRefreshSteadyStateAllocs(t *testing.T) {
-	g := ds.MustNew("hybrid", ds.Config{Directed: true, Threads: 1})
-	view, _ := ds.NewComputeView(g, 1)
-	steps := growingStream(7, 1, 2000, 0)
-	g.Update(steps[0].adds)
-	view.Refresh(steps[0].adds, nil)
-	// Re-reading a handful of runs per refresh leaves room for hundreds
-	// of relocations in the slack the first build allocated.
-	touch := steps[0].adds[:8]
-	for i := 0; i < 3; i++ {
-		view.Refresh(touch, nil)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if view.Refresh(touch, nil).Full {
-			t.Fatal("refresh compacted inside the measured window")
+	for _, shape := range []viewShape{{directed: true}, {directed: true, inOnly: true}} {
+		g := ds.MustNew("hybrid", ds.Config{Directed: true, Threads: 1})
+		view := shape.newView(t, g, 1)
+		steps := growingStream(7, 1, 2000, 0)
+		g.Update(steps[0].adds)
+		view.Refresh(steps[0].adds, nil)
+		// Re-reading a handful of runs per refresh leaves room for hundreds
+		// of relocations in the slack the first build allocated.
+		touch := steps[0].adds[:8]
+		for i := 0; i < 3; i++ {
+			view.Refresh(touch, nil)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state relocating refresh allocates %.1f times, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if view.Refresh(touch, nil).Full {
+				t.Fatalf("%v: refresh compacted inside the measured window", shape)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: steady-state relocating refresh allocates %.1f times, want 0", shape, allocs)
+		}
+	}
+}
+
+// TestViewFootprint checks the view's accounting by owner on one graph:
+// the first build's dirty lists, |V| entries each, are given back once
+// refreshes list a handful of vertices, and an in-only mirror holds the
+// in arena and index plus one 32-bit degree per vertex where the full
+// mirror holds both directions.
+func TestViewFootprint(t *testing.T) {
+	const nodes = 20000
+	steps := growingStream(11, 1, nodes, 0)
+	touch := steps[0].adds[:8]
+	fps := map[bool]ds.ViewFootprint{}
+	for _, shape := range []viewShape{{directed: true}, {directed: true, inOnly: true}} {
+		g := ds.MustNew("adjshared", ds.Config{Directed: true, Threads: 1})
+		view := shape.newView(t, g, 1)
+		g.Update(steps[0].adds)
+		view.Refresh(steps[0].adds, nil)
+		dirs := int64(2)
+		if shape.inOnly {
+			dirs = 1
+		}
+		n, edges := int64(g.NumNodes()), int64(g.NumEdges())
+		if f := view.Footprint(); f.Dirty < dirs*n*4 {
+			t.Fatalf("%v: first build's dirty lists hold %d bytes, want >= %d (|V| ids per direction)", shape, f.Dirty, dirs*n*4)
+		}
+		// The two lists swap every refresh, and the first build's is re-made
+		// once a later list has replaced it as the previous one.
+		for i := 0; i < 3; i++ {
+			view.Refresh(touch, nil)
+		}
+		f := view.Footprint()
+		if limit := dirs * (n/8 + 2*4096*4); f.Dirty > limit {
+			t.Fatalf("%v: dirty bitmap and lists hold %d bytes after small refreshes, want <= %d", shape, f.Dirty, limit)
+		}
+		if f.ArenaLive != dirs*edges*8 || f.Arena < f.ArenaLive {
+			t.Fatalf("%v: arena %d bytes, %d live; want %d live", shape, f.Arena, f.ArenaLive, dirs*edges*8)
+		}
+		if shape.inOnly && f.Degrees < n*4 || !shape.inOnly && f.Degrees != 0 {
+			t.Fatalf("%v: degree vector %d bytes for %d vertices", shape, f.Degrees, n)
+		}
+		fps[shape.inOnly] = f
+	}
+	if full, in := fps[false], fps[true]; 2*in.Index != full.Index || 2*in.Arena > full.Arena+full.Arena/8 {
+		t.Fatalf("in-only index %d / arena %d bytes against the full mirror's %d / %d: want half the index and about half the arena",
+			in.Index, in.Arena, full.Index, full.Arena)
 	}
 }

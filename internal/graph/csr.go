@@ -25,13 +25,24 @@ import "sort"
 // do not overlap, and a record reachable through an index is never
 // overwritten for as long as that index is — which is what lets a pinned
 // epoch keep reading while the writer appends.
+//
+// Shapes. A full CSR holds both directions (an undirected one aliases In
+// onto Out). An out-only CSR leaves InSpans/InAdj nil. An in-only CSR —
+// what a PageRank pull sweep reads — leaves OutSpans/OutAdj nil and holds
+// OutDeg instead, one out-degree per vertex: OutDegree reads it, and Out
+// panics naming the shape. HasIn/HasOut say which runs are present. The
+// compute view rewrites an in-only CSR's degrees in place, so the
+// guarantee above covers its runs only, and no epoch publishes that shape.
 type CSR struct {
-	OutSpans []Span // len = NumNodes
+	OutSpans []Span // len = NumNodes; nil on an in-only CSR (HasOut)
 	OutAdj   []Neighbor
 	InSpans  []Span // nil when the in direction is absent (HasIn)
 	InAdj    []Neighbor
-	// Edges is the number of live directed records: the sum of the out-run
-	// lengths (len(OutAdj) in a contiguous build).
+	// OutDeg is an in-only CSR's out-degree vector (len = NumNodes); nil
+	// whenever OutSpans is present.
+	OutDeg []uint32
+	// Edges is the number of live directed records: the sum of the run
+	// lengths of either direction (len(OutAdj) in a contiguous build).
 	Edges int
 }
 
@@ -96,17 +107,29 @@ func sortNeighbors(ns []Neighbor) {
 }
 
 // NumNodes reports the vertex count.
-func (c *CSR) NumNodes() int { return len(c.OutSpans) }
+func (c *CSR) NumNodes() int {
+	if c.OutDeg != nil {
+		return len(c.OutDeg)
+	}
+	return len(c.OutSpans)
+}
 
 // NumEdges reports the live directed edge count.
 func (c *CSR) NumEdges() int { return c.Edges }
 
-// HasIn reports whether the in direction is present (an out-only compute
-// view leaves it out).
+// HasIn reports whether the in runs are present (an out-only compute view
+// leaves them out).
 func (c *CSR) HasIn() bool { return c.InSpans != nil }
+
+// HasOut reports whether the out runs are present (an in-only compute view
+// keeps only the out-degrees).
+func (c *CSR) HasOut() bool { return c.OutDeg == nil }
 
 // Out returns the out-adjacency run of v.
 func (c *CSR) Out(v NodeID) []Neighbor {
+	if c.OutSpans == nil {
+		panic("graph: Out on a CSR without out-runs (an in-only CSR holds out-degrees only)")
+	}
 	s := c.OutSpans[v]
 	return c.OutAdj[s.Begin:s.End]
 }
@@ -117,8 +140,14 @@ func (c *CSR) In(v NodeID) []Neighbor {
 	return c.InAdj[s.Begin:s.End]
 }
 
-// OutDegree reports len(Out(v)).
-func (c *CSR) OutDegree(v NodeID) int { return c.OutSpans[v].Len() }
+// OutDegree reports v's out-degree: len(Out(v)), or the in-only shape's
+// degree vector entry.
+func (c *CSR) OutDegree(v NodeID) int {
+	if c.OutDeg != nil {
+		return int(c.OutDeg[v])
+	}
+	return c.OutSpans[v].Len()
+}
 
 // InDegree reports len(In(v)).
 func (c *CSR) InDegree(v NodeID) int { return c.InSpans[v].Len() }
