@@ -6,9 +6,10 @@ import (
 
 // PanicCapture enforces the pipeline's poison-batch contract in packages
 // marked `saga:paniccapture`: a panic inside a worker goroutine must be
-// captured and re-raised on the spawning side (as ds.ForEachShard and
-// ds.GroupByChunk do), because a panic that escapes on a raw goroutine
-// kills the process before the quarantine logic can isolate the batch.
+// captured and re-raised on the spawning side (as graph.ParallelRanges,
+// the one fork-join of the batch path, does), because a panic that
+// escapes on a raw goroutine kills the process before the quarantine
+// logic can isolate the batch.
 // Every `go` statement must therefore launch a function literal whose
 // first line of defense is a `defer func() { ... recover() ... }()`;
 // spawning a named function or an uncaptured literal is reported.
@@ -32,12 +33,12 @@ func runPanicCapture(pass *Pass) {
 			lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
 			if !ok {
 				pass.Reportf(g.Pos(),
-					"goroutine launches a named function, which cannot be seen to capture panics; wrap it in a closure with a defer'd recover (or use ds.ForEachShard/GroupByChunk)")
+					"goroutine launches a named function, which cannot be seen to capture panics; wrap it in a closure with a defer'd recover (or run the work through graph.ParallelRanges)")
 				return true
 			}
 			if !hasDeferredRecover(lit.Body) {
 				pass.Reportf(g.Pos(),
-					"goroutine does not capture panics: add a top-level `defer func() { if r := recover(); ... }()` so the poison-batch quarantine can recover it (or use ds.ForEachShard/GroupByChunk)")
+					"goroutine does not capture panics: add a top-level `defer func() { if r := recover(); ... }()` so the poison-batch quarantine can recover it (or run the work through graph.ParallelRanges)")
 			}
 			return true
 		})

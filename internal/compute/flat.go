@@ -1,7 +1,6 @@
 package compute
 
 import (
-	"sync"
 	"time"
 
 	"sagabench/internal/ds"
@@ -10,8 +9,8 @@ import (
 
 // This file is the kernel side of the compute-view layer: resolution of a
 // graph's flat CSR mirror, an edge-balanced range partitioner so one hub
-// vertex no longer serializes a round, and the range runner with its
-// per-worker clock.
+// vertex no longer serializes a round, and the per-worker clock. The range
+// runner is graph.ParallelRanges.
 
 // flatCSROf resolves the zero-copy fast path: a graph exposing a flat CSR
 // (ds.ComputeView or snapshot.Frozen) returns its index/adjacency arrays
@@ -56,84 +55,12 @@ func balancedCuts(cuts []int, n, threads int, weight func(i int) int64) []int {
 	return append(cuts, n)
 }
 
-// uniformCuts is the equal-count partition of [0,n) into at most
-// `threads` ranges, expressed as cuts so callers can switch partitioners
-// without duplicating the worker loop.
-func uniformCuts(cuts []int, n, threads int) []int {
-	cuts = append(cuts[:0], 0)
-	if threads <= 1 || n <= 1 {
-		if n < 0 {
-			n = 0
-		}
-		return append(cuts, n)
-	}
-	if threads > n {
-		threads = n
-	}
-	per := (n + threads - 1) / threads
-	for lo := per; lo < n; lo += per {
-		cuts = append(cuts, lo)
-	}
-	return append(cuts, n)
-}
-
-// parallelRanges runs fn(w, cuts[w], cuts[w+1]) for every range
-// concurrently and blocks until all complete. A panic in any range is
-// captured and re-raised on the calling goroutine after the join (first
-// panic wins), so callers wrapping the compute phase in recover — the
-// poison-batch quarantine — see worker failures instead of the process
-// dying. Worker indices are dense, so fn can index per-worker state.
-//
-// The last range runs on the caller's goroutine and the join state is one
-// allocation: a kernel that meets a barrier twice per iteration (FS
-// PageRank's contribution and pull passes) pays one spawn and two
-// allocations per pass at two workers.
-func parallelRanges(cuts []int, fn func(w, lo, hi int)) {
-	k := len(cuts) - 1
-	if k <= 0 {
-		return
-	}
-	if k == 1 {
-		fn(0, cuts[0], cuts[1])
-		return
-	}
-	var join struct {
-		wg       sync.WaitGroup
-		once     sync.Once
-		panicVal any
-	}
-	join.wg.Add(k - 1)
-	for w := 0; w < k-1; w++ {
-		go func(w int) {
-			defer join.wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					join.once.Do(func() { join.panicVal = r })
-				}
-			}()
-			fn(w, cuts[w], cuts[w+1])
-		}(w)
-	}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				join.once.Do(func() { join.panicVal = r })
-			}
-		}()
-		fn(k-1, cuts[k-1], cuts[k])
-	}()
-	join.wg.Wait()
-	if join.panicVal != nil {
-		panic(join.panicVal)
-	}
-}
-
 // workerClock accumulates per-worker busy time across a phase's parallel
 // rounds, feeding Stats.WorkerBusyNS and the straggler ratio. Plain (non
 // atomic) stores are safe: each slot is written only by its own worker
-// inside parallelRanges, and rounds join through the WaitGroup before the
-// coordinator reads, so every access is ordered by happens-before edges
-// the kernels already have.
+// inside graph.ParallelRanges, and rounds join through its WaitGroup
+// before the coordinator reads, so every access is ordered by
+// happens-before edges the kernels already have.
 type workerClock struct {
 	busy []int64
 }

@@ -35,7 +35,7 @@ func fsPR(e *fsEngine) {
 	// The pull cuts are topology-dependent only — identical across
 	// iterations — so they are computed once.
 	e.pullCuts()
-	p.contribCuts = uniformCuts(p.contribCuts, n, threads)
+	p.contribCuts = graph.UniformCuts(p.contribCuts, n, threads)
 
 	for e.stats.Iterations < maxIters {
 		e.run(&p.contribPass, p.contribCuts)

@@ -46,7 +46,7 @@ type rounds struct {
 
 	// pass is the one in flight and round the relax pass. Range bodies
 	// and the wrapper are method values bound when the engine is built:
-	// a closure per pass would escape through parallelRanges and
+	// a closure per pass would escape through graph.ParallelRanges and
 	// allocate.
 	pass    *pass
 	round   pass
@@ -148,7 +148,7 @@ func (r *rounds) end() {
 // run is one pass: p's body over every range of cuts, joined.
 func (r *rounds) run(p *pass, cuts []int) {
 	r.pass, r.plain = p, len(cuts) == 2
-	parallelRanges(cuts, r.rangeFn)
+	graph.ParallelRanges(cuts, r.rangeFn)
 }
 
 // rangeWorker is one worker's share of a pass: timing and the trace span
@@ -226,7 +226,7 @@ func (r *rounds) pullCuts() {
 	if r.csr != nil {
 		r.cuts = balancedCuts(r.cuts, r.n, r.opts.threads(), r.inWeight)
 	} else {
-		r.cuts = uniformCuts(r.cuts, r.n, r.opts.threads())
+		r.cuts = graph.UniformCuts(r.cuts, r.n, r.opts.threads())
 	}
 }
 

@@ -50,7 +50,7 @@ type Pipeline struct {
 
 	// view is the incrementally maintained flat CSR mirror the compute
 	// phase traverses when PipelineConfig.ComputeView is on (nil
-	// otherwise, or when the structure exposes no Flattener).
+	// otherwise).
 	view *ds.ComputeView
 
 	// in is the batch in flight and batch its record (batch.go): the stage
@@ -143,8 +143,7 @@ type PipelineConfig struct {
 	// instead of calling OutNeigh/InNeigh per vertex — the GraphTango
 	// split: a dynamic structure for ingest, a flat one for analytics.
 	// The refresh cost is charged to the update phase (Equation 1 keeps
-	// both sides honest). Structures without a Flattener fall back to the
-	// interface path silently.
+	// both sides honest).
 	ComputeView bool
 	// ServeQueries enables non-blocking queries: after every batch the
 	// pipeline publishes an immutable snapshot of the graph (the refreshed
@@ -589,9 +588,9 @@ type MixedBatch struct {
 }
 
 // ProcessMixed ingests the additions, applies the deletions, and runs the
-// compute phase. It fails up front if the data structure cannot delete or
-// if the engine's results would be invalidated by deletions (monotone
-// incremental algorithms; see compute.Engine.HandlesDeletions).
+// compute phase. It fails up front if the engine's results would be
+// invalidated by deletions (monotone incremental algorithms; see
+// compute.Engine.HandlesDeletions).
 //
 // On a durable pipeline the batch is validated, write-ahead logged, and
 // applied under panic-recovery with retries; a batch that persistently
@@ -640,15 +639,12 @@ func (p *Pipeline) HealthReport() HealthReport {
 	return r
 }
 
-// checkMixedSupport rejects deletion batches the components cannot
-// process — a configuration error, checked before anything is logged so
-// it is never mistaken for a poison batch.
+// checkMixedSupport rejects deletion batches the engine cannot process —
+// a configuration error, checked before anything is logged so it is never
+// mistaken for a poison batch. Every data structure deletes.
 func (p *Pipeline) checkMixedSupport(mb MixedBatch) error {
 	if len(mb.Dels) == 0 {
 		return nil
-	}
-	if !ds.SupportsDelete(p.g) {
-		return fmt.Errorf("core: data structure %T does not support deletions", p.g)
 	}
 	if !p.engine.HandlesDeletions() {
 		return fmt.Errorf("core: %s/%s cannot incrementally process deletions (use the fs model)",

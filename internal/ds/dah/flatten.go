@@ -10,7 +10,7 @@ import (
 // table — after the same directory probe traversal pays, writing straight
 // into the view's run instead of appending through Neighbors.
 
-// FlatFill implements ds.Flattener. Iteration order matches Neighbors
+// FlatFill implements ds.OneDir. Iteration order matches Neighbors
 // exactly: both walk the same table in slot order.
 func (s *store) FlatFill(v graph.NodeID, dst []graph.Neighbor) int {
 	cs, local := s.chunkOf(v)
@@ -55,5 +55,5 @@ func (s *store) ExpandDirty(touched []graph.NodeID, mark func(v graph.NodeID)) {
 	}
 }
 
-var _ ds.Flattener = (*store)(nil)
+var _ ds.OneDir = (*store)(nil)
 var _ ds.DirtyExpander = (*store)(nil)

@@ -47,7 +47,8 @@ type Graph interface {
 // defaults).
 type Config struct {
 	Directed bool
-	// Threads is the update-phase worker count; 0 means 1.
+	// Threads is the update-phase worker count; New raises it to at
+	// least 1.
 	Threads int
 	// MaxNodesHint pre-sizes vertex-indexed arrays; growth past the hint
 	// is handled transparently.
@@ -56,27 +57,14 @@ type Config struct {
 	// the paper's implementation).
 	BlockSize int
 	// Chunks is the chunk count for the chunked-multithreading
-	// structures AC and DAH (default Threads).
+	// structures AC, DAH and hybrid; New defaults it to Threads.
 	Chunks int
 	// FlushThreshold is the DAH low→high degree boundary (default 16).
 	FlushThreshold int
 }
 
-func (c Config) threads() int {
-	if c.Threads <= 0 {
-		return 1
-	}
-	return c.Threads
-}
-
-func (c Config) chunks() int {
-	if c.Chunks > 0 {
-		return c.Chunks
-	}
-	return c.threads()
-}
-
-// Constructor builds a Graph from a Config.
+// Constructor builds a Graph from a Config whose Threads and Chunks New
+// has already normalised.
 type Constructor func(Config) Graph
 
 var (
@@ -95,13 +83,19 @@ func Register(name string, c Constructor) {
 	registry[name] = c
 }
 
-// New builds the named data structure, or errors if it is unknown.
+// New builds the named data structure, or errors if it is unknown. It
+// normalises cfg once for every constructor: Threads is at least 1, and
+// Chunks defaults to Threads.
 func New(name string, cfg Config) (Graph, error) {
 	regMu.RLock()
 	ctor, ok := registry[name]
 	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("ds: unknown data structure %q (have %v)", name, Names())
+	}
+	cfg.Threads = max(cfg.Threads, 1)
+	if cfg.Chunks <= 0 {
+		cfg.Chunks = cfg.Threads
 	}
 	return ctor(cfg), nil
 }

@@ -34,26 +34,25 @@ func ExportEdges(g Graph) []graph.Edge {
 // the identical canonical edge list: a parallel per-vertex degree count
 // sizes one flat output array (the same count → prefix → fill shape the
 // compute-view rebuild uses), then workers fill and sort disjoint vertex
-// ranges — through the store's Flattener when it has one, so a run is one
-// bulk copy instead of per-neighbor appends. The durable checkpoint
-// writer uses this; its full-adjacency snapshots were previously a
-// single-threaded per-vertex sort scan.
+// ranges through the out store's FlatFill, so a run is one bulk copy
+// instead of per-neighbor appends. The durable checkpoint writer uses
+// this; its full-adjacency snapshots were previously a single-threaded
+// per-vertex sort scan.
 func ExportEdgesParallel(g Graph, threads int) []graph.Edge {
-	n := g.NumNodes()
+	t, ok := g.(*TwoCopy)
+	if !ok || threads <= 1 {
+		return ExportEdges(g)
+	}
+	n := t.NumNodes()
 	if n == 0 {
 		return nil
 	}
-	if threads <= 1 {
-		return ExportEdges(g)
-	}
-	var fl Flattener
-	if t, ok := g.(*TwoCopy); ok {
-		fl, _ = t.OutStore().(Flattener)
-	}
+	out := t.OutStore()
+	cuts := graph.UniformCuts(nil, n, threads)
 	index := make([]int64, n+1)
-	graph.ForRanges(n, threads, func(lo, hi int) {
+	graph.ParallelRanges(cuts, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
-			index[v+1] = int64(g.OutDegree(graph.NodeID(v)))
+			index[v+1] = int64(out.Degree(graph.NodeID(v)))
 		}
 	})
 	for v := 0; v < n; v++ {
@@ -62,8 +61,8 @@ func ExportEdgesParallel(g Graph, threads int) []graph.Edge {
 	if index[n] == 0 {
 		return nil
 	}
-	out := make([]graph.Edge, index[n])
-	graph.ForRanges(n, threads, func(lo, hi int) {
+	edges := make([]graph.Edge, index[n])
+	graph.ParallelRanges(cuts, func(_, lo, hi int) {
 		var buf []graph.Neighbor
 		for v := lo; v < hi; v++ {
 			deg := int(index[v+1] - index[v])
@@ -74,18 +73,14 @@ func ExportEdgesParallel(g Graph, threads int) []graph.Edge {
 				buf = make([]graph.Neighbor, deg)
 			}
 			buf = buf[:deg]
-			if fl != nil {
-				fl.FlatFill(graph.NodeID(v), buf)
-			} else {
-				buf = g.OutNeigh(graph.NodeID(v), buf[:0])
-			}
+			out.FlatFill(graph.NodeID(v), buf)
 			sort.Slice(buf, func(i, j int) bool { return buf[i].ID < buf[j].ID })
 			for i, nb := range buf {
-				out[int(index[v])+i] = graph.Edge{Src: graph.NodeID(v), Dst: nb.ID, Weight: nb.Weight}
+				edges[int(index[v])+i] = graph.Edge{Src: graph.NodeID(v), Dst: nb.ID, Weight: nb.Weight}
 			}
 		}
 	})
-	return out
+	return edges
 }
 
 // DiffOracle exhaustively compares g's topology against the oracle —

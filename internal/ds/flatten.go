@@ -2,24 +2,12 @@ package ds
 
 import "sagabench/internal/graph"
 
-// Flattener is an optional OneDir capability: bulk export of one vertex's
-// adjacency for the compute-view layer (view.go). FlatFill writes v's
-// neighbors into dst — in the store's own traversal order, exactly the
-// order Neighbors would yield them — and reports the count written; dst
-// always has at least Degree(v) capacity. Calls on distinct vertices run
-// concurrently while no update is in flight (the view's parallel fill
-// phase), the same read contract Neighbors already has.
-type Flattener interface {
-	FlatFill(v graph.NodeID, dst []graph.Neighbor) int
-}
-
-// RunFlattener is the zero-copy specialization for stores whose
-// per-vertex adjacency already is one contiguous slice (AS, AC,
-// hybrid): FlatRun hands out the backing storage directly so the view
-// copies a run with a single memmove instead of element-wise appends.
-// The returned slice is valid only until the next update.
+// RunFlattener is the zero-copy capability of stores whose per-vertex
+// adjacency already is one contiguous slice (AS, AC, hybrid): FlatRun
+// hands out the backing storage directly, so TwoCopy can lend runs to
+// readers (LendsRuns) instead of copying them out. The returned slice is
+// valid only until the next update.
 type RunFlattener interface {
-	Flattener
 	FlatRun(v graph.NodeID) []graph.Neighbor
 }
 
@@ -39,8 +27,7 @@ type DirtyExpander interface {
 // topology. The compute kernels type-assert to it and iterate the
 // index/adjacency arrays directly, skipping per-vertex interface
 // dispatch and neighbor-buffer copies. snapshot.Frozen implements it
-// trivially; ComputeView implements it for any dynamic structure whose
-// stores implement Flattener.
+// trivially; ComputeView implements it for any TwoCopy structure.
 type FlatView interface {
 	Graph
 	FlatCSR() *graph.CSR

@@ -19,14 +19,13 @@ func (s *store) FlatRun(v graph.NodeID) []graph.Neighbor {
 	return s.verts[v].run()
 }
 
-// FlatFill implements ds.Flattener.
+// FlatFill implements ds.OneDir.
 func (s *store) FlatFill(v graph.NodeID, dst []graph.Neighbor) int {
 	return copy(dst, s.FlatRun(v))
 }
 
 var (
-	_ ds.RunFlattener  = (*store)(nil)
-	_ ds.OneDirDeleter = (*store)(nil)
-	_ ds.Profiler      = (*store)(nil)
-	_ ds.Footprinter   = (*store)(nil)
+	_ ds.RunFlattener = (*store)(nil)
+	_ ds.Profiler     = (*store)(nil)
+	_ ds.Footprinter  = (*store)(nil)
 )

@@ -49,21 +49,12 @@ const InlineSlots = 5
 
 func init() {
 	ds.Register(Name, func(cfg ds.Config) ds.Graph {
-		chunks := cfg.Chunks
-		if chunks <= 0 {
-			if cfg.Threads > 0 {
-				chunks = cfg.Threads
-			} else {
-				chunks = 1
-			}
-		}
 		ht := cfg.FlushThreshold
 		if ht <= 0 {
 			ht = DefaultHashThreshold
 		}
-		hint := cfg.MaxNodesHint
 		return ds.NewTwoCopy(cfg.Directed, func() ds.OneDir {
-			return newStore(chunks, ht, hint)
+			return newStore(cfg.Chunks, ht, cfg.MaxNodesHint)
 		})
 	})
 }
@@ -338,7 +329,7 @@ func (s *store) promoteToHash(pool *chunkPools, v *vertex, st *chunkCounters) {
 	st.moved += uint64(v.deg)
 }
 
-// DeleteEdges implements ds.OneDirDeleter with the same chunked ownership
+// DeleteEdges implements ds.OneDir with the same chunked ownership
 // as UpdateEdges; absent edges are no-ops.
 func (s *store) DeleteEdges(edges []graph.Edge) {
 	clear(s.stats)

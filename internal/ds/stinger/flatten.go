@@ -12,7 +12,7 @@ import (
 // the vertex's own updates, so a chain untouched by a batch yields the
 // identical slot order on every walk.
 
-// FlatFill implements ds.Flattener.
+// FlatFill implements ds.OneDir.
 func (s *store) FlatFill(v graph.NodeID, dst []graph.Neighbor) int {
 	n := 0
 	for blk := s.heads[v].first.Load(); blk != nil; blk = blk.next.Load() {
@@ -22,4 +22,4 @@ func (s *store) FlatFill(v graph.NodeID, dst []graph.Neighbor) int {
 	return n
 }
 
-var _ ds.Flattener = (*store)(nil)
+var _ ds.OneDir = (*store)(nil)

@@ -25,17 +25,12 @@ const DefaultBlockSize = 16
 
 func init() {
 	ds.Register(Name, func(cfg ds.Config) ds.Graph {
-		threads := cfg.Threads
-		if threads <= 0 {
-			threads = 1
-		}
 		bs := cfg.BlockSize
 		if bs <= 0 {
 			bs = DefaultBlockSize
 		}
-		hint := cfg.MaxNodesHint
 		return ds.NewTwoCopy(cfg.Directed, func() ds.OneDir {
-			return newStore(threads, bs, hint)
+			return newStore(cfg.Threads, bs, cfg.MaxNodesHint)
 		})
 	})
 }
@@ -61,6 +56,7 @@ type header struct {
 
 type store struct {
 	threads   int
+	cuts      []int // the batch's shared-style split, reused
 	blockSize int
 	heads     []header
 
@@ -101,9 +97,10 @@ func (s *store) EnsureNodes(n int) {
 // may update any vertex.
 func (s *store) UpdateEdges(edges []graph.Edge) {
 	var conflicts, scans, inserted atomic.Uint64
-	ds.ForEachShard(edges, s.threads, func(shard []graph.Edge) {
+	s.cuts = graph.UniformCuts(s.cuts, len(edges), s.threads)
+	graph.ParallelRanges(s.cuts, func(_, lo, hi int) {
 		var localScan, localIns, localConf uint64
-		for _, e := range shard {
+		for _, e := range edges[lo:hi] {
 			sc, ins, conf := s.insert(e.Src, e.Dst, e.Weight)
 			localScan += sc
 			localConf += conf
@@ -292,16 +289,17 @@ func (s *store) NumBlocks(v graph.NodeID) int {
 	return n
 }
 
-// DeleteEdges implements ds.OneDirDeleter. STINGER supports deletions
+// DeleteEdges implements ds.OneDir. STINGER supports deletions
 // natively; this implementation serializes per-vertex removals on the
 // header lock (coarser than insertion's block locks — deletion is the
 // rare operation) and preserves the packed-chain invariant by moving the
 // chain's final slot into the hole and trimming empty tail blocks.
 func (s *store) DeleteEdges(edges []graph.Edge) {
 	var removed, scans atomic.Uint64
-	ds.ForEachShard(edges, s.threads, func(shard []graph.Edge) {
+	s.cuts = graph.UniformCuts(s.cuts, len(edges), s.threads)
+	graph.ParallelRanges(s.cuts, func(_, lo, hi int) {
 		var localRem, localScan uint64
-		for _, e := range shard {
+		for _, e := range edges[lo:hi] {
 			sc, ok := s.deleteOne(e.Src, e.Dst)
 			localScan += sc
 			if ok {

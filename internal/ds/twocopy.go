@@ -23,6 +23,18 @@ type OneDir interface {
 	NumEdges() int
 	// NumNodes reports the covered vertex-ID space.
 	NumNodes() int
+	// FlatFill is the bulk export of one vertex's adjacency for the
+	// compute-view layer (view.go) and the parallel exporter: it writes
+	// v's neighbors into dst — in the store's own traversal order, exactly
+	// the order Neighbors yields them — and reports the count written; dst
+	// always has at least Degree(v) capacity. Calls on distinct vertices
+	// run concurrently while no update is in flight, the read contract
+	// Neighbors already has.
+	FlatFill(v graph.NodeID, dst []graph.Neighbor) int
+	// DeleteEdges concurrently removes the (src → dst) records using the
+	// store's own multithreading style. Deleting an absent edge is a
+	// no-op. Every edge's endpoints are < NumNodes().
+	DeleteEdges(edges []graph.Edge)
 }
 
 // TwoCopy adapts OneDir stores to the Graph interface.

@@ -43,10 +43,11 @@ func (f *fakeStore) NumEdges() int {
 
 func (f *fakeStore) NumNodes() int { return len(f.adj) }
 
-// fakeDeleter adds deletion support.
-type fakeDeleter struct{ fakeStore }
+func (f *fakeStore) FlatFill(v graph.NodeID, dst []graph.Neighbor) int {
+	return copy(dst, f.Neighbors(v, nil))
+}
 
-func (f *fakeDeleter) DeleteEdges(edges []graph.Edge) {
+func (f *fakeStore) DeleteEdges(edges []graph.Edge) {
 	for _, e := range edges {
 		if int(e.Src) < len(f.adj) {
 			delete(f.adj[e.Src], e.Dst)
@@ -101,33 +102,34 @@ func TestTwoCopyUndirectedSharesStore(t *testing.T) {
 	}
 }
 
-func TestTwoCopyDeleteRequiresSupport(t *testing.T) {
-	plain := NewTwoCopy(true, func() OneDir { return &fakeStore{} })
-	if SupportsDelete(plain) {
-		t.Fatal("plain store claims deletion support")
-	}
-	plain.Update(graph.Batch{{Src: 0, Dst: 1, Weight: 1}})
-	if err := plain.Delete(graph.Batch{{Src: 0, Dst: 1}}); err == nil {
-		t.Fatal("Delete on non-deleting store should error")
-	}
-
-	del := NewTwoCopy(true, func() OneDir { return &fakeDeleter{} })
-	if !SupportsDelete(del) {
-		t.Fatal("deleter store not recognized")
-	}
-	del.Update(graph.Batch{{Src: 0, Dst: 1, Weight: 1}})
-	if err := del.Delete(graph.Batch{{Src: 0, Dst: 1}}); err != nil {
+// TestTwoCopyDelete: a delete batch reaches both stores of a directed
+// graph; out-of-range deletions are clamped and empty batches no-ops.
+func TestTwoCopyDelete(t *testing.T) {
+	var stores []*fakeStore
+	tc := NewTwoCopy(true, func() OneDir {
+		s := &fakeStore{}
+		stores = append(stores, s)
+		return s
+	})
+	tc.Update(graph.Batch{{Src: 0, Dst: 1, Weight: 1}})
+	if err := tc.Delete(graph.Batch{{Src: 0, Dst: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if del.NumEdges() != 0 {
-		t.Fatalf("NumEdges=%d after delete", del.NumEdges())
+	for i, s := range stores {
+		if s.NumEdges() != 0 {
+			t.Fatalf("store %d keeps %d records after delete", i, s.NumEdges())
+		}
 	}
-	// Out-of-range deletions are clamped, empty batches no-ops.
-	if err := del.Delete(graph.Batch{{Src: 99, Dst: 98}}); err != nil {
+	if err := tc.Delete(graph.Batch{{Src: 99, Dst: 98}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := del.Delete(nil); err != nil {
+	if err := tc.Delete(nil); err != nil {
 		t.Fatal(err)
+	}
+	for i, s := range stores {
+		if s.dels != 1 {
+			t.Errorf("store %d saw %d delete records, want 1", i, s.dels)
+		}
 	}
 }
 
@@ -165,9 +167,9 @@ func TestTwoCopyDeleteSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 	batch = append(batch, graph.Edge{Src: 9000, Dst: 1, Weight: 1}) // past the vertex space: clamped out
 	for _, directed := range []bool{true, false} {
-		var stores []*fakeDeleter
+		var stores []*fakeStore
 		tc := NewTwoCopy(directed, func() OneDir {
-			s := &fakeDeleter{}
+			s := &fakeStore{}
 			stores = append(stores, s)
 			return s
 		})

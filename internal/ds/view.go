@@ -23,7 +23,7 @@ import (
 // unreachable, until the dead space would pass compactSlack of the live
 // entries (or the batch is too large for relocating to pay, see refresh) —
 // then the refresh compacts: live runs are copied out of the mirror itself
-// (clean stretches as single memmoves, never back through Flattener) into
+// (clean stretches as single memmoves, never back through FlatFill) into
 // another arena, back to back in vertex order, which is exactly what a
 // first build lays out.
 //
@@ -38,7 +38,7 @@ import (
 // collector instead.
 //
 // The mirror preserves each store's own neighbor order — runs are filled
-// through Flattener, never sorted — so order-sensitive float reductions
+// through FlatFill, never sorted — so order-sensitive float reductions
 // (PageRank's in-neighbor sum) produce bit-identical results through the
 // view and through the structure.
 //
@@ -103,8 +103,6 @@ const (
 // mirrorDir is one adjacency direction of the mirror.
 type mirrorDir struct {
 	store  OneDir
-	fl     Flattener
-	run    RunFlattener  // non-nil for zero-copy stores (contiguous vectors)
 	expand DirtyExpander // non-nil for stores that reorder bystander runs
 
 	// The mirror proper: vertex v's run is arena[spans[v].Begin:
@@ -127,9 +125,11 @@ type mirrorDir struct {
 	list  []graph.NodeID // this refresh's dirty vertices, ascending
 	prev  []graph.NodeID // the previous refresh's list
 
-	// Method values cached once so a relocating refresh allocates nothing.
+	// Method values cached once, and the cuts of the fill pass reused, so
+	// a relocating refresh allocates nothing.
 	markFn   func(graph.NodeID)
-	fillPass func(lo, hi int)
+	fillPass func(w, lo, hi int)
+	cuts     []int
 	threads  int
 }
 
@@ -175,9 +175,9 @@ func (s RefreshStats) DirtyFraction() float64 {
 	return float64(s.Dirty) / float64(s.Nodes)
 }
 
-// NewComputeView builds a mirror over g, reporting false when g's stores
-// do not implement Flattener (the caller then stays on the interface
-// path). threads is the refresh worker count (0 = 1).
+// NewComputeView builds a mirror over g, reporting false when g is not a
+// TwoCopy structure (the caller then stays on the interface path). threads
+// is the refresh worker count (0 = 1).
 func NewComputeView(g Graph, threads int) (*ComputeView, bool) {
 	t, ok := g.(*TwoCopy)
 	if !ok {
@@ -188,26 +188,15 @@ func NewComputeView(g Graph, threads int) (*ComputeView, bool) {
 	}
 	v := &ComputeView{src: g}
 	v.out = newMirrorDir(t.OutStore(), threads)
-	if v.out == nil {
-		return nil, false
-	}
 	if t.Directed() {
 		v.in = newMirrorDir(t.InStore(), threads)
-		if v.in == nil {
-			return nil, false
-		}
 	}
 	return v, true
 }
 
 func newMirrorDir(st OneDir, threads int) *mirrorDir {
-	fl, ok := st.(Flattener)
-	if !ok {
-		return nil
-	}
-	d := &mirrorDir{store: st, fl: fl, threads: threads}
-	d.run, _ = fl.(RunFlattener)
-	d.expand, _ = fl.(DirtyExpander)
+	d := &mirrorDir{store: st, threads: threads}
+	d.expand, _ = st.(DirtyExpander)
 	d.idx[0].stale, d.idx[1].stale = true, true
 	d.markFn, d.fillPass = d.mark, d.fillRange
 	return d
@@ -455,12 +444,13 @@ func (d *mirrorDir) relocate(n int) {
 	d.spans, d.arena = b.spans, d.arena[:pos]
 	d.cur = 1 - d.cur
 	d.idx[0].own, d.idx[1].own = nil, nil // both indexes reach the arena now
-	graph.ForRanges(len(d.list), d.threads, d.fillPass)
+	d.cuts = graph.UniformCuts(d.cuts, len(d.list), d.threads)
+	graph.ParallelRanges(d.cuts, d.fillPass)
 }
 
 // fillRange reads the runs of list[lo:hi] from the structure into the
 // places their spans give them.
-func (d *mirrorDir) fillRange(lo, hi int) {
+func (d *mirrorDir) fillRange(_, lo, hi int) {
 	for _, u := range d.list[lo:hi] {
 		d.fillRun(u, d.arena[d.spans[u].Begin:d.spans[u].End])
 	}
@@ -472,13 +462,7 @@ func (d *mirrorDir) fillRun(u graph.NodeID, dst []graph.Neighbor) {
 	if len(dst) == 0 {
 		return
 	}
-	var got int
-	if d.run != nil {
-		got = copy(dst, d.run.FlatRun(u))
-	} else {
-		got = d.fl.FlatFill(u, dst)
-	}
-	if got != len(dst) {
+	if d.store.FlatFill(u, dst) != len(dst) {
 		panic("ds: ComputeView fill count does not match reported degree")
 	}
 }
@@ -506,7 +490,8 @@ func (d *mirrorDir) compact(n, live, capacity int) {
 		arena = make([]graph.Neighbor, live, capacity)
 	}
 	arena = arena[:live]
-	graph.ForRanges(n, d.threads, func(lo, hi int) { d.compactRange(lo, hi, b.spans, arena) })
+	d.cuts = graph.UniformCuts(d.cuts, n, d.threads)
+	graph.ParallelRanges(d.cuts, func(_, lo, hi int) { d.compactRange(lo, hi, b.spans, arena) })
 	d.spans, d.arena, b.own = b.spans, arena, arena
 	// The superseded arena stays with the other buffer only if a compaction
 	// like this one could fill it: on a growing graph it is already too

@@ -162,7 +162,7 @@ func checkRefresh(t testing.TB, c refreshCase) refreshOutcome {
 				}
 			} else {
 				buf = append(buf[:0], make([]graph.Neighbor, two.OutStore().Degree(id))...)
-				two.OutStore().(ds.Flattener).FlatFill(id, buf)
+				two.OutStore().FlatFill(id, buf)
 				if !slices.Equal(csr.Out(id), buf) {
 					t.Fatalf("batch %d: out(%d) = %v, FlatFill order %v", bi, v, csr.Out(id), buf)
 				}
@@ -171,7 +171,7 @@ func checkRefresh(t testing.TB, c refreshCase) refreshOutcome {
 				continue
 			}
 			buf = append(buf[:0], make([]graph.Neighbor, two.InStore().Degree(id))...)
-			two.InStore().(ds.Flattener).FlatFill(id, buf)
+			two.InStore().FlatFill(id, buf)
 			if !slices.Equal(csr.In(id), buf) {
 				t.Fatalf("batch %d: in(%d) = %v, FlatFill order %v", bi, v, csr.In(id), buf)
 			}

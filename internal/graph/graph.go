@@ -8,6 +8,10 @@
 // fixed point every differential check compares against, so their outputs
 // must not depend on wall clock, unseeded randomness, or map iteration
 // order (enforced by sagavet; see internal/analysis).
+//
+// saga:paniccapture — ParallelRanges, the one fork-join every parallel
+// region of the batch path runs through, lives here, so its goroutine
+// must capture panics for the poison-batch quarantine.
 package graph
 
 // NodeID identifies a vertex. SAGA-Bench datasets are dense integer ID
