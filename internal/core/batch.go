@@ -72,16 +72,23 @@ type BatchRecord struct {
 	// Stage is the wall time of every stage that ran (zero: it did not;
 	// after a retry, the last attempt's).
 	Stage [NumStages]time.Duration
-	// What the view, compute and publish stages reported. Compute's
-	// WorkerBusyNS aliases engine scratch until the next batch.
+	// What the update, view, compute and publish stages reported. DS holds
+	// the structure's counts taken after the update stage (summed over
+	// retried attempts); its ChunkLoads alias pipeline scratch, and
+	// Compute's WorkerBusyNS engine scratch, until the next batch.
+	DS      ds.UpdateProfile
 	View    ds.RefreshStats
 	Compute compute.Stats
 	Epoch   uint64
 	// WALSeq is the sequence number the batch was logged under (0: no
 	// durability, rejected by validation, or applied unlogged with
-	// durability degraded). Retries counts re-attempted applies.
-	WALSeq  uint64
-	Retries int
+	// durability degraded), WALBytes and WALFsync the size of its record
+	// and the fsync that followed (0: the wal stage did not append, or the
+	// policy skipped the flush). Retries counts re-attempted applies.
+	WALSeq   uint64
+	WALBytes int
+	WALFsync time.Duration
+	Retries  int
 	// Applied: the apply stages completed, the batch is part of the state.
 	// Err is the error its caller got; Quarantined the cause of a batch
 	// set aside as a poison file instead (its caller got nil).
@@ -114,7 +121,8 @@ func (p *Pipeline) runBatch(mb MixedBatch, seq uint64, replay bool) (BatchLatenc
 		return BatchLatency{}, errFenced
 	}
 	p.in = mb
-	p.batch = BatchRecord{Index: p.batchIdx, Adds: len(mb.Adds), Dels: len(mb.Dels), WALSeq: seq}
+	p.batch = BatchRecord{Index: p.batchIdx, Adds: len(mb.Adds), Dels: len(mb.Dels), WALSeq: seq,
+		DS: ds.UpdateProfile{ChunkLoads: p.batch.DS.ChunkLoads[:0]}}
 	p.bt = p.tr.StartBatch(p.batchIdx)
 	p.batch.Err = p.walk(live)
 	p.emit(live)
@@ -132,8 +140,11 @@ func (p *Pipeline) runBatch(mb MixedBatch, seq uint64, replay bool) (BatchLatenc
 			// engine; rebuild from disk (the tombstone keeps the poison
 			// batch out), and keep this batch's record over those of the
 			// batches the rebuild replays. A replayed batch leaves the
-			// rebuild to recoverDurable, which reads the record.
+			// rebuild to recoverDurable, which reads the record. The
+			// replayed batches start from an empty record so they do not
+			// take over rec's chunk-load scratch.
 			rec := p.batch
+			p.batch = BatchRecord{}
 			err := p.recoverDurable()
 			p.batch = rec
 			return BatchLatency{}, err
@@ -238,11 +249,11 @@ func (p *Pipeline) walStage(sp *trace.Span) error {
 		return err
 	}
 	p.batch.WALSeq = seq
-	bytes, fsync := p.dur.man.LastAppendStats()
+	p.batch.WALBytes, p.batch.WALFsync = p.dur.man.LastAppendStats()
 	sp.SetInt("seq", int64(seq))
-	sp.SetInt("bytes", int64(bytes))
-	if fsync > 0 {
-		sp.SetInt("fsync_ns", fsync.Nanoseconds())
+	sp.SetInt("bytes", int64(p.batch.WALBytes))
+	if p.batch.WALFsync > 0 {
+		sp.SetInt("fsync_ns", p.batch.WALFsync.Nanoseconds())
 	}
 	return nil
 }
@@ -355,7 +366,6 @@ func (p *Pipeline) applyRetry() error {
 	for attempt := 0; attempt <= cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			p.batch.Retries = attempt
-			p.rec.RecordRetry()
 			time.Sleep(backoff)
 			backoff *= 2
 		}
@@ -402,6 +412,7 @@ func (p *Pipeline) apply() error {
 		return err
 	}
 	p.batch.Nodes = p.g.NumNodes()
+	p.g.(*ds.TwoCopy).TakeProfile(&p.batch.DS)
 	if p.view != nil {
 		if err := p.stage(StageView); err != nil {
 			return err
@@ -427,7 +438,8 @@ func (p *Pipeline) apply() error {
 // emit turns the finished record into everything downstream of a batch:
 // the trace's attributes (sizes, latencies, and the compute stats that
 // tell a straggler or a triggering storm from a big batch) and its one
-// Finish, then for an applied batch the telemetry event and metrics.
+// Finish, the WAL and retry counters of whatever outcome, then for an
+// applied batch the telemetry event and metrics.
 func (p *Pipeline) emit(live bool) {
 	r := &p.batch
 	es := &r.Compute
@@ -467,6 +479,12 @@ func (p *Pipeline) emit(live bool) {
 		}
 		bt.Finish()
 	}
+	if r.WALBytes > 0 {
+		p.rec.RecordWALAppend(r.WALBytes, r.WALFsync)
+	}
+	if r.Retries > 0 {
+		p.rec.RecordRetries(r.Retries)
+	}
 	if !r.Applied {
 		return
 	}
@@ -490,6 +508,15 @@ func (p *Pipeline) emit(live bool) {
 		Skipped:        es.Skipped,
 		TriggerFrac:    es.TriggerFraction(),
 		Epoch:          r.Epoch,
+
+		DSEdgesIngested:  r.DS.EdgesIngested,
+		DSInserted:       r.DS.Inserted,
+		DSScanSteps:      r.DS.ScanSteps,
+		DSLockConflicts:  r.DS.LockConflicts,
+		DSMetaOps:        r.DS.MetaOps,
+		DSImbalance:      r.DS.Imbalance(),
+		DSTierPromotions: r.DS.TierPromotions,
+		DSTierDemotions:  r.DS.TierDemotions,
 	}
 	if used := es.WorkersUsed(); used > 0 {
 		// Stats.WorkerBusyNS aliases engine scratch; the event outlives
@@ -509,18 +536,6 @@ func (p *Pipeline) emit(live bool) {
 		st := p.em.Stats()
 		p.rec.RecordEpochPublish(st.Reclaimed-p.lastEpoch.Reclaimed, st.Dropped-p.lastEpoch.Dropped, st.Pins)
 		p.lastEpoch = st
-	}
-	if prof, ok := ds.ProfileOf(p.g); ok {
-		d := prof.Delta(&p.lastProf)
-		p.lastProf = prof
-		ev.DSEdgesIngested = d.EdgesIngested
-		ev.DSInserted = d.Inserted
-		ev.DSScanSteps = d.ScanSteps
-		ev.DSLockConflicts = d.LockConflicts
-		ev.DSMetaOps = d.MetaOps
-		ev.DSImbalance = d.Imbalance()
-		ev.DSTierPromotions = d.TierPromotions
-		ev.DSTierDemotions = d.TierDemotions
 	}
 	p.rec.RecordBatch(&ev)
 }

@@ -43,6 +43,23 @@ var batchGolden = map[string][2]uint64{
 	"supervised": {0x5cf193e2f723dc60, 0xb04630494b1cc2e9},
 }
 
+// goldenCounters are the supervised configuration's final WAL, apply-retry
+// and structure counters, recorded at the commit before the structure's
+// counts and the WAL figures moved into the BatchRecord (when the durable
+// manager, the retry loop and a cumulative-profile diff fed them directly).
+var goldenCounters = map[string]uint64{
+	"saga_wal_appends_total":        8,
+	"saga_wal_bytes_total":          6308,
+	"saga_apply_retries_total":      1,
+	"saga_ds_edges_ingested_total":  1044,
+	"saga_ds_inserted_total":        742,
+	"saga_ds_scan_steps_total":      4287,
+	"saga_ds_lock_conflicts_total":  0,
+	"saga_ds_meta_ops_total":        0,
+	"saga_ds_tier_promotions_total": 0,
+	"saga_ds_tier_demotions_total":  0,
+}
+
 const (
 	goldenRejectAt = 2 // stream index of the batch failing validation
 	goldenPoisonAt = 5 // stream index of the batch failing every apply
@@ -124,11 +141,12 @@ func hashOf(s string) uint64 {
 }
 
 // goldenRun streams goldenStream through one configuration and returns
-// the recorded events and batch traces.
-func goldenRun(t *testing.T, name string) ([]telemetry.BatchEvent, []trace.BatchDump, int) {
+// the recorded events, batch traces and metrics.
+func goldenRun(t *testing.T, name string) ([]telemetry.BatchEvent, []trace.BatchDump, *telemetry.Registry, int) {
 	t.Helper()
 	var buf bytes.Buffer
-	rec := telemetry.NewRecorder(telemetry.NewRegistry(), telemetry.NewEventSink(&buf))
+	reg := telemetry.NewRegistry()
+	rec := telemetry.NewRecorder(reg, telemetry.NewEventSink(&buf))
 	tr := trace.New(trace.Config{DS: "adjshared", Alg: "pr", Model: "inc", Flight: 64})
 	cfg := core.PipelineConfig{
 		DataStructure: "adjshared",
@@ -196,7 +214,7 @@ func goldenRun(t *testing.T, name string) ([]telemetry.BatchEvent, []trace.Batch
 	if err != nil {
 		t.Fatal(err)
 	}
-	return evs, tr.Flight().Snapshot(), len(stream)
+	return evs, tr.Flight().Snapshot(), reg, len(stream)
 }
 
 // TestBatchGolden is the equivalence test of the stage-table refactor:
@@ -206,7 +224,7 @@ func goldenRun(t *testing.T, name string) ([]telemetry.BatchEvent, []trace.Batch
 func TestBatchGolden(t *testing.T) {
 	for _, name := range []string{"bare", "view", "view+serve", "supervised"} {
 		t.Run(name, func(t *testing.T) {
-			evs, dumps, submitted := goldenRun(t, name)
+			evs, dumps, reg, submitted := goldenRun(t, name)
 			events, traces := canonEvents(evs), canonTraces(dumps)
 			want := batchGolden[name]
 			if got := hashOf(events); got != want[0] {
@@ -217,6 +235,13 @@ func TestBatchGolden(t *testing.T) {
 			}
 			if t.Failed() && testing.Verbose() {
 				t.Logf("events:\n%straces:\n%s", events, traces)
+			}
+			if name == "supervised" {
+				for metric, want := range goldenCounters {
+					if got := reg.Counter(metric, "").Value(); got != want {
+						t.Errorf("%s = %d, recorded %d", metric, got, want)
+					}
+				}
 			}
 			// A live durable batch ends with a wal_seq, a quarantine cause or
 			// an error; a batch replayed by the post-poison rebuild carries

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"sagabench/internal/compute"
 	"sagabench/internal/core"
+	"sagabench/internal/ds"
 	"sagabench/internal/durable"
 	"sagabench/internal/graph"
 	"sagabench/internal/telemetry"
@@ -22,12 +24,19 @@ import (
 // tally became a store field: 12 → 10). It only goes down.
 const steadyAllocsParent = 10
 
+// steadyAllocsRecorded is steadyAllocs of small-durable's shape (hybrid,
+// view, serve, INC CC, a recorder without an event sink): 18 at the
+// commit before the structure's counts moved into the BatchRecord, when
+// each batch still diffed a freshly copied cumulative profile, 14 since.
+// It only goes down.
+const steadyAllocsRecorded = 14
+
 // TestProcessSteadyStateAllocs pins the runner's per-batch allocation
 // budget with every observer off (nil recorder, nil tracer): the stage
 // table, the BatchRecord and the hooks are pipeline-owned state, not
 // per-batch garbage.
 func TestProcessSteadyStateAllocs(t *testing.T) {
-	p, err := core.NewPipeline(core.PipelineConfig{
+	got := steadyAllocs(t, core.PipelineConfig{
 		DataStructure: "hybrid",
 		Algorithm:     "cc",
 		Model:         compute.INC,
@@ -35,9 +44,49 @@ func TestProcessSteadyStateAllocs(t *testing.T) {
 		Threads:       1,
 		ComputeView:   true,
 	})
+	if got > steadyAllocsParent {
+		t.Fatalf("steady-state ProcessMixed allocates %v per batch, parent allocated %v", got, steadyAllocsParent)
+	}
+}
+
+// TestProcessSteadyStateAllocsRecorded is the same budget with a
+// telemetry recorder attached, in small-durable's shape: taking the
+// structure's counts into the record allocates nothing per batch.
+func TestProcessSteadyStateAllocsRecorded(t *testing.T) {
+	for _, durableOn := range []bool{false, true} {
+		cfg := core.PipelineConfig{
+			DataStructure: "hybrid",
+			Algorithm:     "cc",
+			Model:         compute.INC,
+			Directed:      true,
+			Threads:       1,
+			ComputeView:   true,
+			ServeQueries:  true,
+			Telemetry:     telemetry.NewRecorder(telemetry.NewRegistry(), nil),
+		}
+		if durableOn {
+			cfg.Durable = &durable.Config{Dir: t.TempDir(), Fsync: durable.FsyncAlways, CheckpointEvery: -1}
+		}
+		if got := steadyAllocs(t, cfg); got > steadyAllocsRecorded {
+			t.Errorf("durable=%v: steady-state ProcessMixed allocates %v per batch with a recorder, budget %v",
+				durableOn, got, steadyAllocsRecorded)
+		}
+	}
+}
+
+// steadyAllocs warms a pipeline built from cfg up on a mixed stream, then
+// reports testing.AllocsPerRun of one steady-state batch.
+func steadyAllocs(t *testing.T, cfg core.PipelineConfig) float64 {
+	t.Helper()
+	p, err := core.NewPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if err := p.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 	stream := viewMixedStream(5, 24, 64, 48)
 	for _, mb := range stream {
 		if _, err := p.ProcessMixed(mb); err != nil {
@@ -49,7 +98,7 @@ func TestProcessSteadyStateAllocs(t *testing.T) {
 	// whose size no longer changes.
 	window := stream[len(stream)-1].Adds
 	flip := false
-	got := testing.AllocsPerRun(200, func() {
+	return testing.AllocsPerRun(200, func() {
 		mb := core.MixedBatch{Adds: window}
 		if flip = !flip; flip {
 			mb = core.MixedBatch{Dels: window}
@@ -58,9 +107,6 @@ func TestProcessSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got > steadyAllocsParent {
-		t.Fatalf("steady-state ProcessMixed allocates %v per batch, parent allocated %v", got, steadyAllocsParent)
-	}
 }
 
 // TestBatchRecordConsistency checks the one record every output is read
@@ -86,7 +132,8 @@ func TestBatchRecordConsistency(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			rec := telemetry.NewRecorder(telemetry.NewRegistry(), telemetry.NewEventSink(&buf))
+			reg := telemetry.NewRegistry()
+			rec := telemetry.NewRecorder(reg, telemetry.NewEventSink(&buf))
 			cfg := core.PipelineConfig{
 				DataStructure: "hybrid",
 				Algorithm:     "cc",
@@ -115,6 +162,7 @@ func TestBatchRecordConsistency(t *testing.T) {
 					t.Fatal(err)
 				}
 				r := p.LastBatch()
+				r.DS.ChunkLoads = append([]uint64(nil), r.DS.ChunkLoads...) // pipeline scratch
 				recs = append(recs, r)
 				for _, id := range all {
 					if (r.Stage[id] > 0) != ran[id] {
@@ -142,6 +190,14 @@ func TestBatchRecordConsistency(t *testing.T) {
 				if r.Adds != len(mb.Adds) || r.Dels != len(mb.Dels) || r.Nodes != p.Graph().NumNodes() {
 					t.Fatalf("batch %d: record sizes %+v", i, r)
 				}
+				// Both copies ingest every add, and the chunked structure
+				// reports one load per chunk.
+				if r.DS.EdgesIngested != 2*uint64(r.Adds) || len(r.DS.ChunkLoads) != cfg.Threads {
+					t.Fatalf("batch %d: record DS %+v for %d adds", i, r.DS, r.Adds)
+				}
+				if (r.WALBytes > 0) != tc.durable {
+					t.Fatalf("batch %d: WAL record of %d bytes, durable=%v", i, r.WALBytes, tc.durable)
+				}
 			}
 			if err := p.Close(); err != nil {
 				t.Fatal(err)
@@ -156,6 +212,7 @@ func TestBatchRecordConsistency(t *testing.T) {
 			if len(evs) != len(recs) {
 				t.Fatalf("%d events for %d batches", len(evs), len(recs))
 			}
+			var walAppends, walBytes uint64
 			for i, ev := range evs {
 				r, es := recs[i], recs[i].Compute
 				want := telemetry.BatchEvent{
@@ -164,12 +221,15 @@ func TestBatchRecordConsistency(t *testing.T) {
 					Affected: r.Affected, Iterations: es.Iterations, Processed: es.Processed,
 					EdgesTraversed: es.EdgesTraversed, Triggered: es.Triggered, Skipped: es.Skipped,
 					TriggerFrac: es.TriggerFraction(), Epoch: r.Epoch,
-					// Per-worker times alias engine scratch in the record and
-					// the structure's profile deltas never enter it.
+					// Per-worker times alias engine scratch in the record.
 					WorkerBusyNS: ev.WorkerBusyNS, WorkersUsed: ev.WorkersUsed, Straggler: ev.Straggler,
-					DSEdgesIngested: ev.DSEdgesIngested, DSInserted: ev.DSInserted, DSScanSteps: ev.DSScanSteps,
-					DSLockConflicts: ev.DSLockConflicts, DSMetaOps: ev.DSMetaOps, DSImbalance: ev.DSImbalance,
-					DSTierPromotions: ev.DSTierPromotions, DSTierDemotions: ev.DSTierDemotions,
+					DSEdgesIngested: r.DS.EdgesIngested, DSInserted: r.DS.Inserted, DSScanSteps: r.DS.ScanSteps,
+					DSLockConflicts: r.DS.LockConflicts, DSMetaOps: r.DS.MetaOps, DSImbalance: r.DS.Imbalance(),
+					DSTierPromotions: r.DS.TierPromotions, DSTierDemotions: r.DS.TierDemotions,
+				}
+				if r.WALBytes > 0 {
+					walAppends++
+					walBytes += uint64(r.WALBytes)
 				}
 				if tc.view {
 					want.ViewNS = r.View.Duration.Nanoseconds()
@@ -179,6 +239,14 @@ func TestBatchRecordConsistency(t *testing.T) {
 				if !reflect.DeepEqual(ev, want) {
 					t.Fatalf("batch %d: event\n%+v\nrecord implies\n%+v", i, ev, want)
 				}
+			}
+			// The event has no WAL fields; the WAL counters are fed off the
+			// same records.
+			if got := reg.Counter("saga_wal_appends_total", "").Value(); got != walAppends {
+				t.Fatalf("saga_wal_appends_total = %d, records hold %d appends", got, walAppends)
+			}
+			if got := reg.Counter("saga_wal_bytes_total", "").Value(); got != walBytes {
+				t.Fatalf("saga_wal_bytes_total = %d, records hold %d bytes", got, walBytes)
 			}
 		})
 	}
@@ -217,4 +285,139 @@ func TestBatchRecordOfPoisonBatch(t *testing.T) {
 	if r.Latency() != (core.BatchLatency{}) {
 		t.Fatalf("unapplied batch reports latency %+v", r.Latency())
 	}
+}
+
+// recordCounts is the deterministic part of a BatchRecord: the work counts
+// its stages wrote, without clock readings.
+type recordCounts struct {
+	DS                                   ds.UpdateProfile
+	ViewWritten                          int
+	ViewFull                             bool
+	Iterations                           int
+	Processed, EdgesTraversed, Triggered uint64
+	WALBytes                             int
+}
+
+// TestBatchRecordDeterministic: two same-seed pipelines at one thread
+// write bit-identical counts into their records, batch by batch, for
+// every registered structure, with and without durability.
+func TestBatchRecordDeterministic(t *testing.T) {
+	stream := viewMixedStream(17, 10, 64, 48)
+	run := func(t *testing.T, name string, durableOn bool) []recordCounts {
+		cfg := core.PipelineConfig{
+			DataStructure: name,
+			Algorithm:     "cc",
+			Model:         compute.INC,
+			Directed:      true,
+			Threads:       1,
+			ComputeView:   true,
+		}
+		if durableOn {
+			cfg.ServeQueries = true
+			cfg.Durable = &durable.Config{Dir: t.TempDir(), Fsync: durable.FsyncNever, CheckpointEvery: 4}
+		}
+		p, err := core.NewPipeline(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []recordCounts
+		for _, mb := range stream {
+			if _, err := p.ProcessMixed(mb); err != nil {
+				t.Fatal(err)
+			}
+			r := p.LastBatch()
+			r.DS.ChunkLoads = append([]uint64(nil), r.DS.ChunkLoads...) // pipeline scratch
+			out = append(out, recordCounts{
+				DS: r.DS, ViewWritten: r.View.Written, ViewFull: r.View.Full,
+				Iterations: r.Compute.Iterations, Processed: r.Compute.Processed,
+				EdgesTraversed: r.Compute.EdgesTraversed, Triggered: r.Compute.Triggered,
+				WALBytes: r.WALBytes,
+			})
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, name := range ds.Names() {
+		for _, durableOn := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/durable=%v", name, durableOn), func(t *testing.T) {
+				a, b := run(t, name, durableOn), run(t, name, durableOn)
+				for i := range a {
+					if !reflect.DeepEqual(a[i], b[i]) {
+						t.Fatalf("batch %d: same-seed runs recorded\n%+v\n%+v", i, a[i], b[i])
+					}
+					if a[i].DS.EdgesIngested != 2*uint64(len(stream[i].Adds)) {
+						t.Fatalf("batch %d: %d records ingested for %d adds", i, a[i].DS.EdgesIngested, len(stream[i].Adds))
+					}
+					if (a[i].WALBytes > 0) != durableOn {
+						t.Fatalf("batch %d: WAL record of %d bytes, durable=%v", i, a[i].WALBytes, durableOn)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSupervisorLastBatchConcurrentRead reads Supervisor.LastBatch from a
+// second goroutine while a durable supervised stream runs (meaningful
+// under -race): the record it hands out shares no scratch the worker
+// writes again, neither the chunk loads nor the per-worker busy times.
+func TestSupervisorLastBatchConcurrentRead(t *testing.T) {
+	cfg := core.PipelineConfig{
+		DataStructure: "hybrid",
+		Algorithm:     "cc",
+		Model:         compute.INC,
+		Directed:      true,
+		Threads:       2,
+		ComputeView:   true,
+		ServeQueries:  true,
+		Telemetry:     telemetry.NewRecorder(telemetry.NewRegistry(), nil),
+		Durable:       &durable.Config{Dir: t.TempDir(), Fsync: durable.FsyncAlways, CheckpointEvery: 8},
+	}
+	sup, err := core.NewSupervisor(core.SupervisorConfig{Pipeline: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	var reads, ingested uint64
+	var busy int64
+	var latest int
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Read every slice element too: under -race, a slice the worker
+			// writes again is a reported race.
+			r := sup.LastBatch()
+			for _, load := range r.DS.ChunkLoads {
+				ingested += load
+			}
+			for _, ns := range r.Compute.WorkerBusyNS {
+				busy += ns
+			}
+			reads++
+			latest = max(latest, r.Index)
+		}
+	}()
+	stream := viewMixedStream(23, 40, 64, 48)
+	for _, mb := range stream {
+		if err := sup.Submit(mb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sup.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-done
+	if last := sup.LastBatch(); last.Index != len(stream)-1 || !last.Applied || last.WALBytes == 0 {
+		t.Fatalf("last record %+v, want batch %d applied and logged", last, len(stream)-1)
+	}
+	t.Logf("%d concurrent reads, last index seen %d, chunk loads summed %d, busy %d ns", reads, latest, ingested, busy)
 }

@@ -104,11 +104,10 @@ type Pipeline struct {
 	affectedMark []uint8
 
 	// batchIdx counts applied batches: the index of the batch in flight in
-	// its record, trace, event and published snapshot. repeatTag and
-	// lastProf are telemetry bookkeeping, touched only when rec != nil.
+	// its record, trace, event and published snapshot. repeatTag is
+	// telemetry bookkeeping, touched only when rec != nil.
 	batchIdx  int
 	repeatTag int
-	lastProf  ds.UpdateProfile
 }
 
 // PipelineConfig selects the pipeline's components.
@@ -157,7 +156,8 @@ type PipelineConfig struct {
 	// refresh built anyway; without it every batch pays a full CSR export.
 	ServeQueries bool
 	// Telemetry, when non-nil, receives one event per processed batch
-	// (latencies, affected-set size, compute stats, ds profile deltas).
+	// (latencies, affected-set size, compute stats, the structure's
+	// counts), read off the batch's record.
 	// Nil disables instrumentation at near-zero cost.
 	Telemetry *telemetry.Recorder
 	// Tracer, when non-nil, records a span tree per batch — update,

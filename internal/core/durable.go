@@ -89,10 +89,8 @@ func (p *Pipeline) recoverDurable() error {
 			continue
 		}
 		// Attribute recovery's ingestion to recovery, not to the next
-		// batch's telemetry delta.
-		if prof, ok := ds.ProfileOf(p.g); ok {
-			p.lastProf = prof
-		}
+		// batch's record.
+		p.g.(*ds.TwoCopy).TakeProfile(&ds.UpdateProfile{})
 		return nil
 	}
 }
@@ -105,7 +103,6 @@ func (p *Pipeline) resetComponents() error {
 		return err
 	}
 	p.g, p.engine = g, engine
-	p.lastProf = ds.UpdateProfile{}
 	// The old view mirrors the discarded structure; a fresh one is unbuilt
 	// and full-builds on the first post-recovery Refresh, which sees the
 	// checkpoint-restored topology (restoreCheckpoint writes the structure

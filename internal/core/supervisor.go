@@ -262,7 +262,8 @@ func (s *Supervisor) processItem(gen uint64, p *Pipeline, mb MixedBatch) bool {
 	s.inflight.CompareAndSwap(inf, nil)
 	if s.gen.Load() == gen {
 		rec := p.LastBatch()
-		rec.Compute.WorkerBusyNS = nil // engine scratch the next batch reuses
+		// Scratch the next batch reuses: the engine's, and the pipeline's.
+		rec.Compute.WorkerBusyNS, rec.DS.ChunkLoads = nil, nil
 		s.mu.Lock()
 		s.last = rec
 		s.mu.Unlock()
@@ -431,8 +432,8 @@ func (s *Supervisor) Pipeline() *Pipeline {
 }
 
 // LastBatch is the record of the most recent batch the worker ran (see
-// BatchRecord), without the per-worker busy times. Safe to call while the
-// stream is running.
+// BatchRecord), without the per-worker busy times and the chunk loads.
+// Safe to call while the stream is running.
 func (s *Supervisor) LastBatch() BatchRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -51,7 +51,7 @@ func telemetryRun(t *testing.T, dsName string, model compute.Model, repeats int)
 
 // TestRunEmitsBatchEvents checks that a measured run writes exactly one
 // JSONL event per processed batch, with phase latencies, affected-set
-// sizes, INC trigger fractions, and per-batch ds profile deltas filled in.
+// sizes, INC trigger fractions, and the per-batch ds counts filled in.
 func TestRunEmitsBatchEvents(t *testing.T) {
 	reg, evs := telemetryRun(t, "adjchunked", compute.INC, 2)
 	if len(evs) == 0 {
@@ -88,10 +88,10 @@ func TestRunEmitsBatchEvents(t *testing.T) {
 		t.Error("INC run never reported a trigger fraction")
 	}
 	if !sawConflictOrScan {
-		t.Error("profiled store reported no per-batch scan/conflict deltas")
+		t.Error("the store reported no per-batch scan/conflict counts")
 	}
 	if totalIngested == 0 {
-		t.Error("per-batch ds profile deltas never counted an ingested edge")
+		t.Error("the per-batch ds counts never counted an ingested edge")
 	}
 
 	var sb strings.Builder

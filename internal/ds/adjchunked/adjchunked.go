@@ -113,20 +113,11 @@ func (s *store) NumEdges() int {
 // NumNodes implements ds.OneDir.
 func (s *store) NumNodes() int { return len(s.adj) }
 
-// UpdateProfile implements ds.Profiler.
-func (s *store) UpdateProfile() ds.UpdateProfile {
+// TakeProfile implements ds.OneDir.
+func (s *store) TakeProfile(into *ds.UpdateProfile) {
 	s.profMu.Lock()
 	defer s.profMu.Unlock()
-	p := s.prof
-	p.ChunkLoads = append([]uint64(nil), s.prof.ChunkLoads...)
-	return p
-}
-
-// ResetProfile implements ds.Profiler.
-func (s *store) ResetProfile() {
-	s.profMu.Lock()
-	defer s.profMu.Unlock()
-	s.prof = ds.UpdateProfile{ChunkLoads: make([]uint64, s.chunks)}
+	s.prof.MoveTo(into)
 }
 
 // Chunks reports the chunk count (for the architecture replayer).

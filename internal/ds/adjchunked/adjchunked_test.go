@@ -15,7 +15,8 @@ func TestChunkLoadsTrackImbalance(t *testing.T) {
 		batch = append(batch, graph.Edge{Src: 2, Dst: graph.NodeID(i + 10), Weight: 1})
 	}
 	g.Update(batch)
-	p, _ := ds.ProfileOf(g)
+	var p ds.UpdateProfile
+	g.(*ds.TwoCopy).TakeProfile(&p)
 	if len(p.ChunkLoads) != 4 {
 		t.Fatalf("ChunkLoads len=%d want 4", len(p.ChunkLoads))
 	}
@@ -48,7 +49,8 @@ func TestLocklessUniqueIngestion(t *testing.T) {
 	}
 	g.Update(batch)
 	g.Update(batch) // everything duplicate
-	p, _ := ds.ProfileOf(g)
+	var p ds.UpdateProfile
+	g.(*ds.TwoCopy).TakeProfile(&p)
 	if p.EdgesIngested != 8000 {
 		t.Fatalf("EdgesIngested=%d want 8000", p.EdgesIngested)
 	}

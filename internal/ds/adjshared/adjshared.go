@@ -128,18 +128,11 @@ func (s *store) NumEdges() int { return int(s.numEdges.Load()) }
 // NumNodes implements ds.OneDir.
 func (s *store) NumNodes() int { return len(s.adj) }
 
-// UpdateProfile implements ds.Profiler.
-func (s *store) UpdateProfile() ds.UpdateProfile {
+// TakeProfile implements ds.OneDir.
+func (s *store) TakeProfile(into *ds.UpdateProfile) {
 	s.profMu.Lock()
 	defer s.profMu.Unlock()
-	return s.prof
-}
-
-// ResetProfile implements ds.Profiler.
-func (s *store) ResetProfile() {
-	s.profMu.Lock()
-	defer s.profMu.Unlock()
-	s.prof = ds.UpdateProfile{}
+	s.prof.MoveTo(into)
 }
 
 // VectorCap reports the capacity of v's neighbor vector; the architecture

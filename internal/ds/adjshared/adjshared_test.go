@@ -21,19 +21,20 @@ func TestScanStepsAccounting(t *testing.T) {
 		g.Update(graph.Batch{{Src: 0, Dst: graph.NodeID(100 + i), Weight: 1}})
 		want += uint64(i)
 	}
-	p, _ := ds.ProfileOf(g)
+	var p ds.UpdateProfile
+	g.(*ds.TwoCopy).TakeProfile(&p)
 	// The in-copy scans are over per-destination single vectors (0 each).
 	if p.ScanSteps != want {
 		t.Fatalf("ScanSteps=%d want %d", p.ScanSteps, want)
 	}
 	// A duplicate must scan until found and not insert.
-	before, _ := ds.ProfileOf(g)
 	g.Update(graph.Batch{{Src: 0, Dst: 105, Weight: 9}})
-	after, _ := ds.ProfileOf(g)
-	if after.Inserted != before.Inserted {
+	var dup ds.UpdateProfile
+	g.(*ds.TwoCopy).TakeProfile(&dup)
+	if dup.Inserted != 0 {
 		t.Fatal("duplicate caused an insert")
 	}
-	if after.ScanSteps <= before.ScanSteps {
+	if dup.ScanSteps == 0 {
 		t.Fatal("duplicate search did not scan")
 	}
 }
@@ -64,7 +65,8 @@ func TestLockConflictCounting(t *testing.T) {
 		batch[i] = graph.Edge{Src: 1, Dst: graph.NodeID(i % 37), Weight: 1}
 	}
 	g.Update(batch)
-	p, _ := ds.ProfileOf(g)
+	var p ds.UpdateProfile
+	g.(*ds.TwoCopy).TakeProfile(&p)
 	if p.LockConflicts > p.EdgesIngested {
 		t.Fatalf("conflicts %d exceed ingested %d", p.LockConflicts, p.EdgesIngested)
 	}

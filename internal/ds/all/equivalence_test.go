@@ -227,10 +227,8 @@ func TestProfileCounters(t *testing.T) {
 		for _, b := range batches {
 			g.Update(b)
 		}
-		p, ok := ds.ProfileOf(g)
-		if !ok {
-			t.Fatalf("%s: no profile", name)
-		}
+		var p ds.UpdateProfile
+		g.(*ds.TwoCopy).TakeProfile(&p)
 		if p.EdgesIngested != 3000*2 { // out + in copies
 			t.Errorf("%s: EdgesIngested=%d want 6000", name, p.EdgesIngested)
 		}
@@ -242,10 +240,11 @@ func TestProfileCounters(t *testing.T) {
 		if int(p.Inserted) != 2*g.NumEdges() {
 			t.Errorf("%s: Inserted=%d vs 2*NumEdges=%d", name, p.Inserted, 2*g.NumEdges())
 		}
-		ds.ResetProfileOf(g)
-		p, _ = ds.ProfileOf(g)
-		if p.EdgesIngested != 0 {
-			t.Errorf("%s: profile not reset", name)
+		// A take zeroes what it hands over.
+		p = ds.UpdateProfile{}
+		g.(*ds.TwoCopy).TakeProfile(&p)
+		if p.EdgesIngested != 0 || p.Inserted != 0 || p.ScanSteps != 0 {
+			t.Errorf("%s: a second take handed over %+v", name, p)
 		}
 	}
 }

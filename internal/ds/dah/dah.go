@@ -197,34 +197,19 @@ func (s *store) NumEdges() int {
 // NumNodes implements ds.OneDir.
 func (s *store) NumNodes() int { return s.numNodes }
 
-// UpdateProfile implements ds.Profiler; hash probes across all tables are
+// TakeProfile implements ds.OneDir; hash probes across all tables are
 // charged as scan steps and directory/flush work as meta-operations.
-func (s *store) UpdateProfile() ds.UpdateProfile {
+func (s *store) TakeProfile(into *ds.UpdateProfile) {
 	s.profMu.Lock()
 	defer s.profMu.Unlock()
-	p := s.prof
-	p.ChunkLoads = append([]uint64(nil), s.prof.ChunkLoads...)
 	for _, cs := range s.chunkData {
-		p.MetaOps += cs.meta.Load()
-		p.ScanSteps += cs.low.probes.Load() + cs.dir.probes.Load()
+		into.MetaOps += cs.meta.Swap(0)
+		into.ScanSteps += cs.low.probes.Swap(0) + cs.dir.probes.Swap(0)
 		cs.dir.forEach(func(_ graph.NodeID, et *edgeTable) {
-			p.ScanSteps += et.probes.Load()
+			into.ScanSteps += et.probes.Swap(0)
 		})
 	}
-	return p
-}
-
-// ResetProfile implements ds.Profiler.
-func (s *store) ResetProfile() {
-	s.profMu.Lock()
-	defer s.profMu.Unlock()
-	s.prof = ds.UpdateProfile{ChunkLoads: make([]uint64, s.chunks)}
-	for _, cs := range s.chunkData {
-		cs.meta.Store(0)
-		cs.low.probes.Store(0)
-		cs.dir.probes.Store(0)
-		cs.dir.forEach(func(_ graph.NodeID, et *edgeTable) { et.probes.Store(0) })
-	}
+	s.prof.MoveTo(into)
 }
 
 // DeleteEdges implements ds.OneDir: the owning chunk routes the

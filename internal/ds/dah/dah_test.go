@@ -184,10 +184,8 @@ func TestDAHMetaOpsCounted(t *testing.T) {
 		batch = append(batch, graph.Edge{Src: graph.NodeID(i % 5), Dst: graph.NodeID(i), Weight: 1})
 	}
 	g.Update(batch)
-	p, ok := ds.ProfileOf(g)
-	if !ok {
-		t.Fatal("no profile")
-	}
+	var p ds.UpdateProfile
+	g.(*ds.TwoCopy).TakeProfile(&p)
 	if p.MetaOps == 0 {
 		t.Fatal("meta-operations not counted")
 	}

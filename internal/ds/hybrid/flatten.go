@@ -26,6 +26,5 @@ func (s *store) FlatFill(v graph.NodeID, dst []graph.Neighbor) int {
 
 var (
 	_ ds.RunFlattener = (*store)(nil)
-	_ ds.Profiler     = (*store)(nil)
 	_ ds.Footprinter  = (*store)(nil)
 )

@@ -451,22 +451,13 @@ func (s *store) NumEdges() int {
 // NumNodes implements ds.OneDir.
 func (s *store) NumNodes() int { return len(s.verts) }
 
-// UpdateProfile implements ds.Profiler. Hash probes and linear-scan steps
-// are both charged as ScanSteps; entries copied by tier transitions as
+// TakeProfile implements ds.OneDir. Hash probes and linear-scan steps are
+// both charged as ScanSteps; entries copied by tier transitions as
 // MetaOps; transitions themselves as TierPromotions/TierDemotions.
-func (s *store) UpdateProfile() ds.UpdateProfile {
+func (s *store) TakeProfile(into *ds.UpdateProfile) {
 	s.profMu.Lock()
 	defer s.profMu.Unlock()
-	p := s.prof
-	p.ChunkLoads = append([]uint64(nil), s.prof.ChunkLoads...)
-	return p
-}
-
-// ResetProfile implements ds.Profiler.
-func (s *store) ResetProfile() {
-	s.profMu.Lock()
-	defer s.profMu.Unlock()
-	s.prof = ds.UpdateProfile{ChunkLoads: make([]uint64, s.chunks)}
+	s.prof.MoveTo(into)
 }
 
 // Chunks reports the chunk count (for the architecture replayer).

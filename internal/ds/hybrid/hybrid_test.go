@@ -226,7 +226,8 @@ func TestHashTierWeightOverwrite(t *testing.T) {
 }
 
 // TestProfileCounters checks the tier-transition counters and the scan
-// accounting surface through ds.Profiler.
+// accounting surface through TakeProfile, which hands each batch's counts
+// over once.
 func TestProfileCounters(t *testing.T) {
 	s := newStore(1, 6, 0)
 	var batch []graph.Edge
@@ -234,7 +235,8 @@ func TestProfileCounters(t *testing.T) {
 		batch = append(batch, graph.Edge{Src: 0, Dst: graph.NodeID(i), Weight: 1})
 	}
 	apply(s, batch...)
-	p := s.UpdateProfile()
+	var p ds.UpdateProfile
+	s.TakeProfile(&p)
 	if p.EdgesIngested != 10 || p.Inserted != 10 {
 		t.Fatalf("ingested/inserted = %d/%d, want 10/10", p.EdgesIngested, p.Inserted)
 	}
@@ -256,18 +258,19 @@ func TestProfileCounters(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		s.DeleteEdges([]graph.Edge{{Src: 0, Dst: graph.NodeID(i)}})
 	}
-	p2 := s.UpdateProfile()
-	if p2.TierDemotions != 2 {
-		t.Fatalf("demotions = %d, want 2", p2.TierDemotions)
+	var p2 ds.UpdateProfile
+	s.TakeProfile(&p2)
+	if p2.TierPromotions != 0 || p2.TierDemotions != 2 {
+		t.Fatalf("promotions/demotions since the first take = %d/%d, want 0/2", p2.TierPromotions, p2.TierDemotions)
 	}
-	d := p2.Delta(&p)
-	if d.TierPromotions != 0 || d.TierDemotions != 2 {
-		t.Fatalf("delta promotions/demotions = %d/%d, want 0/2", d.TierPromotions, d.TierDemotions)
+	if len(p2.ChunkLoads) != 1 || p2.ChunkLoads[0] != 0 {
+		t.Fatalf("chunk loads since the first take = %v, want [0] (deletes carry no load)", p2.ChunkLoads)
 	}
 
-	s.ResetProfile()
-	if p3 := s.UpdateProfile(); p3.TierPromotions != 0 || p3.ScanSteps != 0 {
-		t.Fatalf("profile not reset: %+v", p3)
+	var p3 ds.UpdateProfile
+	s.TakeProfile(&p3)
+	if p3.TierDemotions != 0 || p3.ScanSteps != 0 || p3.MetaOps != 0 {
+		t.Fatalf("a take right after a take hands over %+v, want zero counts", p3)
 	}
 }
 

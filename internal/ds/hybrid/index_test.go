@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sagabench/internal/ds"
 	"sagabench/internal/graph"
 )
 
@@ -260,9 +261,11 @@ func TestHashTierOpsChargeOneWalk(t *testing.T) {
 	}
 	v := &s.verts[0]
 	charged := func(op func()) uint64 {
-		before := s.UpdateProfile().ScanSteps
+		s.TakeProfile(&ds.UpdateProfile{})
 		op()
-		return s.UpdateProfile().ScanSteps - before
+		var p ds.UpdateProfile
+		s.TakeProfile(&p)
+		return p.ScanSteps
 	}
 	ins := func(dst graph.NodeID) func() {
 		return func() { s.UpdateEdges([]graph.Edge{{Src: 0, Dst: dst, Weight: 2}}) }

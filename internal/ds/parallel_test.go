@@ -194,12 +194,6 @@ func TestRegistryUnknown(t *testing.T) {
 
 func TestUpdateProfileHelpers(t *testing.T) {
 	p := UpdateProfile{EdgesIngested: 10, LockConflicts: 5}
-	if p.ConflictRate() != 0.5 {
-		t.Errorf("ConflictRate=%v", p.ConflictRate())
-	}
-	if (&UpdateProfile{}).ConflictRate() != 0 {
-		t.Error("empty conflict rate should be 0")
-	}
 	p2 := UpdateProfile{ChunkLoads: []uint64{30, 10, 10, 10}}
 	if got := p2.Imbalance(); got != 2 {
 		t.Errorf("Imbalance=%v want 2 (30 vs mean 15)", got)
@@ -207,10 +201,28 @@ func TestUpdateProfileHelpers(t *testing.T) {
 	if (&UpdateProfile{}).Imbalance() != 1 {
 		t.Error("empty imbalance should be 1")
 	}
+	loads := p2.ChunkLoads
 	var sum UpdateProfile
-	sum.Add(p)
-	sum.Add(p2)
-	if sum.EdgesIngested != 10 || len(sum.ChunkLoads) != 4 || sum.ChunkLoads[0] != 30 {
-		t.Errorf("Add merged wrong: %+v", sum)
+	p.MoveTo(&sum)
+	p2.MoveTo(&sum)
+	if sum.EdgesIngested != 10 || sum.LockConflicts != 5 || len(sum.ChunkLoads) != 4 || sum.ChunkLoads[0] != 30 {
+		t.Errorf("MoveTo merged wrong: %+v", sum)
+	}
+	if p.EdgesIngested != 0 || p.LockConflicts != 0 {
+		t.Errorf("MoveTo left counts behind: %+v", p)
+	}
+	if &p2.ChunkLoads[0] != &loads[0] || p2.ChunkLoads[0] != 0 {
+		t.Errorf("MoveTo must zero the source's chunk loads in place, got %v", p2.ChunkLoads)
+	}
+	// A second merge into the grown destination sums index-wise and
+	// allocates nothing.
+	if allocs := testing.AllocsPerRun(10, func() {
+		p2.ChunkLoads[1] = 1
+		p2.MoveTo(&sum)
+	}); allocs != 0 {
+		t.Errorf("MoveTo into a grown destination allocates %.1f times", allocs)
+	}
+	if sum.ChunkLoads[1] != 10+11 {
+		t.Errorf("chunk 1 = %d after 11 merges of 1, want 21", sum.ChunkLoads[1])
 	}
 }

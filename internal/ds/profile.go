@@ -1,10 +1,15 @@
 package ds
 
-// UpdateProfile accumulates concurrency-relevant counters across Update
-// calls. The architecture-level performance model (Fig 9) consumes these:
-// lock conflicts quantify the thread contention that limits shared-style
-// structures on short-tailed graphs, and per-chunk loads quantify the
-// workload imbalance that limits chunked structures on heavy-tailed graphs.
+// UpdateProfile holds the concurrency-relevant counts a store gathers while
+// it ingests and deletes: lock conflicts quantify the thread contention
+// that limits shared-style structures on short-tailed graphs, and
+// per-chunk loads the workload imbalance that limits chunked structures
+// on heavy-tailed graphs. Every store keeps one and hands it over through
+// OneDir.TakeProfile; the pipeline takes it into BatchRecord.DS once per
+// batch, right after the update stage, and the per-batch telemetry event
+// and the saga_ds_* counters are read off that record. DAH also charges
+// the probes and directory queries of each traversal (view refresh,
+// compute, export), which therefore land in the next batch's counts.
 type UpdateProfile struct {
 	// EdgesIngested counts edge records offered to the store (including
 	// duplicates that only refreshed a weight).
@@ -17,8 +22,8 @@ type UpdateProfile struct {
 	// LockConflicts counts lock acquisitions that found the lock already
 	// held (shared-style structures only).
 	LockConflicts uint64
-	// ChunkLoads is the cumulative per-chunk edge count (chunked-style
-	// structures only); its spread measures workload imbalance.
+	// ChunkLoads is the per-chunk edge count (chunked-style structures
+	// only); its spread measures workload imbalance.
 	ChunkLoads []uint64
 	// MetaOps counts degree-query and flush meta-operations (DAH only)
 	// or tier-transition copy work (hybrid).
@@ -32,56 +37,25 @@ type UpdateProfile struct {
 	TierDemotions uint64
 }
 
-// Add merges o into p (chunk loads are summed index-wise).
-func (p *UpdateProfile) Add(o UpdateProfile) {
-	p.EdgesIngested += o.EdgesIngested
-	p.Inserted += o.Inserted
-	p.ScanSteps += o.ScanSteps
-	p.LockConflicts += o.LockConflicts
-	p.MetaOps += o.MetaOps
-	p.TierPromotions += o.TierPromotions
-	p.TierDemotions += o.TierDemotions
-	for len(p.ChunkLoads) < len(o.ChunkLoads) {
-		p.ChunkLoads = append(p.ChunkLoads, 0)
+// MoveTo adds p into dst (chunk loads index-wise, dst's slice grown to
+// p's length) and zeroes p, keeping p's chunk-load slice: the body of a
+// store's TakeProfile. Once dst's slice has grown it allocates nothing.
+func (p *UpdateProfile) MoveTo(dst *UpdateProfile) {
+	dst.EdgesIngested += p.EdgesIngested
+	dst.Inserted += p.Inserted
+	dst.ScanSteps += p.ScanSteps
+	dst.LockConflicts += p.LockConflicts
+	dst.MetaOps += p.MetaOps
+	dst.TierPromotions += p.TierPromotions
+	dst.TierDemotions += p.TierDemotions
+	for len(dst.ChunkLoads) < len(p.ChunkLoads) {
+		dst.ChunkLoads = append(dst.ChunkLoads, 0)
 	}
-	for i, v := range o.ChunkLoads {
-		p.ChunkLoads[i] += v
+	for i, v := range p.ChunkLoads {
+		dst.ChunkLoads[i] += v
 	}
-}
-
-// Delta returns the field-wise difference p - prev: the increment one
-// batch contributed to the cumulative profile. The telemetry layer uses
-// it to snapshot the profile per batch instead of per run. Counters that
-// went backwards (a ResetProfile between snapshots) clamp to the current
-// cumulative value; ChunkLoads missing from prev count as zero.
-func (p *UpdateProfile) Delta(prev *UpdateProfile) UpdateProfile {
-	d := UpdateProfile{
-		EdgesIngested:  sub(p.EdgesIngested, prev.EdgesIngested),
-		Inserted:       sub(p.Inserted, prev.Inserted),
-		ScanSteps:      sub(p.ScanSteps, prev.ScanSteps),
-		LockConflicts:  sub(p.LockConflicts, prev.LockConflicts),
-		MetaOps:        sub(p.MetaOps, prev.MetaOps),
-		TierPromotions: sub(p.TierPromotions, prev.TierPromotions),
-		TierDemotions:  sub(p.TierDemotions, prev.TierDemotions),
-	}
-	if len(p.ChunkLoads) > 0 {
-		d.ChunkLoads = make([]uint64, len(p.ChunkLoads))
-		for i, v := range p.ChunkLoads {
-			if i < len(prev.ChunkLoads) {
-				d.ChunkLoads[i] = sub(v, prev.ChunkLoads[i])
-			} else {
-				d.ChunkLoads[i] = v
-			}
-		}
-	}
-	return d
-}
-
-func sub(cur, prev uint64) uint64 {
-	if prev > cur {
-		return cur
-	}
-	return cur - prev
+	clear(p.ChunkLoads)
+	*p = UpdateProfile{ChunkLoads: p.ChunkLoads}
 }
 
 // Imbalance reports max/mean of the chunk loads (1 = perfectly balanced,
@@ -102,59 +76,4 @@ func (p *UpdateProfile) Imbalance() float64 {
 	}
 	mean := float64(sum) / float64(n)
 	return float64(max) / mean
-}
-
-// ConflictRate reports LockConflicts / EdgesIngested (0 when idle).
-func (p *UpdateProfile) ConflictRate() float64 {
-	if p.EdgesIngested == 0 {
-		return 0
-	}
-	return float64(p.LockConflicts) / float64(p.EdgesIngested)
-}
-
-// Profiler is implemented by stores that expose an UpdateProfile.
-type Profiler interface {
-	UpdateProfile() UpdateProfile
-	ResetProfile()
-}
-
-// ProfileOf collects the profile of g if it is profiled; TwoCopy-wrapped
-// graphs merge the out- and in-store profiles.
-func ProfileOf(g Graph) (UpdateProfile, bool) {
-	switch t := g.(type) {
-	case *TwoCopy:
-		var p UpdateProfile
-		any := false
-		if pr, ok := t.OutStore().(Profiler); ok {
-			p.Add(pr.UpdateProfile())
-			any = true
-		}
-		if t.Directed() {
-			if pr, ok := t.InStore().(Profiler); ok {
-				p.Add(pr.UpdateProfile())
-				any = true
-			}
-		}
-		return p, any
-	case Profiler:
-		return t.UpdateProfile(), true
-	}
-	return UpdateProfile{}, false
-}
-
-// ResetProfileOf clears accumulated profiles where supported.
-func ResetProfileOf(g Graph) {
-	switch t := g.(type) {
-	case *TwoCopy:
-		if pr, ok := t.OutStore().(Profiler); ok {
-			pr.ResetProfile()
-		}
-		if t.Directed() {
-			if pr, ok := t.InStore().(Profiler); ok {
-				pr.ResetProfile()
-			}
-		}
-	case Profiler:
-		t.ResetProfile()
-	}
 }

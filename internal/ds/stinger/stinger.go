@@ -262,18 +262,11 @@ func (s *store) NumEdges() int { return int(s.numEdges.Load()) }
 // NumNodes implements ds.OneDir.
 func (s *store) NumNodes() int { return len(s.heads) }
 
-// UpdateProfile implements ds.Profiler.
-func (s *store) UpdateProfile() ds.UpdateProfile {
+// TakeProfile implements ds.OneDir.
+func (s *store) TakeProfile(into *ds.UpdateProfile) {
 	s.profMu.Lock()
 	defer s.profMu.Unlock()
-	return s.prof
-}
-
-// ResetProfile implements ds.Profiler.
-func (s *store) ResetProfile() {
-	s.profMu.Lock()
-	defer s.profMu.Unlock()
-	s.prof = ds.UpdateProfile{}
+	s.prof.MoveTo(into)
 }
 
 // BlockSize reports the configured edge-block capacity.

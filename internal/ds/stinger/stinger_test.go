@@ -61,7 +61,8 @@ func TestTwoScanAccounting(t *testing.T) {
 		wantScans += 2 * deg
 		deg++
 	}
-	p, _ := ds.ProfileOf(g)
+	var p ds.UpdateProfile
+	g.(*ds.TwoCopy).TakeProfile(&p)
 	// The in-copy contributes scans over single-edge chains (2 scans of
 	// 0..0 slots = 0) so the total equals the out-copy's.
 	if p.ScanSteps != wantScans {

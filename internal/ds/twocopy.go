@@ -35,6 +35,10 @@ type OneDir interface {
 	// store's own multithreading style. Deleting an absent edge is a
 	// no-op. Every edge's endpoints are < NumNodes().
 	DeleteEdges(edges []graph.Edge)
+	// TakeProfile adds the counts gathered since the previous call into
+	// *into (see UpdateProfile.MoveTo) and zeroes them. It is called while
+	// no update is in flight.
+	TakeProfile(into *UpdateProfile)
 }
 
 // TwoCopy adapts OneDir stores to the Graph interface.
@@ -165,6 +169,16 @@ func (t *TwoCopy) InRun(v graph.NodeID) []graph.Neighbor {
 
 // Directed implements Graph.
 func (t *TwoCopy) Directed() bool { return t.directed }
+
+// TakeProfile adds both stores' counts gathered since the previous call
+// into *into and zeroes them; chunk loads are summed index-wise across the
+// two copies.
+func (t *TwoCopy) TakeProfile(into *UpdateProfile) {
+	t.out.TakeProfile(into)
+	if t.directed {
+		t.in.TakeProfile(into)
+	}
+}
 
 // OutStore exposes the underlying out-direction store; the architecture
 // replayer uses it to walk the concrete memory layout.

@@ -10,6 +10,7 @@ import (
 type fakeStore struct {
 	adj  []map[graph.NodeID]graph.Weight
 	dels int
+	prof UpdateProfile // EdgesIngested, and every record as chunk 0's load
 }
 
 func (f *fakeStore) EnsureNodes(n int) {
@@ -22,7 +23,14 @@ func (f *fakeStore) UpdateEdges(edges []graph.Edge) {
 	for _, e := range edges {
 		f.adj[e.Src][e.Dst] = e.Weight
 	}
+	f.prof.EdgesIngested += uint64(len(edges))
+	if f.prof.ChunkLoads == nil {
+		f.prof.ChunkLoads = make([]uint64, 1)
+	}
+	f.prof.ChunkLoads[0] += uint64(len(edges))
 }
+
+func (f *fakeStore) TakeProfile(into *UpdateProfile) { f.prof.MoveTo(into) }
 
 func (f *fakeStore) Degree(v graph.NodeID) int { return len(f.adj[v]) }
 
@@ -144,14 +152,31 @@ func TestTwoCopyQueriesOutOfRange(t *testing.T) {
 	}
 }
 
-func TestProfileOfFallbacks(t *testing.T) {
-	plain := NewTwoCopy(true, func() OneDir { return &fakeStore{} })
-	if _, ok := ProfileOf(plain); ok {
-		t.Fatal("plain store should have no profile")
-	}
-	ResetProfileOf(plain) // no-op, must not panic
-	if plain.NumNodes() != 0 {
-		t.Fatal("NumNodes on empty store")
+// TestTwoCopyTakeProfile: a take merges both copies of a directed graph
+// (chunk loads index-wise), takes the one store of an undirected graph
+// once, and leaves nothing behind for the next take.
+func TestTwoCopyTakeProfile(t *testing.T) {
+	batch := graph.Batch{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 1}, {Src: 2, Dst: 0, Weight: 1}}
+	for _, tc := range []struct {
+		directed bool
+		want     uint64 // records offered across the stores
+	}{{true, 6}, {false, 6}} {
+		g := NewTwoCopy(tc.directed, func() OneDir { return &fakeStore{} })
+		var p UpdateProfile
+		g.TakeProfile(&p)
+		if p.EdgesIngested != 0 || len(p.ChunkLoads) != 0 {
+			t.Fatalf("directed=%v: an empty graph handed over %+v", tc.directed, p)
+		}
+		g.Update(batch)
+		g.TakeProfile(&p)
+		if p.EdgesIngested != tc.want || len(p.ChunkLoads) != 1 || p.ChunkLoads[0] != tc.want {
+			t.Fatalf("directed=%v: took %+v, want %d records in one chunk", tc.directed, p, tc.want)
+		}
+		var again UpdateProfile
+		g.TakeProfile(&again)
+		if again.EdgesIngested != 0 || again.ChunkLoads[0] != 0 {
+			t.Fatalf("directed=%v: a second take handed over %+v", tc.directed, again)
+		}
 	}
 }
 

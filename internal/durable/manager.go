@@ -47,7 +47,7 @@ func Open(cfg Config, rec *telemetry.Recorder) (*Manager, error) {
 	userHook := m.retry.OnRetry
 	m.retry.OnRetry = func(op string, attempt int, err error) {
 		m.retries.Add(1)
-		m.rec.RecordDurableRetry(op)
+		m.rec.RecordDurableRetry()
 		if userHook != nil {
 			userHook(op, attempt, err)
 		}
@@ -132,7 +132,6 @@ func (m *Manager) Append(adds, dels graph.Batch) (uint64, error) {
 	}
 	m.lastSeq = seq
 	m.lastAppendBytes, m.lastAppendFsync = n, fsync
-	m.rec.RecordWALAppend(n, fsync)
 	if m.cfg.Crash != nil {
 		m.cfg.Crash(CrashAfterAppend)
 	}
@@ -140,8 +139,9 @@ func (m *Manager) Append(adds, dels graph.Batch) (uint64, error) {
 }
 
 // LastAppendStats reports the record size and fsync latency of the most
-// recent Append (fsync 0 when the policy skipped it) — the batch tracer
-// stamps these on its wal.append span.
+// recent Append (fsync 0 when the policy skipped it): the pipeline's wal
+// stage copies them into the batch's record, which feeds the WAL metrics
+// and the wal.append span.
 func (m *Manager) LastAppendStats() (bytes int, fsync time.Duration) {
 	return m.lastAppendBytes, m.lastAppendFsync
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // BatchEvent is one structured record of the per-batch event log —
-// everything the paper measures per batch, plus the data-structure update
-// profile of Fig 9, as a single JSONL line.
+// everything the paper measures per batch, plus the data structure's
+// contention and imbalance counts, as a single JSONL line.
 type BatchEvent struct {
 	// TimeUnixMS is the wall-clock completion time of the batch.
 	TimeUnixMS int64 `json:"ts_ms"`
@@ -65,8 +65,8 @@ type BatchEvent struct {
 	// (zero when non-blocking queries are off).
 	Epoch uint64 `json:"epoch,omitempty"`
 
-	// Update-phase data-structure profile, as per-batch deltas of
-	// ds.UpdateProfile (zero when the structure is not profiled).
+	// The data structure's counts of the batch (the pipeline's
+	// BatchRecord.DS, a ds.UpdateProfile).
 	DSEdgesIngested uint64  `json:"ds_edges_ingested,omitempty"`
 	DSInserted      uint64  `json:"ds_inserted,omitempty"`
 	DSScanSteps     uint64  `json:"ds_scan_steps,omitempty"`

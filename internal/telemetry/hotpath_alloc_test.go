@@ -34,8 +34,9 @@ func TestNilRecorderOpsDoNotAllocate(t *testing.T) {
 		r.RecordQueryMiss()
 		r.RecordQuerySession(12, 3)
 		r.RecordEpochPublish(1, 0, 2)
-		r.RecordDurableRetry("wal-append")
+		r.RecordDurableRetry()
 		r.RecordWALAppend(128, time.Millisecond)
+		r.RecordRetries(2)
 		r.RecordQueueDepth(7)
 		r.RecordHealthState(1)
 	}); allocs != 0 {

@@ -162,14 +162,12 @@ func (r *Recorder) RecordHealthState(ordinal int) {
 	r.healthTransitions.Inc()
 }
 
-// RecordDurableRetry counts one durable I/O retry (op identifies the
-// retried unit; the aggregate counter keeps cardinality flat and the
-// health report carries the per-op detail).
-func (r *Recorder) RecordDurableRetry(op string) {
+// RecordDurableRetry counts one durable I/O retry (one aggregate counter
+// keeps cardinality flat; the health report carries the per-op detail).
+func (r *Recorder) RecordDurableRetry() {
 	if r == nil {
 		return
 	}
-	_ = op
 	r.durableRetries.Inc()
 }
 
@@ -303,12 +301,12 @@ func (r *Recorder) RecordQuarantine() {
 	r.quarantines.Inc()
 }
 
-// RecordRetry counts a batch apply retry.
-func (r *Recorder) RecordRetry() {
+// RecordRetries counts a batch's n apply retries.
+func (r *Recorder) RecordRetries(n int) {
 	if r == nil {
 		return
 	}
-	r.applyRetries.Inc()
+	r.applyRetries.Add(uint64(n))
 }
 
 // Registry exposes the metric registry (nil for a nil recorder).
