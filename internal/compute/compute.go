@@ -21,10 +21,10 @@ package compute
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"sagabench/internal/ds"
 	"sagabench/internal/graph"
-	"sagabench/internal/trace"
 )
 
 // Model selects a compute model.
@@ -52,12 +52,12 @@ type Options struct {
 	// Epsilon overrides the INC triggering threshold (default 1e-7 for
 	// PR, exact change for the monotone algorithms).
 	Epsilon float64
-	// WorkerTiming enables the per-worker busy-time clocks behind
-	// Stats.WorkerBusyNS and StragglerRatio. It costs two monotonic clock
-	// reads per worker range per round — measurable on small INC rounds —
-	// so core.NewPipeline switches it on only when a telemetry recorder or
-	// tracer is attached; with it off the kernels run exactly the
-	// uninstrumented code path.
+	// WorkerTiming enables the range records of Stats.Ranges, and with
+	// them Stats.WorkerBusyNS and StragglerRatio. It costs two monotonic
+	// clock reads and one record per worker range per round — measurable
+	// on small INC rounds — so core.NewPipeline switches it on only when
+	// a telemetry recorder or tracer is attached; with it off the kernels
+	// run exactly the uninstrumented code path.
 	WorkerTiming bool
 }
 
@@ -135,13 +135,27 @@ type Stats struct {
 	// (recomputation from scratch has no triggering).
 	Triggered uint64
 	Skipped   uint64
-	// WorkerBusyNS is the per-worker busy time (nanoseconds, indexed by
-	// worker slot) summed over the phase's parallel rounds — the raw
-	// material of the straggler ratio. It aliases engine scratch and is
-	// valid until the next PerformAlg; callers that retain it must copy.
-	// Empty for the sequential kernels (FS SSSP/SSWP) and before the
-	// first parallel round.
+	// Ranges records every worker range of the phase's passes, in pass
+	// order (Options.WorkerTiming; nil with it off). WorkerBusyNS is their
+	// per-worker busy time (nanoseconds, indexed by worker slot) — the raw
+	// material of the straggler ratio; all zero for the sequential
+	// kernels (FS SSSP/SSWP). Both alias engine scratch and are valid
+	// until the next PerformAlg; callers that retain them must copy.
+	Ranges       []Range
 	WorkerBusyNS []int64
+}
+
+// Range is one worker's share of one pass: the pass (Pass names it, and
+// StepKey/Step number it within the phase: its 1-based round, level or
+// iteration), the worker slot and the vertices it covered, what it did
+// (CountKey is "triggered" for a triggering pass, else "edges" read), and
+// when it ran.
+type Range struct {
+	Pass, StepKey, CountKey string
+	Step, Worker, Vertices  int
+	Count                   uint64
+	Start                   time.Time
+	Dur                     time.Duration
 }
 
 // WorkersUsed counts the worker slots that did any work in the phase.
@@ -188,15 +202,6 @@ func (s Stats) TriggerFraction() float64 {
 		return 0
 	}
 	return float64(s.Triggered) / float64(n)
-}
-
-// Traceable is implemented by engines whose parallel rounds can be
-// attributed to a batch trace: the pipeline hands the engine the compute
-// phase's span context before each PerformAlg, and the kernels open one
-// span per worker range per round. The zero trace.Ctx disables span
-// recording at no cost.
-type Traceable interface {
-	SetTrace(ctx trace.Ctx)
 }
 
 // AlgNames lists the six algorithms in the paper's order.

@@ -1,16 +1,14 @@
 package compute
 
 import (
-	"time"
-
 	"sagabench/internal/ds"
 	"sagabench/internal/graph"
 )
 
 // This file is the kernel side of the compute-view layer: resolution of a
-// graph's flat CSR mirror, an edge-balanced range partitioner so one hub
-// vertex no longer serializes a round, and the per-worker clock. The range
-// runner is graph.ParallelRanges.
+// graph's flat CSR mirror and an edge-balanced range partitioner so one hub
+// vertex no longer serializes a round. The range runner is
+// graph.ParallelRanges.
 
 // flatCSROf resolves the zero-copy fast path: a graph exposing a flat CSR
 // (ds.ComputeView or snapshot.Frozen) returns its index/adjacency arrays
@@ -53,35 +51,4 @@ func balancedCuts(cuts []int, n, threads int, weight func(i int) int64) []int {
 		}
 	}
 	return append(cuts, n)
-}
-
-// workerClock accumulates per-worker busy time across a phase's parallel
-// rounds, feeding Stats.WorkerBusyNS and the straggler ratio. Plain (non
-// atomic) stores are safe: each slot is written only by its own worker
-// inside graph.ParallelRanges, and rounds join through its WaitGroup
-// before the coordinator reads, so every access is ordered by
-// happens-before edges the kernels already have.
-type workerClock struct {
-	busy []int64
-}
-
-// reset prepares `workers` zeroed slots, retaining capacity.
-func (c *workerClock) reset(workers int) {
-	for len(c.busy) < workers {
-		c.busy = append(c.busy, 0)
-	}
-	c.busy = c.busy[:workers]
-	for i := range c.busy {
-		c.busy[i] = 0
-	}
-}
-
-// add charges d to worker w. No-op before reset or for out-of-range w
-// (sequential kernels never call it).
-//
-// saga:hotpath
-func (c *workerClock) add(w int, d time.Duration) {
-	if w >= 0 && w < len(c.busy) {
-		c.busy[w] += int64(d)
-	}
 }

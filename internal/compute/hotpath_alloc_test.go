@@ -57,15 +57,30 @@ func TestPushRunsDoesNotAllocate(t *testing.T) {
 	_, _ = a, b
 }
 
-func TestWorkerClockAddDoesNotAllocate(t *testing.T) {
-	var c workerClock
-	c.reset(4)
-	if allocs := testing.AllocsPerRun(1000, func() {
-		for w := 0; w < 4; w++ {
-			c.add(w, time.Microsecond)
+// With WorkerTiming on, a steady-state batch allocates nothing either: run
+// reserves each pass's range records in engine scratch, which stops
+// growing once a batch of the same shape has run, and rangeWorker only
+// writes its own slot. The busy sums are the records' durations.
+func TestRangeWorkerDoesNotAllocate(t *testing.T) {
+	g, _ := hotpathTestGraph(t)
+	e := newFSEngine(specs["pr"], Options{Threads: 1, WorkerTiming: true})
+	e.PerformAlg(g, nil) // cold: sizes the vectors and the range records
+	if allocs := testing.AllocsPerRun(20, func() { e.PerformAlg(g, nil) }); allocs != 0 {
+		t.Errorf("FS PageRank batch with range records allocates %.1f times", allocs)
+	}
+	st := e.Stats()
+	if len(st.Ranges) != 2*st.Iterations {
+		t.Fatalf("%d range records for %d iterations of two passes", len(st.Ranges), st.Iterations)
+	}
+	var busy time.Duration
+	for i, rg := range st.Ranges {
+		if rg.Worker != 0 || rg.Step != i/2+1 || rg.Vertices != g.NumNodes() || rg.CountKey != "edges" {
+			t.Fatalf("range %d: %+v", i, rg)
 		}
-	}); allocs != 0 {
-		t.Errorf("workerClock.add allocates %.1f times per round", allocs)
+		busy += rg.Dur
+	}
+	if len(st.WorkerBusyNS) != 1 || st.WorkerBusyNS[0] != int64(busy) {
+		t.Fatalf("WorkerBusyNS %v, ranges sum to %d", st.WorkerBusyNS, busy)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"sagabench/internal/ds"
 	"sagabench/internal/graph"
-	"sagabench/internal/trace"
 )
 
 // rounds is what both engines are built on: the property array, the one
@@ -52,11 +51,13 @@ type rounds struct {
 	round   pass
 	rangeFn func(w, lo, hi int)
 
-	// clock accumulates per-worker busy time across the phase's passes;
-	// tr scopes this phase's worker spans to the current batch trace (zero
-	// value = tracing off).
-	clock workerClock
-	tr    trace.Ctx
+	// With WorkerTiming on, ranges holds one record per worker range of
+	// the phase and busy their per-worker sums. run reserves a pass's
+	// slots, from base on, before the fork: each worker writes only its
+	// own.
+	ranges []Range
+	base   int
+	busy   []int64
 }
 
 // worker is one worker slot's state across the passes of a phase.
@@ -67,10 +68,10 @@ type worker struct {
 	delta                float64 // FS PageRank: the pull range's summed |rank change|
 }
 
-// pass names one kind of parallel range: its worker span, the span
-// attribute that numbers it (the phase's 1-based round, level or
-// iteration), and its body. A triggering pass reports how many of its
-// vertices triggered where the others report the edges they read.
+// pass names one kind of parallel range: its name in a range record, the
+// key that numbers it (the phase's 1-based round, level or iteration),
+// and its body. A triggering pass reports how many of its vertices
+// triggered where the others report the edges they read.
 type pass struct {
 	span, step string
 	triggers   bool
@@ -98,11 +99,6 @@ func (r *rounds) ValuesInto(dst []float64) []float64 { return r.vals.materialize
 
 func (r *rounds) Stats() Stats { return r.stats }
 
-// SetTrace implements Traceable: worker spans of the next PerformAlg are
-// recorded under ctx. The pipeline re-arms it every batch; the zero Ctx
-// disables recording.
-func (r *rounds) SetTrace(ctx trace.Ctx) { r.tr = ctx }
-
 // begin opens a phase over g, whose vertices vals already covers: zeroed
 // stats and counters, an empty frontier of g's size (whatever a phase that
 // died mid-pass left marked is dropped here), and every worker's accessor
@@ -110,10 +106,8 @@ func (r *rounds) SetTrace(ctx trace.Ctx) { r.tr = ctx }
 // so the vertex loop forks on neither the backing nor the algorithm.
 func (r *rounds) begin(g ds.Graph) {
 	threads := r.opts.threads()
-	if r.opts.WorkerTiming {
-		r.clock.reset(threads)
-	}
 	r.stats = Stats{}
+	r.ranges = r.ranges[:0]
 	r.g, r.csr, r.n = g, flatCSROf(g), g.NumNodes()
 	r.front = r.front[:0].sized(r.n)
 	r.body = (*rounds).roundGraph
@@ -131,7 +125,8 @@ func (r *rounds) begin(g ds.Graph) {
 	}
 }
 
-// end closes the phase: the workers' counters become its stats.
+// end closes the phase: the workers' counters become its stats, and with
+// WorkerTiming on its range records and their per-worker busy sums.
 func (r *rounds) end() {
 	for w := range r.workers {
 		wk := &r.workers[w]
@@ -141,42 +136,54 @@ func (r *rounds) end() {
 	}
 	r.g, r.csr = nil, nil
 	if r.opts.WorkerTiming {
-		r.stats.WorkerBusyNS = r.clock.busy
+		r.busy = r.busy[:0]
+		for range r.opts.threads() {
+			r.busy = append(r.busy, 0)
+		}
+		for i := range r.ranges {
+			r.busy[r.ranges[i].Worker] += int64(r.ranges[i].Dur)
+		}
+		r.stats.Ranges, r.stats.WorkerBusyNS = r.ranges, r.busy
 	}
 }
 
-// run is one pass: p's body over every range of cuts, joined.
+// run is one pass: p's body over every range of cuts, joined. With
+// WorkerTiming on it first reserves the pass's range records, one per
+// range, so the workers write them without growing a shared slice.
 func (r *rounds) run(p *pass, cuts []int) {
 	r.pass, r.plain = p, len(cuts) == 2
+	if r.opts.WorkerTiming {
+		r.base = len(r.ranges)
+		for range cuts[1:] {
+			r.ranges = append(r.ranges, Range{})
+		}
+	}
 	graph.ParallelRanges(cuts, r.rangeFn)
 }
 
-// rangeWorker is one worker's share of a pass: timing and the trace span
-// around the body.
+// rangeWorker is one worker's share of a pass: the body, and with
+// WorkerTiming on the range's record around it.
 //
 // saga:hotpath
 func (r *rounds) rangeWorker(w, lo, hi int) {
-	var t0 time.Time
-	if r.opts.WorkerTiming {
-		t0 = time.Now() // saga:allow determinism -- worker busy-time metric and trace spans only; never feeds values or frontier order.
-	}
 	p, wk := r.pass, &r.workers[w]
-	sp := r.tr.Worker(p.span, w)
+	if !r.opts.WorkerTiming {
+		p.run(wk, lo, hi)
+		return
+	}
+	t0 := time.Now() // saga:allow determinism -- range records feed busy-time metrics and traces only; never values or frontier order.
 	edges0, trig0 := wk.ctx.edges, wk.triggered
 	p.run(wk, lo, hi)
-	// Iterations counts completed passes and is coordinator-owned,
-	// stable while this pass's workers run — race-free to read.
-	sp.SetInt(p.step, int64(r.stats.Iterations+1))
-	sp.SetInt("vertices", int64(hi-lo))
+	// Iterations counts completed passes and, like base, is
+	// coordinator-owned and stable while this pass's workers run —
+	// race-free to read.
+	rg := &r.ranges[r.base+w]
+	*rg = Range{Pass: p.span, StepKey: p.step, Step: r.stats.Iterations + 1, Worker: w, Vertices: hi - lo,
+		CountKey: "edges", Count: wk.ctx.edges - edges0, Start: t0}
 	if p.triggers {
-		sp.SetInt("triggered", int64(wk.triggered-trig0))
-	} else {
-		sp.SetInt("edges", int64(wk.ctx.edges-edges0))
+		rg.CountKey, rg.Count = "triggered", wk.triggered-trig0
 	}
-	sp.End()
-	if r.opts.WorkerTiming {
-		r.clock.add(w, time.Since(t0)) // saga:allow determinism -- worker busy-time metric only.
-	}
+	rg.Dur = time.Since(t0) // saga:allow determinism -- range records only.
 }
 
 // seedAll makes every vertex the first round's frontier: an FS

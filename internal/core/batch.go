@@ -61,8 +61,8 @@ var stages = [NumStages]struct {
 func (s StageID) String() string { return stages[s].name }
 
 // BatchRecord is what the pipeline knows about one batch once it has run;
-// the returned latencies, the telemetry event and the batch trace's
-// attributes are all read off it (emit).
+// the returned latencies, the telemetry event and the batch trace are all
+// read off it (stage, emit).
 type BatchRecord struct {
 	// Index counts the batches the pipeline applied before this one.
 	Index int
@@ -75,11 +75,14 @@ type BatchRecord struct {
 	// What the update, view, compute and publish stages reported. DS holds
 	// the structure's counts taken after the update stage (summed over
 	// retried attempts); its ChunkLoads alias pipeline scratch, and
-	// Compute's WorkerBusyNS engine scratch, until the next batch.
-	DS      ds.UpdateProfile
-	View    ds.RefreshStats
-	Compute compute.Stats
-	Epoch   uint64
+	// Compute's Ranges and WorkerBusyNS engine scratch, until the next
+	// batch. Epoch and EpochEdges are the published snapshot's number and
+	// edge count.
+	DS         ds.UpdateProfile
+	View       ds.RefreshStats
+	Compute    compute.Stats
+	Epoch      uint64
+	EpochEdges int
 	// WALSeq is the sequence number the batch was logged under (0: no
 	// durability, rejected by validation, or applied unlogged with
 	// durability degraded), WALBytes and WALFsync the size of its record
@@ -111,10 +114,10 @@ func (r *BatchRecord) Latency() BatchLatency {
 }
 
 // runBatch runs one batch, offered live (seq 0; the wal stage assigns one)
-// or replayed from WAL record seq: it opens the batch trace, walks the
-// stages and emits the record, on every outcome. A poison batch is
-// quarantined and returns nil; an error is a failed delete on a pipeline
-// without durability, or unrecoverable durability I/O.
+// or replayed from WAL record seq: it walks the stages and emits the
+// record, on every outcome. A poison batch is quarantined and returns nil;
+// an error is a failed delete on a pipeline without durability, or
+// unrecoverable durability I/O.
 func (p *Pipeline) runBatch(mb MixedBatch, seq uint64, replay bool) (BatchLatency, error) {
 	live := p.dur != nil && !replay
 	if live && p.fenced.Load() {
@@ -123,7 +126,9 @@ func (p *Pipeline) runBatch(mb MixedBatch, seq uint64, replay bool) (BatchLatenc
 	p.in = mb
 	p.batch = BatchRecord{Index: p.batchIdx, Adds: len(mb.Adds), Dels: len(mb.Dels), WALSeq: seq,
 		DS: ds.UpdateProfile{ChunkLoads: p.batch.DS.ChunkLoads[:0]}}
-	p.bt = p.tr.StartBatch(p.batchIdx)
+	if p.tr != nil {
+		p.traceSeq, p.traceStart, p.spans = p.tr.NextSeq(), time.Now(), nil
+	}
 	p.batch.Err = p.walk(live)
 	p.emit(live)
 	if p.batch.Quarantined != "" {
@@ -198,14 +203,14 @@ func (p *Pipeline) walk(live bool) error {
 
 // stage is the one place a stage body meets what observes stages: the
 // pprof labels (batch/stage/ds/alg/model), the supervisor's watchdog,
-// the fault injector, a trace span, and the clock whose reading lands in
-// the record. An injected error panics; applyCaught turns it
-// into the poison-batch protocol on a durable pipeline, the supervisor's
-// worker capture into a restart otherwise.
+// the fault injector, and the clock whose reading lands in the record and,
+// with a tracer attached, in the stage's span. An injected error panics;
+// applyCaught turns it into the poison-batch protocol on a durable
+// pipeline, the supervisor's worker capture into a restart otherwise.
 func (p *Pipeline) stage(id StageID) (err error) {
 	st := &stages[id]
 	if p.tr.PprofLabels() {
-		defer p.tr.Label(p.bt.Seq, st.name)()
+		defer p.tr.Label(p.traceSeq, st.name)()
 	}
 	// The watchdog's signal precedes the injector: an injected stall must
 	// sleep while the watchdog already sees the stage in flight.
@@ -217,62 +222,107 @@ func (p *Pipeline) stage(id StageID) (err error) {
 			panic(ferr)
 		}
 	}
-	sp := p.bt.Start(st.span)
 	t0 := time.Now()
 	switch id {
 	case StageValidate:
 		err = durable.ValidateBatch(p.in.Adds, p.in.Dels, p.dur.man.Config().MaxNodeID)
 	case StageWAL:
-		err = p.walStage(&sp)
+		err = p.walStage()
 	case StageUpdate:
-		err = p.updateStage(&sp)
+		err = p.updateStage()
 	case StageView:
-		p.viewStage(&sp)
+		p.viewStage()
 	case StageCompute:
-		p.computeStage(&sp)
+		p.computeStage()
 	case StagePublish:
-		p.publishStage(&sp)
+		p.publishStage()
 	case StageCheckpoint:
 		err = p.writeDurableCheckpoint()
 	}
 	p.batch.Stage[id] = time.Since(t0)
-	if err != nil {
-		sp.SetStr("error", err.Error())
+	if p.tr != nil {
+		p.traceStage(id, t0, err)
 	}
-	sp.End()
 	return err
 }
 
-func (p *Pipeline) walStage(sp *trace.Span) error {
+// traceStage appends the span of a completed stage attempt to the batch
+// trace: the stage's own clock readings and its attributes read off the
+// record, and under a compute span one child per worker range. A retried
+// batch keeps the spans of every attempt.
+func (p *Pipeline) traceStage(id StageID, t0 time.Time, err error) {
+	parent := int32(len(p.spans))
+	start := int64(t0.Sub(p.traceStart))
+	p.spans = append(p.spans, trace.SpanRecord{ID: parent, Parent: -1, Worker: -1, Stage: stages[id].span,
+		StartNS: start, EndNS: start + int64(p.batch.Stage[id]), Attrs: stageAttrs(id, &p.batch, err)})
+	if id != StageCompute {
+		return
+	}
+	for _, rg := range p.batch.Compute.Ranges {
+		start := int64(rg.Start.Sub(p.traceStart))
+		p.spans = append(p.spans, trace.SpanRecord{ID: int32(len(p.spans)), Parent: parent, Worker: int32(rg.Worker),
+			Stage: rg.Pass, StartNS: start, EndNS: start + int64(rg.Dur), Attrs: []trace.Attr{
+				trace.Int(rg.StepKey, int64(rg.Step)), trace.Int("vertices", int64(rg.Vertices)),
+				trace.Int(rg.CountKey, int64(rg.Count))}})
+	}
+}
+
+// stageAttrs are the attributes of stage id's span, read off the record
+// the stage wrote; a failed stage carries only its error.
+func stageAttrs(id StageID, r *BatchRecord, err error) []trace.Attr {
+	if err != nil {
+		return []trace.Attr{trace.Str("error", err.Error())}
+	}
+	var a []trace.Attr
+	switch id {
+	case StageWAL:
+		a = append(a, trace.Int("seq", int64(r.WALSeq)), trace.Int("bytes", int64(r.WALBytes)))
+		if r.WALFsync > 0 {
+			a = append(a, trace.Int("fsync_ns", r.WALFsync.Nanoseconds()))
+		}
+	case StageUpdate:
+		a = append(a, trace.Int("edges", int64(r.Adds)))
+		if r.Dels > 0 {
+			a = append(a, trace.Int("deletes", int64(r.Dels)))
+		}
+	case StageView:
+		a = append(a, trace.Float("dirty_frac", r.View.DirtyFraction()), trace.Int("written", int64(r.View.Written)))
+		if r.View.Full {
+			a = append(a, trace.Int("full", 1))
+		}
+	case StageCompute:
+		es := &r.Compute
+		a = append(a, trace.Int("affected", int64(r.Affected)), trace.Int("iterations", int64(es.Iterations)),
+			trace.Int("processed", int64(es.Processed)))
+		if s := es.StragglerRatio(); s > 0 {
+			a = append(a, trace.Float("straggler", s))
+		}
+	case StagePublish:
+		a = append(a, trace.Int("epoch", int64(r.Epoch)), trace.Int("nodes", int64(r.Nodes)),
+			trace.Int("edges", int64(r.EpochEdges)))
+	}
+	return a
+}
+
+func (p *Pipeline) walStage() error {
 	seq, err := p.dur.man.Append(p.in.Adds, p.in.Dels)
 	if err != nil {
 		return err
 	}
 	p.batch.WALSeq = seq
 	p.batch.WALBytes, p.batch.WALFsync = p.dur.man.LastAppendStats()
-	sp.SetInt("seq", int64(seq))
-	sp.SetInt("bytes", int64(p.batch.WALBytes))
-	if p.batch.WALFsync > 0 {
-		sp.SetInt("fsync_ns", p.batch.WALFsync.Nanoseconds())
-	}
 	return nil
 }
 
-func (p *Pipeline) updateStage(sp *trace.Span) error {
+func (p *Pipeline) updateStage() error {
 	p.g.Update(p.in.Adds)
 	if len(p.in.Dels) > 0 {
-		if err := p.g.(ds.Deleter).Delete(p.in.Dels); err != nil {
-			return err
-		}
-	}
-	sp.SetInt("edges", int64(len(p.in.Adds)))
-	if len(p.in.Dels) > 0 {
-		sp.SetInt("deletes", int64(len(p.in.Dels)))
+		return p.g.(ds.Deleter).Delete(p.in.Dels)
 	}
 	return nil
 }
 
-func (p *Pipeline) viewStage(sp *trace.Span) {
+func (p *Pipeline) viewStage() {
 	// The refresh is about to patch the spare index buffers (and, when it
 	// compacts, may refill the arena only they reach), and the publish
 	// after it to overwrite the spare value vector; all belong to the
@@ -284,31 +334,12 @@ func (p *Pipeline) viewStage(sp *trace.Span) {
 		p.view.DropSpares()
 		p.spareVals = nil
 	}
-	v := p.view.Refresh(p.in.Adds, p.in.Dels)
-	p.batch.View = v
-	sp.SetFloat("dirty_frac", v.DirtyFraction())
-	sp.SetInt("written", int64(v.Written))
-	if v.Full {
-		sp.SetInt("full", 1)
-	}
+	p.batch.View = p.view.Refresh(p.in.Adds, p.in.Dels)
 }
 
-func (p *Pipeline) computeStage(sp *trace.Span) {
-	// Re-arm every batch: each batch trace is a fresh span tree whose
-	// context the engine threads down to per-worker range spans, and the
-	// zero Ctx (tracing off) disables the engine's span recording.
-	if te, ok := p.engine.(compute.Traceable); ok {
-		te.SetTrace(sp.Ctx())
-	}
+func (p *Pipeline) computeStage() {
 	p.engine.PerformAlg(p.ComputeGraph(), p.affected)
-	es := p.engine.Stats()
-	p.batch.Compute = es
-	sp.SetInt("affected", int64(len(p.affected)))
-	sp.SetInt("iterations", int64(es.Iterations))
-	sp.SetInt("processed", int64(es.Processed))
-	if s := es.StragglerRatio(); s > 0 {
-		sp.SetFloat("straggler", s)
-	}
+	p.batch.Compute = p.engine.Stats()
 }
 
 // publishStage publishes the post-batch state as a new epoch. With the
@@ -323,7 +354,7 @@ func (p *Pipeline) computeStage(sp *trace.Span) {
 // fresh vector, nothing to gate). The vector is copied either way, once
 // and straight out of the engine's array, which the next batch mutates in
 // place.
-func (p *Pipeline) publishStage(sp *trace.Span) {
+func (p *Pipeline) publishStage() {
 	var csr graph.CSR
 	if p.view != nil {
 		csr = *p.view.FlatCSR()
@@ -338,7 +369,7 @@ func (p *Pipeline) publishStage(sp *trace.Span) {
 		Values:   vals,
 		Directed: p.pcfg.Directed,
 	}
-	p.batch.Epoch = p.em.Publish(s)
+	p.batch.Epoch, p.batch.EpochEdges = p.em.Publish(s), s.NumEdges()
 	if p.view != nil {
 		p.spareVals, p.latestVals = p.latestVals, vals
 	} else {
@@ -347,9 +378,6 @@ func (p *Pipeline) publishStage(sp *trace.Span) {
 		// snapshot as a spare owner.
 		p.em.ForgetSpare()
 	}
-	sp.SetInt("epoch", int64(p.batch.Epoch))
-	sp.SetInt("nodes", int64(s.NumNodes()))
-	sp.SetInt("edges", int64(s.NumEdges()))
 }
 
 // applyRetry runs the apply, on a durable pipeline with panic capture and
@@ -436,48 +464,46 @@ func (p *Pipeline) apply() error {
 }
 
 // emit turns the finished record into everything downstream of a batch:
-// the trace's attributes (sizes, latencies, and the compute stats that
-// tell a straggler or a triggering storm from a big batch) and its one
-// Finish, the WAL and retry counters of whatever outcome, then for an
-// applied batch the telemetry event and metrics.
+// the batch trace (its spans, and attributes giving the sizes, latencies
+// and the compute stats that tell a straggler or a triggering storm from
+// a big batch), the WAL and retry counters of whatever outcome, then for
+// an applied batch the telemetry event and metrics.
 func (p *Pipeline) emit(live bool) {
 	r := &p.batch
 	es := &r.Compute
 	lat := r.Latency()
-	if bt := p.bt; bt != nil {
-		p.bt = nil
+	if p.tr != nil {
+		var a []trace.Attr
 		if r.Applied {
-			bt.SetInt("edges", int64(r.Adds))
+			a = append(a, trace.Int("edges", int64(r.Adds)))
 			if r.Dels > 0 {
-				bt.SetInt("deletes", int64(r.Dels))
+				a = append(a, trace.Int("deletes", int64(r.Dels)))
 			}
-			bt.SetInt("affected", int64(r.Affected))
-			bt.SetInt("iterations", int64(es.Iterations))
+			a = append(a, trace.Int("affected", int64(r.Affected)), trace.Int("iterations", int64(es.Iterations)))
 			if es.Triggered+es.Skipped > 0 {
-				bt.SetInt("triggered", int64(es.Triggered))
-				bt.SetInt("skipped", int64(es.Skipped))
+				a = append(a, trace.Int("triggered", int64(es.Triggered)), trace.Int("skipped", int64(es.Skipped)))
 			}
 			if s := es.StragglerRatio(); s > 0 {
-				bt.SetFloat("straggler", s)
+				a = append(a, trace.Float("straggler", s))
 			}
 			if p.view != nil {
-				bt.SetFloat("view_dirty_frac", r.View.DirtyFraction())
+				a = append(a, trace.Float("view_dirty_frac", r.View.DirtyFraction()))
 			}
-			bt.SetInt("update_ns", lat.Update.Nanoseconds())
-			bt.SetInt("compute_ns", lat.Compute.Nanoseconds())
+			a = append(a, trace.Int("update_ns", lat.Update.Nanoseconds()), trace.Int("compute_ns", lat.Compute.Nanoseconds()))
 		}
 		switch {
 		case r.Err != nil:
-			bt.SetStr("error", r.Err.Error())
+			a = append(a, trace.Str("error", r.Err.Error()))
 		case r.Quarantined != "":
 			if r.WALSeq > 0 {
-				bt.SetInt("wal_seq", int64(r.WALSeq))
+				a = append(a, trace.Int("wal_seq", int64(r.WALSeq)))
 			}
-			bt.SetStr("quarantined", r.Quarantined)
+			a = append(a, trace.Str("quarantined", r.Quarantined))
 		case live:
-			bt.SetInt("wal_seq", int64(r.WALSeq))
+			a = append(a, trace.Int("wal_seq", int64(r.WALSeq)))
 		}
-		bt.Finish()
+		p.tr.Record(&trace.BatchDump{Seq: p.traceSeq, Index: r.Index, StartUnixNS: p.traceStart.UnixNano(),
+			DurNS: int64(time.Since(p.traceStart)), Attrs: a, Spans: p.spans})
 	}
 	if r.WALBytes > 0 {
 		p.rec.RecordWALAppend(r.WALBytes, r.WALFsync)

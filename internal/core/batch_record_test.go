@@ -15,6 +15,7 @@ import (
 	"sagabench/internal/durable"
 	"sagabench/internal/graph"
 	"sagabench/internal/telemetry"
+	"sagabench/internal/trace"
 )
 
 // steadyAllocsParent is testing.AllocsPerRun of the loop below: what the
@@ -360,9 +361,10 @@ func TestBatchRecordDeterministic(t *testing.T) {
 }
 
 // TestSupervisorLastBatchConcurrentRead reads Supervisor.LastBatch from a
-// second goroutine while a durable supervised stream runs (meaningful
-// under -race): the record it hands out shares no scratch the worker
-// writes again, neither the chunk loads nor the per-worker busy times.
+// second goroutine while a durable, traced, two-thread supervised stream
+// runs (meaningful under -race): the record it hands out shares no scratch
+// the worker writes again, neither the chunk loads nor the range records
+// nor the per-worker busy times.
 func TestSupervisorLastBatchConcurrentRead(t *testing.T) {
 	cfg := core.PipelineConfig{
 		DataStructure: "hybrid",
@@ -373,6 +375,7 @@ func TestSupervisorLastBatchConcurrentRead(t *testing.T) {
 		ComputeView:   true,
 		ServeQueries:  true,
 		Telemetry:     telemetry.NewRecorder(telemetry.NewRegistry(), nil),
+		Tracer:        trace.New(trace.Config{Flight: 4}),
 		Durable:       &durable.Config{Dir: t.TempDir(), Fsync: durable.FsyncAlways, CheckpointEvery: 8},
 	}
 	sup, err := core.NewSupervisor(core.SupervisorConfig{Pipeline: cfg})
@@ -383,7 +386,7 @@ func TestSupervisorLastBatchConcurrentRead(t *testing.T) {
 	done := make(chan struct{})
 	var reads, ingested uint64
 	var busy int64
-	var latest int
+	var latest, ranges int
 	go func() {
 		defer close(done)
 		for {
@@ -400,6 +403,9 @@ func TestSupervisorLastBatchConcurrentRead(t *testing.T) {
 			}
 			for _, ns := range r.Compute.WorkerBusyNS {
 				busy += ns
+			}
+			for _, rg := range r.Compute.Ranges {
+				ranges += rg.Vertices
 			}
 			reads++
 			latest = max(latest, r.Index)
@@ -419,5 +425,6 @@ func TestSupervisorLastBatchConcurrentRead(t *testing.T) {
 	if last := sup.LastBatch(); last.Index != len(stream)-1 || !last.Applied || last.WALBytes == 0 {
 		t.Fatalf("last record %+v, want batch %d applied and logged", last, len(stream)-1)
 	}
-	t.Logf("%d concurrent reads, last index seen %d, chunk loads summed %d, busy %d ns", reads, latest, ingested, busy)
+	t.Logf("%d concurrent reads, last index seen %d, chunk loads summed %d, busy %d ns, range vertices %d",
+		reads, latest, ingested, busy, ranges)
 }

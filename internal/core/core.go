@@ -83,10 +83,14 @@ type Pipeline struct {
 	health *Health
 	fenced atomic.Bool
 
-	// tr is the batch tracer (nil = tracing off, zero cost); bt is the
-	// in-flight batch's span tree, opened and finished by runBatch.
-	tr *trace.Tracer
-	bt *trace.Batch
+	// tr is the batch tracer (nil = tracing off, zero cost). With it
+	// attached, runBatch numbers and anchors the batch in flight's trace
+	// (traceSeq, traceStart), stage appends each completed stage attempt's
+	// span to spans, and emit hands the finished trace to tr.Record.
+	tr         *trace.Tracer
+	traceSeq   uint64
+	traceStart time.Time
+	spans      []trace.SpanRecord
 
 	// em is the epoch-publication manager (nil when ServeQueries is off —
 	// the batch loop then never touches it); lastEpoch remembers its
@@ -160,12 +164,14 @@ type PipelineConfig struct {
 	// counts), read off the batch's record.
 	// Nil disables instrumentation at near-zero cost.
 	Telemetry *telemetry.Recorder
-	// Tracer, when non-nil, records a span tree per batch — update,
-	// view refresh, compute (with per-worker range spans), WAL append,
-	// checkpoint — into a flight-recorder ring that is dumped next to the
-	// poison file when a batch is quarantined and served by the telemetry
-	// server's /trace endpoint. Nil disables tracing: the hot path then
-	// performs no clock reads and no allocations on the tracer's behalf.
+	// Tracer, when non-nil, records a trace per batch, built from its
+	// BatchRecord — one span per stage attempt (update, view refresh,
+	// compute with per-worker range spans, WAL append, checkpoint, ...)
+	// timed by the stage's own clock — into a flight-recorder ring that is
+	// dumped next to the poison file when a batch is quarantined and
+	// served by the telemetry server's /trace endpoint. Nil disables
+	// tracing: the hot path then performs no clock reads and no
+	// allocations on the tracer's behalf.
 	Tracer *trace.Tracer
 	// Durable, when non-nil, enables the crash-safety layer: every batch
 	// is write-ahead logged before it is applied, checkpoints are written

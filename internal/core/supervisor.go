@@ -263,7 +263,7 @@ func (s *Supervisor) processItem(gen uint64, p *Pipeline, mb MixedBatch) bool {
 	if s.gen.Load() == gen {
 		rec := p.LastBatch()
 		// Scratch the next batch reuses: the engine's, and the pipeline's.
-		rec.Compute.WorkerBusyNS, rec.DS.ChunkLoads = nil, nil
+		rec.Compute.Ranges, rec.Compute.WorkerBusyNS, rec.DS.ChunkLoads = nil, nil, nil
 		s.mu.Lock()
 		s.last = rec
 		s.mu.Unlock()

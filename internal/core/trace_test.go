@@ -11,7 +11,9 @@ import (
 	"sagabench/internal/compute"
 	"sagabench/internal/core"
 	"sagabench/internal/durable"
+	"sagabench/internal/fault"
 	"sagabench/internal/graph"
+	"sagabench/internal/telemetry"
 	"sagabench/internal/trace"
 )
 
@@ -221,5 +223,120 @@ func TestTracedPipelineMatchesUntraced(t *testing.T) {
 		if a[i] != bvals[i] {
 			t.Fatalf("traced pipeline diverged at vertex %d: %v vs %v", i, a[i], bvals[i])
 		}
+	}
+}
+
+// spanStages maps each stage span's name to the stage it times.
+var spanStages = map[string]core.StageID{
+	"validate": core.StageValidate, "wal.append": core.StageWAL, "update": core.StageUpdate,
+	"view.refresh": core.StageView, "compute": core.StageCompute, "epoch.publish": core.StagePublish,
+	"checkpoint": core.StageCheckpoint,
+}
+
+// TestStageSpanIsStageClock: a stage's span is timed by the stage's own
+// clock, so its duration is the record's stage time to the nanosecond, and
+// the compute span's worker children are the range records behind the
+// record's per-worker busy times.
+func TestStageSpanIsStageClock(t *testing.T) {
+	tr := trace.New(trace.Config{DS: "hybrid", Alg: "pr", Model: "inc", Flight: 4})
+	cfg := durableCfg(t.TempDir(), "pr", &durable.Config{Fsync: durable.FsyncAlways, CheckpointEvery: 1})
+	cfg.DataStructure = "hybrid"
+	cfg.ComputeView, cfg.ServeQueries = true, true
+	cfg.Telemetry = telemetry.NewRecorder(telemetry.NewRegistry(), nil)
+	cfg.Tracer = tr
+	p, err := core.NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	workers := 0
+	for i, s := range durableStream(6) {
+		if _, err := p.ProcessMixed(core.MixedBatch{Adds: s.Adds, Dels: s.Dels}); err != nil {
+			t.Fatal(err)
+		}
+		r := p.LastBatch()
+		dumps := tr.Flight().Snapshot()
+		d := dumps[len(dumps)-1]
+		var computeID int32 = -1
+		seen := map[core.StageID]bool{}
+		busy := make([]int64, len(r.Compute.WorkerBusyNS))
+		for _, s := range d.Spans {
+			if s.Parent >= 0 {
+				if s.Parent != computeID || s.Worker < 0 || int(s.Worker) >= len(busy) {
+					t.Fatalf("batch %d: worker span %+v outside the compute span %d", i, s, computeID)
+				}
+				busy[s.Worker] += s.EndNS - s.StartNS
+				continue
+			}
+			id, ok := spanStages[s.Stage]
+			if !ok || seen[id] {
+				t.Fatalf("batch %d: unexpected stage span %+v", i, s)
+			}
+			seen[id] = true
+			if id == core.StageCompute {
+				computeID = s.ID
+			}
+			if got := time.Duration(s.EndNS - s.StartNS); got != r.Stage[id] {
+				t.Fatalf("batch %d: %s span lasts %v, the record's stage %v", i, s.Stage, got, r.Stage[id])
+			}
+		}
+		if len(seen) != int(core.NumStages) {
+			t.Fatalf("batch %d: spans of %d stages, want all %d", i, len(seen), core.NumStages)
+		}
+		for w, ns := range busy {
+			if ns != r.Compute.WorkerBusyNS[w] {
+				t.Fatalf("batch %d: worker %d spans sum to %d ns, the record's busy time %d", i, w, ns, r.Compute.WorkerBusyNS[w])
+			}
+		}
+		workers = max(workers, r.Compute.WorkersUsed())
+	}
+	if workers != 2 {
+		t.Fatalf("at most %d workers busy in a batch, want both", workers)
+	}
+}
+
+// TestRetriedBatchTraceKeepsAttempts: an injected compute error fails the
+// first apply of a durable batch, which applies on the retry; its one
+// trace holds the completed stages of both attempts — two update spans —
+// and the compute span of the attempt that completed.
+func TestRetriedBatchTraceKeepsAttempts(t *testing.T) {
+	tr := trace.New(trace.Config{Flight: 8})
+	cfg := durableCfg(t.TempDir(), "pr", &durable.Config{
+		Fsync: durable.FsyncAlways, CheckpointEvery: -1, MaxRetries: 1, RetryBackoff: time.Microsecond,
+	})
+	cfg.Faults = fault.MustParseSchedule("eio(compute,2)", 1)
+	cfg.Tracer = tr
+	p, err := core.NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i, s := range durableStream(3) {
+		if _, err := p.ProcessMixed(core.MixedBatch{Adds: s.Adds, Dels: s.Dels}); err != nil {
+			t.Fatal(err)
+		}
+		wantRetries := 0
+		if i == 1 {
+			wantRetries = 1
+		}
+		if r := p.LastBatch(); !r.Applied || r.Retries != wantRetries {
+			t.Fatalf("batch %d recorded as applied=%v after %d retries, want %d", i, r.Applied, r.Retries, wantRetries)
+		}
+	}
+	if len(p.PoisonFiles()) != 0 {
+		t.Fatalf("retried batch quarantined: %v", p.PoisonFiles())
+	}
+	dumps := tr.Flight().Snapshot()
+	if len(dumps) != 3 {
+		t.Fatalf("%d batch traces for 3 batches", len(dumps))
+	}
+	stages := map[string]int{}
+	for _, s := range dumps[1].Spans {
+		if s.Parent < 0 {
+			stages[s.Stage]++
+		}
+	}
+	if stages["update"] != 2 || stages["compute"] != 1 {
+		t.Fatalf("retried batch's stage spans %v, want two update and one compute", stages)
 	}
 }

@@ -2,6 +2,7 @@ package all_test
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -245,6 +246,45 @@ func TestProfileCounters(t *testing.T) {
 		g.(*ds.TwoCopy).TakeProfile(&p)
 		if p.EdgesIngested != 0 || p.Inserted != 0 || p.ScanSteps != 0 {
 			t.Errorf("%s: a second take handed over %+v", name, p)
+		}
+	}
+}
+
+// TestReadsAreUncounted: a structure's counts are its update work only.
+// After a take, reading every out- and in-neighbourhood and full-building
+// a compute view over the structure leave nothing for the next take, so a
+// pipeline's view refresh and compute reads never land in the next
+// batch's counts.
+func TestReadsAreUncounted(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	batches := append(randomBatches(rng, 2, 1000, 100), hubBatches(rng, 2, 1000, 100, 3)...)
+	for _, name := range ds.Names() {
+		g := ds.MustNew(name, ds.Config{Directed: true, Threads: 2, FlushThreshold: 4})
+		for _, b := range batches {
+			g.Update(b)
+		}
+		var p ds.UpdateProfile
+		g.(*ds.TwoCopy).TakeProfile(&p)
+		var buf []graph.Neighbor
+		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+			buf = g.OutNeigh(v, buf[:0])
+			buf = g.InNeigh(v, buf[:0])
+		}
+		view, ok := ds.NewComputeView(g, 2)
+		if !ok {
+			t.Fatalf("%s: no compute view", name)
+		}
+		view.Refresh(nil, nil)
+		p = ds.UpdateProfile{}
+		g.(*ds.TwoCopy).TakeProfile(&p)
+		for _, load := range p.ChunkLoads {
+			if load != 0 {
+				t.Errorf("%s: reads charged chunk loads %v", name, p.ChunkLoads)
+				break
+			}
+		}
+		if p.ChunkLoads = nil; !reflect.DeepEqual(p, ds.UpdateProfile{}) {
+			t.Errorf("%s: reads handed over %+v", name, p)
 		}
 	}
 }

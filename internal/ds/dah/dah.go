@@ -167,24 +167,27 @@ func (s *store) Degree(v graph.NodeID) int {
 	return int(cs.deg[local])
 }
 
-// Neighbors implements ds.OneDir. Traversal pays the same degree-query
-// meta-operation as updates: a directory probe decides which table to walk.
+// Neighbors implements ds.OneDir.
 func (s *store) Neighbors(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
-	cs, local := s.chunkOf(v)
-	if local >= len(cs.deg) {
-		return buf
-	}
-	cs.meta.Add(1)
-	if et := cs.dir.get(v); et != nil {
-		et.forEach(func(dst graph.NodeID, w graph.Weight) {
-			buf = append(buf, graph.Neighbor{ID: dst, Weight: w})
-		})
-		return buf
-	}
-	cs.low.forEach(v, func(dst graph.NodeID, w graph.Weight) {
+	s.forEach(v, func(dst graph.NodeID, w graph.Weight) {
 		buf = append(buf, graph.Neighbor{ID: dst, Weight: w})
 	})
 	return buf
+}
+
+// forEach yields v's edges from whichever table owns it. Traversal pays the
+// same directory probe as an update to decide which table to walk, but a
+// read is not update work: neither the probe nor the walk is counted.
+func (s *store) forEach(v graph.NodeID, yield func(dst graph.NodeID, w graph.Weight)) {
+	cs, local := s.chunkOf(v)
+	if local >= len(cs.deg) {
+		return
+	}
+	if et, _ := cs.dir.lookup(v); et != nil {
+		et.forEach(yield)
+		return
+	}
+	cs.low.forEach(v, yield)
 }
 
 // NumEdges implements ds.OneDir.
@@ -253,7 +256,8 @@ func (s *store) Chunks() int { return s.chunks }
 // (for layout tests and the architecture replayer).
 func (s *store) IsHighDegree(v graph.NodeID) bool {
 	cs, _ := s.chunkOf(v)
-	return cs.dir.get(v) != nil
+	et, _ := cs.dir.lookup(v)
+	return et != nil
 }
 
 // LowTableStats reports per-chunk Robin Hood occupancy (count, capacity);

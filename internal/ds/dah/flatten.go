@@ -5,29 +5,15 @@ import (
 	"sagabench/internal/graph"
 )
 
-// DAH flattening drains whichever table owns the vertex — the dedicated
-// high-degree table from the directory, or the chunk's shared Robin Hood
-// table — after the same directory probe traversal pays, writing straight
-// into the view's run instead of appending through Neighbors.
-
-// FlatFill implements ds.OneDir. Iteration order matches Neighbors
-// exactly: both walk the same table in slot order.
+// FlatFill implements ds.OneDir: DAH flattening drains whichever table owns
+// the vertex — the dedicated high-degree table from the directory, or the
+// chunk's shared Robin Hood table — writing straight into the view's run
+// instead of appending through Neighbors. Iteration order matches
+// Neighbors exactly: both walk the same table in slot order.
 func (s *store) FlatFill(v graph.NodeID, dst []graph.Neighbor) int {
-	cs, local := s.chunkOf(v)
-	if local >= len(cs.deg) {
-		return 0
-	}
-	cs.meta.Add(1)
 	n := 0
-	if et := cs.dir.get(v); et != nil {
-		et.forEach(func(dst2 graph.NodeID, w graph.Weight) {
-			dst[n] = graph.Neighbor{ID: dst2, Weight: w}
-			n++
-		})
-		return n
-	}
-	cs.low.forEach(v, func(dst2 graph.NodeID, w graph.Weight) {
-		dst[n] = graph.Neighbor{ID: dst2, Weight: w}
+	s.forEach(v, func(id graph.NodeID, w graph.Weight) {
+		dst[n] = graph.Neighbor{ID: id, Weight: w}
 		n++
 	})
 	return n

@@ -100,19 +100,25 @@ func newDirTable() *dirTable {
 
 func (t *dirTable) mask() uint64 { return uint64(len(t.slots) - 1) }
 
-// get returns src's edge table, or nil when src is low-degree.
+// get returns src's edge table, or nil when src is low-degree, charging
+// its probes: the degree query of an update.
 func (t *dirTable) get(src graph.NodeID) *edgeTable {
+	et, n := t.lookup(src)
+	t.probes.Add(n)
+	return et
+}
+
+// lookup is get uncounted, reporting the slots it examined instead: a read
+// is not update work.
+func (t *dirTable) lookup(src graph.NodeID) (*edgeTable, uint64) {
 	i := hashNode(src) & t.mask()
-	var n uint64
-	defer func() { t.probes.Add(n) }()
-	for {
-		n++
+	for n := uint64(1); ; n++ {
 		s := &t.slots[i]
 		if !s.used {
-			return nil
+			return nil, n
 		}
 		if s.src == src {
-			return s.edges
+			return s.edges, n
 		}
 		i = (i + 1) & t.mask()
 	}

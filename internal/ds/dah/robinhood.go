@@ -15,9 +15,8 @@ import (
 type rhTable struct {
 	slots []rhSlot
 	count int
-	// probes counts slot examinations; the profiler charges them as
-	// hash scan work. Atomic because traversal during the compute phase
-	// runs concurrently across workers.
+	// probes counts the slot examinations of updates (reads go
+	// uncounted); the profiler charges them as hash scan work.
 	probes atomic.Uint64
 }
 
@@ -113,14 +112,12 @@ func (t *rhTable) grow() {
 	}
 }
 
-// forEach yields every edge of src. The yield function must not mutate the
-// table.
+// forEach yields every edge of src, uncounted: a read is not update work.
+// The yield function must not mutate the table.
 func (t *rhTable) forEach(src graph.NodeID, yield func(dst graph.NodeID, w graph.Weight)) {
 	i := t.home(src)
-	var d, n uint64
-	defer func() { t.probes.Add(n) }()
+	var d uint64
 	for {
-		n++
 		s := &t.slots[i]
 		if !s.used {
 			return

@@ -7,9 +7,9 @@ package ds
 // on heavy-tailed graphs. Every store keeps one and hands it over through
 // OneDir.TakeProfile; the pipeline takes it into BatchRecord.DS once per
 // batch, right after the update stage, and the per-batch telemetry event
-// and the saga_ds_* counters are read off that record. DAH also charges
-// the probes and directory queries of each traversal (view refresh,
-// compute, export), which therefore land in the next batch's counts.
+// and the saga_ds_* counters are read off that record. Reads (view
+// refresh, compute, export) are not counted: what a take hands over is
+// update work only.
 type UpdateProfile struct {
 	// EdgesIngested counts edge records offered to the store (including
 	// duplicates that only refreshed a weight).

@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/json"
 	"io"
-	"sort"
 
 	"sagabench/internal/telemetry"
 )
@@ -11,7 +10,8 @@ import (
 // BatchDump is the immutable wire form of one batch trace: what the JSONL
 // span stream carries per line, what ReadDumps decodes, and what the
 // Chrome exporter renders. Span times are monotonic nanosecond offsets
-// from StartUnixNS.
+// from StartUnixNS; spans are in the order their stages completed, a
+// compute span followed by its worker children.
 type BatchDump struct {
 	Seq         uint64       `json:"seq"`
 	Index       int          `json:"batch"`
@@ -24,39 +24,6 @@ type BatchDump struct {
 	Spans       []SpanRecord `json:"spans"`
 }
 
-// Dump snapshots the batch trace. Spans are ordered by (StartNS, ID) so
-// the output is stable regardless of which worker's End ran first.
-func (b *Batch) Dump() BatchDump {
-	b.mu.Lock()
-	d := BatchDump{
-		Seq:         b.Seq,
-		Index:       b.Index,
-		DS:          b.DS,
-		Alg:         b.Alg,
-		Model:       b.Model,
-		StartUnixNS: b.WallStart.UnixNano(),
-		DurNS:       b.endNS,
-		Attrs:       append([]Attr(nil), b.attrs...),
-		Spans:       append([]SpanRecord(nil), b.spans...),
-	}
-	b.mu.Unlock()
-	if d.DurNS == 0 {
-		// Dumped mid-flight (e.g. /trace during a long batch): report
-		// elapsed-so-far rather than a zero-width batch.
-		d.DurNS = b.sinceNS()
-	}
-	sort.Slice(d.Spans, func(i, j int) bool {
-		if d.Spans[i].StartNS != d.Spans[j].StartNS {
-			return d.Spans[i].StartNS < d.Spans[j].StartNS
-		}
-		return d.Spans[i].ID < d.Spans[j].ID
-	})
-	if len(d.Attrs) == 0 {
-		d.Attrs = nil
-	}
-	return d
-}
-
 // Sink streams finished batch traces as JSONL, one BatchDump per line, on
 // top of the telemetry package's concurrent line-sink machinery.
 type Sink struct {
@@ -67,14 +34,8 @@ type Sink struct {
 // flushing.
 func NewSink(w io.Writer) *Sink { return &Sink{ls: telemetry.NewLineSink(w)} }
 
-// WriteBatch appends one batch trace line. The first encode error is
+// WriteDump appends one batch trace line. The first encode error is
 // sticky and returned by every later call.
-func (s *Sink) WriteBatch(b *Batch) error {
-	d := b.Dump()
-	return s.ls.Encode(&d)
-}
-
-// WriteDump appends an already-snapshotted trace line.
 func (s *Sink) WriteDump(d BatchDump) error { return s.ls.Encode(&d) }
 
 // Count reports the number of traces written so far.

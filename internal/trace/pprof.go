@@ -18,7 +18,7 @@ import (
 // for building the label set:
 //
 //	if tr.PprofLabels() {
-//		defer tr.Label(bt.Seq, "update")()
+//		defer tr.Label(seq, "update")()
 //	}
 func (t *Tracer) Label(batchSeq uint64, stage string) (clear func()) {
 	if t == nil {

@@ -7,12 +7,12 @@ import (
 
 // FlightRecorder is a lock-free ring of the most recent complete batch
 // traces. Writers claim a slot with one atomic fetch-add and publish the
-// finished *Batch with one atomic pointer store; a dump reads the slots
+// finished *BatchDump with one atomic pointer store; a dump reads the slots
 // with atomic loads, so concurrent writers and dumpers never block each
 // other (the dump may observe a ring mid-overwrite, in which case it
 // simply returns the newest consistent set of batches).
 type FlightRecorder struct {
-	slots []atomic.Pointer[Batch]
+	slots []atomic.Pointer[BatchDump]
 	pos   atomic.Uint64
 }
 
@@ -21,7 +21,7 @@ func NewFlightRecorder(n int) *FlightRecorder {
 	if n <= 0 {
 		n = 16
 	}
-	return &FlightRecorder{slots: make([]atomic.Pointer[Batch], n)}
+	return &FlightRecorder{slots: make([]atomic.Pointer[BatchDump], n)}
 }
 
 // Cap reports the ring capacity in batch traces.
@@ -32,9 +32,9 @@ func (r *FlightRecorder) Cap() int { return len(r.slots) }
 func (r *FlightRecorder) Recorded() uint64 { return r.pos.Load() }
 
 // add publishes one finished batch trace, evicting the oldest when full.
-func (r *FlightRecorder) add(b *Batch) {
+func (r *FlightRecorder) add(d *BatchDump) {
 	i := r.pos.Add(1) - 1
-	r.slots[i%uint64(len(r.slots))].Store(b)
+	r.slots[i%uint64(len(r.slots))].Store(d)
 }
 
 // Snapshot returns the ring's current batch dumps ordered by trace
@@ -43,8 +43,8 @@ func (r *FlightRecorder) add(b *Batch) {
 func (r *FlightRecorder) Snapshot() []BatchDump {
 	out := make([]BatchDump, 0, len(r.slots))
 	for i := range r.slots {
-		if b := r.slots[i].Load(); b != nil {
-			out = append(out, b.Dump())
+		if d := r.slots[i].Load(); d != nil {
+			out = append(out, *d)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })

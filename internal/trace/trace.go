@@ -1,23 +1,22 @@
-// Package trace is the batch-granular structured tracer of the pipeline:
-// every processed batch records a span tree — ingest, update, compute-view
-// refresh, compute rounds with per-worker range spans, WAL append/fsync,
-// checkpoint — with monotonic timestamps and typed attributes (batch
-// sequence, dirty fraction, triggered counts, ...). Complete batch traces
-// land in a lock-free flight-recorder ring (ring.go) holding the last N
-// batches, which is dumped as Chrome trace-event JSON (chrome.go,
-// Perfetto-loadable) on poison-batch quarantine, on demand via the
-// telemetry server's /trace endpoint, and at process exit; a JSONL stream
-// sink (jsonl.go) can additionally persist every finished trace.
+// Package trace encodes the pipeline's batch records as batch traces: one
+// span per completed stage attempt — validation, WAL append, update,
+// compute-view refresh, compute (with one child per worker range), epoch
+// publish, checkpoint — with the stage's own clock readings and typed
+// attributes (batch sequence, dirty fraction, triggered counts, ...).
+// internal/core builds each finished trace from its BatchRecord and hands
+// it to Record. Finished traces land in a lock-free flight-recorder ring
+// (ring.go) holding the last N batches, which is dumped as Chrome
+// trace-event JSON (chrome.go, Perfetto-loadable) on poison-batch
+// quarantine, on demand via the telemetry server's /trace endpoint, and at
+// process exit; a JSONL stream sink (jsonl.go) can additionally persist
+// every finished trace.
 //
-// The tracer is nil-safe and allocation-free when disabled: a nil *Tracer
-// produces nil *Batch handles and zero Span/Ctx values, and every method
-// on those no-ops without touching the clock or the heap — the batch hot
-// loop pays nothing when tracing is off (asserted by
-// TestDisabledTracerZeroAllocs).
+// The tracer is nil-safe: a nil *Tracer is a disabled tracer whose every
+// method no-ops without touching the clock or the heap.
 //
-// The tracer deliberately reads the wall/monotonic clock — timestamps are
-// its entire product — so the package is NOT marked saga:deterministic;
-// trace output never feeds replayed state, values, or frontier order.
+// Timestamps are the product, so the package is NOT marked
+// saga:deterministic; trace output never feeds replayed state, values, or
+// frontier order.
 //
 // saga:paniccapture — the package spawns no goroutines today, and any it
 // grows must capture panics (enforced by sagavet; see internal/analysis).
@@ -27,9 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Config selects the tracer's identity and outputs.
@@ -82,24 +79,29 @@ func (t *Tracer) Flight() *FlightRecorder {
 	return t.ring
 }
 
-// StartBatch opens the span tree of one batch. index is the caller's
-// batch counter; the tracer assigns its own monotone sequence number so
-// restarts and repeats stay distinguishable in the ring.
-func (t *Tracer) StartBatch(index int) *Batch {
+// NextSeq numbers the batch trace about to start: the tracer's own
+// monotone sequence, so restarts and repeats stay distinguishable in the
+// ring and in pprof labels. 0 for a disabled tracer.
+func (t *Tracer) NextSeq() uint64 {
 	if t == nil {
-		return nil
+		return 0
 	}
-	now := time.Now()
-	return &Batch{
-		tr:        t,
-		Seq:       t.seq.Add(1),
-		Index:     index,
-		DS:        t.cfg.DS,
-		Alg:       t.cfg.Alg,
-		Model:     t.cfg.Model,
-		WallStart: now,
-		start:     now,
-		spans:     make([]SpanRecord, 0, 16),
+	return t.seq.Add(1)
+}
+
+// Record stamps one finished batch trace with the tracer's pipeline
+// identity and publishes it to the flight recorder and the span sink. The
+// tracer keeps d: the caller must not mutate it afterwards.
+func (t *Tracer) Record(d *BatchDump) {
+	if t == nil {
+		return
+	}
+	d.DS, d.Alg, d.Model = t.cfg.DS, t.cfg.Alg, t.cfg.Model
+	t.ring.add(d)
+	if t.cfg.Spans != nil {
+		// The sink's first error is sticky; a dead sink must not stall
+		// the pipeline.
+		_ = t.cfg.Spans.WriteDump(*d)
 	}
 }
 
@@ -140,6 +142,11 @@ type Attr struct {
 	Str   string  `json:"s,omitempty"`
 }
 
+// Int, Float and Str build an attribute of each type.
+func Int(key string, v int64) Attr     { return Attr{Key: key, Int: v} }
+func Float(key string, v float64) Attr { return Attr{Key: key, Float: v} }
+func Str(key, v string) Attr           { return Attr{Key: key, Str: v} }
+
 // value renders the attribute for Chrome args.
 func (a Attr) value() any {
 	switch {
@@ -162,179 +169,4 @@ type SpanRecord struct {
 	StartNS int64  `json:"start_ns"`
 	EndNS   int64  `json:"end_ns"`
 	Attrs   []Attr `json:"attrs,omitempty"`
-}
-
-// Batch is the in-flight span tree of one batch. Span handles append to
-// it concurrently (per-worker range spans); Finish publishes it to the
-// flight recorder and sinks, after which it must not be mutated.
-type Batch struct {
-	Seq       uint64
-	Index     int
-	DS        string
-	Alg       string
-	Model     string
-	WallStart time.Time
-
-	tr    *Tracer
-	start time.Time // monotonic base for span offsets
-
-	mu sync.Mutex
-	// saga:guardedby mu
-	spans []SpanRecord
-	// saga:guardedby mu
-	attrs  []Attr
-	nextID atomic.Int32
-	endNS  int64
-	done   atomic.Bool
-}
-
-// sinceNS is the monotonic offset of now from the batch start.
-func (b *Batch) sinceNS() int64 { return int64(time.Since(b.start)) }
-
-// Ctx returns the root span context of the batch: child spans started
-// from it become phase spans (parent -1). Nil-safe.
-func (b *Batch) Ctx() Ctx {
-	if b == nil {
-		return Ctx{}
-	}
-	return Ctx{b: b, parent: -1}
-}
-
-// Start opens a phase span (parent -1, no worker). Nil-safe.
-func (b *Batch) Start(stage string) Span { return b.Ctx().Start(stage) }
-
-// SetInt attaches an integer batch attribute (batch seq, frontier size,
-// triggered count, ...). Nil-safe.
-func (b *Batch) SetInt(key string, v int64) { b.setAttr(Attr{Key: key, Int: v}) }
-
-// SetFloat attaches a float batch attribute (dirty fraction, ...).
-func (b *Batch) SetFloat(key string, v float64) { b.setAttr(Attr{Key: key, Float: v}) }
-
-// SetStr attaches a string batch attribute (quarantine cause, ...).
-func (b *Batch) SetStr(key, v string) { b.setAttr(Attr{Key: key, Str: v}) }
-
-func (b *Batch) setAttr(a Attr) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.attrs = append(b.attrs, a)
-	b.mu.Unlock()
-}
-
-// Finish seals the trace and publishes it to the flight recorder and the
-// span sink. Safe to call more than once (later calls no-op) and on nil.
-func (b *Batch) Finish() {
-	if b == nil || !b.done.CompareAndSwap(false, true) {
-		return
-	}
-	b.mu.Lock()
-	b.endNS = b.sinceNS()
-	b.mu.Unlock()
-	t := b.tr
-	t.ring.add(b)
-	if t.cfg.Spans != nil {
-		// The sink's first error is sticky; a dead sink must not stall
-		// the pipeline.
-		_ = t.cfg.Spans.WriteBatch(b)
-	}
-}
-
-// Ctx addresses a position in a batch's span tree: spans started through
-// it become children of parent. The zero Ctx is disabled; every method
-// no-ops without allocating.
-type Ctx struct {
-	b      *Batch
-	parent int32
-}
-
-// Enabled reports whether spans started from this context are recorded.
-func (c Ctx) Enabled() bool { return c.b != nil }
-
-// Start opens a child span.
-func (c Ctx) Start(stage string) Span { return c.open(stage, -1) }
-
-// Worker opens a child span attributed to worker slot w (a per-range
-// worker span inside a parallel round).
-func (c Ctx) Worker(stage string, w int) Span { return c.open(stage, int32(w)) }
-
-func (c Ctx) open(stage string, worker int32) Span {
-	if c.b == nil {
-		return Span{}
-	}
-	return Span{
-		b:       c.b,
-		id:      c.b.nextID.Add(1) - 1,
-		parent:  c.parent,
-		worker:  worker,
-		stage:   stage,
-		startNS: c.b.sinceNS(),
-	}
-}
-
-// maxInlineAttrs bounds per-span attributes: they live inline in the Span
-// handle so an active span never mutates shared memory.
-const maxInlineAttrs = 6
-
-// Span is a live span handle. It is a value: all state stays local to the
-// opening goroutine until End publishes the completed record, so worker
-// spans race neither with each other nor with a concurrent dump. The zero
-// Span is disabled.
-type Span struct {
-	b       *Batch
-	id      int32
-	parent  int32
-	worker  int32
-	nattrs  int8
-	stage   string
-	startNS int64
-	attrs   [maxInlineAttrs]Attr
-}
-
-// Ctx returns the context for children of this span.
-func (s *Span) Ctx() Ctx {
-	if s.b == nil {
-		return Ctx{}
-	}
-	return Ctx{b: s.b, parent: s.id}
-}
-
-// SetInt attaches an integer attribute (dropped beyond the inline
-// capacity; spans carry a handful of scalars, not payloads).
-func (s *Span) SetInt(key string, v int64) { s.setAttr(Attr{Key: key, Int: v}) }
-
-// SetFloat attaches a float attribute.
-func (s *Span) SetFloat(key string, v float64) { s.setAttr(Attr{Key: key, Float: v}) }
-
-// SetStr attaches a string attribute.
-func (s *Span) SetStr(key, v string) { s.setAttr(Attr{Key: key, Str: v}) }
-
-func (s *Span) setAttr(a Attr) {
-	if s.b == nil || int(s.nattrs) >= maxInlineAttrs {
-		return
-	}
-	s.attrs[s.nattrs] = a
-	s.nattrs++
-}
-
-// End closes the span and publishes its record to the batch trace.
-func (s *Span) End() {
-	if s.b == nil {
-		return
-	}
-	rec := SpanRecord{
-		ID:      s.id,
-		Parent:  s.parent,
-		Worker:  s.worker,
-		Stage:   s.stage,
-		StartNS: s.startNS,
-		EndNS:   s.b.sinceNS(),
-	}
-	if s.nattrs > 0 {
-		rec.Attrs = append([]Attr(nil), s.attrs[:s.nattrs]...)
-	}
-	s.b.mu.Lock()
-	s.b.spans = append(s.b.spans, rec)
-	s.b.mu.Unlock()
-	s.b = nil // a second End must not double-record
 }

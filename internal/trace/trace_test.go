@@ -12,8 +12,22 @@ import (
 	"sagabench/internal/trace"
 )
 
-// TestNilTracerSafe checks the whole disabled surface: a nil tracer, the
-// nil batch it produces, and the zero Ctx/Span values must all no-op.
+// batch builds a finished batch trace: an update span, then a compute
+// span with one worker child per entry of workers.
+func batch(index int, workers ...int) trace.BatchDump {
+	d := trace.BatchDump{Index: index, DurNS: 10_000, Spans: []trace.SpanRecord{
+		{ID: 0, Parent: -1, Worker: -1, Stage: "update", StartNS: 0, EndNS: 1_000, Attrs: []trace.Attr{trace.Int("edges", 500)}},
+		{ID: 1, Parent: -1, Worker: -1, Stage: "compute", StartNS: 1_000, EndNS: 9_000, Attrs: []trace.Attr{trace.Int("iterations", 2)}},
+	}}
+	for _, w := range workers {
+		d.Spans = append(d.Spans, trace.SpanRecord{ID: int32(len(d.Spans)), Parent: 1, Worker: int32(w),
+			Stage: "inc.round", StartNS: 2_000, EndNS: 3_000, Attrs: []trace.Attr{trace.Int("vertices", int64(10*w))}})
+	}
+	return d
+}
+
+// TestNilTracerSafe checks the whole disabled surface: a nil tracer must
+// no-op.
 func TestNilTracerSafe(t *testing.T) {
 	var tr *trace.Tracer
 	if tr.Enabled() {
@@ -25,23 +39,11 @@ func TestNilTracerSafe(t *testing.T) {
 	if tr.Flight() != nil {
 		t.Fatal("nil tracer has a flight recorder")
 	}
-	b := tr.StartBatch(0)
-	if b != nil {
-		t.Fatal("nil tracer produced a batch")
+	if seq := tr.NextSeq(); seq != 0 {
+		t.Fatalf("nil tracer numbered a batch %d", seq)
 	}
-	b.SetInt("k", 1)
-	b.SetFloat("k", 1)
-	b.SetStr("k", "v")
-	sp := b.Start("stage")
-	sp.SetInt("k", 1)
-	child := sp.Ctx().Worker("w", 3)
-	child.SetStr("k", "v")
-	child.End()
-	sp.End()
-	b.Finish()
-	if ctx := b.Ctx(); ctx.Enabled() {
-		t.Fatal("nil batch context enabled")
-	}
+	d := batch(0, 3)
+	tr.Record(&d)
 	if err := tr.WriteTrace(&bytes.Buffer{}); err == nil {
 		t.Fatal("nil tracer WriteTrace must error")
 	}
@@ -70,61 +72,34 @@ func TestLabelSetsAndClears(t *testing.T) {
 	}
 }
 
-// TestDisabledTracerZeroAllocs asserts the batch hot loop pays zero
-// allocations for trace hooks when tracing is off — the contract the
-// pipeline relies on to leave the tracer compiled in unconditionally.
+// TestDisabledTracerZeroAllocs asserts a disabled tracer's per-batch
+// calls allocate nothing. (The pipeline does not even make them: every
+// trace hook in internal/core is behind a nil check.)
 func TestDisabledTracerZeroAllocs(t *testing.T) {
 	var tr *trace.Tracer
+	d := batch(7, 0, 1, 2, 3)
 	allocs := testing.AllocsPerRun(1000, func() {
-		b := tr.StartBatch(7)
-		sp := b.Start("update")
-		sp.SetInt("edges", 1000)
-		sp.End()
-		csp := b.Start("compute")
-		ctx := csp.Ctx()
-		for w := 0; w < 4; w++ {
-			wsp := ctx.Worker("round", w)
-			wsp.SetInt("vertices", 128)
-			wsp.End()
-		}
-		csp.End()
-		b.SetFloat("straggler", 1.2)
-		b.Finish()
+		_ = tr.PprofLabels()
+		d.Seq = tr.NextSeq()
+		tr.Record(&d)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracer hot loop allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 
-// TestBatchTraceRoundTrip records a realistic span tree, streams it
-// through the JSONL sink, decodes it back, and checks structure and
-// attributes survive.
+// TestBatchTraceRoundTrip records a realistic batch trace, streams it
+// through the JSONL sink, decodes it back, and checks the tracer's
+// identity stamp, structure and attributes survive.
 func TestBatchTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	sink := trace.NewSink(&buf)
 	tr := trace.New(trace.Config{DS: "adjshared", Alg: "pr", Model: "inc", Flight: 4, Spans: sink})
 
-	b := tr.StartBatch(3)
-	up := b.Start("update")
-	up.SetInt("edges", 500)
-	up.End()
-	cp := b.Start("compute")
-	ctx := cp.Ctx()
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sp := ctx.Worker("inc.round", w)
-			sp.SetInt("vertices", int64(10*w))
-			sp.End()
-		}(w)
-	}
-	wg.Wait()
-	cp.SetInt("iterations", 2)
-	cp.End()
-	b.SetFloat("straggler", 1.5)
-	b.Finish()
+	d := batch(3, 0, 1, 2)
+	d.Seq = tr.NextSeq()
+	d.Attrs = []trace.Attr{trace.Float("straggler", 1.5)}
+	tr.Record(&d)
 
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
@@ -136,7 +111,7 @@ func TestBatchTraceRoundTrip(t *testing.T) {
 	if len(dumps) != 1 {
 		t.Fatalf("decoded %d dumps, want 1", len(dumps))
 	}
-	d := dumps[0]
+	d = dumps[0]
 	if d.Seq != 1 || d.Index != 3 || d.DS != "adjshared" || d.Alg != "pr" || d.Model != "inc" {
 		t.Fatalf("dump header %+v", d)
 	}
@@ -187,7 +162,7 @@ func TestBatchTraceRoundTrip(t *testing.T) {
 func TestFlightRecorderEviction(t *testing.T) {
 	tr := trace.New(trace.Config{Flight: 4})
 	for i := 0; i < 10; i++ {
-		tr.StartBatch(i).Finish()
+		tr.Record(&trace.BatchDump{Seq: tr.NextSeq(), Index: i})
 	}
 	ring := tr.Flight()
 	if ring.Cap() != 4 || ring.Recorded() != 10 {
@@ -205,8 +180,8 @@ func TestFlightRecorderEviction(t *testing.T) {
 }
 
 // TestFlightRecorderConcurrent hammers the ring with concurrent batch
-// writers (each publishing worker spans) while dumping snapshots; run
-// under -race this is the data-race proof for the lock-free design.
+// writers while dumping snapshots; run under -race this is the data-race
+// proof for the lock-free design.
 func TestFlightRecorderConcurrent(t *testing.T) {
 	tr := trace.New(trace.Config{Flight: 8})
 	const writers, perWriter = 4, 50
@@ -234,22 +209,9 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				b := tr.StartBatch(i)
-				sp := b.Start("compute")
-				ctx := sp.Ctx()
-				var inner sync.WaitGroup
-				for w := 0; w < 2; w++ {
-					inner.Add(1)
-					go func(w int) {
-						defer inner.Done()
-						ws := ctx.Worker("round", w)
-						ws.SetInt("w", int64(w))
-						ws.End()
-					}(w)
-				}
-				inner.Wait()
-				sp.End()
-				b.Finish()
+				d := batch(i, 0, 1)
+				d.Seq = tr.NextSeq()
+				tr.Record(&d)
 			}
 		}()
 	}
@@ -269,14 +231,8 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 // contract.
 func TestWriteChrome(t *testing.T) {
 	tr := trace.New(trace.Config{DS: "dah", Alg: "bfs", Model: "fs", Flight: 2})
-	b := tr.StartBatch(0)
-	sp := b.Start("compute")
-	w0 := sp.Ctx().Worker("fs.bfs.topdown", 0)
-	w0.End()
-	w1 := sp.Ctx().Worker("fs.bfs.topdown", 1)
-	w1.End()
-	sp.End()
-	b.Finish()
+	d := batch(0, 0, 1)
+	tr.Record(&d)
 
 	var buf bytes.Buffer
 	if err := tr.WriteTrace(&buf); err != nil {
@@ -326,8 +282,8 @@ func TestWriteChrome(t *testing.T) {
 	if metas != 3 {
 		t.Fatalf("%d thread_name metadata events, want 3", metas)
 	}
-	if batches != 1 || spans != 3 {
-		t.Fatalf("batches=%d spans=%d, want 1/3", batches, spans)
+	if batches != 1 || spans != 4 {
+		t.Fatalf("batches=%d spans=%d, want 1/4", batches, spans)
 	}
 	for _, tid := range []int{0, 1, 2} {
 		if !tids[tid] {
@@ -339,7 +295,8 @@ func TestWriteChrome(t *testing.T) {
 // TestDumpChromeFile writes the ring to a file and re-parses it.
 func TestDumpChromeFile(t *testing.T) {
 	tr := trace.New(trace.Config{Flight: 2})
-	tr.StartBatch(0).Finish()
+	d := batch(0)
+	tr.Record(&d)
 	path := t.TempDir() + "/trace.json"
 	if err := tr.DumpChromeFile(path); err != nil {
 		t.Fatal(err)
@@ -350,51 +307,6 @@ func TestDumpChromeFile(t *testing.T) {
 	}
 	if dumps == 0 {
 		t.Fatal("dumped file holds no trace events")
-	}
-}
-
-// BenchmarkDisabledTraceHotLoop measures the per-batch cost of the trace
-// hooks with tracing off; the companion test asserts 0 allocs/op, this
-// reports the time cost (a handful of nil checks).
-func BenchmarkDisabledTraceHotLoop(bm *testing.B) {
-	var tr *trace.Tracer
-	bm.ReportAllocs()
-	for i := 0; i < bm.N; i++ {
-		b := tr.StartBatch(i)
-		sp := b.Start("update")
-		sp.SetInt("edges", 1000)
-		sp.End()
-		csp := b.Start("compute")
-		ctx := csp.Ctx()
-		for w := 0; w < 8; w++ {
-			wsp := ctx.Worker("round", w)
-			wsp.SetInt("vertices", 128)
-			wsp.End()
-		}
-		csp.End()
-		b.Finish()
-	}
-}
-
-// BenchmarkEnabledTrace measures the full per-batch recording cost with
-// an 8-worker round, for the overhead table in EXPERIMENTS.md.
-func BenchmarkEnabledTrace(bm *testing.B) {
-	tr := trace.New(trace.Config{DS: "adjshared", Alg: "pr", Model: "inc", Flight: 16})
-	bm.ReportAllocs()
-	for i := 0; i < bm.N; i++ {
-		b := tr.StartBatch(i)
-		sp := b.Start("update")
-		sp.SetInt("edges", 1000)
-		sp.End()
-		csp := b.Start("compute")
-		ctx := csp.Ctx()
-		for w := 0; w < 8; w++ {
-			wsp := ctx.Worker("round", w)
-			wsp.SetInt("vertices", 128)
-			wsp.End()
-		}
-		csp.End()
-		b.Finish()
 	}
 }
 
