@@ -94,10 +94,10 @@ func (s *shadowHybrid) growArr(m *Machine, thread int, v graph.NodeID) {
 	s.arrBase[v], s.arrCap[v] = newBase, newCap
 }
 
-// growIdx mirrors dstIndex.grow: a doubled table refilled from the array,
-// where the destinations are.
+// growIdx mirrors the hash tier's growth: a table of the next size class
+// the entries need, refilled from the array, where the destinations are.
 func (s *shadowHybrid) growIdx(m *Machine, thread int, v graph.NodeID) {
-	s.idxCap[v] *= 2
+	s.idxCap[v] = hybrid.IndexSlotsFor(len(s.neigh[v]) + 1)
 	s.idxBase[v] = s.alloc.alloc(uint64(s.idxCap[v]) * hybridIdxSlotBytes)
 	for i, nb := range s.neigh[v] {
 		m.Access(thread, s.arrAddr(v, i), false, 1)
@@ -147,7 +147,7 @@ func (s *shadowHybrid) insert(m *Machine, thread int, src, dst graph.NodeID) {
 			s.growArr(m, thread, src)
 		}
 		m.Access(thread, s.arrAddr(src, deg), true, instrInsert)
-		if (deg+1)*10 > s.idxCap[src]*7 { // mirror put's pre-grow check
+		if (deg+1)*10 > s.idxCap[src]*7 { // mirror insert's pre-grow check: past 0.7 load
 			s.growIdx(m, thread, src)
 		}
 		m.Access(thread, s.idxAddr(src, dst), true, 1)

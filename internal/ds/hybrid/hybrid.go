@@ -1,19 +1,20 @@
 // Package hybrid implements the degree-adaptive hybrid structure
-// (GraphTango-style; ROADMAP item 3): each vertex's adjacency lives in one
-// of three tiers chosen by its degree. The vertex record is one 64-byte
-// cache line — degree, array capacity, five inline neighbors, the array
-// and index pointers — and the records sit in one page-aligned slice, so
-// reading a vertex touches one line. Small degrees sit inline in the
-// record (zero pointer chases); medium degrees use a dense pooled edge
-// array (linear scan, contiguous traversal) whose capacity is one of four
-// size classes per octave; high degrees keep the same dense array plus a
-// per-vertex Robin Hood index from destination to array position, making
-// lookup, insert, overwrite and delete O(1) expected at any degree. An
-// index slot is 4 bytes — the position plus one, 0 marking an empty slot;
-// the destination is read back from the array — so a cache line holds
-// sixteen, and an insert or a delete walks its probe cluster once (a
-// delete that moves the array's last entry into the hole walks that
-// entry's cluster too). Traversal always walks the dense
+// (GraphTango-style; see DESIGN.md, "Hybrid's hash tier"): each vertex's
+// adjacency lives in one of three tiers chosen by its degree. The vertex
+// record is one 64-byte cache line — degree, array capacity, five inline
+// neighbors, the array and index pointers — and the records sit in one
+// page-aligned slice, so reading a vertex touches one line. Small degrees
+// sit inline in the record (zero pointer chases); medium degrees use a
+// dense pooled edge array (linear scan, contiguous traversal) whose
+// capacity is one of four size classes per octave; high degrees keep the
+// same dense array plus a per-vertex Robin Hood index from destination to
+// array position, making lookup, insert, overwrite and delete O(1)
+// expected at any degree. An index slot is 4 bytes — the position plus
+// one, 0 marking an empty slot; the destination is read back from the
+// array — so a cache line holds sixteen, and an insert or a delete walks
+// its probe cluster once (a delete that moves the array's last entry into
+// the hole walks that entry's cluster too). Index tables take every other
+// size class of the arrays' ladder. Traversal always walks the dense
 // storage, so neighbor order is insertion order, transitions never reorder
 // a run, and flattening is zero-copy — bystander updates cannot perturb
 // another vertex's run, which is why the structure needs no DirtyExpander.
@@ -21,9 +22,14 @@
 // Tier changes apply hysteresis: promotion at deg > hashAt but demotion
 // only at deg ≤ hashAt/2 (and likewise inline at inlineAt vs inlineAt/2),
 // so delete-heavy streams straddling a boundary do not thrash between
-// representations. Multithreading is chunked-style like AC/DAH (vertex v
+// representations. Storage sizes do the same: growth steps to the class
+// the degree needs, and once a source's deletes in a batch are done an
+// array or table two or more classes above its need steps down to one
+// class above it. Multithreading is chunked-style like AC/DAH (vertex v
 // belongs to chunk v mod chunks); per-chunk pools recycle arrays and
-// index tables so steady-state batch application does not allocate.
+// index tables by size class so steady-state batch application does not
+// allocate, and each batch ends by dropping whatever stock exceeds what it
+// or the batch before it drew.
 //
 // saga:lockless — chunk workers may only touch chunk-owned state
 // (enforced by sagavet; see internal/analysis).
@@ -249,7 +255,7 @@ func (s *store) insertOne(pool *chunkPools, st *chunkCounters, src, dst graph.No
 		// Hash tier: one walk of the per-vertex index answers the duplicate
 		// check and, for a new dst, has already placed it at the array's end.
 		run := v.run()
-		if pos, ok := v.idx.insert(run, dst, &st.scans); ok {
+		if pos, ok := v.idx.insert(pool, run, dst, &st.scans); ok {
 			run[pos].Weight = w
 			return
 		}
@@ -322,7 +328,7 @@ func appendGrow(pool *chunkPools, v *vertex, nb graph.Neighbor) {
 //
 // saga:chunksafe
 func (s *store) promoteToHash(pool *chunkPools, v *vertex, st *chunkCounters) {
-	idx := pool.getIdx(int(v.deg) + 1)
+	idx := pool.getIdx(IndexSlotsFor(int(v.deg) + 1))
 	idx.fill(v.run(), &st.scans)
 	v.idx = idx
 	st.promos++
@@ -330,15 +336,31 @@ func (s *store) promoteToHash(pool *chunkPools, v *vertex, st *chunkCounters) {
 }
 
 // DeleteEdges implements ds.OneDir with the same chunked ownership
-// as UpdateEdges; absent edges are no-ops.
+// as UpdateEdges; absent edges are no-ops. Each source's deletes are
+// consecutive (bySrc), and once they are done settle decides its tier and
+// storage size once; what the deletes release goes back to the pool, and
+// the trim then drops whatever stock exceeds what this batch or the one
+// before it drew.
 func (s *store) DeleteEdges(edges []graph.Edge) {
 	clear(s.stats)
 	ds.GroupByChunk(edges, s.chunks, func(chunk int, bucket []graph.Edge) {
+		if len(bucket) == 0 {
+			return
+		}
 		var st chunkCounters
 		pool := s.pools[chunk]
-		for _, i := range pool.order.bySrc(bucket) {
-			s.deleteOne(pool, &st, bucket[i].Src, bucket[i].Dst)
+		order := pool.order.bySrc(bucket)
+		src := bucket[order[0]].Src
+		for _, i := range order {
+			e := bucket[i]
+			if e.Src != src {
+				s.settle(pool, &st, src)
+				src = e.Src
+			}
+			s.deleteOne(&st, e.Src, e.Dst)
 		}
+		s.settle(pool, &st, src)
+		pool.trim()
 		s.stats[chunk] = st
 	})
 	s.profMu.Lock()
@@ -347,11 +369,12 @@ func (s *store) DeleteEdges(edges []graph.Edge) {
 }
 
 // deleteOne removes (src,dst) if present: swap-with-last in the dense
-// storage, index fix-up in the hash tier, then demotion checks against the
-// low-water marks.
+// storage of whatever tier the vertex is in, with the index fix-up in the
+// hash tier. Every tier deletes by swap-with-last, so the tier the vertex
+// sits in while its deletes run does not change its neighbor order.
 //
 // saga:chunksafe
-func (s *store) deleteOne(pool *chunkPools, st *chunkCounters, src, dst graph.NodeID) {
+func (s *store) deleteOne(st *chunkCounters, src, dst graph.NodeID) {
 	if int(src) >= len(s.verts) {
 		return
 	}
@@ -371,12 +394,6 @@ func (s *store) deleteOne(pool *chunkPools, st *chunkCounters, src, dst graph.No
 		}
 		v.deg--
 		st.removed++
-		if int(v.deg) <= s.unhashAt {
-			pool.putIdx(v.idx)
-			v.idx = nil
-			st.demos++
-			s.maybeInline(pool, v, st)
-		}
 	case v.arr != nil:
 		run := v.run()
 		for i := range run {
@@ -385,7 +402,6 @@ func (s *store) deleteOne(pool *chunkPools, st *chunkCounters, src, dst graph.No
 				run[i] = run[len(run)-1]
 				v.deg--
 				st.removed++
-				s.maybeInline(pool, v, st)
 				return
 			}
 		}
@@ -406,22 +422,60 @@ func (s *store) deleteOne(pool *chunkPools, st *chunkCounters, src, dst graph.No
 	}
 }
 
-// maybeInline demotes array→inline once the degree falls to the low-water
-// mark, recycling the array.
+// settle runs once after a source's deletes in a batch. First the tier
+// demotions at the low-water marks: hash→array at deg ≤ unhashAt, then
+// array→inline at deg ≤ uninlineAt. A group's degree only falls, so
+// these are the demotions a per-edge check would have made, and every
+// tier deletes by swap-with-last, so the neighbor order is too. Then the
+// storage that stays steps down, with hysteresis: an array whose class is
+// two or more above CapFor(deg), or a table two or more classes above
+// IndexSlotsFor(deg), moves to the class one above that need. A degree
+// moving by ±1 around a class boundary therefore never copies twice:
+// growth leaves storage at its need, and only a drop of a further class
+// shrinks it.
 //
 // saga:chunksafe
-func (s *store) maybeInline(pool *chunkPools, v *vertex, st *chunkCounters) {
-	if v.idx != nil || v.arr == nil || int(v.deg) > s.uninlineAt {
+func (s *store) settle(pool *chunkPools, st *chunkCounters, src graph.NodeID) {
+	if int(src) >= len(s.verts) {
 		return
 	}
-	n := copy(v.inline[:], v.run())
-	for i := n; i < InlineSlots; i++ {
-		v.inline[i] = graph.Neighbor{}
+	v := &s.verts[src]
+	if v.arr == nil {
+		return
 	}
-	pool.putArr(v.arr, v.acap)
-	v.arr, v.acap = nil, 0
-	st.demos++
-	st.moved += uint64(n)
+	deg := int(v.deg)
+	if v.idx != nil && deg <= s.unhashAt {
+		pool.putIdx(v.idx)
+		v.idx = nil
+		st.demos++
+	}
+	if v.idx == nil && deg <= s.uninlineAt {
+		n := copy(v.inline[:], v.run())
+		clear(v.inline[n:])
+		pool.putArr(v.arr, v.acap)
+		v.arr, v.acap = nil, 0
+		st.demos++
+		st.moved += uint64(n)
+		return
+	}
+	// Two array classes up are at least 4/3 of the need, and two table
+	// classes up twice a need of at least 10/7·deg: storage below those
+	// bounds, most of it, skips the class arithmetic.
+	if 3*int(v.acap) >= 4*deg {
+		if c, ok := shrinkTo(int(v.acap), CapFor(deg), 1); ok {
+			na, ncap := pool.getArr(c)
+			copy(unsafe.Slice(na, ncap), v.run())
+			pool.putArr(v.arr, v.acap)
+			v.arr, v.acap = na, ncap
+			st.moved += uint64(deg)
+		}
+	}
+	if v.idx != nil && 7*len(v.idx.slots) >= 20*deg {
+		if c, ok := shrinkTo(len(v.idx.slots), IndexSlotsFor(deg), idxClassStep); ok {
+			pool.resizeIdx(v.idx, v.run(), c, &st.scans)
+			st.moved += uint64(deg)
+		}
+	}
 }
 
 // Degree implements ds.OneDir.

@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"math/bits"
 	"unsafe"
 
 	"sagabench/internal/graph"
@@ -34,8 +35,22 @@ type idxSlot = uint32
 // shadow's address model.
 const IndexSlotBytes = unsafe.Sizeof(idxSlot(0))
 
-const idxMinSize = 16 // power of two
-const idxMaxLoad = 0.7
+// Tables take every other size class of the arrays' ladder (CapFor) —
+// 16, 24, 32, 48, 64, 96, …, two an octave — and hold at most 7 entries
+// per 10 slots. A table grows to the class its count needs, 1.33× or 1.5×
+// the one it leaves, so a table just past growth is at load 0.47–0.53
+// rather than a doubled table's 0.35. Every class of the ladder would pack
+// tables tighter still (0.56 after growth), but each probe past an
+// occupied slot reads an array entry back: on a windowed RMAT stream at
+// 2^18 vertices (2 threads) every class made inserts 17–19 % slower than
+// doubling tables did, every other class 10–14 %, and every class saved
+// only 2.1 MiB more of the 19.8 MiB the doubling tables held.
+const (
+	idxMinSize   = 16 // a size class
+	idxClassStep = 2  // table classes are every idxClassStep-th array class
+	idxLoadNum   = 7  // max load idxLoadNum/idxLoadDen
+	idxLoadDen   = 10
+)
 
 func hashNode(v graph.NodeID) uint64 {
 	x := uint64(v) * 0x9E3779B97F4A7C15
@@ -45,39 +60,44 @@ func hashNode(v graph.NodeID) uint64 {
 	return x
 }
 
-// IndexSlotsFor returns the power-of-two slot count that keeps n entries
-// under the load factor.
+// overLoad reports whether n entries pass the load factor of a table of
+// the given number of slots.
+func overLoad(n, slots int) bool { return idxLoadDen*n > idxLoadNum*slots }
+
+// IndexSlotsFor returns the smallest table class that holds n entries
+// within the load factor.
 func IndexSlotsFor(n int) int {
-	size := idxMinSize
-	for float64(n) > idxMaxLoad*float64(size) {
-		size *= 2
+	need := (idxLoadDen*n + idxLoadNum - 1) / idxLoadNum
+	cls := classOf(CapFor(max(need, idxMinSize)))
+	return classCap(cls + cls%idxClassStep)
+}
+
+func newDstIndex(slots int) *dstIndex {
+	return &dstIndex{slots: make([]idxSlot, slots)}
+}
+
+// home is dst's first probe: the high word of hash·len, which spreads the
+// hash over a table of any length without a power-of-two mask.
+func (t *dstIndex) home(dst graph.NodeID) uint64 {
+	hi, _ := bits.Mul64(hashNode(dst), uint64(len(t.slots)))
+	return hi
+}
+
+// next is the slot after i, wrapping at the table's end.
+func (t *dstIndex) next(i uint64) uint64 {
+	if i++; i == uint64(len(t.slots)) {
+		return 0
 	}
-	return size
+	return i
 }
 
-func newDstIndex(n int) *dstIndex {
-	return &dstIndex{slots: make([]idxSlot, IndexSlotsFor(n))}
-}
-
-// reset clears the index for reuse with capacity for at least n entries.
-// Oversized tables (>4x the need) are reallocated so a pool slot drained
-// from a one-off mega-hub doesn't pin its memory forever.
-func (t *dstIndex) reset(n int) {
-	size := IndexSlotsFor(n)
-	if len(t.slots) < size || len(t.slots) > 4*size {
-		t.slots = make([]idxSlot, size)
-	} else {
-		clear(t.slots)
-	}
-	t.count = 0
-}
-
-func (t *dstIndex) mask() uint64 { return uint64(len(t.slots) - 1) }
-
-func (t *dstIndex) home(dst graph.NodeID) uint64 { return hashNode(dst) & t.mask() }
-
+// dist is how far slot lies past dst's home, around the wrap.
 func (t *dstIndex) dist(slot uint64, dst graph.NodeID) uint64 {
-	return (slot - t.home(dst)) & t.mask()
+	h := t.home(dst)
+	if slot < h {
+		slot += uint64(len(t.slots))
+	}
+	return slot - h
 }
 
 // find walks dst's probe cluster to the slot holding it, or reports false
@@ -99,23 +119,23 @@ func (t *dstIndex) find(arr []graph.Neighbor, dst graph.NodeID, probes *uint64) 
 		if t.dist(i, r) < d {
 			return i, false
 		}
-		i = (i + 1) & t.mask()
+		i = t.next(i)
 		d++
 	}
 }
 
 // insert maps dst to position len(arr) — the caller appends it there —
 // unless dst is present, in which case it reports the stored position and
-// changes nothing. The table grows at the load factor and only for an
-// absent dst, so the grow decision comes first: at the brink — one insert
-// in 0.7·len — a lookup settles it, and every other insert is the single
-// walk of place.
-func (t *dstIndex) insert(arr []graph.Neighbor, dst graph.NodeID, probes *uint64) (int32, bool) {
-	if float64(t.count+1) > idxMaxLoad*float64(len(t.slots)) {
+// changes nothing. The table grows, through the pool p, at the load
+// factor and only for an absent dst, so the grow decision comes first: at
+// the brink — one insert per class step — a lookup settles it, and every
+// other insert is the single walk of place.
+func (t *dstIndex) insert(p *chunkPools, arr []graph.Neighbor, dst graph.NodeID, probes *uint64) (int32, bool) {
+	if overLoad(t.count+1, len(t.slots)) {
 		if i, ok := t.find(arr, dst, probes); ok {
 			return int32(t.slots[i] - 1), true
 		}
-		t.grow(arr, probes)
+		p.resizeIdx(t, arr, IndexSlotsFor(t.count+1), probes)
 	}
 	return t.place(arr, dst, probes)
 }
@@ -145,20 +165,14 @@ func (t *dstIndex) place(arr []graph.Neighbor, dst graph.NodeID, probes *uint64)
 			t.slots[i], cur = cur, s
 			dst, d = r, ed
 		}
-		i = (i + 1) & t.mask()
+		i = t.next(i)
 		d++
 	}
 }
 
-// grow doubles the table and refills it from the array.
-func (t *dstIndex) grow(arr []graph.Neighbor, probes *uint64) {
-	t.slots = make([]idxSlot, len(t.slots)*2)
-	t.fill(arr, probes)
-}
-
 // fill maps every entry of arr to its position, in array order, into an
-// empty table: promotion and growth rebuild from the array, not from the
-// old slots.
+// empty table: promotion and every resize rebuild from the array, not
+// from the old slots.
 func (t *dstIndex) fill(arr []graph.Neighbor, probes *uint64) {
 	t.count = 0
 	for i := range arr {
@@ -170,7 +184,7 @@ func (t *dstIndex) fill(arr []graph.Neighbor, probes *uint64) {
 // delete moved its array entry). No other slot holds from+1, so the walk
 // from dst's home knows the slot by its value and reads no array entry.
 func (t *dstIndex) set(dst graph.NodeID, from, to int32, probes *uint64) {
-	for i := t.home(dst); ; i = (i + 1) & t.mask() {
+	for i := t.home(dst); ; i = t.next(i) {
 		*probes++
 		switch t.slots[i] {
 		case idxSlot(from + 1):
@@ -192,7 +206,7 @@ func (t *dstIndex) take(arr []graph.Neighbor, dst graph.NodeID, probes *uint64) 
 	}
 	pos := int32(t.slots[i] - 1)
 	for {
-		j := (i + 1) & t.mask()
+		j := t.next(i)
 		next := t.slots[j]
 		if next == 0 || t.dist(j, arr[next-1].ID) == 0 {
 			t.slots[i] = 0

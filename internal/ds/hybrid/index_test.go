@@ -13,9 +13,10 @@ import (
 // key space, for the fuzzer's speed). Each operation is
 // three bytes — kind, then a 16-bit key folded into a space small enough
 // that keys collide, repeat and force growth — so a property test and the
-// fuzzer share it.
+// fuzzer share it. Tables come from, and go back to, a chunk's pools.
 type indexHarness struct {
 	t      *testing.T
+	pool   chunkPools
 	idx    *dstIndex
 	arr    []graph.Neighbor // the vertex's dense run: the index maps into it
 	oracle []int32          // position+1 by destination, 0 when absent
@@ -23,14 +24,20 @@ type indexHarness struct {
 	seen   []bool           // check's scratch
 	probes uint64
 	step   int
+
+	// What the stream exercised, for the property test's coverage checks.
+	classes map[int]bool // table sizes seen
+	shrinks int          // resizes to a smaller class
+	wraps   int          // checks that found a cluster running past the last slot into slot 0
 }
 
 // harnessKeys is the key space: small enough that keys collide and repeat.
 const harnessKeys = 700
 
-func runIndexOps(t *testing.T, data []byte) {
+func runIndexOps(t *testing.T, data []byte) *indexHarness {
 	t.Helper()
-	h := &indexHarness{t: t, idx: newDstIndex(0), oracle: make([]int32, harnessKeys), seen: make([]bool, harnessKeys)}
+	h := &indexHarness{t: t, oracle: make([]int32, harnessKeys), seen: make([]bool, harnessKeys), classes: map[int]bool{}}
+	h.idx = h.pool.getIdx(idxMinSize)
 	for ; len(data) >= 3; data, h.step = data[3:], h.step+1 {
 		kind, key := data[0], int(data[1])|int(data[2])<<8
 		dst := graph.NodeID(key % harnessKeys)
@@ -42,20 +49,22 @@ func runIndexOps(t *testing.T, data []byte) {
 		case 5:
 			h.moveToEnd(dst)
 		case 6:
-			if kind < 32 { // rare: an explicit doubling, entries kept
-				h.idx.grow(h.arr, &h.probes)
+			if kind < 32 { // rare: a resize to any class that holds the entries, entries kept
+				h.resize(classOf(IndexSlotsFor(h.size)) + key%6)
 			} else {
 				h.insert(dst)
 			}
 		case 7:
-			if kind < 16 { // rare: the pool's reuse, entries dropped
-				h.idx.reset(key % 200)
+			if kind < 16 { // rare: the table back to the pool and a fresh one drawn, entries dropped
+				h.pool.putIdx(h.idx)
+				h.idx = h.pool.getIdx(classCap(classOf(idxMinSize) + key%6))
 				clear(h.oracle)
 				h.size, h.arr = 0, h.arr[:0]
 			} else {
 				h.take(dst)
 			}
 		}
+		h.classes[len(h.idx.slots)] = true
 		h.check(dst)
 	}
 	for _, nb := range h.arr {
@@ -63,6 +72,20 @@ func runIndexOps(t *testing.T, data []byte) {
 	}
 	if h.step > 0 && h.probes == 0 {
 		t.Fatal("probe accounting is dead")
+	}
+	return h
+}
+
+// resize moves the table to size class cls and rebuilds it from the
+// array, as growth on insert and the shrink after a source's deletes do.
+func (h *indexHarness) resize(cls int) {
+	c := classCap(cls)
+	if c < len(h.idx.slots) {
+		h.shrinks++
+	}
+	h.pool.resizeIdx(h.idx, h.arr, c, &h.probes)
+	if len(h.idx.slots) != c {
+		h.t.Fatalf("step %d: resize to %d slots left %d", h.step, c, len(h.idx.slots))
 	}
 }
 
@@ -74,8 +97,8 @@ func (h *indexHarness) want(dst graph.NodeID) (int32, bool) {
 func (h *indexHarness) put(dst graph.NodeID, pos int32) { h.oracle[dst] = pos + 1 }
 
 func (h *indexHarness) insert(dst graph.NodeID) {
-	size, brink := len(h.idx.slots), float64(h.size+1) > idxMaxLoad*float64(len(h.idx.slots))
-	got, found := h.idx.insert(h.arr, dst, &h.probes)
+	size, brink := len(h.idx.slots), overLoad(h.size+1, len(h.idx.slots))
+	got, found := h.idx.insert(&h.pool, h.arr, dst, &h.probes)
 	want, present := h.want(dst)
 	if found != present || (found && got != want) {
 		h.t.Fatalf("step %d: insert(%d) = (%d,%v), oracle has (%d,%v)", h.step, dst, got, found, want, present)
@@ -85,11 +108,11 @@ func (h *indexHarness) insert(dst graph.NodeID) {
 		h.size++
 		h.arr = append(h.arr, graph.Neighbor{ID: dst})
 	}
-	// The table doubles exactly when a new key would pass the load
-	// factor; a duplicate never grows it.
+	// The table grows exactly when a new key would pass the load factor,
+	// to the smallest class that holds it; a duplicate never grows it.
 	wantSize := size
 	if brink && !present {
-		wantSize = 2 * size
+		wantSize = IndexSlotsFor(h.size)
 	}
 	if len(h.idx.slots) != wantSize {
 		h.t.Fatalf("step %d: insert(%d) present=%v at %d/%d entries left %d slots, want %d",
@@ -168,8 +191,8 @@ func (h *indexHarness) check(touched graph.NodeID) {
 			h.t.Fatalf("step %d: oracle puts %d at %d, the array holds %d there", h.step, dst, p-1, h.arr[p-1].ID)
 		}
 	}
-	if n := len(t.slots); n < idxMinSize || n&(n-1) != 0 {
-		h.t.Fatalf("step %d: %d slots", h.step, n)
+	if n := len(t.slots); n < idxMinSize || classOf(n) < 0 || overLoad(t.count, n) {
+		h.t.Fatalf("step %d: %d slots for %d entries", h.step, n, t.count)
 	}
 	resident := func(i uint64) graph.NodeID {
 		s := t.slots[i]
@@ -195,7 +218,11 @@ func (h *indexHarness) check(touched graph.NodeID) {
 		if d == 0 {
 			continue
 		}
-		pi := (uint64(i) - 1) & t.mask()
+		pi := uint64(i) - 1
+		if i == 0 {
+			pi = uint64(len(t.slots) - 1)
+			h.wraps++
+		}
 		if t.slots[pi] == 0 {
 			h.t.Fatalf("step %d: slot %d is %d from home behind an empty slot", h.step, i, d)
 		}
@@ -210,21 +237,39 @@ func (h *indexHarness) check(touched graph.NodeID) {
 }
 
 // TestDstIndexAgainstMap is the property test: random operation streams,
-// dense in collisions, checked after every operation.
+// dense in collisions, checked after every operation. Between them the
+// streams must have used tables of at least eight sizes that are not
+// powers of two, shrunk tables, and met clusters that wrap from the last
+// slot to the first.
 func TestDstIndexAgainstMap(t *testing.T) {
+	classes, shrinks, wraps := map[int]bool{}, 0, 0
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 3*6000)
 		rng.Read(data)
 		if seed%2 == 0 {
-			// Insert-heavy: the table climbs through several doublings.
+			// Insert-heavy: the table climbs through several classes.
 			for i := 0; i < len(data); i += 3 {
 				if data[i]%8 >= 3 && rng.Intn(3) > 0 {
 					data[i] = 0
 				}
 			}
 		}
-		runIndexOps(t, data)
+		h := runIndexOps(t, data)
+		for c := range h.classes {
+			classes[c] = true
+		}
+		shrinks += h.shrinks
+		wraps += h.wraps
+	}
+	odd := 0
+	for c := range classes {
+		if c&(c-1) != 0 {
+			odd++
+		}
+	}
+	if odd < 8 || shrinks == 0 || wraps == 0 {
+		t.Fatalf("streams used %d classes (%d not a power of two), %d shrinks, %d wrapped clusters", len(classes), odd, shrinks, wraps)
 	}
 }
 
@@ -241,7 +286,22 @@ func FuzzDstIndex(f *testing.F) {
 // empty slot (a Robin Hood placement carries displaced residents that far).
 func walkLen(t *dstIndex, arr []graph.Neighbor, dst graph.NodeID) uint64 {
 	n := uint64(1)
-	for i := t.home(dst); t.slots[i] != 0 && arr[t.slots[i]-1].ID != dst; i = (i + 1) & t.mask() {
+	for i := t.home(dst); t.slots[i] != 0 && arr[t.slots[i]-1].ID != dst; i = t.next(i) {
+		n++
+	}
+	return n
+}
+
+// lookupLen is the number of slots one lookup walk for dst visits: like
+// walkLen, except that for an absent dst the walk also ends at the first
+// resident closer to its home than the probe is to dst's, which proves
+// dst absent.
+func lookupLen(t *dstIndex, arr []graph.Neighbor, dst graph.NodeID) uint64 {
+	n, d := uint64(1), uint64(0)
+	for i := t.home(dst); t.slots[i] != 0; i, d = t.next(i), d+1 {
+		if r := arr[t.slots[i]-1].ID; r == dst || t.dist(i, r) < d {
+			break
+		}
 		n++
 	}
 	return n
@@ -250,7 +310,8 @@ func walkLen(t *dstIndex, arr []graph.Neighbor, dst graph.NodeID) uint64 {
 // TestHashTierOpsChargeOneWalk: a hash-tier insert — new edge or
 // overwrite — and a hash-tier delete of the array's last entry each
 // charge ScanSteps exactly one probe walk; deleting an interior entry adds
-// the one walk that re-points the entry swapped into its place.
+// the one walk that re-points the entry swapped into its place, and
+// deleting an absent edge charges the one lookup that proves it absent.
 func TestHashTierOpsChargeOneWalk(t *testing.T) {
 	s := newStore(1, 6, 0)
 	for i := 1; i <= 20; i++ {
@@ -303,7 +364,7 @@ func TestHashTierOpsChargeOneWalk(t *testing.T) {
 	if v.run()[3].ID != moved {
 		t.Fatalf("swap-with-last put %d at position 3, want %d", v.run()[3].ID, moved)
 	}
-	if want = walkLen(v.idx, v.run(), 4242); charged(del(4242)) != want {
-		t.Errorf("delete of an absent edge did not charge one walk of %d", want)
+	if want = lookupLen(v.idx, v.run(), 4242); charged(del(4242)) != want {
+		t.Errorf("delete of an absent edge did not charge one lookup of %d", want)
 	}
 }
