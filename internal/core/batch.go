@@ -466,8 +466,9 @@ func (p *Pipeline) apply() error {
 // emit turns the finished record into everything downstream of a batch:
 // the batch trace (its spans, and attributes giving the sizes, latencies
 // and the compute stats that tell a straggler or a triggering storm from
-// a big batch), the WAL and retry counters of whatever outcome, then for
-// an applied batch the telemetry event and metrics.
+// a big batch), and one RecordBatch call, whatever the outcome, carrying
+// the telemetry event of an applied batch and the rest of the record the
+// metrics read.
 func (p *Pipeline) emit(live bool) {
 	r := &p.batch
 	es := &r.Compute
@@ -505,63 +506,57 @@ func (p *Pipeline) emit(live bool) {
 		p.tr.Record(&trace.BatchDump{Seq: p.traceSeq, Index: r.Index, StartUnixNS: p.traceStart.UnixNano(),
 			DurNS: int64(time.Since(p.traceStart)), Attrs: a, Spans: p.spans})
 	}
-	if r.WALBytes > 0 {
-		p.rec.RecordWALAppend(r.WALBytes, r.WALFsync)
+	if r.Applied {
+		p.batchIdx++
 	}
-	if r.Retries > 0 {
-		p.rec.RecordRetries(r.Retries)
-	}
-	if !r.Applied {
-		return
-	}
-	p.batchIdx++
 	if p.rec == nil {
 		return
 	}
-	ev := telemetry.BatchEvent{
-		Repeat:         p.repeatTag,
-		Batch:          r.Index,
-		Edges:          r.Adds,
-		Deletes:        r.Dels,
-		Nodes:          r.Nodes,
-		UpdateNS:       lat.Update.Nanoseconds(),
-		ComputeNS:      lat.Compute.Nanoseconds(),
-		Affected:       r.Affected,
-		Iterations:     es.Iterations,
-		Processed:      es.Processed,
-		EdgesTraversed: es.EdgesTraversed,
-		Triggered:      es.Triggered,
-		Skipped:        es.Skipped,
-		TriggerFrac:    es.TriggerFraction(),
-		Epoch:          r.Epoch,
+	o := telemetry.BatchOutcome{WALBytes: r.WALBytes, WALFsync: r.WALFsync, Retries: r.Retries,
+		Quarantined: r.Quarantined != "", ViewRefreshed: r.Applied && p.view != nil}
+	var ev *telemetry.BatchEvent
+	if r.Applied {
+		ev = &telemetry.BatchEvent{
+			Repeat:         p.repeatTag,
+			Batch:          r.Index,
+			Edges:          r.Adds,
+			Deletes:        r.Dels,
+			Nodes:          r.Nodes,
+			UpdateNS:       lat.Update.Nanoseconds(),
+			ComputeNS:      lat.Compute.Nanoseconds(),
+			Affected:       r.Affected,
+			Iterations:     es.Iterations,
+			Processed:      es.Processed,
+			EdgesTraversed: es.EdgesTraversed,
+			Triggered:      es.Triggered,
+			Skipped:        es.Skipped,
+			TriggerFrac:    es.TriggerFraction(),
+			// Without the view r.View is zero, and so are these.
+			ViewNS:        r.View.Duration.Nanoseconds(),
+			ViewDirtyFrac: r.View.DirtyFraction(),
+			ViewWritten:   r.View.Written,
+			ViewFull:      r.View.Full,
+			Epoch:         r.Epoch,
 
-		DSEdgesIngested:  r.DS.EdgesIngested,
-		DSInserted:       r.DS.Inserted,
-		DSScanSteps:      r.DS.ScanSteps,
-		DSLockConflicts:  r.DS.LockConflicts,
-		DSMetaOps:        r.DS.MetaOps,
-		DSImbalance:      r.DS.Imbalance(),
-		DSTierPromotions: r.DS.TierPromotions,
-		DSTierDemotions:  r.DS.TierDemotions,
+			DSEdgesIngested:  r.DS.EdgesIngested,
+			DSInserted:       r.DS.Inserted,
+			DSScanSteps:      r.DS.ScanSteps,
+			DSLockConflicts:  r.DS.LockConflicts,
+			DSMetaOps:        r.DS.MetaOps,
+			DSImbalance:      r.DS.Imbalance(),
+			DSTierPromotions: r.DS.TierPromotions,
+			DSTierDemotions:  r.DS.TierDemotions,
+		}
+		if used := es.WorkersUsed(); used > 0 {
+			// Stats.WorkerBusyNS aliases engine scratch; RecordBatch
+			// encodes the event and keeps no reference to it.
+			ev.WorkerBusyNS, ev.WorkersUsed, ev.Straggler = es.WorkerBusyNS, used, es.StragglerRatio()
+		}
+		if p.em != nil {
+			st := p.em.Stats()
+			o.EpochReclaimed, o.EpochDropped = st.Reclaimed-p.lastEpoch.Reclaimed, st.Dropped-p.lastEpoch.Dropped
+			o.EpochPins, p.lastEpoch = st.Pins, st
+		}
 	}
-	if used := es.WorkersUsed(); used > 0 {
-		// Stats.WorkerBusyNS aliases engine scratch; the event outlives
-		// the batch, so it gets a copy.
-		ev.WorkerBusyNS = append([]int64(nil), es.WorkerBusyNS...)
-		ev.WorkersUsed = used
-		ev.Straggler = es.StragglerRatio()
-	}
-	if p.view != nil {
-		ev.ViewNS = r.View.Duration.Nanoseconds()
-		ev.ViewDirtyFrac = r.View.DirtyFraction()
-		ev.ViewWritten = r.View.Written
-		ev.ViewFull = r.View.Full
-		p.rec.RecordViewRefresh(r.View.Duration, ev.ViewDirtyFrac, r.View.Written, r.View.Full)
-	}
-	if p.em != nil {
-		st := p.em.Stats()
-		p.rec.RecordEpochPublish(st.Reclaimed-p.lastEpoch.Reclaimed, st.Dropped-p.lastEpoch.Dropped, st.Pins)
-		p.lastEpoch = st
-	}
-	p.rec.RecordBatch(&ev)
+	p.rec.RecordBatch(ev, o)
 }

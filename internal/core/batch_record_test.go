@@ -28,9 +28,10 @@ const steadyAllocsParent = 10
 // steadyAllocsRecorded is steadyAllocs of small-durable's shape (hybrid,
 // view, serve, INC CC, a recorder without an event sink): 18 at the
 // commit before the structure's counts moved into the BatchRecord, when
-// each batch still diffed a freshly copied cumulative profile, 14 since.
-// It only goes down.
-const steadyAllocsRecorded = 14
+// each batch still diffed a freshly copied cumulative profile, 14 since,
+// 13 once the event stopped copying the workers' busy times (RecordBatch
+// keeps no reference to it). It only goes down.
+const steadyAllocsRecorded = 13
 
 // TestProcessSteadyStateAllocs pins the runner's per-batch allocation
 // budget with every observer off (nil recorder, nil tracer): the stage

@@ -161,8 +161,9 @@ func (h *Health) To(state HealthState, cause string) bool {
 	}
 	h.state.Store(int32(state))
 	h.transitions = append(h.transitions, HealthTransition{From: from, To: state, Cause: cause, At: time.Now()})
-	h.mu.Unlock()
+	// Under the lock, so racing transitions reach the gauge in state's order.
 	h.rec.RecordHealthState(int(state))
+	h.mu.Unlock()
 	return true
 }
 

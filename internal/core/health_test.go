@@ -2,12 +2,14 @@ package core_test
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"sagabench/internal/core"
 	"sagabench/internal/durable"
 	"sagabench/internal/fault"
+	"sagabench/internal/telemetry"
 )
 
 func TestHealthMonotone(t *testing.T) {
@@ -41,6 +43,38 @@ func TestHealthMonotone(t *testing.T) {
 	var nilH *core.Health
 	if nilH.State() != core.Healthy || nilH.To(core.Failed, "x") {
 		t.Fatal("nil Health must read healthy and absorb transitions")
+	}
+}
+
+// TestHealthGaugeFollowsState races forward transitions — as the
+// watchdog's To(Failed) may race the worker's durability fault — and
+// checks that saga_health_state ends at State() and that every transition
+// was counted once.
+func TestHealthGaugeFollowsState(t *testing.T) {
+	targets := []core.HealthState{core.DegradedDurability, core.ReadOnly, core.Failed}
+	for trial := 0; trial < 500; trial++ {
+		reg := telemetry.NewRegistry()
+		h := core.NewHealth(telemetry.NewRecorder(reg, nil))
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for i := range targets {
+			// Rotate the launch order so each target is sometimes first.
+			target := targets[(i+trial)%len(targets)]
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				start.Wait()
+				h.To(target, "race")
+			}()
+		}
+		start.Done()
+		done.Wait()
+		if got := reg.Gauge("saga_health_state", "").Value(); got != float64(h.State()) {
+			t.Fatalf("trial %d: saga_health_state = %v, State() = %d", trial, got, h.State())
+		}
+		if got, want := reg.Counter("saga_health_transitions_total", "").Value(), uint64(len(h.Transitions())); got != want {
+			t.Fatalf("trial %d: saga_health_transitions_total = %d, %d transitions", trial, got, want)
+		}
 	}
 }
 

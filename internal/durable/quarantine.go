@@ -64,6 +64,5 @@ func (m *Manager) Quarantine(meta PoisonMeta, seq uint64, reason string, adds, d
 	if err != nil {
 		return "", fmt.Errorf("durable: writing quarantine file: %w", err)
 	}
-	m.rec.RecordQuarantine()
 	return f.Name(), nil
 }

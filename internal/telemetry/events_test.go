@@ -59,7 +59,7 @@ func TestEventLogRoundTrip(t *testing.T) {
 // no-op rather than a panic.
 func TestRecorderNilSafe(t *testing.T) {
 	var r *telemetry.Recorder
-	r.RecordBatch(&telemetry.BatchEvent{})
+	recordAll(r, &telemetry.BatchEvent{})
 	if r.Registry() != nil {
 		t.Fatal("nil recorder registry != nil")
 	}
@@ -80,8 +80,8 @@ func TestRecorderDrivesMetrics(t *testing.T) {
 	rec.RecordBatch(&telemetry.BatchEvent{
 		Edges: 10, Nodes: 5, UpdateNS: 2_000_000, ComputeNS: 3_000_000,
 		Affected: 4, Processed: 8, Triggered: 2, Skipped: 6, TriggerFrac: 0.25,
-	})
-	rec.RecordBatch(&telemetry.BatchEvent{Edges: 20, Nodes: 9, UpdateNS: 1_000_000, ComputeNS: 1_000_000})
+	}, telemetry.BatchOutcome{})
+	rec.RecordBatch(&telemetry.BatchEvent{Edges: 20, Nodes: 9, UpdateNS: 1_000_000, ComputeNS: 1_000_000}, telemetry.BatchOutcome{})
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -24,22 +24,46 @@ func TestMetricOpsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// recordAll calls every Recorder entry point once: RecordBatch for an
+// applied batch and for one that was not, and every per-event hook.
+func recordAll(r *telemetry.Recorder, ev *telemetry.BatchEvent) {
+	o := telemetry.BatchOutcome{WALBytes: 128, WALFsync: time.Millisecond, Retries: 2,
+		ViewRefreshed: true, EpochReclaimed: 1, EpochPins: 2}
+	r.RecordBatch(ev, o)
+	r.RecordBatch(nil, telemetry.BatchOutcome{WALBytes: 64, Quarantined: true})
+	r.RecordQueryMiss()
+	r.RecordQuerySession(12, 3)
+	r.RecordDurableRetry()
+	r.RecordCheckpoint()
+	r.RecordRecovery(4)
+	r.RecordQueueDepth(7)
+	r.RecordHealthState(1)
+	r.RecordWatchdogFire()
+	r.RecordPhaseRestart()
+	r.RecordShedBatch()
+	r.RecordRefusedIngest()
+}
+
 // TestNilRecorderOpsDoNotAllocate pins down the documented contract that
 // a nil *Recorder is a near-free no-op: the disabled-telemetry pipeline
 // calls these on every batch and every query, so the nil path must not
 // allocate either.
 func TestNilRecorderOpsDoNotAllocate(t *testing.T) {
-	var r *telemetry.Recorder
-	if allocs := testing.AllocsPerRun(1000, func() {
-		r.RecordQueryMiss()
-		r.RecordQuerySession(12, 3)
-		r.RecordEpochPublish(1, 0, 2)
-		r.RecordDurableRetry()
-		r.RecordWALAppend(128, time.Millisecond)
-		r.RecordRetries(2)
-		r.RecordQueueDepth(7)
-		r.RecordHealthState(1)
-	}); allocs != 0 {
+	ev := &telemetry.BatchEvent{Edges: 10, Epoch: 3, ViewNS: 1000, WorkerBusyNS: []int64{5, 7}}
+	if allocs := testing.AllocsPerRun(1000, func() { recordAll(nil, ev) }); allocs != 0 {
 		t.Errorf("nil-recorder ops allocate %.1f times per round", allocs)
+	}
+}
+
+// TestRecorderOpsDoNotAllocate: without an event sink, a live recorder
+// folds every report into the registry without allocating, once the
+// per-worker gauges of the event's slots exist.
+func TestRecorderOpsDoNotAllocate(t *testing.T) {
+	r := telemetry.NewRecorder(telemetry.NewRegistry(), nil)
+	ev := &telemetry.BatchEvent{Edges: 10, Epoch: 3, ViewNS: 1000, WorkerBusyNS: []int64{5, 7},
+		WorkersUsed: 2, Straggler: 1.2, TimeUnixMS: 1}
+	recordAll(r, ev)
+	if allocs := testing.AllocsPerRun(1000, func() { recordAll(r, ev) }); allocs != 0 {
+		t.Errorf("recorder ops allocate %.1f times per round", allocs)
 	}
 }

@@ -7,8 +7,9 @@
 //   - atomic counters, gauges, and fixed-bucket latency histograms with
 //     p50/p95/p99 quantile estimates (metrics.go, histogram.go);
 //   - a per-batch structured event log written as JSONL (events.go);
-//   - a Recorder that the core pipeline drives once per processed batch
-//     (recorder.go) — a nil *Recorder is a valid, near-free no-op;
+//   - a Recorder that encodes each batch's record in one RecordBatch
+//     call, whatever the outcome, beside hooks for the events no batch
+//     holds (recorder.go) — a nil *Recorder is a valid, near-free no-op;
 //   - an HTTP endpoint serving the metrics in Prometheus text format and
 //     expvar JSON, with net/http/pprof mounted for live CPU/heap profiling
 //     of a running stream (server.go).

@@ -6,9 +6,15 @@ import (
 	"time"
 )
 
-// Recorder is the pipeline's hook point: the core package calls
-// RecordBatch once per processed batch, and the recorder fans the event
-// out to the metric registry and the optional JSONL event sink.
+// Recorder encodes what the pipeline reports into the metric registry and
+// the optional JSONL event sink, through one entry point per kind of
+// report: RecordBatch once per batch, whatever its outcome; the health
+// machine's and the supervisor's hooks (state, watchdog fires, restarts,
+// shed, refused, queue depth), whose events belong to no batch and whose
+// recorder several supervisors may share; RecordQuerySession and
+// RecordQueryMiss for reader sessions beside the writer; and the durable
+// manager's RecordDurableRetry, RecordRecovery and RecordCheckpoint, which
+// also run during recovery and on close, outside any batch.
 //
 // A nil *Recorder is a valid disabled recorder — every method short-
 // circuits — and the core pipeline additionally guards its event
@@ -211,38 +217,6 @@ func (r *Recorder) RecordQueueDepth(n int) {
 	r.queueDepth.Set(float64(n))
 }
 
-// RecordViewRefresh folds one compute-view mirror refresh into the
-// metrics: its latency, the fraction of vertices it re-flattened, the
-// adjacency entries it wrote, and whether it relocated dirty runs or
-// compacted the mirror (full).
-func (r *Recorder) RecordViewRefresh(d time.Duration, dirtyFrac float64, written int, full bool) {
-	if r == nil {
-		return
-	}
-	r.viewRefreshLat.Observe(d.Seconds())
-	r.viewDirtyFrac.Set(dirtyFrac)
-	r.viewWritten.Add(uint64(written))
-	if full {
-		r.viewFull.Inc()
-	} else {
-		r.viewDelta.Inc()
-	}
-}
-
-// RecordEpochPublish folds one epoch publication into the metrics.
-// reclaimed/dropped are the publication's deltas of the buffer-fate
-// counters (at most one of them is 1), and pins is the number of handles
-// currently pinning epochs.
-func (r *Recorder) RecordEpochPublish(reclaimed, dropped uint64, pins int64) {
-	if r == nil {
-		return
-	}
-	r.epochsPublished.Inc()
-	r.epochReclaimed.Add(reclaimed)
-	r.epochDropped.Add(dropped)
-	r.epochPins.Set(float64(pins))
-}
-
 // RecordQuerySession folds one completed pin/release session into the
 // metrics: how many reads it served and how many batches stale it was
 // when released.
@@ -263,19 +237,6 @@ func (r *Recorder) RecordQueryMiss() {
 	r.queryMisses.Inc()
 }
 
-// RecordWALAppend folds one WAL append into the metrics. fsync is the
-// measured fsync latency, zero when the policy skipped the flush.
-func (r *Recorder) RecordWALAppend(bytes int, fsync time.Duration) {
-	if r == nil {
-		return
-	}
-	r.walAppends.Inc()
-	r.walBytes.Add(uint64(bytes))
-	if fsync > 0 {
-		r.walFsyncLat.Observe(fsync.Seconds())
-	}
-}
-
 // RecordCheckpoint counts a written checkpoint snapshot.
 func (r *Recorder) RecordCheckpoint() {
 	if r == nil {
@@ -293,22 +254,6 @@ func (r *Recorder) RecordRecovery(replayed int) {
 	r.replayed.Add(uint64(replayed))
 }
 
-// RecordQuarantine counts a poison batch written to quarantine.
-func (r *Recorder) RecordQuarantine() {
-	if r == nil {
-		return
-	}
-	r.quarantines.Inc()
-}
-
-// RecordRetries counts a batch's n apply retries.
-func (r *Recorder) RecordRetries(n int) {
-	if r == nil {
-		return
-	}
-	r.applyRetries.Add(uint64(n))
-}
-
 // Registry exposes the metric registry (nil for a nil recorder).
 func (r *Recorder) Registry() *Registry {
 	if r == nil {
@@ -317,10 +262,45 @@ func (r *Recorder) Registry() *Registry {
 	return r.reg
 }
 
-// RecordBatch folds one batch event into the metrics and appends it to
-// the event log. The event's timestamp is stamped here if unset.
-func (r *Recorder) RecordBatch(ev *BatchEvent) {
+// BatchOutcome is the part of a batch's record its event does not hold.
+type BatchOutcome struct {
+	// WALBytes is the size of the batch's WAL record (0: none appended),
+	// WALFsync the fsync after it (0: the policy skipped the flush).
+	WALBytes    int
+	WALFsync    time.Duration
+	Retries     int  // re-attempted applies
+	Quarantined bool // set aside as a poison file
+	// ViewRefreshed: the event's View fields describe a refresh that ran.
+	ViewRefreshed bool
+	// EpochReclaimed and EpochDropped are the publication's deltas of the
+	// superseded-buffer counters (at most one is 1), EpochPins the handles
+	// pinning epochs after it. Read only when the event has an Epoch.
+	EpochReclaimed, EpochDropped uint64
+	EpochPins                    int64
+}
+
+// RecordBatch encodes one batch, whatever its outcome, into the metrics
+// and the event log: ev is the batch's event, nil when the batch was not
+// applied, and o what the event does not hold. The event is encoded
+// before RecordBatch returns and no reference to it is kept, so its
+// WorkerBusyNS may alias the caller's scratch. ev's timestamp is stamped
+// here if unset.
+func (r *Recorder) RecordBatch(ev *BatchEvent, o BatchOutcome) {
 	if r == nil {
+		return
+	}
+	if o.WALBytes > 0 {
+		r.walAppends.Inc()
+		r.walBytes.Add(uint64(o.WALBytes))
+		if o.WALFsync > 0 {
+			r.walFsyncLat.Observe(o.WALFsync.Seconds())
+		}
+	}
+	r.applyRetries.Add(uint64(o.Retries))
+	if o.Quarantined {
+		r.quarantines.Inc()
+	}
+	if ev == nil {
 		return
 	}
 	if ev.TimeUnixMS == 0 {
@@ -366,6 +346,22 @@ func (r *Recorder) RecordBatch(ev *BatchEvent) {
 		for w, ns := range ev.WorkerBusyNS {
 			r.workerGauge(w).Set(float64(ns) / 1e9)
 		}
+	}
+	if o.ViewRefreshed {
+		r.viewRefreshLat.Observe(time.Duration(ev.ViewNS).Seconds())
+		r.viewDirtyFrac.Set(ev.ViewDirtyFrac)
+		r.viewWritten.Add(uint64(ev.ViewWritten))
+		if ev.ViewFull {
+			r.viewFull.Inc()
+		} else {
+			r.viewDelta.Inc()
+		}
+	}
+	if ev.Epoch > 0 {
+		r.epochsPublished.Inc()
+		r.epochReclaimed.Add(o.EpochReclaimed)
+		r.epochDropped.Add(o.EpochDropped)
+		r.epochPins.Set(float64(o.EpochPins))
 	}
 	if r.sink != nil {
 		r.sink.Write(ev) // first error is sticky inside the sink

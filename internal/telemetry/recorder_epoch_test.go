@@ -6,14 +6,19 @@ import "testing"
 // the nil-recorder contract that lets the pipeline call these hooks
 // unconditionally when telemetry is disabled.
 
+// TestRecordEpochPublish: RecordBatch counts a publication for an event
+// with an epoch number, folds in the outcome's buffer fates, and sets the
+// pin gauge; an event without one publishes nothing.
 func TestRecordEpochPublish(t *testing.T) {
 	reg := NewRegistry()
 	r := NewRecorder(reg, nil)
+	publish := func(epoch uint64, o BatchOutcome) { r.RecordBatch(&BatchEvent{Epoch: epoch}, o) }
 
-	r.RecordEpochPublish(0, 0, 0) // first publish: no spare yet
-	r.RecordEpochPublish(1, 0, 2) // spare reclaimed, two pins live
-	r.RecordEpochPublish(0, 1, 5) // spare dropped to the GC
-	r.RecordEpochPublish(1, 0, 0) // drained again
+	publish(1, BatchOutcome{})                                // first publish: no spare yet
+	publish(2, BatchOutcome{EpochReclaimed: 1, EpochPins: 2}) // spare reclaimed, two pins live
+	publish(3, BatchOutcome{EpochDropped: 1, EpochPins: 5})   // spare dropped to the GC
+	publish(4, BatchOutcome{EpochReclaimed: 1})               // drained again
+	publish(0, BatchOutcome{EpochReclaimed: 1, EpochPins: 9}) // query serving off: not a publication
 
 	for _, tc := range []struct {
 		name string
@@ -31,7 +36,7 @@ func TestRecordEpochPublish(t *testing.T) {
 	if got := reg.Gauge("saga_query_pinned_handles", "").Value(); got != 0 {
 		t.Errorf("saga_query_pinned_handles = %v, want 0 (latest publish)", got)
 	}
-	r.RecordEpochPublish(0, 0, 3)
+	publish(5, BatchOutcome{EpochPins: 3})
 	if got := reg.Gauge("saga_query_pinned_handles", "").Value(); got != 3 {
 		t.Errorf("saga_query_pinned_handles = %v, want 3", got)
 	}
@@ -69,7 +74,7 @@ func TestRecordQuerySessionAndMiss(t *testing.T) {
 // a nil recorder — the pipeline does exactly that when telemetry is off.
 func TestEpochRecorderNilSafety(t *testing.T) {
 	var r *Recorder
-	r.RecordEpochPublish(1, 1, 9)
+	r.RecordBatch(&BatchEvent{Epoch: 1}, BatchOutcome{EpochReclaimed: 1, EpochDropped: 1, EpochPins: 9})
 	r.RecordQuerySession(3, 1)
 	r.RecordQueryMiss()
 }
