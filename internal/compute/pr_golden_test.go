@@ -48,7 +48,11 @@ var prGolden = map[string]uint64{
 // quarter of the previous batch deleted again, vertices appearing over
 // time) through PageRank under both models, on the compute view and on
 // the structure's interface (and FS on an in-only view), and compares the
-// hash of all post-batch value vectors with the recorded one.
+// hash of all post-batch value vectors with the recorded one. Its count
+// twin: every path of a row reports, batch for batch, the same
+// Iterations, Processed and EdgesTraversed — the backings hand the
+// kernels the same runs, so a path that counts its work differently (per
+// range instead of per vertex, say) must still count the same work.
 func TestPRGoldenBitIdentity(t *testing.T) {
 	const seed, batchSize = 20260926, 500
 	spec := gen.MustDataset("lj", gen.ProfileTiny)
@@ -56,6 +60,7 @@ func TestPRGoldenBitIdentity(t *testing.T) {
 		for _, directed := range []bool{true, false} {
 			spec.Directed = directed
 			edges := spec.Generate(seed)
+			counts := map[compute.Model][]prCounts{}
 			for _, path := range []string{"interface", "view", "in-only-view"} {
 				for _, model := range []compute.Model{compute.FS, compute.INC} {
 					if path == "in-only-view" && (model != compute.FS || !directed) {
@@ -67,9 +72,21 @@ func TestPRGoldenBitIdentity(t *testing.T) {
 					}
 					key := fmt.Sprintf("%s/%s/%s", dsName, dir, model)
 					t.Run(key+"/"+path, func(t *testing.T) {
-						got := prStreamHash(t, dsName, directed, path, model, edges, batchSize)
+						got, perBatch := prStreamHash(t, dsName, directed, path, model, edges, batchSize)
 						if want := prGolden[key]; got != want {
 							t.Fatalf("PageRank values hash %#x, recorded %#x: the numerics changed", got, want)
+						}
+						ref, ok := counts[model]
+						if !ok {
+							counts[model] = perBatch
+							return
+						}
+						for b := range ref {
+							if perBatch[b] != ref[b] {
+								t.Fatalf("batch %d: %d iterations / %d processed / %d edges, the interface path %d / %d / %d",
+									b, perBatch[b].Iterations, perBatch[b].Processed, perBatch[b].EdgesTraversed,
+									ref[b].Iterations, ref[b].Processed, ref[b].EdgesTraversed)
+							}
 						}
 					})
 				}
@@ -78,7 +95,15 @@ func TestPRGoldenBitIdentity(t *testing.T) {
 	}
 }
 
-func prStreamHash(t *testing.T, dsName string, directed bool, path string, model compute.Model, edges []graph.Edge, batchSize int) uint64 {
+// prCounts is one batch's work counts, the count twin's unit.
+type prCounts struct {
+	Iterations                int
+	Processed, EdgesTraversed uint64
+}
+
+// prStreamHash returns the hash of the stream's post-batch value vectors
+// and each batch's work counts.
+func prStreamHash(t *testing.T, dsName string, directed bool, path string, model compute.Model, edges []graph.Edge, batchSize int) (uint64, []prCounts) {
 	t.Helper()
 	g := ds.MustNew(dsName, ds.Config{Directed: directed, Threads: 1})
 	var cg ds.Graph = g
@@ -97,6 +122,7 @@ func prStreamHash(t *testing.T, dsName string, directed bool, path string, model
 	h := fnv.New64a()
 	var prev, dels graph.Batch
 	var word [8]byte
+	var perBatch []prCounts
 	for lo := 0; lo < len(edges); lo += batchSize {
 		hi := lo + batchSize
 		if hi > len(edges) {
@@ -117,6 +143,8 @@ func prStreamHash(t *testing.T, dsName string, directed bool, path string, model
 			view.Refresh(adds, dels)
 		}
 		e.PerformAlg(cg, affectedOf(append(append(graph.Batch{}, adds...), dels...)))
+		st := e.Stats()
+		perBatch = append(perBatch, prCounts{st.Iterations, st.Processed, st.EdgesTraversed})
 		for _, f := range e.Values() {
 			bits := math.Float64bits(f)
 			for i := range word {
@@ -126,5 +154,5 @@ func prStreamHash(t *testing.T, dsName string, directed bool, path string, model
 		}
 		prev = adds
 	}
-	return h.Sum64()
+	return h.Sum64(), perBatch
 }

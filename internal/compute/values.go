@@ -28,6 +28,12 @@ func (v values) set(i int, f float64) { atomic.StoreUint64(&v[i], math.Float64bi
 // barrier that ends the pass.
 func (v values) put(i int, f float64) { v[i] = math.Float64bits(f) }
 
+// at is get as a plain load, which the compiler may keep in a register
+// or reorder. Audited use only, where no worker can be storing slot i: the
+// FS PageRank pull pass, which reads contributions written before the
+// barrier that opened it, and ranks that only this worker writes.
+func (v values) at(i int) float64 { return math.Float64frombits(v[i]) }
+
 // store is put when plain, else set: a pass that runs as a single range
 // is a sequential stretch and stores plainly, one that was cut into
 // several ranges stores atomically.

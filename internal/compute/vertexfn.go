@@ -453,10 +453,11 @@ func contribOf(r float64, d int) float64 {
 
 // prPull is PageRank's vertex function over the contribution vector: one
 // load per in-edge, where summing rank[u]/outdeg(u) directly costs a
-// degree lookup, a rank lookup and a division per edge. It is the only
-// PageRank pull body — the FS sweep and the INC rounds, on the view and
-// on the interface path, all call it. contribOf rounds the same quotient
-// the per-edge division did and the run is summed in the same order, so
+// degree lookup, a rank lookup and a division per edge. The FS sweep and
+// the INC rounds, on the view and on the interface path, all call it;
+// the FS sweep over an in-only view's ID runs inlines the same sum
+// (fsEngine.prPullRange). contribOf rounds the same quotient the
+// per-edge division did and the run is summed in the same order, so
 // results are bit-identical to the per-edge form.
 //
 // saga:hotpath

@@ -1,7 +1,9 @@
 package crashloop
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"sagabench/internal/compute"
@@ -275,6 +277,9 @@ func (g outOnly) InNeigh(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor 
 // inOnly presents an in-only mirror (ds.ComputeView.MirrorInOnly) to
 // ds.DiffOracle the same way: its out-runs are answered by the oracle,
 // while its out-degrees, which the mirror does hold, are still compared.
+// Its in-runs hold IDs only, so each is read back with the oracle's weight
+// for every ID the oracle has (none for one it lacks): every mirrored ID
+// is still diffed, only the weights are the oracle's own.
 type inOnly struct {
 	ds.Graph
 	o *graph.Oracle
@@ -282,6 +287,18 @@ type inOnly struct {
 
 func (g inOnly) OutNeigh(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
 	return append(buf, g.o.Out(v)...)
+}
+
+func (g inOnly) InNeigh(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
+	want := g.o.In(v) // sorted by ID
+	for _, id := range g.Graph.(ds.FlatView).FlatCSR().InIDRun(v) {
+		nb := graph.Neighbor{ID: id}
+		if i, ok := slices.BinarySearchFunc(want, id, func(n graph.Neighbor, id graph.NodeID) int { return cmp.Compare(n.ID, id) }); ok {
+			nb.Weight = want[i].Weight
+		}
+		buf = append(buf, nb)
+	}
+	return buf
 }
 
 func diffDetail(got, want []float64, v int) string {

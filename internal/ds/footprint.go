@@ -42,29 +42,36 @@ type ViewFootprint struct {
 }
 
 // Footprint accounts the view's bytes by owner. It must not run beside a
-// Refresh.
+// Refresh. An arena is counted at its own record size: 8 B per neighbor,
+// 4 B per ID in an in-only mirror.
 func (v *ComputeView) Footprint() ViewFootprint {
-	const (
-		neighbor = int64(unsafe.Sizeof(graph.Neighbor{}))
-		span     = int64(unsafe.Sizeof(graph.Span{}))
-		id       = int64(unsafe.Sizeof(graph.NodeID(0)))
-	)
 	f := ViewFootprint{Degrees: int64(cap(v.csr.OutDeg)) * 4}
-	for _, d := range [2]*mirrorDir{v.out, v.in} {
-		if d == nil {
-			continue
-		}
-		f.Arena += int64(cap(d.arena)) * neighbor
-		f.ArenaLive += int64(d.live) * neighbor
-		// The current index owns the arena or nothing; only the spare can
-		// hold a retired one.
-		if own := d.idx[1-d.cur].own; own != nil && unsafe.SliceData(own) != unsafe.SliceData(d.arena) {
-			f.Arena += int64(cap(own)) * neighbor
-		}
-		f.Index += int64(cap(d.idx[0].spans)+cap(d.idx[1].spans)) * span
-		f.Dirty += int64(cap(d.dirty))*8 + int64(cap(d.list)+cap(d.prev))*id
-	}
+	v.out.footprint(&f)
+	v.in.footprint(&f)
+	v.ids.footprint(&f)
 	return f
+}
+
+// footprint adds the direction's bytes to f; a nil direction adds none.
+func (d *mirrorDir[R]) footprint(f *ViewFootprint) {
+	if d == nil {
+		return
+	}
+	var r R
+	size := int64(unsafe.Sizeof(r))
+	const (
+		span = int64(unsafe.Sizeof(graph.Span{}))
+		id   = int64(unsafe.Sizeof(graph.NodeID(0)))
+	)
+	f.Arena += int64(cap(d.arena)) * size
+	f.ArenaLive += int64(d.live) * size
+	// The current index owns the arena or nothing; only the spare can
+	// hold a retired one.
+	if own := d.idx[1-d.cur].own; own != nil && unsafe.SliceData(own) != unsafe.SliceData(d.arena) {
+		f.Arena += int64(cap(own)) * size
+	}
+	f.Index += int64(cap(d.idx[0].spans)+cap(d.idx[1].spans)) * span
+	f.Dirty += int64(cap(d.dirty))*8 + int64(cap(d.list)+cap(d.prev))*id
 }
 
 // FootprintOf collects the footprint of g if it is accounted; TwoCopy-

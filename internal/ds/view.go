@@ -2,6 +2,7 @@ package ds
 
 import (
 	"math/bits"
+	"slices"
 	"time"
 
 	"sagabench/internal/graph"
@@ -44,17 +45,18 @@ import (
 //
 // A directed mirror comes in three shapes, for what its consumer reads:
 // both directions (the default, and what a published epoch needs), out
-// runs only (MirrorOutOnly: push-only kernels), or in runs plus one
-// out-degree per vertex (MirrorInOnly: a pull sweep normalised by the
-// source's out-degree, FS PageRank).
+// runs only (MirrorOutOnly: push-only kernels), or in runs of source IDs
+// plus one out-degree per vertex (MirrorInOnly: a pull sweep normalised by
+// the source's out-degree, FS PageRank, which reads no weight).
 //
 // A ComputeView implements Graph for reading; Update panics. Refresh must
 // not run concurrently with reads of the view itself — the same
 // update/compute phase separation the structures themselves require.
 type ComputeView struct {
 	src Graph
-	out *mirrorDir // nil when in-only
-	in  *mirrorDir // nil when out-only, or undirected: the in runs alias the out runs
+	out *mirrorDir[graph.Neighbor] // nil when in-only
+	in  *mirrorDir[graph.Neighbor] // nil when out-only, in-only, or undirected: the in runs alias the out runs
+	ids *mirrorDir[graph.NodeID]   // an in-only mirror's in runs, source IDs only; nil otherwise
 
 	// An in-only mirror's out-degrees, read from degOf for the batch's
 	// sources and for vertices not covered yet (csr.OutDeg).
@@ -100,24 +102,34 @@ const (
 	listFloor = 4096
 )
 
-// mirrorDir is one adjacency direction of the mirror.
-type mirrorDir struct {
+// record is what a mirror direction stores per adjacency entry: the whole
+// neighbor, or only its ID where the one consumer reads no weight (the
+// in-only shape).
+type record interface{ graph.Neighbor | graph.NodeID }
+
+// mirrorDir is one adjacency direction of the mirror, holding records of
+// type R.
+type mirrorDir[R record] struct {
 	store  OneDir
 	expand DirtyExpander // non-nil for stores that reorder bystander runs
+	// fill writes u's run, in the store's FlatFill order, into dst and
+	// returns how many records the store had; worker w may use its own
+	// scratch for it.
+	fill func(w int, u graph.NodeID, dst []R) int
 
 	// The mirror proper: vertex v's run is arena[spans[v].Begin:
 	// spans[v].End]. spans belongs to idx[cur] and covers len(spans)
 	// vertices; live counts the entries it reaches, so len(arena)-live is
 	// dead space.
 	spans []graph.Span
-	arena []graph.Neighbor
+	arena []R
 	live  int
 
 	// The index double buffer. idx[1-cur] was handed out two refreshes
 	// ago; unless stale, it differs from the current index exactly at the
 	// vertices of prev, so a relocating refresh replays prev and this
 	// refresh's list into it instead of copying every span.
-	idx [2]indexBuf
+	idx [2]indexBuf[R]
 	cur int
 
 	n     int            // vertices this refresh covers
@@ -134,7 +146,7 @@ type mirrorDir struct {
 }
 
 // indexBuf is one half of a direction's index double buffer.
-type indexBuf struct {
+type indexBuf[R record] struct {
 	spans []graph.Span
 	// stale: replaying prev cannot bring the buffer up to date (never
 	// written, dropped, or a compaction rewrote the other buffer since);
@@ -146,7 +158,7 @@ type indexBuf struct {
 	// writing (see DropSpares) then frees own too, so back-to-back
 	// compactions of a graph that is not growing ping-pong between two
 	// arenas instead of allocating one each.
-	own []graph.Neighbor
+	own []R
 }
 
 // RefreshStats describes one Refresh call.
@@ -187,19 +199,44 @@ func NewComputeView(g Graph, threads int) (*ComputeView, bool) {
 		threads = 1
 	}
 	v := &ComputeView{src: g}
-	v.out = newMirrorDir(t.OutStore(), threads)
+	v.out = newNeighborDir(t.OutStore(), threads)
 	if t.Directed() {
-		v.in = newMirrorDir(t.InStore(), threads)
+		v.in = newNeighborDir(t.InStore(), threads)
 	}
 	return v, true
 }
 
-func newMirrorDir(st OneDir, threads int) *mirrorDir {
-	d := &mirrorDir{store: st, threads: threads}
+func newMirrorDir[R record](st OneDir, threads int, fill func(w int, u graph.NodeID, dst []R) int) *mirrorDir[R] {
+	d := &mirrorDir[R]{store: st, fill: fill, threads: threads}
 	d.expand, _ = st.(DirtyExpander)
 	d.idx[0].stale, d.idx[1].stale = true, true
 	d.markFn, d.fillPass = d.mark, d.fillRange
 	return d
+}
+
+// newNeighborDir mirrors st's runs whole: FlatFill writes them in place.
+func newNeighborDir(st OneDir, threads int) *mirrorDir[graph.Neighbor] {
+	return newMirrorDir(st, threads, func(_ int, u graph.NodeID, dst []graph.Neighbor) int {
+		return st.FlatFill(u, dst)
+	})
+}
+
+// newIDDir mirrors st's runs as their IDs: each run is filled into the
+// worker's scratch run, grown to the largest degree it has met, and
+// narrowed from there.
+func newIDDir(st OneDir, threads int) *mirrorDir[graph.NodeID] {
+	scratch := make([][]graph.Neighbor, threads)
+	return newMirrorDir(st, threads, func(w int, u graph.NodeID, dst []graph.NodeID) int {
+		if cap(scratch[w]) < len(dst) {
+			scratch[w] = slices.Grow(scratch[w][:0], len(dst))
+		}
+		run := scratch[w][:len(dst)]
+		n := st.FlatFill(u, run)
+		for i, nb := range run {
+			dst[i] = nb.ID
+		}
+		return n
+	})
 }
 
 // MirrorOutOnly stops maintaining the in-adjacency mirror. The refresh
@@ -224,9 +261,12 @@ func (v *ComputeView) MirrorOutOnly() {
 // MirrorInOnly stops maintaining the out-adjacency mirror and keeps one
 // 32-bit out-degree per vertex in its place (graph.CSR.OutDeg), which is
 // safe whenever the consumer reads out-degrees but never out-runs
-// (compute.NeedsOutAdjacency). The degrees are rewritten in place by
-// every Refresh, so an in-only view must not be published as an epoch.
-// OutNeigh panics afterwards. No-op on undirected mirrors.
+// (compute.NeedsOutAdjacency). The in runs shrink to their source IDs
+// (graph.CSR.InIDs), half the bytes of whole neighbors: the one consumer
+// of this shape, FS PageRank, reads no weight. The next Refresh rebuilds
+// them. The degrees are rewritten in place by every Refresh, so an
+// in-only view must not be published as an epoch. OutNeigh and InNeigh
+// panic afterwards. No-op on undirected mirrors.
 func (v *ComputeView) MirrorInOnly() {
 	if v.out == nil || !v.src.Directed() {
 		return
@@ -235,9 +275,10 @@ func (v *ComputeView) MirrorInOnly() {
 		panic("ds: MirrorInOnly on an out-only ComputeView")
 	}
 	v.degOf = v.out.store
-	v.out = nil
+	v.ids = newIDDir(v.in.store, v.in.threads)
+	v.out, v.in = nil, nil
 	v.shape = mirrorIn
-	v.csr.OutSpans, v.csr.OutAdj = nil, nil
+	v.csr = graph.CSR{}
 }
 
 // Refresh brings the mirror up to date after the update phase applied
@@ -270,16 +311,22 @@ func (v *ComputeView) Refresh(adds, dels graph.Batch) RefreshStats {
 	} else {
 		v.refreshDegrees(n, adds, dels)
 	}
-	if v.in != nil {
+	if v.in != nil || v.ids != nil {
 		v.touched = v.touched[:0]
 		for _, b := range [2]graph.Batch{adds, dels} {
 			for _, e := range b {
 				v.touched = append(v.touched, e.Dst)
 			}
 		}
+	}
+	if v.in != nil {
 		v.in.refresh(n, v.touched, &st)
 		v.csr.InSpans, v.csr.InAdj = v.in.spans, v.in.arena
 		v.csr.Edges = v.in.live
+	} else if v.ids != nil {
+		v.ids.refresh(n, v.touched, &st)
+		v.csr.InSpans, v.csr.InIDs = v.ids.spans, v.ids.arena
+		v.csr.Edges = v.ids.live
 	} else if undirected {
 		// The single store already holds both orientations.
 		v.csr.InSpans, v.csr.InAdj = v.csr.OutSpans, v.csr.OutAdj
@@ -319,7 +366,7 @@ func (v *ComputeView) LastRefresh() RefreshStats { return v.stats }
 
 // refresh brings one direction up to date over n vertices and adds its
 // work to st.
-func (d *mirrorDir) refresh(n int, touched []graph.NodeID, st *RefreshStats) {
+func (d *mirrorDir[R]) refresh(n int, touched []graph.NodeID, st *RefreshStats) {
 	d.collectDirty(n, touched)
 
 	// rewritten is what the dirty runs hold now, freed what they held.
@@ -377,7 +424,7 @@ func (d *mirrorDir) refresh(n int, touched []graph.NodeID, st *RefreshStats) {
 // spare returns the index buffer a refresh may write, sized to n spans,
 // with headroom so a trickle of new vertices does not reallocate. A
 // reallocated buffer is stale.
-func (d *mirrorDir) spare(n int) *indexBuf {
+func (d *mirrorDir[R]) spare(n int) *indexBuf[R] {
 	b := &d.idx[1-d.cur]
 	if b.spans == nil || cap(b.spans) < n {
 		b.spans, b.stale = make([]graph.Span, n, n+n/8), true
@@ -390,7 +437,7 @@ func (d *mirrorDir) spare(n int) *indexBuf {
 // re-read: those the batch touched (widened by stores whose iteration
 // order can shift under bystander updates, see DirtyExpander) and every
 // vertex the mirror does not cover yet.
-func (d *mirrorDir) collectDirty(n int, touched []graph.NodeID) {
+func (d *mirrorDir[R]) collectDirty(n int, touched []graph.NodeID) {
 	for len(d.dirty) < (n+63)>>6 {
 		d.dirty = append(d.dirty, 0)
 	}
@@ -415,17 +462,17 @@ func (d *mirrorDir) collectDirty(n int, touched []graph.NodeID) {
 	}
 }
 
-func (d *mirrorDir) mark(u graph.NodeID) {
+func (d *mirrorDir[R]) mark(u graph.NodeID) {
 	if int(u) < d.n {
 		d.dirty[u>>6] |= 1 << (u & 63)
 	}
 }
 
-func (d *mirrorDir) isDirty(u int) bool { return d.dirty[u>>6]>>(u&63)&1 != 0 }
+func (d *mirrorDir[R]) isDirty(u int) bool { return d.dirty[u>>6]>>(u&63)&1 != 0 }
 
 // relocate appends the dirty runs at the arena's tail and patches their
 // spans in the spare index buffer, which becomes the current one.
-func (d *mirrorDir) relocate(n int) {
+func (d *mirrorDir[R]) relocate(n int) {
 	b := d.spare(n)
 	if b.stale {
 		copy(b.spans, d.spans)
@@ -448,21 +495,21 @@ func (d *mirrorDir) relocate(n int) {
 	graph.ParallelRanges(d.cuts, d.fillPass)
 }
 
-// fillRange reads the runs of list[lo:hi] from the structure into the
-// places their spans give them.
-func (d *mirrorDir) fillRange(_, lo, hi int) {
+// fillRange is worker w's share of a relocation: it reads the runs of
+// list[lo:hi] from the structure into the places their spans give them.
+func (d *mirrorDir[R]) fillRange(w, lo, hi int) {
 	for _, u := range d.list[lo:hi] {
-		d.fillRun(u, d.arena[d.spans[u].Begin:d.spans[u].End])
+		d.fillRun(w, u, d.arena[d.spans[u].Begin:d.spans[u].End])
 	}
 }
 
-// fillRun writes u's neighbors, in the store's own traversal order, into
-// dst, which is sized to the degree the store reported.
-func (d *mirrorDir) fillRun(u graph.NodeID, dst []graph.Neighbor) {
+// fillRun writes u's run, in the store's own traversal order, into dst,
+// which is sized to the degree the store reported.
+func (d *mirrorDir[R]) fillRun(w int, u graph.NodeID, dst []R) {
 	if len(dst) == 0 {
 		return
 	}
-	if d.store.FlatFill(u, dst) != len(dst) {
+	if d.fill(w, u, dst) != len(dst) {
 		panic("ds: ComputeView fill count does not match reported degree")
 	}
 }
@@ -472,7 +519,7 @@ func (d *mirrorDir) fillRun(u graph.NodeID, dst []graph.Neighbor) {
 // the live entries, back to back in vertex order, with every span
 // rewritten into the spare index buffer. Clean runs come from the old
 // arena, dirty ones from the structure.
-func (d *mirrorDir) compact(n, live, capacity int) {
+func (d *mirrorDir[R]) compact(n, live, capacity int) {
 	b := d.spare(n)
 	pos := 0
 	for u := range b.spans {
@@ -487,11 +534,11 @@ func (d *mirrorDir) compact(n, live, capacity int) {
 	}
 	arena := b.own
 	if cap(arena) < capacity {
-		arena = make([]graph.Neighbor, live, capacity)
+		arena = make([]R, live, capacity)
 	}
 	arena = arena[:live]
 	d.cuts = graph.UniformCuts(d.cuts, n, d.threads)
-	graph.ParallelRanges(d.cuts, func(_, lo, hi int) { d.compactRange(lo, hi, b.spans, arena) })
+	graph.ParallelRanges(d.cuts, func(w, lo, hi int) { d.compactRange(w, lo, hi, b.spans, arena) })
 	d.spans, d.arena, b.own = b.spans, arena, arena
 	// The superseded arena stays with the other buffer only if a compaction
 	// like this one could fill it: on a growing graph it is already too
@@ -509,10 +556,10 @@ func (d *mirrorDir) compact(n, live, capacity int) {
 // in arena. Consecutive clean vertices whose old runs lie back to back —
 // everything between two relocated runs since the last compaction — move
 // as one memmove.
-func (d *mirrorDir) compactRange(lo, hi int, spans []graph.Span, arena []graph.Neighbor) {
+func (d *mirrorDir[R]) compactRange(w, lo, hi int, spans []graph.Span, arena []R) {
 	for u := lo; u < hi; {
 		if d.isDirty(u) {
-			d.fillRun(graph.NodeID(u), arena[spans[u].Begin:spans[u].End])
+			d.fillRun(w, graph.NodeID(u), arena[spans[u].Begin:spans[u].End])
 			u++
 			continue
 		}
@@ -533,10 +580,14 @@ func (d *mirrorDir) compactRange(lo, hi int, spans []graph.Span, arena []graph.N
 // instead of blocking. An arena that more than one index reaches is never
 // written except past its tail, so it needs no such gate.
 func (v *ComputeView) DropSpares() {
-	for _, d := range [2]*mirrorDir{v.out, v.in} {
-		if d != nil {
-			d.idx[1-d.cur] = indexBuf{stale: true}
-		}
+	v.out.dropSpare()
+	v.in.dropSpare()
+	v.ids.dropSpare()
+}
+
+func (d *mirrorDir[R]) dropSpare() {
+	if d != nil {
+		d.idx[1-d.cur] = indexBuf[R]{stale: true}
 	}
 }
 

@@ -51,12 +51,22 @@ func (s viewShape) newView(t testing.TB, g ds.Graph, threads int) *ds.ComputeVie
 	return v
 }
 
-// arenaOf is the adjacency array a shape's compactions rewrite first.
-func arenaOf(c *graph.CSR) []graph.Neighbor {
+// arenaCap is the capacity of the adjacency array a shape's compactions
+// rewrite first.
+func arenaCap(c *graph.CSR) int {
 	if c.HasOut() {
-		return c.OutAdj
+		return cap(c.OutAdj)
 	}
-	return c.InAdj
+	return cap(c.InIDs)
+}
+
+// idsOf is the IDs of a run, what an in-only mirror keeps of it.
+func idsOf(run []graph.Neighbor) []graph.NodeID {
+	ids := make([]graph.NodeID, len(run))
+	for i, nb := range run {
+		ids[i] = nb.ID
+	}
+	return ids
 }
 
 // refreshOutcome counts what a run exercised, so the table test can
@@ -110,7 +120,8 @@ func fingerprintOf(c *graph.CSR) uint64 {
 
 // checkRefresh drives one case and asserts, after every refresh, that
 // each run of the mirror equals the store's own FlatFill order (an in-only
-// mirror's out-degrees the store's degrees), that the mirror reads run for
+// mirror's ID runs the IDs in that order, its out-degrees the store's
+// degrees), that the mirror reads run for
 // run like a from-scratch build, that both fingerprint alike whatever
 // layout the mirror is in (relocated or just compacted), and that the
 // epoch invariants hold (for an in-only mirror, which no epoch publishes:
@@ -143,13 +154,13 @@ func checkRefresh(t testing.TB, c refreshCase) refreshOutcome {
 			}
 		case st.Full:
 			out.compactions++
-			if cap(arenaOf(csr)) > lastCap {
+			if arenaCap(csr) > lastCap {
 				out.arenaGrowths++
 			}
 		default:
 			out.relocations++
 		}
-		lastCap = cap(arenaOf(csr))
+		lastCap = arenaCap(csr)
 
 		if n := g.NumNodes(); csr.NumNodes() != n {
 			t.Fatalf("batch %d: mirror covers %d vertices, structure %d", bi, csr.NumNodes(), n)
@@ -172,7 +183,11 @@ func checkRefresh(t testing.TB, c refreshCase) refreshOutcome {
 			}
 			buf = append(buf[:0], make([]graph.Neighbor, two.InStore().Degree(id))...)
 			two.InStore().FlatFill(id, buf)
-			if !slices.Equal(csr.In(id), buf) {
+			if !csr.HasOut() {
+				if got := csr.InIDRun(id); !slices.Equal(got, idsOf(buf)) {
+					t.Fatalf("batch %d: in(%d) = %v, FlatFill order %v", bi, v, got, buf)
+				}
+			} else if !slices.Equal(csr.In(id), buf) {
 				t.Fatalf("batch %d: in(%d) = %v, FlatFill order %v", bi, v, csr.In(id), buf)
 			}
 		}
@@ -393,22 +408,28 @@ func TestViewRefreshSteadyStateAllocs(t *testing.T) {
 
 // TestViewFootprint checks the view's accounting by owner on one graph:
 // the first build's dirty lists, |V| entries each, are given back once
-// refreshes list a handful of vertices, and an in-only mirror holds the
-// in arena and index plus one 32-bit degree per vertex where the full
-// mirror holds both directions.
+// refreshes list a handful of vertices, and an in-only mirror holds an ID
+// arena (4 B a record) and the in index plus one 32-bit degree per vertex
+// where the full mirror holds both directions of whole neighbors. The
+// full mirror's in arena is what it holds beyond an out-only mirror of the
+// same stream; the in-only arena takes at most half of that.
 func TestViewFootprint(t *testing.T) {
 	const nodes = 20000
 	steps := growingStream(11, 1, nodes, 0)
 	touch := steps[0].adds[:8]
-	fps := map[bool]ds.ViewFootprint{}
-	for _, shape := range []viewShape{{directed: true}, {directed: true, inOnly: true}} {
+	fps := map[viewShape]ds.ViewFootprint{}
+	full, outOnly, inOnly := viewShape{directed: true}, viewShape{directed: true, outOnly: true}, viewShape{directed: true, inOnly: true}
+	for _, shape := range []viewShape{full, outOnly, inOnly} {
 		g := ds.MustNew("adjshared", ds.Config{Directed: true, Threads: 1})
 		view := shape.newView(t, g, 1)
 		g.Update(steps[0].adds)
 		view.Refresh(steps[0].adds, nil)
-		dirs := int64(2)
-		if shape.inOnly {
+		dirs, record := int64(2), int64(8)
+		if shape != full {
 			dirs = 1
+		}
+		if shape.inOnly {
+			record = 4
 		}
 		n, edges := int64(g.NumNodes()), int64(g.NumEdges())
 		if f := view.Footprint(); f.Dirty < dirs*n*4 {
@@ -423,16 +444,17 @@ func TestViewFootprint(t *testing.T) {
 		if limit := dirs * (n/8 + 2*4096*4); f.Dirty > limit {
 			t.Fatalf("%v: dirty bitmap and lists hold %d bytes after small refreshes, want <= %d", shape, f.Dirty, limit)
 		}
-		if f.ArenaLive != dirs*edges*8 || f.Arena < f.ArenaLive {
-			t.Fatalf("%v: arena %d bytes, %d live; want %d live", shape, f.Arena, f.ArenaLive, dirs*edges*8)
+		if f.ArenaLive != dirs*edges*record || f.Arena < f.ArenaLive {
+			t.Fatalf("%v: arena %d bytes, %d live; want %d live", shape, f.Arena, f.ArenaLive, dirs*edges*record)
 		}
 		if shape.inOnly && f.Degrees < n*4 || !shape.inOnly && f.Degrees != 0 {
 			t.Fatalf("%v: degree vector %d bytes for %d vertices", shape, f.Degrees, n)
 		}
-		fps[shape.inOnly] = f
+		fps[shape] = f
 	}
-	if full, in := fps[false], fps[true]; 2*in.Index != full.Index || 2*in.Arena > full.Arena+full.Arena/8 {
-		t.Fatalf("in-only index %d / arena %d bytes against the full mirror's %d / %d: want half the index and about half the arena",
-			in.Index, in.Arena, full.Index, full.Arena)
+	fullIn := fps[full].Arena - fps[outOnly].Arena
+	if in := fps[inOnly]; 2*in.Index != fps[full].Index || 2*in.Arena > fullIn {
+		t.Fatalf("in-only index %d / arena %d bytes against the full mirror's index %d / in arena %d: want half the index and at most half the in arena",
+			in.Index, in.Arena, fps[full].Index, fullIn)
 	}
 }

@@ -124,7 +124,8 @@ func TestComputeViewMatchesOracleAndFullRebuild(t *testing.T) {
 
 // sameRuns reports the first difference between two CSRs read run by run
 // (neighbor order included), whatever layout each uses; in-only CSRs
-// compare out-degrees where the others compare out-runs.
+// compare out-degrees where the others compare out-runs, and ID runs where
+// the others compare in-runs.
 func sameRuns(a, b *graph.CSR) error {
 	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
 		return fmt.Errorf("%d vertices / %d edges vs %d / %d", a.NumNodes(), a.NumEdges(), b.NumNodes(), b.NumEdges())
@@ -140,7 +141,11 @@ func sameRuns(a, b *graph.CSR) error {
 		if a.HasOut() && !slices.Equal(a.Out(id), b.Out(id)) {
 			return fmt.Errorf("out(%d) = %v vs %v", v, a.Out(id), b.Out(id))
 		}
-		if a.HasIn() && !slices.Equal(a.In(id), b.In(id)) {
+		if !a.HasOut() {
+			if !slices.Equal(a.InIDRun(id), b.InIDRun(id)) {
+				return fmt.Errorf("in(%d) = %v vs %v", v, a.InIDRun(id), b.InIDRun(id))
+			}
+		} else if a.HasIn() && !slices.Equal(a.In(id), b.In(id)) {
 			return fmt.Errorf("in(%d) = %v vs %v", v, a.In(id), b.In(id))
 		}
 	}

@@ -30,14 +30,20 @@ import "sort"
 // onto Out). An out-only CSR leaves InSpans/InAdj nil. An in-only CSR —
 // what a PageRank pull sweep reads — leaves OutSpans/OutAdj nil and holds
 // OutDeg instead, one out-degree per vertex: OutDegree reads it, and Out
-// panics naming the shape. HasIn/HasOut say which runs are present. The
-// compute view rewrites an in-only CSR's degrees in place, so the
-// guarantee above covers its runs only, and no epoch publishes that shape.
+// panics naming the shape. Its in runs hold source IDs only, 4 B a record
+// where a Neighbor takes 8: InSpans index InIDs, InAdj is nil, InIDRun
+// reads a run and In panics naming the shape. HasIn/HasOut say which runs
+// are present. The compute view rewrites an in-only CSR's degrees in
+// place, so the guarantee above covers its runs only, and no epoch
+// publishes that shape.
 type CSR struct {
 	OutSpans []Span // len = NumNodes; nil on an in-only CSR (HasOut)
 	OutAdj   []Neighbor
-	InSpans  []Span // nil when the in direction is absent (HasIn)
-	InAdj    []Neighbor
+	InSpans  []Span     // nil when the in direction is absent (HasIn)
+	InAdj    []Neighbor // nil on an in-only CSR, whose runs are InIDs
+	// InIDs is an in-only CSR's in-run arena, source IDs only; nil
+	// whenever InAdj is present.
+	InIDs []NodeID
 	// OutDeg is an in-only CSR's out-degree vector (len = NumNodes); nil
 	// whenever OutSpans is present.
 	OutDeg []uint32
@@ -136,8 +142,17 @@ func (c *CSR) Out(v NodeID) []Neighbor {
 
 // In returns the in-adjacency run of v.
 func (c *CSR) In(v NodeID) []Neighbor {
+	if c.InIDs != nil {
+		panic("graph: In on a CSR whose in-runs hold IDs only (an in-only CSR; see InIDRun)")
+	}
 	s := c.InSpans[v]
 	return c.InAdj[s.Begin:s.End]
+}
+
+// InIDRun returns the in-run of v on an in-only CSR: its sources' IDs.
+func (c *CSR) InIDRun(v NodeID) []NodeID {
+	s := c.InSpans[v]
+	return c.InIDs[s.Begin:s.End]
 }
 
 // OutDegree reports v's out-degree: len(Out(v)), or the in-only shape's
