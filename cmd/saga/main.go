@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 
 	"sagabench/internal/compute"
@@ -64,7 +65,7 @@ func main() {
 		traceJSONL  = flag.String("trace-jsonl", "", "stream every finished batch trace as one JSONL line to this file; implies -trace")
 		pprofLabels = flag.Bool("pprof-labels", false, "run pipeline phases under pprof labels (batch/stage/ds/alg/model) so CPU profiles attribute samples to stages; implies -trace")
 
-		serveQ   = flag.Bool("serve-queries", false, "publish an immutable epoch snapshot after every batch and serve concurrent neighborhood/value reads from it while the stream runs (non-blocking queries)")
+		serveQ   = flag.Bool("serve-queries", false, "publish an immutable epoch snapshot after every batch and serve concurrent neighborhood/value reads from it while the stream runs (non-blocking queries); implies -compute-view")
 		qReaders = flag.Int("query-readers", 4, "concurrent reader goroutines with -serve-queries")
 
 		walDir    = flag.String("wal", "", "durability directory: write-ahead log every batch, checkpoint periodically, recover and resume on restart")
@@ -166,8 +167,9 @@ func main() {
 
 	// SIGINT/SIGTERM initiate a graceful shutdown: the durable stream loop
 	// stops between batches (flushing the WAL and writing a final
-	// checkpoint on Close); a measurement run flushes and closes the
-	// telemetry event log before exiting.
+	// checkpoint on Close); a measurement run closes its outputs before
+	// exiting.
+	out := &outputs{rec: rec, events: *events, tracer: tracer, traceOut: *traceOut, traceSink: traceSink, traceJSONL: *traceJSONL}
 	sigC := make(chan os.Signal, 1)
 	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
 
@@ -223,9 +225,10 @@ func main() {
 	} else {
 		go func() {
 			<-sigC
-			fmt.Fprintln(os.Stderr, "saga: interrupted, closing telemetry")
-			rec.Flush()
-			rec.Close()
+			fmt.Fprintln(os.Stderr, "saga: interrupted, closing outputs")
+			if err := out.close(); err != nil {
+				fmt.Fprintln(os.Stderr, "saga:", err)
+			}
 			os.Exit(130)
 		}()
 		res, err = core.RunStream(core.StreamConfig{
@@ -297,34 +300,57 @@ func main() {
 		}
 	}
 
-	if rec != nil {
-		if err := rec.Close(); err != nil {
-			fatal(err)
-		}
-		if *events != "" {
-			fmt.Fprintf(os.Stderr, "saga: wrote batch events to %s\n", *events)
-		}
-		if *metricsDump {
-			rec.Registry().WritePrometheus(os.Stdout)
-		}
+	if err := out.close(); err != nil {
+		fatal(err)
 	}
-	if tracer != nil {
-		if *traceOut != "" {
-			if err := tracer.DumpChromeFile(*traceOut); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "saga: wrote flight-recorder trace to %s (load at ui.perfetto.dev)\n", *traceOut)
-		}
-		if traceSink != nil {
-			if err := traceSink.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "saga: wrote %d batch traces to %s\n", traceSink.Count(), *traceJSONL)
-		}
+	if *metricsDump {
+		rec.Registry().WritePrometheus(os.Stdout)
 	}
 	if code := emitHealth(healthRep, *healthOut); code != 0 {
 		os.Exit(code)
 	}
+}
+
+// outputs are the files a run buffers until it ends: the telemetry event
+// log, the batch-trace stream and the flight-recorder dump. close writes
+// and closes all of them, once — on a normal exit and on an interrupt
+// alike — and reports every error it met.
+type outputs struct {
+	once       sync.Once
+	err        error
+	rec        *telemetry.Recorder
+	events     string
+	tracer     *trace.Tracer
+	traceOut   string
+	traceSink  *trace.Sink
+	traceJSONL string
+}
+
+func (o *outputs) close() error {
+	o.once.Do(func() {
+		var errs []error
+		if err := o.rec.Close(); err != nil {
+			errs = append(errs, err)
+		} else if o.events != "" {
+			fmt.Fprintf(os.Stderr, "saga: wrote batch events to %s\n", o.events)
+		}
+		if o.traceOut != "" {
+			if err := o.tracer.DumpChromeFile(o.traceOut); err != nil {
+				errs = append(errs, err)
+			} else {
+				fmt.Fprintf(os.Stderr, "saga: wrote flight-recorder trace to %s (load at ui.perfetto.dev)\n", o.traceOut)
+			}
+		}
+		if o.traceSink != nil {
+			if err := o.traceSink.Close(); err != nil {
+				errs = append(errs, err)
+			} else {
+				fmt.Fprintf(os.Stderr, "saga: wrote %d batch traces to %s\n", o.traceSink.Count(), o.traceJSONL)
+			}
+		}
+		o.err = errors.Join(errs...)
+	})
+	return o.err
 }
 
 // emitHealth writes the durable run's health report — to -health-out

@@ -28,7 +28,7 @@ func main() {
 		profile    = flag.String("profile", "default", "dataset scale: tiny, default, large")
 		threads    = flag.Int("threads", 4, "worker threads")
 		view       = flag.Bool("compute-view", false, "run every compute phase on the incrementally rebuilt flat CSR mirror")
-		serveQ     = flag.Int("serve-queries", 0, "serve non-blocking queries during every measured run with this many concurrent readers (0 disables)")
+		serveQ     = flag.Int("serve-queries", 0, "serve non-blocking queries during every measured run with this many concurrent readers (0 disables); implies -compute-view")
 		repeats    = flag.Int("repeats", 1, "stream repetitions (paper uses 3)")
 		seed       = flag.Int64("seed", 42, "generator seed")
 		machdiv    = flag.Int("machdiv", 128, "simulated-machine capacity divisor for fig9/fig10")

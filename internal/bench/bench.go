@@ -57,8 +57,9 @@ type Options struct {
 	// QueryReaders, when positive, serves non-blocking queries during
 	// every measured run: each pipeline publishes an epoch snapshot per
 	// batch and this many concurrent readers query the snapshots while
-	// the stream applies (core.StartQueryLoad). Aggregate query stats
-	// print after the experiments finish.
+	// the stream applies (core.StartQueryLoad). Serving implies
+	// ComputeView. Aggregate query stats print after the experiments
+	// finish.
 	QueryReaders int
 	// FaultSchedule overrides the faults experiment's built-in fault
 	// schedule (fault.ParseSchedule syntax, seeded by Seed).

@@ -13,7 +13,8 @@ import (
 // streams one representative configuration (lj, AS, incremental CC — the
 // paper's most update-bound combination) with a growing reader fleet and
 // reports the writer's mean batch latency next to the readers' served
-// throughput and worst-case staleness. The "publish" row isolates the
+// throughput and worst-case staleness. Every row runs on the compute view,
+// which serving implies, so the "publish" row isolates the
 // snapshot-publication overhead from the reader contention on top of it.
 
 // attachQueryLoad is the core.RunConfig.OnPipeline hook used whenever the
@@ -68,7 +69,7 @@ func (h *Harness) Interference() error {
 				Algorithm:     "cc",
 				Model:         compute.INC,
 				Threads:       h.opts.Threads,
-				ComputeView:   h.opts.ComputeView,
+				ComputeView:   true,
 				ServeQueries:  readers >= 0,
 			},
 			Dataset: spec,

@@ -10,7 +10,6 @@ import (
 	"sagabench/internal/durable"
 	"sagabench/internal/epoch"
 	"sagabench/internal/fault"
-	"sagabench/internal/graph"
 	"sagabench/internal/telemetry"
 	"sagabench/internal/trace"
 )
@@ -22,9 +21,10 @@ import (
 //	validate -> wal -> [ update -> view -> compute -> publish ] -> checkpoint
 //
 // validate, wal and checkpoint run only for a live batch on a durable
-// pipeline; view and publish only with the compute view and query serving
-// on. The bracketed stages are the apply: on a durable pipeline it is
-// panic-caught and retried, and a batch that keeps failing is quarantined.
+// pipeline; view only with the compute view attached (which query serving
+// implies), publish only with query serving on. The bracketed stages are
+// the apply: on a durable pipeline it is panic-caught and retried, and a
+// batch that keeps failing is quarantined.
 
 // StageID names one stage of a batch and indexes BatchRecord.Stage.
 type StageID int
@@ -342,42 +342,26 @@ func (p *Pipeline) computeStage() {
 	p.batch.Compute = p.engine.Stats()
 }
 
-// publishStage publishes the post-batch state as a new epoch. With the
-// compute view attached, the published CSR is the mirror the refresh just
-// brought up to date — zero extra topology work. What the mirror writes
-// again two batches from now (its spare index buffer, and the arena only
-// that index reaches) is gated by ReclaimSpare in viewStage, and the
-// property vector rides the same gate: the copy goes into the vector of
-// the snapshot ReclaimSpare just reported drained, and a fresh one is
-// allocated only when that snapshot is still pinned. Without the view, a
-// full CSR is exported from the structure each batch (fresh arrays and a
-// fresh vector, nothing to gate). The vector is copied either way, once
-// and straight out of the engine's array, which the next batch mutates in
-// place.
+// publishStage publishes the post-batch state as a new epoch. The
+// published CSR is the mirror the refresh just brought up to date — zero
+// extra topology work. What the mirror writes again two batches from now
+// (its spare index buffer, and the arena only that index reaches) is gated
+// by ReclaimSpare in viewStage, and the property vector rides the same
+// gate: the copy goes into the vector of the snapshot ReclaimSpare just
+// reported drained, and a fresh one is allocated only when that snapshot
+// is still pinned. The vector is copied once, straight out of the
+// engine's array, which the next batch mutates in place.
 func (p *Pipeline) publishStage() {
-	var csr graph.CSR
-	if p.view != nil {
-		csr = *p.view.FlatCSR()
-	} else {
-		csr = *graph.BuildCSR(p.g.NumNodes(), ds.ExportEdgesParallel(p.g, p.pcfg.Threads))
-	}
 	vals := p.engine.ValuesInto(p.spareVals)
 	s := &epoch.Snapshot{
 		Batch:    p.batchIdx,
 		Wall:     time.Now(),
-		CSR:      csr,
+		CSR:      *p.view.FlatCSR(),
 		Values:   vals,
 		Directed: p.pcfg.Directed,
 	}
 	p.batch.Epoch, p.batch.EpochEdges = p.em.Publish(s), s.NumEdges()
-	if p.view != nil {
-		p.spareVals, p.latestVals = p.latestVals, vals
-	} else {
-		// Export-path arrays are fresh every batch; nothing is ever
-		// reclaimed, so don't let the manager track the superseded
-		// snapshot as a spare owner.
-		p.em.ForgetSpare()
-	}
+	p.spareVals, p.latestVals = p.latestVals, vals
 }
 
 // applyRetry runs the apply, on a durable pipeline with panic capture and

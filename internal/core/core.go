@@ -49,8 +49,8 @@ type Pipeline struct {
 	rec    *telemetry.Recorder
 
 	// view is the incrementally maintained flat CSR mirror the compute
-	// phase traverses when PipelineConfig.ComputeView is on (nil
-	// otherwise).
+	// phase traverses and the publish stage hands out when
+	// PipelineConfig.ComputeView or ServeQueries is on (nil otherwise).
 	view *ds.ComputeView
 
 	// in is the batch in flight and batch its record (batch.go): the stage
@@ -97,11 +97,10 @@ type Pipeline struct {
 	// counters so emit reports deltas.
 	em        *epoch.Manager
 	lastEpoch epoch.Stats
-	// The two property vectors publication rotates through on the view
-	// path: latestVals belongs to the latest snapshot, spareVals to the
-	// one it superseded and is what the next publish overwrites — nil once
-	// ReclaimSpare reports that snapshot still pinned (viewStage), and
-	// always nil on the export path, which has no such gate.
+	// The two property vectors publication rotates through: latestVals
+	// belongs to the latest snapshot, spareVals to the one it superseded
+	// and is what the next publish overwrites — nil once ReclaimSpare
+	// reports that snapshot still pinned (viewStage).
 	latestVals, spareVals []float64
 
 	affected     []graph.NodeID
@@ -146,18 +145,17 @@ type PipelineConfig struct {
 	// instead of calling OutNeigh/InNeigh per vertex — the GraphTango
 	// split: a dynamic structure for ingest, a flat one for analytics.
 	// The refresh cost is charged to the update phase (Equation 1 keeps
-	// both sides honest).
+	// both sides honest). ServeQueries implies it.
 	ComputeView bool
-	// ServeQueries enables non-blocking queries: after every batch the
-	// pipeline publishes an immutable snapshot of the graph (the refreshed
-	// compute-view CSR when ComputeView is on, else a freshly built CSR)
-	// plus the algorithm's property vector, behind an epoch counter with
-	// reader refcounts. Concurrent readers then pin epochs through
-	// AcquireQuery and read without ever blocking the update phase; the
-	// writer never frees or reuses a pinned snapshot's memory (see
-	// internal/epoch). With ComputeView the marginal publication cost is
-	// one property-vector copy per batch — the CSR is the mirror the
-	// refresh built anyway; without it every batch pays a full CSR export.
+	// ServeQueries enables non-blocking queries, and implies ComputeView:
+	// after every batch the pipeline publishes an immutable snapshot of
+	// the graph (the refreshed compute-view CSR, both directions) plus the
+	// algorithm's property vector, behind an epoch counter with reader
+	// refcounts. Concurrent readers then pin epochs through AcquireQuery
+	// and read without ever blocking the update phase; the writer never
+	// frees or reuses a pinned snapshot's memory (see internal/epoch). The
+	// marginal publication cost is one property-vector copy per batch —
+	// the CSR is the mirror the refresh built anyway.
 	ServeQueries bool
 	// Telemetry, when non-nil, receives one event per processed batch
 	// (latencies, affected-set size, compute stats, the structure's
@@ -251,10 +249,9 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	p := &Pipeline{g: g, engine: engine, rec: cfg.Telemetry, tr: cfg.Tracer, pcfg: cfg, health: cfg.Health}
 	p.initView()
 	if cfg.ServeQueries {
-		// With the view, a snapshot's index buffers and value vector are
-		// written again two publishes later, so the manager tracks who still
-		// pins them; the export fallback publishes fresh arrays every batch.
-		p.em = epoch.NewManager(cfg.ComputeView)
+		// A snapshot's index buffers and value vector are written again two
+		// publishes later, so the manager tracks who still pins them.
+		p.em = epoch.NewManager(true)
 	}
 	if cfg.Durable != nil {
 		if err := p.initDurable(*cfg.Durable); err != nil {
@@ -265,13 +262,14 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 }
 
 // initView attaches (or detaches) the flat mirror according to the config,
-// in the shape the kernel reads. Called at construction and again by the
-// durability layer after it swaps in fresh components: a nil-or-fresh view
-// is unbuilt, so the next Refresh full-builds from whatever topology the
-// structure then holds.
+// in the shape the kernel reads: with ComputeView, and always with
+// ServeQueries, whose epochs publish the mirror. Called at construction
+// and again by the durability layer after it swaps in fresh components: a
+// nil-or-fresh view is unbuilt, so the next Refresh full-builds from
+// whatever topology the structure then holds.
 func (p *Pipeline) initView() {
 	p.view = nil
-	if !p.pcfg.ComputeView {
+	if !p.pcfg.ComputeView && !p.pcfg.ServeQueries {
 		return
 	}
 	v, ok := ds.NewComputeView(p.g, p.pcfg.Threads)

@@ -7,7 +7,6 @@ import (
 	"sagabench/internal/ds"
 	"sagabench/internal/epoch"
 	"sagabench/internal/graph"
-	"sagabench/internal/snapshot"
 )
 
 // This file is the reader side of non-blocking queries: the QueryHandle
@@ -117,11 +116,11 @@ func (h *QueryHandle) Values() []float64 { h.reads++; return h.s.Values }
 // (CheckConsistent, Fingerprint) and bulk array access.
 func (h *QueryHandle) Snapshot() *epoch.Snapshot { return h.s }
 
-// Frozen adapts the pinned topology to ds.Graph (internal/snapshot), so
-// any compute engine can run a full algorithm on the pinned epoch —
-// temporal analytics on a consistent historical view, concurrent with
-// ingest: a held handle is how a caller keeps "the graph as of batch i".
-func (h *QueryHandle) Frozen() ds.Graph { h.reads++; return snapshot.Freeze(&h.s.CSR) }
+// Frozen adapts the pinned topology to ds.Graph (ds.CSRGraph), so any
+// compute engine can run a full algorithm on the pinned epoch — temporal
+// analytics on a consistent historical view, concurrent with ingest: a
+// held handle is how a caller keeps "the graph as of batch i".
+func (h *QueryHandle) Frozen() ds.Graph { h.reads++; return ds.NewCSRGraph(h.s.CSR) }
 
 // Release unpins the epoch and records the session's telemetry (query
 // count, final staleness). Must be called exactly once; the handle is

@@ -44,8 +44,9 @@ func supportsDeletes(name string) bool {
 	return ok
 }
 
-// TestQueryRaceBattery drives every structure, with and without the
-// compute view, under continuous mutation with a verifying reader fleet.
+// TestQueryRaceBattery drives every structure, with ComputeView set and
+// left off (serving attaches the view either way), under continuous
+// mutation with a verifying reader fleet.
 func TestQueryRaceBattery(t *testing.T) {
 	for _, name := range ds.Names() {
 		for _, view := range []bool{true, false} {

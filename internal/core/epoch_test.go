@@ -14,9 +14,8 @@ import (
 	"sagabench/internal/graph"
 )
 
-func servingCfg(dsName string, view bool) core.PipelineConfig {
-	cfg := pipelineCfg(dsName, "cc", compute.INC)
-	cfg.ComputeView = view
+func servingCfg() core.PipelineConfig {
+	cfg := pipelineCfg("adjshared", "cc", compute.INC)
 	cfg.ServeQueries = true
 	return cfg
 }
@@ -29,14 +28,17 @@ func sortedRun(run []graph.Neighbor) []graph.Neighbor {
 	return out
 }
 
-// TestEpochLifecycle walks publish→pin→advance→release on both the
-// compute-view (double-buffered) and export (fresh-arrays) publication
-// paths, checking every pinned epoch against a sequential oracle.
+// TestEpochLifecycle walks publish→pin→advance→release with ComputeView
+// set ("view") and left off ("export": serving attaches the view anyway,
+// so both publish the mirror), checking every pinned epoch against a
+// sequential oracle.
 func TestEpochLifecycle(t *testing.T) {
 	for _, view := range []bool{true, false} {
 		view := view
 		t.Run(map[bool]string{true: "view", false: "export"}[view], func(t *testing.T) {
-			p, err := core.NewPipeline(servingCfg("adjshared", view))
+			cfg := servingCfg()
+			cfg.ComputeView = view
+			p, err := core.NewPipeline(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +148,7 @@ func TestAcquireQueryDisabled(t *testing.T) {
 // TestCloseWithPinnedHandle verifies Close stops hand-out while handles
 // already pinned keep reading valid immutable state.
 func TestCloseWithPinnedHandle(t *testing.T) {
-	p, err := core.NewPipeline(servingCfg("adjshared", true))
+	p, err := core.NewPipeline(servingCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +174,11 @@ func TestCloseWithPinnedHandle(t *testing.T) {
 	}
 }
 
-// TestEpochBufferReuse pins down both halves of the reclamation protocol
-// on the compute-view path: with no readers the double buffer is
-// reclaimed (zero-reader fast path, no drops) and publication rotates
-// through two property vectors; with a reader holding the spare's owner
-// the writer drops the buffers — index and vector — and the held epoch
-// survives.
+// TestEpochBufferReuse pins down both halves of the reclamation protocol:
+// with no readers the double buffer is reclaimed (zero-reader fast path,
+// no drops) and publication rotates through two property vectors; with a
+// reader holding the spare's owner the writer drops the buffers — index
+// and vector — and the held epoch survives.
 func TestEpochBufferReuse(t *testing.T) {
 	batchAt := func(round int) graph.Batch {
 		var b graph.Batch
@@ -192,7 +193,7 @@ func TestEpochBufferReuse(t *testing.T) {
 	}
 
 	// No readers: every rebuild after the second reuses the spare.
-	p, err := core.NewPipeline(servingCfg("adjshared", true))
+	p, err := core.NewPipeline(servingCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestEpochBufferReuse(t *testing.T) {
 	}
 
 	// A held handle forces the writer onto the drop path.
-	p, err = core.NewPipeline(servingCfg("adjshared", true))
+	p, err = core.NewPipeline(servingCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,39 +254,10 @@ func TestEpochBufferReuse(t *testing.T) {
 	}
 }
 
-// TestEpochExportPathNoSpares verifies the export publication path (no
-// compute view) never enters the buffer-reuse protocol: arrays are fresh
-// each batch, so nothing is reclaimed or dropped even under held pins.
-func TestEpochExportPathNoSpares(t *testing.T) {
-	p, err := core.NewPipeline(servingCfg("stinger", false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	p.Process(graph.Batch{{Src: 0, Dst: 1, Weight: 1}})
-	h, err := p.AcquireQuery()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 3; r++ {
-		p.Process(graph.Batch{{Src: graph.NodeID(r + 1), Dst: graph.NodeID(r + 2), Weight: 1}})
-	}
-	st := p.Epochs().Stats()
-	if st.Reclaimed != 0 || st.Dropped != 0 {
-		t.Fatalf("export path touched the buffer protocol: %+v", st)
-	}
-	if st.Published != 4 {
-		t.Fatalf("published %d epochs, want 4", st.Published)
-	}
-	if err := h.ReleaseChecked(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQueryHandleFrozen runs a full algorithm on a pinned epoch through
 // the ds.Graph adapter — the temporal-analytics use of a handle.
 func TestQueryHandleFrozen(t *testing.T) {
-	p, err := core.NewPipeline(servingCfg("adjshared", true))
+	p, err := core.NewPipeline(servingCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +280,7 @@ func TestQueryHandleFrozen(t *testing.T) {
 
 // TestQueryLoadLeak asserts Stop joins every reader goroutine.
 func TestQueryLoadLeak(t *testing.T) {
-	p, err := core.NewPipeline(servingCfg("adjshared", true))
+	p, err := core.NewPipeline(servingCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +315,7 @@ func TestQueryLoadLeak(t *testing.T) {
 // and its stop function runs before the pipeline closes.
 func TestRunStreamOnPipeline(t *testing.T) {
 	var started, stopped int
-	cfg := servingCfg("adjshared", true)
+	cfg := servingCfg()
 	res, err := core.RunStream(core.StreamConfig{
 		PipelineConfig: cfg,
 		Edges: []graph.Edge{

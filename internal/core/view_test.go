@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -116,36 +117,44 @@ func TestComputeViewBitIdentical(t *testing.T) {
 // TestViewShapeFollowsKernel checks that initView mirrors what the kernel
 // reads: FS PageRank gets in-runs and out-degrees, FS SSSP out-runs only,
 // INC PageRank both directions — and that served queries keep both for FS
-// PageRank too, so a pinned epoch still answers Out.
+// PageRank and FS SSSP too, with or without ComputeView set, so a pinned
+// epoch still answers Out.
 func TestViewShapeFollowsKernel(t *testing.T) {
 	stream := viewMixedStream(23, 4, 200, 64)
 	for _, tc := range []struct {
 		alg           string
 		model         compute.Model
-		serve         bool
+		view, serve   bool
 		hasOut, hasIn bool
 	}{
-		{"pr", compute.FS, false, false, true},
-		{"pr", compute.FS, true, true, true},
-		{"sssp", compute.FS, false, true, false},
-		{"pr", compute.INC, false, true, true},
+		{"pr", compute.FS, true, false, false, true},
+		{"pr", compute.FS, true, true, true, true},
+		{"pr", compute.FS, false, true, true, true},
+		{"sssp", compute.FS, true, false, true, false},
+		{"sssp", compute.FS, false, true, true, true},
+		{"pr", compute.INC, true, false, true, true},
 	} {
+		name := fmt.Sprintf("%s/%s view=%v serve=%v", tc.alg, tc.model, tc.view, tc.serve)
 		p, err := core.NewPipeline(core.PipelineConfig{
 			DataStructure: "hybrid", Algorithm: tc.alg, Model: tc.model, Directed: true,
-			Threads: 1, ComputeView: true, ServeQueries: tc.serve,
+			Threads: 1, ComputeView: tc.view, ServeQueries: tc.serve,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for bi, mb := range stream {
 			if _, err := p.ProcessMixed(mb); err != nil {
-				t.Fatalf("%s/%s serve=%v batch %d: %v", tc.alg, tc.model, tc.serve, bi, err)
+				t.Fatalf("%s batch %d: %v", name, bi, err)
 			}
 		}
-		csr := p.ComputeGraph().(ds.FlatView).FlatCSR()
+		fv, ok := p.ComputeGraph().(ds.FlatView)
+		if !ok {
+			t.Fatalf("%s: compute graph %T is not a flat mirror", name, p.ComputeGraph())
+		}
+		csr := fv.FlatCSR()
 		if csr.HasOut() != tc.hasOut || csr.HasIn() != tc.hasIn {
-			t.Fatalf("%s/%s serve=%v: mirror has out=%v in=%v, want out=%v in=%v",
-				tc.alg, tc.model, tc.serve, csr.HasOut(), csr.HasIn(), tc.hasOut, tc.hasIn)
+			t.Fatalf("%s: mirror has out=%v in=%v, want out=%v in=%v",
+				name, csr.HasOut(), csr.HasIn(), tc.hasOut, tc.hasIn)
 		}
 		if !tc.serve {
 			continue
@@ -158,7 +167,7 @@ func TestViewShapeFollowsKernel(t *testing.T) {
 		for v := 0; v < h.NumNodes(); v++ {
 			id := graph.NodeID(v)
 			if got, want := len(h.Out(id)), g.OutDegree(id); got != want || h.OutDegree(id) != want {
-				t.Fatalf("%s/%s serve: pinned epoch out(%d) holds %d, degree %d; structure %d", tc.alg, tc.model, v, got, h.OutDegree(id), want)
+				t.Fatalf("%s: pinned epoch out(%d) holds %d, degree %d; structure %d", name, v, got, h.OutDegree(id), want)
 			}
 		}
 		h.Release()

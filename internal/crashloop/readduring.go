@@ -50,10 +50,6 @@ type ReadDuringConfig struct {
 	// MaxObsPerReader caps recorded observations per reader so post-hoc
 	// verification stays bounded (default 256).
 	MaxObsPerReader int
-	// ComputeView publishes the incrementally refreshed CSR mirror (the
-	// buffer-reuse path, where the reclaim protocol is load-bearing);
-	// otherwise every batch publishes a freshly exported CSR.
-	ComputeView bool
 	// Opts carries algorithm tuning; unset convergence knobs are
 	// tightened (see tighten).
 	Opts compute.Options
@@ -196,7 +192,6 @@ func newReadPipeline(cfg ReadDuringConfig) (*core.Pipeline, error) {
 		Directed:      cfg.Stream.Directed,
 		Threads:       cfg.Threads,
 		Compute:       cfg.Opts,
-		ComputeView:   cfg.ComputeView,
 		ServeQueries:  true,
 	})
 }

@@ -16,23 +16,20 @@ import (
 // it ingests, and every observation is re-answered from ground truth.
 
 // TestReadDuringClean runs the differential on a healthy pipeline across
-// both publication paths and both stream flavors: every mid-stream
-// observation must be re-answerable from ground truth. The pr-inc row
-// rewrites the whole value vector every batch, so the view path's
-// spare/latest vector rotation under ReclaimSpare runs under ground truth.
+// both stream flavors: every mid-stream observation must be re-answerable
+// from ground truth. The pr-inc row rewrites the whole value vector every
+// batch, so the spare/latest vector rotation under ReclaimSpare runs
+// under ground truth.
 func TestReadDuringClean(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		view    bool
 		deletes bool
 		alg     string
 		model   compute.Model
 	}{
-		{"export/adds-only", false, false, "", ""},
-		{"export/deletes", false, true, "", ""},
-		{"view/adds-only", true, false, "", ""},
-		{"view/deletes", true, true, "", ""},
-		{"view/pr-inc", true, true, "pr", compute.INC},
+		{"view/adds-only", false, "", ""},
+		{"view/deletes", true, "", ""},
+		{"view/pr-inc", true, "pr", compute.INC},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,7 +48,6 @@ func TestReadDuringClean(t *testing.T) {
 				Model:           tc.model,
 				Readers:         4,
 				MaxObsPerReader: 64,
-				ComputeView:     tc.view,
 				Threads:         2,
 			})
 			if err != nil {

@@ -26,8 +26,8 @@ type DirtyExpander interface {
 // FlatView is a Graph that additionally exposes a flat CSR of its
 // topology. The compute kernels type-assert to it and iterate the
 // index/adjacency arrays directly, skipping per-vertex interface
-// dispatch and neighbor-buffer copies. snapshot.Frozen implements it
-// trivially; ComputeView implements it for any TwoCopy structure.
+// dispatch and neighbor-buffer copies. CSRGraph implements it over any
+// CSR; ComputeView embeds one over its mirror of a TwoCopy structure.
 type FlatView interface {
 	Graph
 	FlatCSR() *graph.CSR

@@ -10,7 +10,6 @@ import (
 	"sagabench/internal/ds"
 	_ "sagabench/internal/ds/all"
 	"sagabench/internal/graph"
-	"sagabench/internal/snapshot"
 )
 
 // viewStep is one window of a mixed stream: inserts (with deliberate
@@ -155,7 +154,7 @@ func sameRuns(a, b *graph.CSR) error {
 // TestComputeViewFallback verifies that graphs without a flattenable
 // backing store are reported as unsupported rather than wrapped.
 func TestComputeViewFallback(t *testing.T) {
-	frozen := snapshot.Freeze(graph.BuildCSR(0, nil))
+	frozen := ds.NewCSRGraph(graph.CSR{})
 	if _, ok := ds.NewComputeView(frozen, 2); ok {
 		t.Fatal("NewComputeView accepted a non-TwoCopy graph")
 	}

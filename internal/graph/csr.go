@@ -5,13 +5,13 @@ import "sort"
 // CSR is a flat, read-only adjacency layout: each vertex's out-neighbors
 // are one run of OutAdj and its in-neighbors one run of InAdj. The dynamic
 // data structures stay the system of record in SAGA-Bench; a CSR is what
-// the analytics side reads — the compute-view mirror (internal/ds),
-// published epochs (internal/epoch), the frozen views analytics run on
-// (internal/snapshot) and the oracle tests.
+// the analytics side reads — the compute-view mirror (internal/ds), which
+// published epochs (internal/epoch) hand out, the ds.CSRGraph adapter
+// analytics run on, and the oracle ground truth.
 //
 // Layout contract. OutSpans holds one begin/end pair per vertex — run v is
 // OutAdj[OutSpans[v].Begin:OutSpans[v].End] — so a run may sit anywhere in
-// its adjacency array. A contiguous build (BuildCSR, the export path)
+// its adjacency array. A contiguous build (BuildCSR, the oracle's)
 // lays the runs back to back in vertex order, and the array then holds
 // exactly the live records. The compute view
 // (ds.ComputeView) is log-structured: runs a batch changed are appended at
