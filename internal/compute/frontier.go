@@ -44,7 +44,8 @@ func (f frontier) markAtomic(v graph.NodeID) {
 	}
 }
 
-// has reports whether v is marked (sequential stretches only).
+// has reports whether v is marked: in sequential stretches, or in a pass
+// during which no worker marks f.
 func (f frontier) has(v graph.NodeID) bool { return f[v>>6]&(1<<(v&63)) != 0 }
 
 // markOne is mark when plain, else markAtomic.

@@ -13,10 +13,12 @@ type fsEngine struct {
 	rounds
 
 	// Kernel state kept for its storage: the PageRank sweep, BFS's two
-	// level passes, and delta-stepping's distance bins (empty between
-	// batches).
+	// level passes and the bitmap of the level a bottom-up pass pulls
+	// toward (all zero between passes), and delta-stepping's distance bins
+	// (empty between batches).
 	pr                prSweep
 	topDown, bottomUp pass
+	parents           frontier
 	buckets           [][]graph.NodeID
 }
 
