@@ -300,6 +300,37 @@ func TestPoolsMakeSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
+// TestStagedBucketSteadyStateAllocationFree is the same property for the
+// staged apply: a bucket of more than two groups, whose hub's records
+// cross group boundaries and promote it inline → array → hash on insert
+// and demote it again on delete, applies without allocating once the
+// pools and the source-order scratch are stocked.
+func TestStagedBucketSteadyStateAllocationFree(t *testing.T) {
+	s := newStore(1, 6, 0)
+	s.EnsureNodes(1024)
+	pool := s.pools[0]
+	var bucket []graph.Edge
+	for i := 0; i < 2*stageGroup+5; i++ {
+		src := graph.NodeID(i % 9) // vertex 4 is the hub, sorted after 1 and 2
+		if i%3 == 0 {
+			src = 4
+		}
+		bucket = append(bucket, graph.Edge{Src: src, Dst: graph.NodeID(100 + i), Weight: 1})
+	}
+	var st chunkCounters
+	cycle := func() {
+		st = s.insertBucket(pool, bucket)
+		s.deleteBucket(pool, bucket)
+	}
+	cycle() // stock the pools and the scratch
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("steady-state staged apply of %d records allocates %.1f times per cycle", len(bucket), allocs)
+	}
+	if st.promos == 0 {
+		t.Fatal("the bucket promoted nothing")
+	}
+}
+
 // TestUndirectedMirrorTrims deletes through the Graph API on an undirected
 // hybrid and checks both orientations disappear, across a degree mix that
 // puts the hub in the hash tier and the leaves inline.
