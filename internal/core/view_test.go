@@ -58,7 +58,9 @@ func viewMixedStream(seed int64, batches, batchSize, numNodes int) []core.MixedB
 // where both executions are fully deterministic, and requires the property
 // vectors to match bit for bit after every batch. The mirror preserves
 // each store's neighbor order, so even PageRank's order-sensitive float
-// summation must agree exactly.
+// summation must agree exactly. The count twin holds the work too: each
+// batch's iterations, recomputations, edge reads and triggers must be
+// equal, so both paths run the same rounds over the same runs.
 func TestComputeViewBitIdentical(t *testing.T) {
 	for _, dsName := range ds.Names() {
 		dsName := dsName
@@ -105,6 +107,14 @@ func TestComputeViewBitIdentical(t *testing.T) {
 									t.Fatalf("%s/%s/%s/directed=%v batch %d vertex %d: view %v, interface %v",
 										dsName, alg, model, directed, bi, v, got[v], want[v])
 								}
+							}
+							gs, ws := viewed.LastBatch().Compute, plain.LastBatch().Compute
+							if gs.Iterations != ws.Iterations || gs.Processed != ws.Processed ||
+								gs.EdgesTraversed != ws.EdgesTraversed || gs.Triggered != ws.Triggered {
+								t.Fatalf("%s/%s/%s/directed=%v batch %d: view counts iter=%d proc=%d edges=%d trig=%d, interface iter=%d proc=%d edges=%d trig=%d",
+									dsName, alg, model, directed, bi,
+									gs.Iterations, gs.Processed, gs.EdgesTraversed, gs.Triggered,
+									ws.Iterations, ws.Processed, ws.EdgesTraversed, ws.Triggered)
 							}
 						}
 					}
