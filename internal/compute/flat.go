@@ -13,7 +13,7 @@ import (
 // flatCSROf resolves the zero-copy fast path: a graph exposing a flat CSR
 // (ds.CSRGraph, and the ds.ComputeView that embeds it) returns its
 // index/adjacency arrays for direct iteration; every other graph returns
-// nil and the kernels stay on the OutNeigh/InNeigh interface path.
+// nil and the accessors read through the structure's interface.
 func flatCSROf(g ds.Graph) *graph.CSR {
 	if fv, ok := g.(ds.FlatView); ok {
 		return fv.FlatCSR()

@@ -141,8 +141,8 @@ func TestFSBatchDoesNotAllocate(t *testing.T) {
 
 // A steady-state INC batch — contribution refresh and out-neighbourhood
 // widening (PageRank), seeding and draining the frontier bitmap, rounds
-// that settle and push — allocates nothing at one thread, on the view
-// rounds (spec.roundCSR) and on the interface round (roundGraph). The
+// that settle and push — allocates nothing at one thread, in the one round
+// body (spec.round) on the view and on the structure's interface. The
 // values (and the contributions derived from them) are reset before each
 // batch, so every batch runs several rounds; PageRank's
 // vanishing epsilon keeps its recomputes triggering for as long as a

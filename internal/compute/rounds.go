@@ -25,14 +25,12 @@ type rounds struct {
 	stats    Stats
 	valsCopy []float64
 
-	// The phase in flight, as the range workers see it. begin sets
-	// g/csr/n and the round body once; each frontier pass then consumes
-	// curr — the drain of front, which the pass before it (or the
-	// seeding) marked — over the edge-balanced cuts. plain says the pass
-	// is a single range, hence a sequential stretch: plain stores and
-	// marks. eps is the triggering threshold of relax's rounds (0: any
+	// The phase in flight, as the range workers see it. begin sets csr
+	// and n once; each frontier pass then consumes curr — the drain of
+	// front, which the pass before it (or the seeding) marked — over the
+	// edge-balanced cuts. plain says the pass is a single range, hence a
+	// sequential stretch: plain stores and marks. eps is the triggering threshold of relax's rounds (0: any
 	// change, which is all the FS model ever asks for).
-	g       ds.Graph
 	csr     *graph.CSR
 	n       int
 	eps     float64
@@ -40,7 +38,6 @@ type rounds struct {
 	curr    []graph.NodeID
 	cuts    []int
 	plain   bool
-	body    func(r *rounds, wk *worker, list []graph.NodeID)
 	workers []worker
 
 	// pass is the one in flight and round the relax pass. Range bodies
@@ -102,25 +99,19 @@ func (r *rounds) Stats() Stats { return r.stats }
 // begin opens a phase over g, whose vertices vals already covers: zeroed
 // stats and counters, an empty frontier of g's size (whatever a phase that
 // died mid-pass left marked is dropped here), and every worker's accessor
-// bound to g's backing. The round body is bound here too, once per phase,
-// so the vertex loop forks on neither the backing nor the algorithm.
+// bound to g's backing.
 func (r *rounds) begin(g ds.Graph) {
 	threads := r.opts.threads()
 	r.stats = Stats{}
 	r.ranges = r.ranges[:0]
-	r.g, r.csr, r.n = g, flatCSROf(g), g.NumNodes()
+	r.csr, r.n = flatCSROf(g), g.NumNodes()
 	r.front = r.front[:0].sized(r.n)
-	r.body = (*rounds).roundGraph
-	if r.csr != nil {
-		r.body = r.spec.roundCSR
-	}
 	for len(r.workers) < threads {
 		r.workers = append(r.workers, worker{})
 	}
 	for w := range r.workers {
 		wk := &r.workers[w]
 		wk.ctx.bind(g, r.csr)
-		wk.ctx.vals, wk.ctx.numNodes = r.vals, r.n
 		wk.ctx.edges, wk.processed, wk.triggered = 0, 0, 0
 	}
 }
@@ -134,7 +125,7 @@ func (r *rounds) end() {
 		r.stats.EdgesTraversed += wk.ctx.edges
 		wk.ctx.bind(nil, nil) // do not pin the graph between batches
 	}
-	r.g, r.csr = nil, nil
+	r.csr = nil
 	if r.opts.WorkerTiming {
 		r.busy = r.busy[:0]
 		for range r.opts.threads() {
@@ -239,31 +230,13 @@ func (r *rounds) pullCuts() {
 
 func (r *rounds) inWeight(i int) int64 { return int64(r.csr.InDegree(graph.NodeID(i))) }
 
-// roundRange is relax's range body.
+// roundRange is relax's range body: the algorithm's round body over the
+// range's share of the frontier.
 //
 // saga:hotpath
 func (r *rounds) roundRange(wk *worker, lo, hi int) {
-	r.body(r, wk, r.curr[lo:hi])
+	r.spec.round(r, wk, r.curr[lo:hi])
 	wk.processed += uint64(hi - lo)
-}
-
-// roundGraph is the round body over the structure's interface, for every
-// algorithm: the adjacency calls dominate it, so the vertex function
-// stays behind spec.recompute.
-//
-// saga:hotpath
-func (r *rounds) roundGraph(wk *worker, list []graph.NodeID) {
-	ctx := &wk.ctx
-	for _, v := range list {
-		newv := r.spec.recompute(ctx, v)
-		if r.spec.hasSource && v == r.opts.Source {
-			newv = r.spec.sourceValue
-		}
-		if r.spec.degreeSensitive {
-			ctx.contrib.store(int(v), contribOf(newv, r.g.OutDegree(v)), r.plain)
-		}
-		r.settle(wk, v, newv)
-	}
 }
 
 // settle stores v's recomputed value and, when it moved by more than the

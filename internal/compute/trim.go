@@ -94,25 +94,29 @@ func (e *incEngine) NotifyDeletions(g ds.Graph, dels graph.Batch) {
 		}
 	}
 	// Grow the cone along tight dependence edges, judging tightness with
-	// the pre-reset values.
-	var buf []graph.Neighbor
+	// the pre-reset values. The push-direction runs come from worker 0's
+	// accessor, bound here to g's backing: zero-copy on a view or a
+	// lending store, else copied into the worker's push scratch.
+	if len(e.workers) == 0 {
+		e.workers = append(e.workers, worker{})
+	}
+	wk := &e.workers[0]
+	wk.ctx.bind(g, flatCSROf(g))
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		vv := e.vals.get(int(v))
-		buf = g.OutNeigh(v, buf[:0])
-		if e.spec.pushBoth {
-			buf = g.InNeigh(v, buf)
-		}
-		for _, nb := range buf {
-			if cone.has(nb.ID) {
-				continue
-			}
-			if e.spec.tight(vv, float64(nb.Weight), e.vals.get(int(nb.ID))) {
-				mark(nb.ID)
+		var outs, ins []graph.Neighbor
+		outs, ins, wk.pushBuf = wk.ctx.pushRuns(v, e.spec.pushBoth, wk.pushBuf)
+		for _, run := range [2][]graph.Neighbor{outs, ins} {
+			for _, nb := range run {
+				if !cone.has(nb.ID) && e.spec.tight(vv, float64(nb.Weight), e.vals.get(int(nb.ID))) {
+					mark(nb.ID)
+				}
 			}
 		}
 	}
+	wk.ctx.bind(nil, nil) // do not pin the graph until the next phase
 	// Reset the cone and queue it, ascending, for the next compute phase.
 	e.pendingInvalid = cone.drain(e.pendingInvalid)
 	for _, v := range e.pendingInvalid {

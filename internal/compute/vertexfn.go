@@ -10,9 +10,10 @@ import (
 // inf is the identity for min-reductions over distances.
 var inf = math.Inf(1)
 
-// recomputeCtx is per-worker state for pull-style vertex recomputation,
-// and the one place where the kernels' adjacency and degree reads fork
-// between the flat compute view and the structure's interface.
+// recomputeCtx is a worker's adjacency and degree accessor, and the one
+// place where the kernels' reads fork between the flat compute view and
+// the structure's interface: the round bodies and the FS kernels read
+// every run and degree through it, on every backing.
 type recomputeCtx struct {
 	g   ds.Graph
 	csr *graph.CSR // non-nil on the flat compute-view path
@@ -21,13 +22,11 @@ type recomputeCtx struct {
 	// structure's own slices, as C++ SAGA-Bench walks its AS/AC vectors,
 	// and only Stinger and DAH are copied out into buf.
 	lender *ds.TwoCopy
-	vals   values
 	// contrib is the PageRank contribution vector (contrib[u] =
 	// rank[u]/outdeg(u)); nil for every other algorithm.
-	contrib  values
-	numNodes int
-	buf      []graph.Neighbor
-	edges    uint64 // neighbor records read
+	contrib values
+	buf     []graph.Neighbor
+	edges   uint64 // neighbor records read
 }
 
 // bind points the accessors at g's backing, once per phase.
@@ -42,33 +41,33 @@ func (ctx *recomputeCtx) bind(g ds.Graph, csr *graph.CSR) {
 // the structure's own slice when it lends one, else ctx.buf filled through
 // the interface. The run is read-only and valid only until the next ctx
 // adjacency call.
-func (ctx *recomputeCtx) inRun(v graph.NodeID) []graph.Neighbor {
-	if ctx.csr != nil {
-		return ctx.inCSR(v)
+func (ctx *recomputeCtx) inRun(v graph.NodeID) (run []graph.Neighbor) {
+	switch {
+	case ctx.csr != nil:
+		run = ctx.csr.In(v)
+	case ctx.lender != nil:
+		run = ctx.lender.InRun(v)
+	default:
+		ctx.buf = ctx.g.InNeigh(v, ctx.buf[:0])
+		run = ctx.buf
 	}
-	if ctx.lender != nil {
-		run := ctx.lender.InRun(v)
-		ctx.edges += uint64(len(run))
-		return run
-	}
-	ctx.buf = ctx.g.InNeigh(v, ctx.buf[:0])
-	ctx.edges += uint64(len(ctx.buf))
-	return ctx.buf
+	ctx.edges += uint64(len(run))
+	return run
 }
 
 // outRun is inRun for the out direction.
-func (ctx *recomputeCtx) outRun(v graph.NodeID) []graph.Neighbor {
-	if ctx.csr != nil {
-		return ctx.outCSR(v)
+func (ctx *recomputeCtx) outRun(v graph.NodeID) (run []graph.Neighbor) {
+	switch {
+	case ctx.csr != nil:
+		run = ctx.csr.Out(v)
+	case ctx.lender != nil:
+		run = ctx.lender.OutRun(v)
+	default:
+		ctx.buf = ctx.g.OutNeigh(v, ctx.buf[:0])
+		run = ctx.buf
 	}
-	if ctx.lender != nil {
-		run := ctx.lender.OutRun(v)
-		ctx.edges += uint64(len(run))
-		return run
-	}
-	ctx.buf = ctx.g.OutNeigh(v, ctx.buf[:0])
-	ctx.edges += uint64(len(ctx.buf))
-	return ctx.buf
+	ctx.edges += uint64(len(run))
+	return run
 }
 
 // pushRuns returns v's push-direction adjacency as up to two runs: the
@@ -100,25 +99,8 @@ func (ctx *recomputeCtx) pushRuns(v graph.NodeID, both bool, buf []graph.Neighbo
 	return a, b, buf
 }
 
-// inCSR is inRun's flat arm, for callers that took the fork on the backing
-// already: the view rounds (spec.roundCSR) run only when ctx.csr is set.
-// Small enough to inline, which inRun — carrying the interface call — is
-// not.
-func (ctx *recomputeCtx) inCSR(v graph.NodeID) []graph.Neighbor {
-	run := ctx.csr.In(v)
-	ctx.edges += uint64(len(run))
-	return run
-}
-
-// outCSR is inCSR for the out direction.
-func (ctx *recomputeCtx) outCSR(v graph.NodeID) []graph.Neighbor {
-	run := ctx.csr.Out(v)
-	ctx.edges += uint64(len(run))
-	return run
-}
-
-// outDegree and inDegree are the degree reads of the frontier heuristics
-// and the range partitioners.
+// outDegree and inDegree are the degree reads of PageRank's contribution
+// store, the frontier heuristics and the range partitioners.
 func (ctx *recomputeCtx) outDegree(v graph.NodeID) int {
 	if ctx.csr != nil {
 		return ctx.csr.OutDegree(v)
@@ -160,8 +142,8 @@ func (ctx *recomputeCtx) fillContrib(contrib, rank values, lo, hi int) {
 	}
 }
 
-// spec describes one algorithm: its Table I vertex function expressed as a
-// pull-style recompute, its initialization, and its INC trigger rule.
+// spec describes one algorithm: its Table I vertex function as a round
+// body, its initialization, and its INC trigger rule.
 type spec struct {
 	name string
 	// hasSource pins opts.Source to sourceValue (BFS/SSSP/SSWP).
@@ -172,14 +154,11 @@ type spec struct {
 	// reset can hoist the call out of its fill loop.
 	initValue   func(v graph.NodeID, numNodes int) float64
 	uniformInit bool
-	// recompute evaluates the vertex function for v by pulling from
-	// neighbors. It must not write ctx.vals.
-	recompute func(ctx *recomputeCtx, v graph.NodeID) float64
-	// roundCSR is a round's share on the flat view, under either model:
-	// recompute and settle every vertex of list in order, reading spans
-	// and runs directly. Same pull body as recompute, which serves the
-	// rounds over the structure's interface.
-	roundCSR func(r *rounds, wk *worker, list []graph.NodeID)
+	// round is a round's share under either model and on every backing:
+	// recompute every vertex of list in order by pulling from its
+	// neighbors, and settle it. It reads runs and degrees only through
+	// wk.ctx.
+	round func(r *rounds, wk *worker, list []graph.NodeID)
 	// pushBoth propagates changes along both edge directions (CC treats
 	// the graph as undirected connectivity).
 	pushBoth bool
@@ -253,80 +232,35 @@ var specs = map[string]spec{
 		sourceValue: 0,
 		initValue:   func(graph.NodeID, int) float64 { return inf },
 		uniformInit: true,
-		// Table I: v.depth <- min over inEdges(v) (e.source.depth + 1).
-		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 { return pullBFS(ctx.inRun(v), ctx.vals) },
-		roundCSR: func(r *rounds, wk *worker, list []graph.NodeID) {
-			for _, v := range list {
-				newv := pullBFS(wk.ctx.inCSR(v), r.vals)
-				if v == r.opts.Source {
-					newv = 0
-				}
-				r.settle(wk, v, newv)
-			}
-		},
-		epsilon:   exactChange,
-		tight:     func(valU, _, valV float64) bool { return valV == valU+1 },
-		fsPullsIn: true, // direction-optimized BFS pulls in bottom-up steps
-		fsRun:     fsBFS,
+		round:       roundBFS,
+		epsilon:     exactChange,
+		tight:       func(valU, _, valV float64) bool { return valV == valU+1 },
+		fsPullsIn:   true, // direction-optimized BFS pulls in bottom-up steps
+		fsRun:       fsBFS,
 	},
 	"cc": {
 		name:      "cc",
 		initValue: func(v graph.NodeID, _ int) float64 { return float64(v) },
-		// Table I: v.value <- min(v.value, min over Edges(v) of
-		// e.other.value) — connectivity over both directions.
-		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 {
-			// The out run must be consumed before inRun refills the
-			// shared scratch on the interface path.
-			best := pullMin(ctx.outRun(v), ctx.vals, ctx.vals.get(int(v)))
-			return pullMin(ctx.inRun(v), ctx.vals, best)
-		},
-		roundCSR: func(r *rounds, wk *worker, list []graph.NodeID) {
-			for _, v := range list {
-				best := pullMin(wk.ctx.outCSR(v), r.vals, r.vals.get(int(v)))
-				r.settle(wk, v, pullMin(wk.ctx.inCSR(v), r.vals, best))
-			}
-		},
-		pushBoth: true,
-		epsilon:  exactChange,
-		tight:    func(valU, _, valV float64) bool { return valV == valU },
-		fsRun:    fsRelax,
+		round:     roundCC,
+		pushBoth:  true,
+		epsilon:   exactChange,
+		tight:     func(valU, _, valV float64) bool { return valV == valU },
+		fsRun:     fsRelax,
 	},
 	"mc": {
 		name:      "mc",
 		initValue: func(v graph.NodeID, _ int) float64 { return float64(v) },
-		// Table I: v.value <- max(v.value, max over inEdges(v) of
-		// e.source.value).
-		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 {
-			return pullMax(ctx.inRun(v), ctx.vals, ctx.vals.get(int(v)))
-		},
-		roundCSR: func(r *rounds, wk *worker, list []graph.NodeID) {
-			for _, v := range list {
-				r.settle(wk, v, pullMax(wk.ctx.inCSR(v), r.vals, r.vals.get(int(v))))
-			}
-		},
+		round:     roundMC,
 		epsilon:   exactChange,
 		tight:     func(valU, _, valV float64) bool { return valV == valU },
 		fsPullsIn: true, // rounds recompute via the in-run pull
 		fsRun:     fsRelax,
 	},
 	"pr": {
-		name:        "pr",
-		initValue:   func(_ graph.NodeID, numNodes int) float64 { return 1 / float64(numNodes) },
-		uniformInit: true,
-		// Table I: v.rank <- 0.15/|V| + 0.85 * sum over inEdges(v) of
-		// e.source.rank (normalized by the source's out-degree,
-		// Section V-B) — the normalized ranks being ctx.contrib.
-		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 {
-			return prPull(ctx.inRun(v), ctx.contrib, prBase/float64(ctx.numNodes))
-		},
-		roundCSR: func(r *rounds, wk *worker, list []graph.NodeID) {
-			contrib, outSpans, base := wk.ctx.contrib, r.csr.OutSpans, prBase/float64(r.n)
-			for _, v := range list {
-				newv := prPull(wk.ctx.inCSR(v), contrib, base)
-				contrib.store(int(v), contribOf(newv, outSpans[v].Len()), r.plain)
-				r.settle(wk, v, newv)
-			}
-		},
+		name:             "pr",
+		initValue:        func(_ graph.NodeID, numNodes int) float64 { return 1 / float64(numNodes) },
+		uniformInit:      true,
+		round:            roundPR,
 		epsilon:          prEpsilon,
 		deletionSafe:     true,
 		globalN:          true,
@@ -341,22 +275,11 @@ var specs = map[string]spec{
 		sourceValue: 0,
 		initValue:   func(graph.NodeID, int) float64 { return inf },
 		uniformInit: true,
-		// Table I: v.path <- min over inEdges(v) (e.source.path +
-		// e.weight).
-		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 { return pullSSSP(ctx.inRun(v), ctx.vals) },
-		roundCSR: func(r *rounds, wk *worker, list []graph.NodeID) {
-			for _, v := range list {
-				newv := pullSSSP(wk.ctx.inCSR(v), r.vals)
-				if v == r.opts.Source {
-					newv = 0
-				}
-				r.settle(wk, v, newv)
-			}
-		},
-		epsilon:  exactChange,
-		weighted: true,
-		tight:    func(valU, w, valV float64) bool { return valV == valU+w },
-		fsRun:    fsSSSP,
+		round:       roundSSSP,
+		epsilon:     exactChange,
+		weighted:    true,
+		tight:       func(valU, w, valV float64) bool { return valV == valU+w },
+		fsRun:       fsSSSP,
 	},
 	"sswp": {
 		name:        "sswp",
@@ -364,57 +287,113 @@ var specs = map[string]spec{
 		sourceValue: inf,
 		initValue:   func(graph.NodeID, int) float64 { return 0 },
 		uniformInit: true,
-		// Table I: v.path <- max over inEdges(v) of
-		// min(e.source.path, e.weight).
-		recompute: func(ctx *recomputeCtx, v graph.NodeID) float64 { return pullSSWP(ctx.inRun(v), ctx.vals) },
-		roundCSR: func(r *rounds, wk *worker, list []graph.NodeID) {
-			for _, v := range list {
-				newv := pullSSWP(wk.ctx.inCSR(v), r.vals)
-				if v == r.opts.Source {
-					newv = inf
-				}
-				r.settle(wk, v, newv)
-			}
-		},
-		epsilon:  exactChange,
-		weighted: true,
-		tight:    func(valU, w, valV float64) bool { return valV == math.Min(valU, w) },
-		fsRun:    fsSSWP,
+		round:       roundSSWP,
+		epsilon:     exactChange,
+		weighted:    true,
+		tight:       func(valU, w, valV float64) bool { return valV == math.Min(valU, w) },
+		fsRun:       fsSSWP,
 	},
 }
 
-// The pull bodies of the five monotone vertex functions, over one
-// adjacency run — the run accessor (recomputeCtx.inRun on either backing,
-// inCSR on the view) is the caller's.
+// The round bodies, one per algorithm. Each recomputes the vertices of its
+// share in order and settles them; the source keeps its value.
 
-func pullBFS(in []graph.Neighbor, vals values) float64 {
-	best := inf
-	for _, nb := range in {
-		if d := vals.get(int(nb.ID)) + 1; d < best {
-			best = d
+// roundBFS is Table I's v.depth <- min over inEdges(v) (e.source.depth + 1).
+//
+// saga:hotpath
+func roundBFS(r *rounds, wk *worker, list []graph.NodeID) {
+	vals := r.vals
+	for _, v := range list {
+		best := inf
+		for _, nb := range wk.ctx.inRun(v) {
+			if d := vals.get(int(nb.ID)) + 1; d < best {
+				best = d
+			}
 		}
+		if v == r.opts.Source {
+			best = 0
+		}
+		r.settle(wk, v, best)
 	}
-	return best
 }
 
-func pullSSSP(in []graph.Neighbor, vals values) float64 {
-	best := inf
-	for _, nb := range in {
-		if d := vals.get(int(nb.ID)) + float64(nb.Weight); d < best {
-			best = d
-		}
+// roundCC is Table I's v.value <- min(v.value, min over Edges(v) of
+// e.other.value): connectivity over both directions. The out-run is
+// consumed before inRun, which refills the shared scratch on a copying
+// store.
+//
+// saga:hotpath
+func roundCC(r *rounds, wk *worker, list []graph.NodeID) {
+	for _, v := range list {
+		best := pullMin(wk.ctx.outRun(v), r.vals, r.vals.get(int(v)))
+		r.settle(wk, v, pullMin(wk.ctx.inRun(v), r.vals, best))
 	}
-	return best
 }
 
-func pullSSWP(in []graph.Neighbor, vals values) float64 {
-	best := 0.0
-	for _, nb := range in {
-		if w := math.Min(vals.get(int(nb.ID)), float64(nb.Weight)); w > best {
-			best = w
-		}
+// roundMC is Table I's v.value <- max(v.value, max over inEdges(v) of
+// e.source.value).
+//
+// saga:hotpath
+func roundMC(r *rounds, wk *worker, list []graph.NodeID) {
+	for _, v := range list {
+		r.settle(wk, v, pullMax(wk.ctx.inRun(v), r.vals, r.vals.get(int(v))))
 	}
-	return best
+}
+
+// roundPR is Table I's v.rank <- 0.15/|V| + 0.85 * sum over inEdges(v) of
+// e.source.rank, normalized by the source's out-degree (Section V-B): the
+// normalized ranks are the contribution vector, whose slot v is stored
+// beside the rank.
+//
+// saga:hotpath
+func roundPR(r *rounds, wk *worker, list []graph.NodeID) {
+	ctx := &wk.ctx
+	contrib, base := ctx.contrib, prBase/float64(r.n)
+	for _, v := range list {
+		newv := prPull(ctx.inRun(v), contrib, base)
+		contrib.store(int(v), contribOf(newv, ctx.outDegree(v)), r.plain)
+		r.settle(wk, v, newv)
+	}
+}
+
+// roundSSSP is Table I's v.path <- min over inEdges(v) (e.source.path +
+// e.weight).
+//
+// saga:hotpath
+func roundSSSP(r *rounds, wk *worker, list []graph.NodeID) {
+	vals := r.vals
+	for _, v := range list {
+		best := inf
+		for _, nb := range wk.ctx.inRun(v) {
+			if d := vals.get(int(nb.ID)) + float64(nb.Weight); d < best {
+				best = d
+			}
+		}
+		if v == r.opts.Source {
+			best = 0
+		}
+		r.settle(wk, v, best)
+	}
+}
+
+// roundSSWP is Table I's v.path <- max over inEdges(v) of
+// min(e.source.path, e.weight).
+//
+// saga:hotpath
+func roundSSWP(r *rounds, wk *worker, list []graph.NodeID) {
+	vals := r.vals
+	for _, v := range list {
+		best := 0.0
+		for _, nb := range wk.ctx.inRun(v) {
+			if w := math.Min(vals.get(int(nb.ID)), float64(nb.Weight)); w > best {
+				best = w
+			}
+		}
+		if v == r.opts.Source {
+			best = inf
+		}
+		r.settle(wk, v, best)
+	}
 }
 
 // pullMin (CC) and pullMax (MC) fold a run's values into best.

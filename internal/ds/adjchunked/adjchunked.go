@@ -98,11 +98,6 @@ func (s *store) UpdateEdges(edges []graph.Edge) {
 // Degree implements ds.OneDir.
 func (s *store) Degree(v graph.NodeID) int { return len(s.adj[v]) }
 
-// Neighbors implements ds.OneDir.
-func (s *store) Neighbors(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
-	return append(buf, s.adj[v]...)
-}
-
 // NumEdges implements ds.OneDir.
 func (s *store) NumEdges() int {
 	s.profMu.Lock()

@@ -114,14 +114,6 @@ func (s *store) UpdateEdges(edges []graph.Edge) {
 // saga:allow lockheld -- read-phase query: two-copy phase separation means no writer is active.
 func (s *store) Degree(v graph.NodeID) int { return len(s.adj[v]) }
 
-// Neighbors implements ds.OneDir. The per-vertex vector is contiguous, so
-// traversal is a single sequential scan — the cheapest traversal mechanism
-// of the four structures.
-func (s *store) Neighbors(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
-	// saga:allow lockheld -- read-phase traversal: two-copy phase separation means no writer is active.
-	return append(buf, s.adj[v]...)
-}
-
 // NumEdges implements ds.OneDir.
 func (s *store) NumEdges() int { return int(s.numEdges.Load()) }
 

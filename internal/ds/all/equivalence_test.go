@@ -69,6 +69,27 @@ func checkAgainstOracle(t *testing.T, name string, g ds.Graph, oracle *graph.Ora
 		t.Fatalf("%s: topology diverges from oracle:\n  %s", name, strings.Join(diffs, "\n  "))
 	}
 	checkBorrowedRuns(t, name, g)
+	checkAppendedRuns(t, name, g)
+}
+
+// checkAppendedRuns: OutNeigh and InNeigh append. Read into one buffer
+// behind a prefix, as the kernels read both directions of a vertex on a
+// copying store, each vertex's in-run follows its out-run, each half is
+// what a read into an empty buffer returns, and the prefix survives.
+func checkAppendedRuns(t *testing.T, name string, g ds.Graph) {
+	t.Helper()
+	prefix := []graph.Neighbor{{ID: 1<<31 - 1, Weight: 3}, {ID: 5, Weight: 9}}
+	var buf []graph.Neighbor
+	for v := graph.NodeID(0); int(v) < g.NumNodes()+2; v++ {
+		out, in := g.OutNeigh(v, nil), g.InNeigh(v, nil)
+		buf = g.InNeigh(v, g.OutNeigh(v, append(buf[:0], prefix...)))
+		p, o := len(prefix), len(prefix)+len(out)
+		if len(buf) != o+len(in) || !slices.Equal(buf[:p], prefix) ||
+			!slices.Equal(buf[p:o], out) || !slices.Equal(buf[o:], in) {
+			t.Fatalf("%s: vertex %d read into one buffer behind %v gives %v; out-run %v, in-run %v",
+				name, v, prefix, buf, out, in)
+		}
+	}
 }
 
 // checkBorrowedRuns: a structure that lends its adjacency in place hands

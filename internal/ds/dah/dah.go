@@ -167,14 +167,6 @@ func (s *store) Degree(v graph.NodeID) int {
 	return int(cs.deg[local])
 }
 
-// Neighbors implements ds.OneDir.
-func (s *store) Neighbors(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
-	s.forEach(v, func(dst graph.NodeID, w graph.Weight) {
-		buf = append(buf, graph.Neighbor{ID: dst, Weight: w})
-	})
-	return buf
-}
-
 // forEach yields v's edges from whichever table owns it. Traversal pays the
 // same directory probe as an update to decide which table to walk, but a
 // read is not update work: neither the probe nor the walk is counted.

@@ -5,11 +5,10 @@ import (
 	"sagabench/internal/graph"
 )
 
-// FlatFill implements ds.OneDir: DAH flattening drains whichever table owns
-// the vertex — the dedicated high-degree table from the directory, or the
-// chunk's shared Robin Hood table — writing straight into the view's run
-// instead of appending through Neighbors. Iteration order matches
-// Neighbors exactly: both walk the same table in slot order.
+// FlatFill implements ds.OneDir: it drains whichever table owns the
+// vertex — the dedicated high-degree table from the directory, or the
+// chunk's shared Robin Hood table — in slot order, writing straight into
+// dst.
 func (s *store) FlatFill(v graph.NodeID, dst []graph.Neighbor) int {
 	n := 0
 	s.forEach(v, func(id graph.NodeID, w graph.Weight) {

@@ -34,8 +34,8 @@ func ExportEdges(g Graph) []graph.Edge {
 // the identical canonical edge list: a parallel per-vertex degree count
 // sizes one flat output array (the same count → prefix → fill shape the
 // compute-view rebuild uses), then workers fill and sort disjoint vertex
-// ranges through the out store's FlatFill, so a run is one bulk copy
-// instead of per-neighbor appends. The durable checkpoint writer uses
+// ranges through OutNeigh, whose FlatFill copies a run in bulk instead of
+// appending it neighbor by neighbor. The durable checkpoint writer uses
 // this; its full-adjacency snapshots were previously a single-threaded
 // per-vertex sort scan.
 func ExportEdgesParallel(g Graph, threads int) []graph.Edge {
@@ -65,15 +65,7 @@ func ExportEdgesParallel(g Graph, threads int) []graph.Edge {
 	graph.ParallelRanges(cuts, func(_, lo, hi int) {
 		var buf []graph.Neighbor
 		for v := lo; v < hi; v++ {
-			deg := int(index[v+1] - index[v])
-			if deg == 0 {
-				continue
-			}
-			if cap(buf) < deg {
-				buf = make([]graph.Neighbor, deg)
-			}
-			buf = buf[:deg]
-			out.FlatFill(graph.NodeID(v), buf)
+			buf = t.OutNeigh(graph.NodeID(v), buf[:0])
 			sort.Slice(buf, func(i, j int) bool { return buf[i].ID < buf[j].ID })
 			for i, nb := range buf {
 				edges[int(index[v])+i] = graph.Edge{Src: graph.NodeID(v), Dst: nb.ID, Weight: nb.Weight}

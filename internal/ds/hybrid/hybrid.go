@@ -581,15 +581,6 @@ func (s *store) Degree(v graph.NodeID) int {
 	return int(s.verts[v].deg)
 }
 
-// Neighbors implements ds.OneDir: always one contiguous copy, whatever the
-// tier.
-func (s *store) Neighbors(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
-	if int(v) >= len(s.verts) {
-		return buf
-	}
-	return append(buf, s.verts[v].run()...)
-}
-
 // NumEdges implements ds.OneDir.
 func (s *store) NumEdges() int {
 	s.profMu.Lock()

@@ -38,7 +38,7 @@ func apply(s *store, edges ...graph.Edge) {
 
 func neighborIDs(s *store, v graph.NodeID) []graph.NodeID {
 	var ids []graph.NodeID
-	for _, nb := range s.Neighbors(v, nil) {
+	for _, nb := range s.FlatRun(v) {
 		ids = append(ids, nb.ID)
 	}
 	return ids
@@ -215,7 +215,7 @@ func TestHashTierWeightOverwrite(t *testing.T) {
 	if got := s.Degree(0); got != 12 {
 		t.Fatalf("degree = %d, want 12", got)
 	}
-	for _, nb := range s.Neighbors(0, nil) {
+	for _, nb := range s.FlatRun(0) {
 		if nb.ID == 7 && nb.Weight != 42 {
 			t.Fatalf("weight = %v, want 42", nb.Weight)
 		}

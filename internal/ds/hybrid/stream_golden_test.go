@@ -90,7 +90,7 @@ func storeDigest(s *store) (uint64, ds.UpdateProfile) {
 	put := func(x uint64) { put64(h, x) }
 	for v := 0; v < s.NumNodes(); v++ {
 		id := graph.NodeID(v)
-		run := s.Neighbors(id, nil)
+		run := s.FlatRun(id)
 		put(uint64(len(run)))
 		for _, nb := range run {
 			put(uint64(nb.ID)<<32 | uint64(math.Float32bits(float32(nb.Weight))))

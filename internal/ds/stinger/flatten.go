@@ -6,11 +6,10 @@ import (
 )
 
 // Stinger's adjacency is a chain of fixed-size edge blocks; there is no
-// contiguous run to hand out, so flattening walks the chain once and
-// copies each block's used slots — one bulk copy per block instead of
-// the per-slot appends Neighbors pays. Block chains only mutate under
-// the vertex's own updates, so a chain untouched by a batch yields the
-// identical slot order on every walk.
+// contiguous run to hand out, so its one read walks the chain once and
+// copies each block's used slots, one bulk copy per block. Block chains
+// only mutate under the vertex's own updates, so a chain untouched by a
+// batch yields the identical slot order on every walk.
 
 // FlatFill implements ds.OneDir.
 func (s *store) FlatFill(v graph.NodeID, dst []graph.Neighbor) int {

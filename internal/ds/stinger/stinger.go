@@ -246,16 +246,6 @@ func (s *store) insert(v, dst graph.NodeID, w graph.Weight) (scans uint64, inser
 // degree-query path Fig 4 shows in the vertex array.
 func (s *store) Degree(v graph.NodeID) int { return int(s.heads[v].degree.Load()) }
 
-// Neighbors implements ds.OneDir by chasing the block chain.
-func (s *store) Neighbors(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
-	for blk := s.heads[v].first.Load(); blk != nil; blk = blk.next.Load() {
-		n := int(blk.used.Load())
-		// saga:allow lockheld -- lock-free traversal: the acquire-load of used fences the slots written before the release-store.
-		buf = append(buf, blk.slots[:n]...)
-	}
-	return buf
-}
-
 // NumEdges implements ds.OneDir.
 func (s *store) NumEdges() int { return int(s.numEdges.Load()) }
 

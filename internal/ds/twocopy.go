@@ -1,6 +1,10 @@
 package ds
 
-import "sagabench/internal/graph"
+import (
+	"slices"
+
+	"sagabench/internal/graph"
+)
 
 // OneDir is a single-direction adjacency store. Each SAGA-Bench data
 // structure implements concurrent unique ingestion of (src → dst) records
@@ -17,19 +21,17 @@ type OneDir interface {
 	UpdateEdges(edges []graph.Edge)
 	// Degree reports the distinct neighbor count of v (v < NumNodes()).
 	Degree(v graph.NodeID) int
-	// Neighbors appends v's neighbors to buf and returns it.
-	Neighbors(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor
 	// NumEdges reports the distinct records stored.
 	NumEdges() int
 	// NumNodes reports the covered vertex-ID space.
 	NumNodes() int
-	// FlatFill is the bulk export of one vertex's adjacency for the
-	// compute-view layer (view.go) and the parallel exporter: it writes
-	// v's neighbors into dst — in the store's own traversal order, exactly
-	// the order Neighbors yields them — and reports the count written; dst
-	// always has at least Degree(v) capacity. Calls on distinct vertices
-	// run concurrently while no update is in flight, the read contract
-	// Neighbors already has.
+	// FlatFill is the store's one per-vertex read, behind TwoCopy's
+	// OutNeigh/InNeigh, the compute-view layer (view.go) and the parallel
+	// exporter: it writes v's Degree(v) neighbors into dst, which has room
+	// for them, in the store's own traversal order, and reports the count
+	// written. A vertex no update touched reads back in the same order.
+	// Calls on distinct vertices run concurrently while no update is in
+	// flight.
 	FlatFill(v graph.NodeID, dst []graph.Neighbor) int
 	// DeleteEdges concurrently removes the (src → dst) records using the
 	// store's own multithreading style. Deleting an absent edge is a
@@ -113,10 +115,7 @@ func (t *TwoCopy) OutDegree(v graph.NodeID) int {
 
 // InDegree implements Graph.
 func (t *TwoCopy) InDegree(v graph.NodeID) int {
-	st := t.in
-	if !t.directed {
-		st = t.out
-	}
+	st := t.InStore()
 	if int(v) >= st.NumNodes() {
 		return 0
 	}
@@ -125,22 +124,24 @@ func (t *TwoCopy) InDegree(v graph.NodeID) int {
 
 // OutNeigh implements Graph.
 func (t *TwoCopy) OutNeigh(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
-	if int(v) >= t.out.NumNodes() {
-		return buf
-	}
-	return t.out.Neighbors(v, buf)
+	return appendRun(t.out, v, buf)
 }
 
 // InNeigh implements Graph.
 func (t *TwoCopy) InNeigh(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
-	st := t.in
-	if !t.directed {
-		st = t.out
-	}
+	return appendRun(t.InStore(), v, buf)
+}
+
+// appendRun appends v's neighbors in st to buf: it grows buf by v's degree
+// and fills the new tail through FlatFill. A vertex past st's space has
+// none.
+func appendRun(st OneDir, v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
 	if int(v) >= st.NumNodes() {
 		return buf
 	}
-	return st.Neighbors(v, buf)
+	n := len(buf)
+	buf = slices.Grow(buf, st.Degree(v))
+	return buf[:n+st.FlatFill(v, buf[n:cap(buf)])]
 }
 
 // LendsRuns reports whether OutRun and InRun are available: both stores

@@ -34,13 +34,6 @@ func (f *fakeStore) TakeProfile(into *UpdateProfile) { f.prof.MoveTo(into) }
 
 func (f *fakeStore) Degree(v graph.NodeID) int { return len(f.adj[v]) }
 
-func (f *fakeStore) Neighbors(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {
-	for id, w := range f.adj[v] {
-		buf = append(buf, graph.Neighbor{ID: id, Weight: w})
-	}
-	return buf
-}
-
 func (f *fakeStore) NumEdges() int {
 	n := 0
 	for _, m := range f.adj {
@@ -52,7 +45,12 @@ func (f *fakeStore) NumEdges() int {
 func (f *fakeStore) NumNodes() int { return len(f.adj) }
 
 func (f *fakeStore) FlatFill(v graph.NodeID, dst []graph.Neighbor) int {
-	return copy(dst, f.Neighbors(v, nil))
+	n := 0
+	for id, w := range f.adj[v] {
+		dst[n] = graph.Neighbor{ID: id, Weight: w}
+		n++
+	}
+	return n
 }
 
 func (f *fakeStore) DeleteEdges(edges []graph.Edge) {
