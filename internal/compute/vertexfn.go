@@ -318,15 +318,25 @@ func roundBFS(r *rounds, wk *worker, list []graph.NodeID) {
 }
 
 // roundCC is Table I's v.value <- min(v.value, min over Edges(v) of
-// e.other.value): connectivity over both directions. The out-run is
-// consumed before inRun, which refills the shared scratch on a copying
+// e.other.value): connectivity over both directions. Labels start at the
+// vertex's own ID and only fall (a trim resets a vertex to its own ID), so
+// 0 is the least label any vertex can hold: a vertex labelled 0 keeps it
+// and reads no run, and a pull stops at the first 0 it meets. The out-run
+// is consumed before inRun, which refills the shared scratch on a copying
 // store.
 //
 // saga:hotpath
 func roundCC(r *rounds, wk *worker, list []graph.NodeID) {
+	ctx := &wk.ctx
 	for _, v := range list {
-		best := pullMin(wk.ctx.outRun(v), r.vals, r.vals.get(int(v)))
-		r.settle(wk, v, pullMin(wk.ctx.inRun(v), r.vals, best))
+		best := r.vals.get(int(v))
+		if best == 0 {
+			continue // settling would store the 0 back and trigger nothing
+		}
+		if best = pullMin(ctx, ctx.outRun(v), r.vals, best); best != 0 {
+			best = pullMin(ctx, ctx.inRun(v), r.vals, best)
+		}
+		r.settle(wk, v, best)
 	}
 }
 
@@ -396,16 +406,23 @@ func roundSSWP(r *rounds, wk *worker, list []graph.NodeID) {
 	}
 }
 
-// pullMin (CC) and pullMax (MC) fold a run's values into best.
-func pullMin(run []graph.Neighbor, vals values, best float64) float64 {
-	for _, nb := range run {
+// pullMin is CC's pull: it folds a run's labels into best and stops at the
+// first 0, taking the records it never read back out of ctx's count.
+//
+// saga:hotpath
+func pullMin(ctx *recomputeCtx, run []graph.Neighbor, vals values, best float64) float64 {
+	for i, nb := range run {
 		if nv := vals.get(int(nb.ID)); nv < best {
-			best = nv
+			if best = nv; best == 0 {
+				ctx.edges -= uint64(len(run) - 1 - i) // the rest of the run is never read
+				break
+			}
 		}
 	}
 	return best
 }
 
+// pullMax is MC's pull: it folds a run's values into best.
 func pullMax(run []graph.Neighbor, vals values, best float64) float64 {
 	for _, nb := range run {
 		if nv := vals.get(int(nb.ID)); nv > best {
