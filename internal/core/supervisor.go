@@ -130,7 +130,15 @@ type Supervisor struct {
 	restartMu sync.Mutex
 	restarts  int
 
-	inflight atomic.Pointer[inflightBatch]
+	// inflight is the live generation's claim slot: the batch its worker
+	// is processing. Each generation gets a slot of its own, so a retired
+	// worker's late claim never lands in its successor's.
+	inflight *atomic.Pointer[inflightBatch]
+
+	// claimHook, when set, runs in a worker before (claimed false) and
+	// after (claimed true) it claims a dequeued batch. Tests set it to
+	// run a restart inside the claim window; it is nil otherwise.
+	claimHook func(gen uint64, claimed bool)
 
 	// Report accumulators for retired pipeline instances (the live
 	// instance is read directly).
@@ -161,7 +169,8 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		return nil, err
 	}
 	s.p = p
-	s.spawnWorker(gen, p, nil)
+	s.inflight = new(atomic.Pointer[inflightBatch])
+	s.spawnWorker(gen, p, s.inflight, nil)
 	s.watchdogWG.Add(1)
 	go func() {
 		defer func() {
@@ -203,10 +212,11 @@ func (s *Supervisor) Submit(mb MixedBatch) error {
 	return nil
 }
 
-// spawnWorker starts the dequeue loop for one pipeline generation.
-// first, when non-nil, is the recovered in-flight batch: it is
-// processed before the queue so stream order is preserved.
-func (s *Supervisor) spawnWorker(gen uint64, p *Pipeline, first *MixedBatch) {
+// spawnWorker starts the dequeue loop for one pipeline generation, which
+// claims its batches in slot. first, when non-nil, is the recovered
+// in-flight batch: it is processed before the queue so stream order is
+// preserved.
+func (s *Supervisor) spawnWorker(gen uint64, p *Pipeline, slot *atomic.Pointer[inflightBatch], first *MixedBatch) {
 	s.workers.Add(1)
 	go func() {
 		defer func() {
@@ -219,17 +229,13 @@ func (s *Supervisor) spawnWorker(gen uint64, p *Pipeline, first *MixedBatch) {
 			s.workers.Done()
 		}()
 		if first != nil {
-			if !s.processItem(gen, p, *first) {
+			if !s.processItem(gen, p, slot, *first) {
 				return
 			}
 		}
 		for mb := range s.queue {
 			s.rec.RecordQueueDepth(len(s.queue))
-			if s.gen.Load() != gen {
-				s.requeue(mb)
-				return
-			}
-			if !s.processItem(gen, p, mb) {
+			if !s.processItem(gen, p, slot, mb) {
 				return
 			}
 		}
@@ -253,13 +259,34 @@ func (s *Supervisor) requeue(mb MixedBatch) {
 	s.health.NoteShed()
 }
 
-// processItem runs one batch and routes its outcome; the false return
-// tells the worker its generation is retired.
-func (s *Supervisor) processItem(gen uint64, p *Pipeline, mb MixedBatch) bool {
+// processItem claims one batch, runs it and routes its outcome; the false
+// return tells the worker its generation is retired.
+//
+// The claim is stored before the generation is checked. A restart bumps
+// the generation before it swaps the claim out, so either the worker
+// sees the new generation or the restart sees the claim: a batch between
+// dequeue and apply is never in no one's hands.
+func (s *Supervisor) processItem(gen uint64, p *Pipeline, slot *atomic.Pointer[inflightBatch], mb MixedBatch) bool {
+	if s.claimHook != nil {
+		s.claimHook(gen, false)
+	}
 	inf := &inflightBatch{seqBefore: p.DurableSeq(), mb: mb}
-	s.inflight.Store(inf)
+	slot.Store(inf)
+	if s.claimHook != nil {
+		s.claimHook(gen, true)
+	}
+	if s.gen.Load() != gen {
+		// Retired before the batch began. If the claim is still in the
+		// slot, the restart has not swapped it out and never will take
+		// it: the worker hands the batch on. Otherwise the restart took
+		// it and replays it.
+		if slot.CompareAndSwap(inf, nil) {
+			s.requeue(mb)
+		}
+		return false
+	}
 	_, err := p.ProcessMixed(mb)
-	s.inflight.CompareAndSwap(inf, nil)
+	slot.CompareAndSwap(inf, nil)
 	if s.gen.Load() == gen {
 		rec := p.LastBatch()
 		// Scratch the next batch reuses: the engine's, and the pipeline's.
@@ -359,6 +386,7 @@ func (s *Supervisor) restart(gen uint64, cause string) {
 	time.Sleep(time.Duration(s.restarts) * s.cfg.RestartBackoff)
 
 	inf := s.inflight.Swap(nil)
+	s.inflight = new(atomic.Pointer[inflightBatch])
 	newP, err := NewPipeline(s.cfg.Pipeline)
 	if err != nil {
 		s.health.To(Failed, fmt.Sprintf("rebuild after %q failed: %v", cause, err))
@@ -378,7 +406,7 @@ func (s *Supervisor) restart(gen uint64, cause string) {
 		// resubmitting would double-apply.)
 		first = &inf.mb
 	}
-	s.spawnWorker(newGen, newP, first)
+	s.spawnWorker(newGen, newP, s.inflight, first)
 }
 
 // spawnDrain keeps the queue moving after the supervisor gave up on

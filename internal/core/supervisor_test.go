@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,6 +157,51 @@ func TestWatchdogRecoversStalledWALFsync(t *testing.T) {
 		t.Fatalf("WAL at seq %d after %d batches: one was lost or logged twice", got, len(stream))
 	}
 	coldVerify(t, cfg, stream, uint64(len(stream)))
+}
+
+// TestSupervisorRestartInClaimWindow runs a restart inside the claim
+// window of the stream's last batch: after its worker dequeued it and
+// before the claim, and after the claim but before the worker re-checks
+// its generation. Either way the batch reaches the WAL exactly once: in
+// the first case the retired worker hands it on, in the second the restart
+// takes the claim and replays it.
+func TestSupervisorRestartInClaimWindow(t *testing.T) {
+	for _, claimed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("claimed=%v", claimed), func(t *testing.T) {
+			stream := durableStream(6)
+			cfg := durableCfg(t.TempDir(), "cc", &durable.Config{Fsync: durable.FsyncAlways, CheckpointEvery: -1})
+			sup, err := core.NewSupervisor(core.SupervisorConfig{Pipeline: cfg, RestartBackoff: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var calls atomic.Int32
+			core.SetClaimHook(sup, func(gen uint64, c bool) {
+				if c == claimed && calls.Add(1) == int32(len(stream)) {
+					core.Restart(sup, gen, "restart in the claim window")
+				}
+			})
+			submitAll(t, sup, stream)
+			// Close only once the last batch is applied: a batch handed on
+			// after Close began would be shed, which is not this window.
+			for deadline := time.Now().Add(5 * time.Second); sup.LastBatch().WALSeq < uint64(len(stream)); {
+				if time.Now().After(deadline) {
+					t.Fatalf("last applied batch seq %d after 5s, want %d: the batch in the claim window was lost",
+						sup.LastBatch().WALSeq, len(stream))
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := sup.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			if rep := sup.Report(); rep.Restarts != 1 || rep.State != core.Healthy {
+				t.Fatalf("restarts %d, state %v; want one restart and healthy", rep.Restarts, rep.State)
+			}
+			if got := sup.DurableSeq(); got != uint64(len(stream)) {
+				t.Fatalf("WAL at seq %d after %d batches: one was lost or logged twice", got, len(stream))
+			}
+			coldVerify(t, cfg, stream, uint64(len(stream)))
+		})
+	}
 }
 
 // TestSupervisorWorkerPanicRestarts injects an error (not a stall) into
