@@ -29,3 +29,12 @@ func CheckContrib(e Engine, g ds.Graph) error {
 	}
 	return nil
 }
+
+// PullCuts is the cut of an FS pull sweep over g at the given thread
+// count (rounds.pullCuts): by in-degree prefix sum on a flat view,
+// uniform on the interface path.
+func PullCuts(g ds.Graph, threads int) []int {
+	r := rounds{opts: Options{Threads: threads}, csr: flatCSROf(g), n: g.NumNodes()}
+	r.pullCuts()
+	return r.cuts
+}

@@ -28,12 +28,9 @@ func fsBFS(e *fsEngine) {
 		// 318 K-edge depth-1 frontier bottom-up, a full sweep of about
 		// 17 ms where top-down costs 4.5 (EXPERIMENTS.md, "Staged hybrid
 		// apply"). A better rule is ROADMAP.md item 13's; changing it
-		// re-records fsBFSStatsGolden.
-		frontierEdges := 0
-		for _, u := range e.curr {
-			frontierEdges += ctx.outDegree(u)
-		}
-		if frontierEdges > unreached/4 && len(e.curr) > 64 {
+		// re-records fsBFSStatsGolden. The size test comes first, and the
+		// degree sum stops as soon as it crosses the bound.
+		if len(e.curr) > 64 && e.frontierEdgesExceed(ctx, unreached/4) {
 			for _, u := range e.curr {
 				e.parents.mark(u)
 			}
@@ -50,6 +47,18 @@ func fsBFS(e *fsEngine) {
 		unreached -= len(e.curr)
 		e.stats.Iterations++
 	}
+}
+
+// frontierEdgesExceed reports whether the frontier's out-degrees sum to
+// more than limit, reading them only until the sum does.
+func (e *fsEngine) frontierEdgesExceed(ctx *recomputeCtx, limit int) bool {
+	edges := 0
+	for _, u := range e.curr {
+		if edges += ctx.outDegree(u); edges > limit {
+			return true
+		}
+	}
+	return false
 }
 
 // bfsTopDown expands its share of the frontier push-style: every

@@ -14,7 +14,9 @@ import (
 // the kernel inner-loop helpers nor a whole batch of either model touches
 // the allocator.
 
-func hotpathTestGraph(t *testing.T) (ds.Graph, *graph.CSR) {
+// hotpathTestGraph is a 17-vertex star with every spoke both ways, plus
+// the extra edges.
+func hotpathTestGraph(t *testing.T, extra ...graph.Edge) (ds.Graph, *graph.CSR) {
 	t.Helper()
 	g := ds.MustNew("adjshared", ds.Config{Directed: true, Threads: 1})
 	var batch graph.Batch
@@ -22,7 +24,7 @@ func hotpathTestGraph(t *testing.T) (ds.Graph, *graph.CSR) {
 		batch = append(batch, graph.Edge{Src: 0, Dst: graph.NodeID(i), Weight: 1})
 		batch = append(batch, graph.Edge{Src: graph.NodeID(i), Dst: 0, Weight: 1})
 	}
-	g.Update(batch)
+	g.Update(append(batch, extra...))
 	return g, graph.BuildCSR(g.NumNodes(), ds.ExportEdgesParallel(g, 1))
 }
 
@@ -86,10 +88,10 @@ func TestRangeWorkerDoesNotAllocate(t *testing.T) {
 
 // prAllocGraphs returns the hotpath graph as the kernels see it on the
 // interface path and on the flat view.
-func prAllocGraphs(t *testing.T) map[string]ds.Graph {
+func prAllocGraphs(t *testing.T, extra ...graph.Edge) map[string]ds.Graph {
 	t.Helper()
-	g, _ := hotpathTestGraph(t)
-	vg, _ := hotpathTestGraph(t)
+	g, _ := hotpathTestGraph(t, extra...)
+	vg, _ := hotpathTestGraph(t, extra...)
 	view, ok := ds.NewComputeView(vg, 1)
 	if !ok {
 		t.Fatal("adjshared has no compute view")
@@ -98,24 +100,30 @@ func prAllocGraphs(t *testing.T) map[string]ds.Graph {
 	return map[string]ds.Graph{"interface": g, "view": view}
 }
 
-// A steady-state FS PageRank batch — reset, contribution passes, pull
-// passes, convergence sum — allocates nothing at one thread: the sweep
-// state lives in the engine and the range workers are bound once.
+// A steady-state FS PageRank batch — reset, the vertex sets, contribution
+// passes, pull passes, convergence sum — allocates nothing at one thread:
+// the sweep state lives in the engine and the range workers are bound
+// once. A source (17 → 0) and a sink (0 → 18) make the sets skip
+// vertices, and three iterations run every set the sweep uses.
 func TestFSPRBatchDoesNotAllocate(t *testing.T) {
-	graphs := prAllocGraphs(t)
-	ig, _ := hotpathTestGraph(t)
+	extra := []graph.Edge{{Src: 17, Dst: 0, Weight: 1}, {Src: 0, Dst: 18, Weight: 1}}
+	graphs := prAllocGraphs(t, extra...)
+	ig, _ := hotpathTestGraph(t, extra...)
 	inOnly, _ := ds.NewComputeView(ig, 1)
 	inOnly.MirrorInOnly()
 	inOnly.Refresh(nil, nil)
 	graphs["in-only view"] = inOnly
 	for path, g := range graphs {
 		e := newFSEngine(specs["pr"], Options{Threads: 1})
-		e.PerformAlg(g, nil) // cold: sizes the vectors, binds the workers
+		e.PerformAlg(g, nil) // cold: sizes the vectors and the sets, binds the workers
 		if allocs := testing.AllocsPerRun(20, func() { e.PerformAlg(g, nil) }); allocs != 0 {
 			t.Errorf("%s: FS PageRank batch allocates %.1f times", path, allocs)
 		}
-		if e.Stats().Iterations < 2 {
-			t.Errorf("%s: %d iterations — the sweep was not exercised", path, e.Stats().Iterations)
+		if it := e.Stats().Iterations; it < 3 {
+			t.Errorf("%s: %d iterations — the sets were not all exercised", path, it)
+		}
+		if n := g.NumNodes(); len(e.pr.pulled) != n-1 || len(e.pr.refilled) != n-2 {
+			t.Errorf("%s: %d vertices pulled and %d refilled of %d — the sets skip nothing", path, len(e.pr.pulled), len(e.pr.refilled), n)
 		}
 	}
 }

@@ -127,7 +127,7 @@ func (e *incEngine) growContrib(all bool) {
 	if all {
 		from = 0
 	}
-	e.workers[0].ctx.fillContrib(e.contrib, e.vals, from, e.n)
+	e.workers[0].ctx.fillContrib(e.contrib, e.vals, nil, from, e.n)
 	for w := range e.workers {
 		e.workers[w].ctx.contrib = e.contrib
 	}

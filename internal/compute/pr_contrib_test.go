@@ -104,24 +104,28 @@ func contribInvariantRun(t *testing.T, stream crosscheck.Stream, directed, useVi
 // the in-degree-balanced cuts give it a range of its own and every worker
 // reads its contribution — for the race detector: the FS passes rely on
 // barriers for their plain stores, the INC rounds write contrib beside
-// vals while neighbours read it.
+// vals while neighbours read it. FS runs on an in-only view too, whose
+// pull workers loop over the flat ID mirror; INC pushes along out-runs,
+// which that view does not hold.
 func TestPRParallelSweepsMatchReference(t *testing.T) {
 	spec := gen.MustDataset("wiki", gen.ProfileTiny)
 	edges := spec.Generate(9)
 	opts := tightPR
 	opts.Threads = 4
-	for _, useView := range []bool{false, true} {
+	for _, path := range []string{"interface", "view", "in-only-view"} {
 		g := ds.MustNew("adjshared", ds.Config{Directed: true, Threads: 4})
 		var cg ds.Graph = g
 		var view *ds.ComputeView
-		if useView {
+		if path != "interface" {
 			view, _ = ds.NewComputeView(g, 4)
 			cg = view
 		}
 		oracle := graph.NewOracle(true)
-		engines := []compute.Engine{
-			compute.MustNewEngine("pr", compute.FS, opts),
-			compute.MustNewEngine("pr", compute.INC, opts),
+		engines := []compute.Engine{compute.MustNewEngine("pr", compute.FS, opts)}
+		if path == "in-only-view" {
+			view.MirrorInOnly()
+		} else {
+			engines = append(engines, compute.MustNewEngine("pr", compute.INC, opts))
 		}
 		for lo := 0; lo < len(edges); lo += spec.BatchSize {
 			hi := lo + spec.BatchSize
@@ -138,10 +142,10 @@ func TestPRParallelSweepsMatchReference(t *testing.T) {
 			for _, e := range engines {
 				e.PerformAlg(cg, affectedOf(batch))
 				if v := compute.DiffValues(e.Values(), want, compute.Tolerance("pr")); v >= 0 {
-					t.Fatalf("view=%v %s batch at %d: vertex %d got %v want %v", useView, e.Model(), lo, v, e.Values()[v], want[v])
+					t.Fatalf("%s %s batch at %d: vertex %d got %v want %v", path, e.Model(), lo, v, e.Values()[v], want[v])
 				}
 				if err := compute.CheckContrib(e, cg); err != nil {
-					t.Fatalf("view=%v batch at %d: %v", useView, lo, err)
+					t.Fatalf("%s batch at %d: %v", path, lo, err)
 				}
 			}
 		}

@@ -116,30 +116,64 @@ func (ctx *recomputeCtx) inDegree(v graph.NodeID) int {
 }
 
 // fillContrib is the degree accessor at range granularity: it puts
-// contribOf(rank[u], outdeg(u)) into contrib[u] for u in [lo,hi) — plain
-// stores, see values.put. A per-vertex accessor forking on the backing
-// cannot inline (its interface call is over budget), and a call per vertex
-// costs the flat path's contribution pass a tenth of the whole FS PageRank
-// batch; here the fork is taken once per range.
+// contribOf(rank[u], outdeg(u)) into contrib[u] for u = set.at(i), i in
+// [lo,hi) — plain stores, see values.put. A per-vertex accessor forking
+// on the backing cannot inline (its interface call is over budget), and a
+// call per vertex costs the flat path's contribution pass a tenth of the
+// whole FS PageRank batch; here the fork is taken once per range.
 //
 // saga:hotpath
-func (ctx *recomputeCtx) fillContrib(contrib, rank values, lo, hi int) {
+func (ctx *recomputeCtx) fillContrib(contrib, rank values, set vertexSet, lo, hi int) {
 	if ctx.csr != nil {
 		if deg := ctx.csr.OutDeg; deg != nil {
-			for u := lo; u < hi; u++ {
+			for i := lo; i < hi; i++ {
+				u := set.at(i)
 				contrib.put(u, contribOf(rank.get(u), int(deg[u])))
 			}
 			return
 		}
 		spans := ctx.csr.OutSpans
-		for u := lo; u < hi; u++ {
+		for i := lo; i < hi; i++ {
+			u := set.at(i)
 			contrib.put(u, contribOf(rank.get(u), spans[u].Len()))
 		}
 		return
 	}
-	for u := lo; u < hi; u++ {
+	for i := lo; i < hi; i++ {
+		u := set.at(i)
 		contrib.put(u, contribOf(rank.get(u), ctx.g.OutDegree(graph.NodeID(u))))
 	}
+}
+
+// prSets is the degree accessor at batch granularity: it appends to
+// pulled the vertices of [0,n) with a non-empty in-run, and to refilled
+// those of them with out-degree > 0, both ascending. Like fillContrib it
+// forks once: the flat path reads the spans and the out-degree vector,
+// the interface path the structure's degrees.
+func (ctx *recomputeCtx) prSets(n int, pulled, refilled []graph.NodeID) ([]graph.NodeID, []graph.NodeID) {
+	if c := ctx.csr; c != nil {
+		for v, s := range c.InSpans[:n] {
+			if s.Len() == 0 {
+				continue
+			}
+			u := graph.NodeID(v)
+			pulled = append(pulled, u)
+			if c.OutDegree(u) > 0 {
+				refilled = append(refilled, u)
+			}
+		}
+		return pulled, refilled
+	}
+	for v := range graph.NodeID(n) {
+		if ctx.g.InDegree(v) == 0 {
+			continue
+		}
+		pulled = append(pulled, v)
+		if ctx.g.OutDegree(v) > 0 {
+			refilled = append(refilled, v)
+		}
+	}
+	return pulled, refilled
 }
 
 // spec describes one algorithm: its Table I vertex function as a round
