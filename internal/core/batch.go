@@ -41,8 +41,8 @@ const (
 	NumStages
 )
 
-// stages is the stage table: the name the watchdog, PhaseDeadlines and the
-// pprof labels know a stage by, its trace span, and the fault point at its
+// stages is the stage table: the name the watchdog and the pprof labels
+// know a stage by, its trace span, and the fault point at its
 // start (the durable stages' I/O faults are injected inside
 // internal/durable instead, through Durable.IO).
 var stages = [NumStages]struct {

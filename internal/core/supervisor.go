@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sagabench/internal/telemetry"
@@ -20,18 +19,30 @@ import (
 // run's degradation history and the final report survive any number of
 // pipeline instances.
 //
-// The recovery protocol on a watchdog fire or worker panic:
+// One dispatcher goroutine owns the batch in flight. It is the queue's
+// only reader: it runs each batch on a goroutine of its own and waits for
+// it beside the watchdog tick. A stall past PhaseDeadline, or a panic out
+// of ProcessMixed, restarts the instance inline:
 //
-//	fence old instance -> bump generation -> backoff -> rebuild from
-//	disk -> resubmit the in-flight batch iff it never reached the WAL
-//	-> new worker resumes the queue
+//	fence old instance -> backoff -> rebuild from disk -> offer the
+//	in-flight batch again iff it never reached the WAL -> next dequeue
 //
-// Fencing (Pipeline.Fence) is what makes abandoning a stalled worker
-// sound: the old goroutine may unblock minutes later and run to
-// completion, but every durable file operation it would perform is
-// refused, so it cannot scribble WAL segments or checkpoints the
-// rebuilt instance now owns. Its in-memory effects die with the old
-// components.
+// The in-flight batch stays in the dispatcher until it is applied or
+// known durable, so every accepted batch is applied once, in submission
+// order, across any number of restarts. None is dropped on the way: a
+// batch is only shed at Submit (Shed set), or refused and counted once
+// the health machine stops ingest.
+//
+// Fencing (Pipeline.Fence) is what makes abandoning a stalled batch
+// sound: its goroutine may unblock minutes later and run to completion,
+// but every durable file operation it would perform is refused, so it
+// cannot scribble WAL segments or checkpoints the rebuilt instance now
+// owns, and nobody reads its outcome. Its in-memory effects die with the
+// old components.
+
+// watchdogPoll is how often the dispatcher checks the stage in flight
+// against PhaseDeadline.
+const watchdogPoll = 5 * time.Millisecond
 
 // SupervisorConfig tunes the supervised runtime.
 type SupervisorConfig struct {
@@ -46,15 +57,10 @@ type SupervisorConfig struct {
 	// Shed, when true, drops the newest batch instead of blocking when
 	// the queue is full; Submit then returns ErrShed.
 	Shed bool
-	// PhaseDeadline is the watchdog's default per-stage budget (default
+	// PhaseDeadline is the watchdog's budget for any one stage (default
 	// 1s): a stage running longer is declared stalled and its pipeline
-	// instance is replaced. PhaseDeadlines overrides it per stage, keyed
-	// by stage name ("validate", "wal", "update", "view", "compute",
-	// "publish", "checkpoint").
-	PhaseDeadline  time.Duration
-	PhaseDeadlines map[string]time.Duration
-	// WatchdogPoll is the deadline check period (default 5ms).
-	WatchdogPoll time.Duration
+	// instance is replaced.
+	PhaseDeadline time.Duration
 	// RestartBackoff is the delay before each rebuild (default 10ms);
 	// restart i waits i×RestartBackoff, so a crash-looping instance
 	// backs off linearly instead of spinning on a hot failure.
@@ -72,9 +78,6 @@ func (cfg SupervisorConfig) withDefaults() SupervisorConfig {
 	if cfg.PhaseDeadline <= 0 {
 		cfg.PhaseDeadline = time.Second
 	}
-	if cfg.WatchdogPoll <= 0 {
-		cfg.WatchdogPoll = 5 * time.Millisecond
-	}
 	if cfg.RestartBackoff <= 0 {
 		cfg.RestartBackoff = 10 * time.Millisecond
 	}
@@ -91,16 +94,6 @@ var ErrShed = errors.New("core: ingest queue full, batch shed")
 // errSupClosed is returned by Submit after Close.
 var errSupClosed = errors.New("core: supervisor closed")
 
-// inflightBatch is the batch a worker is processing right now, tagged
-// with the durable sequence number before it was offered: if a rebuild
-// recovers to a sequence at or below seqBefore, the batch never reached
-// the WAL and must be resubmitted; if it recovered past it, the WAL
-// already carries the batch and resubmitting would double-apply.
-type inflightBatch struct {
-	seqBefore uint64
-	mb        MixedBatch
-}
-
 // Supervisor runs a pipeline under watchdog supervision. Build with
 // NewSupervisor; feed with Submit; stop with Close.
 type Supervisor struct {
@@ -109,7 +102,8 @@ type Supervisor struct {
 	rec    *telemetry.Recorder
 
 	queue chan MixedBatch
-	done  chan struct{}
+	// done is closed when the dispatcher has drained the closed queue.
+	done chan struct{}
 
 	// subMu serializes Submit against Close so the queue is never closed
 	// under an in-flight send.
@@ -117,44 +111,30 @@ type Supervisor struct {
 	closed bool
 
 	// mu guards the current/previous pipeline pointers across rebuilds,
-	// and the worker's copy of its last batch record.
-	mu   sync.Mutex
-	p    *Pipeline
-	prev *Pipeline
-	last BatchRecord
-
-	// gen is the pipeline generation; a worker from a superseded
-	// generation recognizes itself as stale and stands down. restartMu
-	// serializes the fence-rebuild-respawn sequence.
-	gen       atomic.Uint64
-	restartMu sync.Mutex
-	restarts  int
-
-	// inflight is the live generation's claim slot: the batch its worker
-	// is processing. Each generation gets a slot of its own, so a retired
-	// worker's late claim never lands in its successor's.
-	inflight *atomic.Pointer[inflightBatch]
-
-	// claimHook, when set, runs in a worker before (claimed false) and
-	// after (claimed true) it claims a dequeued batch. Tests set it to
-	// run a restart inside the claim window; it is nil otherwise.
-	claimHook func(gen uint64, claimed bool)
-
-	// Report accumulators for retired pipeline instances (the live
-	// instance is read directly).
+	// the dispatcher's copy of its last batch record, and the report
+	// accumulators of retired pipeline instances (the live instance is
+	// read directly).
+	mu              sync.Mutex
+	p               *Pipeline
+	prev            *Pipeline
+	last            BatchRecord
 	retiredRetries  uint64
 	retiredPoisoned []string
 
-	workers    sync.WaitGroup
-	watchdogWG sync.WaitGroup
+	// restarts is the dispatcher's count of rebuilds.
+	restarts int
 }
 
 // NewSupervisor builds the first pipeline instance and starts the
-// worker and watchdog.
+// dispatcher.
 func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Pipeline.Health == nil {
 		cfg.Pipeline.Health = NewHealth(cfg.Pipeline.Telemetry)
+	}
+	p, err := NewPipeline(cfg.Pipeline)
+	if err != nil {
+		return nil, err
 	}
 	s := &Supervisor{
 		cfg:    cfg,
@@ -162,24 +142,21 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 		rec:    cfg.Pipeline.Telemetry,
 		queue:  make(chan MixedBatch, cfg.MaxQueue),
 		done:   make(chan struct{}),
+		p:      p,
 	}
-	gen := s.gen.Load()
-	p, err := NewPipeline(cfg.Pipeline)
-	if err != nil {
-		return nil, err
-	}
-	s.p = p
-	s.inflight = new(atomic.Pointer[inflightBatch])
-	s.spawnWorker(gen, p, s.inflight, nil)
-	s.watchdogWG.Add(1)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				s.health.To(Failed, fmt.Sprintf("watchdog panic: %v", r))
+				// Nothing is left to run batches: fail, and keep the
+				// queue draining so producers and Close are released.
+				s.health.To(Failed, fmt.Sprintf("dispatcher panic: %v", r))
+				for range s.queue {
+					s.health.NoteRefused()
+				}
 			}
-			s.watchdogWG.Done()
+			close(s.done)
 		}()
-		s.watchdog()
+		s.dispatch(p)
 	}()
 	return s, nil
 }
@@ -212,222 +189,120 @@ func (s *Supervisor) Submit(mb MixedBatch) error {
 	return nil
 }
 
-// spawnWorker starts the dequeue loop for one pipeline generation, which
-// claims its batches in slot. first, when non-nil, is the recovered
-// in-flight batch: it is processed before the queue so stream order is
-// preserved.
-func (s *Supervisor) spawnWorker(gen uint64, p *Pipeline, slot *atomic.Pointer[inflightBatch], first *MixedBatch) {
-	s.workers.Add(1)
+// dispatch is the dispatcher: it hands the queue's batches to p one at a
+// time, in order, until Close closes the queue. Once the supervisor has
+// given up on rebuilds (p is nil) every batch is refused and counted, so
+// producers blocked on a full queue are released instead of hanging.
+func (s *Supervisor) dispatch(p *Pipeline) {
+	tick := time.NewTicker(watchdogPoll)
+	defer tick.Stop()
+	for mb := range s.queue {
+		s.rec.RecordQueueDepth(len(s.queue))
+		if p == nil {
+			s.health.NoteRefused()
+			continue
+		}
+		p = s.offer(p, mb, tick.C)
+	}
+}
+
+// offer runs mb on p, replacing p on each stall or panic and offering mb
+// to the replacement until it is applied or known durable. It returns the
+// instance that takes the next batch (nil: no instance is left).
+func (s *Supervisor) offer(p *Pipeline, mb MixedBatch, tick <-chan time.Time) *Pipeline {
+	for {
+		seqBefore := p.DurableSeq()
+		cause := s.attempt(p, mb, tick)
+		if cause == "" {
+			return p
+		}
+		if p = s.restart(p, cause); p == nil || p.DurableSeq() > seqBefore {
+			// Past its WAL append the batch is restored by recovery, and
+			// offering it again would apply it twice.
+			return p
+		}
+	}
+}
+
+// attempt runs mb on p on a goroutine of its own and waits for it beside
+// the watchdog tick. It returns "" once the batch has an outcome, or why p
+// must be replaced: a stage past its deadline, or a panic out of
+// ProcessMixed (the durable path catches apply panics itself, so this is
+// the direct path or the machinery around it). An abandoned attempt's
+// outcome lands in a buffer nobody reads.
+func (s *Supervisor) attempt(p *Pipeline, mb MixedBatch, tick <-chan time.Time) string {
+	type outcome struct {
+		err   error
+		panic any
+	}
+	done := make(chan outcome, 1)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				// A panic that escaped ProcessMixed (the durable path
-				// catches apply panics itself, so this is the direct path
-				// or the machinery around it): replace the instance.
-				s.restart(gen, fmt.Sprintf("worker panic: %v", r))
+				done <- outcome{panic: r}
 			}
-			s.workers.Done()
 		}()
-		if first != nil {
-			if !s.processItem(gen, p, slot, *first) {
-				return
-			}
-		}
-		for mb := range s.queue {
-			s.rec.RecordQueueDepth(len(s.queue))
-			if !s.processItem(gen, p, slot, mb) {
-				return
-			}
-		}
+		_, err := p.ProcessMixed(mb)
+		done <- outcome{err: err}
 	}()
-}
-
-// requeue hands a batch a retired worker dequeued back to the live
-// worker. Best-effort and non-blocking: a full queue (or a closing
-// supervisor) sheds it rather than deadlocking a goroutine that exists
-// only to stand down.
-func (s *Supervisor) requeue(mb MixedBatch) {
-	s.subMu.RLock()
-	defer s.subMu.RUnlock()
-	if !s.closed {
-		select {
-		case s.queue <- mb:
-			return
-		default:
-		}
-	}
-	s.health.NoteShed()
-}
-
-// processItem claims one batch, runs it and routes its outcome; the false
-// return tells the worker its generation is retired.
-//
-// The claim is stored before the generation is checked. A restart bumps
-// the generation before it swaps the claim out, so either the worker
-// sees the new generation or the restart sees the claim: a batch between
-// dequeue and apply is never in no one's hands.
-func (s *Supervisor) processItem(gen uint64, p *Pipeline, slot *atomic.Pointer[inflightBatch], mb MixedBatch) bool {
-	if s.claimHook != nil {
-		s.claimHook(gen, false)
-	}
-	inf := &inflightBatch{seqBefore: p.DurableSeq(), mb: mb}
-	slot.Store(inf)
-	if s.claimHook != nil {
-		s.claimHook(gen, true)
-	}
-	if s.gen.Load() != gen {
-		// Retired before the batch began. If the claim is still in the
-		// slot, the restart has not swapped it out and never will take
-		// it: the worker hands the batch on. Otherwise the restart took
-		// it and replays it.
-		if slot.CompareAndSwap(inf, nil) {
-			s.requeue(mb)
-		}
-		return false
-	}
-	_, err := p.ProcessMixed(mb)
-	slot.CompareAndSwap(inf, nil)
-	if s.gen.Load() == gen {
-		rec := p.LastBatch()
-		// Scratch the next batch reuses: the engine's, and the pipeline's.
-		rec.Compute.Ranges, rec.Compute.WorkerBusyNS, rec.DS.ChunkLoads = nil, nil, nil
-		s.mu.Lock()
-		s.last = rec
-		s.mu.Unlock()
-	}
-	if errors.Is(err, errFenced) {
-		// This generation was retired mid-batch; the restart already
-		// captured the in-flight batch for resubmission.
-		return false
-	}
-	if err != nil && !errors.Is(err, ErrReadOnly) && !errors.Is(err, ErrFailed) {
-		// Not a refusal the health machine already counted but an
-		// unabsorbed durability failure (fail policy): the machine is
-		// Failed. Either way keep draining, so blocked producers are
-		// released.
-		s.health.To(Failed, fmt.Sprintf("batch failed: %v", err))
-	}
-	return true
-}
-
-// watchdog polls the in-flight phase against its deadline and replaces
-// the pipeline instance when a phase overstays.
-func (s *Supervisor) watchdog() {
-	tick := time.NewTicker(s.cfg.WatchdogPoll)
-	defer tick.Stop()
 	for {
 		select {
-		case <-s.done:
-			return
-		case <-tick.C:
+		case o := <-done:
+			if o.panic != nil {
+				return fmt.Sprintf("worker panic: %v", o.panic)
+			}
+			rec := p.LastBatch()
+			// Scratch the next batch reuses: the engine's, and the pipeline's.
+			rec.Compute.Ranges, rec.Compute.WorkerBusyNS, rec.DS.ChunkLoads = nil, nil, nil
+			s.mu.Lock()
+			s.last = rec
+			s.mu.Unlock()
+			if o.err != nil && !errors.Is(o.err, ErrReadOnly) && !errors.Is(o.err, ErrFailed) {
+				// Not a refusal the health machine already counted but an
+				// unabsorbed durability failure (fail policy): the machine
+				// is Failed. Either way the queue keeps draining, so
+				// blocked producers are released.
+				s.health.To(Failed, fmt.Sprintf("batch failed: %v", o.err))
+			}
+			return ""
+		case <-tick:
+			start := p.stageStart.Load()
+			if start == 0 || time.Since(time.Unix(0, start)) <= s.cfg.PhaseDeadline {
+				continue
+			}
+			s.health.NoteWatchdogFire()
+			return fmt.Sprintf("watchdog: %s phase exceeded %v", StageID(p.stageID.Load()), s.cfg.PhaseDeadline)
 		}
-		// The generation is read before its pipeline: paired with a newer
-		// pipeline it only makes the restart below a no-op, whereas an older
-		// pipeline's stall must never retire a newer generation. A fenced
-		// pipeline is already retired (its replacement is being built, or
-		// the restart budget ran out); what its abandoned worker does is
-		// nobody's stall.
-		gen := s.gen.Load()
-		p := s.Pipeline()
-		start := p.stageStart.Load()
-		if start == 0 || p.fenced.Load() {
-			continue
-		}
-		name := StageID(p.stageID.Load()).String()
-		deadline := s.cfg.PhaseDeadline
-		if d, ok := s.cfg.PhaseDeadlines[name]; ok {
-			deadline = d
-		}
-		if time.Since(time.Unix(0, start)) <= deadline {
-			continue
-		}
-		s.health.NoteWatchdogFire()
-		s.restart(gen, fmt.Sprintf("watchdog: %s phase exceeded %v", name, deadline))
 	}
 }
 
-// restart retires generation gen and brings up its replacement. Calls
-// for an already-retired generation are no-ops, so the watchdog and a
-// panicking worker can both report the same corpse.
-func (s *Supervisor) restart(gen uint64, cause string) {
-	s.restartMu.Lock()
-	defer s.restartMu.Unlock()
-	if s.gen.Load() != gen {
-		return
-	}
-	// No closed check: a restart during Close's drain is legitimate (the
-	// queue still holds batches the replacement must process) and safe —
-	// the trigger is always a live worker that has not yet Done()d, so
-	// workers.Add below never races a zero-counter workers.Wait, and a
-	// worker spawned onto an already-closed queue just drains and exits.
-
-	old := s.p
+// restart fences old and rebuilds its replacement from disk. It returns
+// nil, leaving the supervisor Failed and old (fenced) serving its
+// published epochs, when the restart budget is spent or the rebuild fails.
+func (s *Supervisor) restart(old *Pipeline, cause string) *Pipeline {
+	// Abandon drops the old instance's WAL handles without flushing —
+	// the fence already guarantees it writes nothing more.
 	old.Fence()
-	newGen := s.gen.Add(1)
-
-	// Retire the old instance's report contributions before abandoning
-	// it (Abandon drops its WAL handles without flushing — the fence
-	// already guarantees it writes nothing more).
-	r := old.HealthReport()
-	s.retiredRetries += r.DurableRetry
-	s.retiredPoisoned = append(s.retiredPoisoned, old.PoisonFiles()...)
 	old.Abandon()
-
 	s.restarts++
 	s.health.NoteRestart()
 	if s.restarts > s.cfg.MaxRestarts {
 		s.health.To(Failed, fmt.Sprintf("restart budget (%d) exhausted: %s", s.cfg.MaxRestarts, cause))
-		// No replacement: the old (fenced) instance keeps serving
-		// already-published epochs, and spawnWorker's stale handoff plus
-		// Submit's health gate keep the queue from wedging producers.
-		s.spawnDrain()
-		return
+		return nil
 	}
 	time.Sleep(time.Duration(s.restarts) * s.cfg.RestartBackoff)
-
-	inf := s.inflight.Swap(nil)
-	s.inflight = new(atomic.Pointer[inflightBatch])
 	newP, err := NewPipeline(s.cfg.Pipeline)
 	if err != nil {
 		s.health.To(Failed, fmt.Sprintf("rebuild after %q failed: %v", cause, err))
-		s.spawnDrain()
-		return
+		return nil
 	}
+	r := old.HealthReport()
 	s.mu.Lock()
-	s.prev = old
-	s.p = newP
+	s.retiredRetries += r.DurableRetry
+	s.retiredPoisoned = append(s.retiredPoisoned, old.PoisonFiles()...)
+	s.prev, s.p = old, newP
 	s.mu.Unlock()
-
-	var first *MixedBatch
-	if inf != nil && newP.DurableSeq() <= inf.seqBefore {
-		// The in-flight batch died before its WAL append: recovery
-		// cannot know it, so the supervisor replays it from memory.
-		// (Past the append, recovery restored it from the log and
-		// resubmitting would double-apply.)
-		first = &inf.mb
-	}
-	s.spawnWorker(newGen, newP, s.inflight, first)
-}
-
-// spawnDrain keeps the queue moving after the supervisor gave up on
-// rebuilds: every queued batch is refused and counted, so producers
-// blocked on a full queue are released instead of hanging.
-func (s *Supervisor) spawnDrain() {
-	s.workers.Add(1)
-	go func() {
-		defer func() {
-			// saga:paniccapture — nothing below can panic, but the
-			// recover keeps a refactoring accident from killing the
-			// process through this goroutine.
-			if r := recover(); r != nil {
-				s.health.To(Failed, fmt.Sprintf("drain panic: %v", r))
-			}
-			s.workers.Done()
-		}()
-		for range s.queue {
-			s.health.NoteRefused()
-		}
-	}()
+	return newP
 }
 
 // AcquireQuery pins the latest published epoch, falling back to the
@@ -484,16 +359,15 @@ func (s *Supervisor) DurableSeq() uint64 {
 func (s *Supervisor) Report() HealthReport {
 	s.mu.Lock()
 	p := s.p
+	retries, poisoned := s.retiredRetries, append([]string(nil), s.retiredPoisoned...)
 	s.mu.Unlock()
 	r := p.HealthReport()
-	s.restartMu.Lock()
-	r.DurableRetry += s.retiredRetries
-	r.Quarantined = append(append([]string(nil), s.retiredPoisoned...), r.Quarantined...)
-	s.restartMu.Unlock()
+	r.DurableRetry += retries
+	r.Quarantined = append(poisoned, r.Quarantined...)
 	return r
 }
 
-// Close drains the queue, joins the worker and watchdog, and closes the
+// Close drains the queue, waits for the dispatcher, and closes the
 // current pipeline instance (final checkpoint and WAL flush, unless
 // durability already degraded). The returned error is the pipeline
 // close error; consult Report for the run's health.
@@ -505,17 +379,7 @@ func (s *Supervisor) Close() error {
 	if alreadyClosed {
 		return errSupClosed
 	}
-	// Wait out any in-flight restart: a rebuild that began before the
-	// closed flag was set must finish spawning its worker before the
-	// queue closes, or its workers.Add would race workers.Wait.
-	s.restartMu.Lock()
-	s.restartMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 	close(s.queue)
-	s.workers.Wait()
-	close(s.done)
-	s.watchdogWG.Wait()
-	s.mu.Lock()
-	p := s.p
-	s.mu.Unlock()
-	return p.Close()
+	<-s.done
+	return s.Pipeline().Close()
 }
