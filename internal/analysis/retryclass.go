@@ -18,7 +18,7 @@ import (
 // are unclassified; `errors`/`fmt` wrapping propagates taint;
 // `saga:classifier` calls (Permanent, IsPermanent) launder the local
 // they inspect; and results of `saga:classifies` entry points
-// (RetryPolicy.Do) or of other same-module functions are trusted.
+// (Manager.retry) or of other same-module functions are trusted.
 // Returning a tainted error from a saga:classified function is the
 // finding.
 var RetryClass = &Analyzer{
@@ -105,7 +105,7 @@ func (rc *retryChecker) taintedExpr(f errFact, e ast.Expr) bool {
 		if rc.classifierCall(x) {
 			return false
 		}
-		// saga:classifies entry points (RetryPolicy.Do) return classified
+		// saga:classifies entry points (Manager.retry) return classified
 		// errors by contract, wherever they live.
 		if fn := calleeFunc(rc.pass.TypesInfo, x); fn != nil {
 			if _, ok := rc.pass.funcAnnotation(fn, "classifies"); ok {

@@ -289,7 +289,6 @@ func TestOneTracePerBatchOutcome(t *testing.T) {
 			dcfg := &durable.Config{
 				Fsync:           durable.FsyncAlways,
 				CheckpointEvery: 2,
-				Retry:           durable.RetryPolicy{Sleep: func(time.Duration) {}},
 				ApplyProbe: func(seq uint64, _, _ graph.Batch) error {
 					if tc.fenceAt > 0 && seq == tc.fenceAt {
 						p.Fence()

@@ -190,11 +190,12 @@ type PipelineConfig struct {
 	// epoch-snapshot queries, "fail" (and "", the zero value) surfaces
 	// the error — the pre-supervision behavior.
 	DegradePolicy DegradePolicy
-	// Health, when non-nil, is the shared health machine the pipeline
-	// reports transitions to. The supervisor passes one Health through
-	// every rebuild so degradations outlive pipeline instances; when nil
-	// and DegradePolicy absorbs faults, the pipeline creates its own.
-	Health *Health
+	// health, when non-nil, is the shared health machine the pipeline
+	// reports transitions to. The supervisor sets it on its own copy, so
+	// one Health threads through every rebuild and degradations outlive
+	// pipeline instances; when nil and DegradePolicy absorbs faults, the
+	// pipeline creates its own.
+	health *Health
 }
 
 // buildComponents constructs the data structure and engine for cfg; the
@@ -232,12 +233,12 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if err := cfg.DegradePolicy.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Health == nil && cfg.DegradePolicy != "" {
+	if cfg.health == nil && cfg.DegradePolicy != "" {
 		// An explicit policy needs somewhere to record what it decided —
 		// absorbed faults for degrade/read-only, the Failed transition
 		// for fail. Only the zero policy (pure pre-supervision behavior)
 		// runs without a machine.
-		cfg.Health = NewHealth(cfg.Telemetry)
+		cfg.health = NewHealth(cfg.Telemetry)
 	}
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
@@ -246,7 +247,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Pipeline{g: g, engine: engine, rec: cfg.Telemetry, tr: cfg.Tracer, pcfg: cfg, health: cfg.Health}
+	p := &Pipeline{g: g, engine: engine, rec: cfg.Telemetry, tr: cfg.Tracer, pcfg: cfg, health: cfg.health}
 	p.initView()
 	if cfg.ServeQueries {
 		// A snapshot's index buffers and value vector are written again two

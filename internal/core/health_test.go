@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"sagabench/internal/core"
 	"sagabench/internal/durable"
@@ -124,7 +123,6 @@ func TestPermanentFaultTransitionsOnce(t *testing.T) {
 				Fsync:           durable.FsyncAlways,
 				CheckpointEvery: -1,
 				IO:              sched,
-				Retry:           durable.RetryPolicy{Sleep: func(time.Duration) {}},
 			})
 			cfg.DegradePolicy = tc.policy
 			p, err := core.NewPipeline(cfg)
@@ -199,7 +197,6 @@ func TestCheckpointFaultDegradesNotBatches(t *testing.T) {
 		Fsync:           durable.FsyncAlways,
 		CheckpointEvery: 2,
 		IO:              sched,
-		Retry:           durable.RetryPolicy{Sleep: func(time.Duration) {}},
 	})
 	cfg.DegradePolicy = core.DegradeContinue
 	p, err := core.NewPipeline(cfg)

@@ -44,6 +44,11 @@ import (
 // against PhaseDeadline.
 const watchdogPoll = 5 * time.Millisecond
 
+// restartBackoff is the delay before each rebuild: restart i waits
+// i×restartBackoff, so a crash-looping instance backs off linearly
+// instead of spinning on a hot failure.
+const restartBackoff = 10 * time.Millisecond
+
 // SupervisorConfig tunes the supervised runtime.
 type SupervisorConfig struct {
 	// Pipeline is the supervised pipeline's configuration. With a
@@ -61,10 +66,6 @@ type SupervisorConfig struct {
 	// 1s): a stage running longer is declared stalled and its pipeline
 	// instance is replaced.
 	PhaseDeadline time.Duration
-	// RestartBackoff is the delay before each rebuild (default 10ms);
-	// restart i waits i×RestartBackoff, so a crash-looping instance
-	// backs off linearly instead of spinning on a hot failure.
-	RestartBackoff time.Duration
 	// MaxRestarts bounds rebuilds (default 3); exhausting it fails the
 	// pipeline. The queue keeps draining so blocked producers never
 	// hang — their batches are refused and counted.
@@ -77,9 +78,6 @@ func (cfg SupervisorConfig) withDefaults() SupervisorConfig {
 	}
 	if cfg.PhaseDeadline <= 0 {
 		cfg.PhaseDeadline = time.Second
-	}
-	if cfg.RestartBackoff <= 0 {
-		cfg.RestartBackoff = 10 * time.Millisecond
 	}
 	if cfg.MaxRestarts <= 0 {
 		cfg.MaxRestarts = 3
@@ -129,16 +127,14 @@ type Supervisor struct {
 // dispatcher.
 func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Pipeline.Health == nil {
-		cfg.Pipeline.Health = NewHealth(cfg.Pipeline.Telemetry)
-	}
+	cfg.Pipeline.health = NewHealth(cfg.Pipeline.Telemetry)
 	p, err := NewPipeline(cfg.Pipeline)
 	if err != nil {
 		return nil, err
 	}
 	s := &Supervisor{
 		cfg:    cfg,
-		health: cfg.Pipeline.Health,
+		health: cfg.Pipeline.health,
 		rec:    cfg.Pipeline.Telemetry,
 		queue:  make(chan MixedBatch, cfg.MaxQueue),
 		done:   make(chan struct{}),
@@ -208,7 +204,8 @@ func (s *Supervisor) dispatch(p *Pipeline) {
 
 // offer runs mb on p, replacing p on each stall or panic and offering mb
 // to the replacement until it is applied or known durable. It returns the
-// instance that takes the next batch (nil: no instance is left).
+// instance that takes the next batch (nil: no instance is left, and mb
+// is refused unless it reached the WAL).
 func (s *Supervisor) offer(p *Pipeline, mb MixedBatch, tick <-chan time.Time) *Pipeline {
 	for {
 		seqBefore := p.DurableSeq()
@@ -216,7 +213,16 @@ func (s *Supervisor) offer(p *Pipeline, mb MixedBatch, tick <-chan time.Time) *P
 		if cause == "" {
 			return p
 		}
-		if p = s.restart(p, cause); p == nil || p.DurableSeq() > seqBefore {
+		old := p
+		if p = s.restart(old, cause); p == nil {
+			// No instance is left to apply mb. One the old instance logged
+			// is restored by the next recovery; any other is refused.
+			if old.DurableSeq() <= seqBefore {
+				s.health.NoteRefused()
+			}
+			return nil
+		}
+		if p.DurableSeq() > seqBefore {
 			// Past its WAL append the batch is restored by recovery, and
 			// offering it again would apply it twice.
 			return p
@@ -290,7 +296,7 @@ func (s *Supervisor) restart(old *Pipeline, cause string) *Pipeline {
 		s.health.To(Failed, fmt.Sprintf("restart budget (%d) exhausted: %s", s.cfg.MaxRestarts, cause))
 		return nil
 	}
-	time.Sleep(time.Duration(s.restarts) * s.cfg.RestartBackoff)
+	time.Sleep(time.Duration(s.restarts) * restartBackoff)
 	newP, err := NewPipeline(s.cfg.Pipeline)
 	if err != nil {
 		s.health.To(Failed, fmt.Sprintf("rebuild after %q failed: %v", cause, err))

@@ -232,11 +232,11 @@ func loadLatestCheckpoint(dir string) (*Checkpoint, error) {
 // it, fire the mid-checkpoint crash hook, rename into place, fsync the
 // directory. The temp write (idempotent: O_TRUNC recreates it) and the
 // rename are separately retried units.
-func writeCheckpointFile(dir string, cp *Checkpoint, cfg Config, retry RetryPolicy) error {
+func writeCheckpointFile(dir string, cp *Checkpoint, cfg Config, retry func(op string, fn func() error) error) error {
 	final := ckptPath(dir, cp.Seq)
 	tmp := final + ".tmp"
 	data := encodeCheckpoint(cp)
-	err := retry.Do("ckpt-write", func() error {
+	err := retry("ckpt-write", func() error {
 		return writeCkptTemp(tmp, data, cfg.IO)
 	})
 	if err != nil {
@@ -245,7 +245,7 @@ func writeCheckpointFile(dir string, cp *Checkpoint, cfg Config, retry RetryPoli
 	if cfg.Crash != nil {
 		cfg.Crash(CrashMidCheckpoint)
 	}
-	err = retry.Do("ckpt-rename", func() error {
+	err = retry("ckpt-rename", func() error {
 		if err := fault.Inject(cfg.IO, fault.OpCkptRename); err != nil {
 			return fmt.Errorf("durable: checkpoint rename: %w", err)
 		}

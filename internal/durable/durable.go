@@ -45,15 +45,18 @@ const (
 	// FsyncAlways fsyncs after every appended record: no acknowledged
 	// batch is ever lost, at the cost of one fsync per batch.
 	FsyncAlways FsyncPolicy = "always"
-	// FsyncInterval fsyncs every FsyncEvery records, and on rotation and
-	// close: a bounded loss window with amortized fsync cost. This is the
-	// default.
+	// FsyncInterval fsyncs every fsyncEvery (8) records, and on segment
+	// rotation and close: a bounded loss window with amortized fsync
+	// cost. This is the default.
 	FsyncInterval FsyncPolicy = "interval"
 	// FsyncNever leaves flushing to the OS: fastest, but a power failure
 	// can lose the page-cache tail. Torn tails are still detected and
 	// truncated on recovery, so the log never wedges.
 	FsyncNever FsyncPolicy = "never"
 )
+
+// fsyncEvery is the FsyncInterval period in records.
+const fsyncEvery = 8
 
 // CrashPoint identifies an instant in the durability protocol where the
 // fault-injection harness can simulate a kill. Hooks fire at every point;
@@ -129,18 +132,15 @@ func AsCrash(v any) (Crash, bool) {
 }
 
 // Config tunes the durability layer. The zero Dir is invalid; every other
-// zero value selects a sensible default (see withDefaults).
+// zero value selects a sensible default (see withDefaults). The WAL's
+// segment size (1 MiB) and the transient-I/O retry (4 attempts, backoff
+// from 1ms doubling to at most 100ms; see retry.go) are fixed.
 type Config struct {
 	// Dir holds the WAL segments, checkpoints, and quarantined batches.
 	// Created if missing.
 	Dir string
 	// Fsync is the WAL flush policy (default FsyncInterval).
 	Fsync FsyncPolicy
-	// FsyncEvery is the FsyncInterval period in records (default 8).
-	FsyncEvery int
-	// SegmentBytes rotates the active WAL segment past this size
-	// (default 1 MiB).
-	SegmentBytes int64
 	// CheckpointEvery writes a checkpoint every N applied batches
 	// (default 64; negative disables periodic checkpoints — a final one
 	// is still written on Close).
@@ -160,9 +160,6 @@ type Config struct {
 	// injected error is handled exactly like the operation failing (nil
 	// in production). See internal/fault.
 	IO fault.Injector
-	// Retry bounds the transient-error retry on WAL appends, fsyncs, and
-	// checkpoint writes (zero values select the RetryPolicy defaults).
-	Retry RetryPolicy
 	// ApplyProbe, when set, runs before each batch apply (live and during
 	// replay) and fails the apply when it returns an error — the harness
 	// uses it to simulate poison batches that pass validation but break
@@ -173,12 +170,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Fsync == "" {
 		c.Fsync = FsyncInterval
-	}
-	if c.FsyncEvery <= 0 {
-		c.FsyncEvery = 8
-	}
-	if c.SegmentBytes <= 0 {
-		c.SegmentBytes = 1 << 20
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 64

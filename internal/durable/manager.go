@@ -16,12 +16,13 @@ import (
 // sequencing invariants (append-before-apply, checkpoint-covers-prefix)
 // live in one place.
 type Manager struct {
-	cfg   Config
-	rec   *telemetry.Recorder
-	w     *wal
-	retry RetryPolicy
+	cfg Config
+	rec *telemetry.Recorder
+	w   *wal
 
-	lastSeq uint64 // highest sequence number appended or recovered
+	// lastSeq is the highest sequence number appended or recovered. Only
+	// the batch goroutine writes it; supervisors read it concurrently.
+	lastSeq atomic.Uint64
 	ckptSeq uint64 // sequence covered by the newest durable checkpoint
 
 	retries atomic.Uint64 // I/O retry count (read by health reports concurrently)
@@ -42,17 +43,7 @@ func Open(cfg Config, rec *telemetry.Recorder) (*Manager, error) {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
 	removeStaleTemps(cfg.Dir)
-	m := &Manager{cfg: cfg, rec: rec, w: openWAL(cfg.Dir, cfg)}
-	m.retry = cfg.Retry.withDefaults()
-	userHook := m.retry.OnRetry
-	m.retry.OnRetry = func(op string, attempt int, err error) {
-		m.retries.Add(1)
-		m.rec.RecordDurableRetry()
-		if userHook != nil {
-			userHook(op, attempt, err)
-		}
-	}
-	return m, nil
+	return &Manager{cfg: cfg, rec: rec, w: openWAL(cfg.Dir, cfg)}, nil
 }
 
 // Recover loads the newest valid checkpoint and the WAL records that
@@ -91,7 +82,7 @@ func (m *Manager) Recover() (*Checkpoint, []Record, error) {
 		}
 		tail = append(tail, r)
 	}
-	m.lastSeq = last
+	m.lastSeq.Store(last)
 	m.rec.RecordRecovery(len(tail))
 	return cp, tail, nil
 }
@@ -111,9 +102,9 @@ func (m *Manager) Append(adds, dels graph.Batch) (uint64, error) {
 	if m.cfg.Crash != nil {
 		m.cfg.Crash(CrashBeforeAppend)
 	}
-	seq := m.lastSeq + 1
+	seq := m.lastSeq.Load() + 1
 	var n int
-	err := m.retry.Do("wal-append", func() error {
+	err := m.retry("wal-append", func() error {
 		var aerr error
 		n, aerr = m.w.appendRecord(Record{Seq: seq, Adds: adds, Dels: dels})
 		return aerr
@@ -122,7 +113,7 @@ func (m *Manager) Append(adds, dels graph.Batch) (uint64, error) {
 		return 0, err
 	}
 	var fsync time.Duration
-	err = m.retry.Do("wal-fsync", func() error {
+	err = m.retry("wal-fsync", func() error {
 		var serr error
 		fsync, serr = m.w.maybeSync()
 		return serr
@@ -130,7 +121,7 @@ func (m *Manager) Append(adds, dels graph.Batch) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	m.lastSeq = seq
+	m.lastSeq.Store(seq)
 	m.lastAppendBytes, m.lastAppendFsync = n, fsync
 	if m.cfg.Crash != nil {
 		m.cfg.Crash(CrashAfterAppend)
@@ -152,14 +143,14 @@ func (m *Manager) LastAppendStats() (bytes int, fsync time.Duration) {
 //
 // saga:classified
 func (m *Manager) AppendSkip(seq uint64) error {
-	err := m.retry.Do("wal-append", func() error {
+	err := m.retry("wal-append", func() error {
 		_, aerr := m.w.appendRecord(Record{Seq: seq, Skip: true})
 		return aerr
 	})
 	if err != nil {
 		return err
 	}
-	return m.retry.Do("wal-fsync", m.w.sync)
+	return m.retry("wal-fsync", m.w.sync)
 }
 
 // WriteCheckpoint atomically persists cp and garbage-collects the WAL
@@ -180,8 +171,9 @@ func (m *Manager) WriteCheckpoint(cp *Checkpoint) error {
 	return nil
 }
 
-// LastSeq is the highest sequence number appended or recovered.
-func (m *Manager) LastSeq() uint64 { return m.lastSeq }
+// LastSeq is the highest sequence number appended or recovered. Safe to
+// read concurrently with Append.
+func (m *Manager) LastSeq() uint64 { return m.lastSeq.Load() }
 
 // Retries is the total number of I/O retries spent so far (WAL appends,
 // fsyncs, and checkpoint writes together). Safe to read concurrently —

@@ -70,10 +70,10 @@ func TestCheckpointCorruptFallback(t *testing.T) {
 		t.Fatalf("empty dir: cp=%v err=%v", cp, err)
 	}
 	old := &Checkpoint{Seq: 5, NumNodes: 2, Edges: []graph.Edge{{Src: 0, Dst: 1, Weight: 1}}}
-	if err := writeCheckpointFile(dir, old, Config{}, RetryPolicy{}); err != nil {
+	if err := writeCheckpointFile(dir, old, Config{}, new(Manager).retry); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeCheckpointFile(dir, &Checkpoint{Seq: 9, NumNodes: 3}, Config{}, RetryPolicy{}); err != nil {
+	if err := writeCheckpointFile(dir, &Checkpoint{Seq: 9, NumNodes: 3}, Config{}, new(Manager).retry); err != nil {
 		t.Fatal(err)
 	}
 	newest := ckptPath(dir, 9)
@@ -209,8 +209,7 @@ func TestAbandonDuringStalledAppend(t *testing.T) {
 	sched := fault.MustParseSchedule("stall(wal-append,2,1s)", 1)
 	stalled, release := make(chan struct{}), make(chan struct{})
 	sched.SetSleep(func(time.Duration) { close(stalled); <-release })
-	m, err := Open(Config{Dir: dir, Fsync: FsyncAlways, IO: sched,
-		Retry: RetryPolicy{Sleep: func(time.Duration) {}}}, nil)
+	m, err := Open(Config{Dir: dir, Fsync: FsyncAlways, IO: sched}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

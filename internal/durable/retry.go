@@ -1,58 +1,24 @@
 package durable
 
-import (
-	"fmt"
-	"hash/fnv"
-	"time"
+import "time"
+
+// The transient-error retry on WAL and checkpoint I/O: retryAttempts
+// tries per operation, the first included, with an exponential backoff
+// from retryBaseDelay capped at retryMaxDelay.
+const (
+	retryAttempts  = 4
+	retryBaseDelay = time.Millisecond
+	retryMaxDelay  = 100 * time.Millisecond
 )
 
-// RetryPolicy bounds the transient-error retry on WAL and checkpoint I/O:
-// exponential backoff from BaseDelay, capped at MaxDelay, with a
-// seed-deterministic jitter so concurrent pipelines don't retry in
-// lockstep but a soak replays identically.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts per operation,
-	// including the first (default 4).
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry, doubled per
-	// attempt (default 1ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the per-retry backoff (default 100ms).
-	MaxDelay time.Duration
-	// Seed drives the jitter draws (same seed → same delays).
-	Seed int64
-	// Sleep is the backoff implementation (default time.Sleep; tests
-	// install a recording fake).
-	Sleep func(time.Duration)
-	// OnRetry observes each retry before its backoff: the manager hooks
-	// it to count retries for telemetry and the health report.
-	OnRetry func(op string, attempt int, err error)
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 100 * time.Millisecond
-	}
-	if p.Sleep == nil {
-		p.Sleep = time.Sleep
-	}
-	return p
-}
-
-// Do runs fn up to MaxAttempts times, backing off between attempts. A
+// retry runs fn up to retryAttempts times, backing off between attempts
+// and counting each retry for telemetry and the health report. A
 // permanent error (see Permanent) aborts immediately. The returned error
 // is always nil or an *OpError carrying the classification and attempt
 // count.
 //
 // saga:classifies
-func (p RetryPolicy) Do(op string, fn func() error) error {
-	p = p.withDefaults()
+func (m *Manager) retry(op string, fn func() error) error {
 	for attempt := 1; ; attempt++ {
 		err := fn()
 		if err == nil {
@@ -61,32 +27,21 @@ func (p RetryPolicy) Do(op string, fn func() error) error {
 		if Permanent(err) {
 			return &OpError{Op: op, Attempts: attempt, Permanent: true, Err: err}
 		}
-		if attempt >= p.MaxAttempts {
+		if attempt >= retryAttempts {
 			return &OpError{Op: op, Attempts: attempt, Err: err}
 		}
-		if p.OnRetry != nil {
-			p.OnRetry(op, attempt, err)
-		}
-		p.Sleep(p.delay(op, attempt))
+		m.retries.Add(1)
+		m.rec.RecordDurableRetry()
+		time.Sleep(retryDelay(attempt))
 	}
 }
 
-// delay is the backoff before retry number attempt: BaseDelay<<(attempt-1)
-// capped at MaxDelay, plus a deterministic jitter in [0, delay/2) drawn
-// from (Seed, op, attempt).
-func (p RetryPolicy) delay(op string, attempt int) time.Duration {
-	d := p.BaseDelay
-	for i := 1; i < attempt && d < p.MaxDelay; i++ {
+// retryDelay is the backoff before retry number attempt:
+// retryBaseDelay<<(attempt-1), capped at retryMaxDelay.
+func retryDelay(attempt int) time.Duration {
+	d := retryBaseDelay
+	for i := 1; i < attempt && d < retryMaxDelay; i++ {
 		d *= 2
 	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	if half := uint64(d / 2); half > 0 {
-		h := fnv.New64a()
-		// saga:allow errcheck-durable -- fnv.Write cannot fail.
-		fmt.Fprintf(h, "%d|%s|%d", p.Seed, op, attempt)
-		d += time.Duration(h.Sum64() % half)
-	}
-	return d
+	return min(d, retryMaxDelay)
 }

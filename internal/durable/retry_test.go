@@ -41,18 +41,26 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-func TestRetryTransientEventuallySucceeds(t *testing.T) {
-	var slept []time.Duration
-	p := RetryPolicy{
-		MaxAttempts: 5,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    4 * time.Millisecond,
-		Sleep:       func(d time.Duration) { slept = append(slept, d) },
+// TestRetryBackoffSchedule pins the backoff: 1ms doubling per retry,
+// capped at 100ms.
+func TestRetryBackoffSchedule(t *testing.T) {
+	want := []time.Duration{1, 2, 4, 8, 16, 32, 64, 100, 100, 100}
+	for i, w := range want {
+		if got := retryDelay(i + 1); got != w*time.Millisecond {
+			t.Errorf("retryDelay(%d) = %v, want %v", i+1, got, w*time.Millisecond)
+		}
 	}
+	if got := retryDelay(64); got != retryMaxDelay {
+		t.Errorf("retryDelay(64) = %v, want the %v cap", got, retryMaxDelay)
+	}
+}
+
+func TestRetryTransientEventuallySucceeds(t *testing.T) {
+	m := new(Manager)
 	calls := 0
-	err := p.Do("wal-fsync", func() error {
+	err := m.retry("wal-fsync", func() error {
 		calls++
-		if calls < 4 {
+		if calls < retryAttempts {
 			return syscall.EIO
 		}
 		return nil
@@ -60,53 +68,23 @@ func TestRetryTransientEventuallySucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("transient fault should succeed within budget: %v", err)
 	}
-	if calls != 4 {
-		t.Fatalf("want 4 attempts, got %d", calls)
+	if calls != retryAttempts {
+		t.Fatalf("want %d attempts, got %d", retryAttempts, calls)
 	}
-	if len(slept) != 3 {
-		t.Fatalf("want 3 backoffs, got %v", slept)
-	}
-	// Exponential with cap: bases 1ms, 2ms, 4ms; jitter adds < delay/2.
-	for i, base := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond} {
-		if slept[i] < base || slept[i] >= base+base/2 {
-			t.Errorf("backoff %d = %v, want in [%v, %v)", i, slept[i], base, base+base/2)
-		}
-	}
-	// Cap: a 4th backoff would still be bounded by MaxDelay+jitter.
-	if d := p.withDefaults().delay("wal-fsync", 10); d >= 4*time.Millisecond+2*time.Millisecond {
-		t.Errorf("capped delay = %v, want < 6ms", d)
-	}
-}
-
-func TestRetryDeterministicJitter(t *testing.T) {
-	p := RetryPolicy{Seed: 42}.withDefaults()
-	q := RetryPolicy{Seed: 42}.withDefaults()
-	for attempt := 1; attempt <= 4; attempt++ {
-		if a, b := p.delay("wal-append", attempt), q.delay("wal-append", attempt); a != b {
-			t.Fatalf("same seed, attempt %d: %v vs %v", attempt, a, b)
-		}
-	}
-	r := RetryPolicy{Seed: 43}.withDefaults()
-	same := true
-	for attempt := 1; attempt <= 4; attempt++ {
-		if p.delay("wal-append", attempt) != r.delay("wal-append", attempt) {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical jitter at every attempt")
+	if got := m.Retries(); got != retryAttempts-1 {
+		t.Fatalf("Retries() = %d, want %d", got, retryAttempts-1)
 	}
 }
 
 func TestRetryPermanentAbortsImmediately(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 5, Sleep: func(time.Duration) { t.Fatal("permanent errors must not back off") }}
+	m := new(Manager)
 	calls := 0
-	err := p.Do("ckpt-write", func() error {
+	err := m.retry("ckpt-write", func() error {
 		calls++
 		return fmt.Errorf("write: %w", syscall.ENOSPC)
 	})
-	if calls != 1 {
-		t.Fatalf("permanent error retried %d times", calls)
+	if calls != 1 || m.Retries() != 0 {
+		t.Fatalf("permanent error ran %d times with %d retries, want once and none", calls, m.Retries())
 	}
 	var oe *OpError
 	if !errors.As(err, &oe) || !oe.Permanent || oe.Attempts != 1 || oe.Op != "ckpt-write" {
@@ -118,14 +96,17 @@ func TestRetryPermanentAbortsImmediately(t *testing.T) {
 }
 
 func TestRetryBudgetExhaustion(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}
+	m := new(Manager)
 	calls := 0
-	err := p.Do("wal-append", func() error { calls++; return syscall.EIO })
-	if calls != 3 {
-		t.Fatalf("want 3 attempts, got %d", calls)
+	err := m.retry("wal-append", func() error { calls++; return syscall.EIO })
+	if calls != retryAttempts {
+		t.Fatalf("want %d attempts, got %d", retryAttempts, calls)
+	}
+	if got := m.Retries(); got != retryAttempts-1 {
+		t.Fatalf("Retries() = %d, want %d", got, retryAttempts-1)
 	}
 	var oe *OpError
-	if !errors.As(err, &oe) || oe.Permanent || oe.Attempts != 3 {
+	if !errors.As(err, &oe) || oe.Permanent || oe.Attempts != retryAttempts {
 		t.Fatalf("want exhausted transient OpError, got %+v (%v)", oe, err)
 	}
 	if IsPermanent(err) {
@@ -143,7 +124,6 @@ func TestManagerRetriesInjectedFaults(t *testing.T) {
 		Dir:   dir,
 		Fsync: FsyncAlways,
 		IO:    sched,
-		Retry: RetryPolicy{Sleep: func(time.Duration) {}},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +172,6 @@ func TestManagerPermanentFaultSurfaces(t *testing.T) {
 		Dir:   dir,
 		Fsync: FsyncAlways,
 		IO:    sched,
-		Retry: RetryPolicy{Sleep: func(time.Duration) {}},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +203,6 @@ func TestCheckpointRetriesRename(t *testing.T) {
 		Dir:   dir,
 		Fsync: FsyncAlways,
 		IO:    sched,
-		Retry: RetryPolicy{Sleep: func(time.Duration) {}},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -134,6 +134,9 @@ func decodeRecord(payload []byte) (Record, error) {
 	}
 }
 
+// segmentBytes rotates the active WAL segment past this size.
+const segmentBytes = 1 << 20
+
 type walSeg struct {
 	path  string
 	first uint64
@@ -344,7 +347,7 @@ func (w *wal) repairTail() error {
 // (zero when the policy skipped it).
 func (w *wal) maybeSync() (time.Duration, error) {
 	doSync := w.cfg.Fsync == FsyncAlways ||
-		(w.cfg.Fsync == FsyncInterval && w.pending >= w.cfg.FsyncEvery)
+		(w.cfg.Fsync == FsyncInterval && w.pending >= fsyncEvery)
 	if !doSync {
 		return 0, nil
 	}
@@ -374,7 +377,7 @@ func (w *wal) doSync() error {
 // ensureSegment opens the active segment for appending, creating or
 // rotating as needed. nextSeq names a newly created segment.
 func (w *wal) ensureSegment(nextSeq uint64) error {
-	if f := w.f.Load(); f != nil && w.size >= w.cfg.SegmentBytes {
+	if f := w.f.Load(); f != nil && w.size >= segmentBytes {
 		// Rotate: the closing segment's tail must be durable before the
 		// new one starts, regardless of policy (except FsyncNever).
 		if w.cfg.Fsync != FsyncNever {
@@ -395,7 +398,7 @@ func (w *wal) ensureSegment(nextSeq uint64) error {
 	// a fresh one named by the next sequence number.
 	if n := len(w.segs); n > 0 {
 		st, err := os.Stat(w.segs[n-1].path)
-		if err == nil && st.Size() < w.cfg.SegmentBytes {
+		if err == nil && st.Size() < segmentBytes {
 			f, err := os.OpenFile(w.segs[n-1].path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return err

@@ -202,15 +202,15 @@ func TestWALTornMagic(t *testing.T) {
 	w2.close()
 }
 
-// TestWALRotationAndGC forces rotation with a tiny segment cap and checks
-// gc removes exactly the segments a checkpoint covers.
+// TestWALRotationAndGC crosses the segment size with records of about a
+// fifth of it, forcing rotation, and checks gc removes exactly the
+// segments a checkpoint covers.
 func TestWALRotationAndGC(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testCfg(dir, FsyncNever)
-	cfg.SegmentBytes = 200
 	w := openWAL(dir, cfg)
 	for seq := uint64(1); seq <= 20; seq++ {
-		if _, _, err := w.append(Record{Seq: seq, Adds: mkBatch(int(seq), 3)}); err != nil {
+		if _, _, err := w.append(Record{Seq: seq, Adds: mkBatch(int(seq), segmentBytes/12/5)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,10 +252,9 @@ func TestWALRotationAndGC(t *testing.T) {
 func TestWALEarlierSegmentCorruption(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testCfg(dir, FsyncNever)
-	cfg.SegmentBytes = 200
 	w := openWAL(dir, cfg)
 	for seq := uint64(1); seq <= 12; seq++ {
-		if _, _, err := w.append(Record{Seq: seq, Adds: mkBatch(int(seq), 3)}); err != nil {
+		if _, _, err := w.append(Record{Seq: seq, Adds: mkBatch(int(seq), segmentBytes/12/5)}); err != nil {
 			t.Fatal(err)
 		}
 	}
