@@ -56,13 +56,12 @@ func main() {
 		verbose = flag.Bool("v", false, "print every batch latency")
 
 		listen      = flag.String("listen", "", "serve /metrics (Prometheus + expvar), /debug/pprof, and /trace on this address during the run, e.g. :8090")
-		events      = flag.String("events", "", "write one JSONL telemetry event per batch to this file")
+		events      = flag.String("events", "", "write one JSONL event per batch to this file, whatever its outcome; with -trace each line also carries the batch's spans")
 		metricsDump = flag.Bool("metrics-dump", false, "print the final metrics in Prometheus text format after the run")
 
 		traceOn     = flag.Bool("trace", false, "record a span tree per batch into the flight-recorder ring (dumped on quarantine, served at /trace with -listen)")
 		traceFlight = flag.Int("trace-flight", 16, "flight-recorder capacity in complete batch traces")
 		traceOut    = flag.String("trace-out", "", "write the flight-recorder ring as Chrome trace-event JSON (Perfetto-loadable) to this file when the run ends; implies -trace")
-		traceJSONL  = flag.String("trace-jsonl", "", "stream every finished batch trace as one JSONL line to this file; implies -trace")
 		pprofLabels = flag.Bool("pprof-labels", false, "run pipeline phases under pprof labels (batch/stage/ds/alg/model) so CPU profiles attribute samples to stages; implies -trace")
 
 		serveQ   = flag.Bool("serve-queries", false, "publish an immutable epoch snapshot after every batch and serve concurrent neighborhood/value reads from it while the stream runs (non-blocking queries); implies -compute-view")
@@ -89,21 +88,8 @@ func main() {
 	}
 
 	var tracer *trace.Tracer
-	var traceSink *trace.Sink
-	if *traceOn || *traceOut != "" || *traceJSONL != "" || *pprofLabels {
-		if *traceJSONL != "" {
-			f, err := os.Create(*traceJSONL)
-			if err != nil {
-				fatal(err)
-			}
-			traceSink = trace.NewSink(f)
-		}
-		tracer = trace.New(trace.Config{
-			DS: *dsName, Alg: *alg, Model: *model,
-			Flight:      *traceFlight,
-			Spans:       traceSink,
-			PprofLabels: *pprofLabels,
-		})
+	if *traceOn || *traceOut != "" || *pprofLabels {
+		tracer = trace.New(trace.Config{Flight: *traceFlight, PprofLabels: *pprofLabels})
 	}
 
 	var rec *telemetry.Recorder
@@ -169,7 +155,7 @@ func main() {
 	// stops between batches (flushing the WAL and writing a final
 	// checkpoint on Close); a measurement run closes its outputs before
 	// exiting.
-	out := &outputs{rec: rec, events: *events, tracer: tracer, traceOut: *traceOut, traceSink: traceSink, traceJSONL: *traceJSONL}
+	out := &outputs{rec: rec, events: *events, tracer: tracer, traceOut: *traceOut}
 	sigC := make(chan os.Signal, 1)
 	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
 
@@ -311,29 +297,21 @@ func main() {
 	}
 }
 
-// outputs are the files a run buffers until it ends: the telemetry event
-// log, the batch-trace stream and the flight-recorder dump. close writes
-// and closes all of them, once — on a normal exit and on an interrupt
-// alike — and reports every error it met.
+// outputs are the files a run buffers until it ends: the event log and
+// the flight-recorder dump. close writes and closes both, once — on a
+// normal exit and on an interrupt alike — and reports every error it met.
 type outputs struct {
-	once       sync.Once
-	err        error
-	rec        *telemetry.Recorder
-	events     string
-	tracer     *trace.Tracer
-	traceOut   string
-	traceSink  *trace.Sink
-	traceJSONL string
+	once     sync.Once
+	err      error
+	rec      *telemetry.Recorder
+	events   string
+	tracer   *trace.Tracer
+	traceOut string
 }
 
 func (o *outputs) close() error {
 	o.once.Do(func() {
 		var errs []error
-		if err := o.rec.Close(); err != nil {
-			errs = append(errs, err)
-		} else if o.events != "" {
-			fmt.Fprintf(os.Stderr, "saga: wrote batch events to %s\n", o.events)
-		}
 		if o.traceOut != "" {
 			if err := o.tracer.DumpChromeFile(o.traceOut); err != nil {
 				errs = append(errs, err)
@@ -341,12 +319,13 @@ func (o *outputs) close() error {
 				fmt.Fprintf(os.Stderr, "saga: wrote flight-recorder trace to %s (load at ui.perfetto.dev)\n", o.traceOut)
 			}
 		}
-		if o.traceSink != nil {
-			if err := o.traceSink.Close(); err != nil {
-				errs = append(errs, err)
-			} else {
-				fmt.Fprintf(os.Stderr, "saga: wrote %d batch traces to %s\n", o.traceSink.Count(), o.traceJSONL)
-			}
+		// The event log closes last: on an interrupt the stream keeps
+		// running until the process exits, and every batch it finishes
+		// before then belongs in the log.
+		if err := o.rec.Close(); err != nil {
+			errs = append(errs, err)
+		} else if o.events != "" {
+			fmt.Fprintf(os.Stderr, "saga: wrote batch events to %s\n", o.events)
 		}
 		o.err = errors.Join(errs...)
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -11,7 +12,6 @@ import (
 	"sagabench/internal/epoch"
 	"sagabench/internal/fault"
 	"sagabench/internal/telemetry"
-	"sagabench/internal/trace"
 )
 
 // This file is the life of one batch (DESIGN.md has the long form). Every
@@ -61,8 +61,8 @@ var stages = [NumStages]struct {
 func (s StageID) String() string { return stages[s].name }
 
 // BatchRecord is what the pipeline knows about one batch once it has run;
-// the returned latencies, the telemetry event and the batch trace are all
-// read off it (stage, emit).
+// the returned latencies and the batch's telemetry event, trace spans
+// included, are read off it (stage, emit).
 type BatchRecord struct {
 	// Index counts the batches the pipeline applied before this one.
 	Index int
@@ -130,7 +130,7 @@ func (p *Pipeline) runBatch(mb MixedBatch, seq uint64, replay bool) (BatchLatenc
 		p.traceSeq, p.traceStart, p.spans = p.tr.NextSeq(), time.Now(), nil
 	}
 	p.batch.Err = p.walk(live)
-	p.emit(live)
+	p.emit(replay)
 	if p.batch.Quarantined != "" {
 		if p.tr.Enabled() {
 			// The flight-recorder ring — the batches leading up to the
@@ -210,7 +210,7 @@ func (p *Pipeline) walk(live bool) error {
 func (p *Pipeline) stage(id StageID) (err error) {
 	st := &stages[id]
 	if p.tr.PprofLabels() {
-		defer p.tr.Label(p.traceSeq, st.name)()
+		defer p.tr.Label(p.traceSeq, st.name, p.pcfg.DataStructure, p.pcfg.Algorithm, string(p.pcfg.Model))()
 	}
 	// The watchdog's signal precedes the injector: an injected stall must
 	// sleep while the watchdog already sees the stage in flight.
@@ -253,53 +253,53 @@ func (p *Pipeline) stage(id StageID) (err error) {
 func (p *Pipeline) traceStage(id StageID, t0 time.Time, err error) {
 	parent := int32(len(p.spans))
 	start := int64(t0.Sub(p.traceStart))
-	p.spans = append(p.spans, trace.SpanRecord{ID: parent, Parent: -1, Worker: -1, Stage: stages[id].span,
+	p.spans = append(p.spans, telemetry.SpanRecord{ID: parent, Parent: -1, Worker: -1, Stage: stages[id].span,
 		StartNS: start, EndNS: start + int64(p.batch.Stage[id]), Attrs: stageAttrs(id, &p.batch, err)})
 	if id != StageCompute {
 		return
 	}
 	for _, rg := range p.batch.Compute.Ranges {
 		start := int64(rg.Start.Sub(p.traceStart))
-		p.spans = append(p.spans, trace.SpanRecord{ID: int32(len(p.spans)), Parent: parent, Worker: int32(rg.Worker),
-			Stage: rg.Pass, StartNS: start, EndNS: start + int64(rg.Dur), Attrs: []trace.Attr{
-				trace.Int(rg.StepKey, int64(rg.Step)), trace.Int("vertices", int64(rg.Vertices)),
-				trace.Int(rg.CountKey, int64(rg.Count))}})
+		p.spans = append(p.spans, telemetry.SpanRecord{ID: int32(len(p.spans)), Parent: parent, Worker: int32(rg.Worker),
+			Stage: rg.Pass, StartNS: start, EndNS: start + int64(rg.Dur), Attrs: []telemetry.Attr{
+				telemetry.Int(rg.StepKey, int64(rg.Step)), telemetry.Int("vertices", int64(rg.Vertices)),
+				telemetry.Int(rg.CountKey, int64(rg.Count))}})
 	}
 }
 
 // stageAttrs are the attributes of stage id's span, read off the record
 // the stage wrote; a failed stage carries only its error.
-func stageAttrs(id StageID, r *BatchRecord, err error) []trace.Attr {
+func stageAttrs(id StageID, r *BatchRecord, err error) []telemetry.Attr {
 	if err != nil {
-		return []trace.Attr{trace.Str("error", err.Error())}
+		return []telemetry.Attr{telemetry.Str("error", err.Error())}
 	}
-	var a []trace.Attr
+	var a []telemetry.Attr
 	switch id {
 	case StageWAL:
-		a = append(a, trace.Int("seq", int64(r.WALSeq)), trace.Int("bytes", int64(r.WALBytes)))
+		a = append(a, telemetry.Int("seq", int64(r.WALSeq)), telemetry.Int("bytes", int64(r.WALBytes)))
 		if r.WALFsync > 0 {
-			a = append(a, trace.Int("fsync_ns", r.WALFsync.Nanoseconds()))
+			a = append(a, telemetry.Int("fsync_ns", r.WALFsync.Nanoseconds()))
 		}
 	case StageUpdate:
-		a = append(a, trace.Int("edges", int64(r.Adds)))
+		a = append(a, telemetry.Int("edges", int64(r.Adds)))
 		if r.Dels > 0 {
-			a = append(a, trace.Int("deletes", int64(r.Dels)))
+			a = append(a, telemetry.Int("deletes", int64(r.Dels)))
 		}
 	case StageView:
-		a = append(a, trace.Float("dirty_frac", r.View.DirtyFraction()), trace.Int("written", int64(r.View.Written)))
+		a = append(a, telemetry.Float("dirty_frac", r.View.DirtyFraction()), telemetry.Int("written", int64(r.View.Written)))
 		if r.View.Full {
-			a = append(a, trace.Int("full", 1))
+			a = append(a, telemetry.Int("full", 1))
 		}
 	case StageCompute:
 		es := &r.Compute
-		a = append(a, trace.Int("affected", int64(r.Affected)), trace.Int("iterations", int64(es.Iterations)),
-			trace.Int("processed", int64(es.Processed)))
+		a = append(a, telemetry.Int("affected", int64(r.Affected)), telemetry.Int("iterations", int64(es.Iterations)),
+			telemetry.Int("processed", int64(es.Processed)))
 		if s := es.StragglerRatio(); s > 0 {
-			a = append(a, trace.Float("straggler", s))
+			a = append(a, telemetry.Float("straggler", s))
 		}
 	case StagePublish:
-		a = append(a, trace.Int("epoch", int64(r.Epoch)), trace.Int("nodes", int64(r.Nodes)),
-			trace.Int("edges", int64(r.EpochEdges)))
+		a = append(a, telemetry.Int("epoch", int64(r.Epoch)), telemetry.Int("nodes", int64(r.Nodes)),
+			telemetry.Int("edges", int64(r.EpochEdges)))
 	}
 	return a
 }
@@ -447,100 +447,70 @@ func (p *Pipeline) apply() error {
 	return nil
 }
 
-// emit turns the finished record into everything downstream of a batch:
-// the batch trace (its spans, and attributes giving the sizes, latencies
-// and the compute stats that tell a straggler or a triggering storm from
-// a big batch), and one RecordBatch call, whatever the outcome, carrying
-// the telemetry event of an applied batch and the rest of the record the
-// metrics read.
-func (p *Pipeline) emit(live bool) {
+// emit turns the finished record into the batch's one event, whatever the
+// outcome: its identity, its fate and WAL figures, the measurements of an
+// applied batch, and with a tracer attached its trace. The recorder folds
+// the event into the metrics and writes it to the event log; the tracer
+// keeps it in the flight-recorder ring.
+func (p *Pipeline) emit(replay bool) {
 	r := &p.batch
-	es := &r.Compute
-	lat := r.Latency()
-	if p.tr != nil {
-		var a []trace.Attr
-		if r.Applied {
-			a = append(a, trace.Int("edges", int64(r.Adds)))
-			if r.Dels > 0 {
-				a = append(a, trace.Int("deletes", int64(r.Dels)))
-			}
-			a = append(a, trace.Int("affected", int64(r.Affected)), trace.Int("iterations", int64(es.Iterations)))
-			if es.Triggered+es.Skipped > 0 {
-				a = append(a, trace.Int("triggered", int64(es.Triggered)), trace.Int("skipped", int64(es.Skipped)))
-			}
-			if s := es.StragglerRatio(); s > 0 {
-				a = append(a, trace.Float("straggler", s))
-			}
-			if p.view != nil {
-				a = append(a, trace.Float("view_dirty_frac", r.View.DirtyFraction()))
-			}
-			a = append(a, trace.Int("update_ns", lat.Update.Nanoseconds()), trace.Int("compute_ns", lat.Compute.Nanoseconds()))
-		}
-		switch {
-		case r.Err != nil:
-			a = append(a, trace.Str("error", r.Err.Error()))
-		case r.Quarantined != "":
-			if r.WALSeq > 0 {
-				a = append(a, trace.Int("wal_seq", int64(r.WALSeq)))
-			}
-			a = append(a, trace.Str("quarantined", r.Quarantined))
-		case live:
-			a = append(a, trace.Int("wal_seq", int64(r.WALSeq)))
-		}
-		p.tr.Record(&trace.BatchDump{Seq: p.traceSeq, Index: r.Index, StartUnixNS: p.traceStart.UnixNano(),
-			DurNS: int64(time.Since(p.traceStart)), Attrs: a, Spans: p.spans})
-	}
 	if r.Applied {
 		p.batchIdx++
 	}
-	if p.rec == nil {
+	if p.rec == nil && p.tr == nil {
 		return
 	}
-	o := telemetry.BatchOutcome{WALBytes: r.WALBytes, WALFsync: r.WALFsync, Retries: r.Retries,
-		Quarantined: r.Quarantined != "", ViewRefreshed: r.Applied && p.view != nil}
-	var ev *telemetry.BatchEvent
+	ev := &p.ev
+	if p.tr != nil {
+		ev = new(telemetry.BatchEvent) // the ring keeps it
+	}
+	*ev = telemetry.BatchEvent{
+		TimeUnixMS:  time.Now().UnixMilli(),
+		DS:          p.pcfg.DataStructure,
+		Alg:         p.pcfg.Algorithm,
+		Model:       string(p.pcfg.Model),
+		Repeat:      p.repeatTag,
+		Batch:       r.Index,
+		Applied:     r.Applied,
+		Replay:      replay,
+		Quarantined: r.Quarantined,
+		WALSeq:      r.WALSeq,
+		WALBytes:    r.WALBytes,
+		WALFsyncNS:  r.WALFsync.Nanoseconds(),
+		Retries:     r.Retries,
+	}
+	if r.Err != nil {
+		ev.Error = r.Err.Error()
+	}
 	if r.Applied {
-		ev = &telemetry.BatchEvent{
-			Repeat:         p.repeatTag,
-			Batch:          r.Index,
-			Edges:          r.Adds,
-			Deletes:        r.Dels,
-			Nodes:          r.Nodes,
-			UpdateNS:       lat.Update.Nanoseconds(),
-			ComputeNS:      lat.Compute.Nanoseconds(),
-			Affected:       r.Affected,
-			Iterations:     es.Iterations,
-			Processed:      es.Processed,
-			EdgesTraversed: es.EdgesTraversed,
-			Triggered:      es.Triggered,
-			Skipped:        es.Skipped,
-			TriggerFrac:    es.TriggerFraction(),
-			// Without the view r.View is zero, and so are these.
-			ViewNS:        r.View.Duration.Nanoseconds(),
-			ViewDirtyFrac: r.View.DirtyFraction(),
-			ViewWritten:   r.View.Written,
-			ViewFull:      r.View.Full,
-			Epoch:         r.Epoch,
-
-			DSEdgesIngested:  r.DS.EdgesIngested,
-			DSInserted:       r.DS.Inserted,
-			DSScanSteps:      r.DS.ScanSteps,
-			DSLockConflicts:  r.DS.LockConflicts,
-			DSMetaOps:        r.DS.MetaOps,
-			DSImbalance:      r.DS.Imbalance(),
-			DSTierPromotions: r.DS.TierPromotions,
-			DSTierDemotions:  r.DS.TierDemotions,
-		}
+		es, lat := &r.Compute, r.Latency()
+		ev.Edges, ev.Deletes, ev.Nodes, ev.Affected = r.Adds, r.Dels, r.Nodes, r.Affected
+		ev.UpdateNS, ev.ComputeNS = lat.Update.Nanoseconds(), lat.Compute.Nanoseconds()
+		ev.Iterations, ev.Processed, ev.EdgesTraversed = es.Iterations, es.Processed, es.EdgesTraversed
+		ev.Triggered, ev.Skipped, ev.TriggerFrac = es.Triggered, es.Skipped, es.TriggerFraction()
 		if used := es.WorkersUsed(); used > 0 {
-			// Stats.WorkerBusyNS aliases engine scratch; RecordBatch
-			// encodes the event and keeps no reference to it.
+			// Stats.WorkerBusyNS aliases engine scratch: RecordBatch keeps
+			// no reference to it, and the ring's event gets a copy below.
 			ev.WorkerBusyNS, ev.WorkersUsed, ev.Straggler = es.WorkerBusyNS, used, es.StragglerRatio()
+		}
+		if p.view != nil {
+			ev.ViewRefreshed, ev.ViewNS, ev.ViewDirtyFrac = true, r.View.Duration.Nanoseconds(), r.View.DirtyFraction()
+			ev.ViewWritten, ev.ViewFull = r.View.Written, r.View.Full
 		}
 		if p.em != nil {
 			st := p.em.Stats()
-			o.EpochReclaimed, o.EpochDropped = st.Reclaimed-p.lastEpoch.Reclaimed, st.Dropped-p.lastEpoch.Dropped
-			o.EpochPins, p.lastEpoch = st.Pins, st
+			ev.Epoch, ev.EpochPins = r.Epoch, st.Pins
+			ev.EpochReclaimed, ev.EpochDropped = st.Reclaimed-p.lastEpoch.Reclaimed, st.Dropped-p.lastEpoch.Dropped
+			p.lastEpoch = st
 		}
+		ev.DSEdgesIngested, ev.DSInserted, ev.DSScanSteps = r.DS.EdgesIngested, r.DS.Inserted, r.DS.ScanSteps
+		ev.DSLockConflicts, ev.DSMetaOps, ev.DSImbalance = r.DS.LockConflicts, r.DS.MetaOps, r.DS.Imbalance()
+		ev.DSTierPromotions, ev.DSTierDemotions = r.DS.TierPromotions, r.DS.TierDemotions
 	}
-	p.rec.RecordBatch(ev, o)
+	if p.tr != nil {
+		ev.WorkerBusyNS = slices.Clone(ev.WorkerBusyNS)
+		ev.Seq, ev.StartUnixNS, ev.DurNS, ev.Spans = p.traceSeq, p.traceStart.UnixNano(), int64(time.Since(p.traceStart)), p.spans
+	}
+	p.rec.RecordBatch(ev)
+	p.tr.Record(ev)
 }

@@ -25,7 +25,11 @@ import (
 // stage table replaced the hand-threaded phases, so a changed hash means
 // the refactor changed what a batch reports, not a number to re-record.
 // The one intended difference is filtered out in canonTraces: the stage
-// runner wraps validation in a span the parent did not open.
+// runner wraps validation in a span the parent did not open. Since the
+// event log and the trace ring carry one record, the BatchEvent, both
+// texts are projections of it: canonEvents onto the fields the event had
+// (preEvent), canonTraces onto the batch attributes the trace had
+// (preTraceAttrs).
 //
 // Re-recorded once since, for the INC rounds that walk their frontier in
 // ascending vertex order: the stream runs INC PageRank, whose rounds relax
@@ -81,7 +85,7 @@ func goldenStream(withReject bool) crosscheck.Stream {
 // timingAttrs are the attribute keys whose values are clock readings.
 var timingAttrs = map[string]bool{"update_ns": true, "compute_ns": true, "fsync_ns": true, "straggler": true}
 
-func canonAttrs(attrs []trace.Attr) string {
+func canonAttrs(attrs []telemetry.Attr) string {
 	out := make([]string, 0, len(attrs))
 	for _, a := range attrs {
 		switch {
@@ -99,12 +103,50 @@ func canonAttrs(attrs []trace.Attr) string {
 	return strings.Join(out, ",")
 }
 
+// preTraceAttrs are the batch attributes a trace carried before the trace
+// became the batch's event: an applied batch's sizes, latencies and
+// compute stats, then its error, its quarantine cause (and WAL seq), or
+// for a live batch of a durable pipeline its WAL seq.
+func preTraceAttrs(ev *telemetry.BatchEvent, durable bool) []telemetry.Attr {
+	var a []telemetry.Attr
+	if ev.Applied {
+		a = append(a, telemetry.Int("edges", int64(ev.Edges)))
+		if ev.Deletes > 0 {
+			a = append(a, telemetry.Int("deletes", int64(ev.Deletes)))
+		}
+		a = append(a, telemetry.Int("affected", int64(ev.Affected)), telemetry.Int("iterations", int64(ev.Iterations)))
+		if ev.Triggered+ev.Skipped > 0 {
+			a = append(a, telemetry.Int("triggered", int64(ev.Triggered)), telemetry.Int("skipped", int64(ev.Skipped)))
+		}
+		if ev.Straggler > 0 {
+			a = append(a, telemetry.Float("straggler", ev.Straggler))
+		}
+		if ev.ViewRefreshed {
+			a = append(a, telemetry.Float("view_dirty_frac", ev.ViewDirtyFrac))
+		}
+		a = append(a, telemetry.Int("update_ns", ev.UpdateNS), telemetry.Int("compute_ns", ev.ComputeNS))
+	}
+	switch {
+	case ev.Error != "":
+		a = append(a, telemetry.Str("error", ev.Error))
+	case ev.Quarantined != "":
+		if ev.WALSeq > 0 {
+			a = append(a, telemetry.Int("wal_seq", int64(ev.WALSeq)))
+		}
+		a = append(a, telemetry.Str("quarantined", ev.Quarantined))
+	case durable && !ev.Replay:
+		a = append(a, telemetry.Int("wal_seq", int64(ev.WALSeq)))
+	}
+	return a
+}
+
 // canonTraces renders each batch trace as its index, its sorted
 // attributes and its sorted spans (stage, parent stage, attributes), with
 // clock readings masked.
-func canonTraces(dumps []trace.BatchDump) string {
+func canonTraces(ring []telemetry.BatchEvent, durable bool) string {
 	var b strings.Builder
-	for _, d := range dumps {
+	for i := range ring {
+		d := &ring[i]
 		stageOf := map[int32]string{-1: "-"}
 		for _, s := range d.Spans {
 			stageOf[s.ID] = s.Stage
@@ -117,19 +159,64 @@ func canonTraces(dumps []trace.BatchDump) string {
 			spans = append(spans, fmt.Sprintf("%s<%s{%s}", s.Stage, stageOf[s.Parent], canonAttrs(s.Attrs)))
 		}
 		sort.Strings(spans)
-		fmt.Fprintf(&b, "batch %d {%s} %s\n", d.Index, canonAttrs(d.Attrs), strings.Join(spans, " "))
+		fmt.Fprintf(&b, "batch %d {%s} %s\n", d.Batch, canonAttrs(preTraceAttrs(d, durable)), strings.Join(spans, " "))
 	}
 	return b.String()
 }
 
-// canonEvents renders every BatchEvent with its clock-derived fields
-// zeroed.
+// preEvent is a BatchEvent as the log wrote it before the event became
+// the batch's one record: an applied batch's fields, in their order.
+type preEvent struct {
+	TimeUnixMS       int64
+	Repeat           int
+	Batch            int
+	Edges            int
+	Deletes          int
+	Nodes            int
+	UpdateNS         int64
+	ComputeNS        int64
+	Affected         int
+	Iterations       int
+	Processed        uint64
+	EdgesTraversed   uint64
+	Triggered        uint64
+	Skipped          uint64
+	TriggerFrac      float64
+	WorkerBusyNS     []int64
+	WorkersUsed      int
+	Straggler        float64
+	ViewNS           int64
+	ViewDirtyFrac    float64
+	ViewWritten      int
+	ViewFull         bool
+	Epoch            uint64
+	DSEdgesIngested  uint64
+	DSInserted       uint64
+	DSScanSteps      uint64
+	DSLockConflicts  uint64
+	DSMetaOps        uint64
+	DSImbalance      float64
+	DSTierPromotions uint64
+	DSTierDemotions  uint64
+}
+
+// canonEvents renders the event of every applied batch, projected onto
+// preEvent, with its clock-derived fields zeroed.
 func canonEvents(evs []telemetry.BatchEvent) string {
 	var b strings.Builder
 	for _, ev := range evs {
-		ev.TimeUnixMS, ev.UpdateNS, ev.ComputeNS, ev.ViewNS = 0, 0, 0, 0
-		ev.WorkerBusyNS, ev.WorkersUsed, ev.Straggler = nil, 0, 0
-		fmt.Fprintf(&b, "%+v\n", ev)
+		if !ev.Applied {
+			continue
+		}
+		fmt.Fprintf(&b, "%+v\n", preEvent{
+			Repeat: ev.Repeat, Batch: ev.Batch, Edges: ev.Edges, Deletes: ev.Deletes, Nodes: ev.Nodes,
+			Affected: ev.Affected, Iterations: ev.Iterations, Processed: ev.Processed, EdgesTraversed: ev.EdgesTraversed,
+			Triggered: ev.Triggered, Skipped: ev.Skipped, TriggerFrac: ev.TriggerFrac,
+			ViewDirtyFrac: ev.ViewDirtyFrac, ViewWritten: ev.ViewWritten, ViewFull: ev.ViewFull, Epoch: ev.Epoch,
+			DSEdgesIngested: ev.DSEdgesIngested, DSInserted: ev.DSInserted, DSScanSteps: ev.DSScanSteps,
+			DSLockConflicts: ev.DSLockConflicts, DSMetaOps: ev.DSMetaOps, DSImbalance: ev.DSImbalance,
+			DSTierPromotions: ev.DSTierPromotions, DSTierDemotions: ev.DSTierDemotions,
+		})
 	}
 	return b.String()
 }
@@ -141,13 +228,13 @@ func hashOf(s string) uint64 {
 }
 
 // goldenRun streams goldenStream through one configuration and returns
-// the recorded events, batch traces and metrics.
-func goldenRun(t *testing.T, name string) ([]telemetry.BatchEvent, []trace.BatchDump, *telemetry.Registry, int) {
+// the event log, the trace ring and the metrics.
+func goldenRun(t *testing.T, name string) ([]telemetry.BatchEvent, []telemetry.BatchEvent, *telemetry.Registry, int) {
 	t.Helper()
 	var buf bytes.Buffer
 	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder(reg, telemetry.NewEventSink(&buf))
-	tr := trace.New(trace.Config{DS: "adjshared", Alg: "pr", Model: "inc", Flight: 64})
+	tr := trace.New(trace.Config{Flight: 64})
 	cfg := core.PipelineConfig{
 		DataStructure: "adjshared",
 		Algorithm:     "pr",
@@ -219,13 +306,15 @@ func goldenRun(t *testing.T, name string) ([]telemetry.BatchEvent, []trace.Batch
 
 // TestBatchGolden is the equivalence test of the stage-table refactor:
 // what a batch reports (events, trace attributes, spans) is unchanged in
-// every configuration, and every submitted batch finishes exactly one
-// batch trace whatever its outcome.
+// every configuration, every submitted batch finishes exactly one live
+// batch trace and one live log line whatever its outcome, and the ring
+// and the log carry the same records.
 func TestBatchGolden(t *testing.T) {
 	for _, name := range []string{"bare", "view", "view+serve", "supervised"} {
 		t.Run(name, func(t *testing.T) {
-			evs, dumps, reg, submitted := goldenRun(t, name)
-			events, traces := canonEvents(evs), canonTraces(dumps)
+			evs, ring, reg, submitted := goldenRun(t, name)
+			durable := name == "supervised"
+			events, traces := canonEvents(evs), canonTraces(ring, durable)
 			want := batchGolden[name]
 			if got := hashOf(events); got != want[0] {
 				t.Errorf("BatchEvent hash %#x, recorded %#x (-v prints the canonical text)", got, want[0])
@@ -236,32 +325,97 @@ func TestBatchGolden(t *testing.T) {
 			if t.Failed() && testing.Verbose() {
 				t.Logf("events:\n%straces:\n%s", events, traces)
 			}
-			if name == "supervised" {
+			if durable {
 				for metric, want := range goldenCounters {
 					if got := reg.Counter(metric, "").Value(); got != want {
 						t.Errorf("%s = %d, recorded %d", metric, got, want)
 					}
 				}
 			}
-			// A live durable batch ends with a wal_seq, a quarantine cause or
-			// an error; a batch replayed by the post-poison rebuild carries
-			// none of them. Without durability every trace is a live batch.
-			live := 0
-			for _, d := range dumps {
-				isLive := name != "supervised"
-				for _, a := range d.Attrs {
-					if a.Key == "wal_seq" || a.Key == "quarantined" || a.Key == "error" {
-						isLive = true
-					}
+			// The ring holds every batch's event, spans included, and the
+			// log the same events: the log's timestamps are the ring's.
+			if len(ring) != len(evs) {
+				t.Fatalf("ring holds %d batches, log %d lines", len(ring), len(evs))
+			}
+			for i := range evs {
+				if evs[i].Seq != ring[i].Seq || len(evs[i].Spans) != len(ring[i].Spans) || evs[i].TimeUnixMS != ring[i].TimeUnixMS {
+					t.Fatalf("log line %d (seq %d, %d spans) is not ring entry %d (seq %d, %d spans)",
+						i, evs[i].Seq, len(evs[i].Spans), i, ring[i].Seq, len(ring[i].Spans))
 				}
-				if isLive {
+			}
+			// A batch replayed by the post-poison rebuild is marked; every
+			// submitted batch has exactly one unmarked record.
+			live := 0
+			for _, ev := range evs {
+				if !ev.Replay {
 					live++
 				}
 			}
 			if live != submitted {
-				t.Errorf("%d live batch traces finished for %d submitted batches", live, submitted)
+				t.Errorf("%d live batch records for %d submitted batches", live, submitted)
+			}
+			checkAppliedOnlyMetrics(t, evs, reg)
+			if durable {
+				checkCauses(t, evs)
 			}
 		})
+	}
+}
+
+// checkAppliedOnlyMetrics: the per-batch metrics count the applied
+// batches of the log, and only them.
+func checkAppliedOnlyMetrics(t *testing.T, evs []telemetry.BatchEvent, reg *telemetry.Registry) {
+	t.Helper()
+	var applied, edges, affected, processed uint64
+	for _, ev := range evs {
+		if ev.Applied {
+			applied++
+			edges += uint64(ev.Edges)
+			affected += uint64(ev.Affected)
+			processed += ev.Processed
+		}
+	}
+	for metric, want := range map[string]uint64{
+		"saga_batches_total":            applied,
+		"saga_edges_ingested_total":     edges,
+		"saga_affected_vertices_total":  affected,
+		"saga_vertices_processed_total": processed,
+	} {
+		if got := reg.Counter(metric, "").Value(); got != want {
+			t.Errorf("%s = %d, the log's applied batches hold %d", metric, got, want)
+		}
+	}
+	if got := reg.Histogram("saga_batch_latency_seconds", "", nil).Count(); got != applied {
+		t.Errorf("saga_batch_latency_seconds counts %d batches, the log holds %d applied", got, applied)
+	}
+}
+
+// checkCauses: the supervised run's rejected and poison batches are
+// logged live, not applied, each with its cause, and the poison batch with
+// its WAL seq and retry.
+func checkCauses(t *testing.T, evs []telemetry.BatchEvent) {
+	t.Helper()
+	var live []telemetry.BatchEvent
+	for _, ev := range evs {
+		if !ev.Replay {
+			live = append(live, ev)
+		}
+	}
+	for i, ev := range live {
+		switch i {
+		case goldenRejectAt:
+			if ev.Applied || ev.WALSeq != 0 || !strings.Contains(ev.Quarantined, "MaxNodeID") {
+				t.Errorf("rejected batch logged as applied=%v seq=%d cause %q", ev.Applied, ev.WALSeq, ev.Quarantined)
+			}
+		case goldenPoisonAt:
+			if ev.Applied || ev.WALSeq != goldenPoisonAt || ev.Retries != 1 || !strings.Contains(ev.Quarantined, "injected apply failure") {
+				t.Errorf("poison batch logged as applied=%v seq=%d retries=%d cause %q", ev.Applied, ev.WALSeq, ev.Retries, ev.Quarantined)
+			}
+		default:
+			if !ev.Applied || ev.Quarantined != "" || ev.Error != "" {
+				t.Errorf("batch %d logged as applied=%v cause %q error %q", i, ev.Applied, ev.Quarantined, ev.Error)
+			}
+		}
 	}
 }
 
@@ -325,9 +479,8 @@ func TestOneTracePerBatchOutcome(t *testing.T) {
 				t.Fatalf("%d batch traces finished for %d batches run", len(dumps), ran)
 			}
 			if failed {
-				last := dumps[len(dumps)-1]
-				if !strings.Contains(canonAttrs(last.Attrs), "error=") {
-					t.Fatalf("failed batch's trace carries no error: %s", canonAttrs(last.Attrs))
+				if last := dumps[len(dumps)-1]; last.Error == "" {
+					t.Fatalf("failed batch's trace carries no error: %+v", last)
 				}
 			}
 		})

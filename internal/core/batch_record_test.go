@@ -218,7 +218,9 @@ func TestBatchRecordConsistency(t *testing.T) {
 			for i, ev := range evs {
 				r, es := recs[i], recs[i].Compute
 				want := telemetry.BatchEvent{
-					TimeUnixMS: ev.TimeUnixMS, Batch: r.Index, Edges: r.Adds, Deletes: r.Dels, Nodes: r.Nodes,
+					TimeUnixMS: ev.TimeUnixMS, DS: cfg.DataStructure, Alg: cfg.Algorithm, Model: string(cfg.Model),
+					Applied: true, WALSeq: r.WALSeq, WALBytes: r.WALBytes, WALFsyncNS: r.WALFsync.Nanoseconds(),
+					Batch: r.Index, Edges: r.Adds, Deletes: r.Dels, Nodes: r.Nodes,
 					UpdateNS: r.Latency().Update.Nanoseconds(), ComputeNS: r.Latency().Compute.Nanoseconds(),
 					Affected: r.Affected, Iterations: es.Iterations, Processed: es.Processed,
 					EdgesTraversed: es.EdgesTraversed, Triggered: es.Triggered, Skipped: es.Skipped,
@@ -233,7 +235,12 @@ func TestBatchRecordConsistency(t *testing.T) {
 					walAppends++
 					walBytes += uint64(r.WALBytes)
 				}
+				if tc.serve {
+					// The epoch counters' deltas and pins are the manager's.
+					want.EpochReclaimed, want.EpochDropped, want.EpochPins = ev.EpochReclaimed, ev.EpochDropped, ev.EpochPins
+				}
 				if tc.view {
+					want.ViewRefreshed = true
 					want.ViewNS = r.View.Duration.Nanoseconds()
 					want.ViewDirtyFrac = r.View.DirtyFraction()
 					want.ViewWritten, want.ViewFull = r.View.Written, r.View.Full
@@ -242,8 +249,7 @@ func TestBatchRecordConsistency(t *testing.T) {
 					t.Fatalf("batch %d: event\n%+v\nrecord implies\n%+v", i, ev, want)
 				}
 			}
-			// The event has no WAL fields; the WAL counters are fed off the
-			// same records.
+			// The WAL counters are fed off the same records.
 			if got := reg.Counter("saga_wal_appends_total", "").Value(); got != walAppends {
 				t.Fatalf("saga_wal_appends_total = %d, records hold %d appends", got, walAppends)
 			}

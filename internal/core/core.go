@@ -8,8 +8,8 @@
 //
 // A batch is more than those two phases by now, so Pipeline runs every
 // batch through one fixed table of seven stages (batch.go) and keeps one
-// BatchRecord of what each did and cost; the two latencies, the telemetry
-// event and the batch trace are all read off that record.
+// BatchRecord of what each did and cost; the two latencies and the batch's
+// telemetry event, trace spans included, are read off that record.
 //
 // The package exposes two levels:
 //
@@ -86,11 +86,14 @@ type Pipeline struct {
 	// tr is the batch tracer (nil = tracing off, zero cost). With it
 	// attached, runBatch numbers and anchors the batch in flight's trace
 	// (traceSeq, traceStart), stage appends each completed stage attempt's
-	// span to spans, and emit hands the finished trace to tr.Record.
+	// span to spans, and emit hands the finished event to tr.Record.
 	tr         *trace.Tracer
 	traceSeq   uint64
 	traceStart time.Time
-	spans      []trace.SpanRecord
+	spans      []telemetry.SpanRecord
+	// ev is the event emit fills for the recorder when no tracer keeps
+	// it, so an untraced batch's event is not per-batch garbage.
+	ev telemetry.BatchEvent
 
 	// em is the epoch-publication manager (nil when ServeQueries is off —
 	// the batch loop then never touches it); lastEpoch remembers its
@@ -107,8 +110,8 @@ type Pipeline struct {
 	affectedMark []uint8
 
 	// batchIdx counts applied batches: the index of the batch in flight in
-	// its record, trace, event and published snapshot. repeatTag is
-	// telemetry bookkeeping, touched only when rec != nil.
+	// its record, event and published snapshot. repeatTag is the event's
+	// Repeat.
 	batchIdx  int
 	repeatTag int
 }
@@ -157,18 +160,23 @@ type PipelineConfig struct {
 	// marginal publication cost is one property-vector copy per batch —
 	// the CSR is the mirror the refresh built anyway.
 	ServeQueries bool
-	// Telemetry, when non-nil, receives one event per processed batch
-	// (latencies, affected-set size, compute stats, the structure's
-	// counts), read off the batch's record.
-	// Nil disables instrumentation at near-zero cost.
+	// Telemetry, when non-nil, receives every batch's one event, whatever
+	// its outcome, read off the batch's record: the pipeline's identity
+	// (DataStructure, Algorithm, Model above), the batch's fate and WAL
+	// figures, an applied batch's latencies, affected-set size, compute
+	// stats and structure counts, and with a Tracer its spans. It folds
+	// the event into its metrics and writes it to its event log. Several
+	// pipelines may share one recorder. Nil disables instrumentation at
+	// near-zero cost.
 	Telemetry *telemetry.Recorder
-	// Tracer, when non-nil, records a trace per batch, built from its
-	// BatchRecord — one span per stage attempt (update, view refresh,
-	// compute with per-worker range spans, WAL append, checkpoint, ...)
-	// timed by the stage's own clock — into a flight-recorder ring that is
-	// dumped next to the poison file when a batch is quarantined and
-	// served by the telemetry server's /trace endpoint. Nil disables
-	// tracing: the hot path then performs no clock reads and no
+	// Tracer, when non-nil, adds each batch's trace to its event — one
+	// span per stage attempt (update, view refresh, compute with
+	// per-worker range spans, WAL append, checkpoint, ...) timed by the
+	// stage's own clock — and keeps the event in a flight-recorder ring
+	// that is dumped next to the poison file when a batch is quarantined
+	// and served by the telemetry server's /trace endpoint. Several
+	// pipelines may share one tracer: each event names its pipeline. Nil
+	// disables tracing: the hot path then performs no clock reads and no
 	// allocations on the tracer's behalf.
 	Tracer *trace.Tracer
 	// Durable, when non-nil, enables the crash-safety layer: every batch

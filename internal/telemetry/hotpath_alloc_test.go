@@ -24,13 +24,11 @@ func TestMetricOpsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// recordAll calls every Recorder entry point once: RecordBatch for an
-// applied batch and for one that was not, and every per-event hook.
-func recordAll(r *telemetry.Recorder, ev *telemetry.BatchEvent) {
-	o := telemetry.BatchOutcome{WALBytes: 128, WALFsync: time.Millisecond, Retries: 2,
-		ViewRefreshed: true, EpochReclaimed: 1, EpochPins: 2}
-	r.RecordBatch(ev, o)
-	r.RecordBatch(nil, telemetry.BatchOutcome{WALBytes: 64, Quarantined: true})
+// recordAll calls every Recorder entry point once: RecordBatch for ev, an
+// applied batch, and for a quarantined one, and every per-event hook.
+func recordAll(r *telemetry.Recorder, ev, poison *telemetry.BatchEvent) {
+	r.RecordBatch(ev)
+	r.RecordBatch(poison)
 	r.RecordQueryMiss()
 	r.RecordQuerySession(12, 3)
 	r.RecordDurableRetry()
@@ -49,8 +47,8 @@ func recordAll(r *telemetry.Recorder, ev *telemetry.BatchEvent) {
 // calls these on every batch and every query, so the nil path must not
 // allocate either.
 func TestNilRecorderOpsDoNotAllocate(t *testing.T) {
-	ev := &telemetry.BatchEvent{Edges: 10, Epoch: 3, ViewNS: 1000, WorkerBusyNS: []int64{5, 7}}
-	if allocs := testing.AllocsPerRun(1000, func() { recordAll(nil, ev) }); allocs != 0 {
+	ev, poison := events()
+	if allocs := testing.AllocsPerRun(1000, func() { recordAll(nil, ev, poison) }); allocs != 0 {
 		t.Errorf("nil-recorder ops allocate %.1f times per round", allocs)
 	}
 }
@@ -60,10 +58,19 @@ func TestNilRecorderOpsDoNotAllocate(t *testing.T) {
 // per-worker gauges of the event's slots exist.
 func TestRecorderOpsDoNotAllocate(t *testing.T) {
 	r := telemetry.NewRecorder(telemetry.NewRegistry(), nil)
-	ev := &telemetry.BatchEvent{Edges: 10, Epoch: 3, ViewNS: 1000, WorkerBusyNS: []int64{5, 7},
-		WorkersUsed: 2, Straggler: 1.2, TimeUnixMS: 1}
-	recordAll(r, ev)
-	if allocs := testing.AllocsPerRun(1000, func() { recordAll(r, ev) }); allocs != 0 {
+	ev, poison := events()
+	recordAll(r, ev, poison)
+	if allocs := testing.AllocsPerRun(1000, func() { recordAll(r, ev, poison) }); allocs != 0 {
 		t.Errorf("recorder ops allocate %.1f times per round", allocs)
 	}
+}
+
+// events are an applied batch's event touching every metric RecordBatch
+// folds, and a quarantined batch's.
+func events() (ev, poison *telemetry.BatchEvent) {
+	ev = &telemetry.BatchEvent{Applied: true, Edges: 10, WALBytes: 128, WALFsyncNS: int64(time.Millisecond),
+		Retries: 2, ViewRefreshed: true, ViewNS: 1000, Epoch: 3, EpochReclaimed: 1, EpochPins: 2,
+		WorkerBusyNS: []int64{5, 7}, WorkersUsed: 2, Straggler: 1.2, TimeUnixMS: 1}
+	poison = &telemetry.BatchEvent{WALBytes: 64, Quarantined: "injected", TimeUnixMS: 1}
+	return ev, poison
 }

@@ -6,7 +6,8 @@
 //
 //   - atomic counters, gauges, and fixed-bucket latency histograms with
 //     p50/p95/p99 quantile estimates (metrics.go, histogram.go);
-//   - a per-batch structured event log written as JSONL (events.go);
+//   - the batch's one record, BatchEvent, with its trace spans, and the
+//     event log that writes it as one JSONL line per batch (events.go);
 //   - a Recorder that encodes each batch's record in one RecordBatch
 //     call, whatever the outcome, beside hooks for the events no batch
 //     holds (recorder.go) — a nil *Recorder is a valid, near-free no-op;

@@ -262,50 +262,40 @@ func (r *Recorder) Registry() *Registry {
 	return r.reg
 }
 
-// BatchOutcome is the part of a batch's record its event does not hold.
-type BatchOutcome struct {
-	// WALBytes is the size of the batch's WAL record (0: none appended),
-	// WALFsync the fsync after it (0: the policy skipped the flush).
-	WALBytes    int
-	WALFsync    time.Duration
-	Retries     int  // re-attempted applies
-	Quarantined bool // set aside as a poison file
-	// ViewRefreshed: the event's View fields describe a refresh that ran.
-	ViewRefreshed bool
-	// EpochReclaimed and EpochDropped are the publication's deltas of the
-	// superseded-buffer counters (at most one is 1), EpochPins the handles
-	// pinning epochs after it. Read only when the event has an Epoch.
-	EpochReclaimed, EpochDropped uint64
-	EpochPins                    int64
-}
-
 // RecordBatch encodes one batch, whatever its outcome, into the metrics
-// and the event log: ev is the batch's event, nil when the batch was not
-// applied, and o what the event does not hold. The event is encoded
-// before RecordBatch returns and no reference to it is kept, so its
-// WorkerBusyNS may alias the caller's scratch. ev's timestamp is stamped
-// here if unset.
-func (r *Recorder) RecordBatch(ev *BatchEvent, o BatchOutcome) {
+// and the event log: the WAL, retry and quarantine counters from every
+// event, the per-batch metrics from an applied one only, and one log line
+// per event. The event is encoded before RecordBatch returns and no
+// reference to it is kept, so its WorkerBusyNS may alias the caller's
+// scratch. ev's timestamp is stamped here if unset.
+func (r *Recorder) RecordBatch(ev *BatchEvent) {
 	if r == nil {
-		return
-	}
-	if o.WALBytes > 0 {
-		r.walAppends.Inc()
-		r.walBytes.Add(uint64(o.WALBytes))
-		if o.WALFsync > 0 {
-			r.walFsyncLat.Observe(o.WALFsync.Seconds())
-		}
-	}
-	r.applyRetries.Add(uint64(o.Retries))
-	if o.Quarantined {
-		r.quarantines.Inc()
-	}
-	if ev == nil {
 		return
 	}
 	if ev.TimeUnixMS == 0 {
 		ev.TimeUnixMS = time.Now().UnixMilli()
 	}
+	if ev.WALBytes > 0 {
+		r.walAppends.Inc()
+		r.walBytes.Add(uint64(ev.WALBytes))
+		if ev.WALFsyncNS > 0 {
+			r.walFsyncLat.Observe(time.Duration(ev.WALFsyncNS).Seconds())
+		}
+	}
+	r.applyRetries.Add(uint64(ev.Retries))
+	if ev.Quarantined != "" {
+		r.quarantines.Inc()
+	}
+	if ev.Applied {
+		r.recordApplied(ev)
+	}
+	if r.sink != nil {
+		r.sink.Write(ev) // first error is sticky inside the sink
+	}
+}
+
+// recordApplied folds an applied batch's measurements into the metrics.
+func (r *Recorder) recordApplied(ev *BatchEvent) {
 	r.batches.Inc()
 	r.edges.Add(uint64(ev.Edges))
 	r.deletes.Add(uint64(ev.Deletes))
@@ -347,7 +337,7 @@ func (r *Recorder) RecordBatch(ev *BatchEvent, o BatchOutcome) {
 			r.workerGauge(w).Set(float64(ns) / 1e9)
 		}
 	}
-	if o.ViewRefreshed {
+	if ev.ViewRefreshed {
 		r.viewRefreshLat.Observe(time.Duration(ev.ViewNS).Seconds())
 		r.viewDirtyFrac.Set(ev.ViewDirtyFrac)
 		r.viewWritten.Add(uint64(ev.ViewWritten))
@@ -359,12 +349,9 @@ func (r *Recorder) RecordBatch(ev *BatchEvent, o BatchOutcome) {
 	}
 	if ev.Epoch > 0 {
 		r.epochsPublished.Inc()
-		r.epochReclaimed.Add(o.EpochReclaimed)
-		r.epochDropped.Add(o.EpochDropped)
-		r.epochPins.Set(float64(o.EpochPins))
-	}
-	if r.sink != nil {
-		r.sink.Write(ev) // first error is sticky inside the sink
+		r.epochReclaimed.Add(ev.EpochReclaimed)
+		r.epochDropped.Add(ev.EpochDropped)
+		r.epochPins.Set(float64(ev.EpochPins))
 	}
 }
 

@@ -6,19 +6,22 @@ import "testing"
 // the nil-recorder contract that lets the pipeline call these hooks
 // unconditionally when telemetry is disabled.
 
-// TestRecordEpochPublish: RecordBatch counts a publication for an event
-// with an epoch number, folds in the outcome's buffer fates, and sets the
-// pin gauge; an event without one publishes nothing.
+// TestRecordEpochPublish: RecordBatch counts a publication for an applied
+// batch's event with an epoch number, folds in its buffer fates, and sets
+// the pin gauge; an event without one publishes nothing.
 func TestRecordEpochPublish(t *testing.T) {
 	reg := NewRegistry()
 	r := NewRecorder(reg, nil)
-	publish := func(epoch uint64, o BatchOutcome) { r.RecordBatch(&BatchEvent{Epoch: epoch}, o) }
+	publish := func(ev BatchEvent) {
+		ev.Applied = true
+		r.RecordBatch(&ev)
+	}
 
-	publish(1, BatchOutcome{})                                // first publish: no spare yet
-	publish(2, BatchOutcome{EpochReclaimed: 1, EpochPins: 2}) // spare reclaimed, two pins live
-	publish(3, BatchOutcome{EpochDropped: 1, EpochPins: 5})   // spare dropped to the GC
-	publish(4, BatchOutcome{EpochReclaimed: 1})               // drained again
-	publish(0, BatchOutcome{EpochReclaimed: 1, EpochPins: 9}) // query serving off: not a publication
+	publish(BatchEvent{Epoch: 1})                                  // first publish: no spare yet
+	publish(BatchEvent{Epoch: 2, EpochReclaimed: 1, EpochPins: 2}) // spare reclaimed, two pins live
+	publish(BatchEvent{Epoch: 3, EpochDropped: 1, EpochPins: 5})   // spare dropped to the GC
+	publish(BatchEvent{Epoch: 4, EpochReclaimed: 1})               // drained again
+	publish(BatchEvent{Epoch: 0, EpochReclaimed: 1, EpochPins: 9}) // query serving off: not a publication
 
 	for _, tc := range []struct {
 		name string
@@ -36,7 +39,7 @@ func TestRecordEpochPublish(t *testing.T) {
 	if got := reg.Gauge("saga_query_pinned_handles", "").Value(); got != 0 {
 		t.Errorf("saga_query_pinned_handles = %v, want 0 (latest publish)", got)
 	}
-	publish(5, BatchOutcome{EpochPins: 3})
+	publish(BatchEvent{Epoch: 5, EpochPins: 3})
 	if got := reg.Gauge("saga_query_pinned_handles", "").Value(); got != 3 {
 		t.Errorf("saga_query_pinned_handles = %v, want 3", got)
 	}
@@ -74,7 +77,7 @@ func TestRecordQuerySessionAndMiss(t *testing.T) {
 // a nil recorder — the pipeline does exactly that when telemetry is off.
 func TestEpochRecorderNilSafety(t *testing.T) {
 	var r *Recorder
-	r.RecordBatch(&BatchEvent{Epoch: 1}, BatchOutcome{EpochReclaimed: 1, EpochDropped: 1, EpochPins: 9})
+	r.RecordBatch(&BatchEvent{Applied: true, Epoch: 1, EpochReclaimed: 1, EpochDropped: 1, EpochPins: 9})
 	r.RecordQuerySession(3, 1)
 	r.RecordQueryMiss()
 }

@@ -17,8 +17,11 @@ var expvarOnce sync.Once
 // TraceSource serves an on-demand dump of recent batch traces — the
 // flight-recorder ring rendered as Chrome trace-event JSON (Perfetto
 // loads it directly). internal/trace.Tracer implements it; the telemetry
-// package stays one layer below and only knows the interface.
+// package stays one layer below and only knows the interface. Enabled
+// reports whether the source records anything: a run without tracing
+// passes its nil *trace.Tracer, a non-nil interface that is not a source.
 type TraceSource interface {
+	Enabled() bool
 	WriteTrace(w io.Writer) error
 }
 
@@ -32,14 +35,14 @@ type TraceSource interface {
 //	/              endpoint index
 //
 // The optional trailing TraceSource attaches the /trace endpoint (only
-// the first non-nil source is used).
+// the first enabled source is used).
 func NewMux(reg *Registry, trace ...TraceSource) *http.ServeMux {
 	expvarOnce.Do(func() {
 		expvar.Publish("saga", reg.ExpvarFunc())
 	})
 	var ts TraceSource
 	for _, t := range trace {
-		if t != nil {
+		if t != nil && t.Enabled() {
 			ts = t
 			break
 		}

@@ -6,9 +6,9 @@ import (
 	"strconv"
 )
 
-// Label puts pprof labels identifying a pipeline stage — batch/stage/ds/
-// alg/model — on the calling goroutine (goroutines it starts inherit
-// them) and returns the function that clears them again. CPU profiles
+// Label puts pprof labels identifying a pipeline stage — batch/stage and
+// the pipeline's ds/alg/model — on the calling goroutine (goroutines it
+// starts inherit them) and returns the function that clears them again. CPU profiles
 // captured from the telemetry endpoint's /debug/pprof/profile then
 // attribute samples to pipeline stages (`go tool pprof -tagfocus
 // stage=compute ...`), closing the gap between "the process was busy" and
@@ -18,18 +18,18 @@ import (
 // for building the label set:
 //
 //	if tr.PprofLabels() {
-//		defer tr.Label(seq, "update")()
+//		defer tr.Label(seq, "update", "adjshared", "pr", "inc")()
 //	}
-func (t *Tracer) Label(batchSeq uint64, stage string) (clear func()) {
+func (t *Tracer) Label(batchSeq uint64, stage, ds, alg, model string) (clear func()) {
 	if t == nil {
 		return func() {}
 	}
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels(
 		"batch", strconv.FormatUint(batchSeq, 10),
 		"stage", stage,
-		"ds", t.cfg.DS,
-		"alg", t.cfg.Alg,
-		"model", t.cfg.Model,
+		"ds", ds,
+		"alg", alg,
+		"model", model,
 	)))
 	return clearLabels
 }

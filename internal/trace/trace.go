@@ -1,15 +1,14 @@
-// Package trace encodes the pipeline's batch records as batch traces: one
-// span per completed stage attempt — validation, WAL append, update,
-// compute-view refresh, compute (with one child per worker range), epoch
-// publish, checkpoint — with the stage's own clock readings and typed
-// attributes (batch sequence, dirty fraction, triggered counts, ...).
-// internal/core builds each finished trace from its BatchRecord and hands
-// it to Record. Finished traces land in a lock-free flight-recorder ring
-// (ring.go) holding the last N batches, which is dumped as Chrome
-// trace-event JSON (chrome.go, Perfetto-loadable) on poison-batch
-// quarantine, on demand via the telemetry server's /trace endpoint, and at
-// process exit; a JSONL stream sink (jsonl.go) can additionally persist
-// every finished trace.
+// Package trace keeps the pipeline's batch traces: the telemetry
+// BatchEvent of each batch carrying one span per completed stage attempt —
+// validation, WAL append, update, compute-view refresh, compute (with one
+// child per worker range), epoch publish, checkpoint — with the stage's
+// own clock readings and typed attributes. internal/core builds each
+// finished event from its BatchRecord and hands it to Record. Finished
+// events land in a lock-free flight-recorder ring (ring.go) holding the
+// last N batches, which is dumped as Chrome trace-event JSON (chrome.go,
+// Perfetto-loadable) on poison-batch quarantine, on demand via the
+// telemetry server's /trace endpoint, and at process exit. The event log
+// (telemetry.EventSink) persists every event, spans included.
 //
 // The tracer is nil-safe: a nil *Tracer is a disabled tracer whose every
 // method no-ops without touching the clock or the heap.
@@ -27,29 +26,24 @@ import (
 	"io"
 	"os"
 	"sync/atomic"
+
+	"sagabench/internal/telemetry"
 )
 
-// Config selects the tracer's identity and outputs.
+// Config sizes the tracer's ring and switches its pprof labels.
 type Config struct {
-	// DS, Alg, Model identify the traced pipeline; they are stamped on
-	// every batch trace and become pprof label values.
-	DS    string
-	Alg   string
-	Model string
 	// Flight is the flight-recorder ring capacity in complete batch
 	// traces (default 16).
 	Flight int
-	// Spans, when non-nil, receives every finished batch trace as one
-	// JSONL line (see NewSink).
-	Spans *Sink
-	// PprofLabels propagates batch/stage/ds/alg pprof labels around the
-	// pipeline phases, so CPU profiles from the telemetry endpoint
+	// PprofLabels propagates batch/stage/ds/alg/model pprof labels around
+	// the pipeline stages, so CPU profiles from the telemetry endpoint
 	// attribute samples to pipeline stages.
 	PprofLabels bool
 }
 
-// Tracer owns the flight recorder and span sinks of one pipeline. A nil
-// *Tracer is a valid disabled tracer.
+// Tracer owns a flight recorder, which pipelines of any identity may
+// share: each event names its own. A nil *Tracer is a valid disabled
+// tracer.
 type Tracer struct {
 	cfg  Config
 	ring *FlightRecorder
@@ -89,20 +83,13 @@ func (t *Tracer) NextSeq() uint64 {
 	return t.seq.Add(1)
 }
 
-// Record stamps one finished batch trace with the tracer's pipeline
-// identity and publishes it to the flight recorder and the span sink. The
-// tracer keeps d: the caller must not mutate it afterwards.
-func (t *Tracer) Record(d *BatchDump) {
+// Record publishes one finished batch event to the flight recorder. The
+// tracer keeps ev: the caller must not mutate it afterwards.
+func (t *Tracer) Record(ev *telemetry.BatchEvent) {
 	if t == nil {
 		return
 	}
-	d.DS, d.Alg, d.Model = t.cfg.DS, t.cfg.Alg, t.cfg.Model
-	t.ring.add(d)
-	if t.cfg.Spans != nil {
-		// The sink's first error is sticky; a dead sink must not stall
-		// the pipeline.
-		_ = t.cfg.Spans.WriteDump(*d)
-	}
+	t.ring.add(ev)
 }
 
 // WriteTrace renders the flight-recorder ring as Chrome trace-event JSON
@@ -130,43 +117,4 @@ func (t *Tracer) DumpChromeFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Attr is one typed span or batch attribute. Exactly one of Int, Float,
-// Str is meaningful; constructors set the matching field and JSON keeps
-// whichever is non-zero.
-type Attr struct {
-	Key   string  `json:"k"`
-	Int   int64   `json:"i,omitempty"`
-	Float float64 `json:"f,omitempty"`
-	Str   string  `json:"s,omitempty"`
-}
-
-// Int, Float and Str build an attribute of each type.
-func Int(key string, v int64) Attr     { return Attr{Key: key, Int: v} }
-func Float(key string, v float64) Attr { return Attr{Key: key, Float: v} }
-func Str(key, v string) Attr           { return Attr{Key: key, Str: v} }
-
-// value renders the attribute for Chrome args.
-func (a Attr) value() any {
-	switch {
-	case a.Str != "":
-		return a.Str
-	case a.Float != 0:
-		return a.Float
-	default:
-		return a.Int
-	}
-}
-
-// SpanRecord is one completed span as stored in a batch trace. Times are
-// monotonic nanosecond offsets from the batch start.
-type SpanRecord struct {
-	ID      int32  `json:"id"`
-	Parent  int32  `json:"parent"` // -1 for phase (root-level) spans
-	Worker  int32  `json:"worker"` // -1 for coordinator spans
-	Stage   string `json:"stage"`
-	StartNS int64  `json:"start_ns"`
-	EndNS   int64  `json:"end_ns"`
-	Attrs   []Attr `json:"attrs,omitempty"`
 }

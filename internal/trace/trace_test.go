@@ -9,19 +9,22 @@ import (
 	"sync"
 	"testing"
 
+	"sagabench/internal/telemetry"
 	"sagabench/internal/trace"
 )
 
-// batch builds a finished batch trace: an update span, then a compute
-// span with one worker child per entry of workers.
-func batch(index int, workers ...int) trace.BatchDump {
-	d := trace.BatchDump{Index: index, DurNS: 10_000, Spans: []trace.SpanRecord{
-		{ID: 0, Parent: -1, Worker: -1, Stage: "update", StartNS: 0, EndNS: 1_000, Attrs: []trace.Attr{trace.Int("edges", 500)}},
-		{ID: 1, Parent: -1, Worker: -1, Stage: "compute", StartNS: 1_000, EndNS: 9_000, Attrs: []trace.Attr{trace.Int("iterations", 2)}},
-	}}
+// batch builds a finished batch event of a pr/inc pipeline on adjshared:
+// an update span, then a compute span with one worker child per entry of
+// workers.
+func batch(index int, workers ...int) telemetry.BatchEvent {
+	d := telemetry.BatchEvent{DS: "adjshared", Alg: "pr", Model: "inc", Batch: index, Applied: true,
+		DurNS: 10_000, Spans: []telemetry.SpanRecord{
+			{ID: 0, Parent: -1, Worker: -1, Stage: "update", StartNS: 0, EndNS: 1_000, Attrs: []telemetry.Attr{telemetry.Int("edges", 500)}},
+			{ID: 1, Parent: -1, Worker: -1, Stage: "compute", StartNS: 1_000, EndNS: 9_000, Attrs: []telemetry.Attr{telemetry.Int("iterations", 2)}},
+		}}
 	for _, w := range workers {
-		d.Spans = append(d.Spans, trace.SpanRecord{ID: int32(len(d.Spans)), Parent: 1, Worker: int32(w),
-			Stage: "inc.round", StartNS: 2_000, EndNS: 3_000, Attrs: []trace.Attr{trace.Int("vertices", int64(10*w))}})
+		d.Spans = append(d.Spans, telemetry.SpanRecord{ID: int32(len(d.Spans)), Parent: 1, Worker: int32(w),
+			Stage: "inc.round", StartNS: 2_000, EndNS: 3_000, Attrs: []telemetry.Attr{telemetry.Int("vertices", int64(10*w))}})
 	}
 	return d
 }
@@ -47,7 +50,7 @@ func TestNilTracerSafe(t *testing.T) {
 	if err := tr.WriteTrace(&bytes.Buffer{}); err == nil {
 		t.Fatal("nil tracer WriteTrace must error")
 	}
-	tr.Label(1, "update")() // must not touch the goroutine's labels, nor panic
+	tr.Label(1, "update", "adjshared", "pr", "inc")() // must not touch the goroutine's labels, nor panic
 }
 
 // TestLabelSetsAndClears checks the stage labels land on the calling
@@ -61,8 +64,8 @@ func TestLabelSetsAndClears(t *testing.T) {
 		}
 		return strings.Contains(buf.String(), `"stage":"compute"`) && strings.Contains(buf.String(), `"batch":"7"`)
 	}
-	tr := trace.New(trace.Config{DS: "adjshared", Alg: "pr", Model: "inc", PprofLabels: true})
-	clear := tr.Label(7, "compute")
+	tr := trace.New(trace.Config{PprofLabels: true})
+	clear := tr.Label(7, "compute", "adjshared", "pr", "inc")
 	if !labeled() {
 		t.Fatal("stage labels not on the goroutine after Label")
 	}
@@ -88,72 +91,77 @@ func TestDisabledTracerZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchTraceRoundTrip records a realistic batch trace, streams it
-// through the JSONL sink, decodes it back, and checks the tracer's
-// identity stamp, structure and attributes survive.
-func TestBatchTraceRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	sink := trace.NewSink(&buf)
-	tr := trace.New(trace.Config{DS: "adjshared", Alg: "pr", Model: "inc", Flight: 4, Spans: sink})
+// chromeDoc is the part of a Chrome trace-event document the tests read.
+type chromeDoc struct {
+	TraceEvents []struct {
+		Name string         `json:"name"`
+		Cat  string         `json:"cat"`
+		Ph   string         `json:"ph"`
+		TS   float64        `json:"ts"`
+		PID  int            `json:"pid"`
+		TID  int            `json:"tid"`
+		Dur  float64        `json:"dur"`
+		Args map[string]any `json:"args"`
+	} `json:"traceEvents"`
+	DisplayTimeUnit string `json:"displayTimeUnit"`
+}
 
+// TestBatchTraceRoundTrip records a realistic batch event, renders the
+// ring as Chrome JSON, decodes it back, and checks the event's identity,
+// typed fields and span tree survive: the batch's args are its event
+// fields, each span an event parented under its stage.
+func TestBatchTraceRoundTrip(t *testing.T) {
+	tr := trace.New(trace.Config{Flight: 4})
 	d := batch(3, 0, 1, 2)
 	d.Seq = tr.NextSeq()
-	d.Attrs = []trace.Attr{trace.Float("straggler", 1.5)}
+	d.Edges, d.WorkersUsed, d.Straggler, d.WALSeq = 500, 3, 1.5, 7
 	tr.Record(&d)
 
-	if err := sink.Flush(); err != nil {
+	var buf bytes.Buffer
+	if err := tr.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dumps, err := trace.ReadDumps(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	var doc chromeDoc
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(dumps) != 1 {
-		t.Fatalf("decoded %d dumps, want 1", len(dumps))
-	}
-	d = dumps[0]
-	if d.Seq != 1 || d.Index != 3 || d.DS != "adjshared" || d.Alg != "pr" || d.Model != "inc" {
-		t.Fatalf("dump header %+v", d)
-	}
-	if d.DurNS <= 0 {
-		t.Fatalf("dur_ns %d, want > 0", d.DurNS)
-	}
-	if len(d.Spans) != 5 {
-		t.Fatalf("got %d spans, want 5 (update, compute, 3 workers)", len(d.Spans))
-	}
-	byStage := map[string][]trace.SpanRecord{}
-	for _, s := range d.Spans {
-		byStage[s.Stage] = append(byStage[s.Stage], s)
-		if s.EndNS < s.StartNS {
-			t.Fatalf("span %q ends before it starts: %+v", s.Stage, s)
+	var batchArgs map[string]any
+	byStage := map[string][]map[string]any{}
+	for _, ev := range doc.TraceEvents {
+		switch {
+		case ev.Cat == "batch":
+			if batchArgs != nil {
+				t.Fatal("two batch events for one recorded batch")
+			}
+			if ev.Name != "batch 3" || ev.Dur != 10 {
+				t.Fatalf("batch event %q lasting %v µs, want batch 3 lasting 10", ev.Name, ev.Dur)
+			}
+			batchArgs = ev.Args
+		case ev.Cat == "span":
+			byStage[ev.Name] = append(byStage[ev.Name], ev.Args)
 		}
 	}
-	compute := byStage["compute"]
-	if len(compute) != 1 || compute[0].Parent != -1 || compute[0].Worker != -1 {
-		t.Fatalf("compute span %+v", compute)
+	for key, want := range map[string]any{"seq": 1.0, "batch": 3.0, "ds": "adjshared", "alg": "pr", "model": "inc",
+		"applied": true, "edges": 500.0, "straggler": 1.5, "wal_seq": 7.0} {
+		if batchArgs[key] != want {
+			t.Fatalf("batch arg %q = %v, want %v (args %v)", key, batchArgs[key], want, batchArgs)
+		}
+	}
+	if _, ok := batchArgs["spans"]; ok {
+		t.Fatal("batch args repeat the spans")
+	}
+	if len(byStage["update"]) != 1 || len(byStage["compute"]) != 1 {
+		t.Fatalf("stage spans %v", byStage)
 	}
 	workers := byStage["inc.round"]
 	if len(workers) != 3 {
 		t.Fatalf("got %d worker spans, want 3", len(workers))
 	}
-	seen := map[int32]bool{}
-	for _, s := range workers {
-		if s.Parent != compute[0].ID {
-			t.Fatalf("worker span parent %d, want compute id %d", s.Parent, compute[0].ID)
+	computeID := byStage["compute"][0]["span"]
+	for _, a := range workers {
+		if a["parent"] != computeID {
+			t.Fatalf("worker span parent %v, want compute id %v", a["parent"], computeID)
 		}
-		seen[s.Worker] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("worker slots %v, want 3 distinct", seen)
-	}
-	var straggler float64
-	for _, a := range d.Attrs {
-		if a.Key == "straggler" {
-			straggler = a.Float
-		}
-	}
-	if straggler != 1.5 {
-		t.Fatalf("straggler attr %v, want 1.5", straggler)
 	}
 }
 
@@ -162,7 +170,7 @@ func TestBatchTraceRoundTrip(t *testing.T) {
 func TestFlightRecorderEviction(t *testing.T) {
 	tr := trace.New(trace.Config{Flight: 4})
 	for i := 0; i < 10; i++ {
-		tr.Record(&trace.BatchDump{Seq: tr.NextSeq(), Index: i})
+		tr.Record(&telemetry.BatchEvent{Seq: tr.NextSeq(), Batch: i})
 	}
 	ring := tr.Flight()
 	if ring.Cap() != 4 || ring.Recorded() != 10 {
@@ -230,25 +238,16 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 // with per-worker tracks and thread-name metadata — the Perfetto loading
 // contract.
 func TestWriteChrome(t *testing.T) {
-	tr := trace.New(trace.Config{DS: "dah", Alg: "bfs", Model: "fs", Flight: 2})
+	tr := trace.New(trace.Config{Flight: 2})
 	d := batch(0, 0, 1)
+	d.DS, d.Alg, d.Model = "dah", "bfs", "fs"
 	tr.Record(&d)
 
 	var buf bytes.Buffer
 	if err := tr.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			PID  int            `json:"pid"`
-			TID  int            `json:"tid"`
-			Dur  float64        `json:"dur"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
+	var doc chromeDoc
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("exporter emitted invalid JSON: %v", err)
 	}
@@ -268,7 +267,7 @@ func TestWriteChrome(t *testing.T) {
 			tids[ev.TID] = true
 			if strings.HasPrefix(ev.Name, "batch ") {
 				batches++
-				if ev.Args["ds"] != "dah" || ev.Args["alg"] != "bfs" {
+				if ev.Args["ds"] != "dah" || ev.Args["alg"] != "bfs" || ev.Args["model"] != "fs" {
 					t.Fatalf("batch args %v", ev.Args)
 				}
 			} else {
