@@ -1,6 +1,7 @@
 package archsim
 
 import (
+	"sagabench/internal/ds"
 	"sagabench/internal/ds/hybrid"
 	"sagabench/internal/graph"
 )
@@ -11,7 +12,7 @@ import (
 // pooled array (contiguous scan); high-degree vertices add a per-vertex
 // Robin Hood index from destination to array position, so hub inserts
 // touch one index slot plus the array tail instead of scanning. Growth is
-// the real store's own — array capacities from hybrid.CapFor, index
+// the real store's own — array capacities from ds.CapFor, index
 // tables from hybrid.IndexSlotsFor, the inline tier hybrid.InlineSlots
 // wide — so the crossvalidate test can compare capacities slot for slot.
 // Replay is insert-only, which on the real store means pools never have
@@ -85,7 +86,7 @@ func (s *shadowHybrid) idxAddr(v graph.NodeID, dst graph.NodeID) uint64 {
 // growArr mirrors appendGrow: swap to the next size class, copying every
 // entry.
 func (s *shadowHybrid) growArr(m *Machine, thread int, v graph.NodeID) {
-	newCap := hybrid.CapFor(s.arrCap[v] + 1)
+	newCap := ds.CapFor(s.arrCap[v] + 1)
 	newBase := s.alloc.alloc(uint64(newCap) * adjSlotBytes)
 	for i := range s.neigh[v] {
 		m.Access(thread, s.arrAddr(v, i), false, 1)
@@ -107,7 +108,7 @@ func (s *shadowHybrid) growIdx(m *Machine, thread int, v graph.NodeID) {
 
 // promoteToArray moves the inline run into a fresh pooled array.
 func (s *shadowHybrid) promoteToArray(m *Machine, thread int, v graph.NodeID, need int) {
-	s.arrCap[v] = hybrid.CapFor(need)
+	s.arrCap[v] = ds.CapFor(need)
 	s.arrBase[v] = s.alloc.alloc(uint64(s.arrCap[v]) * adjSlotBytes)
 	for i := range s.neigh[v] {
 		m.Access(thread, s.inlineAddr(v, i), false, 1)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"sagabench/internal/ds"
 	"sagabench/internal/graph"
 )
 
@@ -56,26 +57,26 @@ func TestIdxSlotSize(t *testing.T) {
 }
 
 // TestSizeClasses checks the array size classes for every n ≤ 2^22:
-// CapFor(n) fits n, never falls as n grows, is a class that classOf
+// ds.CapFor(n) fits n, never falls as n grows, is a class that classOf
 // numbers and classCap maps back, and each class is at most 1.25× the
 // one before it.
 func TestSizeClasses(t *testing.T) {
 	prev, prevCls := 0, -1
 	for n := 0; n <= 1<<22; n++ {
-		c := CapFor(n)
+		c := ds.CapFor(n)
 		if c < n || c < prev {
-			t.Fatalf("CapFor(%d) = %d (CapFor(%d) = %d)", n, c, n-1, prev)
+			t.Fatalf("ds.CapFor(%d) = %d (ds.CapFor(%d) = %d)", n, c, n-1, prev)
 		}
 		if c == prev {
 			continue
 		}
 		cls := classOf(c)
 		if cls < 0 || classCap(cls) != c {
-			t.Fatalf("CapFor(%d) = %d: classOf %d, whose capacity is %d", n, c, cls, classCap(cls))
+			t.Fatalf("ds.CapFor(%d) = %d: classOf %d, whose capacity is %d", n, c, cls, classCap(cls))
 		}
 		if prevCls >= 0 {
 			if cls != prevCls+1 {
-				t.Fatalf("CapFor(%d) = %d is class %d, the class before was %d", n, c, cls, prevCls)
+				t.Fatalf("ds.CapFor(%d) = %d is class %d, the class before was %d", n, c, cls, prevCls)
 			}
 			if 4*c > 5*prev {
 				t.Fatalf("class %d (%d) is more than 1.25× class %d (%d)", cls, c, prevCls, prev)

@@ -14,7 +14,7 @@ import (
 func classBoundaries(lo, hi int) []int {
 	var bs []int
 	for d := lo; d <= hi; d++ {
-		if CapFor(d+1) != CapFor(d) || IndexSlotsFor(d+1) != IndexSlotsFor(d) {
+		if ds.CapFor(d+1) != ds.CapFor(d) || IndexSlotsFor(d+1) != IndexSlotsFor(d) {
 			bs = append(bs, d)
 		}
 	}
@@ -64,8 +64,8 @@ func TestShrinkHysteresis(t *testing.T) {
 			t.Fatalf("degree %d↔%d: the layout changed %d times in 100 rounds", b, b+1, copies)
 		}
 		deg := s.Degree(hub)
-		if a := int(s.verts[hub].acap); classOf(a) > classOf(CapFor(deg))+1 {
-			t.Fatalf("degree %d: array of %d, more than one class above %d", deg, a, CapFor(deg))
+		if a := int(s.verts[hub].acap); classOf(a) > classOf(ds.CapFor(deg))+1 {
+			t.Fatalf("degree %d: array of %d, more than one class above %d", deg, a, ds.CapFor(deg))
 		}
 		if idx := s.verts[hub].idx; idx != nil && classOf(len(idx.slots)) > classOf(IndexSlotsFor(deg))+idxClassStep {
 			t.Fatalf("degree %d: table of %d slots, more than one table class above %d", deg, len(idx.slots), IndexSlotsFor(deg))
