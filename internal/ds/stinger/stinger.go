@@ -244,7 +244,12 @@ func (s *store) insert(v, dst graph.NodeID, w graph.Weight) (scans uint64, inser
 
 // Degree implements ds.OneDir via the header's degree counter — the
 // degree-query path Fig 4 shows in the vertex array.
-func (s *store) Degree(v graph.NodeID) int { return int(s.heads[v].degree.Load()) }
+func (s *store) Degree(v graph.NodeID) int {
+	if int(v) >= len(s.heads) {
+		return 0
+	}
+	return int(s.heads[v].degree.Load())
+}
 
 // NumEdges implements ds.OneDir.
 func (s *store) NumEdges() int { return int(s.numEdges.Load()) }

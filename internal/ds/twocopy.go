@@ -19,7 +19,8 @@ type OneDir interface {
 	// UpdateEdges concurrently ingests the records using the store's own
 	// multithreading style. Every edge's endpoints are < NumNodes().
 	UpdateEdges(edges []graph.Edge)
-	// Degree reports the distinct neighbor count of v (v < NumNodes()).
+	// Degree reports the distinct neighbor count of v, 0 for v ≥
+	// NumNodes().
 	Degree(v graph.NodeID) int
 	// NumEdges reports the distinct records stored.
 	NumEdges() int
@@ -105,22 +106,12 @@ func (t *TwoCopy) NumNodes() int { return t.out.NumNodes() }
 // NumEdges implements Graph.
 func (t *TwoCopy) NumEdges() int { return t.out.NumEdges() }
 
-// OutDegree implements Graph.
-func (t *TwoCopy) OutDegree(v graph.NodeID) int {
-	if int(v) >= t.out.NumNodes() {
-		return 0
-	}
-	return t.out.Degree(v)
-}
+// OutDegree implements Graph: one call into the store, whose Degree
+// answers 0 past its vertex space.
+func (t *TwoCopy) OutDegree(v graph.NodeID) int { return t.out.Degree(v) }
 
-// InDegree implements Graph.
-func (t *TwoCopy) InDegree(v graph.NodeID) int {
-	st := t.InStore()
-	if int(v) >= st.NumNodes() {
-		return 0
-	}
-	return st.Degree(v)
-}
+// InDegree implements Graph, as OutDegree.
+func (t *TwoCopy) InDegree(v graph.NodeID) int { return t.InStore().Degree(v) }
 
 // OutNeigh implements Graph.
 func (t *TwoCopy) OutNeigh(v graph.NodeID, buf []graph.Neighbor) []graph.Neighbor {

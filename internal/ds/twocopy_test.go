@@ -32,7 +32,12 @@ func (f *fakeStore) UpdateEdges(edges []graph.Edge) {
 
 func (f *fakeStore) TakeProfile(into *UpdateProfile) { f.prof.MoveTo(into) }
 
-func (f *fakeStore) Degree(v graph.NodeID) int { return len(f.adj[v]) }
+func (f *fakeStore) Degree(v graph.NodeID) int {
+	if int(v) >= len(f.adj) {
+		return 0
+	}
+	return len(f.adj[v])
+}
 
 func (f *fakeStore) NumEdges() int {
 	n := 0
