@@ -17,4 +17,4 @@ func (s *store) FlatFill(v graph.NodeID, dst []graph.Neighbor) int {
 	return copy(dst, s.adj[v])
 }
 
-var _ ds.RunFlattener = (*store)(nil)
+var _ ds.RewriteReporter = (*store)(nil)

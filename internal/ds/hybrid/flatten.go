@@ -25,6 +25,6 @@ func (s *store) FlatFill(v graph.NodeID, dst []graph.Neighbor) int {
 }
 
 var (
-	_ ds.RunFlattener = (*store)(nil)
-	_ ds.Footprinter  = (*store)(nil)
+	_ ds.RewriteReporter = (*store)(nil)
+	_ ds.Footprinter     = (*store)(nil)
 )
