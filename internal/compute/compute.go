@@ -105,10 +105,15 @@ type Engine interface {
 	// the last PerformAlg call). The slice is the engine's, valid until
 	// the next Values call.
 	Values() []float64
-	// ValuesInto is Values written into dst's storage (grown as needed)
+	// ValuesSince is Values written into dst's storage (grown as needed)
 	// and owned by the caller: one copy where retaining Values costs two,
-	// and the engine keeps no copy of its own.
-	ValuesInto(dst []float64) []float64
+	// and the engine keeps no copy of its own. of is the phase whose
+	// values dst already holds — a number an earlier call returned, 0 for
+	// none. An INC engine records the vertices each phase changed, and
+	// writes only those of the last two phases into a dst that is at most
+	// two phases behind; any other dst gets every value. It returns dst,
+	// the number of the phase it now holds, and how many slots it wrote.
+	ValuesSince(dst []float64, of uint64) ([]float64, uint64, int)
 	// Stats reports counters from the most recent PerformAlg call.
 	Stats() Stats
 	// HandlesDeletions reports whether the engine stays correct when

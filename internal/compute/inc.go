@@ -1,6 +1,8 @@
 package compute
 
 import (
+	"math"
+
 	"sagabench/internal/ds"
 	"sagabench/internal/graph"
 )
@@ -38,6 +40,7 @@ type incEngine struct {
 func newIncEngine(s spec, opts Options) *incEngine {
 	e := &incEngine{}
 	e.init(s, opts, INC)
+	e.track = true
 	return e
 }
 
@@ -60,10 +63,11 @@ func (e *incEngine) PerformAlg(g ds.Graph, affected []graph.NodeID) {
 		e.vals = append(e.vals, 0)
 		e.vals.put(v, e.spec.initValue(graph.NodeID(v), n))
 	}
-	if e.spec.hasSource && int(e.opts.Source) < n {
-		e.vals.put(int(e.opts.Source), e.spec.sourceValue)
-	}
 	e.begin(g)
+	if src := e.opts.Source; e.spec.hasSource && int(src) < n && math.Float64bits(e.vals.get(int(src))) != math.Float64bits(e.spec.sourceValue) {
+		e.vals.put(int(src), e.spec.sourceValue)
+		e.note(src, true)
+	}
 	e.eps = e.spec.epsilon(e.opts, n)
 
 	// For globalN algorithms (PageRank) |V| is an input to every vertex's

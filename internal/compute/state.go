@@ -61,6 +61,8 @@ func (e *fsEngine) ExportState() State {
 func (e *fsEngine) RestoreState(s State) { e.restore(s.Values) }
 
 // restore replaces the property array and drops a failed phase's stats.
+// No vector of an earlier phase can be brought up to date from the
+// changed-vertex record any more.
 func (r *rounds) restore(vs []float64) {
 	r.vals = r.vals[:0]
 	for i, f := range vs {
@@ -68,4 +70,5 @@ func (r *rounds) restore(vs []float64) {
 		r.vals.put(i, f)
 	}
 	r.stats = Stats{}
+	r.oldest = r.gen + 1
 }

@@ -119,7 +119,9 @@ func (e *incEngine) NotifyDeletions(g ds.Graph, dels graph.Batch) {
 	wk.ctx.bind(nil, nil) // do not pin the graph until the next phase
 	// Reset the cone and queue it, ascending, for the next compute phase.
 	e.pendingInvalid = cone.drain(e.pendingInvalid)
+	e.changed = e.changed.sized(n)
 	for _, v := range e.pendingInvalid {
 		e.vals.set(int(v), e.spec.initValue(v, n))
+		e.note(v, true)
 	}
 }

@@ -77,12 +77,14 @@ type BatchRecord struct {
 	// retried attempts); its ChunkLoads alias pipeline scratch, and
 	// Compute's Ranges and WorkerBusyNS engine scratch, until the next
 	// batch. Epoch and EpochEdges are the published snapshot's number and
-	// edge count.
-	DS         ds.UpdateProfile
-	View       ds.RefreshStats
-	Compute    compute.Stats
-	Epoch      uint64
-	EpochEdges int
+	// edge count, EpochValues how many slots of its property vector the
+	// publish wrote (all of them, or the ones the last two phases changed).
+	DS          ds.UpdateProfile
+	View        ds.RefreshStats
+	Compute     compute.Stats
+	Epoch       uint64
+	EpochEdges  int
+	EpochValues int
 	// WALSeq is the sequence number the batch was logged under (0: no
 	// durability, rejected by validation, or applied unlogged with
 	// durability degraded), WALBytes and WALFsync the size of its record
@@ -332,7 +334,7 @@ func (p *Pipeline) viewStage() {
 	// under a reader.
 	if p.em != nil && p.em.ReclaimSpare() {
 		p.view.DropSpares()
-		p.spareVals = nil
+		p.spareVals, p.spareGen = nil, 0
 	}
 	p.batch.View = p.view.Refresh(p.in.Adds, p.in.Dels)
 }
@@ -347,12 +349,16 @@ func (p *Pipeline) computeStage() {
 // extra topology work. What the mirror writes again two batches from now
 // (its spare index buffer, and the arena only that index reaches) is gated
 // by ReclaimSpare in viewStage, and the property vector rides the same
-// gate: the copy goes into the vector of the snapshot ReclaimSpare just
+// gate: the values go into the vector of the snapshot ReclaimSpare just
 // reported drained, and a fresh one is allocated only when that snapshot
-// is still pinned. The vector is copied once, straight out of the
-// engine's array, which the next batch mutates in place.
+// is still pinned. That vector is two publishes old, and an INC engine
+// brings it up to date by writing only the vertices its last two phases
+// changed, as the view catches its spare index up by replaying the
+// previous dirty list; spareGen and latestGen name the phase each vector
+// holds, so a vector further behind, a fresh one, or one of a rebuilt
+// engine gets every value, as the FS engines' always do.
 func (p *Pipeline) publishStage() {
-	vals := p.engine.ValuesInto(p.spareVals)
+	vals, gen, written := p.engine.ValuesSince(p.spareVals, p.spareGen)
 	s := &epoch.Snapshot{
 		Batch:    p.batchIdx,
 		Wall:     time.Now(),
@@ -360,8 +366,9 @@ func (p *Pipeline) publishStage() {
 		Values:   vals,
 		Directed: p.pcfg.Directed,
 	}
-	p.batch.Epoch, p.batch.EpochEdges = p.em.Publish(s), s.NumEdges()
+	p.batch.Epoch, p.batch.EpochEdges, p.batch.EpochValues = p.em.Publish(s), s.NumEdges(), written
 	p.spareVals, p.latestVals = p.latestVals, vals
+	p.spareGen, p.latestGen = p.latestGen, gen
 }
 
 // applyRetry runs the apply, on a durable pipeline with panic capture and

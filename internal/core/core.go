@@ -103,8 +103,10 @@ type Pipeline struct {
 	// The two property vectors publication rotates through: latestVals
 	// belongs to the latest snapshot, spareVals to the one it superseded
 	// and is what the next publish overwrites — nil once ReclaimSpare
-	// reports that snapshot still pinned (viewStage).
+	// reports that snapshot still pinned (viewStage). latestGen and
+	// spareGen are the engine phases whose values they hold (0: none).
 	latestVals, spareVals []float64
+	latestGen, spareGen   uint64
 
 	affected     []graph.NodeID
 	affectedMark []uint8

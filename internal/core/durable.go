@@ -114,7 +114,7 @@ func (p *Pipeline) resetComponents() error {
 		// stop gating on the spare. They stay pinned and intact, their
 		// arrays and property vectors the GC's now.
 		p.em.ForgetSpare()
-		p.latestVals, p.spareVals = nil, nil
+		p.latestVals, p.spareVals, p.latestGen, p.spareGen = nil, nil, 0, 0
 	}
 	return nil
 }
