@@ -73,6 +73,15 @@ func (f frontier) markRun(run []graph.Neighbor, plain bool) {
 	}
 }
 
+// count reports how many vertices are marked.
+func (f frontier) count() int {
+	n := 0
+	for _, w := range f {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // drain moves the set into dst (reused), ascending, and leaves f empty.
 func (f frontier) drain(dst []graph.NodeID) []graph.NodeID {
 	dst = dst[:0]
