@@ -34,7 +34,7 @@ func audited() {
 
 // A suffix allow comment covers only its own line, never the next one.
 func auditedSuffixNarrow() {
-	_ = 0 // saga:allow paniccapture -- suffix comment; must not leak downward.
+	_ = 0     // saga:allow paniccapture -- suffix comment; must not leak downward.
 	go work() // want `goroutine launches a named function`
 }
 

@@ -115,11 +115,11 @@ func TestParseReproRejectsGarbage(t *testing.T) {
 	for _, in := range []string{
 		"",
 		"not a repro\n",
-		"sagafuzz repro v1\n", // no ds
-		"sagafuzz repro v1\nds dah\nadd 1 2 3\n",      // add before batch
-		"sagafuzz repro v1\nds dah\nbatch\nadd 1 2\n", // short edge
-		"sagafuzz repro v1\nds dah\nbatch\nwat 1 2\n", // unknown directive
-		"sagafuzz repro v1\nds dah\nmodel warp\n",     // bad model
+		"sagafuzz repro v1\n",                    // no ds
+		"sagafuzz repro v1\nds dah\nadd 1 2 3\n", // add before batch
+		"sagafuzz repro v1\nds dah\nbatch\nadd 1 2\n",          // short edge
+		"sagafuzz repro v1\nds dah\nbatch\nwat 1 2\n",          // unknown directive
+		"sagafuzz repro v1\nds dah\nmodel warp\n",              // bad model
 		"sagafuzz repro v1\nds dah\nbatch\nbatch\nthreads 2\n", // config after stream
 	} {
 		if _, err := ParseRepro(strings.NewReader(in)); err == nil {

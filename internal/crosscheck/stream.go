@@ -91,12 +91,12 @@ func (c StreamConfig) withDefaults() StreamConfig {
 // the shapes that historically break concurrent structures (duplicates,
 // re-inserts, empty batches, hot spots).
 const (
-	flavorUniform   = iota // uniform random endpoints
-	flavorHub              // one vertex on most edges (hot spot)
-	flavorDupHeavy         // tiny endpoint universe: many same-batch duplicates
-	flavorReinsert         // resample live edges with fresh weights
-	flavorEmpty            // empty batch (must be a no-op)
-	flavorSkewed           // zipf-ish skewed endpoints
+	flavorUniform  = iota // uniform random endpoints
+	flavorHub             // one vertex on most edges (hot spot)
+	flavorDupHeavy        // tiny endpoint universe: many same-batch duplicates
+	flavorReinsert        // resample live edges with fresh weights
+	flavorEmpty           // empty batch (must be a no-op)
+	flavorSkewed          // zipf-ish skewed endpoints
 	numFlavors
 )
 
