@@ -15,13 +15,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 
 	"sagabench/internal/compute"
@@ -79,6 +79,13 @@ func main() {
 	)
 	flag.Parse()
 
+	// SIGINT/SIGTERM cancel ctx: every stream loop stops at the next batch
+	// boundary. A durable run then flushes the WAL and writes a final
+	// checkpoint on Close; a measurement run closes its outputs and exits
+	// 130.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+
 	sched, err := fault.ParseSchedule(*faultSpec, *seed)
 	if err != nil {
 		fatal(err)
@@ -132,7 +139,7 @@ func main() {
 	// With -serve-queries, each measured pipeline gets a concurrent reader
 	// fleet pinned to its published epochs; the per-run stats accumulate
 	// for the summary line after the latency table.
-	var qstats []core.QueryLoadStats
+	var qstats core.QueryLoadStats
 	var onPipeline func(*core.Pipeline) func()
 	if *serveQ {
 		onPipeline = func(p *core.Pipeline) func() {
@@ -140,24 +147,20 @@ func main() {
 			if qerr != nil {
 				fatal(qerr)
 			}
-			return func() { qstats = append(qstats, ql.Stop()) }
+			return func() { qstats.Add(ql.Stop()) }
 		}
 	}
-	var onBatch func(b int, edges graph.Batch, p *core.Pipeline, lat core.BatchLatency)
+	var onBatch func(core.MixedBatch, *core.BatchRecord)
 	if *verbose {
-		onBatch = func(b int, edges graph.Batch, p *core.Pipeline, lat core.BatchLatency) {
+		// The index is the record's, which the event log carries too.
+		onBatch = func(_ core.MixedBatch, r *core.BatchRecord) {
+			lat := r.Latency()
 			fmt.Printf("batch %4d: edges=%6d nodes=%8d update=%-12s compute=%-12s total=%s\n",
-				b, len(edges), p.Graph().NumNodes(), lat.Update, lat.Compute, lat.Total())
+				r.Index, r.Adds, r.Nodes, lat.Update, lat.Compute, lat.Total())
 		}
 	}
 
-	// SIGINT/SIGTERM initiate a graceful shutdown: the durable stream loop
-	// stops between batches (flushing the WAL and writing a final
-	// checkpoint on Close); a measurement run closes its outputs before
-	// exiting.
 	out := &outputs{rec: rec, events: *events, tracer: tracer, traceOut: *traceOut}
-	sigC := make(chan os.Signal, 1)
-	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
 
 	var res *core.RunResult
 	var healthRep *core.HealthReport
@@ -204,20 +207,12 @@ func main() {
 			dcfg.IO = sched
 		}
 		if *maxQueue > 0 {
-			healthRep, err = runSupervised(pc, dcfg, edges, batchSize, *maxQueue, *shed, onPipeline, sigC)
+			healthRep, err = runSupervised(ctx, pc, dcfg, edges, batchSize, *maxQueue, *shed, onPipeline)
 		} else {
-			res, healthRep, err = runDurable(pc, dcfg, edges, batchSize, *repeats, onBatch, onPipeline, sigC)
+			res, healthRep, err = runDurable(ctx, pc, dcfg, edges, batchSize, *repeats, onBatch, onPipeline)
 		}
 	} else {
-		go func() {
-			<-sigC
-			fmt.Fprintln(os.Stderr, "saga: interrupted, closing outputs")
-			if err := out.close(); err != nil {
-				fmt.Fprintln(os.Stderr, "saga:", err)
-			}
-			os.Exit(130)
-		}()
-		res, err = core.RunStream(core.StreamConfig{
+		res, err = core.Run(ctx, core.RunConfig{
 			PipelineConfig: pc,
 			Edges:          edges,
 			BatchSize:      batchSize,
@@ -228,9 +223,19 @@ func main() {
 	}
 	if err != nil {
 		// A dying durable run still owes its health report (and the
-		// -health-out artifact) before the error exit.
+		// -health-out artifact), and every run its outputs. An interrupted
+		// measurement run stopped at a batch boundary, so every batch -v
+		// printed is in the event log.
 		emitHealth(healthRep, *healthOut)
-		fatal(err)
+		code := 1
+		if errors.Is(err, ctx.Err()) {
+			code, err = 130, errors.New("interrupted, closed outputs")
+		}
+		if cerr := out.close(); cerr != nil {
+			fmt.Fprintln(os.Stderr, "saga:", cerr)
+		}
+		fmt.Fprintln(os.Stderr, "saga:", err)
+		os.Exit(code)
 	}
 
 	if res != nil {
@@ -261,28 +266,15 @@ func main() {
 			100*share[0], 100*share[1], 100*share[2])
 	}
 
+	violated := false
 	if *serveQ {
-		var agg core.QueryLoadStats
-		for _, s := range qstats {
-			agg.Queries += s.Queries
-			agg.Sessions += s.Sessions
-			agg.Misses += s.Misses
-			agg.Violations += s.Violations
-			if s.MaxStaleness > agg.MaxStaleness {
-				agg.MaxStaleness = s.MaxStaleness
-			}
-			if agg.FirstViolation == "" {
-				agg.FirstViolation = s.FirstViolation
-			}
-			agg.Elapsed += s.Elapsed
-		}
 		fmt.Printf("queries: readers=%d served=%d (%.0f/s) sessions=%d misses=%d max-staleness=%d batches [%s]\n",
-			*qReaders, agg.Queries, agg.QPS(), agg.Sessions, agg.Misses, agg.MaxStaleness,
+			*qReaders, qstats.Queries, qstats.QPS(), qstats.Sessions, qstats.Misses, qstats.MaxStaleness,
 			compute.ValueLabel(*alg))
-		if agg.Violations > 0 {
+		if qstats.Violations > 0 {
 			fmt.Fprintf(os.Stderr, "saga: %d query consistency violations, first: %s\n",
-				agg.Violations, agg.FirstViolation)
-			os.Exit(1)
+				qstats.Violations, qstats.FirstViolation)
+			violated = true
 		}
 	}
 
@@ -292,17 +284,20 @@ func main() {
 	if *metricsDump {
 		rec.Registry().WritePrometheus(os.Stdout)
 	}
-	if code := emitHealth(healthRep, *healthOut); code != 0 {
+	code := emitHealth(healthRep, *healthOut)
+	if violated {
+		code = 1
+	}
+	if code != 0 {
 		os.Exit(code)
 	}
 }
 
 // outputs are the files a run buffers until it ends: the event log and
-// the flight-recorder dump. close writes and closes both, once — on a
-// normal exit and on an interrupt alike — and reports every error it met.
+// the flight-recorder dump. close writes and closes both — on a normal
+// exit, an error exit and an interrupt alike, always after the stream
+// stopped — and reports every error it met.
 type outputs struct {
-	once     sync.Once
-	err      error
 	rec      *telemetry.Recorder
 	events   string
 	tracer   *trace.Tracer
@@ -310,26 +305,20 @@ type outputs struct {
 }
 
 func (o *outputs) close() error {
-	o.once.Do(func() {
-		var errs []error
-		if o.traceOut != "" {
-			if err := o.tracer.DumpChromeFile(o.traceOut); err != nil {
-				errs = append(errs, err)
-			} else {
-				fmt.Fprintf(os.Stderr, "saga: wrote flight-recorder trace to %s (load at ui.perfetto.dev)\n", o.traceOut)
-			}
-		}
-		// The event log closes last: on an interrupt the stream keeps
-		// running until the process exits, and every batch it finishes
-		// before then belongs in the log.
-		if err := o.rec.Close(); err != nil {
+	var errs []error
+	if o.traceOut != "" {
+		if err := o.tracer.DumpChromeFile(o.traceOut); err != nil {
 			errs = append(errs, err)
-		} else if o.events != "" {
-			fmt.Fprintf(os.Stderr, "saga: wrote batch events to %s\n", o.events)
+		} else {
+			fmt.Fprintf(os.Stderr, "saga: wrote flight-recorder trace to %s (load at ui.perfetto.dev)\n", o.traceOut)
 		}
-		o.err = errors.Join(errs...)
-	})
-	return o.err
+	}
+	if err := o.rec.Close(); err != nil {
+		errs = append(errs, err)
+	} else if o.events != "" {
+		fmt.Fprintf(os.Stderr, "saga: wrote batch events to %s\n", o.events)
+	}
+	return errors.Join(errs...)
 }
 
 // emitHealth writes the durable run's health report — to -health-out
@@ -361,13 +350,13 @@ func emitHealth(rep *core.HealthReport, path string) int {
 
 // runDurable streams the batches through a durable pipeline, resuming
 // past whatever the durability directory already covers. Repeats make no
-// sense against persistent state, so the stream runs exactly once. The
-// returned health report reflects the whole run including Close; it is
-// non-nil whenever the pipeline carried a health machine (any explicit
-// -degrade-policy).
-func runDurable(pc core.PipelineConfig, dcfg durable.Config, edges []graph.Edge, batchSize, repeats int,
-	onBatch func(int, graph.Batch, *core.Pipeline, core.BatchLatency),
-	onPipeline func(*core.Pipeline) func(), sigC chan os.Signal) (*core.RunResult, *core.HealthReport, error) {
+// sense against persistent state, so the stream runs exactly once; with
+// nothing left to stream the result is nil. The returned health report
+// reflects the whole run including Close; it is non-nil whenever the
+// pipeline carried a health machine (any explicit -degrade-policy).
+func runDurable(ctx context.Context, pc core.PipelineConfig, dcfg durable.Config, edges []graph.Edge, batchSize, repeats int,
+	onBatch func(core.MixedBatch, *core.BatchRecord),
+	onPipeline func(*core.Pipeline) func()) (*core.RunResult, *core.HealthReport, error) {
 	if batchSize <= 0 {
 		return nil, nil, fmt.Errorf("batch size must be positive")
 	}
@@ -379,75 +368,49 @@ func runDurable(pc core.PipelineConfig, dcfg durable.Config, edges []graph.Edge,
 	if err != nil {
 		return nil, nil, err
 	}
-	report := func() *core.HealthReport {
-		r := p.HealthReport()
-		return &r
+	batches := core.InsertBatches(edges, batchSize)
+	resume := int(min(p.DurableSeq(), uint64(len(batches))))
+	if resume > 0 {
+		fmt.Fprintf(os.Stderr, "saga: recovered %s through batch %d, resuming\n", dcfg.Dir, resume)
 	}
 	var stopLoad func()
 	if onPipeline != nil {
 		stopLoad = onPipeline(p)
 	}
-	batches := graph.Batches(edges, batchSize)
-	resume := p.DurableSeq()
-	if resume > 0 {
-		fmt.Fprintf(os.Stderr, "saga: recovered %s through batch %d, resuming\n", dcfg.Dir, resume)
-	}
-	var upd, cmp []float64
-	interrupted := false
-stream:
-	for bi, b := range batches {
-		if uint64(bi) < resume {
-			continue
-		}
-		select {
-		case <-sigC:
-			interrupted = true
-			break stream
-		default:
-		}
-		lat, err := p.ProcessMixed(core.MixedBatch{Adds: b})
-		if err != nil {
-			if errors.Is(err, core.ErrReadOnly) || errors.Is(err, core.ErrFailed) {
-				// The health machine refused ingest; stop streaming and
-				// let the report carry the story.
-				fmt.Fprintf(os.Stderr, "saga: ingest refused at batch %d: %v\n", bi, err)
-				break stream
-			}
-			if stopLoad != nil {
-				stopLoad()
-			}
-			p.Close()
-			return nil, report(), err
-		}
-		upd = append(upd, lat.Update.Seconds())
-		cmp = append(cmp, lat.Compute.Seconds())
-		if onBatch != nil {
-			onBatch(bi, b, p, lat)
-		}
-	}
+	upd, cmp, err := core.Stream(ctx, p, batches[resume:], onBatch)
 	if stopLoad != nil {
 		stopLoad()
 	}
-	if err := p.Close(); err != nil {
-		return nil, report(), err
-	}
-	if interrupted {
+	cerr := p.Close()
+	rep := p.HealthReport()
+	switch {
+	case errors.Is(err, core.ErrReadOnly), errors.Is(err, core.ErrFailed):
+		// The health machine refused ingest; the report carries the story.
+		fmt.Fprintf(os.Stderr, "saga: ingest refused at batch %d: %v\n", resume+len(upd), err)
+	case err != nil && ctx.Err() != nil:
 		fmt.Fprintf(os.Stderr, "saga: interrupted at batch %d/%d; WAL flushed and checkpoint written, re-run with the same -wal to resume\n",
 			p.DurableSeq(), len(batches))
+	case err != nil:
+		return nil, &rep, err
+	}
+	if cerr != nil {
+		return nil, &rep, cerr
 	}
 	for _, path := range p.PoisonFiles() {
 		fmt.Fprintf(os.Stderr, "saga: quarantined poison batch: %s (replay: sagafuzz -replay %s)\n", path, path)
 	}
-	if len(upd) == 0 {
+	if resume == len(batches) {
 		fmt.Fprintf(os.Stderr, "saga: stream already complete (%d batches durable in %s); nothing to do\n",
 			len(batches), dcfg.Dir)
-		os.Exit(0)
+	}
+	if len(upd) == 0 {
+		return nil, &rep, nil
 	}
 	return &core.RunResult{
 		BatchCount: len(upd),
 		Update:     [][]float64{upd},
 		Compute:    [][]float64{cmp},
-	}, report(), nil
+	}, &rep, nil
 }
 
 // runSupervised streams the batches through the supervised runtime: a
@@ -455,8 +418,8 @@ stream:
 // watchdog deadlines, and panic-isolated restart from the last durable
 // state. Ingest is asynchronous, so the per-batch latency table does
 // not apply; the run reports ingest counters and health instead.
-func runSupervised(pc core.PipelineConfig, dcfg durable.Config, edges []graph.Edge, batchSize, maxQueue int, shed bool,
-	onPipeline func(*core.Pipeline) func(), sigC chan os.Signal) (*core.HealthReport, error) {
+func runSupervised(ctx context.Context, pc core.PipelineConfig, dcfg durable.Config, edges []graph.Edge, batchSize, maxQueue int, shed bool,
+	onPipeline func(*core.Pipeline) func()) (*core.HealthReport, error) {
 	if batchSize <= 0 {
 		return nil, fmt.Errorf("batch size must be positive")
 	}
@@ -487,11 +450,9 @@ stream:
 		if uint64(bi) < resume {
 			continue
 		}
-		select {
-		case <-sigC:
+		if ctx.Err() != nil {
 			interrupted = true
 			break stream
-		default:
 		}
 		serr := sup.Submit(core.MixedBatch{Adds: b})
 		switch {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -42,7 +43,7 @@ func main() {
 		fatal(err)
 	}
 	mc := archsim.ScaledMachine(*machdiv)
-	rep, err := perfmon.Profile(perfmon.Config{
+	rep, err := perfmon.Profile(context.Background(), perfmon.Config{
 		Run: core.RunConfig{
 			PipelineConfig: core.PipelineConfig{
 				DataStructure: *dsName,

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	"sagabench/internal/compute"
 	"sagabench/internal/core"
 	"sagabench/internal/ds"
@@ -36,7 +38,7 @@ func (h *Harness) Ablation() error {
 				if err != nil {
 					return err
 				}
-				res, err := core.Run(core.RunConfig{
+				res, err := core.Run(context.Background(), core.RunConfig{
 					PipelineConfig: core.PipelineConfig{
 						DataStructure: dsName,
 						Algorithm:     "cc",

@@ -10,6 +10,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -162,7 +163,7 @@ type Harness struct {
 	runs     map[runKey]*core.RunResult
 	profiles map[profKey]*perfmon.Report
 
-	qstats []core.QueryLoadStats
+	qstats core.QueryLoadStats
 
 	csvData    map[string][][]string
 	csvHeaders map[string][]string
@@ -225,7 +226,7 @@ func (h *Harness) run(dataset, dsName, alg string, model compute.Model) (*core.R
 		cfg.ServeQueries = true
 		cfg.OnPipeline = h.attachQueryLoad
 	}
-	res, err := core.Run(cfg)
+	res, err := core.Run(context.Background(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +246,7 @@ func (h *Harness) profile(dataset, dsName, alg string) (*perfmon.Report, error) 
 		return nil, err
 	}
 	mc := archsim.ScaledMachine(h.opts.MachineDiv)
-	rep, err := perfmon.Profile(perfmon.Config{
+	rep, err := perfmon.Profile(context.Background(), perfmon.Config{
 		Run: core.RunConfig{
 			PipelineConfig: core.PipelineConfig{
 				DataStructure: dsName,

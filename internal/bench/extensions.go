@@ -1,10 +1,11 @@
 package bench
 
 import (
+	"context"
+
 	"sagabench/internal/compute"
 	"sagabench/internal/core"
 	"sagabench/internal/gen"
-	"sagabench/internal/graph"
 	"sagabench/internal/stats"
 )
 
@@ -72,20 +73,16 @@ func (h *Harness) slidingWindow(dsName string, spec gen.Spec) (upd, cmp float64,
 	if err != nil {
 		return 0, 0, err
 	}
-	edges := spec.Generate(h.opts.Seed)
-	batches := graph.Batches(edges, spec.BatchSize)
-	var updSamples, cmpSamples []float64
-	for i, b := range batches {
-		mb := core.MixedBatch{Adds: b}
-		if i >= window {
-			mb.Dels = batches[i-window]
-		}
-		lat, err := p.ProcessMixed(mb)
-		if err != nil {
-			return 0, 0, err
-		}
-		updSamples = append(updSamples, lat.Update.Seconds())
-		cmpSamples = append(cmpSamples, lat.Compute.Seconds())
+	batches := core.InsertBatches(spec.Generate(h.opts.Seed), spec.BatchSize)
+	for i := window; i < len(batches); i++ {
+		batches[i].Dels = batches[i-window].Adds
+	}
+	updSamples, cmpSamples, err := core.Stream(context.Background(), p, batches, nil)
+	if cerr := p.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return 0, 0, err
 	}
 	return stats.Summarize(updSamples).Mean, stats.Summarize(cmpSamples).Mean, nil
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"sagabench/internal/compute"
@@ -29,27 +30,11 @@ func (h *Harness) attachReaders(p *core.Pipeline, readers int) func() {
 	if err != nil {
 		return nil
 	}
-	return func() { h.qstats = append(h.qstats, ql.Stop()) }
+	return func() { h.qstats.Add(ql.Stop()) }
 }
 
 // QueryStats aggregates every query load the harness ran.
-func (h *Harness) QueryStats() core.QueryLoadStats {
-	var agg core.QueryLoadStats
-	for _, s := range h.qstats {
-		agg.Queries += s.Queries
-		agg.Sessions += s.Sessions
-		agg.Misses += s.Misses
-		agg.Violations += s.Violations
-		if s.MaxStaleness > agg.MaxStaleness {
-			agg.MaxStaleness = s.MaxStaleness
-		}
-		if agg.FirstViolation == "" {
-			agg.FirstViolation = s.FirstViolation
-		}
-		agg.Elapsed += s.Elapsed
-	}
-	return agg
-}
+func (h *Harness) QueryStats() core.QueryLoadStats { return h.qstats }
 
 // Interference sweeps the reader count over the representative config.
 func (h *Harness) Interference() error {
@@ -84,19 +69,10 @@ func (h *Harness) Interference() error {
 				if qerr != nil {
 					return nil
 				}
-				return func() {
-					s := ql.Stop()
-					stats.Queries += s.Queries
-					stats.Sessions += s.Sessions
-					if s.MaxStaleness > stats.MaxStaleness {
-						stats.MaxStaleness = s.MaxStaleness
-					}
-					stats.Violations += s.Violations
-					stats.Elapsed += s.Elapsed
-				}
+				return func() { stats.Add(ql.Stop()) }
 			}
 		}
-		res, err := core.Run(cfg)
+		res, err := core.Run(context.Background(), cfg)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	"sagabench/internal/archsim"
 	"sagabench/internal/core"
 	"sagabench/internal/gen"
@@ -62,7 +64,7 @@ func (h *Harness) profileAt(dataset, dsName, alg string, div int) (*perfmon.Repo
 		return nil, err
 	}
 	mc := archsim.ScaledMachine(div)
-	return perfmon.Profile(perfmon.Config{
+	return perfmon.Profile(context.Background(), perfmon.Config{
 		Run: core.RunConfig{
 			PipelineConfig: core.PipelineConfig{
 				DataStructure: dsName,

@@ -15,10 +15,11 @@
 //
 //   - Pipeline: the programmatic API a downstream application uses to
 //     stream its own edges (see examples/).
-//   - Runner: the measurement harness the characterization experiments
-//     use — it generates a dataset, feeds all batches (optionally
-//     repeated), and aggregates per-batch latencies into the paper's P1 /
-//     P2 / P3 stages with 95% confidence intervals.
+//   - Run: the measurement harness the characterization experiments
+//     use — it generates a dataset (or takes an edge stream), feeds all
+//     batches (optionally repeated) through Stream, the one batch loop,
+//     and aggregates per-batch latencies into the paper's P1 / P2 / P3
+//     stages with 95% confidence intervals.
 //
 // saga:paniccapture — goroutines must capture panics so the poison-batch
 // quarantine sees worker failures (enforced by sagavet; see
@@ -26,6 +27,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -191,8 +193,9 @@ type PipelineConfig struct {
 	// compute, and publish stages (ops "update"/"compute"/"publish").
 	// An injected stall sleeps in-stage — exactly where a watchdog must
 	// catch it — and an injected error panics, which the durable path's
-	// panic capture converts into the poison-batch protocol. Durability
-	// I/O faults are injected separately through Durable.IO.
+	// panic capture converts into the poison-batch protocol and Stream
+	// otherwise returns as its error. Durability I/O faults are injected
+	// separately through Durable.IO.
 	Faults fault.Injector
 	// DegradePolicy selects what a permanent (or retry-exhausted)
 	// durability fault does: "degrade" keeps applying batches in memory
@@ -323,13 +326,6 @@ func (p *Pipeline) LastViewRefresh() ds.RefreshStats { return p.batch.View }
 // accessor but AcquireQuery it must not race a batch in flight.
 func (p *Pipeline) LastBatch() BatchRecord { return p.batch }
 
-// Affected is the deduplicated endpoint set the last batch to reach the
-// compute stage handed to the engine: adds before dels, each vertex at its
-// first sighting (src before dst), endpoints at or above NumNodes skipped.
-// It aliases pipeline scratch: read it before the next batch, and do not
-// modify it.
-func (p *Pipeline) Affected() []graph.NodeID { return p.affected }
-
 // Graph exposes the topology (read-only between updates).
 func (p *Pipeline) Graph() ds.Graph { return p.g }
 
@@ -370,8 +366,9 @@ func (p *Pipeline) overwrittenFor(batch graph.Batch) graph.Batch {
 }
 
 // affectedOf deduplicates the batch's endpoint vertices — the affected
-// array of Algorithm 1. (Marking is outside the timed compute phase; the
-// paper's update phase likewise knows which vertices it touched.)
+// array of Algorithm 1, adds before dels, each vertex at its first
+// sighting (src before dst). (Marking is outside the timed compute phase;
+// the paper's update phase likewise knows which vertices it touched.)
 // Endpoints at or above NumNodes are skipped: a deletion naming a vertex
 // the graph has never seen is a legal no-op, not an affected vertex.
 func (p *Pipeline) affectedOf(mb MixedBatch) []graph.NodeID {
@@ -411,22 +408,29 @@ const (
 // RunConfig describes one measured experiment.
 type RunConfig struct {
 	PipelineConfig
-	// Dataset generates the input stream.
+	// Dataset generates the input stream, and sets the pipeline's
+	// directedness and (when unset) its MaxNodesHint.
 	Dataset gen.Spec
 	// Seed drives generation; repeat r uses Seed+r so repeats see the
 	// same stream ordering per repeat index across configurations.
 	Seed int64
+	// Edges, when non-nil, replaces Dataset generation: every repeat
+	// streams these edges (e.g. a SNAP edge list loaded with elio) in
+	// batches of BatchSize, and PipelineConfig's Directed and
+	// MaxNodesHint are the caller's.
+	Edges     []graph.Edge
+	BatchSize int
 	// Repeats re-runs the full stream on fresh state (default 1; the
 	// paper uses 3).
 	Repeats int
-	// OnBatch, if set, observes each processed batch (used by the
-	// architecture profiler to replay traces).
-	OnBatch func(batch int, edges graph.Batch, p *Pipeline, lat BatchLatency)
+	// OnBatch, if set, observes each batch a pipeline accepted, with its
+	// record (see Stream).
+	OnBatch func(MixedBatch, *BatchRecord)
 	// OnPipeline, if set, observes each repeat's freshly built pipeline
 	// before its first batch; the returned stop function (may be nil) is
-	// called after the repeat's last batch, before the pipeline is closed.
-	// The query-load generator attaches here so readers run concurrently
-	// with the measured stream.
+	// called after the repeat's last batch, before the pipeline is closed,
+	// on every exit. The query-load generator attaches here so readers run
+	// concurrently with the measured stream.
 	OnPipeline func(p *Pipeline) (stop func())
 }
 
@@ -438,100 +442,122 @@ type RunResult struct {
 	Compute [][]float64
 }
 
-// Run executes the experiment.
-func Run(cfg RunConfig) (*RunResult, error) {
-	if cfg.PipelineConfig.Durable != nil {
-		return nil, fmt.Errorf("core: Run measures repeats on fresh state and cannot use a durable pipeline (each repeat would recover the previous one); drive a durable Pipeline directly")
+// Run executes the experiment: each repeat builds a fresh pipeline,
+// hands it to OnPipeline, streams it (Stream), and calls the stop and
+// Close on every exit, a cancelled ctx or an error included.
+func Run(ctx context.Context, cfg RunConfig) (*RunResult, error) {
+	if cfg.Durable != nil {
+		return nil, fmt.Errorf("core: Run measures repeats on fresh state and cannot use a durable pipeline (each repeat would recover the previous one); drive a durable Pipeline through Stream")
 	}
-	repeats := cfg.Repeats
-	if repeats <= 0 {
-		repeats = 1
-	}
-	cfg.PipelineConfig.Directed = cfg.Dataset.Directed
-	if cfg.PipelineConfig.MaxNodesHint == 0 {
-		cfg.PipelineConfig.MaxNodesHint = cfg.Dataset.NumNodes
-	}
-	res := &RunResult{}
-	for r := 0; r < repeats; r++ {
-		edges := cfg.Dataset.Generate(cfg.Seed + int64(r))
-		if err := res.measureOnce(cfg.PipelineConfig, edges, cfg.Dataset.BatchSize, cfg.OnBatch, cfg.OnPipeline, r); err != nil {
-			return nil, err
+	if cfg.Edges == nil {
+		cfg.Directed = cfg.Dataset.Directed
+		if cfg.MaxNodesHint == 0 {
+			cfg.MaxNodesHint = cfg.Dataset.NumNodes
 		}
-	}
-	return res, nil
-}
-
-// StreamConfig measures a caller-provided edge stream (e.g. a SNAP edge
-// list loaded with elio) instead of a generated dataset. Repeats re-run
-// the identical stream on fresh state.
-type StreamConfig struct {
-	PipelineConfig
-	Edges     []graph.Edge
-	BatchSize int
-	Repeats   int
-	OnBatch   func(batch int, edges graph.Batch, p *Pipeline, lat BatchLatency)
-	// OnPipeline mirrors RunConfig.OnPipeline.
-	OnPipeline func(p *Pipeline) (stop func())
-}
-
-// RunStream executes the stream experiment.
-func RunStream(cfg StreamConfig) (*RunResult, error) {
-	if cfg.PipelineConfig.Durable != nil {
-		return nil, fmt.Errorf("core: RunStream measures repeats on fresh state and cannot use a durable pipeline (each repeat would recover the previous one); drive a durable Pipeline directly")
+		cfg.BatchSize = cfg.Dataset.BatchSize
 	}
 	if cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("core: batch size must be positive")
 	}
-	repeats := cfg.Repeats
-	if repeats <= 0 {
-		repeats = 1
-	}
 	res := &RunResult{}
-	for r := 0; r < repeats; r++ {
-		if err := res.measureOnce(cfg.PipelineConfig, cfg.Edges, cfg.BatchSize, cfg.OnBatch, cfg.OnPipeline, r); err != nil {
+	for r := 0; r < max(cfg.Repeats, 1); r++ {
+		edges := cfg.Edges
+		if edges == nil {
+			edges = cfg.Dataset.Generate(cfg.Seed + int64(r))
+		}
+		if err := res.repeat(ctx, cfg, InsertBatches(edges, cfg.BatchSize), r); err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
 }
 
-// measureOnce streams one repeat on a fresh pipeline, appending its latency
+// repeat streams one repeat on a fresh pipeline, appending its latency
 // series.
-func (res *RunResult) measureOnce(pc PipelineConfig, edges []graph.Edge, batchSize int, onBatch func(int, graph.Batch, *Pipeline, BatchLatency), onPipeline func(*Pipeline) func(), repeat int) error {
-	p, err := NewPipeline(pc)
-	if err != nil {
-		return err
-	}
-	p.repeatTag = repeat
-	var stop func()
-	if onPipeline != nil {
-		stop = onPipeline(p)
-	}
-	batches := graph.Batches(edges, batchSize)
+func (res *RunResult) repeat(ctx context.Context, cfg RunConfig, batches []MixedBatch, r int) (err error) {
 	if res.BatchCount == 0 {
 		res.BatchCount = len(batches)
 	} else if res.BatchCount != len(batches) {
-		return fmt.Errorf("core: repeat %d produced %d batches, want %d", repeat, len(batches), res.BatchCount)
+		return fmt.Errorf("core: repeat %d produced %d batches, want %d", r, len(batches), res.BatchCount)
 	}
-	upd := make([]float64, 0, len(batches))
-	cmp := make([]float64, 0, len(batches))
-	for bi, b := range batches {
-		lat := p.Process(b)
-		upd = append(upd, lat.Update.Seconds())
-		cmp = append(cmp, lat.Compute.Seconds())
-		if onBatch != nil {
-			onBatch(bi, b, p, lat)
+	p, err := NewPipeline(cfg.PipelineConfig)
+	if err != nil {
+		return err
+	}
+	p.repeatTag = r
+	defer func() {
+		if cerr := p.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	if cfg.OnPipeline != nil {
+		if stop := cfg.OnPipeline(p); stop != nil {
+			defer stop()
 		}
 	}
-	if stop != nil {
-		stop()
-	}
-	if err := p.Close(); err != nil {
+	upd, cmp, err := Stream(ctx, p, batches, cfg.OnBatch)
+	if err != nil {
 		return err
 	}
 	res.Update = append(res.Update, upd)
 	res.Compute = append(res.Compute, cmp)
 	return nil
+}
+
+// InsertBatches cuts an insert-only stream into batches of size (the last
+// may be shorter).
+func InsertBatches(edges []graph.Edge, size int) []MixedBatch {
+	bs := graph.Batches(edges, size)
+	out := make([]MixedBatch, len(bs))
+	for i, b := range bs {
+		out[i].Adds = b
+	}
+	return out
+}
+
+// Stream is the one batch loop: it offers the batches to p through
+// ProcessMixed, in order, and returns the update and compute seconds of
+// each batch p accepted. onBatch, if set, observes each accepted batch
+// with its record, which is the pipeline's own until the next batch: read
+// it, do not keep or modify it. Stream returns at the first error, and
+// once ctx is done it stops at the next batch boundary and returns
+// ctx.Err(). It neither builds nor closes p.
+func Stream(ctx context.Context, p *Pipeline, batches []MixedBatch, onBatch func(MixedBatch, *BatchRecord)) (upd, cmp []float64, err error) {
+	upd = make([]float64, 0, len(batches))
+	cmp = make([]float64, 0, len(batches))
+	for _, mb := range batches {
+		if err := ctx.Err(); err != nil {
+			return upd, cmp, err
+		}
+		lat, err := p.offer(mb)
+		if err != nil {
+			return upd, cmp, err
+		}
+		upd = append(upd, lat.Update.Seconds())
+		cmp = append(cmp, lat.Compute.Seconds())
+		if onBatch != nil {
+			onBatch(mb, &p.batch)
+		}
+	}
+	return upd, cmp, nil
+}
+
+// offer is ProcessMixed with an injected phase fault returned as the error
+// it is. The stage that injects it panics (see stage): a durable apply
+// turns the panic into the poison-batch protocol and the supervisor's
+// worker into a restart, and without either it reaches here. Any other
+// panic is a bug and keeps unwinding.
+func (p *Pipeline) offer(mb MixedBatch) (lat BatchLatency, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			ferr, ok := r.(error)
+			if !ok || !fault.IsInjected(ferr) {
+				panic(r)
+			}
+			err = ferr
+		}
+	}()
+	return p.ProcessMixed(mb)
 }
 
 // Series returns the per-batch series of one repeat for the metric, or an

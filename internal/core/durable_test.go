@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -369,23 +370,18 @@ func TestDurableApplyPoisonQuarantine(t *testing.T) {
 	p2.Close()
 }
 
-// TestRunRejectsDurable: the repeat-oriented measurement drivers refuse a
+// TestRunRejectsDurable: the repeat-oriented measurement driver refuses a
 // durable pipeline — each repeat would re-recover persisted state.
 func TestRunRejectsDurable(t *testing.T) {
 	cfg := pipelineCfg("adjshared", "cc", compute.INC)
 	cfg.Durable = &durable.Config{Dir: t.TempDir()}
-	if _, err := core.RunStream(core.StreamConfig{
-		PipelineConfig: cfg,
-		Edges:          graph.Batch{{Src: 0, Dst: 1, Weight: 1}},
-		BatchSize:      1,
-	}); err == nil {
-		t.Error("RunStream should reject a durable config")
-	}
-	if _, err := core.Run(core.RunConfig{
-		PipelineConfig: cfg,
-		Dataset:        gen.MustDataset("talk", gen.ProfileTiny),
-	}); err == nil {
-		t.Error("Run should reject a durable config")
+	for _, rc := range []core.RunConfig{
+		{PipelineConfig: cfg, Edges: graph.Batch{{Src: 0, Dst: 1, Weight: 1}}, BatchSize: 1},
+		{PipelineConfig: cfg, Dataset: gen.MustDataset("talk", gen.ProfileTiny)},
+	} {
+		if _, err := core.Run(context.Background(), rc); err == nil {
+			t.Errorf("Run should reject a durable config (edges: %v)", rc.Edges != nil)
+		}
 	}
 }
 

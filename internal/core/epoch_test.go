@@ -310,45 +310,3 @@ func TestQueryLoadLeak(t *testing.T) {
 		t.Fatalf("query load leaked goroutines: %d before, %d after", before, after)
 	}
 }
-
-// TestRunStreamOnPipeline verifies the hook sees each repeat's pipeline
-// and its stop function runs before the pipeline closes.
-func TestRunStreamOnPipeline(t *testing.T) {
-	var started, stopped int
-	cfg := servingCfg()
-	res, err := core.RunStream(core.StreamConfig{
-		PipelineConfig: cfg,
-		Edges: []graph.Edge{
-			{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 1},
-			{Src: 2, Dst: 3, Weight: 1}, {Src: 3, Dst: 0, Weight: 1},
-		},
-		BatchSize: 2,
-		Repeats:   2,
-		OnPipeline: func(p *core.Pipeline) func() {
-			started++
-			if p.Epochs() == nil {
-				t.Error("OnPipeline pipeline does not serve queries")
-			}
-			return func() {
-				stopped++
-				// The pipeline must still be open: the last epoch is
-				// acquirable inside the stop callback.
-				h, err := p.AcquireQuery()
-				if err != nil {
-					t.Errorf("AcquireQuery in stop: %v", err)
-					return
-				}
-				h.Release()
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if started != 2 || stopped != 2 {
-		t.Fatalf("hook ran %d/%d times, want 2/2", started, stopped)
-	}
-	if res.BatchCount != 2 {
-		t.Fatalf("BatchCount = %d, want 2", res.BatchCount)
-	}
-}

@@ -66,6 +66,20 @@ func (s QueryLoadStats) QPS() float64 {
 	return float64(s.Queries) / s.Elapsed.Seconds()
 }
 
+// Add folds another load's stats into s: counts and wall time add up,
+// staleness takes the larger, and the first violation stays first.
+func (s *QueryLoadStats) Add(o QueryLoadStats) {
+	s.Queries += o.Queries
+	s.Sessions += o.Sessions
+	s.Misses += o.Misses
+	s.MaxStaleness = max(s.MaxStaleness, o.MaxStaleness)
+	s.Violations += o.Violations
+	if s.FirstViolation == "" {
+		s.FirstViolation = o.FirstViolation
+	}
+	s.Elapsed += o.Elapsed
+}
+
 // QueryLoad is a running reader fleet; Stop joins it and reports.
 type QueryLoad struct {
 	p     *Pipeline

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func telemetryRun(t *testing.T, dsName string, model compute.Model, repeats int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = core.Run(core.RunConfig{
+	_, err = core.Run(context.Background(), core.RunConfig{
 		PipelineConfig: core.PipelineConfig{
 			DataStructure: dsName,
 			Algorithm:     "pr",

@@ -7,7 +7,10 @@
 package perfmon
 
 import (
+	"context"
+
 	"sagabench/internal/archsim"
+	"sagabench/internal/compute"
 	"sagabench/internal/core"
 	"sagabench/internal/graph"
 	"sagabench/internal/stats"
@@ -48,8 +51,9 @@ type Report struct {
 	Profiles [3][2]archsim.PhaseProfile
 }
 
-// Profile runs the experiment once with the replayer attached.
-func Profile(cfg Config) (*Report, error) {
+// Profile runs the experiment once with the replayer attached; ctx stops
+// it at a batch boundary (core.Stream).
+func Profile(ctx context.Context, cfg Config) (*Report, error) {
 	threads := cfg.Threads
 	if threads <= 0 {
 		threads = 64
@@ -84,14 +88,28 @@ func Profile(cfg Config) (*Report, error) {
 
 	runCfg := cfg.Run
 	runCfg.Repeats = 1 // the replay is deterministic given the stream
-	runCfg.OnBatch = func(_ int, edges graph.Batch, p *core.Pipeline, _ core.BatchLatency) {
+	var affected []graph.NodeID
+	seen := make(map[graph.NodeID]bool)
+	runCfg.OnBatch = func(mb core.MixedBatch, rec *core.BatchRecord) {
+		edges := mb.Adds
 		var s batchSample
 		s.upd = rep.ReplayUpdate(edges)
 		srcs := make([]uint32, len(edges))
 		dsts := make([]uint32, len(edges))
+		// The affected set the engine was handed: each endpoint at its
+		// first sighting, src before dst (an insert batch's endpoints all
+		// exist after its update).
+		affected = affected[:0]
+		clear(seen)
 		for i, e := range edges {
 			srcs[i] = uint32(e.Src)
 			dsts[i] = uint32(e.Dst)
+			for _, v := range [2]graph.NodeID{e.Src, e.Dst} {
+				if !seen[v] {
+					seen[v] = true
+					affected = append(affected, v)
+				}
+			}
 		}
 		if cfg.Run.Dataset.Directed {
 			s.outLoads = archsim.LoadsOf(srcs)
@@ -103,17 +121,16 @@ func Profile(cfg Config) (*Report, error) {
 			s.outLoads = archsim.LoadsOf(append(append([]uint32{}, srcs...), dsts...))
 			s.hotOut = archsim.HotnessOf(s.outLoads)
 		}
-		es := p.Engine().Stats()
-		s.cmp = rep.ReplayCompute(p.Affected(), archsim.ComputeTrace{
-			Incremental: p.Engine().Model() == "inc",
+		s.cmp = rep.ReplayCompute(affected, archsim.ComputeTrace{
+			Incremental: cfg.Run.Model == compute.INC,
 			// PageRank pulls contributions and queries the degree of
 			// each vertex it recomputes, not of each in-neighbor.
-			NeedsDegree:     p.Engine().Name() == "pr",
-			ProcessedBudget: es.Processed,
+			NeedsDegree:     cfg.Run.Algorithm == "pr",
+			ProcessedBudget: rec.Compute.Processed,
 		})
 		samples = append(samples, s)
 	}
-	if _, err := core.Run(runCfg); err != nil {
+	if _, err := core.Run(ctx, runCfg); err != nil {
 		return nil, err
 	}
 

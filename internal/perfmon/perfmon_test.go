@@ -1,6 +1,8 @@
 package perfmon_test
 
 import (
+	"context"
+
 	"testing"
 
 	"sagabench/internal/archsim"
@@ -17,7 +19,7 @@ func profileOf(t *testing.T, dataset, dsName string) *perfmon.Report {
 	// sets overflow the caches the way the paper's full-size graphs
 	// overflowed the real ones.
 	mc := archsim.ScaledMachine(128)
-	rep, err := perfmon.Profile(perfmon.Config{
+	rep, err := perfmon.Profile(context.Background(), perfmon.Config{
 		Run: core.RunConfig{
 			PipelineConfig: core.PipelineConfig{
 				DataStructure: dsName,
@@ -116,7 +118,7 @@ func TestHeavyTailUpdateUtilization(t *testing.T) {
 // end to end on orkut.
 func TestUndirectedProfile(t *testing.T) {
 	mc := archsim.ScaledMachine(256)
-	rep, err := perfmon.Profile(perfmon.Config{
+	rep, err := perfmon.Profile(context.Background(), perfmon.Config{
 		Run: core.RunConfig{
 			PipelineConfig: core.PipelineConfig{
 				DataStructure: "adjshared",
