@@ -254,7 +254,8 @@ func TestIncIdentityAndDirectTrim(t *testing.T) {
 
 // TestBFSBottomUpPath forces the direction-optimizing switch: a dense
 // two-level graph whose first frontier covers most vertices triggers the
-// bottom-up sweep, which must produce the same depths as the reference.
+// bottom-up sweep, which must run (its range records say so) and produce
+// the same depths as the reference.
 func TestBFSBottomUpPath(t *testing.T) {
 	g := ds.MustNew("adjshared", ds.Config{Directed: true, Threads: 2})
 	var b graph.Batch
@@ -274,8 +275,17 @@ func TestBFSBottomUpPath(t *testing.T) {
 	// Four threads cut the sweep into ranges that share frontier words
 	// (run under -race).
 	for _, threads := range []int{2, 4} {
-		e := compute.MustNewEngine("bfs", compute.FS, compute.Options{Threads: threads})
+		e := compute.MustNewEngine("bfs", compute.FS, compute.Options{Threads: threads, WorkerTiming: true})
 		e.PerformAlg(g, nil)
+		bottomUp := 0
+		for _, r := range e.Stats().Ranges {
+			if r.Pass == "fs.bfs.bottomup" {
+				bottomUp++
+			}
+		}
+		if bottomUp == 0 {
+			t.Fatalf("threads=%d: no level ran bottom-up", threads)
+		}
 		vals := e.Values()
 		if vals[0] != 0 {
 			t.Fatal("source depth")

@@ -38,3 +38,6 @@ func PullCuts(g ds.Graph, threads int) []int {
 	r.pullCuts()
 	return r.cuts
 }
+
+// BFSAlpha and BFSBeta are FS BFS's direction-rule divisors.
+const BFSAlpha, BFSBeta = bfsAlpha, bfsBeta
