@@ -93,6 +93,9 @@ func main() {
 	if (*degradePol != "" || *maxQueue > 0) && *walDir == "" {
 		fatal(fmt.Errorf("-degrade-policy and -max-queue require -wal (they govern the durable service path)"))
 	}
+	if *serveQ && *qReaders < 1 {
+		fatal(fmt.Errorf("-query-readers is %d; -serve-queries needs at least 1 reader", *qReaders))
+	}
 
 	var tracer *trace.Tracer
 	if *traceOn || *traceOut != "" || *pprofLabels {

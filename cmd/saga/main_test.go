@@ -88,3 +88,16 @@ func TestInjectedFaultExitsOne(t *testing.T) {
 		t.Errorf("%d event lines, want the 1 batch before the fault", got)
 	}
 }
+
+// TestQueryReadersBelowOne: saga reports the reader count it was given,
+// so a count the query load would not run is refused when flags are
+// parsed, before any batch streams.
+func TestQueryReadersBelowOne(t *testing.T) {
+	code, stdout, stderr := saga(t, "-dataset", "talk", "-profile", "tiny", "-serve-queries", "-query-readers", "0")
+	if code != 1 || !strings.Contains(stderr, "-serve-queries needs at least 1 reader") {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	if strings.Contains(stdout, "queries:") {
+		t.Errorf("a refused run reported queries:\n%s", stdout)
+	}
+}
