@@ -159,3 +159,44 @@ func BenchmarkComputePRINConAS(b *testing.B)   { benchCompute(b, "adjshared", "p
 func BenchmarkComputePRINConDAH(b *testing.B)  { benchCompute(b, "dah", "pr", compute.INC) }
 func BenchmarkComputeCCINConAS(b *testing.B)   { benchCompute(b, "adjshared", "cc", compute.INC) }
 func BenchmarkComputeBFSFSonStgr(b *testing.B) { benchCompute(b, "stinger", "bfs", compute.FS) }
+
+// benchComputeRMAT is benchCompute on update-churn's graph shape at 2^15
+// vertices: the paper's RMAT (a,b,c), about 7.5 out-edges a vertex, 250 K
+// edges streamed in 10 K-edge batches through hybrid's interface path.
+// lj's 4 800 vertices give FS BFS one wide level and FS PageRank an
+// in-edge at every vertex; here BFS has the depth profile its direction
+// rule is tuned on (a 2^18-vertex table is in EXPERIMENTS.md), and
+// PageRank's sweep has vertices without in-edges to skip.
+func benchComputeRMAT(b *testing.B, dsName, alg string, model compute.Model) {
+	const nodes, edgeCount, batch = 1 << 15, 250_000, 10_000
+	spec := gen.Spec{Kind: gen.KindRMAT, Directed: true, NumNodes: nodes, NumEdges: edgeCount, A: .55, B: .15, C: .15, D: .15}
+	p, err := core.NewPipeline(core.PipelineConfig{
+		DataStructure: dsName,
+		Algorithm:     alg,
+		Model:         model,
+		Directed:      true,
+		Threads:       2,
+		MaxNodesHint:  nodes,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	edges := spec.Generate(7)
+	for start := 0; start < len(edges); start += batch {
+		p.Process(edges[start : start+batch])
+	}
+	final := edges[len(edges)-batch:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Process(final)
+	}
+}
+
+func BenchmarkComputeBFSFSonHybridRMAT(b *testing.B) {
+	benchComputeRMAT(b, "hybrid", "bfs", compute.FS)
+}
+
+func BenchmarkComputePRFSonHybridRMAT(b *testing.B) {
+	benchComputeRMAT(b, "hybrid", "pr", compute.FS)
+}
